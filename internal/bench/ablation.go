@@ -15,8 +15,8 @@ import (
 // configuration against its alternative on both device drivers, isolating
 // the specific effect the design addresses:
 //
-//   - accumulator spreading (§4.1.7): replicated accumulators vs. a single
-//     accumulator per group under few-group contention;
+//   - accumulator placement (§4.1.7): partition-private partial tables vs.
+//     a single atomically updated accumulator per group;
 //   - memory access pattern (§4.2, Figure 4): device-preferred vs. foreign
 //     pattern for a bandwidth-bound kernel;
 //   - radix width (§5.2.7): 8-bit vs. 4-bit digits per device;
@@ -68,17 +68,26 @@ func (e *ablEnv) measureKernel(reps int, op func() *cl.Event) (float64, error) {
 	return float64(time.Since(start).Microseconds()) / float64(reps) / 1000, nil
 }
 
-// AblationAccumulators measures the §4.1.7 contention-spreading design:
-// grouped float sums over few groups, with the paper's replica plan vs. a
-// single accumulator per group.
+// AblationAccumulators measures the §4.1.7 accumulator design the engine
+// runs: grouped integer sums through partition-private partials vs. atomics
+// straight into one accumulator per group, across the group counts between
+// which kernels.GroupAggScratchWords switches from the first to the second.
 func AblationAccumulators(opt Options) *Report {
 	opt = opt.withDefaults()
-	groupCounts := []float64{2, 4, 8, 16, 64}
 	rows := opt.BaseMB * rowsPerMB
+	// 2 … 64 k groups, then the counts at which the partials table reaches
+	// half, one, two and four times the input at this size, so the figure
+	// brackets the switch whatever -base says.
+	groupCounts := []float64{2, 16, 128, 1 << 10, 1 << 13, 1 << 16}
+	for _, words := range []int{rows / 2, rows, 2 * rows, 4 * rows} {
+		if g := words / kernels.GroupSumChunksFor(rows, rows); float64(g) > groupCounts[len(groupCounts)-1] {
+			groupCounts = append(groupCounts, float64(g))
+		}
+	}
 
 	r := &Report{
 		ID:     "Ablation A1",
-		Title:  fmt.Sprintf("Grouped aggregation: replicated vs. single accumulators (§4.1.7), %d MB", opt.BaseMB),
+		Title:  fmt.Sprintf("Grouped aggregation: partition-private partials vs. direct atomics (§4.1.7), %d MB", opt.BaseMB),
 		XLabel: "#groups",
 		Xs:     groupCounts,
 		Millis: map[string][]float64{},
@@ -88,39 +97,42 @@ func AblationAccumulators(opt Options) *Report {
 		vals := e.buf(rows + 1)
 		gids := e.buf(rows + 1)
 		rnd := rand.New(rand.NewSource(opt.Seed))
-		vf := vals.F32()
+		vi, gi := vals.I32(), gids.I32()
 		for i := 0; i < rows; i++ {
-			vf[i] = rnd.Float32()
+			vi[i] = rnd.Int31n(1000)
 		}
-		for _, label := range []string{"/spread", "/single"} {
-			r.Order = append(r.Order, dev.Const.Class.String()+label)
-			r.Millis[dev.Const.Class.String()+label] = make([]float64, len(groupCounts))
+		class := dev.Const.Class.String()
+		for _, label := range []string{"/partials", "/direct"} {
+			r.Order = append(r.Order, class+label)
+			r.Millis[class+label] = make([]float64, len(groupCounts))
 		}
 		for xi, gc := range groupCounts {
 			ngroups := int(gc)
-			gi := gids.I32()
 			for i := 0; i < rows; i++ {
-				gi[i] = int32(i % ngroups)
+				gi[i] = rnd.Int31n(int32(ngroups))
 			}
-			plans := map[string]kernels.AggPlan{
-				"/spread": kernels.PlanGroupedAgg(ngroups),
-				"/single": {NGroups: ngroups, Replicas: 1, Table: ngroups, UseLocal: true},
-			}
-			for label, plan := range plans {
-				launchGroups, _ := cl.DefaultLaunch(dev)
-				scratch := e.buf(launchGroups*plan.Table + 1)
-				dst := e.buf(ngroups + 1)
+			dst := e.buf(ngroups + 1)
+			partials := e.buf(ngroups*kernels.GroupSumChunksFor(rows, ngroups) + 1)
+			for label, scratch := range map[string]*cl.Buffer{"/partials": partials, "/direct": nil} {
 				ms, err := e.measureKernel(opt.Runs, func() *cl.Event {
-					return kernels.GroupedAggF32(e.q, dst, vals, gids, scratch, ops.Sum, rows, plan, nil)
+					return kernels.GroupedAggI32(e.q, dst, vals, gids, scratch, ops.Sum, rows, ngroups, nil)
 				})
 				if err != nil {
-					r.Notes = append(r.Notes, fmt.Sprintf("%s%s: %v", dev.Const.Class, label, err))
+					r.Notes = append(r.Notes, fmt.Sprintf("%s%s: %v", class, label, err))
 					continue
 				}
-				r.Millis[dev.Const.Class.String()+label][xi] = ms
-				_ = scratch.Release()
-				_ = dst.Release()
+				r.Millis[class+label][xi] = ms
 			}
+			_ = partials.Release()
+			_ = dst.Release()
+		}
+		_ = vals.Release()
+		_ = gids.Release()
+	}
+	for _, gc := range groupCounts {
+		if kernels.GroupAggScratchWords(rows, int(gc)) == 0 {
+			r.Notes = append(r.Notes, fmt.Sprintf("at %d rows the engine runs partials below %.0f groups and direct atomics from there on", rows, gc))
+			break
 		}
 	}
 	return r

@@ -311,16 +311,17 @@ func TestAblationsProduceData(t *testing.T) {
 }
 
 func TestAblationAccumulatorContention(t *testing.T) {
-	// The §4.1.7 design must matter: at 2 groups the single-accumulator
-	// variant must cost clearly more than the spread one on the CPU.
+	// The §4.1.7 design must matter: at 2 groups, atomics into one
+	// accumulator per group must cost clearly more than the partition-
+	// private partials on the CPU.
 	opt := tinyOpts()
 	opt.BaseMB = 8
 	opt.Runs = 2
 	r := AblationAccumulators(opt)
-	spread := r.Millis["CPU/spread"][0]
-	single := r.Millis["CPU/single"][0]
-	if single < spread*1.5 {
-		t.Skipf("contention effect below threshold on this host: spread %.2f vs single %.2f", spread, single)
+	partials := r.Millis["CPU/partials"][0]
+	direct := r.Millis["CPU/direct"][0]
+	if direct < partials*1.5 {
+		t.Skipf("contention effect below threshold on this host: partials %.2f vs direct %.2f", partials, direct)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // Aggr implements Ocelot's aggregation operator (§4.1.7): ungrouped
-// aggregates use the parallel binary reduction, grouped aggregates the
-// hierarchical local-memory scheme with contention-spreading accumulator
-// replicas (falling back to global memory when the table does not fit).
+// aggregates use the parallel binary reduction, grouped aggregates
+// partition-private partial tables folded in a final pass (single-table
+// atomics once the partials would outgrow the input).
 // Count returns I32, Avg F32, Sum/Min/Max the input type. All accumulation
 // happens in four-byte types — the restriction of §3.1 — so float results
 // may differ from wide-accumulator engines in the last few digits.
@@ -48,6 +48,11 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 		return out, nil
 	}
 	if n == 0 {
+		// The sum of nothing is the typed zero, as MonetDB answers; the
+		// other kinds have no value to give.
+		if kind == ops.Sum && (vals.T == bat.I32 || vals.T == bat.F32) {
+			return bat.New(kind.String(), vals.T, 1), nil
+		}
 		return nil, fmt.Errorf("core: %v of an empty column", kind)
 	}
 	valBuf, wait, err := e.valuesOf(vals)
@@ -118,8 +123,6 @@ func (e *Engine) aggrGrouped(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (
 		return nil, err
 	}
 	n := groups.Len()
-	plan := kernels.PlanGroupedAgg(ngroups)
-	launchGroups, _ := cl.DefaultLaunch(e.dev)
 
 	var valBuf *cl.Buffer
 	var wait []*cl.Event
@@ -133,123 +136,86 @@ func (e *Engine) aggrGrouped(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (
 	wait = append(wait, gWait...)
 
 	sc := &scratchSet{mm: e.mm}
-	// The hierarchical intermediate table, allocated on demand: the
-	// order-stable float-sum path uses its own chunk partials instead.
-	hierScratch := func() *cl.Buffer { return sc.alloc(launchGroups*plan.Table + 1) }
-	var cast *cl.Buffer
-	if kind == ops.Avg && !isFloat && vals != nil {
-		cast = sc.alloc(n + 1)
-		if sc.err == nil {
-			cev := kernels.CastI32F32(e.q, cast, valBuf, n, wait)
-			e.mm.NoteConsumer(vals, cev)
-			valBuf, wait, isFloat = cast, []*cl.Event{cev}, true
-		}
-	}
-	if sc.err != nil {
-		sc.releaseAll()
-		return nil, sc.err
-	}
-
-	switch kind {
-	case ops.Count:
-		dst, err := e.mm.Alloc((ngroups + 1) * 4)
-		if err != nil {
-			sc.releaseAll()
-			return nil, err
-		}
-		scratch := hierScratch()
+	if kind == ops.Avg && !isFloat {
+		cast := sc.alloc(n + 1)
 		if sc.err != nil {
-			sc.releaseAll()
-			_ = dst.Release()
 			return nil, sc.err
 		}
-		ev := kernels.GroupedAggI32(e.q, dst, nil, gidBuf, scratch, ops.Sum, n, plan, wait)
-		e.mm.NoteConsumer(groups, ev)
-		e.releaseAfter(ev, sc.bufs...)
-		res := newOwned("count", bat.I32, ngroups)
-		e.mm.BindValues(res, dst, ev)
-		return res, nil
+		cev := kernels.CastI32F32(e.q, cast, valBuf, n, wait)
+		e.mm.NoteConsumer(vals, cev)
+		valBuf, wait, isFloat = cast, []*cl.Event{cev}, true
+	}
 
-	case ops.Sum, ops.Min, ops.Max:
-		dst, err := e.mm.Alloc((ngroups + 1) * 4)
-		if err != nil {
-			sc.releaseAll()
-			return nil, err
-		}
-		var ev *cl.Event
-		switch {
-		case isFloat && kind == ops.Sum:
-			// Float sums are order-sensitive: the fixed-partition kernel
-			// keeps the bit pattern identical on every device, so hybrid
-			// placement (and N-device configurations) can move the
-			// aggregation freely. Min/Max fold order-insensitively and stay
-			// on the hierarchical atomic scheme.
-			chunks := kernels.GroupSumChunksFor(n, ngroups)
-			parts := sc.alloc(ngroups*chunks + 1)
-			if sc.err != nil {
-				sc.releaseAll()
-				_ = dst.Release()
-				return nil, sc.err
-			}
-			ev = kernels.GroupedSumF32(e.q, dst, valBuf, gidBuf, parts, n, ngroups, chunks, wait)
-		case isFloat:
-			scratch := hierScratch()
-			if sc.err != nil {
-				sc.releaseAll()
-				_ = dst.Release()
-				return nil, sc.err
-			}
-			ev = kernels.GroupedAggF32(e.q, dst, valBuf, gidBuf, scratch, kind, n, plan, wait)
-		default:
-			scratch := hierScratch()
-			if sc.err != nil {
-				sc.releaseAll()
-				_ = dst.Release()
-				return nil, sc.err
-			}
-			ev = kernels.GroupedAggI32(e.q, dst, valBuf, gidBuf, scratch, kind, n, plan, wait)
-		}
-		e.mm.NoteConsumer(vals, ev)
-		e.mm.NoteConsumer(groups, ev)
-		e.releaseAfter(ev, sc.bufs...)
-		resType := bat.F32
-		if !isFloat {
-			resType = bat.I32
-		}
-		res := newOwned(kind.String(), resType, ngroups)
-		e.mm.BindValues(res, dst, ev)
-		return res, nil
-
-	case ops.Avg:
-		sums := sc.alloc(ngroups + 1)
-		cnts := sc.alloc(ngroups + 1)
+	// sum enqueues the order-stable float sum into dst: the fixed-partition
+	// kernel keeps the bit pattern identical on every device, so hybrid
+	// placement (and N-device configurations) can move the aggregation
+	// freely.
+	sum := func(dst *cl.Buffer) *cl.Event {
 		chunks := kernels.GroupSumChunksFor(n, ngroups)
 		parts := sc.alloc(ngroups*chunks + 1)
-		cntScratch := hierScratch()
 		if sc.err != nil {
-			sc.releaseAll()
-			return nil, sc.err
+			return nil
 		}
+		return kernels.GroupedSumF32(e.q, dst, valBuf, gidBuf, parts, n, ngroups, chunks, wait)
+	}
+	// fold enqueues every order-insensitive aggregate — counts (nil values),
+	// integer Sum/Min/Max, float Min/Max — into dst.
+	fold := func(dst, valBuf *cl.Buffer, kind ops.Agg, float bool) *cl.Event {
+		var parts *cl.Buffer
+		if words := kernels.GroupAggScratchWords(n, ngroups); words > 0 {
+			parts = sc.alloc(words)
+		}
+		if sc.err != nil {
+			return nil
+		}
+		if float {
+			return kernels.GroupedAggF32(e.q, dst, valBuf, gidBuf, parts, kind, n, ngroups, wait)
+		}
+		return kernels.GroupedAggI32(e.q, dst, valBuf, gidBuf, parts, kind, n, ngroups, wait)
+	}
+
+	dst, err := e.mm.Alloc((ngroups + 1) * 4)
+	if err != nil {
+		sc.releaseAll()
+		return nil, err
+	}
+	resType := bat.I32
+	var ev *cl.Event
+	switch {
+	case kind == ops.Count:
+		ev = fold(dst, nil, ops.Sum, false)
+	case kind == ops.Avg:
 		// The order-stable sum and the count run concurrently on disjoint
 		// scratch (independent events, reorderable by the driver — Figure
 		// 3's freedom).
-		sev := kernels.GroupedSumF32(e.q, sums, valBuf, gidBuf, parts, n, ngroups, chunks, wait)
-		cev := kernels.GroupedAggI32(e.q, cnts, nil, gidBuf, cntScratch, ops.Sum, n, plan, wait)
-		e.mm.NoteConsumer(vals, sev)
-		e.mm.NoteConsumer(groups, sev)
-		e.mm.NoteConsumer(groups, cev)
-		dst, err := e.mm.Alloc((ngroups + 1) * 4)
-		if err != nil {
-			sc.releaseAll()
-			return nil, err
+		resType = bat.F32
+		sums, cnts := sc.alloc(ngroups+1), sc.alloc(ngroups+1)
+		sev, cev := sum(sums), fold(cnts, nil, ops.Sum, false)
+		if sc.err == nil {
+			ev = kernels.DivF32I32(e.q, dst, sums, cnts, ngroups, []*cl.Event{sev, cev})
 		}
-		ev := kernels.DivF32I32(e.q, dst, sums, cnts, ngroups, []*cl.Event{sev, cev})
-		e.releaseAfter(ev, sc.bufs...)
-		res := newOwned("avg", bat.F32, ngroups)
-		e.mm.BindValues(res, dst, ev)
-		return res, nil
-
+	case kind == ops.Sum && isFloat:
+		resType = bat.F32
+		ev = sum(dst)
+	case kind == ops.Sum || kind == ops.Min || kind == ops.Max:
+		if isFloat {
+			resType = bat.F32
+		}
+		ev = fold(dst, valBuf, kind, isFloat)
 	default:
-		return nil, fmt.Errorf("core: unknown aggregate %v", kind)
+		sc.err = fmt.Errorf("core: unknown aggregate %v", kind)
 	}
+	if sc.err != nil {
+		sc.releaseAll()
+		_ = dst.Release()
+		return nil, sc.err
+	}
+	if vals != nil {
+		e.mm.NoteConsumer(vals, ev)
+	}
+	e.mm.NoteConsumer(groups, ev)
+	e.releaseAfter(ev, sc.bufs...)
+	res := newOwned(kind.String(), resType, ngroups)
+	e.mm.BindValues(res, dst, ev)
+	return res, nil
 }

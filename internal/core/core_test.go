@@ -830,56 +830,66 @@ func TestBATFreeCallbackDropsCache(t *testing.T) {
 }
 
 // TestMemoryPressureEvictionAndOffload runs a query-sized workload on a GPU
-// with tiny memory, forcing the §3.3 protocol: base-cache eviction and
-// intermediate offload, with results staying correct.
+// whose memory is half a base column short of the plan's own peak footprint,
+// forcing the §3.3 protocol: base-cache eviction and intermediate offload,
+// with results staying correct.
 func TestMemoryPressureEvictionAndOffload(t *testing.T) {
 	n := 200000
 	vals := randI32(n, 1000, 13)
-	other := randI32(n, 50, 14)
-	// Working set: 2 base columns of 800 KB each, plus bitmap, projection
-	// and a hash build whose transient tables alone exceed 2 MB. 4 MiB of
-	// device memory forces constant eviction/offload traffic while leaving
-	// room for the largest single operator (the paper's GPU runs face the
-	// same floor: the working set of one operator must fit, §5.1).
-	e := New(cl.NewGPUDevice(4 << 20))
 	col := i32Col("big", vals)
-	oth := i32Col("other", other)
-
-	sel, err := e.Select(col, nil, 100, 499, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prj, err := e.Project(sel, oth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ng, err := e.Group(prj, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt, err := e.Aggr(ops.Count, nil, g, ng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Sync(cnt); err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, c := range cnt.I32s() {
-		total += int64(c)
-	}
+	oth := i32Col("other", randI32(n, 50, 14))
 	want := 0
 	for _, v := range vals {
 		if v >= 100 && v <= 499 {
 			want++
 		}
 	}
-	if total != int64(want) {
-		t.Fatalf("under memory pressure: counted %d rows, want %d", total, want)
+	// plan counts the selected rows per group; drain finishes the queue
+	// after every operator, so that no operator's transient scratch
+	// outlives it into the next one's peak.
+	plan := func(e *Engine, drain bool) {
+		t.Helper()
+		step := func(err error) {
+			t.Helper()
+			if err == nil && drain {
+				err = e.Finish()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sel, err := e.Select(col, nil, 100, 499, true, true)
+		step(err)
+		prj, err := e.Project(sel, oth)
+		step(err)
+		g, ng, err := e.Group(prj, nil, 0)
+		step(err)
+		cnt, err := e.Aggr(ops.Count, nil, g, ng)
+		step(err)
+		step(e.Sync(cnt))
+		var total int64
+		for _, c := range cnt.I32s() {
+			total += int64(c)
+		}
+		if total != int64(want) {
+			t.Fatalf("counted %d rows, want %d", total, want)
+		}
 	}
+
+	// The plan's real footprint: its peak on a device it fits with room to
+	// spare. Half a base column less and the working set no longer fits,
+	// while the largest single operator (the grouping's slot table plus its
+	// input and output) still does — the floor the paper's GPU runs face
+	// too (§5.1).
+	roomy := New(cl.NewGPUDevice(64 << 20))
+	plan(roomy, true)
+	budget := roomy.Device().PeakAllocated() - int64(n)*4/2
+
+	e := New(cl.NewGPUDevice(budget))
+	plan(e, false)
 	ev, off, _ := e.Memory().Stats()
 	if ev+off == 0 {
-		t.Fatal("expected evictions or offloads under 2 MiB device memory")
+		t.Fatalf("expected evictions or offloads with %d bytes of device memory", budget)
 	}
 	tr, bytes := e.Device().Transfers()
 	if tr == 0 || bytes == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -376,4 +377,78 @@ func TestQuickAggregatesAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEmptySelectionAggregatesAgree: scalar aggregates over a selection that
+// kept no row. Count and Sum have an answer — zero, typed like the input —
+// and every engine must give it (MonetDB's one-row zero was an Ocelot error
+// until the SF ≤ 0.002 instances hit it). Min, Max and Avg of nothing have
+// no value: MonetDB hands back its fold identities and a zero average,
+// Ocelot refuses; the test pins both so a change to either is a decision.
+func TestEmptySelectionAggregatesAgree(t *testing.T) {
+	keys := i32Col("k", []int32{5, 6, 7, 8})
+	cols := []*bat.BAT{i32Col("vi", []int32{1, 2, 3, 4}), f32Col("vf", []float32{1, 2, 3, 4})}
+	emptyVals := func(o ops.Operators, col *bat.BAT) *bat.BAT {
+		t.Helper()
+		sel, err := o.Select(keys, nil, 100, 200, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, err := o.Project(sel, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vals.Len() != 0 {
+			t.Fatalf("%s: selection kept %d rows", o.Name(), vals.Len())
+		}
+		return vals
+	}
+	msIdentity := map[ops.Agg][2]float64{
+		ops.Min: {math.MaxInt32, math.Inf(1)},
+		ops.Max: {math.MinInt32, math.Inf(-1)},
+		ops.Avg: {0, 0},
+	}
+	for ci, col := range cols {
+		for _, kind := range []ops.Agg{ops.Count, ops.Sum, ops.Min, ops.Max, ops.Avg} {
+			ref, err := crossMS.Aggr(kind, emptyVals(crossMS, col), nil, 0)
+			if err != nil {
+				t.Fatalf("MS %v(%s): %v", kind, col.Name, err)
+			}
+			if ref.Len() != 1 {
+				t.Fatalf("MS %v(%s): %d rows, want 1", kind, col.Name, ref.Len())
+			}
+			if id, ok := msIdentity[kind]; ok {
+				if got := scalarOf(ref); got != id[ci] {
+					t.Fatalf("MS %v(%s) of nothing = %v, pinned %v", kind, col.Name, got, id[ci])
+				}
+			}
+			for _, e := range crossEngines() {
+				got, err := e.Aggr(kind, emptyVals(e, col), nil, 0)
+				if _, noValue := msIdentity[kind]; noValue {
+					if err == nil {
+						t.Fatalf("%s %v(%s) of nothing = %v, pinned: an error", e.Name(), kind, col.Name, scalarOf(got))
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s %v(%s): %v", e.Name(), kind, col.Name, err)
+				}
+				if err := e.Sync(got); err != nil {
+					t.Fatal(err)
+				}
+				if got.T != ref.T || got.Len() != 1 || scalarOf(got) != scalarOf(ref) {
+					t.Fatalf("%s %v(%s) = %v %v (%d rows), MS %v %v", e.Name(), kind, col.Name,
+						got.T, scalarOf(got), got.Len(), ref.T, scalarOf(ref))
+				}
+			}
+		}
+	}
+}
+
+// scalarOf reads a one-row numeric BAT.
+func scalarOf(b *bat.BAT) float64 {
+	if b.T == bat.F32 {
+		return float64(b.F32s()[0])
+	}
+	return float64(b.I32s()[0])
 }

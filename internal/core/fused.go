@@ -422,21 +422,22 @@ func fusedRootIsFloat(nodes []ops.FusedNode) bool {
 
 // fusedEmptyResult produces the region's result for an empty domain, exactly
 // as the unfused member chain would: an empty candidate list, an empty value
-// column, a zero Count — or the unfused scalar-Sum error on an empty input.
+// column, a zero Count or the typed zero Sum.
 func (e *Engine) fusedEmptyResult(op *ops.FusedOp) (*bat.BAT, error) {
+	t := bat.I32
+	if len(op.Nodes) > 0 && fusedRootIsFloat(op.Nodes) {
+		t = bat.F32
+	}
 	switch {
 	case op.HasAgg && op.Agg == ops.Count:
-		out := bat.New("count", bat.I32, 1)
-		return out, nil
+		return bat.New("count", bat.I32, 1), nil
+	case op.HasAgg && op.Agg == ops.Sum:
+		return bat.New(op.Agg.String(), t, 1), nil
 	case op.HasAgg:
 		return nil, fmt.Errorf("core: %v of an empty column", op.Agg)
 	case len(op.Nodes) == 0:
 		return e.emptySelection("fused")
 	default:
-		t := bat.I32
-		if fusedRootIsFloat(op.Nodes) {
-			t = bat.F32
-		}
 		return bat.New("fused", t, 0), nil
 	}
 }

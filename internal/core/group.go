@@ -29,28 +29,36 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 		return e.groupSorted(col, n)
 	}
 
-	var prevBuf *cl.Buffer
-	var prevWait []*cl.Event
-	if grp != nil {
-		var err error
-		prevBuf, prevWait, err = e.valuesOf(grp)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	ht, err := e.buildTable(col, prevBuf, prevWait)
+	colBuf, wait, err := e.valuesOf(col)
 	if err != nil {
 		return nil, 0, err
 	}
+	var prevBuf *cl.Buffer
 	if grp != nil {
-		e.mm.NoteConsumer(grp, ht.ready)
+		var prevWait []*cl.Event
+		if prevBuf, prevWait, err = e.valuesOf(grp); err != nil {
+			return nil, 0, err
+		}
+		wait = append(wait, prevWait...)
 	}
-
-	// The table's per-row dense ids are exactly the grouping result; hand
-	// the gids buffer to the result BAT and drop the rest of the table.
+	// Grouping needs the table's slots and the per-row dense ids looked up
+	// through them — exactly the grouping result — and never its buckets.
+	ht, err := e.buildSlots(col.Name, colBuf, prevBuf, n, wait)
+	if err != nil {
+		return nil, 0, err
+	}
+	gids, gev, err := ht.lookupGids(colBuf, prevBuf, nil)
+	if err != nil {
+		ht.release()
+		return nil, 0, err
+	}
+	e.mm.NoteConsumer(col, gev)
+	if grp != nil {
+		e.mm.NoteConsumer(grp, gev)
+	}
 	res := newOwned(col.Name+"_grp", bat.I32, n)
-	e.mm.BindValues(res, ht.gids, ht.ready)
-	e.releaseAfter(ht.ready, ht.state, ht.keys1, ht.keys2, ht.slotGid, ht.starts, ht.rowids)
+	e.mm.BindValues(res, gids, gev)
+	e.releaseAfter(gev, ht.state, ht.keys1, ht.keys2, ht.slotGid)
 	return res, ht.ndistinct, nil
 }
 

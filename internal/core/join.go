@@ -47,11 +47,14 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 	if !ok {
 		return nil, nil, fmt.Errorf("core: foreign hash table %T", ht)
 	}
+	if err := h.ensureBuckets(nil, nil); err != nil {
+		return nil, nil, err
+	}
 	lBuf, wait, err := e.valuesOf(l)
 	if err != nil {
 		return nil, nil, err
 	}
-	wait = append(wait, h.ready)
+	wait = append(wait, h.buckets)
 	n := l.Len()
 
 	if h.uniqueKeys {
@@ -265,20 +268,21 @@ func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
 		joinFootprint(l.Len(), r.Len()) > budget {
 		return e.partitionedExists(l, r, negate, budget)
 	}
-	ht, err := e.BuildHash(r)
+	// Existence needs only the slots stage: the probe reads state, keys and
+	// slot ids, never the buckets.
+	h, err := e.slotTable(r)
 	if err != nil {
 		if budget, ok := e.joinBudget(); ok && e.spillRetryable(err) {
 			return e.partitionedExists(l, r, negate, budget)
 		}
 		return nil, err
 	}
-	defer ht.Release()
-	h := ht.(*devHashTable)
+	defer h.Release()
 	lBuf, wait, err := e.valuesOf(l)
 	if err != nil {
 		return nil, err
 	}
-	wait = append(wait, h.ready)
+	wait = append(wait, h.slots)
 	n := l.Len()
 	bm, err := e.mm.Alloc(bitmapWords(n) * 4)
 	if err != nil {

@@ -21,13 +21,13 @@ import (
 // BitmapBytes returns the bitmap size in bytes for n rows.
 func BitmapBytes(n int) int { return (n + 7) / 8 }
 
-// SelectI32 enqueues the range-selection kernel over an int32 column: bit
-// oid is set iff lo <= col[oid] <= hi (inclusive bounds precomputed by the
-// host code). When cand is non-nil it is ANDed in on the fly — predicate
-// conjunction costs nothing extra.
-func SelectI32(q *cl.Queue, bm *cl.Buffer, col *cl.Buffer, cand *cl.Buffer, n int, lo, hi int32, wait []*cl.Event) *cl.Event {
+// selectBytes enqueues the shape the selection kernels share: one result
+// byte per eight rows, eval(base, end) yielding the predicate bits of rows
+// [base, end). A non-nil cand is ANDed in on the fly — predicate conjunction
+// costs nothing extra — and the bytes it leaves dead skip the predicate
+// altogether, so a selective candidate makes the next select cheaper.
+func selectBytes(q *cl.Queue, name string, bm, cand *cl.Buffer, n int, cost cl.Cost, wait []*cl.Event, eval func(base, end int) byte) *cl.Event {
 	dst := bm.Bytes()
-	src := col.I32()
 	var in []byte
 	if cand != nil {
 		in = cand.Bytes()
@@ -37,69 +37,81 @@ func SelectI32(q *cl.Queue, bm *cl.Buffer, col *cl.Buffer, cand *cl.Buffer, n in
 		blo, bhi, step := t.Span(nb)
 		for b := blo; b < bhi; b += step {
 			var out byte
-			base := b * 8
-			end := base + 8
-			if end > n {
-				end = n
-			}
-			for r := base; r < end; r++ {
-				v := src[r]
-				if v >= lo && v <= hi {
-					out |= 1 << uint(r-base)
+			if in == nil || in[b] != 0 {
+				out = eval(b*8, min(b*8+8, n))
+				if in != nil {
+					out &= in[b]
 				}
-			}
-			if in != nil {
-				out &= in[b]
 			}
 			dst[b] = out
 		}
-	}, launch(q.Device(), "select_i32", cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait))
+	}, launch(q.Device(), name, cost, wait))
+}
+
+// inRangeBit is 1 iff lo <= v <= lo+width as one unsigned compare, which the
+// compiler turns into a flag-set instead of a branch.
+func inRangeBit(v int32, lo, width uint32) byte {
+	var bit byte
+	if uint32(v)-lo <= width {
+		bit = 1
+	}
+	return bit
+}
+
+// SelectI32 enqueues the range-selection kernel over an int32 column: bit
+// oid is set iff lo <= col[oid] <= hi (inclusive bounds precomputed by the
+// host code; lo > hi selects nothing). Full bytes evaluate their eight rows
+// branch-free: a range predicate on unsorted data mispredicts every other
+// row.
+func SelectI32(q *cl.Queue, bm *cl.Buffer, col *cl.Buffer, cand *cl.Buffer, n int, lo, hi int32, wait []*cl.Event) *cl.Event {
+	src := col.I32()
+	ulo, width := uint32(lo), uint32(hi)-uint32(lo)
+	eval := func(base, end int) byte {
+		if end-base == 8 {
+			s := src[base : base+8 : base+8]
+			return inRangeBit(s[0], ulo, width) | inRangeBit(s[1], ulo, width)<<1 |
+				inRangeBit(s[2], ulo, width)<<2 | inRangeBit(s[3], ulo, width)<<3 |
+				inRangeBit(s[4], ulo, width)<<4 | inRangeBit(s[5], ulo, width)<<5 |
+				inRangeBit(s[6], ulo, width)<<6 | inRangeBit(s[7], ulo, width)<<7
+		}
+		var out byte
+		for r := base; r < end; r++ {
+			out |= inRangeBit(src[r], ulo, width) << uint(r-base)
+		}
+		return out
+	}
+	if lo > hi {
+		eval = func(int, int) byte { return 0 }
+	}
+	nb := BitmapBytes(n)
+	return selectBytes(q, "select_i32", bm, cand, n,
+		cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait, eval)
 }
 
 // SelectF32 is the float32 variant of the range-selection kernel; bound
 // inclusivity is handled explicitly since float bounds cannot be collapsed
 // to an inclusive interval.
 func SelectF32(q *cl.Queue, bm *cl.Buffer, col *cl.Buffer, cand *cl.Buffer, n int, lo, hi float32, loIncl, hiIncl bool, wait []*cl.Event) *cl.Event {
-	dst := bm.Bytes()
 	src := col.F32()
-	var in []byte
-	if cand != nil {
-		in = cand.Bytes()
-	}
 	nb := BitmapBytes(n)
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		blo, bhi, step := t.Span(nb)
-		for b := blo; b < bhi; b += step {
+	return selectBytes(q, "select_f32", bm, cand, n,
+		cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait,
+		func(base, end int) byte {
 			var out byte
-			base := b * 8
-			end := base + 8
-			if end > n {
-				end = n
-			}
 			for r := base; r < end; r++ {
 				v := src[r]
 				if (v > lo || (loIncl && v == lo)) && (v < hi || (hiIncl && v == hi)) {
 					out |= 1 << uint(r-base)
 				}
 			}
-			if in != nil {
-				out &= in[b]
-			}
-			dst[b] = out
-		}
-	}, launch(q.Device(), "select_f32", cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait))
+			return out
+		})
 }
 
 // SelectCmp enqueues the column-vs-column comparison kernel: bit oid is set
 // iff a[oid] cmp b[oid]. Both columns must share one four-byte type; for
 // totally ordered data the comparison runs on the typed views.
 func SelectCmp(q *cl.Queue, bm *cl.Buffer, a, b *cl.Buffer, isFloat bool, cmp ops.Cmp, cand *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	dst := bm.Bytes()
-	var in []byte
-	if cand != nil {
-		in = cand.Bytes()
-	}
-	nb := BitmapBytes(n)
 	var test func(r int) bool
 	if isFloat {
 		av, bv := a.F32(), b.F32()
@@ -108,26 +120,18 @@ func SelectCmp(q *cl.Queue, bm *cl.Buffer, a, b *cl.Buffer, isFloat bool, cmp op
 		av, bv := a.I32(), b.I32()
 		test = func(r int) bool { return cmpI32(av[r], bv[r], cmp) }
 	}
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		blo, bhi, step := t.Span(nb)
-		for bix := blo; bix < bhi; bix += step {
+	nb := BitmapBytes(n)
+	return selectBytes(q, "select_cmp", bm, cand, n,
+		cl.Cost{BytesStreamed: int64(n)*8 + int64(nb)*2, Ops: int64(n) * 2}, wait,
+		func(base, end int) byte {
 			var out byte
-			base := bix * 8
-			end := base + 8
-			if end > n {
-				end = n
-			}
 			for r := base; r < end; r++ {
 				if test(r) {
 					out |= 1 << uint(r-base)
 				}
 			}
-			if in != nil {
-				out &= in[bix]
-			}
-			dst[bix] = out
-		}
-	}, launch(q.Device(), "select_cmp", cl.Cost{BytesStreamed: int64(n)*8 + int64(nb)*2, Ops: int64(n) * 2}, wait))
+			return out
+		})
 }
 
 func cmpI32(x, y int32, c ops.Cmp) bool {

@@ -5,240 +5,152 @@ import (
 	"repro/internal/ops"
 )
 
-// Grouped aggregation follows the paper's hierarchical scheme (§4.1.7):
-// work-groups are scheduled on disjunct data partitions and build
-// intermediate aggregation tables with atomic operations in local memory;
-// afterwards one thread per group combines the intermediates. Because
-// "atomic operations frequently accessing the same memory address" serialise
-// when the number of groups is small, "the values for each group are
-// aggregated across multiple accumulators, with the number of accumulators
-// per group being chosen inversely proportional to the number of groups".
-// When the accumulator table does not fit into local memory the kernel
-// falls back to the same scheme in global memory.
+// Grouped aggregation keeps the paper's hierarchical shape (§4.1.7) —
+// "work-groups are scheduled on disjunct data partitions and build
+// intermediate aggregation tables […]; afterwards one thread per group
+// combines the intermediates" — but makes every intermediate table private
+// to one partition, so it needs neither atomics nor a barrier. The paper
+// spreads a group's updates over several accumulators "inversely
+// proportional to the number of groups" because same-address atomics
+// serialise; a private row per partition is that rule taken to its end.
+// Only when the partials table would outgrow the input itself (tens of
+// thousands of groups, where two rows rarely meet on an address anyway) do
+// the kernels fall back to a single table of atomics, written straight
+// into the result.
 
-// localAggBudget is the number of 32-bit accumulator words a work-group may
-// place in local memory (8 KiB of the 32/48 KiB the devices expose — the
-// rest is headroom for the per-group replica spreading).
-const localAggBudget = 2048
-
-// AggPlan describes the geometry the host code and kernels agree on for one
-// grouped aggregation: replica count and table placement. Host code derives
-// it from ngroups alone, so it is device-independent.
-type AggPlan struct {
-	NGroups int
-	// Replicas is the contention-spreading factor A: each group owns A
-	// accumulators, thread t updates replica t%A.
-	Replicas int
-	// Table is NGroups*Replicas words.
-	Table int
-	// UseLocal is true when the table fits the local-memory budget.
-	UseLocal bool
+// GroupAggScratchWords is the crossover rule, a pure function of (n,
+// ngroups): it returns the size of the partition-private partials table
+// (ngroups × GroupSumChunksFor words), or 0 — aggregate with atomics straight
+// into the result — once that table would exceed the n input rows, where
+// initialising and folding it costs more than the contention it avoids
+// (Ablation A1 is the evidence).
+func GroupAggScratchWords(n, ngroups int) int {
+	if words := ngroups * GroupSumChunksFor(n, ngroups); words <= n {
+		return words
+	}
+	return 0
 }
 
-// PlanGroupedAgg computes the accumulator layout for ngroups.
-func PlanGroupedAgg(ngroups int) AggPlan {
-	reps := localAggBudget / (2 * ngroups) // ×2: value + count live side by side for Avg
-	if reps < 1 {
-		reps = 1
-	}
-	if reps > 16 {
-		reps = 16
-	}
-	table := ngroups * reps
-	return AggPlan{
-		NGroups:  ngroups,
-		Replicas: reps,
-		Table:    table,
-		UseLocal: 2*table <= localAggBudget,
-	}
-}
-
-// GroupedAggF32 enqueues the grouped aggregation of vals (float32, aligned
-// with gids) under kind ∈ {Sum, Min, Max}. dst receives one float32 per
-// group. scratch must hold numGroups(launch)×plan.Table words and is the
-// global intermediate table.
-func GroupedAggF32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Agg, n int, plan AggPlan, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	groups, local := cl.DefaultLaunch(dev)
-	v, g, sc, d := vals.F32(), gids.I32(), scratch.F32(), dst.F32()
-	id := identityF32(kind)
-	reps := plan.Replicas
-	tbl := plan.Table
-
-	atomicFold := func(p *float32, x float32) {
-		switch kind {
-		case ops.Min:
-			cl.AtomicMinF32(p, x)
-		case ops.Max:
-			cl.AtomicMaxF32(p, x)
-		default:
-			cl.AtomicAddF32(p, x)
-		}
-	}
-
-	cost := cl.Cost{
-		BytesStreamed: int64(n) * 8,
-		Atomics:       int64(n),
-		AtomicTargets: int64(tbl),
-	}
-
-	var ev1 *cl.Event
-	if plan.UseLocal {
-		ev1 = q.EnqueueKernel(func(t *cl.Thread) {
-			lmem := t.LocalF32()
-			for i := t.Local; i < tbl; i += t.LocalSize {
-				lmem[i] = id
-			}
-			t.Barrier()
-			glo, ghi := t.GroupSpan(n)
-			lo, hi, step := t.LocalSpan(glo, ghi)
-			rep := t.Local % reps
-			for i := lo; i < hi; i += step {
-				atomicFold(&lmem[int(g[i])*reps+rep], v[i])
-			}
-			t.Barrier()
-			base := t.Group * tbl
-			for i := t.Local; i < tbl; i += t.LocalSize {
-				sc[base+i] = lmem[i]
-			}
-		}, cl.Launch{
-			Name: "groupagg_f32_local", Groups: groups, Local: local,
-			LocalWords: tbl, Barriers: true, Cost: cost, Wait: wait,
-		})
-	} else {
-		init := q.EnqueueKernel(func(t *cl.Thread) {
-			lo, hi, step := t.Span(groups * tbl)
-			for i := lo; i < hi; i += step {
-				sc[i] = id
-			}
-		}, launch(dev, "groupagg_f32_init", cl.Cost{BytesStreamed: int64(groups*tbl) * 4}, wait))
-		ev1 = q.EnqueueKernel(func(t *cl.Thread) {
-			glo, ghi := t.GroupSpan(n)
-			lo, hi, step := t.LocalSpan(glo, ghi)
-			base := t.Group * tbl
-			rep := t.Local % reps
-			for i := lo; i < hi; i += step {
-				atomicFold(&sc[base+int(g[i])*reps+rep], v[i])
-			}
-		}, cl.Launch{
-			Name: "groupagg_f32_global", Groups: groups, Local: local,
-			Cost: cost, Wait: []*cl.Event{init},
-		})
-	}
-
-	// Final pass: one thread per group folds all work-groups' replicas
-	// ("a single thread is scheduled per group", §4.1.7).
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(plan.NGroups)
-		for grp := lo; grp < hi; grp += step {
-			acc := id
-			for wg := 0; wg < groups; wg++ {
-				base := wg*tbl + grp*reps
-				for r := 0; r < reps; r++ {
-					acc = foldF32(kind, acc, sc[base+r])
-				}
-			}
-			d[grp] = acc
-		}
-	}, launch(dev, "groupagg_f32_final",
-		cl.Cost{BytesStreamed: int64(groups*tbl) * 4, Ops: int64(groups * tbl)}, []*cl.Event{ev1}))
-}
-
-// GroupedAggI32 is the int32 flavour of the hierarchical grouped
-// aggregation; it also implements Count (vals nil → every row adds 1).
-func GroupedAggI32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Agg, n int, plan AggPlan, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	groups, local := cl.DefaultLaunch(dev)
-	var v []int32
+// GroupedAggI32 enqueues the grouped aggregation of vals (int32, aligned
+// with gids) under kind ∈ {Sum, Min, Max}; dst receives one int32 per group.
+// A nil vals counts rows (every row adds 1). scratch is the partials table
+// of ngroups × GroupSumChunksFor(n, ngroups) words, its previous contents
+// ignored; a nil scratch selects the direct-atomic path. Host code sizes it
+// with GroupAggScratchWords.
+func GroupedAggI32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Agg, n, ngroups int, wait []*cl.Event) *cl.Event {
+	var v, p []int32
 	if vals != nil {
 		v = vals.I32()
 	}
-	g, sc, d := gids.I32(), scratch.I32(), dst.I32()
-	id := identityI32(kind)
-	reps := plan.Replicas
-	tbl := plan.Table
+	if scratch != nil {
+		p = scratch.I32()
+	}
+	atomicFold := func(a *int32, x int32) { cl.AtomicAddI32(a, x) }
+	switch kind {
+	case ops.Min:
+		atomicFold = cl.AtomicMinI32
+	case ops.Max:
+		atomicFold = cl.AtomicMaxI32
+	}
+	return groupedAgg(q, "groupagg_i32", dst.I32(), v, gids.I32(), p, kind, identityI32(kind), atomicFold, n, ngroups, wait)
+}
 
-	atomicFold := func(p *int32, x int32) {
-		switch kind {
-		case ops.Min:
-			cl.AtomicMinI32(p, x)
-		case ops.Max:
-			cl.AtomicMaxI32(p, x)
-		default:
-			cl.AtomicAddI32(p, x)
+// GroupedAggF32 is the float32 flavour, for kind ∈ {Min, Max} only: float
+// sums are order-sensitive and belong to GroupedSumF32.
+func GroupedAggF32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Agg, n, ngroups int, wait []*cl.Event) *cl.Event {
+	var p []float32
+	if scratch != nil {
+		p = scratch.F32()
+	}
+	atomicFold := cl.AtomicMinF32
+	if kind == ops.Max {
+		atomicFold = cl.AtomicMaxF32
+	}
+	return groupedAgg(q, "groupagg_f32", dst.F32(), vals.F32(), gids.I32(), p, kind, identityF32(kind), atomicFold, n, ngroups, wait)
+}
+
+// foldRows folds rows [lo, hi) into acc[gid], hoisting the kind switch out of
+// the row loop. A nil v adds 1 per row.
+func foldRows[T int32 | float32](kind ops.Agg, acc, v []T, g []int32, lo, hi int) {
+	switch {
+	case v == nil:
+		for i := lo; i < hi; i++ {
+			acc[g[i]]++
+		}
+	case kind == ops.Min:
+		for i := lo; i < hi; i++ {
+			if a := &acc[g[i]]; v[i] < *a {
+				*a = v[i]
+			}
+		}
+	case kind == ops.Max:
+		for i := lo; i < hi; i++ {
+			if a := &acc[g[i]]; v[i] > *a {
+				*a = v[i]
+			}
+		}
+	default:
+		for i := lo; i < hi; i++ {
+			acc[g[i]] += v[i]
 		}
 	}
-	val := func(i int) int32 {
-		if v == nil {
-			return 1 // Count
-		}
-		return v[i]
-	}
+}
 
-	cost := cl.Cost{
-		BytesStreamed: int64(n) * 8,
-		Atomics:       int64(n),
-		AtomicTargets: int64(tbl),
-	}
-
-	var ev1 *cl.Event
-	if plan.UseLocal {
-		ev1 = q.EnqueueKernel(func(t *cl.Thread) {
-			lmem := t.LocalI32()
-			for i := t.Local; i < tbl; i += t.LocalSize {
-				lmem[i] = id
-			}
-			t.Barrier()
-			glo, ghi := t.GroupSpan(n)
-			lo, hi, step := t.LocalSpan(glo, ghi)
-			rep := t.Local % reps
-			for i := lo; i < hi; i += step {
-				atomicFold(&lmem[int(g[i])*reps+rep], val(i))
-			}
-			t.Barrier()
-			base := t.Group * tbl
-			for i := t.Local; i < tbl; i += t.LocalSize {
-				sc[base+i] = lmem[i]
-			}
-		}, cl.Launch{
-			Name: "groupagg_i32_local", Groups: groups, Local: local,
-			LocalWords: tbl, Barriers: true, Cost: cost, Wait: wait,
-		})
-	} else {
+func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32, p []T, kind ops.Agg, id T, atomicFold func(*T, T), n, ngroups int, wait []*cl.Event) *cl.Event {
+	dev := q.Device()
+	if p == nil {
+		// Single table: dst starts at the identity and every row folds into
+		// its group's element atomically — no intermediate, no final pass.
 		init := q.EnqueueKernel(func(t *cl.Thread) {
-			lo, hi, step := t.Span(groups * tbl)
+			lo, hi, step := t.Span(ngroups)
 			for i := lo; i < hi; i += step {
-				sc[i] = id
+				d[i] = id
 			}
-		}, launch(dev, "groupagg_i32_init", cl.Cost{BytesStreamed: int64(groups*tbl) * 4}, wait))
-		ev1 = q.EnqueueKernel(func(t *cl.Thread) {
-			glo, ghi := t.GroupSpan(n)
-			lo, hi, step := t.LocalSpan(glo, ghi)
-			base := t.Group * tbl
-			rep := t.Local % reps
+		}, launch(dev, name+"_init", cl.Cost{BytesStreamed: int64(ngroups) * 4}, wait))
+		return q.EnqueueKernel(func(t *cl.Thread) {
+			lo, hi, step := t.Span(n)
 			for i := lo; i < hi; i += step {
-				atomicFold(&sc[base+int(g[i])*reps+rep], val(i))
+				x := T(1)
+				if v != nil {
+					x = v[i]
+				}
+				atomicFold(&d[g[i]], x)
 			}
-		}, cl.Launch{
-			Name: "groupagg_i32_global", Groups: groups, Local: local,
-			Cost: cost, Wait: []*cl.Event{init},
-		})
+		}, launch(dev, name+"_direct", cl.Cost{
+			BytesStreamed: int64(n) * 8, Atomics: int64(n), AtomicTargets: int64(ngroups),
+		}, []*cl.Event{init}))
 	}
+
+	// Partition-private partials: chunk c owns row c of the table (chunk-
+	// major, so a chunk's accumulators are contiguous), initialises it and
+	// folds its contiguous rows into it.
+	chunks := GroupSumChunksFor(n, ngroups)
+	chunkLen := (n + chunks - 1) / chunks
+	tbl := ngroups * chunks
+	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
+		for c := t.Global; c < chunks; c += t.GlobalSize {
+			row := p[c*ngroups : (c+1)*ngroups]
+			for i := range row {
+				row[i] = id
+			}
+			foldRows(kind, row, v, g, min(c*chunkLen, n), min((c+1)*chunkLen, n))
+		}
+	}, launch(dev, name+"_partials",
+		// As GroupedSumF32: vals and gids stream, the per-row read-modify-
+		// write of the private accumulator is a data-dependent scatter.
+		cl.Cost{BytesStreamed: int64(n)*8 + int64(tbl)*4, BytesRandom: int64(n) * 8, Ops: int64(n)}, wait))
 
 	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(plan.NGroups)
+		lo, hi, step := t.Span(ngroups)
 		for grp := lo; grp < hi; grp += step {
 			acc := id
-			for wg := 0; wg < groups; wg++ {
-				base := wg*tbl + grp*reps
-				for r := 0; r < reps; r++ {
-					acc = foldI32(kind, acc, sc[base+r])
-				}
+			for c := 0; c < chunks; c++ {
+				acc = fold(kind, acc, p[c*ngroups+grp])
 			}
 			d[grp] = acc
 		}
-	}, launch(dev, "groupagg_i32_final",
-		cl.Cost{BytesStreamed: int64(groups*tbl) * 4, Ops: int64(groups * tbl)}, []*cl.Event{ev1}))
+	}, launch(dev, name+"_final",
+		cl.Cost{BytesStreamed: int64(tbl) * 4, Ops: int64(tbl)}, []*cl.Event{ev1}))
 }
 
 // DivF32I32 enqueues dst[i] = a[i] / float32(cnt[i]) (0 when cnt[i]==0) —
@@ -299,8 +211,8 @@ const minGroupSumChunks = 16
 // geometry: the bit pattern of a grouped float sum no longer depends on
 // where placement runs it, which is what lets hybrid plans move grouped
 // aggregations between devices (and N-device configurations agree byte for
-// byte). Min/Max and integer sums are order-insensitive and keep the
-// hierarchical atomic scheme (GroupedAggF32/I32, §4.1.7).
+// byte). Min/Max and integer sums are order-insensitive; GroupedAggF32/I32
+// give them the same partition-private shape without the fixed fold order.
 //
 // partials must hold ngroups*chunks words; its previous contents are
 // ignored (an init pass clears it, so recycled scratch is fine).

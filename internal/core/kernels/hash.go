@@ -73,6 +73,14 @@ func TableCapacity(n int) int {
 // check round. Only valid for single-word keys: a torn write across the two
 // words of a composite key could manufacture a phantom key, so composite
 // tables go straight to the pessimistic round.
+//
+// The store is test-before-store: a row that finds its key already in the
+// slot skips both stores. On a low-cardinality build (three return flags
+// over 60 k rows) every core then *reads* the same few lines shared instead
+// of ping-ponging them exclusive with one locked store per row. A skipped
+// store can only lose a key the way an executed one can — a colliding key
+// overwrites the slot afterwards — and the check round probes for every
+// row's key regardless, so the loss is caught exactly as before.
 func HashInsertOptimistic(q *cl.Queue, state, keys1 *cl.Buffer, col *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
 	st, k1 := state.U32(), keys1.U32()
 	src := col.U32()
@@ -82,6 +90,9 @@ func HashInsertOptimistic(q *cl.Queue, state, keys1 *cl.Buffer, col *cl.Buffer, 
 		for i := lo; i < hi; i += step {
 			k := src[i]
 			s := hashSlot(k, 0, mask, 0)
+			if cl.AtomicLoadU32(&st[s]) == slotUsed && cl.AtomicLoadU32(&k1[s]) == k {
+				continue
+			}
 			cl.AtomicStoreU32(&k1[s], k)
 			cl.AtomicStoreU32(&st[s], slotUsed)
 		}

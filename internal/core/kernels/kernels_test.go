@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,6 +186,76 @@ func TestSelectWithCandidateBitmapAnds(t *testing.T) {
 	}
 }
 
+// TestSelectKernelsExactBitmaps compares every byte of the three unfused
+// selection kernels against a row-at-a-time reference: a tail byte, no / dead
+// / sparse / full candidates (dead candidate bytes skip the predicate but
+// must still write zero over recycled memory), and for the branch-free int32
+// range the bounds where the unsigned trick could go wrong — negative,
+// spanning zero, the whole domain, empty (lo > hi).
+func TestSelectKernelsExactBitmaps(t *testing.T) {
+	const n = 1003
+	r := rand.New(rand.NewSource(11))
+	iv, iw, fv := make([]int32, n), make([]int32, n), make([]float32, n)
+	for i := range iv {
+		iv[i], iw[i], fv[i] = r.Int31n(2001)-1000, r.Int31n(2001)-1000, r.Float32()*2-1
+	}
+	iv[0], iv[1] = math.MinInt32, math.MaxInt32
+	nb := BitmapBytes(n)
+	cands := map[string][]byte{"none": nil, "dead": make([]byte, nb), "sparse": make([]byte, nb), "full": make([]byte, nb)}
+	for b := 0; b < nb; b++ {
+		if r.Intn(4) == 0 {
+			cands["sparse"][b] = byte(r.Intn(256))
+		}
+		cands["full"][b] = 0xFF
+	}
+	i32Ranges := [][2]int32{{-100, 250}, {-900, -300}, {0, 0}, {math.MinInt32, math.MaxInt32}, {math.MinInt32, -1}, {5, -5}, {math.MaxInt32, math.MinInt32}}
+	for _, dev := range devices() {
+		e := newEnv(dev)
+		ib, wb, fb := e.i32(t, iv), e.i32(t, iw), e.f32(t, fv)
+		for cname, cand := range cands {
+			var cb *cl.Buffer
+			if cand != nil {
+				cb = e.buf(t, (nb+3)/4+1)
+				copy(cb.Bytes(), cand)
+			}
+			check := func(what string, enqueue func(bm *cl.Buffer) *cl.Event, pred func(i int) bool) {
+				t.Helper()
+				bm := e.buf(t, (nb+3)/4+1)
+				for i := range bm.Bytes() {
+					bm.Bytes()[i] = 0xA5 // recycled scratch: every byte must be written
+				}
+				if err := enqueue(bm).Wait(); err != nil {
+					t.Fatal(err)
+				}
+				for b := 0; b < nb; b++ {
+					var want byte
+					for i := b * 8; i < min(b*8+8, n); i++ {
+						if pred(i) && (cand == nil || cand[b]&(1<<uint(i%8)) != 0) {
+							want |= 1 << uint(i%8)
+						}
+					}
+					if got := bm.Bytes()[b]; got != want {
+						t.Fatalf("%s %s cand=%s: byte %d = %08b, want %08b", dev.Name, what, cname, b, got, want)
+					}
+				}
+				_ = bm.Release()
+			}
+			for _, rg := range i32Ranges {
+				lo, hi := rg[0], rg[1]
+				check(fmt.Sprintf("i32[%d,%d]", lo, hi),
+					func(bm *cl.Buffer) *cl.Event { return SelectI32(e.q, bm, ib, cb, n, lo, hi, nil) },
+					func(i int) bool { return iv[i] >= lo && iv[i] <= hi })
+			}
+			check("f32(-0.5,0.25]",
+				func(bm *cl.Buffer) *cl.Event { return SelectF32(e.q, bm, fb, cb, n, -0.5, 0.25, false, true, nil) },
+				func(i int) bool { return fv[i] > -0.5 && fv[i] <= 0.25 })
+			check("cmp<",
+				func(bm *cl.Buffer) *cl.Event { return SelectCmp(e.q, bm, ib, wb, false, ops.Lt, cb, n, nil) },
+				func(i int) bool { return iv[i] < iw[i] })
+		}
+	}
+}
+
 func TestSelectF32Bounds(t *testing.T) {
 	e := newEnv(cl.NewCPUDevice(2))
 	vals := []float32{0.04, 0.05, 0.06, 0.07, 0.08}
@@ -359,77 +430,117 @@ func TestReduceKernels(t *testing.T) {
 	}
 }
 
-func TestGroupedAggBothSchemes(t *testing.T) {
+// TestGroupedAggCrossover runs every order-insensitive grouped aggregate —
+// Count/Sum/Min/Max on int32, Min/Max on float32 — on both sides of the
+// (n, ngroups) rule: at ngroups*chunks == n and one row either side,
+// including a single group and inputs shorter than the chunk count. Each
+// case runs the path the rule selects and both paths forced, against a
+// sequential reference (empty groups keep the fold identity).
+func TestGroupedAggCrossover(t *testing.T) {
+	type tc struct{ n, ngroups int }
+	var cases []tc
+	for _, ngroups := range []int{1, 4, 100, 5000} {
+		table := ngroups * GroupSumChunksFor(0, ngroups)
+		for _, n := range []int{table - 1, table, table + 1} {
+			cases = append(cases, tc{n, ngroups})
+		}
+	}
+	cases = append(cases, tc{17, 1}, tc{17, 3}, tc{60000, 4}, tc{60000, 15000})
 	for _, dev := range devices() {
-		for _, ngroups := range []int{4, 100, 5000} { // 5000 forces the global fallback
-			e := newEnv(dev)
-			n := 60000
-			vals := make([]float32, n)
-			gids := make([]int32, n)
-			r := rand.New(rand.NewSource(int64(ngroups)))
-			wantSum := make([]float64, ngroups)
-			wantMin := make([]float32, ngroups)
-			wantCnt := make([]int32, ngroups)
-			for g := range wantMin {
-				wantMin[g] = float32(math.Inf(1))
+		e := newEnv(dev)
+		for _, c := range cases {
+			n, ngroups := c.n, c.ngroups
+			table := ngroups * GroupSumChunksFor(n, ngroups)
+			if direct := GroupAggScratchWords(n, ngroups) == 0; direct != (table > n) {
+				t.Fatalf("n=%d ngroups=%d: rule says direct=%v with a %d-word table", n, ngroups, direct, table)
 			}
-			for i := range vals {
-				g := r.Intn(ngroups)
-				v := r.Float32() * 10
-				vals[i], gids[i] = v, int32(g)
-				wantSum[g] += float64(v)
-				wantCnt[g]++
-				if v < wantMin[g] {
-					wantMin[g] = v
+			r := rand.New(rand.NewSource(int64(n*31 + ngroups)))
+			iv, fv, gids := make([]int32, n), make([]float32, n), make([]int32, n)
+			for i := range gids {
+				iv[i], fv[i], gids[i] = r.Int31n(2001)-1000, r.Float32()*20-10, r.Int31n(int32(ngroups))
+			}
+			ib, fb, gb := e.i32(t, iv), e.f32(t, fv), e.i32(t, gids)
+			dst, partials := e.buf(t, ngroups+1), e.buf(t, table+1)
+			paths := map[string]*cl.Buffer{"partials": partials, "direct": nil, "rule": nil}
+			if GroupAggScratchWords(n, ngroups) > 0 {
+				paths["rule"] = partials
+			}
+			for path, scratch := range paths {
+				for _, kind := range []ops.Agg{ops.Count, ops.Sum, ops.Min, ops.Max} {
+					vals, k := ib, kind
+					if kind == ops.Count {
+						vals, k = nil, ops.Sum
+					}
+					if err := GroupedAggI32(e.q, dst, vals, gb, scratch, k, n, ngroups, nil).Wait(); err != nil {
+						t.Fatal(err)
+					}
+					want := make([]int32, ngroups)
+					for g := range want {
+						want[g] = identityI32(k)
+					}
+					for i, g := range gids {
+						x := iv[i]
+						if kind == ops.Count {
+							x = 1
+						}
+						want[g] = fold(k, want[g], x)
+					}
+					for g, w := range want {
+						if got := dst.I32()[g]; got != w {
+							t.Fatalf("%s n=%d ngroups=%d %s: i32 %v[%d] = %d, want %d", dev.Name, n, ngroups, path, kind, g, got, w)
+						}
+					}
+				}
+				for _, kind := range []ops.Agg{ops.Min, ops.Max} {
+					if err := GroupedAggF32(e.q, dst, fb, gb, scratch, kind, n, ngroups, nil).Wait(); err != nil {
+						t.Fatal(err)
+					}
+					want := make([]float32, ngroups)
+					for g := range want {
+						want[g] = identityF32(kind)
+					}
+					for i, g := range gids {
+						want[g] = fold(kind, want[g], fv[i])
+					}
+					for g, w := range want {
+						if got := dst.F32()[g]; got != w {
+							t.Fatalf("%s n=%d ngroups=%d %s: f32 %v[%d] = %v, want %v", dev.Name, n, ngroups, path, kind, g, got, w)
+						}
+					}
 				}
 			}
-			plan := PlanGroupedAgg(ngroups)
-			if ngroups == 5000 && plan.UseLocal {
-				t.Fatal("5000 groups should exceed the local budget")
+			for _, b := range []*cl.Buffer{ib, fb, gb, dst, partials} {
+				_ = b.Release()
 			}
-			groups, _ := cl.DefaultLaunch(dev)
-			scratch := e.buf(t, groups*plan.Table+1)
-			vb, gb := e.f32(t, vals), e.i32(t, gids)
-			dst := e.buf(t, ngroups)
-			if err := GroupedAggF32(e.q, dst, vb, gb, scratch, ops.Sum, n, plan, nil).Wait(); err != nil {
-				t.Fatal(err)
-			}
-			for g := 0; g < ngroups; g++ {
-				got := float64(dst.F32()[g])
-				if rel := math.Abs(got-wantSum[g]) / (math.Abs(wantSum[g]) + 1); rel > 1e-3 {
-					t.Fatalf("%s ngroups=%d: sum[%d] = %v, want %v", dev.Name, ngroups, g, got, wantSum[g])
-				}
-			}
-			if err := GroupedAggF32(e.q, dst, vb, gb, scratch, ops.Min, n, plan, nil).Wait(); err != nil {
-				t.Fatal(err)
-			}
-			for g := 0; g < ngroups; g++ {
-				if wantCnt[g] > 0 && dst.F32()[g] != wantMin[g] {
-					t.Fatalf("%s ngroups=%d: min[%d] = %v, want %v", dev.Name, ngroups, g, dst.F32()[g], wantMin[g])
-				}
-			}
-			cnt := e.buf(t, ngroups)
-			if err := GroupedAggI32(e.q, cnt, nil, gb, scratch, ops.Sum, n, plan, nil).Wait(); err != nil {
-				t.Fatal(err)
-			}
-			for g := 0; g < ngroups; g++ {
-				if cnt.I32()[g] != wantCnt[g] {
-					t.Fatalf("%s ngroups=%d: count[%d] = %d, want %d", dev.Name, ngroups, g, cnt.I32()[g], wantCnt[g])
-				}
-			}
-			// Avg = sum/count via the finalisation kernel.
-			avg := e.buf(t, ngroups)
-			if err := GroupedAggF32(e.q, dst, vb, gb, scratch, ops.Sum, n, plan, nil).Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if err := DivF32I32(e.q, avg, dst, cnt, ngroups, nil).Wait(); err != nil {
-				t.Fatal(err)
-			}
-			for g := 0; g < ngroups; g++ {
-				want := wantSum[g] / float64(wantCnt[g])
-				if rel := math.Abs(float64(avg.F32()[g])-want) / (math.Abs(want) + 1); rel > 1e-3 {
-					t.Fatalf("%s ngroups=%d: avg[%d] = %v, want %v", dev.Name, ngroups, g, avg.F32()[g], want)
-				}
+		}
+	}
+}
+
+// TestGroupedAvgFinalisation: Avg = order-stable sum / count via DivF32I32.
+func TestGroupedAvgFinalisation(t *testing.T) {
+	for _, dev := range devices() {
+		e := newEnv(dev)
+		n, ngroups := 60000, 100
+		vals, gids := make([]float32, n), make([]int32, n)
+		wantSum, wantCnt := make([]float64, ngroups), make([]float64, ngroups)
+		r := rand.New(rand.NewSource(7))
+		for i := range vals {
+			vals[i], gids[i] = r.Float32()*10, int32(r.Intn(ngroups))
+			wantSum[gids[i]] += float64(vals[i])
+			wantCnt[gids[i]]++
+		}
+		vb, gb := e.f32(t, vals), e.i32(t, gids)
+		chunks := GroupSumChunksFor(n, ngroups)
+		sums, cnts, avg := e.buf(t, ngroups), e.buf(t, ngroups), e.buf(t, ngroups)
+		sev := GroupedSumF32(e.q, sums, vb, gb, e.buf(t, ngroups*chunks), n, ngroups, chunks, nil)
+		cev := GroupedAggI32(e.q, cnts, nil, gb, e.buf(t, GroupAggScratchWords(n, ngroups)), ops.Sum, n, ngroups, nil)
+		if err := DivF32I32(e.q, avg, sums, cnts, ngroups, []*cl.Event{sev, cev}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < ngroups; g++ {
+			want := wantSum[g] / wantCnt[g]
+			if rel := math.Abs(float64(avg.F32()[g])-want) / (math.Abs(want) + 1); rel > 1e-3 {
+				t.Fatalf("%s: avg[%d] = %v, want %v", dev.Name, g, avg.F32()[g], want)
 			}
 		}
 	}

@@ -36,24 +36,8 @@ func identityI32(kind ops.Agg) int32 {
 	}
 }
 
-func foldF32(kind ops.Agg, a, b float32) float32 {
-	switch kind {
-	case ops.Min:
-		if b < a {
-			return b
-		}
-		return a
-	case ops.Max:
-		if b > a {
-			return b
-		}
-		return a
-	default:
-		return a + b
-	}
-}
-
-func foldI32(kind ops.Agg, a, b int32) int32 {
+// fold combines two accumulators under kind.
+func fold[T int32 | float32](kind ops.Agg, a, b T) T {
 	switch kind {
 	case ops.Min:
 		if b < a {
@@ -142,7 +126,7 @@ func ReduceF32(q *cl.Queue, dst, src, partials *cl.Buffer, kind ops.Agg, n int, 
 		lo, hi, step := t.Span(n)
 		acc := id
 		for i := lo; i < hi; i += step {
-			acc = foldF32(kind, acc, s[i])
+			acc = fold(kind, acc, s[i])
 		}
 		p[t.Global] = acc
 	}, launch(dev, "reduce_f32_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
@@ -151,14 +135,14 @@ func ReduceF32(q *cl.Queue, dst, src, partials *cl.Buffer, kind ops.Agg, n int, 
 		lmem := t.LocalF32()
 		acc := id
 		for i := t.Local; i < gsz; i += t.LocalSize {
-			acc = foldF32(kind, acc, p[i])
+			acc = fold(kind, acc, p[i])
 		}
 		lmem[t.Local] = acc
 		t.Barrier()
 		for w := t.LocalSize; w > 1; {
 			half := (w + 1) / 2
 			if t.Local < w/2 {
-				lmem[t.Local] = foldF32(kind, lmem[t.Local], lmem[t.Local+half])
+				lmem[t.Local] = fold(kind, lmem[t.Local], lmem[t.Local+half])
 			}
 			t.Barrier()
 			w = half
@@ -184,7 +168,7 @@ func ReduceI32(q *cl.Queue, dst, src, partials *cl.Buffer, kind ops.Agg, n int, 
 		lo, hi, step := t.Span(n)
 		acc := id
 		for i := lo; i < hi; i += step {
-			acc = foldI32(kind, acc, s[i])
+			acc = fold(kind, acc, s[i])
 		}
 		p[t.Global] = acc
 	}, launch(dev, "reduce_i32_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
@@ -193,14 +177,14 @@ func ReduceI32(q *cl.Queue, dst, src, partials *cl.Buffer, kind ops.Agg, n int, 
 		lmem := t.LocalI32()
 		acc := id
 		for i := t.Local; i < gsz; i += t.LocalSize {
-			acc = foldI32(kind, acc, p[i])
+			acc = fold(kind, acc, p[i])
 		}
 		lmem[t.Local] = acc
 		t.Barrier()
 		for w := t.LocalSize; w > 1; {
 			half := (w + 1) / 2
 			if t.Local < w/2 {
-				lmem[t.Local] = foldI32(kind, lmem[t.Local], lmem[t.Local+half])
+				lmem[t.Local] = fold(kind, lmem[t.Local], lmem[t.Local+half])
 			}
 			t.Barrier()
 			w = half

@@ -182,7 +182,8 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 	}
 	p.GatherBandwidth = rate(4*calibrationRows, d)
 
-	// Contended atomics: grouped count over 4 groups, single accumulator.
+	// Contended atomics: a count over 4 groups through the direct-atomic
+	// grouped aggregate — what the engine runs when atomics are its choice.
 	gids, err := alloc(calibrationRows + 1)
 	if err != nil {
 		return nil, err
@@ -191,18 +192,12 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 	for i := range gi[:calibrationRows] {
 		gi[i] = int32(i & 3)
 	}
-	plan := kernels.AggPlan{NGroups: 4, Replicas: 1, Table: 4, UseLocal: true}
-	launchGroups, _ := cl.DefaultLaunch(dev)
-	scratch, err := alloc(launchGroups*plan.Table + 1)
-	if err != nil {
-		return nil, err
-	}
 	cnt, err := alloc(8)
 	if err != nil {
 		return nil, err
 	}
 	if d, err = timeOp(2, func() *cl.Event {
-		return kernels.GroupedAggI32(q, cnt, nil, gids, scratch, ops.Sum, calibrationRows, plan, nil)
+		return kernels.GroupedAggI32(q, cnt, nil, gids, nil, ops.Sum, calibrationRows, 4, nil)
 	}); err != nil {
 		return nil, err
 	}
@@ -245,7 +240,7 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 		p.SortRows[bits] = rate(calibrationRows, d)
 	}
 
-	for _, b := range []*cl.Buffer{col, bm, idx, dst, gids, scratch, cnt, keys, vals, tmpK, tmpV, hist} {
+	for _, b := range []*cl.Buffer{col, bm, idx, dst, gids, cnt, keys, vals, tmpK, tmpV, hist} {
 		_ = b.Release()
 	}
 	return p, nil

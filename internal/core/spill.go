@@ -271,18 +271,29 @@ func (e *Engine) uploadKeys(keys []uint32) (*cl.Buffer, *cl.Event, error) {
 	return buf, ev, nil
 }
 
-// buildLeaf builds the partition's hash table from an uploaded key buffer.
-func (e *Engine) buildLeaf(t *spillTask) error {
+// buildLeaf builds the partition's hash table from an uploaded key buffer,
+// up to the stage its probe needs — buckets for a join, slots for an
+// existence probe — and releases the keys after that last stage.
+func (e *Engine) buildLeaf(t *spillTask, buckets bool) error {
 	rbuf, wev, err := e.uploadKeys(t.rk)
 	if err != nil {
 		return err
 	}
-	ht, err := e.buildTableFromBuf("spill_part", rbuf, len(t.rk), nil, []*cl.Event{wev})
+	ht, err := e.buildSlots("spill_part", rbuf, nil, len(t.rk), []*cl.Event{wev})
 	if err != nil {
 		_ = rbuf.Release()
 		return err
 	}
-	e.releaseAfter(ht.ready, rbuf)
+	last := ht.slots
+	if buckets {
+		if err := ht.ensureBuckets(rbuf, nil); err != nil {
+			ht.release()
+			_ = rbuf.Release()
+			return err
+		}
+		last = ht.buckets
+	}
+	e.releaseAfter(last, rbuf)
 	t.ht = ht
 	return nil
 }
@@ -309,7 +320,7 @@ func (e *Engine) probeLeaf(t *spillTask) error {
 		_ = lbuf.Release()
 		return sc.err
 	}
-	cev := kernels.JoinProbeCount(e.q, counts, h.state, h.keys1, h.slotGid, h.starts, lbuf, n, h.capacity, []*cl.Event{wev, h.ready})
+	cev := kernels.JoinProbeCount(e.q, counts, h.state, h.keys1, h.slotGid, h.starts, lbuf, n, h.capacity, []*cl.Event{wev, h.buckets})
 	sev := kernels.PrefixSum(e.q, offsets, counts, sp, total, n, []*cl.Event{cev})
 	m32, err := e.readU32(total, []*cl.Event{sev})
 	if err != nil {
@@ -377,7 +388,7 @@ func (e *Engine) partitionedJoin(l, r *bat.BAT, budget int64) (*bat.BAT, *bat.BA
 	for _, wave := range packWaves(leaves, budget) {
 		// Phase 1: every table of the wave is built and stays resident.
 		for _, t := range wave {
-			if err := e.buildLeaf(t); err != nil {
+			if err := e.buildLeaf(t, true); err != nil {
 				e.releaseWave(wave)
 				return nil, nil, err
 			}
@@ -500,7 +511,7 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 			return nil, err
 		}
 		for _, t := range wave {
-			if err := e.buildLeaf(t); err != nil {
+			if err := e.buildLeaf(t, false); err != nil {
 				return fail(err)
 			}
 		}
@@ -515,7 +526,7 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 				_ = lbuf.Release()
 				return fail(err)
 			}
-			ev := kernels.ExistsProbe(e.q, bm, t.ht.state, t.ht.keys1, t.ht.slotGid, lbuf, n, t.ht.capacity, negate, []*cl.Event{wev, t.ht.ready})
+			ev := kernels.ExistsProbe(e.q, bm, t.ht.state, t.ht.keys1, t.ht.slotGid, lbuf, n, t.ht.capacity, negate, []*cl.Event{wev, t.ht.slots})
 			host := mem.Alloc(kernels.BitmapBytes(n))
 			rd := e.q.EnqueueRead(host, bm, []*cl.Event{ev})
 			e.releaseAfter(rd, lbuf, bm)

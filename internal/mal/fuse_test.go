@@ -67,6 +67,33 @@ func TestFusionCollapsesChain(t *testing.T) {
 	}
 }
 
+// TestFusionEmptySelectionSum: a selection that keeps no row still sums to
+// MonetDB's one-row zero, whether the chain runs fused or as its members.
+func TestFusionEmptySelectionSum(t *testing.T) {
+	_, a, _ := testData()
+	k := col("k", []int32{10, 20, 30, 40, 50, 20, 30}) // nothing in fuseChain's [2, 6]
+	b := fcol("b", []float32{1, 2, 3, 4, 5, 6, 7})
+	ref, err := RunQuery(NewSession(MS.Build(ConfigOptions{})), fuseChain(k, a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{OcelotCPU, OcelotGPU, Hybrid} {
+		for _, fusion := range []bool{true, false} {
+			s := NewSession(cfg.Build(ConfigOptions{Threads: 2, GPUMemory: 64 << 20}))
+			p := DefaultPasses()
+			p.Fusion = fusion
+			s.SetPasses(p)
+			res, err := RunQuery(s, fuseChain(k, a, b))
+			if err != nil {
+				t.Fatalf("%v fusion=%v: %v", cfg, fusion, err)
+			}
+			if err := res.EqualWithin(ref, 0); err != nil {
+				t.Fatalf("%v fusion=%v: %v", cfg, fusion, err)
+			}
+		}
+	}
+}
+
 // TestFusionSkipsNonCapableEngines: the MonetDB baselines do not implement
 // ops.FusedOperators, so their plans must keep the unfused member chain.
 func TestFusionSkipsNonCapableEngines(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 //   - memory access pattern (§4.2, Figure 4): device-preferred vs. foreign
 //     pattern for a bandwidth-bound kernel;
 //   - radix width (§5.2.7): 8-bit vs. 4-bit digits per device;
-//   - optimistic hashing (§4.1.4): the optimistic+check fast path vs. going
-//     straight to the synchronised pessimistic round.
+//   - the slots stage (§4.1.4): optimistic+check first vs. going straight to
+//     the synchronised pessimistic round vs. identity addressing, by key range.
 
 // ablEnv bundles a device's execution state for direct kernel launches.
 type ablEnv struct {
@@ -252,63 +252,87 @@ func AblationRadixWidth(opt Options) *Report {
 	return r
 }
 
-// AblationOptimisticHashing measures the §4.1.4 insertion strategy: the
-// optimistic+check(+pessimistic-if-needed) protocol vs. going straight to
-// the CAS-synchronised round, on a key column (no duplicate churn).
-func AblationOptimisticHashing(opt Options) *Report {
+// AblationSlotsStage measures the slots stage of the lookup table (§4.1.4)
+// three ways over the same keys: the paper's optimistic-first insertion, the
+// CAS-synchronised round alone, and identity addressing (range reduction,
+// bitmap set, rank scan), each up to the distinct count. The sweep is over
+// range/n — n keys drawn from [0, range) — up to 64, just under the range at
+// which kernels.IdentityWords hands a build back to hashing. The hashed
+// kernels are called directly, and the three distinct counts must agree.
+func AblationSlotsStage(opt Options) *Report {
 	opt = opt.withDefaults()
-	xs := make([]float64, len(opt.SizesMB))
-	for i, mb := range opt.SizesMB {
-		xs[i] = float64(mb)
-	}
+	rows := opt.BaseMB * rowsPerMB
+	xs := []float64{0.25, 1, 4, 16, 64}
 	r := &Report{
 		ID:     "Ablation A4",
-		Title:  "Parallel hashing: optimistic-first vs. pessimistic-only insertion (§4.1.4)",
-		XLabel: "size[MB]",
+		Title:  fmt.Sprintf("Slots stage: optimistic-first vs. pessimistic-only vs. identity addressing (§4.1.4), %d MB", opt.BaseMB),
+		XLabel: "range/n",
 		Xs:     xs,
 		Millis: map[string][]float64{},
 	}
 	for _, dev := range []*cl.Device{cl.NewCPUDevice(opt.Threads), cl.NewGPUDevice(opt.GPUMemory)} {
 		e := newAblEnv(dev)
-		for _, mode := range []string{"/optimistic", "/pessimistic"} {
-			label := dev.Const.Class.String() + mode
-			r.Order = append(r.Order, label)
-			series := make([]float64, len(xs))
-			for xi, mb := range opt.SizesMB {
-				rows := mb * rowsPerMB
-				col := e.buf(rows + 1)
-				ci := col.I32()
-				perm := rand.New(rand.NewSource(opt.Seed)).Perm(rows)
-				for i := 0; i < rows; i++ {
-					ci[i] = int32(perm[i]) // unique keys
-				}
-				capacity := kernels.TableCapacity(rows)
-				state := e.buf(capacity)
-				keys1 := e.buf(capacity)
-				fail := e.buf(1)
-				pessimistic := mode == "/pessimistic"
+		class := dev.Const.Class.String()
+		modes := []string{"/optimistic", "/pessimistic", "/identity"}
+		for _, mode := range modes {
+			r.Order = append(r.Order, class+mode)
+			r.Millis[class+mode] = make([]float64, len(xs))
+		}
+		_, _, gsz := kernels.Geometry(dev)
+		col := e.buf(rows + 1)
+		capacity := kernels.TableCapacity(rows)
+		state, keys1, slotGid := e.buf(capacity), e.buf(capacity), e.buf(capacity)
+		fail, total, spine, rangeParts := e.buf(1), e.buf(1), e.buf(gsz+2), e.buf(2*gsz)
+		for xi, x := range xs {
+			keyRange := int(x * float64(rows))
+			rnd := rand.New(rand.NewSource(opt.Seed))
+			ci := col.I32()
+			for i := 0; i < rows; i++ {
+				ci[i] = rnd.Int31n(int32(keyRange))
+			}
+			words := kernels.IdentityWords(rows, uint64(keyRange))
+			bits, rank := e.buf(words), e.buf(words)
+			var ndistinct [3]uint32
+			for mi, mode := range modes {
 				ms, err := e.measureKernel(opt.Runs, func() *cl.Event {
-					z := kernels.Fill(e.q, state, capacity, 0, nil)
-					z2 := kernels.Fill(e.q, fail, 1, 0, nil)
-					if pessimistic {
-						return kernels.HashInsertPessimistic(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{z, z2})
+					if mode == "/identity" {
+						rev := kernels.KeyRange(e.q, rangeParts, col, rows, nil)
+						if err := rev.Wait(); err != nil {
+							return rev
+						}
+						lo, hi := kernels.FoldKeyRange(rangeParts.I32())
+						tab := kernels.Slots{Bits: bits, Rank: rank, Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
+						z := kernels.Fill(e.q, bits, words, 0, nil)
+						ev := kernels.IdentitySet(e.q, tab, col, nil, rows, []*cl.Event{z})
+						return kernels.IdentityRank(e.q, tab, spine, total, words, []*cl.Event{ev})
 					}
-					ev := kernels.HashInsertOptimistic(e.q, state, keys1, col, rows, capacity, []*cl.Event{z, z2})
-					ev = kernels.HashCheck(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{ev})
-					// On check failure the engine would re-run pessimistically
-					// over all keys; include that cost when it happens.
-					return kernels.HashInsertPessimistic(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{ev})
+					z := kernels.Fill(e.q, state, capacity, 0, nil)
+					ev := kernels.Fill(e.q, fail, 1, 0, nil)
+					if mode == "/optimistic" {
+						ev = kernels.HashInsertOptimistic(e.q, state, keys1, col, rows, capacity, []*cl.Event{z, ev})
+						ev = kernels.HashCheck(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{ev})
+						// The engine re-runs pessimistically over all keys when
+						// the check fails; on these keys it always does.
+					}
+					ev = kernels.HashInsertPessimistic(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{z, ev})
+					return kernels.HashEnumerate(e.q, slotGid, state, spine, total, capacity, []*cl.Event{ev})
 				})
 				if err != nil {
-					r.Notes = append(r.Notes, fmt.Sprintf("%s at %dMB: %v", label, mb, err))
+					r.Notes = append(r.Notes, fmt.Sprintf("%s%s at range/n %g: %v", class, mode, x, err))
 					continue
 				}
-				series[xi] = ms
-				for _, b := range []*cl.Buffer{col, state, keys1, fail} {
-					_ = b.Release()
-				}
+				r.Millis[class+mode][xi] = ms
+				ndistinct[mi] = total.U32()[0]
 			}
-			r.Millis[label] = series
+			if ndistinct[0] != ndistinct[2] || ndistinct[1] != ndistinct[2] {
+				panic(fmt.Sprintf("bench: A4 at range/n %g on %s: %d / %d / %d distinct keys (optimistic / pessimistic / identity)",
+					x, class, ndistinct[0], ndistinct[1], ndistinct[2]))
+			}
+			_ = bits.Release()
+			_ = rank.Release()
+		}
+		for _, b := range []*cl.Buffer{col, state, keys1, slotGid, fail, total, spine, rangeParts} {
+			_ = b.Release()
 		}
 	}
 	return r
@@ -322,6 +346,6 @@ func Ablations() map[string]func(Options) *Report {
 		"a1": AblationAccumulators,
 		"a2": AblationAccessPattern,
 		"a3": AblationRadixWidth,
-		"a4": AblationOptimisticHashing,
+		"a4": AblationSlotsStage,
 	}
 }

@@ -43,7 +43,7 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	}
 	// Grouping needs the table's slots and the per-row dense ids looked up
 	// through them — exactly the grouping result — and never its buckets.
-	ht, err := e.buildSlots(col.Name, colBuf, prevBuf, n, wait)
+	ht, err := e.buildSlots(col.Name, colBuf, prevBuf, ngrp, n, orderedKeys(col), wait)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -58,7 +58,7 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	}
 	res := newOwned(col.Name+"_grp", bat.I32, n)
 	e.mm.BindValues(res, gids, gev)
-	e.releaseAfter(gev, ht.state, ht.keys1, ht.keys2, ht.slotGid)
+	e.releaseAfter(gev, ht.buffers()...)
 	return res, ht.ndistinct, nil
 }
 

@@ -7,14 +7,16 @@ import (
 	"repro/internal/bat"
 	"repro/internal/cl"
 	"repro/internal/core/kernels"
+	"repro/internal/mem"
 	"repro/internal/ops"
 )
 
 // devHashTable is the device-resident multi-stage hash lookup table of
 // §4.1.4, built in the stages its consumers ask for:
 //
-//   - slots: the slot table (state/keys) and the dense-id enumeration
-//     (slotGid, ndistinct). Existence probes stop here.
+//   - slots: the slot table and the dense-id enumeration (tab, ndistinct),
+//     under one of two addressings (kernels.Slots): hashed, or identity over
+//     a dense key range. Existence probes stop here.
 //   - gids: the per-build-row dense ids, looked up through the slots.
 //     Grouping stops here (lookupGids hands the ids to the caller).
 //   - buckets: the per-key row-id buckets joins iterate (starts/rowids, after
@@ -27,17 +29,19 @@ type devHashTable struct {
 	// raw key buffer (spill partitions), whose owner supplies the buffer to
 	// every stage itself.
 	col        *bat.BAT
-	capacity   int
 	ndistinct  int
 	buildRows  int
 	uniqueKeys bool // every key occurs once: every bucket has exactly one row
 
-	state   *cl.Buffer
-	keys1   *cl.Buffer
-	keys2   *cl.Buffer // non-nil only for composite (group refinement) keys
-	slotGid *cl.Buffer
-	slots   *cl.Event // the slots stage has landed
-	pins    int       // guarded by the Memory Manager's lock
+	tab   kernels.Slots
+	slots *cl.Event // the slots stage has landed
+
+	// pins and readers are guarded by the Memory Manager's lock. A pin keeps
+	// the pressure protocol off the table while host code is enqueueing work
+	// on it; readers are the probe kernels still in flight on its buffers
+	// (the table-side twin of NoteConsumer).
+	pins    int
+	readers []*cl.Event
 
 	// mu serialises the bucket stage: concurrent probes of one cached table
 	// build it exactly once.
@@ -62,16 +66,75 @@ func (h *devHashTable) Release() {
 	}
 }
 
+// buffers lists every device buffer the table owns, under either addressing
+// and at any stage (unbuilt ones are nil).
+func (h *devHashTable) buffers() []*cl.Buffer {
+	t := h.tab
+	return []*cl.Buffer{t.State, t.Keys1, t.Keys2, t.SlotGid, t.Bits, t.Rank, h.starts, h.rowids}
+}
+
+// release frees the table once nothing enqueued can still touch it: its own
+// stages and every probe noted by noteReader.
 func (h *devHashTable) release() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	_ = h.slots.Wait()
 	_ = h.buckets.Wait()
-	for _, b := range []*cl.Buffer{h.state, h.keys1, h.keys2, h.slotGid, h.starts, h.rowids} {
+	h.e.mm.mu.Lock()
+	readers := h.readers
+	h.readers = nil
+	h.e.mm.mu.Unlock()
+	for _, r := range readers {
+		_ = r.Wait()
+	}
+	for _, b := range h.buffers() {
 		if b != nil {
 			_ = b.Release()
 		}
 	}
+}
+
+// pin holds the table against the pressure protocol until unpin: host code
+// that allocates between acquiring a (possibly cached) table and noting the
+// kernels it enqueued on it must not have makeRoom pick that very table.
+func (h *devHashTable) pin() {
+	h.e.mm.mu.Lock()
+	h.pins++
+	h.e.mm.mu.Unlock()
+}
+
+func (h *devHashTable) unpin() {
+	h.e.mm.mu.Lock()
+	h.pins--
+	h.e.mm.mu.Unlock()
+}
+
+// noteReader records that ev reads the table's buffers, so release waits for
+// it and makeRoom leaves the table alone while it is in flight.
+func (h *devHashTable) noteReader(ev *cl.Event) {
+	h.e.mm.mu.Lock()
+	defer h.e.mm.mu.Unlock()
+	kept := h.readers[:0]
+	for _, r := range h.readers {
+		if !r.Done() {
+			kept = append(kept, r)
+		}
+	}
+	h.readers = append(kept, ev)
+}
+
+// idleLocked reports whether the pressure protocol may drop the table: no
+// pin and no reader in flight. The Memory Manager's lock must be held.
+func (h *devHashTable) idleLocked() bool {
+	if h.pins > 0 {
+		return false
+	}
+	for _, r := range h.readers {
+		if !r.Done() {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildHash builds the parallel multi-stage hash table over col (§4.1.4),
@@ -106,7 +169,7 @@ func (e *Engine) slotTable(col *bat.BAT) (*devHashTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	ht, err := e.buildSlots(col.Name, colBuf, nil, col.Len(), wait)
+	ht, err := e.buildSlots(col.Name, colBuf, nil, 0, col.Len(), orderedKeys(col), wait)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +196,42 @@ func (e *Engine) InvalidateHash(col *bat.BAT) {
 	}
 }
 
-// buildSlots runs the slots stage over a device buffer of n keys: the
-// optimistic/check/pessimistic insertion (§4.1.4) and the dense-id
-// enumeration, restarting with a doubled table on a failed pessimistic
-// round. prev, when non-nil, supplies the second word of composite keys
-// (group refinement) — composite builds skip the optimistic round, since a
-// torn two-word write could manufacture a phantom key.
-func (e *Engine) buildSlots(name string, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
+// orderedKeys reports whether b's key words are integers (values, codes or
+// positions), whose numeric range buildSlots may measure; float columns are
+// keyed by bit pattern, and the range of bit patterns says nothing about how
+// dense the keys are.
+func orderedKeys(b *bat.BAT) bool { return b.T != bat.F32 }
+
+// buildSlots runs the slots stage over a device buffer of n keys. prev, when
+// non-nil, supplies the second word of composite keys (group refinement): the
+// previous group ids, all below nprev.
+//
+// Integer keys (ordered, see orderedKeys) are first measured — one fused min/max
+// reduction — and take identity addressing when kernels.IdentityWords says
+// their range is dense. Everything else runs the paper's hashed insertion.
+func (e *Engine) buildSlots(name string, colBuf, prev *cl.Buffer, nprev, n int, ordered bool, wait []*cl.Event) (*devHashTable, error) {
+	if ordered && n > 0 && (prev == nil || nprev > 0) {
+		lo, hi, err := e.keyRange(colBuf, n, wait)
+		if err != nil {
+			return nil, err
+		}
+		tab := kernels.Slots{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
+		if prev != nil {
+			tab.Prev = uint32(nprev)
+		}
+		if words := kernels.IdentityWords(n, (uint64(tab.Span)+1)*uint64(tab.Prev)); words > 0 {
+			return e.buildIdentitySlots(tab, words, colBuf, prev, n, wait)
+		}
+	}
+	return e.buildHashedSlots(name, colBuf, prev, n, wait)
+}
+
+// buildHashedSlots is the slots stage of §4.1.4: the optimistic/check/
+// pessimistic insertion and the dense-id enumeration, restarting with a
+// doubled table on a failed pessimistic round. Composite builds skip the
+// optimistic round, since a torn two-word write could manufacture a phantom
+// key.
+func (e *Engine) buildHashedSlots(name string, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
 	capacity := kernels.TableCapacity(n)
 	for attempt := 0; ; attempt++ {
 		ht, retry, err := e.tryBuildSlots(colBuf, prev, n, capacity, wait)
@@ -156,6 +248,53 @@ func (e *Engine) buildSlots(name string, colBuf, prev *cl.Buffer, n int, wait []
 			return nil, fmt.Errorf("core: hash build of %q cannot converge", name)
 		}
 	}
+}
+
+// keyRange measures the smallest and largest of n key words (int32 order):
+// one reduction launch on the device, the per-item partials folded here.
+func (e *Engine) keyRange(colBuf *cl.Buffer, n int, wait []*cl.Event) (lo, hi int32, err error) {
+	_, _, gsz := kernels.Geometry(e.dev)
+	partials, err := e.mm.AllocScratch(2 * gsz * 4)
+	if err != nil {
+		return 0, 0, err
+	}
+	ev := kernels.KeyRange(e.q, partials, colBuf, n, wait)
+	host := mem.Alloc(2 * gsz * 4)
+	err = e.q.EnqueueRead(host, partials, []*cl.Event{ev}).Wait()
+	e.mm.ReleaseScratch(partials)
+	if err != nil {
+		return 0, 0, err
+	}
+	lo, hi = kernels.FoldKeyRange(mem.I32(host))
+	return lo, hi, nil
+}
+
+// buildIdentitySlots is the slots stage under identity addressing: zero the
+// bitmap, set every key's bit, rank-scan. No round can fail, so there is no
+// fail word to read back and nothing to restart.
+func (e *Engine) buildIdentitySlots(tab kernels.Slots, words int, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
+	sc := &scratchSet{mm: e.mm}
+	tab.Bits = sc.alloc(words)
+	tab.Rank = sc.alloc(words)
+	sp := sc.alloc(spineWords(e.dev))
+	total := sc.alloc(1)
+	if sc.err != nil {
+		sc.releaseAll()
+		return nil, sc.err
+	}
+	zero := kernels.Fill(e.q, tab.Bits, words, 0, nil)
+	ev := kernels.IdentitySet(e.q, tab, colBuf, prev, n, append([]*cl.Event{zero}, wait...))
+	rev := kernels.IdentityRank(e.q, tab, sp, total, words, []*cl.Event{ev})
+	nd32, err := e.readU32(total, []*cl.Event{rev})
+	if err != nil {
+		sc.releaseAll()
+		return nil, err
+	}
+	e.releaseAfter(rev, sp, total)
+	return &devHashTable{
+		e: e, ndistinct: int(nd32), buildRows: n, tab: tab,
+		slots: rev, uniqueKeys: int(nd32) == n,
+	}, nil
 }
 
 // scratchSet tracks buffers allocated during a multi-kernel build so error
@@ -253,8 +392,8 @@ func (e *Engine) tryBuildSlots(colBuf, prev *cl.Buffer, n, capacity int, wait []
 			}
 		}
 	} else {
-		// Composite keys go straight to the synchronised round (see the
-		// function comment on buildSlots).
+		// Composite keys go straight to the synchronised round (see
+		// buildHashedSlots).
 		ev = kernels.HashInsertPessimistic(e.q, state, keys1, keys2, colBuf, prev, fail, n, capacity, []*cl.Event{zero})
 		failed, err := e.readU32(fail, []*cl.Event{ev})
 		if err != nil {
@@ -284,8 +423,8 @@ func (e *Engine) tryBuildSlots(colBuf, prev *cl.Buffer, n, capacity int, wait []
 	e.releaseAfter(eev, sp, fail, total)
 
 	return &devHashTable{
-		e: e, capacity: capacity, ndistinct: int(nd32), buildRows: n,
-		state: state, keys1: keys1, keys2: keys2, slotGid: slotGid,
+		e: e, ndistinct: int(nd32), buildRows: n,
+		tab:   kernels.Slots{State: state, Keys1: keys1, Keys2: keys2, SlotGid: slotGid, Capacity: capacity},
 		slots: eev, uniqueKeys: int(nd32) == n,
 	}, false, nil
 }
@@ -300,8 +439,7 @@ func (h *devHashTable) lookupGids(colBuf, prev *cl.Buffer, wait []*cl.Event) (*c
 		return nil, nil, err
 	}
 	deps := append([]*cl.Event{h.slots}, wait...)
-	ev := kernels.HashLookupGids(h.e.q, gids, h.state, h.keys1, h.keys2, h.slotGid, colBuf, prev,
-		h.buildRows, h.capacity, deps)
+	ev := kernels.HashLookupGids(h.e.q, gids, h.tab, colBuf, prev, h.buildRows, deps)
 	return gids, ev, nil
 }
 
@@ -320,14 +458,8 @@ func (h *devHashTable) ensureBuckets(colBuf *cl.Buffer, wait []*cl.Event) error 
 	e := h.e
 	// The allocations below may run the pressure protocol, which must not
 	// pick this (possibly cached) table as its victim while mu is held.
-	e.mm.mu.Lock()
-	h.pins++
-	e.mm.mu.Unlock()
-	defer func() {
-		e.mm.mu.Lock()
-		h.pins--
-		e.mm.mu.Unlock()
-	}()
+	h.pin()
+	defer h.unpin()
 
 	if colBuf == nil {
 		var err error

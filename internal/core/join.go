@@ -47,6 +47,10 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 	if !ok {
 		return nil, nil, fmt.Errorf("core: foreign hash table %T", ht)
 	}
+	// The allocations below may run the pressure protocol; the table stays
+	// pinned until the probe kernels reading it are on record.
+	h.pin()
+	defer h.unpin()
 	if err := h.ensureBuckets(nil, nil); err != nil {
 		return nil, nil, err
 	}
@@ -71,8 +75,9 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 		sc.releaseAll()
 		return nil, nil, sc.err
 	}
-	cev := kernels.JoinProbeCount(e.q, counts, h.state, h.keys1, h.slotGid, h.starts, lBuf, n, h.capacity, wait)
+	cev := kernels.JoinProbeCount(e.q, counts, h.tab, h.starts, lBuf, n, wait)
 	e.mm.NoteConsumer(l, cev)
+	h.noteReader(cev)
 	sev := kernels.PrefixSum(e.q, offsets, counts, sp, total, n, []*cl.Event{cev})
 	m32, err := e.readU32(total, []*cl.Event{sev})
 	if err != nil {
@@ -92,8 +97,9 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 		sc.releaseAll()
 		return nil, nil, err
 	}
-	wev := kernels.JoinProbeWrite(e.q, outL, outR, offsets, h.state, h.keys1, h.slotGid, h.starts, h.rowids, lBuf, n, h.capacity, []*cl.Event{sev})
+	wev := kernels.JoinProbeWrite(e.q, outL, outR, offsets, h.tab, h.starts, h.rowids, lBuf, n, []*cl.Event{sev})
 	e.mm.NoteConsumer(l, wev)
+	h.noteReader(wev)
 	e.releaseAfter(wev, sc.bufs...)
 
 	lres := newOwned(l.Name+"_join", bat.OID, m)
@@ -117,8 +123,9 @@ func (e *Engine) probeUnique(l *bat.BAT, lBuf *cl.Buffer, h *devHashTable, n int
 		_ = bm.Release()
 		return nil, nil, err
 	}
-	pev := kernels.JoinProbeUnique(e.q, bm, rpos, h.state, h.keys1, h.slotGid, h.starts, h.rowids, lBuf, n, h.capacity, wait)
+	pev := kernels.JoinProbeUnique(e.q, bm, rpos, h.tab, h.starts, h.rowids, lBuf, n, wait)
 	e.mm.NoteConsumer(l, pev)
+	h.noteReader(pev)
 
 	count, err := e.bitmapCount(bm, n, pev)
 	if err != nil {
@@ -268,8 +275,7 @@ func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
 		joinFootprint(l.Len(), r.Len()) > budget {
 		return e.partitionedExists(l, r, negate, budget)
 	}
-	// Existence needs only the slots stage: the probe reads state, keys and
-	// slot ids, never the buckets.
+	// Existence needs only the slots stage, never the buckets.
 	h, err := e.slotTable(r)
 	if err != nil {
 		if budget, ok := e.joinBudget(); ok && e.spillRetryable(err) {
@@ -278,6 +284,8 @@ func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
 		return nil, err
 	}
 	defer h.Release()
+	h.pin() // as in HashProbe
+	defer h.unpin()
 	lBuf, wait, err := e.valuesOf(l)
 	if err != nil {
 		return nil, err
@@ -288,8 +296,9 @@ func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := kernels.ExistsProbe(e.q, bm, h.state, h.keys1, h.slotGid, lBuf, n, h.capacity, negate, wait)
+	ev := kernels.ExistsProbe(e.q, bm, h.tab, lBuf, n, negate, wait)
 	e.mm.NoteConsumer(l, ev)
+	h.noteReader(ev)
 	name := l.Name + "_semi"
 	if negate {
 		name = l.Name + "_anti"

@@ -48,124 +48,141 @@ func selectBytes(q *cl.Queue, name string, bm, cand *cl.Buffer, n int, cost cl.C
 	}, launch(q.Device(), name, cost, wait))
 }
 
-// inRangeBit is 1 iff lo <= v <= lo+width as one unsigned compare, which the
-// compiler turns into a flag-set instead of a branch.
-func inRangeBit(v int32, lo, width uint32) byte {
-	var bit byte
-	if uint32(v)-lo <= width {
-		bit = 1
+// The predicate evaluators below yield the bits of rows [base, end) of one
+// bitmap byte, branch-free: a predicate on unsorted data mispredicts every
+// other row, so every compare becomes a flag byte (the compiler emits SETcc
+// for flag), the row's verdict is composed with bit operations, and the (up
+// to) eight verdicts are packed with constant shifts — a shift by the row
+// index would cost more than the compare. They are shared by the unfused
+// selection kernels and the fused conjunction (CompileFusedPred), which is
+// what keeps the two bit-for-bit equal.
+
+// flag is 1 when b holds, 0 otherwise, without a branch.
+func flag(b bool) byte {
+	var f byte
+	if b {
+		f = 1
 	}
-	return bit
+	return f
+}
+
+// pack8 packs eight row verdicts (0 or 1 each) into their bitmap byte.
+func pack8(f *[8]byte) byte {
+	return f[0] | f[1]<<1 | f[2]<<2 | f[3]<<3 | f[4]<<4 | f[5]<<5 | f[6]<<6 | f[7]<<7
+}
+
+// inRangeBit is 1 iff lo <= v <= lo+width, as one unsigned compare.
+func inRangeBit(v int32, lo, width uint32) byte {
+	return flag(uint32(v)-lo <= width)
+}
+
+// rangeMaskI32 evaluates lo <= src[r] <= hi; lo > hi selects nothing.
+func rangeMaskI32(src []int32, lo, hi int32) func(base, end int) byte {
+	if lo > hi {
+		return func(int, int) byte { return 0 }
+	}
+	ulo, width := uint32(lo), uint32(hi)-uint32(lo)
+	return func(base, end int) byte {
+		var f [8]byte
+		for i, v := range src[base:end] {
+			f[i] = inRangeBit(v, ulo, width)
+		}
+		return pack8(&f)
+	}
+}
+
+// rangeMaskF32 evaluates lo (<|<=) src[r] (<|<=) hi. Float bounds cannot be
+// collapsed to an inclusive interval, so inclusivity stays explicit; a NaN
+// value or bound fails every compare and selects nothing.
+func rangeMaskF32(src []float32, lo, hi float32, loIncl, hiIncl bool) func(base, end int) byte {
+	loEq, hiEq := flag(loIncl), flag(hiIncl)
+	return func(base, end int) byte {
+		var f [8]byte
+		for i, v := range src[base:end] {
+			f[i] = (flag(v > lo) | flag(v == lo)&loEq) & (flag(v < hi) | flag(v == hi)&hiEq)
+		}
+		return pack8(&f)
+	}
+}
+
+// cmpMask evaluates a[r] cmp b[r], specialised on the operator here, outside
+// the row loop. Gt and Ge are Lt and Le with the operands swapped (exact for
+// NaN too: both sides are false).
+func cmpMask[T int32 | float32](a, b []T, cmp ops.Cmp) func(base, end int) byte {
+	switch cmp {
+	case ops.Gt:
+		return cmpMask(b, a, ops.Lt)
+	case ops.Ge:
+		return cmpMask(b, a, ops.Le)
+	case ops.Lt:
+		return func(base, end int) byte {
+			var f [8]byte
+			y := b[base:end]
+			for i, x := range a[base:end] {
+				f[i] = flag(x < y[i])
+			}
+			return pack8(&f)
+		}
+	case ops.Le:
+		return func(base, end int) byte {
+			var f [8]byte
+			y := b[base:end]
+			for i, x := range a[base:end] {
+				f[i] = flag(x <= y[i])
+			}
+			return pack8(&f)
+		}
+	case ops.Eq:
+		return func(base, end int) byte {
+			var f [8]byte
+			y := b[base:end]
+			for i, x := range a[base:end] {
+				f[i] = flag(x == y[i])
+			}
+			return pack8(&f)
+		}
+	default: // ops.Ne
+		return func(base, end int) byte {
+			var f [8]byte
+			y := b[base:end]
+			for i, x := range a[base:end] {
+				f[i] = flag(x != y[i])
+			}
+			return pack8(&f)
+		}
+	}
 }
 
 // SelectI32 enqueues the range-selection kernel over an int32 column: bit
 // oid is set iff lo <= col[oid] <= hi (inclusive bounds precomputed by the
-// host code; lo > hi selects nothing). Full bytes evaluate their eight rows
-// branch-free: a range predicate on unsorted data mispredicts every other
-// row.
+// host code; lo > hi selects nothing).
 func SelectI32(q *cl.Queue, bm *cl.Buffer, col *cl.Buffer, cand *cl.Buffer, n int, lo, hi int32, wait []*cl.Event) *cl.Event {
-	src := col.I32()
-	ulo, width := uint32(lo), uint32(hi)-uint32(lo)
-	eval := func(base, end int) byte {
-		if end-base == 8 {
-			s := src[base : base+8 : base+8]
-			return inRangeBit(s[0], ulo, width) | inRangeBit(s[1], ulo, width)<<1 |
-				inRangeBit(s[2], ulo, width)<<2 | inRangeBit(s[3], ulo, width)<<3 |
-				inRangeBit(s[4], ulo, width)<<4 | inRangeBit(s[5], ulo, width)<<5 |
-				inRangeBit(s[6], ulo, width)<<6 | inRangeBit(s[7], ulo, width)<<7
-		}
-		var out byte
-		for r := base; r < end; r++ {
-			out |= inRangeBit(src[r], ulo, width) << uint(r-base)
-		}
-		return out
-	}
-	if lo > hi {
-		eval = func(int, int) byte { return 0 }
-	}
 	nb := BitmapBytes(n)
 	return selectBytes(q, "select_i32", bm, cand, n,
-		cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait, eval)
+		cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait,
+		rangeMaskI32(col.I32(), lo, hi))
 }
 
-// SelectF32 is the float32 variant of the range-selection kernel; bound
-// inclusivity is handled explicitly since float bounds cannot be collapsed
-// to an inclusive interval.
+// SelectF32 is the float32 variant of the range-selection kernel, with
+// explicit bound inclusivity.
 func SelectF32(q *cl.Queue, bm *cl.Buffer, col *cl.Buffer, cand *cl.Buffer, n int, lo, hi float32, loIncl, hiIncl bool, wait []*cl.Event) *cl.Event {
-	src := col.F32()
 	nb := BitmapBytes(n)
 	return selectBytes(q, "select_f32", bm, cand, n,
 		cl.Cost{BytesStreamed: int64(n)*4 + int64(nb)*2, Ops: int64(n) * 2}, wait,
-		func(base, end int) byte {
-			var out byte
-			for r := base; r < end; r++ {
-				v := src[r]
-				if (v > lo || (loIncl && v == lo)) && (v < hi || (hiIncl && v == hi)) {
-					out |= 1 << uint(r-base)
-				}
-			}
-			return out
-		})
+		rangeMaskF32(col.F32(), lo, hi, loIncl, hiIncl))
 }
 
 // SelectCmp enqueues the column-vs-column comparison kernel: bit oid is set
 // iff a[oid] cmp b[oid]. Both columns must share one four-byte type; for
 // totally ordered data the comparison runs on the typed views.
 func SelectCmp(q *cl.Queue, bm *cl.Buffer, a, b *cl.Buffer, isFloat bool, cmp ops.Cmp, cand *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	var test func(r int) bool
+	eval := cmpMask(a.I32(), b.I32(), cmp)
 	if isFloat {
-		av, bv := a.F32(), b.F32()
-		test = func(r int) bool { return cmpF32(av[r], bv[r], cmp) }
-	} else {
-		av, bv := a.I32(), b.I32()
-		test = func(r int) bool { return cmpI32(av[r], bv[r], cmp) }
+		eval = cmpMask(a.F32(), b.F32(), cmp)
 	}
 	nb := BitmapBytes(n)
 	return selectBytes(q, "select_cmp", bm, cand, n,
-		cl.Cost{BytesStreamed: int64(n)*8 + int64(nb)*2, Ops: int64(n) * 2}, wait,
-		func(base, end int) byte {
-			var out byte
-			for r := base; r < end; r++ {
-				if test(r) {
-					out |= 1 << uint(r-base)
-				}
-			}
-			return out
-		})
-}
-
-func cmpI32(x, y int32, c ops.Cmp) bool {
-	switch c {
-	case ops.Lt:
-		return x < y
-	case ops.Le:
-		return x <= y
-	case ops.Gt:
-		return x > y
-	case ops.Ge:
-		return x >= y
-	case ops.Eq:
-		return x == y
-	default:
-		return x != y
-	}
-}
-
-func cmpF32(x, y float32, c ops.Cmp) bool {
-	switch c {
-	case ops.Lt:
-		return x < y
-	case ops.Le:
-		return x <= y
-	case ops.Gt:
-		return x > y
-	case ops.Ge:
-		return x >= y
-	case ops.Eq:
-		return x == y
-	default:
-		return x != y
-	}
+		cl.Cost{BytesStreamed: int64(n)*8 + int64(nb)*2, Ops: int64(n) * 2}, wait, eval)
 }
 
 // BitmapRange enqueues a bitmap with bits [lo, hi) set over an n-row domain

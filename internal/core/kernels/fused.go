@@ -25,7 +25,8 @@ import (
 // FusedPred is a compiled filter conjunction over one bitmap byte: it
 // returns the mask of rows [base, end) passing every conjunct (bit i = row
 // base+i). Working a byte at a time keeps the dynamic-dispatch cost per
-// *eight* rows — each conjunct's inner loop is a tight, direct scan — and
+// *eight* rows — each conjunct's inner loop is a tight, branch-free scan, the
+// very evaluator the unfused selection kernel runs (bitmap.go) — and
 // lets the conjunction short-circuit whole bytes once the mask is empty,
 // which is the fused analogue of the unfused kernels' candidate-bitmap AND.
 type FusedPred func(base, end int) byte
@@ -63,51 +64,13 @@ func CompileFusedPred(filters []FusedPredFilter, lo, hi int, bounded bool) Fused
 	for _, f := range filters {
 		switch {
 		case f.IsCmp && f.Float:
-			a, b, cmp := f.Col.F32(), f.Other.F32(), f.Cmp
-			ps = append(ps, func(base, end int) byte {
-				var out byte
-				for r := base; r < end; r++ {
-					if cmpF32(a[r], b[r], cmp) {
-						out |= 1 << uint(r-base)
-					}
-				}
-				return out
-			})
+			ps = append(ps, cmpMask(f.Col.F32(), f.Other.F32(), f.Cmp))
 		case f.IsCmp:
-			a, b, cmp := f.Col.I32(), f.Other.I32(), f.Cmp
-			ps = append(ps, func(base, end int) byte {
-				var out byte
-				for r := base; r < end; r++ {
-					if cmpI32(a[r], b[r], cmp) {
-						out |= 1 << uint(r-base)
-					}
-				}
-				return out
-			})
+			ps = append(ps, cmpMask(f.Col.I32(), f.Other.I32(), f.Cmp))
 		case f.Float:
-			v, lo, hi, loIncl, hiIncl := f.Col.F32(), f.LoF, f.HiF, f.LoIncl, f.HiIncl
-			ps = append(ps, func(base, end int) byte {
-				var out byte
-				for r := base; r < end; r++ {
-					x := v[r]
-					if (x > lo || (loIncl && x == lo)) && (x < hi || (hiIncl && x == hi)) {
-						out |= 1 << uint(r-base)
-					}
-				}
-				return out
-			})
+			ps = append(ps, rangeMaskF32(f.Col.F32(), f.LoF, f.HiF, f.LoIncl, f.HiIncl))
 		default:
-			v, lo, hi := f.Col.I32(), f.LoI, f.HiI
-			ps = append(ps, func(base, end int) byte {
-				var out byte
-				for r := base; r < end; r++ {
-					x := v[r]
-					if x >= lo && x <= hi {
-						out |= 1 << uint(r-base)
-					}
-				}
-				return out
-			})
+			ps = append(ps, rangeMaskI32(f.Col.I32(), f.LoI, f.HiI))
 		}
 	}
 	if len(ps) == 1 {

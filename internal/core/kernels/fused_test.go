@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -143,5 +145,98 @@ func TestFusedSumMatchesUnfusedReduce(t *testing.T) {
 	}
 	if sums[0] != sums[1] {
 		t.Fatalf("f32 sum differs across device classes: %v vs %v (fixed partition broken)", sums[0], sums[1])
+	}
+}
+
+// TestFusedPredExactMasks: every fused conjunct kind yields, bit for bit, the
+// mask of the unfused kernel for the same predicate, and both equal the
+// predicate written out row by row — over NaN values and bounds, lo == hi,
+// both inclusivities, every comparison operator, an empty integer range and a
+// tail byte.
+func TestFusedPredExactMasks(t *testing.T) {
+	const n = 8*61 + 5 // tail byte of five rows
+	nan := float32(math.NaN())
+	r := rand.New(rand.NewSource(9))
+	specialsF := []float32{nan, 0.5, float32(math.Inf(1)), float32(math.Inf(-1)), -0.0, 0.25}
+	for _, dev := range devices() {
+		e := newEnv(dev)
+		ia, ib, fa, fb := e.buf(t, n), e.buf(t, n), e.buf(t, n), e.buf(t, n)
+		for i := 0; i < n; i++ {
+			ia.I32()[i], ib.I32()[i] = r.Int31n(9)-4, r.Int31n(9)-4
+			fa.F32()[i], fb.F32()[i] = float32(r.Intn(9))/8, float32(r.Intn(9))/8
+			if i%7 == 0 {
+				fa.F32()[i] = specialsF[r.Intn(len(specialsF))]
+			}
+			if i%11 == 0 {
+				fb.F32()[i] = specialsF[r.Intn(len(specialsF))]
+			}
+		}
+		nbw := (BitmapBytes(n) + 3) / 4
+		check := func(name string, f FusedPredFilter, unfused func(bm *cl.Buffer) *cl.Event, want func(i int) bool) {
+			t.Helper()
+			ubm, fbm, total := e.buf(t, nbw), e.buf(t, nbw), e.buf(t, 1)
+			if err := unfused(ubm).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			pred := CompileFusedPred([]FusedPredFilter{f}, 0, 0, false)
+			if err := FusedSelect(e.q, fbm, nil, pred, n, e.scratch(t), total, cl.Cost{}, nil).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				u := ubm.Bytes()[i/8]>>(i%8)&1 != 0
+				f := fbm.Bytes()[i/8]>>(i%8)&1 != 0
+				if u != want(i) || f != want(i) {
+					t.Fatalf("%s %s row %d: unfused %v, fused %v, want %v", dev.Name, name, i, u, f, want(i))
+				}
+			}
+			if tail := BitmapBytes(n) - 1; ubm.Bytes()[tail]>>(n%8) != 0 || fbm.Bytes()[tail]>>(n%8) != 0 {
+				t.Fatalf("%s %s: bits set past row %d", dev.Name, name, n)
+			}
+		}
+
+		for _, b := range [][2]int32{{-2, 2}, {1, 1}, {3, -3}, {math.MinInt32, math.MaxInt32}, {-4, -4}} {
+			lo, hi := b[0], b[1]
+			check(fmt.Sprintf("i32[%d,%d]", lo, hi), FusedPredFilter{Col: ia, LoI: lo, HiI: hi},
+				func(bm *cl.Buffer) *cl.Event { return SelectI32(e.q, bm, ia, nil, n, lo, hi, nil) },
+				func(i int) bool { v := ia.I32()[i]; return v >= lo && v <= hi })
+		}
+		for _, b := range [][2]float32{{0.25, 0.75}, {0.5, 0.5}, {nan, 0.5}, {0.25, nan}, {float32(math.Inf(-1)), float32(math.Inf(1))}, {0.75, 0.25}} {
+			for _, incl := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+				lo, hi, li, hi2 := b[0], b[1], incl[0], incl[1]
+				check(fmt.Sprintf("f32 %v %v %v %v", lo, hi, li, hi2),
+					FusedPredFilter{Float: true, Col: fa, LoF: lo, HiF: hi, LoIncl: li, HiIncl: hi2},
+					func(bm *cl.Buffer) *cl.Event { return SelectF32(e.q, bm, fa, nil, n, lo, hi, li, hi2, nil) },
+					func(i int) bool {
+						v := fa.F32()[i]
+						return (v > lo || (li && v == lo)) && (v < hi || (hi2 && v == hi))
+					})
+			}
+		}
+		for _, cmp := range []ops.Cmp{ops.Lt, ops.Le, ops.Gt, ops.Ge, ops.Eq, ops.Ne} {
+			check(fmt.Sprintf("cmp i32 %v", cmp), FusedPredFilter{IsCmp: true, Col: ia, Other: ib, Cmp: cmp},
+				func(bm *cl.Buffer) *cl.Event { return SelectCmp(e.q, bm, ia, ib, false, cmp, nil, n, nil) },
+				func(i int) bool { return refCmp(ia.I32()[i], ib.I32()[i], cmp) })
+			check(fmt.Sprintf("cmp f32 %v", cmp), FusedPredFilter{IsCmp: true, Float: true, Col: fa, Other: fb, Cmp: cmp},
+				func(bm *cl.Buffer) *cl.Event { return SelectCmp(e.q, bm, fa, fb, true, cmp, nil, n, nil) },
+				func(i int) bool { return refCmp(fa.F32()[i], fb.F32()[i], cmp) })
+		}
+	}
+}
+
+// refCmp is the comparison written out operator by operator.
+func refCmp[T int32 | float32](x, y T, c ops.Cmp) bool {
+	switch c {
+	case ops.Lt:
+		return x < y
+	case ops.Le:
+		return x <= y
+	case ops.Gt:
+		return x > y
+	case ops.Ge:
+		return x >= y
+	case ops.Eq:
+		return x == y
+	default:
+		return x != y
 	}
 }

@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/cl"
 )
 
@@ -18,6 +21,14 @@ import (
 // enumeration, per-key counting, a prefix sum into bucket starts, and a
 // scatter of row ids. Grouping uses the dense ids directly as group ids;
 // joins use the buckets.
+//
+// The slot table has a second *addressing* for dense key sets (row positions,
+// dictionary codes, code × previous-group-id composites): when the keys'
+// measured range is small enough (IdentityWords), the slots are a bitmap over
+// [min, max] — the engine's own selection representation, §4.1.2 — plus a
+// per-word popcount rank directory, and a key addresses its slot by identity
+// instead of by hashing. Everything above the slots reads either addressing
+// through Slots.
 
 // OverAllocate is the paper's hash-table over-allocation factor.
 const OverAllocate = 1.4
@@ -65,6 +76,202 @@ func TableCapacity(n int) int {
 		c <<= 1
 	}
 	return c
+}
+
+// Slots is the slots stage of the lookup table as the kernels see it: one
+// structure under one of two addressings. Hashed (§4.1.4): State/Keys1/
+// (Keys2)/SlotGid over Capacity slots. Identity (Bits != nil): key word k of
+// a key (k, b) owns bit (k-Min)*Prev + b of Bits, and its dense id is the
+// number of set bits before it — Rank[word] plus a popcount — so ids come out
+// in key order whatever the thread count.
+type Slots struct {
+	State, Keys1, Keys2, SlotGid *cl.Buffer
+	Capacity                     int
+
+	Bits, Rank *cl.Buffer
+	Min        uint32 // smallest key word (int32 order)
+	Span       uint32 // largest key word - Min
+	Prev       uint32 // composite keys: b < Prev; 1 for single-word keys
+}
+
+// IdentityWords is the addressing rule, a pure function of what the build
+// observes: the bitmap length in words when n keys spanning keyRange distinct
+// addresses take identity addressing, 0 when they stay hashed. Identity
+// addressing is chosen exactly when bitmap plus rank directory occupy no more
+// device bytes than the hashed state/keys/slot-id arrays would, so every
+// footprint estimate made for the hashed table stays an upper bound.
+func IdentityWords(n int, keyRange uint64) int {
+	words := (keyRange + 31) / 32
+	if keyRange == 0 || keyRange > 1<<32 || 8*words > 12*uint64(TableCapacity(n)) {
+		return 0
+	}
+	return int(words)
+}
+
+// probeBytes is the data-dependent volume of one probe for the cost model:
+// state, key and slot id when hashed; bitmap word and rank word otherwise.
+func (s Slots) probeBytes() int64 {
+	if s.Bits != nil {
+		return 8
+	}
+	return 12
+}
+
+// slotView is Slots with the buffer views resolved, for use inside kernels.
+type slotView struct {
+	st, k1, k2, sg []uint32
+	mask           uint32
+	capacity       int
+
+	bits, rank      []uint32
+	min, span, prev uint32
+}
+
+func (s Slots) view() *slotView {
+	if s.Bits != nil {
+		return &slotView{bits: s.Bits.U32(), rank: s.Rank.U32(), min: s.Min, span: s.Span, prev: s.Prev}
+	}
+	v := &slotView{st: s.State.U32(), k1: s.Keys1.U32(), sg: s.SlotGid.U32(),
+		mask: uint32(s.Capacity - 1), capacity: s.Capacity}
+	if s.Keys2 != nil {
+		v.k2 = s.Keys2.U32()
+	}
+	return v
+}
+
+// gid finds the dense id of key (a, b) in the table, or -1; b is 0 for
+// single-word keys. An identity-addressed key is absent when it lies outside
+// [min, max] — a below min wraps around to a huge unsigned distance — or its
+// bit is clear.
+func (v *slotView) gid(a, b uint32) int32 {
+	if v.bits == nil {
+		return v.hashedGid(a, b)
+	}
+	d := a - v.min
+	if d > v.span {
+		return -1
+	}
+	d = d*v.prev + b
+	w, sh := v.bits[d>>5], d&31
+	if w>>sh&1 == 0 {
+		return -1
+	}
+	return int32(v.rank[d>>5] + uint32(bits.OnesCount32(w&(1<<sh-1))))
+}
+
+// has is 1 iff single-word key a is in the table — gid(a, 0) >= 0 as a flag.
+// Under identity addressing it is branch-free (an absent key tests bit 0 and
+// masks the answer out): whether a probe key is present is exactly what an
+// existence join cannot predict.
+func (v *slotView) has(a uint32) byte {
+	if v.bits == nil {
+		return flag(v.hashedGid(a, 0) >= 0)
+	}
+	d := a - v.min
+	in := flag(d <= v.span)
+	d &= -uint32(in)
+	return in & byte(v.bits[d>>5]>>(d&31)&1)
+}
+
+// hashedGid walks the probe sequence of §4.1.4: the six hash functions, then
+// linear probing, until the key or an empty slot.
+func (v *slotView) hashedGid(a, b uint32) int32 {
+	for p := 0; p < v.capacity; p++ {
+		s := hashSlot(a, b, v.mask, p)
+		if v.st[s] == slotEmpty {
+			return -1
+		}
+		if v.k1[s] == a && (v.k2 == nil || v.k2[s] == b) {
+			return int32(v.sg[s])
+		}
+	}
+	return -1
+}
+
+// KeyRange enqueues the fused min/max reduction over n > 0 key words in int32
+// order: work-item g leaves the min and max of its span in partials[2g] and
+// partials[2g+1] (MaxInt32/MinInt32 for an empty span), and FoldKeyRange folds
+// them on the host, which has to read the result back anyway to pick the
+// addressing. The decision is taken from this measurement, never from
+// load-time statistics an append can make stale. partials needs 2*gsz words.
+func KeyRange(q *cl.Queue, partials, col *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	src, p := col.I32(), partials.I32()
+	return q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi, step := t.Span(n)
+		mn, mx := int32(math.MaxInt32), int32(math.MinInt32)
+		for i := lo; i < hi; i += step {
+			mn, mx = min(mn, src[i]), max(mx, src[i])
+		}
+		p[2*t.Global], p[2*t.Global+1] = mn, mx
+	}, launch(q.Device(), "key_range", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n) * 2}, wait))
+}
+
+// FoldKeyRange folds KeyRange's per-item partials, read back to the host.
+func FoldKeyRange(partials []int32) (lo, hi int32) {
+	lo, hi = math.MaxInt32, math.MinInt32
+	for i := 0; i+1 < len(partials); i += 2 {
+		lo, hi = min(lo, partials[i]), max(hi, partials[i+1])
+	}
+	return lo, hi
+}
+
+// IdentitySet enqueues the identity-addressed insertion: every row ORs its
+// key's bit into the (zeroed) bitmap. AtomicOrU32 tests before it stores, so
+// on a low-cardinality build all rows but the first few only read shared
+// lines. There is nothing to verify and nothing that can fail: no check
+// round, no pessimistic round, no restart. prev is nil for single-word keys.
+func IdentitySet(q *cl.Queue, s Slots, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	bm, src := s.Bits.U32(), col.U32()
+	var pv []uint32
+	streamed := int64(n) * 4
+	if prev != nil {
+		pv = prev.U32()
+		streamed *= 2
+	}
+	kmin, mul := s.Min, s.Prev
+	addresses := (int64(s.Span) + 1) * int64(mul)
+	return q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi, step := t.Span(n)
+		for i := lo; i < hi; i += step {
+			d := (src[i] - kmin) * mul
+			if pv != nil {
+				d += pv[i]
+			}
+			cl.AtomicOrU32(&bm[d>>5], 1<<(d&31))
+		}
+	}, launch(q.Device(), "identity_set", cl.Cost{
+		BytesStreamed: streamed, BytesRandom: int64(n) * 4,
+		// A bit is stored once; rows finding it set do not touch it.
+		Atomics: min(int64(n), addresses), AtomicTargets: (addresses + 31) / 32,
+	}, wait))
+}
+
+// IdentityRank enqueues the rank scan over the words-long bitmap: rank[w] =
+// set bits in words before w, and the grand total — the distinct-key count —
+// lands in total[0]. partials needs gsz+1 words.
+func IdentityRank(q *cl.Queue, s Slots, partials, total *cl.Buffer, words int, wait []*cl.Event) *cl.Event {
+	dev := q.Device()
+	bm, rank, p := s.Bits.U32(), s.Rank.U32(), partials.U32()
+
+	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi := t.ChunkSpan(words)
+		var c uint32
+		for w := lo; w < hi; w++ {
+			c += uint32(bits.OnesCount32(bm[w]))
+		}
+		p[t.Global] = c
+	}, launch(dev, "identity_rank_count", cl.Cost{BytesStreamed: int64(words) * 4}, wait))
+
+	ev2 := scanSpine(q, "identity_rank_scan", partials, total, []*cl.Event{ev1})
+
+	return q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi := t.ChunkSpan(words)
+		run := p[t.Global]
+		for w := lo; w < hi; w++ {
+			rank[w] = run
+			run += uint32(bits.OnesCount32(bm[w]))
+		}
+	}, launch(dev, "identity_rank_assign", cl.Cost{BytesStreamed: int64(words) * 8}, []*cl.Event{ev2}))
 }
 
 // HashInsertOptimistic enqueues the optimistic round: every row stores its
@@ -197,8 +404,7 @@ func HashInsertPessimistic(q *cl.Queue, state, keys1, keys2 *cl.Buffer, col, pre
 // The distinct count lands in total[0]. partials needs gsz+1 words.
 func HashEnumerate(q *cl.Queue, slotGid, state, partials, total *cl.Buffer, capacity int, wait []*cl.Event) *cl.Event {
 	dev := q.Device()
-	_, _, gsz := Geometry(dev)
-	sg, st, p, tot := slotGid.U32(), state.U32(), partials.U32(), total.U32()
+	sg, st, p := slotGid.U32(), state.U32(), partials.U32()
 
 	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi := t.ChunkSpan(capacity)
@@ -211,19 +417,7 @@ func HashEnumerate(q *cl.Queue, slotGid, state, partials, total *cl.Buffer, capa
 		p[t.Global] = c
 	}, launch(dev, "hash_enum_count", cl.Cost{BytesStreamed: int64(capacity) * 4}, wait))
 
-	ev2 := q.EnqueueKernel(func(t *cl.Thread) {
-		if t.Global != 0 {
-			return
-		}
-		var run uint32
-		for i := 0; i < gsz; i++ {
-			v := p[i]
-			p[i] = run
-			run += v
-		}
-		p[gsz] = run
-		tot[0] = run
-	}, launch(dev, "hash_enum_scan", cl.Cost{BytesStreamed: int64(gsz) * 8}, []*cl.Event{ev1}))
+	ev2 := scanSpine(q, "hash_enum_scan", partials, total, []*cl.Event{ev1})
 
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi := t.ChunkSpan(capacity)
@@ -238,40 +432,27 @@ func HashEnumerate(q *cl.Queue, slotGid, state, partials, total *cl.Buffer, capa
 }
 
 // HashLookupGids enqueues gids[i] = dense id of row i's key — the group-id
-// assignment via hash look-ups (§4.1.6). Keys are assumed present (the
-// table was built over the same column).
-func HashLookupGids(q *cl.Queue, gids *cl.Buffer, state, keys1, keys2, slotGid *cl.Buffer, col, prev *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
-	st, k1, sg := state.U32(), keys1.U32(), slotGid.U32()
-	var k2, pv []uint32
-	if keys2 != nil {
-		k2 = keys2.U32()
+// assignment via table look-ups (§4.1.6). Keys are assumed present (the
+// table was built over the same key words); prev is nil for single-word keys.
+func HashLookupGids(q *cl.Queue, gids *cl.Buffer, s Slots, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	v := s.view()
+	var pv []uint32
+	if prev != nil {
 		pv = prev.U32()
 	}
 	src := col.U32()
 	g := gids.I32()
-	mask := uint32(capacity - 1)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
 		for i := lo; i < hi; i += step {
-			a := src[i]
 			var b uint32
-			if k2 != nil {
+			if pv != nil {
 				b = pv[i]
 			}
-			g[i] = -1
-			for p := 0; p < capacity; p++ {
-				s := hashSlot(a, b, mask, p)
-				if st[s] == slotEmpty {
-					break
-				}
-				if k1[s] == a && (k2 == nil || k2[s] == b) {
-					g[i] = int32(sg[s])
-					break
-				}
-			}
+			g[i] = v.gid(src[i], b)
 		}
 	}, launch(q.Device(), "hash_lookup_gid",
-		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 12}, wait))
+		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
 // HashBucketCount enqueues the per-distinct-key cardinality count: for each

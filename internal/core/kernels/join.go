@@ -13,31 +13,16 @@ import (
 // result size is bounded by the probe size and the two-step procedure is
 // skipped (the direct path below).
 
-// probeGid finds the dense id of key a in the table, or -1.
-func probeGid(st, k1, sg []uint32, a, mask uint32, capacity int) int32 {
-	for p := 0; p < capacity; p++ {
-		s := hashSlot(a, 0, mask, p)
-		if st[s] == slotEmpty {
-			return -1
-		}
-		if k1[s] == a {
-			return int32(sg[s])
-		}
-	}
-	return -1
-}
-
 // JoinProbeCount enqueues step one of the hash join: counts[i] = number of
 // build matches of probe row i.
-func JoinProbeCount(q *cl.Queue, counts *cl.Buffer, state, keys1, slotGid, starts *cl.Buffer, probe *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
+func JoinProbeCount(q *cl.Queue, counts *cl.Buffer, s Slots, starts *cl.Buffer, probe *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	c := counts.U32()
-	st, k1, sg, so := state.U32(), keys1.U32(), slotGid.U32(), starts.U32()
+	v, so := s.view(), starts.U32()
 	src := probe.U32()
-	mask := uint32(capacity - 1)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
 		for i := lo; i < hi; i += step {
-			gid := probeGid(st, k1, sg, src[i], mask, capacity)
+			gid := v.gid(src[i], 0)
 			if gid < 0 {
 				c[i] = 0
 			} else {
@@ -45,20 +30,19 @@ func JoinProbeCount(q *cl.Queue, counts *cl.Buffer, state, keys1, slotGid, start
 			}
 		}
 	}, launch(q.Device(), "join_probe_count",
-		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 12}, wait))
+		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
 // JoinProbeWrite enqueues step two: every probe row re-finds its bucket and
 // writes its (probe, build) pairs at its offset from the prefix sum.
-func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, state, keys1, slotGid, starts, rowids *cl.Buffer, probe *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
+func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, s Slots, starts, rowids *cl.Buffer, probe *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	ol, or, off := outL.U32(), outR.U32(), offsets.U32()
-	st, k1, sg, so, rid := state.U32(), keys1.U32(), slotGid.U32(), starts.U32(), rowids.U32()
+	v, so, rid := s.view(), starts.U32(), rowids.U32()
 	src := probe.U32()
-	mask := uint32(capacity - 1)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
 		for i := lo; i < hi; i += step {
-			gid := probeGid(st, k1, sg, src[i], mask, capacity)
+			gid := v.gid(src[i], 0)
 			if gid < 0 {
 				continue
 			}
@@ -70,31 +54,27 @@ func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, state, keys1, s
 			}
 		}
 	}, launch(q.Device(), "join_probe_write",
-		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * 12}, wait))
+		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
 // JoinProbeUnique enqueues the direct path for key build sides: at most one
 // match per probe row, so the kernel emits a match bitmap plus the matching
 // build row per probe row — no counting pass needed (§4.1.5's
 // known-cardinality case). rpos[i] is undefined where the bit is unset.
-func JoinProbeUnique(q *cl.Queue, bm, rpos *cl.Buffer, state, keys1, slotGid, starts, rowids *cl.Buffer, probe *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
+func JoinProbeUnique(q *cl.Queue, bm, rpos *cl.Buffer, s Slots, starts, rowids *cl.Buffer, probe *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	dst := bm.Bytes()
 	rp := rpos.U32()
-	st, k1, sg, so, rid := state.U32(), keys1.U32(), slotGid.U32(), starts.U32(), rowids.U32()
+	v, so, rid := s.view(), starts.U32(), rowids.U32()
 	src := probe.U32()
-	mask := uint32(capacity - 1)
 	nb := BitmapBytes(n)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		blo, bhi, step := t.Span(nb)
 		for bix := blo; bix < bhi; bix += step {
 			var out byte
 			base := bix * 8
-			end := base + 8
-			if end > n {
-				end = n
-			}
+			end := min(base+8, n)
 			for r := base; r < end; r++ {
-				gid := probeGid(st, k1, sg, src[r], mask, capacity)
+				gid := v.gid(src[r], 0)
 				if gid >= 0 && so[gid+1] > so[gid] {
 					out |= 1 << uint(r-base)
 					rp[r] = rid[so[gid]]
@@ -103,40 +83,31 @@ func JoinProbeUnique(q *cl.Queue, bm, rpos *cl.Buffer, state, keys1, slotGid, st
 			dst[bix] = out
 		}
 	}, launch(q.Device(), "join_probe_unique",
-		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 12}, wait))
+		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
 // ExistsProbe enqueues the semi/anti-join kernel: bit i of the bitmap is set
 // iff probe row i's key {is, is not} present in the table.
-func ExistsProbe(q *cl.Queue, bm *cl.Buffer, state, keys1, slotGid *cl.Buffer, probe *cl.Buffer, n, capacity int, negate bool, wait []*cl.Event) *cl.Event {
+func ExistsProbe(q *cl.Queue, bm *cl.Buffer, s Slots, probe *cl.Buffer, n int, negate bool, wait []*cl.Event) *cl.Event {
 	dst := bm.Bytes()
-	st, k1, sg := state.U32(), keys1.U32(), slotGid.U32()
+	v := s.view()
 	src := probe.U32()
-	mask := uint32(capacity - 1)
 	nb := BitmapBytes(n)
-	name := "semijoin_probe"
+	name, flip := "semijoin_probe", byte(0)
 	if negate {
-		name = "antijoin_probe"
+		name, flip = "antijoin_probe", 1
 	}
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		blo, bhi, step := t.Span(nb)
 		for bix := blo; bix < bhi; bix += step {
-			var out byte
-			base := bix * 8
-			end := base + 8
-			if end > n {
-				end = n
+			var f [8]byte
+			for i, k := range src[bix*8 : min(bix*8+8, n)] {
+				f[i] = v.has(k) ^ flip
 			}
-			for r := base; r < end; r++ {
-				found := probeGid(st, k1, sg, src[r], mask, capacity) >= 0
-				if found != negate {
-					out |= 1 << uint(r-base)
-				}
-			}
-			dst[bix] = out
+			dst[bix] = pack8(&f)
 		}
 	}, launch(q.Device(), name,
-		cl.Cost{BytesStreamed: int64(n) * 4, BytesRandom: int64(n) * 12}, wait))
+		cl.Cost{BytesStreamed: int64(n) * 4, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
 // NestedLoopCount enqueues step one of the nested loop join used for theta

@@ -638,36 +638,60 @@ func TestRadixSortProperty(t *testing.T) {
 	}
 }
 
-// buildTable builds a complete multi-stage hash table over vals, mirroring
-// what the core engine's host code does, and returns the buffers.
-func buildTable(t *testing.T, e *env, vals []int32) (state, keys1, slotGid, starts, rowids *cl.Buffer, capacity, ndistinct int) {
+// buildSlots builds the slots stage over vals the way the core engine's host
+// code does, under the addressing asked for, and returns it with the distinct
+// count.
+func buildSlots(t *testing.T, e *env, vals []int32, identity bool) (Slots, int) {
 	t.Helper()
 	n := len(vals)
 	col := e.i32(t, vals)
-	capacity = TableCapacity(n)
-	state = e.buf(t, capacity)
-	keys1 = e.buf(t, capacity)
+	total := e.buf(t, 1)
+	if identity {
+		_, _, gsz := Geometry(e.q.Device())
+		partials := e.buf(t, 2*gsz)
+		if err := KeyRange(e.q, partials, col, n, nil).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := FoldKeyRange(partials.I32())
+		s := Slots{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
+		words := (int(s.Span) + 32) / 32
+		s.Bits, s.Rank = e.buf(t, words), e.buf(t, words)
+		ev := IdentitySet(e.q, s, col, nil, n, nil)
+		if err := IdentityRank(e.q, s, e.scratch(t), total, words, []*cl.Event{ev}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return s, int(total.U32()[0])
+	}
+	capacity := TableCapacity(n)
+	s := Slots{State: e.buf(t, capacity), Keys1: e.buf(t, capacity), SlotGid: e.buf(t, capacity), Capacity: capacity}
 	fail := e.buf(t, 1)
-	ev := HashInsertOptimistic(e.q, state, keys1, col, n, capacity, nil)
-	ev = HashCheck(e.q, state, keys1, nil, col, nil, fail, n, capacity, []*cl.Event{ev})
+	ev := HashInsertOptimistic(e.q, s.State, s.Keys1, col, n, capacity, nil)
+	ev = HashCheck(e.q, s.State, s.Keys1, nil, col, nil, fail, n, capacity, []*cl.Event{ev})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if fail.U32()[0] != 0 {
-		ev = HashInsertPessimistic(e.q, state, keys1, nil, col, nil, fail, n, capacity, nil)
+		ev = HashInsertPessimistic(e.q, s.State, s.Keys1, nil, col, nil, fail, n, capacity, nil)
 		if err := ev.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	slotGid = e.buf(t, capacity)
-	total := e.buf(t, 1)
-	ev = HashEnumerate(e.q, slotGid, state, e.scratch(t), total, capacity, nil)
-	if err := ev.Wait(); err != nil {
+	if err := HashEnumerate(e.q, s.SlotGid, s.State, e.scratch(t), total, capacity, nil).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	ndistinct = int(total.U32()[0])
+	return s, int(total.U32()[0])
+}
+
+// buildTable builds a complete multi-stage hash table over vals — slots under
+// the addressing asked for, then gids and buckets — mirroring the core
+// engine's host code.
+func buildTable(t *testing.T, e *env, vals []int32, identity bool) (s Slots, starts, rowids *cl.Buffer, ndistinct int) {
+	t.Helper()
+	n := len(vals)
+	s, ndistinct = buildSlots(t, e, vals, identity)
+	total := e.buf(t, 1)
 	gids := e.buf(t, n+1)
-	ev = HashLookupGids(e.q, gids, state, keys1, nil, slotGid, col, nil, n, capacity, nil)
+	ev := HashLookupGids(e.q, gids, s, e.i32(t, vals), nil, n, nil)
 	counts := e.buf(t, ndistinct+1)
 	ev2 := HashBucketCount(e.q, counts, gids, n, ndistinct, []*cl.Event{ev})
 	starts = e.buf(t, ndistinct+2)
@@ -683,12 +707,20 @@ func buildTable(t *testing.T, e *env, vals []int32) (state, keys1, slotGid, star
 	if err := HashBucketScatter(e.q, rowids, starts, cursors, gids, n, ndistinct, nil).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	return state, keys1, slotGid, starts, rowids, capacity, ndistinct
+	return s, starts, rowids, ndistinct
+}
+
+// bothAddressings runs f once per device and slot addressing.
+func bothAddressings(f func(dev *cl.Device, e *env, identity bool)) {
+	for _, dev := range devices() {
+		for _, identity := range []bool{false, true} {
+			f(dev, newEnv(dev), identity)
+		}
+	}
 }
 
 func TestHashBuildAndGroupIDs(t *testing.T) {
-	for _, dev := range devices() {
-		e := newEnv(dev)
+	bothAddressings(func(dev *cl.Device, e *env, identity bool) {
 		n := 20000
 		distinct := 137
 		vals := make([]int32, n)
@@ -696,14 +728,14 @@ func TestHashBuildAndGroupIDs(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.Int31n(int32(distinct)) * 3
 		}
-		state, keys1, slotGid, starts, rowids, capacity, nd := buildTable(t, e, vals)
+		slots, starts, rowids, nd := buildTable(t, e, vals, identity)
 		if nd > distinct {
 			t.Fatalf("%s: %d distinct found, at most %d exist", dev.Name, nd, distinct)
 		}
 		// Every row must be in exactly one bucket, with its own value.
 		col := e.i32(t, vals)
 		gids := e.buf(t, n+1)
-		if err := HashLookupGids(e.q, gids, state, keys1, nil, slotGid, col, nil, n, capacity, nil).Wait(); err != nil {
+		if err := HashLookupGids(e.q, gids, slots, col, nil, n, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		seen := make([]bool, n)
@@ -734,7 +766,7 @@ func TestHashBuildAndGroupIDs(t *testing.T) {
 			}
 			byVal[v] = g
 		}
-	}
+	})
 }
 
 func TestHashPessimisticOnlyCompositeKeys(t *testing.T) {
@@ -767,7 +799,8 @@ func TestHashPessimisticOnlyCompositeKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	gids := e.buf(t, n+1)
-	if err := HashLookupGids(e.q, gids, state, keys1, keys2, slotGid, cb, pb, n, capacity, nil).Wait(); err != nil {
+	slots := Slots{State: state, Keys1: keys1, Keys2: keys2, SlotGid: slotGid, Capacity: capacity}
+	if err := HashLookupGids(e.q, gids, slots, cb, pb, n, nil).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	type pair struct {
@@ -792,15 +825,14 @@ func TestHashPessimisticOnlyCompositeKeys(t *testing.T) {
 }
 
 func TestJoinProbeKernels(t *testing.T) {
-	for _, dev := range devices() {
-		e := newEnv(dev)
+	bothAddressings(func(dev *cl.Device, e *env, identity bool) {
 		build := []int32{5, 7, 5, 9}
 		probe := []int32{5, 9, 1, 7, 5}
-		state, keys1, slotGid, starts, rowids, capacity, nd := buildTable(t, e, build)
+		slots, starts, rowids, _ := buildTable(t, e, build, identity)
 		pb := e.i32(t, probe)
 		n := len(probe)
 		counts := e.buf(t, n+1)
-		ev := JoinProbeCount(e.q, counts, state, keys1, slotGid, starts, pb, n, capacity, nil)
+		ev := JoinProbeCount(e.q, counts, slots, starts, pb, n, nil)
 		offsets := e.buf(t, n+1)
 		total := e.buf(t, 1)
 		ev = PrefixSum(e.q, offsets, counts, e.scratch(t), total, n, []*cl.Event{ev})
@@ -812,7 +844,7 @@ func TestJoinProbeKernels(t *testing.T) {
 			t.Fatalf("%s: match count = %d, want 6", dev.Name, m)
 		}
 		outL, outR := e.buf(t, m+1), e.buf(t, m+1)
-		if err := JoinProbeWrite(e.q, outL, outR, offsets, state, keys1, slotGid, starts, rowids, pb, n, capacity, nil).Wait(); err != nil {
+		if err := JoinProbeWrite(e.q, outL, outR, offsets, slots, starts, rowids, pb, n, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < m; i++ {
@@ -823,34 +855,33 @@ func TestJoinProbeKernels(t *testing.T) {
 		// Semi/anti probes.
 		bm := e.buf(t, 2)
 		cnt := e.buf(t, 1)
-		ev = ExistsProbe(e.q, bm, state, keys1, slotGid, pb, n, capacity, false, nil)
+		ev = ExistsProbe(e.q, bm, slots, pb, n, false, nil)
 		if err := BitmapCount(e.q, bm, e.scratch(t), cnt, n, []*cl.Event{ev}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if cnt.U32()[0] != 4 {
 			t.Fatalf("%s: semi count = %d, want 4", dev.Name, cnt.U32()[0])
 		}
-		ev = ExistsProbe(e.q, bm, state, keys1, slotGid, pb, n, capacity, true, nil)
+		ev = ExistsProbe(e.q, bm, slots, pb, n, true, nil)
 		if err := BitmapCount(e.q, bm, e.scratch(t), cnt, n, []*cl.Event{ev}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if cnt.U32()[0] != 1 {
 			t.Fatalf("%s: anti count = %d, want 1", dev.Name, cnt.U32()[0])
 		}
-		_ = nd
-	}
+	})
 }
 
 func TestJoinProbeUniqueFastPath(t *testing.T) {
 	e := newEnv(cl.NewCPUDevice(4))
 	build := []int32{10, 20, 30, 40} // key column
 	probe := []int32{20, 99, 40, 10}
-	state, keys1, slotGid, starts, rowids, capacity, _ := buildTable(t, e, build)
+	slots, starts, rowids, _ := buildTable(t, e, build, false)
 	pb := e.i32(t, probe)
 	n := len(probe)
 	bm := e.buf(t, 2)
 	rpos := e.buf(t, n+1)
-	ev := JoinProbeUnique(e.q, bm, rpos, state, keys1, slotGid, starts, rowids, pb, n, capacity, nil)
+	ev := JoinProbeUnique(e.q, bm, rpos, slots, starts, rowids, pb, n, nil)
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}

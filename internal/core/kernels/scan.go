@@ -18,8 +18,7 @@ import (
 // partials must hold gsz+1 words (gsz = Geometry's global size).
 func PrefixSum(q *cl.Queue, dst, src, partials, total *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	dev := q.Device()
-	_, _, gsz := Geometry(dev)
-	s, d, p, tot := src.U32(), dst.U32(), partials.U32(), total.U32()
+	s, d, p := src.U32(), dst.U32(), partials.U32()
 
 	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi := t.ChunkSpan(n)
@@ -30,7 +29,27 @@ func PrefixSum(q *cl.Queue, dst, src, partials, total *cl.Buffer, n int, wait []
 		p[t.Global] = sum
 	}, launch(dev, "scan_partials", cl.Cost{BytesStreamed: int64(n) * 4}, wait))
 
-	ev2 := q.EnqueueKernel(func(t *cl.Thread) {
+	ev2 := scanSpine(q, "scan_spine", partials, total, []*cl.Event{ev1})
+
+	return q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi := t.ChunkSpan(n)
+		run := p[t.Global]
+		for i := lo; i < hi; i++ {
+			v := s[i]
+			d[i] = run
+			run += v
+		}
+	}, launch(dev, "scan_apply", cl.Cost{BytesStreamed: int64(n) * 8}, []*cl.Event{ev2}))
+}
+
+// scanSpine enqueues phase 2 of the chunked scans: one work-item turns the
+// gsz per-item sums in partials into exclusive offsets in place, leaving the
+// grand total in partials[gsz] and total[0].
+func scanSpine(q *cl.Queue, name string, partials, total *cl.Buffer, wait []*cl.Event) *cl.Event {
+	dev := q.Device()
+	_, _, gsz := Geometry(dev)
+	p, tot := partials.U32(), total.U32()
+	return q.EnqueueKernel(func(t *cl.Thread) {
 		if t.Global != 0 {
 			return
 		}
@@ -42,17 +61,7 @@ func PrefixSum(q *cl.Queue, dst, src, partials, total *cl.Buffer, n int, wait []
 		}
 		p[gsz] = run
 		tot[0] = run
-	}, launch(dev, "scan_spine", cl.Cost{BytesStreamed: int64(gsz) * 8}, []*cl.Event{ev1}))
-
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi := t.ChunkSpan(n)
-		run := p[t.Global]
-		for i := lo; i < hi; i++ {
-			v := s[i]
-			d[i] = run
-			run += v
-		}
-	}, launch(dev, "scan_apply", cl.Cost{BytesStreamed: int64(n) * 8}, []*cl.Event{ev2}))
+	}, launch(dev, name, cl.Cost{BytesStreamed: int64(gsz) * 8}, wait))
 }
 
 // ReduceU32 enqueues a sum reduction of src[:n] into total[0], using

@@ -332,9 +332,9 @@ func (m *MemoryManager) makeRoom() bool {
 		releaseEntry(e)
 		return true
 	}
-	// Pass 2: drop an unpinned cached hash table.
+	// Pass 2: drop a cached hash table nobody is enqueueing on or probing.
 	for b, ht := range m.hashCache {
-		if ht.pins == 0 {
+		if ht.idleLocked() {
 			delete(m.hashCache, b)
 			m.mu.Unlock()
 			ht.release()

@@ -273,13 +273,14 @@ func (e *Engine) uploadKeys(keys []uint32) (*cl.Buffer, *cl.Event, error) {
 
 // buildLeaf builds the partition's hash table from an uploaded key buffer,
 // up to the stage its probe needs — buckets for a join, slots for an
-// existence probe — and releases the keys after that last stage.
-func (e *Engine) buildLeaf(t *spillTask, buckets bool) error {
+// existence probe — and releases the keys after that last stage. ordered is
+// buildSlots' (orderedKeys of the build column).
+func (e *Engine) buildLeaf(t *spillTask, buckets, ordered bool) error {
 	rbuf, wev, err := e.uploadKeys(t.rk)
 	if err != nil {
 		return err
 	}
-	ht, err := e.buildSlots("spill_part", rbuf, nil, len(t.rk), []*cl.Event{wev})
+	ht, err := e.buildSlots("spill_part", rbuf, nil, 0, len(t.rk), ordered, []*cl.Event{wev})
 	if err != nil {
 		_ = rbuf.Release()
 		return err
@@ -320,7 +321,7 @@ func (e *Engine) probeLeaf(t *spillTask) error {
 		_ = lbuf.Release()
 		return sc.err
 	}
-	cev := kernels.JoinProbeCount(e.q, counts, h.state, h.keys1, h.slotGid, h.starts, lbuf, n, h.capacity, []*cl.Event{wev, h.buckets})
+	cev := kernels.JoinProbeCount(e.q, counts, h.tab, h.starts, lbuf, n, []*cl.Event{wev, h.buckets})
 	sev := kernels.PrefixSum(e.q, offsets, counts, sp, total, n, []*cl.Event{cev})
 	m32, err := e.readU32(total, []*cl.Event{sev})
 	if err != nil {
@@ -343,7 +344,7 @@ func (e *Engine) probeLeaf(t *spillTask) error {
 		_ = lbuf.Release()
 		return err
 	}
-	wev2 := kernels.JoinProbeWrite(e.q, outL, outR, offsets, h.state, h.keys1, h.slotGid, h.starts, h.rowids, lbuf, n, h.capacity, []*cl.Event{sev})
+	wev2 := kernels.JoinProbeWrite(e.q, outL, outR, offsets, h.tab, h.starts, h.rowids, lbuf, n, []*cl.Event{sev})
 
 	t.hostL = mem.AllocU32(t.m)
 	t.hostR = mem.AllocU32(t.m)
@@ -388,7 +389,7 @@ func (e *Engine) partitionedJoin(l, r *bat.BAT, budget int64) (*bat.BAT, *bat.BA
 	for _, wave := range packWaves(leaves, budget) {
 		// Phase 1: every table of the wave is built and stays resident.
 		for _, t := range wave {
-			if err := e.buildLeaf(t, true); err != nil {
+			if err := e.buildLeaf(t, true, orderedKeys(r)); err != nil {
 				e.releaseWave(wave)
 				return nil, nil, err
 			}
@@ -511,7 +512,7 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 			return nil, err
 		}
 		for _, t := range wave {
-			if err := e.buildLeaf(t, false); err != nil {
+			if err := e.buildLeaf(t, false, orderedKeys(r)); err != nil {
 				return fail(err)
 			}
 		}
@@ -526,7 +527,7 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 				_ = lbuf.Release()
 				return fail(err)
 			}
-			ev := kernels.ExistsProbe(e.q, bm, t.ht.state, t.ht.keys1, t.ht.slotGid, lbuf, n, t.ht.capacity, negate, []*cl.Event{wev, t.ht.slots})
+			ev := kernels.ExistsProbe(e.q, bm, t.ht.tab, lbuf, n, negate, []*cl.Event{wev, t.ht.slots})
 			host := mem.Alloc(kernels.BitmapBytes(n))
 			rd := e.q.EnqueueRead(host, bm, []*cl.Event{ev})
 			e.releaseAfter(rd, lbuf, bm)

@@ -1,6 +1,7 @@
-// Command ocelotlint is the repo's vet tool: four static analyzers that
-// enforce the dispatch, error-handling, buffer-ownership and lock-order
-// conventions the runtime relies on. Run it through the go command:
+// Command ocelotlint is the repo's vet tool: five static analyzers that
+// enforce the dispatch, error-handling, buffer-ownership, consumer-recording
+// and lock-order conventions the runtime relies on. Run it through the go
+// command:
 //
 //	go build -o /tmp/ocelotlint ./cmd/ocelotlint
 //	go vet -vettool=/tmp/ocelotlint ./...

@@ -92,9 +92,11 @@ type BAT struct {
 	// Props are the tracked column properties.
 	Props Properties
 	// OcelotOwned mirrors the descriptor flag the paper added to MonetDB
-	// (§4.3): while set, the tail heap may be stale — the authoritative
-	// copy lives in a device buffer and MonetDB code must not read the BAT
-	// until an explicit sync hands ownership back (§3.4).
+	// (§4.3): while set, the BAT is a descriptor only — it has a type and a
+	// count but no tail heap; the values live in a device buffer the Ocelot
+	// Memory Manager owns, and MonetDB code must not read the BAT until an
+	// explicit sync hands a heap over (HandOver) and with it the ownership
+	// (§3.4).
 	OcelotOwned bool
 	// Stats are optional load-time column statistics (stats.go). Base
 	// columns carry them for the placement cost model; plan intermediates
@@ -146,6 +148,28 @@ func New(name string, t Type, n int) *BAT {
 		b.Props = Properties{Sorted: true, Key: true, Dense: true}
 	}
 	return b
+}
+
+// NewOcelotOwned returns the descriptor of an n-value result held in a device
+// buffer: OcelotOwned is set and there is no heap until HandOver supplies one.
+func NewOcelotOwned(name string, t Type, n int) *BAT {
+	if n < 0 {
+		panic("bat: negative count")
+	}
+	return &BAT{Name: name, T: t, count: n, OcelotOwned: true}
+}
+
+// HandOver ends Ocelot's ownership of b: heap, holding b's values in its
+// first Len()*Width bytes, becomes the tail heap. The engine's sync calls it
+// once the values have landed; heap must be Align-aligned and is b's from
+// here on.
+func (b *BAT) HandOver(heap []byte) {
+	n := b.count * b.T.Width()
+	if len(heap) < n || !mem.Aligned(heap) {
+		panic(fmt.Sprintf("bat %q: handed a %d-byte heap (aligned=%v) for %d values", b.Name, len(heap), mem.Aligned(heap), b.count))
+	}
+	b.heap = heap[:n:n]
+	b.OcelotOwned = false
 }
 
 // NewVoid returns a dense BAT of n oids starting at seq — MonetDB's VOID

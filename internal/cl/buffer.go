@@ -85,17 +85,14 @@ func (c *Context) CreateBufferFromHost(host []byte) (*Buffer, error) {
 	return b, nil
 }
 
-// CreateBufferRecycling is CreateBuffer over a recycled backing array: the
-// device capacity is charged as usual and the buffer behaves identically,
-// but the bytes come from the caller's free-list (which must own them
-// exclusively — no captured views may still be in use) instead of a fresh
-// allocation. Unlike CreateBuffer the contents are UNDEFINED — stale data
-// from the previous use, exactly like a freshly created cl_mem in real
-// OpenCL. Callers must fully initialise whatever they read (explicitly
-// zeroing multi-megabyte scratch per operation would cost more memory
-// bandwidth than the recycling saves). The Memory Manager's scratch
-// free-list uses this to stop round-tripping transient operator scratch
-// through the allocator and garbage collector.
+// CreateBufferRecycling is CreateBuffer over a backing array the caller
+// took back from an earlier buffer with Detach: the device capacity is
+// charged as usual and the buffer behaves identically, but no memory is
+// allocated. Unlike CreateBuffer the contents are UNDEFINED — whatever the
+// previous use left there, exactly like a freshly created cl_mem in real
+// OpenCL — so callers must fully write whatever they later read (zeroing
+// multi-megabyte buffers per operation would cost more memory bandwidth than
+// the recycling saves). The Memory Manager's free-list is the one user.
 func (c *Context) CreateBufferRecycling(data []byte) (*Buffer, error) {
 	if err := c.dev.reserve(int64(len(data))); err != nil {
 		return nil, err
@@ -115,12 +112,12 @@ func (c *Context) track(b *Buffer) {
 // twice is an error; releasing a zero-copy alias only detaches it from the
 // context.
 //
-// The backing bytes are intentionally NOT cleared: kernels capture buffer
-// views when they are *enqueued*, and the lazy execution model allows the
-// Memory Manager to release a buffer (for capacity accounting) while an
-// already-enqueued consumer is still in flight — the Go runtime keeps the
-// captured array alive, so such consumers read the final, correct content.
-// Only the device-capacity bookkeeping is affected by Release.
+// Release gives the backing bytes up to the garbage collector, which is what
+// makes it safe while commands are still enqueued on the buffer: kernels
+// capture buffer views when they are *enqueued*, so an in-flight consumer
+// keeps the array alive and reads the final, correct content; only the
+// device-capacity bookkeeping changes. Detach is the other way to end a
+// buffer, for an owner that wants the bytes back.
 func (b *Buffer) Release() error {
 	b.mu.Lock()
 	if b.released {
@@ -137,6 +134,21 @@ func (b *Buffer) Release() error {
 		b.ctx.dev.release(b.size)
 	}
 	return nil
+}
+
+// Detach releases the buffer and transfers its backing bytes to the caller,
+// to become a result's host heap (the zero-copy hand-over of §3.4 on
+// host-resident devices) or the backing of a later CreateBufferRecycling.
+// Unlike Release this removes the safety net: the bytes will be written
+// again, so every enqueued command that reads or writes the buffer must have
+// completed — the Memory Manager guarantees it by waiting on the producer
+// and every recorded consumer event first. It returns nil for a zero-copy
+// alias (those bytes are the host's) and for an already released buffer.
+func (b *Buffer) Detach() []byte {
+	if b.Release() != nil || b.hostAlias {
+		return nil
+	}
+	return b.data
 }
 
 // Released reports whether the buffer has been released.

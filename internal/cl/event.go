@@ -2,6 +2,7 @@ package cl
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,20 +11,27 @@ import (
 // execution is built on (§3.4). Events are returned by every Enqueue* call
 // and may be passed in the wait-list of later calls; the runtime guarantees
 // an operation only starts once every event in its wait-list has completed.
+//
+// The event *is* the enqueued command: besides the completion state callers
+// observe it carries the work and the dependency counter the scheduler fires
+// it by (pool.go), so an enqueue costs one object.
 type Event struct {
 	name string
-	done chan struct{}
 
 	mu        sync.Mutex
 	err       error
 	completed bool
+	// done is closed on completion. It is made by the first Wait that finds
+	// the operation still running: most events are only ever waited on by
+	// the scheduler, through waiters, and never need it.
+	done chan struct{}
 	// waiter0/waiters are commands whose wait-list includes this event;
 	// completion decrements each one's pending-dependency counter (see
 	// pool.go). This is what lets the scheduler fire commands without
 	// parking a goroutine per enqueue. The single-waiter case — a linear
 	// kernel chain — stays allocation-free via the inline slot.
-	waiter0 *command
-	waiters []*command
+	waiter0 *Event
+	waiters []*Event
 
 	// Virtual schedule on the device timeline, in nanoseconds since device
 	// creation. For simulated devices these are assigned at enqueue time by
@@ -31,16 +39,23 @@ type Event struct {
 	// duration.
 	vStart, vEnd int64
 	realDur      time.Duration
+
+	// The command half, unused by CompletedEvent. Exactly one of work (a
+	// transfer, host callback or marker) and launch (a kernel) is set.
+	// pending starts at 1 (the enqueue guard) plus one per registered
+	// dependency; whichever decrement reaches zero fires the command, exactly
+	// once. depErr (guarded by mu) is the first error among the dependencies.
+	q       *Queue
+	work    func() error
+	launch  *launchRun
+	pending atomic.Int32
+	depErr  error
 }
 
 // CompletedEvent returns an already-completed event with the given error.
 // Useful as a degenerate dependency.
 func CompletedEvent(err error) *Event {
-	e := &Event{name: "completed", done: make(chan struct{})}
-	e.err = err
-	e.completed = true
-	close(e.done)
-	return e
+	return &Event{name: "completed", err: err, completed: true}
 }
 
 // Name returns the label the operation was enqueued under.
@@ -52,8 +67,16 @@ func (e *Event) Wait() error {
 	if e == nil {
 		return nil
 	}
-	<-e.done
 	e.mu.Lock()
+	if !e.completed {
+		if e.done == nil {
+			e.done = make(chan struct{})
+		}
+		done := e.done
+		e.mu.Unlock()
+		<-done
+		e.mu.Lock()
+	}
 	defer e.mu.Unlock()
 	return e.err
 }
@@ -63,12 +86,9 @@ func (e *Event) Done() bool {
 	if e == nil {
 		return true
 	}
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.completed
 }
 
 // Err returns the operation's error without blocking; it is only meaningful
@@ -110,7 +130,7 @@ func (e *Event) Duration() time.Duration {
 // subscribe registers a command to be notified on completion; it reports
 // false — without registering — when the event has already completed (the
 // caller then accounts for the dependency synchronously).
-func (e *Event) subscribe(c *command) bool {
+func (e *Event) subscribe(c *Event) bool {
 	e.mu.Lock()
 	if e.completed {
 		e.mu.Unlock()
@@ -129,14 +149,17 @@ func (e *Event) subscribe(c *command) bool {
 // It returns the commands that became runnable — one directly (for the
 // caller to chain into without spawning) plus any others — so a linear
 // kernel chain completes with no allocation at all.
-func (e *Event) complete(err error) (next *command, more []*command) {
+func (e *Event) complete(err error) (next *Event, more []*Event) {
 	e.mu.Lock()
 	e.err = err
 	e.completed = true
+	done := e.done
 	w0, ws := e.waiter0, e.waiters
 	e.waiter0, e.waiters = nil, nil
 	e.mu.Unlock()
-	close(e.done)
+	if done != nil {
+		close(done)
+	}
 	if w0 != nil && w0.depDone(err) {
 		next = w0
 	}

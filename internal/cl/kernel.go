@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -162,11 +163,13 @@ func (t *Thread) LocalI32() []int32 { return mem.I32(mem.BytesOfU32(t.localMem))
 // LocalF32 returns the group's local memory viewed as []float32.
 func (t *Thread) LocalF32() []float32 { return mem.F32(mem.BytesOfU32(t.localMem)) }
 
-// launchRun is the shared state of one in-flight launch: the launching
-// goroutine and any recruited pool workers pull group indices from next
-// until the launch is exhausted, and the last finished group signals
-// completion. This replaces the seed's goroutine-per-work-group model with
-// a constant number of persistent workers (see pool.go).
+// launchRun is one kernel launch, from enqueue to completion: what to run
+// (fixed at enqueue) and the shared state of the run. The goroutine that
+// fires the command and any recruited pool workers pull group indices from
+// next until the launch is exhausted; whichever of them finishes the last
+// group completes the command's event — nobody blocks waiting for the others.
+// This replaces the seed's goroutine-per-work-group model with a constant
+// number of persistent workers (see pool.go).
 type launchRun struct {
 	dev           *Device
 	fn            KernelFunc
@@ -174,66 +177,107 @@ type launchRun struct {
 	localWords    int
 	barriers      bool
 	groups, local int
-	gsz           int
+	ev            *Event // the launch's command, set by Queue.submit
 
-	next     atomic.Int32
-	done     atomic.Int32
-	finished chan struct{}
+	next  atomic.Int32
+	done  atomic.Int32
+	start time.Time
+	// own is the Thread of the goroutine that fires the command (pool workers
+	// bring their own), so running a group allocates nothing.
+	own Thread
 
 	errOnce sync.Once
 	err     error
+}
+
+// newLaunchRun resolves the launch geometry (the device's default for zero
+// values) and captures the kernel.
+func newLaunchRun(dev *Device, fn KernelFunc, l Launch) *launchRun {
+	r := &launchRun{
+		dev: dev, fn: fn, name: l.Name,
+		localWords: l.LocalWords, barriers: l.Barriers,
+		groups: l.Groups, local: l.Local,
+	}
+	if r.name == "" {
+		r.name = "kernel"
+	}
+	if r.groups <= 0 || r.local <= 0 {
+		dg, dl := DefaultLaunch(dev)
+		if r.groups <= 0 {
+			r.groups = dg
+		}
+		if r.local <= 0 {
+			r.local = dl
+		}
+	}
+	return r
 }
 
 func (r *launchRun) record(v any) {
 	r.errOnce.Do(func() { r.err = fmt.Errorf("cl: kernel %q panicked: %v", r.name, v) })
 }
 
-func (r *launchRun) runInPool(x *executor) { r.help(x) }
+// runInPool is a recruited worker's share of the launch. If it ends up
+// running the last group, it completes the command and carries on with the
+// chain behind it, as runCommands would have.
+func (r *launchRun) runInPool(x *executor, t *Thread) {
+	if r.help(x, t) {
+		runCommands(r.ev.finished(r.finish()))
+	}
+}
 
-// help pulls and executes work-groups until none remain. Each helper that
+// finish closes the books of a launch whose last group has run and returns
+// its error: a panic in any work-item aborts the launch and is reported here.
+func (r *launchRun) finish() error {
+	r.ev.measured(r.start)
+	return r.err
+}
+
+// help pulls and executes work-groups on thread t until none remain and
+// reports whether it ran the one that finished the launch. Each helper that
 // sees further groups outstanding recruits one more parked worker (a wave
 // wake-up: 1 → 2 → 4 …), so a tiny launch runs entirely on the launching
 // goroutine at almost no dispatch cost while a large one saturates the pool.
-func (r *launchRun) help(x *executor) {
+func (r *launchRun) help(x *executor, t *Thread) (last bool) {
 	for {
 		g := int(r.next.Add(1)) - 1
 		if g >= r.groups {
-			return
+			return last
 		}
 		if r.groups-g > 1 {
 			x.offer(r)
 		}
-		r.runGroup(x, g)
+		last = r.runGroup(x, g, t)
 	}
 }
 
-// runGroup executes one work-group in the current goroutine. Work-items run
-// sequentially unless the kernel needs barriers; barrier groups keep one
+// runGroup executes one work-group in the current goroutine and reports
+// whether it was the last of the launch to finish. Work-items run
+// sequentially on t unless the kernel needs barriers; barrier groups keep one
 // dedicated goroutine per work-item — they must run concurrently to meet at
 // the barrier — but the group as a whole occupies a single pool slot.
-func (r *launchRun) runGroup(x *executor, g int) {
+func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			r.record(v)
 		}
-		if r.done.Add(1) == int32(r.groups) {
-			close(r.finished)
-		}
+		last = r.done.Add(1) == int32(r.groups)
 	}()
 	var lmem []uint32
 	if r.localWords > 0 {
 		lmem = x.getLocal(r.localWords)
 		defer x.putLocal(lmem)
 	}
+	gsz := r.groups * r.local
 	if !r.barriers {
-		t := Thread{
-			Group: g, GlobalSize: r.gsz, LocalSize: r.local,
+		*t = Thread{
+			Group: g, GlobalSize: gsz, LocalSize: r.local,
 			NumGroups: r.groups, Const: r.dev.Const, localMem: lmem,
 		}
 		for li := 0; li < r.local; li++ {
 			t.Local = li
 			t.Global = g*r.local + li
-			r.fn(&t)
+			r.fn(t)
 		}
 		return
 	}
@@ -253,68 +297,11 @@ func (r *launchRun) runGroup(x *executor, g int) {
 			}()
 			r.fn(&Thread{
 				Global: g*r.local + li, Local: li, Group: g,
-				GlobalSize: r.gsz, LocalSize: r.local, NumGroups: r.groups,
+				GlobalSize: gsz, LocalSize: r.local, NumGroups: r.groups,
 				Const: r.dev.Const, bar: bar, localMem: lmem,
 			})
 		}(li)
 	}
 	wg.Wait()
-}
-
-// runLaunch executes the kernel functionally on the host: work-groups run
-// concurrently on the device's persistent worker pool (this is where the
-// CPU driver's real parallelism comes from). A panic in any work-item
-// aborts the launch and is reported as an error.
-func runLaunch(dev *Device, fn KernelFunc, l Launch) error {
-	groups, local := l.Groups, l.Local
-	if groups <= 0 || local <= 0 {
-		dg, dl := DefaultLaunch(dev)
-		if groups <= 0 {
-			groups = dg
-		}
-		if local <= 0 {
-			local = dl
-		}
-	}
-	if groups == 1 && !l.Barriers {
-		return runOneGroup(dev, fn, l, local)
-	}
-	r := &launchRun{
-		dev: dev, fn: fn, name: l.Name,
-		localWords: l.LocalWords, barriers: l.Barriers,
-		groups: groups, local: local, gsz: groups * local,
-		finished: make(chan struct{}),
-	}
-	r.help(dev.executor())
-	<-r.finished
-	return r.err
-}
-
-// runOneGroup executes a single-group barrier-free launch entirely inline:
-// no shared cursor, no completion channel, no worker hand-off. This is the
-// dominant geometry on few-core devices, where per-launch dispatch cost
-// matters most (§5.3.2). Barrier launches need per-item goroutines anyway,
-// so they take the shared launchRun path even for one group.
-func runOneGroup(dev *Device, fn KernelFunc, l Launch, local int) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("cl: kernel %q panicked: %v", l.Name, v)
-		}
-	}()
-	x := dev.executor()
-	var lmem []uint32
-	if l.LocalWords > 0 {
-		lmem = x.getLocal(l.LocalWords)
-		defer x.putLocal(lmem)
-	}
-	t := Thread{
-		GlobalSize: local, LocalSize: local, NumGroups: 1,
-		Const: dev.Const, localMem: lmem,
-	}
-	for li := 0; li < local; li++ {
-		t.Local = li
-		t.Global = li
-		fn(&t)
-	}
-	return nil
+	return
 }

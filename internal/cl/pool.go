@@ -39,7 +39,9 @@ const maxLocalFree = 64
 // poolWork is one unit handed to a parked worker: a ready command or an
 // in-flight launch recruiting helpers.
 type poolWork interface {
-	runInPool(x *executor)
+	// runInPool runs on a pool worker; t is that worker's own Thread, for
+	// launches to hand to the work-items it executes.
+	runInPool(x *executor, t *Thread)
 }
 
 // executor is the persistent per-device worker pool.
@@ -150,8 +152,9 @@ func (x *executor) offer(w poolWork) bool {
 
 func (x *executor) worker(first poolWork) {
 	defer x.wg.Done()
+	var t Thread // reused by every work-group this worker ever runs
 	if first != nil {
-		first.runInPool(x)
+		first.runInPool(x, &t)
 	}
 	timer := time.NewTimer(workerIdleTimeout)
 	defer timer.Stop()
@@ -165,7 +168,7 @@ func (x *executor) worker(first poolWork) {
 		timer.Reset(workerIdleTimeout)
 		select {
 		case w := <-x.tasks:
-			w.runInPool(x)
+			w.runInPool(x, &t)
 		case <-x.quit:
 			x.retire()
 			return
@@ -216,81 +219,86 @@ func (x *executor) putLocal(s []uint32) {
 	x.localMu.Unlock()
 }
 
-// command is one enqueued operation: the work function plus the dependency
-// counter that replaces the seed's parked goroutine per command. pending
-// starts at 1 (the enqueue guard) plus one per registered dependency;
-// whichever decrement reaches zero fires the command, exactly once.
-type command struct {
-	name string
-	q    *Queue
-	ev   *Event
-	work func() error
+// The scheduler half of Event: the dependency counter that replaces the
+// seed's parked goroutine per command.
 
-	pending atomic.Int32
-	depMu   sync.Mutex
-	depErr  error
-}
-
-func (c *command) noteDepErr(err error) {
+func (c *Event) noteDepErr(err error) {
 	if err == nil {
 		return
 	}
-	c.depMu.Lock()
+	c.mu.Lock()
 	if c.depErr == nil {
 		c.depErr = err
 	}
-	c.depMu.Unlock()
-}
-
-func (c *command) depError() error {
-	c.depMu.Lock()
-	defer c.depMu.Unlock()
-	return c.depErr
+	c.mu.Unlock()
 }
 
 // depDone is called once per registered dependency as it completes; it
 // reports whether the command became runnable.
-func (c *command) depDone(err error) bool {
+func (c *Event) depDone(err error) bool {
 	c.noteDepErr(err)
 	return c.pending.Add(-1) == 0
 }
 
-func (c *command) runInPool(*executor) { runCommands(c) }
+func (c *Event) runInPool(x *executor, _ *Thread) { runCommands(c) }
 
 // fire starts a runnable command without blocking the caller: a parked pool
 // worker picks it up when one is available, otherwise a fresh goroutine runs
 // it (and, via runCommands, every dependent it unblocks in sequence).
-func (x *executor) fire(c *command) {
+func (x *executor) fire(c *Event) {
 	if !x.offer(c) {
 		go runCommands(c)
 	}
 }
 
-// runCommands executes c, completes its event, and chains into one dependent
-// that became runnable (firing any others): a linear pipeline of N dependent
+// runCommands executes c, completes it, and chains into one dependent that
+// became runnable (firing any others): a linear pipeline of N dependent
 // commands runs on a single goroutine with no per-command spawns or parks.
-func runCommands(c *command) {
+// A kernel whose work-groups are still running on pool workers when this
+// goroutine has none left to run is not waited for: the worker that finishes
+// the last group completes the launch and carries the chain on from there.
+func runCommands(c *Event) {
 	for c != nil {
-		ev, q := c.ev, c.q
 		var err error
-		if derr := c.depError(); derr != nil {
+		c.mu.Lock()
+		derr := c.depErr
+		c.mu.Unlock()
+		switch {
+		case derr != nil:
 			err = fmt.Errorf("%s: dependency failed: %w", c.name, derr)
-		} else {
+		case c.launch != nil:
+			c.launch.start = time.Now()
+			if !c.launch.help(c.q.dev.executor(), &c.launch.own) {
+				return
+			}
+			err = c.launch.finish()
+		default:
 			start := time.Now()
 			err = c.work()
-			if !q.dev.Simulated {
-				dur := time.Since(start)
-				ev.mu.Lock()
-				ev.realDur = dur
-				ev.mu.Unlock()
-				q.dev.advanceReal(dur)
-			}
+			c.measured(start)
 		}
-		next, more := ev.complete(err)
-		q.forget(ev, err)
-		for _, r := range more {
-			r.q.dev.executor().fire(r)
-		}
-		c = next
+		c = c.finished(err)
 	}
+}
+
+// measured records a real device's execution time of the command.
+func (c *Event) measured(start time.Time) {
+	if dev := c.q.dev; !dev.Simulated {
+		dur := time.Since(start)
+		c.mu.Lock()
+		c.realDur = dur
+		c.mu.Unlock()
+		dev.advanceReal(dur)
+	}
+}
+
+// finished completes the command's event, fires all but one of the commands
+// that became runnable and returns that one for the caller to run itself.
+func (c *Event) finished(err error) *Event {
+	next, more := c.complete(err)
+	c.q.forget(c, err)
+	for _, r := range more {
+		r.q.dev.executor().fire(r)
+	}
+	return next
 }

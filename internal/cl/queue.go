@@ -88,24 +88,26 @@ func (q *Queue) forget(ev *Event, err error) {
 // submit is the shared command machinery: it assigns a virtual schedule
 // (simulated devices know the duration up front from the cost model), then
 // registers the command with the dependency-counting scheduler. The command
-// runs — measuring real time on real devices — as soon as its last
-// dependency completes; with no incomplete dependencies it is fired
-// immediately onto the device's worker pool. No goroutine is parked waiting
-// for dependencies.
-func (q *Queue) submit(name string, deps []*Event, virtDur time.Duration, copyEngine bool, work func() error) *Event {
+// — work, or for a kernel launch — runs, measuring real time on real devices,
+// as soon as its last dependency completes; with no incomplete dependencies
+// it is fired immediately onto the device's worker pool. No goroutine is
+// parked waiting for dependencies.
+func (q *Queue) submit(name string, deps []*Event, virtDur time.Duration, copyEngine bool, work func() error, launch *launchRun) *Event {
 	if ferr := q.dev.faultCommand(); ferr != nil {
 		// The command is scheduled normally but its work is replaced by the
 		// injected failure, so dependents and Finish observe it through the
 		// ordinary dependency-error propagation.
-		work = func() error { return ferr }
+		work, launch = func() error { return ferr }, nil
 	}
-	ev := &Event{name: name, done: make(chan struct{})}
+	c := &Event{name: name, q: q, work: work, launch: launch}
+	if launch != nil {
+		launch.ev = c
+	}
 	if q.dev.Simulated {
 		ready := depsReady(deps)
-		ev.vStart, ev.vEnd = q.dev.scheduleVirtual(ready, virtDur, copyEngine)
+		c.vStart, c.vEnd = q.dev.scheduleVirtual(ready, virtDur, copyEngine)
 	}
-	q.remember(ev)
-	c := &command{name: name, q: q, ev: ev, work: work}
+	q.remember(c)
 	c.pending.Store(1) // enqueue guard: nothing fires before registration ends
 	for _, d := range deps {
 		if d == nil {
@@ -121,7 +123,7 @@ func (q *Queue) submit(name string, deps []*Event, virtDur time.Duration, copyEn
 	if c.pending.Add(-1) == 0 {
 		q.dev.executor().fire(c)
 	}
-	return ev
+	return c
 }
 
 // EnqueueKernel schedules a kernel launch. The returned event completes when
@@ -138,13 +140,8 @@ func (q *Queue) EnqueueKernel(fn KernelFunc, l Launch) *Event {
 	if q.dev.Simulated {
 		virt = q.dev.Perf.KernelDuration(l.Cost)
 	}
-	name := l.Name
-	if name == "" {
-		name = "kernel"
-	}
-	return q.submit(name, l.Wait, virt, false, func() error {
-		return runLaunch(q.dev, fn, l)
-	})
+	r := newLaunchRun(q.dev, fn, l)
+	return q.submit(r.name, l.Wait, virt, false, nil, r)
 }
 
 // EnqueueWrite copies host bytes into a device buffer. On zero-copy buffers
@@ -186,7 +183,7 @@ func (q *Queue) EnqueueCopy(dst, src *Buffer, wait []*Event) *Event {
 	return q.submit("copy", wait, virt, false, func() error {
 		copy(dstData, srcData)
 		return nil
-	})
+	}, nil)
 }
 
 // transfer implements the shared host↔device copy path with PCIe accounting
@@ -203,18 +200,18 @@ func (q *Queue) transfer(name string, buf *Buffer, host []byte, wait []*Event, w
 			virt = q.dev.Perf.TransferDuration(n)
 		}
 	}
-	return q.submit(name, wait, virt, true, work)
+	return q.submit(name, wait, virt, true, work, nil)
 }
 
 // EnqueueHost schedules a host-side callback ordered by the wait-list. It
 // occupies no device engine time (virtual duration zero) and is used by the
 // runtime for bookkeeping that must respect the event graph.
 func (q *Queue) EnqueueHost(name string, fn func() error, wait []*Event) *Event {
-	return q.submit(name, wait, 0, false, fn)
+	return q.submit(name, wait, 0, false, fn, nil)
 }
 
 // EnqueueMarker returns an event that completes when all the given events
 // have completed, without performing any work.
 func (q *Queue) EnqueueMarker(wait []*Event) *Event {
-	return q.submit("marker", wait, 0, false, func() error { return nil })
+	return q.submit("marker", wait, 0, false, func() error { return nil }, nil)
 }

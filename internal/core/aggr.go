@@ -64,7 +64,7 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 	wantFloat := isFloat || kind == ops.Avg
 	var cast *cl.Buffer
 	if wantFloat && !isFloat {
-		if cast, err = e.mm.AllocScratch((n + 1) * 4); err != nil {
+		if cast, err = e.mm.Alloc((n + 1) * 4); err != nil {
 			return nil, err
 		}
 		cev := kernels.CastI32F32(e.q, cast, valBuf, n, wait)
@@ -74,13 +74,13 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 
 	sp, err := e.spine()
 	if err != nil {
-		e.mm.ReleaseScratch(cast)
+		e.mm.Release(cast)
 		return nil, err
 	}
 	dst, err := e.mm.Alloc(4)
 	if err != nil {
 		_ = sp.Release()
-		e.mm.ReleaseScratch(cast)
+		e.mm.Release(cast)
 		return nil, err
 	}
 	redKind := kind
@@ -95,11 +95,12 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 	}
 	e.mm.NoteConsumer(vals, ev)
 	if kind == ops.Avg {
+		//lint:transfer becomes dst, which is bound to the result below
 		avg, err := e.mm.Alloc(4)
 		if err != nil {
 			_ = sp.Release()
 			_ = dst.Release()
-			e.mm.ReleaseScratch(cast)
+			e.mm.Release(cast)
 			return nil, err
 		}
 		ev = kernels.MapBinopConst(e.q, avg, dst, true, ops.Div, float32(n), 0, false, 1, []*cl.Event{ev})
@@ -112,7 +113,7 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 	if !isFloat {
 		resType = bat.I32
 	}
-	res := newOwned(kind.String(), resType, 1)
+	res := bat.NewOcelotOwned(kind.String(), resType, 1)
 	e.mm.BindValues(res, dst, ev)
 	return res, nil
 }
@@ -215,7 +216,7 @@ func (e *Engine) aggrGrouped(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (
 	}
 	e.mm.NoteConsumer(groups, ev)
 	e.releaseAfter(ev, sc.bufs...)
-	res := newOwned(kind.String(), resType, ngroups)
+	res := bat.NewOcelotOwned(kind.String(), resType, ngroups)
 	e.mm.BindValues(res, dst, ev)
 	return res, nil
 }

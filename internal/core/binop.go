@@ -59,7 +59,7 @@ func (e *Engine) Binop(op ops.Bin, a, b *bat.BAT) (*bat.BAT, error) {
 	if isFloat {
 		resType = bat.F32
 	}
-	res := newOwned(name, resType, n)
+	res := bat.NewOcelotOwned(name, resType, n)
 	e.mm.BindValues(res, out, ev)
 	return res, nil
 }
@@ -95,7 +95,7 @@ func (e *Engine) BinopConst(op ops.Bin, a *bat.BAT, c float64, constFirst bool) 
 	if isFloat {
 		resType = bat.F32
 	}
-	res := newOwned(name, resType, n)
+	res := bat.NewOcelotOwned(name, resType, n)
 	e.mm.BindValues(res, out, ev)
 	return res, nil
 }
@@ -106,7 +106,7 @@ func (e *Engine) promote(b *bat.BAT, buf *cl.Buffer, wait []*cl.Event, casts *[]
 		return buf, wait, nil
 	}
 	n := b.Len()
-	cast, err := e.mm.AllocScratch((n + 1) * 4)
+	cast, err := e.mm.Alloc((n + 1) * 4)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -186,4 +187,24 @@ func TestHasDeviceCopy(t *testing.T) {
 	if !e.Memory().HasDeviceCopy(col) {
 		t.Fatal("uploaded BAT not reported resident")
 	}
+}
+
+// sortedEntriesForTest returns BAT names by LRU order (oldest first).
+func (m *MemoryManager) sortedEntriesForTest() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	type rec struct {
+		name string
+		use  uint64
+	}
+	var rs []rec
+	for b, e := range m.entries {
+		rs = append(rs, rec{b.Name, e.lastUse})
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].use < rs[j].use })
+	names := make([]string, len(rs))
+	for i, r := range rs {
+		names[i] = r.name
+	}
+	return names
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/cl"
 	"repro/internal/core/kernels"
+	"repro/internal/mem"
 )
 
 // Engine is one Ocelot configuration: the hardware-oblivious operator set
@@ -65,14 +66,6 @@ func (e *Engine) Finish() error { return e.q.Finish() }
 // latched dead so the corpse's allocation accounting returns to zero.
 func (e *Engine) PurgeDeviceCache() { e.mm.PurgeDeviceCache() }
 
-// newOwned creates the result BAT every operator returns: per the ownership
-// rules of §3.4, it is owned by Ocelot until an explicit Sync hands it back.
-func newOwned(name string, t bat.Type, n int) *bat.BAT {
-	b := bat.New(name, t, n)
-	b.OcelotOwned = true
-	return b
-}
-
 // spineWords returns the size (in words) of the per-launch partials scratch
 // used by scan/reduce kernels. Reduce's fixed-partition float sum needs at
 // least kernels.SumChunks slots regardless of the launch geometry.
@@ -86,33 +79,45 @@ func spineWords(dev *cl.Device) int {
 }
 
 // spine allocates the partials scratch buffer. Its size is fixed per device,
-// so the scratch free-list serves it with near-perfect reuse.
+// so the free-list serves it with near-perfect reuse.
 func (e *Engine) spine() (*cl.Buffer, error) {
-	return e.mm.AllocScratch(spineWords(e.dev) * 4)
+	return e.mm.Alloc(spineWords(e.dev) * 4)
 }
 
 // releaseAfter schedules buffer releases once ev has completed, keeping the
 // lazy pipeline intact (no host-side waits on the operator path). The
-// backing bytes are recycled through the Memory Manager's scratch free-list,
-// so ev must postdate every command that reads or writes the buffers — which
+// backing bytes are recycled through the Memory Manager's free-list, so ev
+// must postdate every command that reads or writes the buffers — which
 // every call site guarantees by passing the operator's final consumer event.
 func (e *Engine) releaseAfter(ev *cl.Event, bufs ...*cl.Buffer) {
 	e.q.EnqueueHost("release_scratch", func() error {
 		for _, b := range bufs {
-			e.mm.ReleaseScratch(b)
+			e.mm.Release(b)
 		}
 		return nil
 	}, []*cl.Event{ev})
 }
 
-// readU32 transfers a single word from a device buffer to the host. This is
-// the one place operator host code blocks: result *sizes* must be known to
+// hostView waits for wait and returns the first n bytes of buf as the host
+// sees them: on a host-resident device the buffer's own bytes (mapped — valid
+// until the buffer is released), on a discrete one a copy transferred through
+// the normal event machinery, so on simulated devices it costs a PCIe round
+// trip on the virtual timeline.
+func (e *Engine) hostView(buf *cl.Buffer, n int, wait []*cl.Event) ([]byte, error) {
+	if !e.dev.Discrete {
+		return buf.Bytes()[:n], cl.WaitAll(wait...)
+	}
+	host := mem.Alloc(n)
+	return host, e.q.EnqueueRead(host, buf, wait).Wait()
+}
+
+// readU32 reads a single word of a device buffer on the host. This is the
+// one place operator host code blocks: result *sizes* must be known to
 // allocate result BATs (the paper's operators face the same constraint when
-// materialising). The transfer rides the normal event machinery, so on
-// simulated devices it costs a PCIe round trip on the virtual timeline.
+// materialising).
 func (e *Engine) readU32(buf *cl.Buffer, wait []*cl.Event) (uint32, error) {
-	host := make([]byte, 4)
-	if err := e.q.EnqueueRead(host, buf, wait).Wait(); err != nil {
+	host, err := e.hostView(buf, 4, wait)
+	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(host), nil
@@ -175,7 +180,7 @@ func (e *Engine) materializedOIDs(b *bat.BAT) (*cl.Buffer, []*cl.Event, error) {
 	}
 	sp, err := e.spine()
 	if err != nil {
-		_ = out.Release()
+		e.mm.Release(out)
 		return nil, nil, err
 	}
 	ev := kernels.Materialize(e.q, out, bm, sp, domain, wait)
@@ -192,32 +197,35 @@ func (e *Engine) materializedOIDs(b *bat.BAT) (*cl.Buffer, []*cl.Event, error) {
 }
 
 // Sync implements the explicit synchronisation operator of §3.4: it waits
-// on the BAT's producer events, transfers (or maps) the payload back to the
-// host heap — materialising bitmaps into oid lists first, since bitmaps are
-// never exposed — and hands ownership back to MonetDB.
+// on the BAT's producer events and hands the payload — for bitmaps their
+// materialised oid list, since bitmaps are never exposed — and with it the
+// ownership back to MonetDB. Until here the BAT had no heap. A host-resident
+// device hands over the buffer's own bytes (the paper's zero-copy path: no
+// allocation, no copy; the Memory Manager keeps reading them through an
+// alias and never recycles them); a discrete device's payload is transferred
+// into a heap allocated at this moment.
 func (e *Engine) Sync(b *bat.BAT) error {
 	if b == nil || !b.OcelotOwned {
 		return nil
 	}
-	if _, isBM := e.mm.IsBitmap(b); isBM {
-		buf, wait, err := e.materializedOIDs(b)
-		if err != nil {
-			return err
-		}
-		if err := e.q.EnqueueRead(b.Bytes(), buf, wait).Wait(); err != nil {
-			return err
-		}
-		b.OcelotOwned = false
-		return nil
-	}
-	buf, wait, err := e.mm.ValuesForRead(b)
+	//lint:transfer both branches wait for the payload before returning
+	buf, wait, err := e.valuesOf(b)
 	if err != nil {
 		return err
 	}
-	if err := e.q.EnqueueRead(b.Bytes(), buf, wait).Wait(); err != nil {
+	var heap []byte
+	if !e.dev.Discrete {
+		if err = cl.WaitAll(wait...); err == nil {
+			heap, err = e.mm.handOver(b, buf)
+		}
+	} else {
+		heap = mem.Alloc(int(b.HeapBytes()))
+		err = e.q.EnqueueRead(heap, buf, wait).Wait()
+	}
+	if err != nil {
 		return err
 	}
-	b.OcelotOwned = false
+	b.HandOver(heap)
 	return nil
 }
 

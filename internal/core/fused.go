@@ -140,7 +140,7 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 	if outSel {
 		bm, err = e.mm.Alloc(bitmapWords(n) * 4) // the region's escaping payload
 	} else {
-		bm, err = e.mm.AllocScratch(bitmapWords(n) * 4) // transient: consumed below
+		bm, err = e.mm.Alloc(bitmapWords(n) * 4) // transient: consumed below
 	}
 	if err != nil {
 		return nil, err
@@ -150,9 +150,9 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 		_ = bm.Release()
 		return nil, err
 	}
-	total, err := e.mm.AllocScratch(4)
+	total, err := e.mm.Alloc(4)
 	if err != nil {
-		e.mm.ReleaseScratch(sp)
+		e.mm.Release(sp)
 		_ = bm.Release()
 		return nil, err
 	}
@@ -170,8 +170,8 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 	// The one host read of the region: its selection cardinality, folded
 	// device-side inside the fused pass (no separate BitmapCount launches).
 	count, err := e.readU32(total, []*cl.Event{ev})
-	e.mm.ReleaseScratch(sp)
-	e.mm.ReleaseScratch(total)
+	e.mm.Release(sp)
+	e.mm.Release(total)
 	if err != nil {
 		e.releaseAfter(ev, bm)
 		return nil, err
@@ -179,7 +179,7 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 	m := int(count)
 
 	if outSel {
-		res := newOwned("fused_sel", bat.OID, m)
+		res := bat.NewOcelotOwned("fused_sel", bat.OID, m)
 		res.Props.Sorted, res.Props.Key = true, true
 		e.mm.BindBitmap(res, bm, n, ev)
 		return res, nil
@@ -198,7 +198,7 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 
 	// Materialise the passing rows once, then evaluate the whole expression
 	// per row in registers.
-	positions, err := e.mm.AllocScratch((m + 1) * 4)
+	positions, err := e.mm.Alloc((m + 1) * 4)
 	if err != nil {
 		e.releaseAfter(ev, bm)
 		return nil, err
@@ -270,6 +270,7 @@ func (e *Engine) fusedMap(op *ops.FusedOp) (*bat.BAT, error) {
 	var wait []*cl.Event
 	var idx *cl.Buffer
 	if idxBAT != nil {
+		//lint:transfer fusedEvalFor notes the expression pass on idxBAT
 		buf, w, err := e.valuesOf(idxBAT) // bitmap candidates materialise here
 		if err != nil {
 			return nil, err
@@ -327,7 +328,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	var out *cl.Buffer
 	var err error
 	if op.HasAgg {
-		out, err = e.mm.AllocScratch((m + 1) * 4) // compact expression values, fed to Reduce
+		out, err = e.mm.Alloc((m + 1) * 4) // compact expression values, fed to Reduce
 	} else {
 		out, err = e.mm.Alloc((m + 1) * 4)
 	}
@@ -361,7 +362,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	dropIdx(ev)
 
 	if !op.HasAgg {
-		res := newOwned("fused", outType, m)
+		res := bat.NewOcelotOwned("fused", outType, m)
 		e.mm.BindValues(res, out, ev)
 		return res, nil
 	}
@@ -376,7 +377,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	dst, err := e.mm.Alloc(4)
 	if err != nil {
 		e.releaseAfter(ev, out)
-		e.mm.ReleaseScratch(sp)
+		e.mm.Release(sp)
 		return nil, err
 	}
 	var rev *cl.Event
@@ -386,7 +387,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 		rev = kernels.ReduceI32(e.q, dst, out, sp, ops.Sum, m, []*cl.Event{ev})
 	}
 	e.releaseAfter(rev, sp, out)
-	res := newOwned(ops.Sum.String(), outType, 1)
+	res := bat.NewOcelotOwned(ops.Sum.String(), outType, 1)
 	e.mm.BindValues(res, dst, rev)
 	return res, nil
 }

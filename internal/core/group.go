@@ -56,7 +56,7 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	if grp != nil {
 		e.mm.NoteConsumer(grp, gev)
 	}
-	res := newOwned(col.Name+"_grp", bat.I32, n)
+	res := bat.NewOcelotOwned(col.Name+"_grp", bat.I32, n)
 	e.mm.BindValues(res, gids, gev)
 	e.releaseAfter(gev, ht.buffers()...)
 	return res, ht.ndistinct, nil
@@ -96,7 +96,7 @@ func (e *Engine) groupSorted(col *bat.BAT, n int) (*bat.BAT, int, error) {
 	}
 	e.releaseAfter(iev, sc.bufs...)
 
-	res := newOwned(col.Name+"_grp", bat.I32, n)
+	res := bat.NewOcelotOwned(col.Name+"_grp", bat.I32, n)
 	res.Props.Sorted = true // ids are non-decreasing on sorted input
 	e.mm.BindValues(res, ids, iev)
 	return res, int(boundaries) + 1, nil

@@ -32,6 +32,7 @@ type devHashTable struct {
 	ndistinct  int
 	buildRows  int
 	uniqueKeys bool // every key occurs once: every bucket has exactly one row
+	shared     bool // lives in the Memory Manager's hash cache (see release)
 
 	tab   kernels.Slots
 	slots *cl.Event // the slots stage has landed
@@ -74,7 +75,11 @@ func (h *devHashTable) buffers() []*cl.Buffer {
 }
 
 // release frees the table once nothing enqueued can still touch it: its own
-// stages and every probe noted by noteReader.
+// stages and every probe noted by noteReader. A table with a single owner —
+// the operator that built it — gives its bytes back to the free-list; a
+// cached one (shared) can be dropped by the pressure protocol between
+// another session's lookup and its pin, so its bytes go to the garbage
+// collector, which keeps them alive for such a straggler.
 func (h *devHashTable) release() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -88,8 +93,12 @@ func (h *devHashTable) release() {
 		_ = r.Wait()
 	}
 	for _, b := range h.buffers() {
-		if b != nil {
+		switch {
+		case b == nil:
+		case h.shared:
 			_ = b.Release()
+		default:
+			h.e.mm.Release(b)
 		}
 	}
 }
@@ -176,6 +185,7 @@ func (e *Engine) slotTable(col *bat.BAT) (*devHashTable, error) {
 	ht.col = col
 	e.mm.NoteConsumer(col, ht.slots)
 	if cacheable {
+		ht.shared = true
 		e.mm.mu.Lock()
 		e.mm.hashCache[col] = ht
 		e.mm.mu.Unlock()
@@ -254,19 +264,17 @@ func (e *Engine) buildHashedSlots(name string, colBuf, prev *cl.Buffer, n int, w
 // one reduction launch on the device, the per-item partials folded here.
 func (e *Engine) keyRange(colBuf *cl.Buffer, n int, wait []*cl.Event) (lo, hi int32, err error) {
 	_, _, gsz := kernels.Geometry(e.dev)
-	partials, err := e.mm.AllocScratch(2 * gsz * 4)
+	partials, err := e.mm.Alloc(2 * gsz * 4)
 	if err != nil {
 		return 0, 0, err
 	}
 	ev := kernels.KeyRange(e.q, partials, colBuf, n, wait)
-	host := mem.Alloc(2 * gsz * 4)
-	err = e.q.EnqueueRead(host, partials, []*cl.Event{ev}).Wait()
-	e.mm.ReleaseScratch(partials)
-	if err != nil {
-		return 0, 0, err
+	host, err := e.hostView(partials, 2*gsz*4, []*cl.Event{ev})
+	if err == nil {
+		lo, hi = kernels.FoldKeyRange(mem.I32(host)) // before the release: host may be the buffer
 	}
-	lo, hi = kernels.FoldKeyRange(mem.I32(host))
-	return lo, hi, nil
+	e.mm.Release(partials)
+	return lo, hi, err
 }
 
 // buildIdentitySlots is the slots stage under identity addressing: zero the
@@ -305,27 +313,21 @@ type scratchSet struct {
 	err  error
 }
 
-// alloc allocates words*4 bytes from the Memory Manager's scratch free-list,
-// remembering the buffer; after a failure it returns nil and latches the
-// error. The contents are UNDEFINED (recycled): kernels must fully write
-// what they read, or the caller uses allocZeroed.
-func (s *scratchSet) alloc(words int) *cl.Buffer {
-	return s.record(func() (*cl.Buffer, error) { return s.mm.AllocScratch(words * 4) })
-}
+// alloc allocates words*4 bytes from the Memory Manager, remembering the
+// buffer; after a failure it returns nil and latches the error. The contents
+// are UNDEFINED: kernels must fully write what they read, or the caller uses
+// allocZeroed.
+func (s *scratchSet) alloc(words int) *cl.Buffer { return s.get(words, false) }
 
-// allocZeroed allocates words*4 guaranteed-zero bytes, bypassing the
-// free-list (a fresh allocation is zeroed by construction). Used for flag
-// words that kernels only ever raise — zeroing them with an extra Fill
-// kernel would perturb the virtual timeline of simulated devices.
-func (s *scratchSet) allocZeroed(words int) *cl.Buffer {
-	return s.record(func() (*cl.Buffer, error) { return s.mm.Alloc(words * 4) })
-}
+// allocZeroed allocates words*4 guaranteed-zero bytes, for flag words that
+// kernels only ever raise.
+func (s *scratchSet) allocZeroed(words int) *cl.Buffer { return s.get(words, true) }
 
-func (s *scratchSet) record(alloc func() (*cl.Buffer, error)) *cl.Buffer {
+func (s *scratchSet) get(words int, zeroed bool) *cl.Buffer {
 	if s.err != nil {
 		return nil
 	}
-	b, err := alloc()
+	b, err := s.mm.alloc(words*4, zeroed)
 	if err != nil {
 		s.err = err
 		return nil
@@ -434,7 +436,7 @@ func (e *Engine) tryBuildSlots(colBuf, prev *cl.Buffer, n, capacity int, wait []
 // the returned n+1-word buffer; colBuf/prev are the key words the slots were
 // built from.
 func (h *devHashTable) lookupGids(colBuf, prev *cl.Buffer, wait []*cl.Event) (*cl.Buffer, *cl.Event, error) {
-	gids, err := h.e.mm.AllocScratch((h.buildRows + 1) * 4)
+	gids, err := h.e.mm.Alloc((h.buildRows + 1) * 4)
 	if err != nil {
 		return nil, nil, err
 	}

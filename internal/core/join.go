@@ -102,9 +102,9 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 	h.noteReader(wev)
 	e.releaseAfter(wev, sc.bufs...)
 
-	lres := newOwned(l.Name+"_join", bat.OID, m)
+	lres := bat.NewOcelotOwned(l.Name+"_join", bat.OID, m)
 	lres.Props.Sorted = true
-	rres := newOwned("build_join", bat.OID, m)
+	rres := bat.NewOcelotOwned("build_join", bat.OID, m)
 	e.mm.BindValues(lres, outL, wev)
 	e.mm.BindValues(rres, outR, wev)
 	return lres, rres, nil
@@ -118,7 +118,7 @@ func (e *Engine) probeUnique(l *bat.BAT, lBuf *cl.Buffer, h *devHashTable, n int
 	if err != nil {
 		return nil, nil, err
 	}
-	rpos, err := e.mm.AllocScratch((n + 1) * 4)
+	rpos, err := e.mm.Alloc((n + 1) * 4)
 	if err != nil {
 		_ = bm.Release()
 		return nil, nil, err
@@ -133,7 +133,7 @@ func (e *Engine) probeUnique(l *bat.BAT, lBuf *cl.Buffer, h *devHashTable, n int
 		_ = rpos.Release()
 		return nil, nil, err
 	}
-	lres := newOwned(l.Name+"_join", bat.OID, count)
+	lres := bat.NewOcelotOwned(l.Name+"_join", bat.OID, count)
 	lres.Props.Sorted, lres.Props.Key = true, true
 	e.mm.BindBitmap(lres, bm, n, pev)
 
@@ -149,8 +149,9 @@ func (e *Engine) probeUnique(l *bat.BAT, lBuf *cl.Buffer, h *devHashTable, n int
 		return nil, nil, err
 	}
 	gev := kernels.Gather(e.q, outR, rpos, lOids, count, append(lWait, pev))
+	e.mm.NoteConsumer(lres, gev)
 	e.releaseAfter(gev, rpos)
-	rres := newOwned("build_join", bat.OID, count)
+	rres := bat.NewOcelotOwned("build_join", bat.OID, count)
 	e.mm.BindValues(rres, outR, gev)
 	return lres, rres, nil
 }
@@ -213,11 +214,13 @@ func (e *Engine) ThetaJoin(l, r *bat.BAT, cmp ops.Cmp) (*bat.BAT, *bat.BAT, erro
 		return nil, nil, err
 	}
 	wev := kernels.NestedLoopWrite(e.q, outL, outR, offsets, lBuf, rBuf, nl, nr, pred, []*cl.Event{sev})
+	e.mm.NoteConsumer(l, wev)
+	e.mm.NoteConsumer(r, wev)
 	e.releaseAfter(wev, sc.bufs...)
 
-	lres := newOwned(l.Name+"_theta", bat.OID, m)
+	lres := bat.NewOcelotOwned(l.Name+"_theta", bat.OID, m)
 	lres.Props.Sorted = true
-	rres := newOwned(r.Name+"_theta", bat.OID, m)
+	rres := bat.NewOcelotOwned(r.Name+"_theta", bat.OID, m)
 	e.mm.BindValues(lres, outL, wev)
 	e.mm.BindValues(rres, outR, wev)
 	return lres, rres, nil

@@ -10,8 +10,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bat"
 	"repro/internal/cl"
@@ -91,12 +91,13 @@ type MemoryManager struct {
 	// in the Memory Manager").
 	hashCache map[*bat.BAT]*devHashTable
 
-	// scratchFree recycles the backing bytes of released transient scratch
-	// buffers (the counts/offsets/spine/total quartet every Join, ThetaJoin,
-	// Group and Aggr call allocates), keyed by exact byte size. Only the
-	// host bytes are kept: the device capacity of a recycled buffer is
-	// released normally and re-reserved on reuse, so capacity accounting —
-	// and the §3.3 pressure protocol — is identical to allocating fresh.
+	// scratchFree is the one free-list behind Alloc: the backing bytes of
+	// every buffer handed back through Release — operator outputs, bitmaps,
+	// materialised oid lists, hash tables and transient scratch alike — keyed
+	// by exact byte size. Only the host bytes are kept: the device capacity of
+	// a recycled buffer is released at once and re-reserved on reuse, so
+	// capacity accounting — and the §3.3 pressure protocol — is identical to
+	// allocating fresh.
 	scratchMu    sync.Mutex
 	scratchFree  map[int][][]byte
 	scratchBytes int64
@@ -109,8 +110,8 @@ type MemoryManager struct {
 	reloads   int64
 }
 
-// Bounds for the scratch free-list: per-size stack depth and total retained
-// host bytes. Overflow is simply dropped to the garbage collector.
+// Bounds for the free-list: per-size stack depth and total retained host
+// bytes. Overflow is simply dropped to the garbage collector.
 const (
 	maxScratchFreePerSize = 8
 	maxScratchFreeBytes   = 256 << 20
@@ -155,7 +156,8 @@ func (m *MemoryManager) onBATFree(b *bat.BAT) {
 	delete(m.hashCache, b)
 	m.mu.Unlock()
 	if e != nil {
-		releaseEntry(e)
+		waitEvents(e)
+		m.releaseEntry(e, !e.isBase)
 	}
 	if ht != nil {
 		ht.release()
@@ -200,32 +202,60 @@ func (m *MemoryManager) PurgeDeviceCache() {
 	}
 	m.mu.Unlock()
 	for _, e := range ents {
-		releaseEntry(e)
+		m.releaseEntry(e, false)
 	}
 	for _, ht := range hts {
 		ht.release()
 	}
 }
 
-func releaseEntry(e *entry) {
-	if e.buf != nil {
-		_ = e.buf.Release()
-		e.buf = nil
+// releaseEntry gives up an entry's device state. Only a release asked for by
+// the value's single owner (owned: Drop of an intermediate — every reader has
+// returned and noted its kernels, and the caller has waited on them) recycles
+// the bytes. A shared base-BAT cache, or whatever the pressure protocol takes
+// on its own initiative, can be overtaken by an operator that fetched the
+// buffer and has not yet noted its kernel: those bytes go to the garbage
+// collector, which keeps them alive for it.
+func (m *MemoryManager) releaseEntry(e *entry, owned bool) {
+	for _, b := range []*cl.Buffer{e.buf, e.matBuf} {
+		if owned {
+			m.Release(b)
+		} else if b != nil {
+			_ = b.Release()
+		}
 	}
-	if e.matBuf != nil {
-		_ = e.matBuf.Release()
-		e.matBuf = nil
-	}
-	e.offload = nil
+	e.buf, e.matBuf, e.offload = nil, nil, nil
 }
 
-// Alloc obtains a device buffer of n bytes, making room by evicting cached
-// base BATs in LRU order and then offloading intermediate results to the
-// host — the §3.3 pressure protocol. Pinned entries are never touched.
-func (m *MemoryManager) Alloc(n int) (*cl.Buffer, error) {
+// Alloc obtains a device buffer of n bytes — the one allocator behind every
+// operator output, bitmap, materialised oid list, hash table and scratch
+// buffer. A released buffer's bytes of the same size are reused when the
+// free-list has them; either way the device capacity is charged in full,
+// making room by evicting cached base BATs in LRU order and then offloading
+// intermediates to the host (the §3.3 pressure protocol; pinned entries are
+// never touched). The contents are UNDEFINED (OpenCL cl_mem semantics): every
+// kernel must fully write what is later read, or clear it with kernels.Fill.
+func (m *MemoryManager) Alloc(n int) (*cl.Buffer, error) { return m.alloc(n, false) }
+
+// AllocZeroed is Alloc with every byte zero, for the few words kernels only
+// ever raise (the hash build's fail flag). The runtime zeroes them, as a fresh
+// CreateBuffer does: a Fill launch would perturb simulated devices' timelines.
+func (m *MemoryManager) AllocZeroed(n int) (*cl.Buffer, error) { return m.alloc(n, true) }
+
+func (m *MemoryManager) alloc(n int, zeroed bool) (*cl.Buffer, error) {
+	data := m.takeFree(n)
+	if zeroed {
+		clear(data)
+	}
 	drained := false
 	for {
-		buf, err := m.ctx.CreateBuffer(n)
+		var buf *cl.Buffer
+		var err error
+		if data != nil {
+			buf, err = m.ctx.CreateBufferRecycling(data)
+		} else {
+			buf, err = m.ctx.CreateBuffer(n)
+		}
 		if err == nil {
 			return buf, nil
 		}
@@ -248,51 +278,44 @@ func (m *MemoryManager) Alloc(n int) (*cl.Buffer, error) {
 	}
 }
 
-// AllocScratch obtains a transient device buffer of n bytes, reusing the
-// backing bytes of a previously recycled buffer of the same size when one is
-// available. Capacity is charged exactly as Alloc charges it; on a capacity
-// refusal the recycled bytes are dropped and the call falls through to
-// Alloc's pressure protocol.
-//
-// The contents of a recycled buffer are UNDEFINED (OpenCL cl_mem
-// semantics): every kernel consuming scratch must fully write what it later
-// reads, or clear it with kernels.Fill first. Flag words that kernels only
-// ever raise (the hash build's fail word) must come from plain Alloc, which
-// is zeroed by construction.
-func (m *MemoryManager) AllocScratch(n int) (*cl.Buffer, error) {
+// takeFree pops recycled backing bytes of exactly n bytes, or returns nil.
+func (m *MemoryManager) takeFree(n int) []byte {
 	m.scratchMu.Lock()
+	defer m.scratchMu.Unlock()
 	stack := m.scratchFree[n]
 	if len(stack) == 0 {
 		m.scratchMiss++
-		m.scratchMu.Unlock()
-		return m.Alloc(n)
+		return nil
 	}
 	data := stack[len(stack)-1]
 	stack[len(stack)-1] = nil
 	m.scratchFree[n] = stack[:len(stack)-1]
 	m.scratchBytes -= int64(n)
 	m.scratchHits++
-	m.scratchMu.Unlock()
-	buf, err := m.ctx.CreateBufferRecycling(data)
-	if err == nil {
-		return buf, nil
-	}
-	return m.Alloc(n)
+	return data
 }
 
-// ReleaseScratch releases a scratch buffer and keeps its backing bytes for
-// reuse by AllocScratch. The caller must guarantee no enqueued command still
-// reads or writes the buffer — unlike plain Release, the memory WILL be
-// handed to a future command. Device capacity is returned immediately.
-func (m *MemoryManager) ReleaseScratch(b *cl.Buffer) {
+// Release ends a buffer's life and keeps its backing bytes for a later Alloc
+// of the same size; device capacity is returned at once. The memory WILL be
+// handed to a future command, so nothing enqueued may still touch the buffer:
+// entries wait on their producer and every recorded consumer first (hence
+// ocelotlint's consumernote rule), operator scratch is released from a
+// callback gated on the operator's last event (releaseAfter). Where that
+// cannot be shown, the buffer's own Release leaves the bytes to the collector.
+func (m *MemoryManager) Release(b *cl.Buffer) {
 	if b == nil {
 		return
 	}
-	data := b.Bytes()
-	if b.Release() != nil || b.HostAlias() || len(data) == 0 {
+	data := b.Detach()
+	n := len(data)
+	if n == 0 {
 		return
 	}
-	n := len(data)
+	if poisonFreed.Load() {
+		for i := range data {
+			data[i] = 0xA5
+		}
+	}
 	m.scratchMu.Lock()
 	if len(m.scratchFree[n]) < maxScratchFreePerSize &&
 		m.scratchBytes+int64(n) <= maxScratchFreeBytes {
@@ -301,6 +324,14 @@ func (m *MemoryManager) ReleaseScratch(b *cl.Buffer) {
 	}
 	m.scratchMu.Unlock()
 }
+
+// PoisonFreed makes every Memory Manager overwrite bytes as they enter its
+// free-list, so a command still reading a released buffer computes a visibly
+// wrong answer (or trips the race detector) instead of reading stale but
+// plausible values. For the equivalence suites' TestMain only.
+func PoisonFreed() { poisonFreed.Store(true) }
+
+var poisonFreed atomic.Bool
 
 // FlushScratch drops every recycled backing array to the garbage collector.
 // Call it when an engine is retired: the storage layer's OnFree listener
@@ -313,7 +344,7 @@ func (m *MemoryManager) FlushScratch() {
 	m.scratchMu.Unlock()
 }
 
-// ScratchStats returns (free-list hits, misses) of AllocScratch.
+// ScratchStats returns the free-list (hits, misses) of Alloc.
 func (m *MemoryManager) ScratchStats() (hits, misses int64) {
 	m.scratchMu.Lock()
 	defer m.scratchMu.Unlock()
@@ -329,7 +360,7 @@ func (m *MemoryManager) makeRoom() bool {
 		delete(m.entries, victim)
 		m.mu.Unlock()
 		waitEvents(e)
-		releaseEntry(e)
+		m.releaseEntry(e, false)
 		return true
 	}
 	// Pass 2: drop a cached hash table nobody is enqueueing on or probing.
@@ -383,17 +414,13 @@ func waitEvents(e *entry) {
 // releases its device buffers. The materialised-oid cache is simply dropped
 // (it can be recomputed from the offloaded payload).
 func (m *MemoryManager) offloadEntry(e *entry) {
+	host := e.offload
 	if e.buf != nil {
-		host := mem.Alloc(int(e.buf.Size()))
+		host = mem.Alloc(int(e.buf.Size()))
 		_ = m.q.EnqueueRead(host, e.buf, nil).Wait()
-		e.offload = host
-		_ = e.buf.Release()
-		e.buf = nil
 	}
-	if e.matBuf != nil {
-		_ = e.matBuf.Release()
-		e.matBuf = nil
-	}
+	m.releaseEntry(e, false)
+	e.offload = host
 }
 
 func (m *MemoryManager) touch(e *entry) {
@@ -422,27 +449,21 @@ func (m *MemoryManager) HasDeviceCopy(b *bat.BAT) bool {
 
 // BindValues registers a freshly produced device buffer as b's payload.
 func (m *MemoryManager) BindValues(b *bat.BAT, buf *cl.Buffer, producer *cl.Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.ensure(b)
-	e.kind = kindValues
-	e.domain = b.Len()
-	e.buf = buf
-	e.producer = producer
-	m.touch(e)
+	m.bind(b, kindValues, buf, b.Len(), producer)
 }
 
 // BindBitmap registers a selection-result bitmap spanning domain rows as
 // b's payload (§4.1.1: bitmaps travel only through Memory Manager
 // references).
 func (m *MemoryManager) BindBitmap(b *bat.BAT, buf *cl.Buffer, domain int, producer *cl.Event) {
+	m.bind(b, kindBitmap, buf, domain, producer)
+}
+
+func (m *MemoryManager) bind(b *bat.BAT, kind payloadKind, buf *cl.Buffer, domain int, producer *cl.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.ensure(b)
-	e.kind = kindBitmap
-	e.domain = domain
-	e.buf = buf
-	e.producer = producer
+	e.kind, e.domain, e.buf, e.producer = kind, domain, buf, producer
 	m.touch(e)
 }
 
@@ -461,111 +482,82 @@ func (m *MemoryManager) IsBitmap(b *bat.BAT) (int, bool) {
 // ValuesForRead returns the device buffer holding b's values, uploading the
 // host heap on a miss (the device-cache behaviour of §3.3; zero-copy on
 // host-resident devices) and reloading offloaded payloads. The returned
-// events must be passed in the wait-list of consuming kernels; consuming
-// events should be reported back via NoteConsumer.
+// events must be passed in the wait-list of consuming kernels, and every
+// consuming kernel's event reported back via NoteConsumer: an intermediate's
+// bytes are reused once its recorded consumers are done (see Release).
 func (m *MemoryManager) ValuesForRead(b *bat.BAT) (*cl.Buffer, []*cl.Event, error) {
 	if b.T == bat.Void {
 		return nil, nil, fmt.Errorf("core: void BAT %q has no value payload", b.Name)
 	}
+	buf, _, wait, err := m.forRead(b, kindValues)
+	return buf, wait, err
+}
+
+// BitmapForRead returns b's bitmap payload (reloading it if offloaded) and
+// its domain, under the same contract as ValuesForRead.
+func (m *MemoryManager) BitmapForRead(b *bat.BAT) (*cl.Buffer, int, []*cl.Event, error) {
+	return m.forRead(b, kindBitmap)
+}
+
+// forRead returns b's resident payload of the given kind with its domain,
+// first making it resident if need be: an offloaded payload is reloaded, the
+// host heap of a base BAT (values only) uploaded.
+func (m *MemoryManager) forRead(b *bat.BAT, kind payloadKind) (*cl.Buffer, int, []*cl.Event, error) {
 	m.mu.Lock()
 	e := m.entries[b]
-	if e != nil && e.kind == kindBitmap {
+	if (e == nil && kind == kindBitmap) || (e != nil && e.kind != kind) {
 		m.mu.Unlock()
-		return nil, nil, fmt.Errorf("core: BAT %q holds a bitmap, not values", b.Name)
+		return nil, 0, nil, fmt.Errorf("core: BAT %q does not hold the bitmap/values payload asked for", b.Name)
 	}
-	if e != nil && e.buf != nil {
-		m.touch(e)
-		buf, prod := e.buf, e.producer
-		m.mu.Unlock()
-		return buf, []*cl.Event{prod}, nil
-	}
-	var offload []byte
+	var src []byte
 	if e != nil {
-		offload = e.offload
+		if e.buf != nil {
+			m.touch(e)
+			buf, prod, dom := e.buf, e.producer, e.domain
+			m.mu.Unlock()
+			return buf, dom, []*cl.Event{prod}, nil
+		}
+		src = e.offload
 	}
 	m.mu.Unlock()
 
-	// Miss: upload from the offloaded copy or from the host heap.
-	src := offload
-	isBase := false
-	if src == nil {
-		if b.OcelotOwned {
-			return nil, nil, fmt.Errorf("core: BAT %q is Ocelot-owned but has no device payload", b.Name)
+	reload := src != nil
+	if !reload {
+		if kind == kindBitmap || b.OcelotOwned {
+			return nil, 0, nil, fmt.Errorf("core: BAT %q is Ocelot-owned but has no device payload", b.Name)
 		}
 		src = b.Bytes()
-		isBase = true
 	}
 	var buf *cl.Buffer
 	var err error
 	var ev *cl.Event
 	if !m.dev.Discrete {
 		buf, err = m.ctx.CreateBufferFromHost(src)
-		if err != nil {
-			return nil, nil, err
-		}
 		ev = cl.CompletedEvent(nil)
-	} else {
-		buf, err = m.Alloc(len(src))
-		if err != nil {
-			return nil, nil, err
-		}
+	} else if buf, err = m.Alloc(len(src)); err == nil {
 		ev = m.q.EnqueueWrite(buf, src, nil)
 	}
-
-	m.mu.Lock()
-	e = m.ensure(b)
-	if e.buf != nil {
-		// Lost a (single-threaded engine: impossible) race; keep existing.
-		old := buf
-		buf, ev = e.buf, e.producer
-		m.mu.Unlock()
-		_ = old.Release()
-		return buf, []*cl.Event{ev}, nil
-	}
-	e.buf = buf
-	e.producer = ev
-	e.isBase = isBase
-	if offload != nil {
-		e.offload = nil
-		m.reloads++
-	}
-	m.touch(e)
-	m.mu.Unlock()
-	return buf, []*cl.Event{ev}, nil
-}
-
-// BitmapForRead returns b's bitmap payload (reloading it if offloaded).
-func (m *MemoryManager) BitmapForRead(b *bat.BAT) (*cl.Buffer, int, []*cl.Event, error) {
-	m.mu.Lock()
-	e := m.entries[b]
-	if e == nil || e.kind != kindBitmap {
-		m.mu.Unlock()
-		return nil, 0, nil, fmt.Errorf("core: BAT %q has no bitmap payload", b.Name)
-	}
-	if e.buf != nil {
-		m.touch(e)
-		buf, prod, dom := e.buf, e.producer, e.domain
-		m.mu.Unlock()
-		return buf, dom, []*cl.Event{prod}, nil
-	}
-	offload, dom := e.offload, e.domain
-	m.mu.Unlock()
-	if offload == nil {
-		return nil, 0, nil, fmt.Errorf("core: bitmap of %q lost", b.Name)
-	}
-	buf, err := m.Alloc(len(offload))
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	ev := m.q.EnqueueWrite(buf, offload, nil)
+
 	m.mu.Lock()
-	e.buf = buf
-	e.producer = ev
-	e.offload = nil
-	m.reloads++
+	defer m.mu.Unlock()
+	e = m.ensure(b)
+	if e.buf != nil {
+		// Another session uploaded the same base BAT meanwhile; keep its copy.
+		_ = buf.Release()
+		return e.buf, e.domain, []*cl.Event{e.producer}, nil
+	}
+	e.buf, e.producer = buf, ev
+	if reload {
+		e.offload = nil
+		m.reloads++
+	} else {
+		e.isBase = true
+	}
 	m.touch(e)
-	m.mu.Unlock()
-	return buf, dom, []*cl.Event{ev}, nil
+	return buf, e.domain, []*cl.Event{ev}, nil
 }
 
 // NoteConsumer records that ev reads b's payload, so the manager can decide
@@ -586,6 +578,35 @@ func (m *MemoryManager) NoteConsumer(b *bat.BAT, ev *cl.Event) {
 	}
 	e.consumers = append(kept, ev)
 	m.touch(e)
+}
+
+// handOver ends the manager's ownership of the bytes behind buf — b's value
+// buffer, or for a bitmap its materialised oid list, with every writer done —
+// and returns them to become b's host heap: the zero-copy hand-over of §3.4,
+// for host-resident devices only. The entry goes on reading the same bytes
+// through a zero-copy alias, like the cache of any host-resident BAT, so a
+// later operator still finds them and they can never enter the free-list.
+func (m *MemoryManager) handOver(b *bat.BAT, buf *cl.Buffer) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.entries[b]
+	if e == nil || (e.buf != buf && e.matBuf != buf) {
+		return nil, fmt.Errorf("core: BAT %q lost its device payload during sync", b.Name)
+	}
+	if buf.HostAlias() {
+		return buf.Bytes(), nil // a reloaded offload copy: host bytes already
+	}
+	data := buf.Detach()
+	alias, err := m.ctx.CreateBufferFromHost(data)
+	if err != nil {
+		return nil, err
+	}
+	if e.matBuf == buf {
+		e.matBuf = alias
+	} else {
+		e.buf, e.isBase = alias, true
+	}
+	return data, nil
 }
 
 // Pin prevents b's device state from being evicted or offloaded; the paper
@@ -614,27 +635,6 @@ func (m *MemoryManager) Drop(b *bat.BAT) {
 	m.mu.Unlock()
 	if e != nil {
 		waitEvents(e)
-		releaseEntry(e)
+		m.releaseEntry(e, !e.isBase)
 	}
-}
-
-// sortedEntriesForTest returns BAT names by LRU order (oldest first); used
-// only by tests.
-func (m *MemoryManager) sortedEntriesForTest() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	type rec struct {
-		name string
-		use  uint64
-	}
-	var rs []rec
-	for b, e := range m.entries {
-		rs = append(rs, rec{b.Name, e.lastUse})
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].use < rs[j].use })
-	names := make([]string, len(rs))
-	for i, r := range rs {
-		names[i] = r.name
-	}
-	return names
 }

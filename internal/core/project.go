@@ -34,7 +34,7 @@ func (e *Engine) Project(cand, col *bat.BAT) (*bat.BAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := newOwned(name, resType, n)
+	res := bat.NewOcelotOwned(name, resType, n)
 
 	if c.dense {
 		if int(c.seq)+n > col.Len() {

@@ -16,18 +16,18 @@ func TestScratchFreeListRecyclesBytes(t *testing.T) {
 	ctx := cl.NewContext(dev)
 	m := NewMemoryManager(ctx, cl.NewQueue(ctx))
 
-	b1, err := m.AllocScratch(1 << 10)
+	b1, err := m.Alloc(1 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := b1.Bytes()
 	first[7] = 0xAB
-	m.ReleaseScratch(b1)
+	m.Release(b1)
 	if got := dev.Allocated(); got != 0 {
 		t.Fatalf("recycled scratch still holds %d device bytes, want 0", got)
 	}
 
-	b2, err := m.AllocScratch(1 << 10)
+	b2, err := m.Alloc(1 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +42,15 @@ func TestScratchFreeListRecyclesBytes(t *testing.T) {
 		t.Fatalf("scratch hits = %d, want 1", hits)
 	}
 	// A different size must not match.
-	b3, err := m.AllocScratch(2 << 10)
+	b3, err := m.Alloc(2 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b3.Bytes()) != 2<<10 {
 		t.Fatalf("misallocated size %d", len(b3.Bytes()))
 	}
-	m.ReleaseScratch(b2)
-	m.ReleaseScratch(b3)
+	m.Release(b2)
+	m.Release(b3)
 }
 
 // TestOperatorScratchReuse: the second run of the same operator sequence

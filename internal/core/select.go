@@ -64,6 +64,7 @@ func (e *Engine) Select(col, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool)
 		e.releaseAfter(ev, candBm)
 	}
 	e.mm.NoteConsumer(col, ev)
+	e.mm.NoteConsumer(cand, ev)
 	return e.finishBitmapSelection(col.Name, bm, n, ev)
 }
 
@@ -114,6 +115,7 @@ func (e *Engine) SelectCmp(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT,
 	}
 	e.mm.NoteConsumer(a, ev)
 	e.mm.NoteConsumer(b, ev)
+	e.mm.NoteConsumer(cand, ev)
 	return e.finishBitmapSelection(a.Name, bm, n, ev)
 }
 
@@ -185,7 +187,7 @@ func (e *Engine) selectionCandidate(cand *bat.BAT, n int) (bm *cl.Buffer, transi
 		if cand.Seq == 0 && cand.Len() == n {
 			return nil, false, nil, nil, nil
 		}
-		bm, err := e.mm.AllocScratch(bitmapWords(n) * 4)
+		bm, err := e.mm.Alloc(bitmapWords(n) * 4)
 		if err != nil {
 			return nil, false, nil, nil, err
 		}
@@ -216,7 +218,7 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 		return nil, err
 	}
 	m := c.n
-	gathered, err := e.mm.AllocScratch((m + 1) * 4)
+	gathered, err := e.mm.Alloc((m + 1) * 4)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +226,7 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 	e.mm.NoteConsumer(col, gev)
 	e.mm.NoteConsumer(cand, gev)
 
-	bm, err := e.mm.AllocScratch(bitmapWords(m) * 4)
+	bm, err := e.mm.Alloc(bitmapWords(m) * 4)
 	if err != nil {
 		_ = gathered.Release()
 		return nil, err
@@ -256,7 +258,7 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 		_ = bm.Release()
 		return nil, err
 	}
-	positions, err := e.mm.AllocScratch((count + 1) * 4)
+	positions, err := e.mm.Alloc((count + 1) * 4)
 	if err != nil {
 		_ = bm.Release()
 		return nil, err
@@ -279,7 +281,7 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 	e.mm.NoteConsumer(cand, oev)
 	e.releaseAfter(oev, positions)
 
-	res := newOwned(col.Name+"_sel", bat.OID, count)
+	res := bat.NewOcelotOwned(col.Name+"_sel", bat.OID, count)
 	res.Props.Sorted, res.Props.Key = true, true
 	e.mm.BindValues(res, out, oev)
 	return res, nil
@@ -293,7 +295,7 @@ func (e *Engine) finishBitmapSelection(name string, bm *cl.Buffer, n int, ev *cl
 		_ = bm.Release()
 		return nil, err
 	}
-	res := newOwned(name+"_sel", bat.OID, count)
+	res := bat.NewOcelotOwned(name+"_sel", bat.OID, count)
 	res.Props.Sorted, res.Props.Key = true, true
 	e.mm.BindBitmap(res, bm, n, ev)
 	return res, nil
@@ -306,17 +308,17 @@ func (e *Engine) bitmapCount(bm *cl.Buffer, n int, ev *cl.Event) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	total, err := e.mm.AllocScratch(4)
+	total, err := e.mm.Alloc(4)
 	if err != nil {
-		e.mm.ReleaseScratch(sp)
+		e.mm.Release(sp)
 		return 0, err
 	}
 	cev := kernels.BitmapCount(e.q, bm, sp, total, n, []*cl.Event{ev})
 	count, err := e.readU32(total, []*cl.Event{cev})
 	// readU32 waited on cev, so the scratch pair is quiescent and its bytes
 	// can be recycled immediately.
-	e.mm.ReleaseScratch(sp)
-	e.mm.ReleaseScratch(total)
+	e.mm.Release(sp)
+	e.mm.Release(total)
 	if err != nil {
 		return 0, err
 	}

@@ -70,9 +70,10 @@ func (e *Engine) Sort(col *bat.BAT) (*bat.BAT, *bat.BAT, error) {
 	e.mm.NoteConsumer(col, gev)
 	e.releaseAfter(gev, sc.bufs...)
 
-	order := newOwned(col.Name+"_order", bat.OID, n)
+	order := bat.NewOcelotOwned(col.Name+"_order", bat.OID, n)
 	e.mm.BindValues(order, perm, sev)
-	res := newOwned(col.Name+"_sorted", col.T, n)
+	e.mm.NoteConsumer(order, gev) // the gather above reads the permutation
+	res := bat.NewOcelotOwned(col.Name+"_sorted", col.T, n)
 	res.Props.Sorted = true
 	e.mm.BindValues(res, sorted, gev)
 	return res, order, nil

@@ -134,6 +134,7 @@ type spillTask struct {
 func (e *Engine) hostKeys(b *bat.BAT) ([]uint32, error) {
 	n := b.Len()
 	if _, isBM := e.mm.IsBitmap(b); isBM {
+		//lint:transfer read back and waited for right here
 		buf, wait, err := e.materializedOIDs(b)
 		if err != nil {
 			return nil, err
@@ -156,6 +157,7 @@ func (e *Engine) hostKeys(b *bat.BAT) ([]uint32, error) {
 		return mem.U32(off[:n*4]), nil
 	}
 	e.mm.mu.Unlock()
+	//lint:transfer read back and waited for right here
 	buf, wait, err := e.mm.ValuesForRead(b)
 	if err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
 // Package lint is a dependency-free go/analysis-style framework plus the
-// four repo-specific analyzers behind cmd/ocelotlint. The x/tools analysis
+// five repo-specific analyzers behind cmd/ocelotlint. The x/tools analysis
 // machinery is deliberately not used: the module has no external
 // dependencies, so the tiny subset the analyzers need — an Analyzer
 // descriptor, a per-package Pass with type information, and the `go vet
@@ -14,6 +14,9 @@
 //     from calls that return one (kernel launches, enqueues).
 //   - releasepair: scratch/BAT acquisitions in internal/core need a release
 //     on every path, an ownership transfer, or a `//lint:transfer` marker.
+//   - consumernote: a function in internal/core that obtains a BAT's device
+//     buffer for reading must note a consumer event on that BAT (recycled
+//     bytes make an unrecorded reader a use-after-free).
 //   - lockorder: internal/serve and the mal plan cache must not call into
 //     plan execution while holding the plan-cache or flight-map locks.
 package lint
@@ -58,6 +61,7 @@ func All() []*Analyzer {
 		DispatchThrough,
 		EnqueueCheck,
 		ReleasePair,
+		ConsumerNote,
 		LockOrder,
 	}
 }

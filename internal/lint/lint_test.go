@@ -125,6 +125,7 @@ func TestAnalyzers(t *testing.T) {
 		{DispatchThrough, "a/other"}, // out of scope: must stay silent
 		{EnqueueCheck, "b/internal/core"},
 		{ReleasePair, "c/internal/core"},
+		{ConsumerNote, "f/internal/core"},
 		{LockOrder, "e/internal/mal"},
 		{LockOrder, "e/internal/serve"},
 	}
@@ -165,7 +166,7 @@ func TestAnalyzers(t *testing.T) {
 // scope entirely, even when the code would otherwise trip it.
 func TestAnalyzerScope(t *testing.T) {
 	l := newTestLoader(t)
-	for _, a := range []*Analyzer{EnqueueCheck, ReleasePair, LockOrder} {
+	for _, a := range []*Analyzer{EnqueueCheck, ReleasePair, ConsumerNote, LockOrder} {
 		if got := runAnalyzer(t, l, a, "a/other"); len(got) != 0 {
 			t.Errorf("%s reported %d diagnostics outside its scope", a.Name, len(got))
 		}

@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// ReleasePair flags scratch acquisitions in internal/core that can leak: a
-// buffer obtained from AllocScratch or spine must, within the acquiring
-// function, either be released on every path (a call whose name mentions
+// ReleasePair flags buffer acquisitions in internal/core that can leak: a
+// buffer obtained from the Memory Manager's allocator (Alloc, AllocZeroed) or
+// spine must, within the acquiring function, either be released on every path (a call whose name mentions
 // release/free taking the value, or a .Release() on it), transfer
 // ownership out (returned, stored into a field/slice/map, appended into an
 // escaping slice), or carry an explicit `//lint:transfer` marker comment
@@ -27,7 +27,7 @@ var ReleasePair = &Analyzer{
 }
 
 // acquireFuncs names the callees whose result the analyzer tracks.
-var acquireFuncs = map[string]bool{"AllocScratch": true, "spine": true}
+var acquireFuncs = map[string]bool{"Alloc": true, "AllocZeroed": true, "spine": true}
 
 func runReleasePair(pass *Pass) error {
 	if !pathHasSuffix(pass.Pkg, "internal/core") {
@@ -79,8 +79,8 @@ func checkReleasePairs(pass *Pass, fn *ast.FuncDecl, markers map[int]bool) {
 			return true
 		}
 		callee := calleeName(call)
-		if !acquireFuncs[callee] {
-			return true
+		if !acquireFuncs[callee] || isPackageCall(pass, call) {
+			return true // mem.Alloc returns host bytes, not a device buffer
 		}
 		id, ok := as.Lhs[0].(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -136,6 +136,21 @@ func checkReleasePairs(pass *Pass, fn *ast.FuncDecl, markers map[int]bool) {
 				acq.name, acq.call, line)
 		}
 	}
+}
+
+// isPackageCall reports whether call is a package-qualified function call
+// (pkg.F) rather than a method call or a local function.
+func isPackageCall(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isPkg := pass.Info.Uses[id].(*types.PkgName)
+	return isPkg
 }
 
 // calleeName extracts the bare called-function name of call.

@@ -540,9 +540,14 @@ func (c *PlanCache) Invalidate() { c.BumpGeneration() }
 
 // InvalidateTable marks one named base table's data as changed (an
 // incremental append): only resident templates that read that table go
-// stale — checked lazily at lookup — while templates over other tables stay
-// warm. Contrast BumpGeneration/Invalidate, which strand every resident
-// template at once; use those for wholesale reloads that swap BATs out.
+// stale, while templates over other tables stay warm. The stale ones are
+// dropped here rather than at their next lookup, because some never get one:
+// the sharded server keys each compiled plan's shard templates by that plan's
+// identity, and a retired plan's key is never presented again — its templates
+// (and the superseded column snapshots they pin) must not wait for the LRU.
+// The check at lookup stays for templates whose build raced this call.
+// Contrast BumpGeneration/Invalidate, which strand every resident template
+// at once; use those for wholesale reloads that swap BATs out.
 func (c *PlanCache) InvalidateTable(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -550,6 +555,16 @@ func (c *PlanCache) InvalidateTable(name string) {
 		c.epochs = map[string]int64{}
 	}
 	c.epochs[name]++
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		slot := el.Value.(*cacheSlot)
+		if _, reads := slot.deps[name]; reads {
+			c.lru.Remove(el)
+			delete(c.m, slot.key)
+			c.epochDropped++
+		}
+		el = next
+	}
 }
 
 // TableEpoch returns the current epoch of a named table (0 if it was never

@@ -146,3 +146,43 @@ func TestShardedLiveIngest(t *testing.T) {
 		t.Fatalf("Q11 after ingest: coordinator cache %d/%d -> %d/%d — template went cold", h0, m0, h1, m1)
 	}
 }
+
+// TestShardedIngestsLeaveShardStateBounded: every compiled plan presents its
+// own key to the shard servers (name@sequence), so each ingest retires a key
+// for good. The retired key's template must go with the ingest's
+// InvalidateTable — it will never be looked up again, so nothing else would
+// drop it short of the LRU — and the per-query statistics must keep
+// aggregating under the bare query name, not grow a row per compile.
+func TestShardedIngestsLeaveShardStateBounded(t *testing.T) {
+	sdb := tpch.GenerateSharded(0.005, 42, 0, 2)
+	ss := NewSharded(mal.MS.Build(engineOpts()), shardEngines(mal.MS, 2), sdb.Catalog(), Options{MaxConcurrent: 4})
+	q6 := *tpch.QueryByNum(6)
+	exec := func() {
+		t.Helper()
+		if _, err := ss.Execute("Q6", nil, func(s *mal.Session) *mal.Result { return q6.Plan(s, sdb.Global) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ingests = 6
+	for i := 0; i <= ingests; i++ {
+		exec() // cold: compiles plan Q6@i+1 on the coordinator
+		exec() // warm: scatters it, building one template per shard
+		exec()
+		if i < ingests {
+			ss.Ingest([]string{"lineitem"}, func() {}) // epoch bumps alone retire the plan
+		}
+	}
+	if st := ss.Stats(); st.ColdCompiles != ingests+1 || st.Fallbacks != 0 {
+		t.Fatalf("cold compiles %d (want %d), fallbacks %d", st.ColdCompiles, ingests+1, st.Fallbacks)
+	}
+	for i := 0; i < ss.NShards(); i++ {
+		sh := ss.Shard(i)
+		stats := sh.Stats()
+		if st, ok := stats["Q6"]; len(stats) != 1 || !ok || st.Runs != 2*(ingests+1) {
+			t.Fatalf("shard %d statistics %+v: want the one row \"Q6\" with %d runs", i, stats, 2*(ingests+1))
+		}
+		if _, misses, size := sh.CacheStats(); size != 1 || misses != ingests+1 {
+			t.Fatalf("shard %d plan cache: %d templates resident after %d builds, want only the live plan's", i, size, misses)
+		}
+	}
+}

@@ -337,9 +337,18 @@ func (sv *Server) Execute(name string, params mal.Params, plan func(*mal.Session
 // attempt whose leader or batch group dissolves underneath it retries from
 // the top; the context gates every retry.
 func (sv *Server) ExecuteCtx(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, error) {
+	return sv.executeKeyed(ctx, name, name, params, plan)
+}
+
+// executeKeyed is ExecuteCtx with the plan's identity split from its name:
+// statistics aggregate under name, while the template cache, single-flight
+// and batch groups are keyed by key. A caller that issues different plans
+// under one query name (the sharded server: one ShardPlan per compile) passes
+// a key per plan, so no plan is ever answered from another plan's template.
+func (sv *Server) executeKeyed(ctx context.Context, name, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, error) {
 	start := time.Now()
 	for {
-		res, err, retry := sv.attempt(ctx, start, name, params, plan)
+		res, err, retry := sv.attempt(ctx, start, name, key, params, plan)
 		if !retry {
 			return res, err
 		}
@@ -349,7 +358,7 @@ func (sv *Server) ExecuteCtx(ctx context.Context, name string, params mal.Params
 // attempt is one pass through coalescing, admission and execution. retry
 // means the request was neither served nor terminally refused (its flight
 // leader abandoned, or its batch group closed unserved): the caller loops.
-func (sv *Server) attempt(ctx context.Context, start time.Time, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (_ *mal.Result, _ error, retry bool) {
+func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (_ *mal.Result, _ error, retry bool) {
 	if err := ctx.Err(); err != nil {
 		sv.drop(name)
 		return nil, err, false
@@ -362,7 +371,7 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name string, par
 	var fl *flight
 	var fkey string
 	if sv.coalesce {
-		fkey = sv.flightKey(name, params)
+		fkey = sv.flightKey(key, params)
 		sv.fmu.Lock()
 		if other := sv.flights[fkey]; other != nil {
 			sv.fmu.Unlock()
@@ -385,7 +394,7 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name string, par
 		// group: a same-query leader will replay its template with our
 		// parameters from inside its own slot.
 		if sv.coalesce {
-			if it, ok := sv.joinBatch(ctx, name, params, plan); ok {
+			if it, ok := sv.joinBatch(ctx, key, params, plan); ok {
 				select {
 				case d := <-it.ch:
 					sv.batchWaiting.Add(-1)
@@ -433,9 +442,9 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name string, par
 	var g *batchGroup
 	var gkey string
 	if sv.coalesce {
-		g, gkey = sv.openGroup(name)
+		g, gkey = sv.openGroup(key)
 	}
-	res, hit, err := sv.runWithRetry(slot, name, params, plan)
+	res, hit, err := sv.runWithRetry(slot, name, key, params, plan)
 	sv.noteFull(name, start, res, hit, err, false, false)
 	if fl != nil {
 		// Publish before draining riders: followers should unblock the
@@ -444,16 +453,16 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name string, par
 		fl = nil
 	}
 	if g != nil {
-		sv.drainGroup(slot, g, gkey, name)
+		sv.drainGroup(slot, g, gkey, name, key)
 	}
 	return res, err, false
 }
 
 // flightKey identifies executions that may share a result: same query, same
 // rewriter passes, same data generation, same parameter values.
-func (sv *Server) flightKey(name string, params mal.Params) string {
+func (sv *Server) flightKey(key string, params mal.Params) string {
 	var sb strings.Builder
-	sb.WriteString(name)
+	sb.WriteString(key)
 	sb.WriteByte('|')
 	sb.WriteString(sv.passes.Key())
 	fmt.Fprintf(&sb, "|g%d", sv.gen.Load())
@@ -511,30 +520,30 @@ func (sv *Server) abandonFlight(key string, fl *flight) {
 
 // batchKey identifies the open group a rider may join: same query, same
 // data generation (parameters differ — that is the point).
-func (sv *Server) batchKey(name string) string {
-	return name + "|g" + strconv.FormatInt(sv.gen.Load(), 10)
+func (sv *Server) batchKey(key string) string {
+	return key + "|g" + strconv.FormatInt(sv.gen.Load(), 10)
 }
 
 // openGroup opens a batch group owned by this request's admission slot.
 // When another leader's group for the same query is already open, no new
 // group is opened (nil): only the creator drains and closes a group.
-func (sv *Server) openGroup(name string) (*batchGroup, string) {
-	key := sv.batchKey(name)
+func (sv *Server) openGroup(key string) (*batchGroup, string) {
+	gkey := sv.batchKey(key)
 	sv.fmu.Lock()
 	defer sv.fmu.Unlock()
-	if sv.groups[key] != nil {
+	if sv.groups[gkey] != nil {
 		return nil, ""
 	}
 	g := &batchGroup{}
-	sv.groups[key] = g
-	return g, key
+	sv.groups[gkey] = g
+	return g, gkey
 }
 
 // joinBatch appends the request to an open same-query group, if one exists
 // and still has room. The returned item's channel delivers the verdict.
-func (sv *Server) joinBatch(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*batchItem, bool) {
+func (sv *Server) joinBatch(ctx context.Context, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (*batchItem, bool) {
 	sv.fmu.Lock()
-	g := sv.groups[sv.batchKey(name)]
+	g := sv.groups[sv.batchKey(key)]
 	sv.fmu.Unlock()
 	if g == nil {
 		return nil, false
@@ -555,7 +564,7 @@ func (sv *Server) joinBatch(ctx context.Context, name string, params mal.Params,
 // then it closes the group and flushes any leftovers unserved (they retake
 // normal admission). Riders whose context already expired are flushed, not
 // executed.
-func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, key, name string) {
+func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, gkey, name, key string) {
 	drained := 0
 	for {
 		g.mu.Lock()
@@ -565,7 +574,7 @@ func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, key, name string) 
 			g.items = nil
 			g.mu.Unlock()
 			sv.fmu.Lock()
-			delete(sv.groups, key)
+			delete(sv.groups, gkey)
 			sv.fmu.Unlock()
 			for _, it := range rest {
 				it.ch <- batchDone{}
@@ -580,7 +589,7 @@ func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, key, name string) 
 			it.ch <- batchDone{}
 			continue
 		}
-		res, hit, err := sv.runWithRetry(slot, name, it.params, it.plan)
+		res, hit, err := sv.runWithRetry(slot, name, key, it.params, it.plan)
 		it.ch <- batchDone{res: res, err: err, hit: hit, served: true}
 	}
 }
@@ -590,12 +599,13 @@ func (sv *Server) runOnce(name string, params mal.Params, plan func(*mal.Session
 	return sv.runOn(sv.pick(), name, params, plan)
 }
 
-// runOn executes the plan on the given engine slot.
-func (sv *Server) runOn(slot *engineSlot, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
+// runOn executes the plan on the given engine slot, its template cached
+// under key.
+func (sv *Server) runOn(slot *engineSlot, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
 	slot.inflight.Add(1)
 	defer slot.inflight.Add(-1)
 	if slot.cache != nil {
-		res, hit, err = slot.cache.Run(slot.o, name, params, sv.passes, plan)
+		res, hit, err = slot.cache.Run(slot.o, key, params, sv.passes, plan)
 	} else {
 		s := mal.NewSession(slot.o)
 		s.SetPasses(sv.passes)
@@ -610,13 +620,13 @@ func (sv *Server) runOn(slot *engineSlot, name string, params mal.Params, plan f
 // mid-plan took the plan's intermediates with it, but it is latched dead,
 // so one replay routes around it (hybrid pick/placement skip dead devices;
 // base data lives on the host).
-func (sv *Server) runWithRetry(slot *engineSlot, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
-	res, hit, err = sv.runOn(slot, name, params, plan)
+func (sv *Server) runWithRetry(slot *engineSlot, name, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
+	res, hit, err = sv.runOn(slot, key, params, plan)
 	if err != nil && errors.Is(err, cl.ErrDeviceLost) {
 		sv.mu.Lock()
 		sv.statLocked(name).Retries++
 		sv.mu.Unlock()
-		res, hit, err = sv.runOn(slot, name, params, plan)
+		res, hit, err = sv.runOn(slot, key, params, plan)
 	}
 	return res, hit, err
 }

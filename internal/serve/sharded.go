@@ -59,6 +59,9 @@ type ShardedServer struct {
 	entries   map[string]*shardEntry
 	compiling map[string]*compileCall
 	epochs    map[string]int64
+	// compileSeq numbers the compiled plans: a plan's number is part of the
+	// key its scatters present to the shard servers (shardEntry.key).
+	compileSeq int64
 
 	scattered    atomic.Int64 // warm scatter-gather executions served
 	degenerated  atomic.Int64 // executions delegated for a degenerate plan
@@ -72,6 +75,15 @@ type ShardedServer struct {
 type shardEntry struct {
 	sp   *mal.ShardPlan
 	deps map[string]int64
+	// key is what the plan's scatters are cached, single-flighted and batched
+	// under on the shard servers: the query name plus this compile's sequence
+	// number ("Q3@17"). Shard servers key by it instead of the bare name, so
+	// a scatter can only ever replay a template built from this very plan's
+	// fragments — between an ingest's epoch bump here and its last
+	// Server.InvalidateTable there, a fresh plan would otherwise replay a
+	// shard's previous-generation template and Gather would stitch it to the
+	// new row maps.
+	key string
 }
 
 // compileCall single-flights a query's cold compile: concurrent first
@@ -169,9 +181,8 @@ func (ss *ShardedServer) ExecuteCtx(ctx context.Context, name string, params mal
 		}
 		ss.cmu.Lock()
 		if ent := ss.entryLocked(name); ent != nil {
-			sp := ent.sp
 			ss.cmu.Unlock()
-			return ss.runCompiled(ctx, name, params, plan, sp)
+			return ss.runCompiled(ctx, name, params, plan, ent)
 		}
 		if cc := ss.compiling[name]; cc != nil {
 			ss.cmu.Unlock()
@@ -239,7 +250,8 @@ func (ss *ShardedServer) compileCold(name string, params mal.Params, plan func(*
 		deps[tab] = snap[tab]
 	}
 	ss.cmu.Lock()
-	ss.entries[name] = &shardEntry{sp: sp, deps: deps}
+	ss.compileSeq++
+	ss.entries[name] = &shardEntry{sp: sp, deps: deps, key: fmt.Sprintf("%s@%d", name, ss.compileSeq)}
 	ss.cmu.Unlock()
 	ss.coldCompiles.Add(1)
 	return res, nil
@@ -249,12 +261,12 @@ func (ss *ShardedServer) compileCold(name string, params mal.Params, plan func(*
 // scatter-gather-merge otherwise. A scatter that fails for any reason other
 // than the caller's own context falls back to the coordinator — a shard
 // hiccup degrades to unsharded latency, not to an error.
-func (ss *ShardedServer) runCompiled(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result, sp *mal.ShardPlan) (*mal.Result, error) {
-	if sp.Degenerate() {
+func (ss *ShardedServer) runCompiled(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result, ent *shardEntry) (*mal.Result, error) {
+	if ent.sp.Degenerate() {
 		ss.degenerated.Add(1)
 		return ss.coord.ExecuteCtx(ctx, name, params, ss.guarded(plan))
 	}
-	res, err := ss.scatter(ctx, name, params, sp)
+	res, err := ss.scatter(ctx, name, params, ent)
 	if err == nil {
 		ss.scattered.Add(1)
 		return res, nil
@@ -268,8 +280,11 @@ func (ss *ShardedServer) runCompiled(ctx context.Context, name string, params ma
 
 // scatter runs the shard fragments concurrently through the shard servers
 // (admission control and per-shard plan caching apply per shard), gathers
-// the frontier into global row order, and runs the merge fragment.
-func (ss *ShardedServer) scatter(ctx context.Context, name string, params mal.Params, sp *mal.ShardPlan) (*mal.Result, error) {
+// the frontier into global row order, and runs the merge fragment. The shard
+// servers account the executions under name and key everything else by the
+// plan's own key.
+func (ss *ShardedServer) scatter(ctx context.Context, name string, params mal.Params, ent *shardEntry) (*mal.Result, error) {
+	sp := ent.sp
 	n := sp.NShards()
 	results := make([]*mal.Result, n)
 	errs := make([]error, n)
@@ -278,7 +293,7 @@ func (ss *ShardedServer) scatter(ctx context.Context, name string, params mal.Pa
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = ss.shards[i].ExecuteCtx(ctx, name, params, sp.PlanFor(i))
+			results[i], errs[i] = ss.shards[i].executeKeyed(ctx, name, ent.key, params, sp.PlanFor(i))
 		}(i)
 	}
 	wg.Wait()

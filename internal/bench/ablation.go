@@ -20,8 +20,9 @@ import (
 //   - memory access pattern (§4.2, Figure 4): device-preferred vs. foreign
 //     pattern for a bandwidth-bound kernel;
 //   - radix width (§5.2.7): 8-bit vs. 4-bit digits per device;
-//   - the slots stage (§4.1.4): optimistic+check first vs. going straight to
-//     the synchronised pessimistic round vs. identity addressing, by key range.
+//   - the slots stage (§4.1.4) and grouping (§4.1.6): hashed insertion vs.
+//     identity addressing by key range, and grouping sparse keys through the
+//     hashed table vs. by sorting, by distinct count.
 
 // ablEnv bundles a device's execution state for direct kernel launches.
 type ablEnv struct {
@@ -235,7 +236,7 @@ func AblationRadixWidth(opt Options) *Report {
 						ku[i] = rnd.Uint32()
 					}
 					ev := kernels.Iota(e.q, vals, rows, 0, nil)
-					return kernels.SortU32Bits(e.q, keys, vals, tmpK, tmpV, hist, rows, bits, []*cl.Event{ev})
+					return kernels.SortU32Bits(e.q, keys, vals, tmpK, tmpV, hist, rows, bits, 32, []*cl.Event{ev})
 				})
 				if err != nil {
 					r.Notes = append(r.Notes, fmt.Sprintf("%s at %dMB: %v", label, mb, err))
@@ -252,20 +253,22 @@ func AblationRadixWidth(opt Options) *Report {
 	return r
 }
 
-// AblationSlotsStage measures the slots stage of the lookup table (§4.1.4)
-// three ways over the same keys: the paper's optimistic-first insertion, the
-// CAS-synchronised round alone, and identity addressing (range reduction,
-// bitmap set, rank scan), each up to the distinct count. The sweep is over
-// range/n — n keys drawn from [0, range) — up to 64, just under the range at
-// which kernels.IdentityWords hands a build back to hashing. The hashed
-// kernels are called directly, and the three distinct counts must agree.
+// AblationSlotsStage measures the two run-time rules of the lookup table
+// (§4.1.4) and of grouping (§4.1.6). The first panel is the slots stage two
+// ways over the same keys — the hashed insertion and identity addressing
+// (range reduction, bitmap set, rank scan), each up to the distinct count —
+// over range/n, n keys drawn from [0, range), up to 64, just under the range
+// at which kernels.IdentityWords hands a build back to hashing. The second
+// panel (groupPanel) is grouping sparse keys by hashing and by sorting. Kernels
+// are called directly, and all series of a point must agree on the distinct
+// count.
 func AblationSlotsStage(opt Options) *Report {
 	opt = opt.withDefaults()
 	rows := opt.BaseMB * rowsPerMB
 	xs := []float64{0.25, 1, 4, 16, 64}
 	r := &Report{
 		ID:     "Ablation A4",
-		Title:  fmt.Sprintf("Slots stage: optimistic-first vs. pessimistic-only vs. identity addressing (§4.1.4), %d MB", opt.BaseMB),
+		Title:  fmt.Sprintf("Slots stage: hashed vs. identity addressing (§4.1.4), %d MB", opt.BaseMB),
 		XLabel: "range/n",
 		Xs:     xs,
 		Millis: map[string][]float64{},
@@ -273,7 +276,7 @@ func AblationSlotsStage(opt Options) *Report {
 	for _, dev := range []*cl.Device{cl.NewCPUDevice(opt.Threads), cl.NewGPUDevice(opt.GPUMemory)} {
 		e := newAblEnv(dev)
 		class := dev.Const.Class.String()
-		modes := []string{"/optimistic", "/pessimistic", "/identity"}
+		modes := []string{"/hashed", "/identity"}
 		for _, mode := range modes {
 			r.Order = append(r.Order, class+mode)
 			r.Millis[class+mode] = make([]float64, len(xs))
@@ -282,7 +285,7 @@ func AblationSlotsStage(opt Options) *Report {
 		col := e.buf(rows + 1)
 		capacity := kernels.TableCapacity(rows)
 		state, keys1, slotGid := e.buf(capacity), e.buf(capacity), e.buf(capacity)
-		fail, total, spine, rangeParts := e.buf(1), e.buf(1), e.buf(gsz+2), e.buf(2*gsz)
+		fail, total, spine, rangeParts := e.buf(1), e.buf(1), e.buf(gsz+2), e.buf(kernels.KeyRangeWords(dev, rows))
 		for xi, x := range xs {
 			keyRange := int(x * float64(rows))
 			rnd := rand.New(rand.NewSource(opt.Seed))
@@ -292,28 +295,22 @@ func AblationSlotsStage(opt Options) *Report {
 			}
 			words := kernels.IdentityWords(rows, uint64(keyRange))
 			bits, rank := e.buf(words), e.buf(words)
-			var ndistinct [3]uint32
+			var ndistinct [2]uint32
 			for mi, mode := range modes {
 				ms, err := e.measureKernel(opt.Runs, func() *cl.Event {
 					if mode == "/identity" {
-						rev := kernels.KeyRange(e.q, rangeParts, col, rows, nil)
+						rev := kernels.KeyRange(e.q, rangeParts, col, nil, rows, nil)
 						if err := rev.Wait(); err != nil {
 							return rev
 						}
-						lo, hi := kernels.FoldKeyRange(rangeParts.I32())
-						tab := kernels.Slots{Bits: bits, Rank: rank, Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
+						ks := kernels.FoldKeyRange(rangeParts.U32(), gsz, rows, 1)
+						tab := kernels.Slots{Bits: bits, Rank: rank, Min: ks.Min, Span: ks.Span, Prev: 1}
 						z := kernels.Fill(e.q, bits, words, 0, nil)
 						ev := kernels.IdentitySet(e.q, tab, col, nil, rows, []*cl.Event{z})
 						return kernels.IdentityRank(e.q, tab, spine, total, words, []*cl.Event{ev})
 					}
 					z := kernels.Fill(e.q, state, capacity, 0, nil)
 					ev := kernels.Fill(e.q, fail, 1, 0, nil)
-					if mode == "/optimistic" {
-						ev = kernels.HashInsertOptimistic(e.q, state, keys1, col, rows, capacity, []*cl.Event{z, ev})
-						ev = kernels.HashCheck(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{ev})
-						// The engine re-runs pessimistically over all keys when
-						// the check fails; on these keys it always does.
-					}
 					ev = kernels.HashInsertPessimistic(e.q, state, keys1, nil, col, nil, fail, rows, capacity, []*cl.Event{z, ev})
 					return kernels.HashEnumerate(e.q, slotGid, state, spine, total, capacity, []*cl.Event{ev})
 				})
@@ -324,9 +321,9 @@ func AblationSlotsStage(opt Options) *Report {
 				r.Millis[class+mode][xi] = ms
 				ndistinct[mi] = total.U32()[0]
 			}
-			if ndistinct[0] != ndistinct[2] || ndistinct[1] != ndistinct[2] {
-				panic(fmt.Sprintf("bench: A4 at range/n %g on %s: %d / %d / %d distinct keys (optimistic / pessimistic / identity)",
-					x, class, ndistinct[0], ndistinct[1], ndistinct[2]))
+			if ndistinct[0] != ndistinct[1] {
+				panic(fmt.Sprintf("bench: A4 at range/n %g on %s: %d / %d distinct keys (hashed / identity)",
+					x, class, ndistinct[0], ndistinct[1]))
 			}
 			_ = bits.Release()
 			_ = rank.Release()
@@ -335,7 +332,143 @@ func AblationSlotsStage(opt Options) *Report {
 			_ = b.Release()
 		}
 	}
+	r.More = append(r.More, groupPanel(opt))
 	return r
+}
+
+// groupPanel is A4's grouping panel: n rows of sparse integer keys — too wide
+// a range for identity addressing — grouped through the hashed table, by
+// sorting (kernels.GroupBySort), and by whichever of the two
+// kernels.SortGroupBits picks from one KeyRange measurement (the measurement
+// included), over the number of distinct keys. One-word keys are D values
+// spread over 31 bits; two-word keys are shaped like TPC-H Q21's refinement,
+// a key below 150 000 under a previous id below 1 000. Every series of a
+// point must count exactly D groups.
+func groupPanel(opt Options) *Report {
+	rows := 600_000 * opt.BaseMB / 25 // 600 000 at the default -base
+	var xs []float64
+	for _, d := range []int{16, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, rows} {
+		if d <= rows && (len(xs) == 0 || float64(d) > xs[len(xs)-1]) {
+			xs = append(xs, float64(d))
+		}
+	}
+	r := &Report{
+		ID:     "Ablation A4 (grouping)",
+		Title:  fmt.Sprintf("Grouping sparse keys: hashed table vs. sort vs. the rule's pick (§4.1.6), %d rows", rows),
+		XLabel: "#distinct",
+		Xs:     xs,
+		Millis: map[string][]float64{},
+	}
+	const nprev, keySpan = 1_000, 150_000
+	for _, dev := range []*cl.Device{cl.NewCPUDevice(opt.Threads), cl.NewGPUDevice(opt.GPUMemory)} {
+		e := newAblEnv(dev)
+		class := dev.Const.Class.String()
+		_, _, gsz := kernels.Geometry(dev)
+		col, prevBuf, ids := e.buf(rows+1), e.buf(rows+1), e.buf(rows+1)
+		capacity := kernels.TableCapacity(rows)
+		tab := kernels.Slots{State: e.buf(capacity), Keys1: e.buf(capacity), Keys2: e.buf(capacity), SlotGid: e.buf(capacity), Capacity: capacity}
+		fail, rangeParts := e.buf(1), e.buf(kernels.KeyRangeWords(dev, rows))
+		sc := kernels.GroupSortScratch{
+			K0: e.buf(rows + 1), V0: e.buf(rows + 1), K1: e.buf(rows + 1), V1: e.buf(rows + 1),
+			Hist: e.buf(kernels.SortHistWords(dev) + 1), Spine: e.buf(gsz + 2), Total: e.buf(1),
+		}
+		for _, words := range []int{1, 2} {
+			prefix := fmt.Sprintf("%s/%dw", class, words)
+			modes := []string{"/hashed", "/sort", "/rule"}
+			for _, mode := range modes {
+				r.Order = append(r.Order, prefix+mode)
+				r.Millis[prefix+mode] = make([]float64, len(xs))
+			}
+			prev, slots, np := prevBuf, tab, uint32(nprev)
+			if words == 1 {
+				prev, slots.Keys2, np = nil, nil, 1
+			}
+			worst := 0.0
+			for xi, x := range xs {
+				fillSparseKeys(col.I32(), prevBuf.I32(), rows, int(x), words, nprev, keySpan, opt.Seed)
+				var groups uint32
+				hashed := func() *cl.Event {
+					z := kernels.Fill(e.q, slots.State, capacity, 0, nil)
+					ev := kernels.Fill(e.q, fail, 1, 0, nil)
+					ev = kernels.HashInsertPessimistic(e.q, slots.State, slots.Keys1, slots.Keys2, col, prev, fail, rows, capacity, []*cl.Event{z, ev})
+					ev = kernels.HashEnumerate(e.q, slots.SlotGid, slots.State, sc.Spine, sc.Total, capacity, []*cl.Event{ev})
+					ev = kernels.HashLookupGids(e.q, ids, slots, col, prev, rows, []*cl.Event{ev})
+					_ = ev.Wait()
+					groups = sc.Total.U32()[0]
+					return ev
+				}
+				measure := func() kernels.KeySpace {
+					_ = kernels.KeyRange(e.q, rangeParts, col, prev, rows, nil).Wait()
+					return kernels.FoldKeyRange(rangeParts.U32(), gsz, rows, np)
+				}
+				sorted := func(ks kernels.KeySpace) *cl.Event {
+					_, ev := kernels.GroupBySort(e.q, ids, col, prev, ks, sc, rows, nil)
+					_ = ev.Wait()
+					groups = sc.Total.U32()[0] + 1
+					return ev
+				}
+				ks := measure()
+				for _, mode := range modes {
+					ms, err := e.measureKernel(opt.Runs, func() *cl.Event {
+						switch {
+						case mode == "/hashed":
+							return hashed()
+						case mode == "/sort":
+							return sorted(ks)
+						}
+						if m := measure(); kernels.SortGroupBits(rows, m.Range(), m.Distinct) > 0 {
+							return sorted(m)
+						}
+						return hashed()
+					})
+					if err != nil {
+						r.Notes = append(r.Notes, fmt.Sprintf("%s%s at %g distinct: %v", prefix, mode, x, err))
+						continue
+					}
+					if int(groups) != int(x) {
+						panic(fmt.Sprintf("bench: A4 grouping %s%s: %d groups over %d distinct keys", prefix, mode, groups, int(x)))
+					}
+					r.Millis[prefix+mode][xi] = ms
+				}
+				best := min(r.Millis[prefix+"/hashed"][xi], r.Millis[prefix+"/sort"][xi])
+				worst = max(worst, r.Millis[prefix+"/rule"][xi]/best)
+			}
+			r.Notes = append(r.Notes, fmt.Sprintf("%s: the rule's pick, measurement included, is at most %.2fx the better path", prefix, worst))
+		}
+		for _, b := range []*cl.Buffer{col, prevBuf, ids, tab.State, tab.Keys1, tab.Keys2, tab.SlotGid, fail, rangeParts,
+			sc.K0, sc.V0, sc.K1, sc.V1, sc.Hist, sc.Spine, sc.Total} {
+			_ = b.Release()
+		}
+	}
+	return r
+}
+
+// fillSparseKeys writes rows keys with exactly distinct distinct values, every
+// value at least once, in random order. One word: values spread over [0,
+// 2^31). Two words: the value's pair (v / nprev below keySpan, v % nprev) from
+// values spread over [0, keySpan*nprev).
+func fillSparseKeys(col, prev []int32, rows, distinct, words, nprev, keySpan int, seed int64) {
+	rnd := rand.New(rand.NewSource(seed + int64(distinct)))
+	space := int64(1) << 31
+	if words == 2 {
+		space = int64(keySpan) * int64(nprev)
+	}
+	step := space / int64(distinct)
+	vals := make([]int64, distinct)
+	for d := range vals {
+		vals[d] = int64(d)*step + rnd.Int63n(step)
+	}
+	for i, p := range rnd.Perm(rows) {
+		v := vals[rnd.Intn(distinct)]
+		if i < distinct {
+			v = vals[i]
+		}
+		if words == 2 {
+			col[p], prev[p] = int32(v/int64(nprev)), int32(v%int64(nprev))
+		} else {
+			col[p] = int32(v)
+		}
+	}
 }
 
 func bitmapWordsOf(n int) int { return (kernels.BitmapBytes(n) + 3) / 4 }

@@ -54,6 +54,11 @@ func (r *Report) JSON(bytesAlloc, allocsOp int64) FigureJSON {
 			out.MedianNsPerOp[label] = ns
 		}
 	}
+	for _, m := range r.More {
+		for label, ns := range m.JSON(0, 0).MedianNsPerOp {
+			out.MedianNsPerOp[m.ID+": "+label] = ns
+		}
+	}
 	return out
 }
 

@@ -9,10 +9,12 @@ import (
 )
 
 // Group assigns dense group ids to col (§4.1.6). Sorted inputs take the
-// boundary-flag + prefix-sum path; unsorted inputs build a hash table and
-// assign ids via hash look-ups. Multi-column grouping refines a previous
-// grouping by hashing the (value, previous id) pair — the recursive
-// combined-id scheme of §4.1.6.
+// boundary-flag + prefix-sum path. Unsorted inputs are measured once
+// (measureKeys) and then either sorted into that same path — sparse integer
+// keys with too many distinct values for a cache-resident table,
+// kernels.SortGroupBits — or given ids by look-ups through the slots of a
+// hash table. Multi-column grouping refines a previous grouping by keying on
+// the (value, previous id) pair — the recursive combined-id scheme of §4.1.6.
 func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	if col.T == bat.Void {
 		return nil, 0, fmt.Errorf("core: grouping a void column %q is meaningless", col.Name)
@@ -41,15 +43,19 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 		}
 		wait = append(wait, prevWait...)
 	}
-	// Grouping needs the table's slots and the per-row dense ids looked up
-	// through them — exactly the grouping result — and never its buckets.
-	ht, err := e.buildSlots(col.Name, colBuf, prevBuf, ngrp, n, orderedKeys(col), wait)
+	ks, err := e.measureKeys(colBuf, prevBuf, ngrp, n, orderedKeys(col), wait)
 	if err != nil {
 		return nil, 0, err
 	}
-	gids, gev, err := ht.lookupGids(colBuf, prevBuf, nil)
+	var gids *cl.Buffer
+	var gev *cl.Event
+	var ngroups int
+	if kernels.SortGroupBits(n, ks.Range(), ks.Distinct) > 0 {
+		gids, gev, ngroups, err = e.groupBySort(colBuf, prevBuf, ks, n, wait)
+	} else {
+		gids, gev, ngroups, err = e.groupBySlots(col.Name, colBuf, prevBuf, ks, n, wait)
+	}
 	if err != nil {
-		ht.release()
 		return nil, 0, err
 	}
 	e.mm.NoteConsumer(col, gev)
@@ -58,8 +64,48 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	}
 	res := bat.NewOcelotOwned(col.Name+"_grp", bat.I32, n)
 	e.mm.BindValues(res, gids, gev)
+	return res, ngroups, nil
+}
+
+// groupBySlots is the table path: grouping needs the table's slots and the
+// per-row dense ids looked up through them — exactly the grouping result —
+// and never its buckets.
+func (e *Engine) groupBySlots(name string, colBuf, prev *cl.Buffer, ks kernels.KeySpace, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
+	ht, err := e.slotsFor(name, ks, colBuf, prev, n, wait)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	gids, gev, err := ht.lookupGids(colBuf, prev, nil)
+	if err != nil {
+		ht.release()
+		return nil, nil, 0, err
+	}
 	e.releaseAfter(gev, ht.buffers()...)
-	return res, ht.ndistinct, nil
+	return gids, gev, ht.ndistinct, nil
+}
+
+// groupBySort is the sort path (kernels.GroupBySort): ids in composite-key
+// order, the same on every device and thread count. Its scratch — four
+// n-word buffers and the histogram — stays below the hashed table's.
+func (e *Engine) groupBySort(colBuf, prev *cl.Buffer, ks kernels.KeySpace, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
+	sc := &scratchSet{mm: e.mm}
+	s := kernels.GroupSortScratch{
+		K0: sc.alloc(n + 1), V0: sc.alloc(n + 1), K1: sc.alloc(n + 1), V1: sc.alloc(n + 1),
+		Hist: sc.alloc(kernels.SortHistWords(e.dev) + 1), Spine: sc.alloc(spineWords(e.dev)), Total: sc.alloc(1),
+	}
+	ids := sc.alloc(n + 1)
+	if sc.err != nil {
+		sc.releaseAll()
+		return nil, nil, 0, sc.err
+	}
+	scanned, done := kernels.GroupBySort(e.q, ids, colBuf, prev, ks, s, n, wait)
+	boundaries, err := e.readU32(s.Total, []*cl.Event{scanned})
+	if err != nil {
+		sc.releaseAll()
+		return nil, nil, 0, err
+	}
+	e.releaseAfter(done, s.K0, s.V0, s.K1, s.V1, s.Hist, s.Spine, s.Total)
+	return ids, done, int(boundaries) + 1, nil
 }
 
 // groupSorted implements the sorted path: boundary flags, scan, ids.

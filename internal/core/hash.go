@@ -215,32 +215,29 @@ func orderedKeys(b *bat.BAT) bool { return b.T != bat.F32 }
 // buildSlots runs the slots stage over a device buffer of n keys. prev, when
 // non-nil, supplies the second word of composite keys (group refinement): the
 // previous group ids, all below nprev.
-//
-// Integer keys (ordered, see orderedKeys) are first measured — one fused min/max
-// reduction — and take identity addressing when kernels.IdentityWords says
-// their range is dense. Everything else runs the paper's hashed insertion.
 func (e *Engine) buildSlots(name string, colBuf, prev *cl.Buffer, nprev, n int, ordered bool, wait []*cl.Event) (*devHashTable, error) {
-	if ordered && n > 0 && (prev == nil || nprev > 0) {
-		lo, hi, err := e.keyRange(colBuf, n, wait)
-		if err != nil {
-			return nil, err
-		}
-		tab := kernels.Slots{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
-		if prev != nil {
-			tab.Prev = uint32(nprev)
-		}
-		if words := kernels.IdentityWords(n, (uint64(tab.Span)+1)*uint64(tab.Prev)); words > 0 {
-			return e.buildIdentitySlots(tab, words, colBuf, prev, n, wait)
-		}
+	ks, err := e.measureKeys(colBuf, prev, nprev, n, ordered, wait)
+	if err != nil {
+		return nil, err
+	}
+	return e.slotsFor(name, ks, colBuf, prev, n, wait)
+}
+
+// slotsFor is the slots stage over keys already measured: identity addressing
+// when kernels.IdentityWords says their range is dense, the paper's hashed
+// insertion for everything else — floats and unmeasured keys included, whose
+// zero KeySpace has no range.
+func (e *Engine) slotsFor(name string, ks kernels.KeySpace, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
+	if words := kernels.IdentityWords(n, ks.Range()); words > 0 {
+		tab := kernels.Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
+		return e.buildIdentitySlots(tab, words, colBuf, prev, n, wait)
 	}
 	return e.buildHashedSlots(name, colBuf, prev, n, wait)
 }
 
-// buildHashedSlots is the slots stage of §4.1.4: the optimistic/check/
-// pessimistic insertion and the dense-id enumeration, restarting with a
-// doubled table on a failed pessimistic round. Composite builds skip the
-// optimistic round, since a torn two-word write could manufacture a phantom
-// key.
+// buildHashedSlots is the slots stage of §4.1.4: the synchronised insertion
+// and the dense-id enumeration, restarting with a doubled table when a row
+// exhausts its probe sequence.
 func (e *Engine) buildHashedSlots(name string, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
 	capacity := kernels.TableCapacity(n)
 	for attempt := 0; ; attempt++ {
@@ -260,21 +257,30 @@ func (e *Engine) buildHashedSlots(name string, colBuf, prev *cl.Buffer, n int, w
 	}
 }
 
-// keyRange measures the smallest and largest of n key words (int32 order):
-// one reduction launch on the device, the per-item partials folded here.
-func (e *Engine) keyRange(colBuf *cl.Buffer, n int, wait []*cl.Event) (lo, hi int32, err error) {
-	_, _, gsz := kernels.Geometry(e.dev)
-	partials, err := e.mm.Alloc(2 * gsz * 4)
-	if err != nil {
-		return 0, 0, err
+// measureKeys is the one measurement Group and the slots stage decide from:
+// the range of n integer key words (ordered, see orderedKeys) — for composite
+// keys times nprev, the bound on prev's ids — and the distinct estimate. One
+// reduction launch on the device, folded here. Floats are not measured.
+func (e *Engine) measureKeys(colBuf, prev *cl.Buffer, nprev, n int, ordered bool, wait []*cl.Event) (ks kernels.KeySpace, err error) {
+	if !ordered || n == 0 || (prev != nil && nprev <= 0) {
+		return ks, nil
 	}
-	ev := kernels.KeyRange(e.q, partials, colBuf, n, wait)
-	host, err := e.hostView(partials, 2*gsz*4, []*cl.Event{ev})
+	_, _, gsz := kernels.Geometry(e.dev)
+	words := kernels.KeyRangeWords(e.dev, n)
+	partials, err := e.mm.Alloc(words * 4)
+	if err != nil {
+		return ks, err
+	}
+	ev := kernels.KeyRange(e.q, partials, colBuf, prev, n, wait)
+	host, err := e.hostView(partials, words*4, []*cl.Event{ev})
 	if err == nil {
-		lo, hi = kernels.FoldKeyRange(mem.I32(host)) // before the release: host may be the buffer
+		if prev == nil {
+			nprev = 1
+		}
+		ks = kernels.FoldKeyRange(mem.U32(host), gsz, n, uint32(nprev)) // before the release: host may be the buffer
 	}
 	e.mm.Release(partials)
-	return lo, hi, err
+	return ks, err
 }
 
 // buildIdentitySlots is the slots stage under identity addressing: zero the
@@ -360,7 +366,7 @@ func (e *Engine) tryBuildSlots(colBuf, prev *cl.Buffer, n, capacity int, wait []
 	if prev != nil {
 		keys2 = sc.alloc(capacity)
 	}
-	// The fail flag is only ever *raised* by the insertion kernels, so it
+	// The fail flag is only ever *raised* by the insertion kernel, so it
 	// must start zero — a fresh allocation, not recycled scratch.
 	fail := sc.allocZeroed(1)
 	if sc.err != nil {
@@ -369,43 +375,11 @@ func (e *Engine) tryBuildSlots(colBuf, prev *cl.Buffer, n, capacity int, wait []
 	}
 
 	zero := kernels.Fill(e.q, state, capacity, 0, wait)
-	var ev *cl.Event
-	if prev == nil {
-		// Optimistic round, then the check round (§4.1.4).
-		ev = kernels.HashInsertOptimistic(e.q, state, keys1, colBuf, n, capacity, []*cl.Event{zero})
-		ev = kernels.HashCheck(e.q, state, keys1, nil, colBuf, nil, fail, n, capacity, []*cl.Event{ev})
-		failed, err := e.readU32(fail, []*cl.Event{ev})
-		if err != nil {
-			sc.releaseAll()
-			return nil, false, err
-		}
-		if failed != 0 {
-			// Pessimistic round over all keys (idempotent for the ones that
-			// already landed).
-			z2 := kernels.Fill(e.q, fail, 1, 0, nil)
-			ev = kernels.HashInsertPessimistic(e.q, state, keys1, nil, colBuf, nil, fail, n, capacity, []*cl.Event{ev, z2})
-			if failed, err = e.readU32(fail, []*cl.Event{ev}); err != nil {
-				sc.releaseAll()
-				return nil, false, err
-			}
-			if failed != 0 {
-				sc.releaseAll()
-				return nil, true, nil
-			}
-		}
-	} else {
-		// Composite keys go straight to the synchronised round (see
-		// buildHashedSlots).
-		ev = kernels.HashInsertPessimistic(e.q, state, keys1, keys2, colBuf, prev, fail, n, capacity, []*cl.Event{zero})
-		failed, err := e.readU32(fail, []*cl.Event{ev})
-		if err != nil {
-			sc.releaseAll()
-			return nil, false, err
-		}
-		if failed != 0 {
-			sc.releaseAll()
-			return nil, true, nil
-		}
+	ev := kernels.HashInsertPessimistic(e.q, state, keys1, keys2, colBuf, prev, fail, n, capacity, []*cl.Event{zero})
+	failed, err := e.readU32(fail, []*cl.Event{ev})
+	if err != nil || failed != 0 {
+		sc.releaseAll()
+		return nil, err == nil, err // a raised flag alone asks for a bigger table
 	}
 
 	// Enumerate distinct keys into dense ids.

@@ -25,11 +25,10 @@ func readWords(t *testing.T, e *Engine, buf *cl.Buffer, n int) []uint32 {
 }
 
 // TestStagedTableGids builds the slots stage and looks the dense ids up
-// through it, over the key shapes that take different rounds of the insertion
-// ladder: unique keys (the optimistic round's collisions send the build to the
-// pessimistic round), one key (test-before-store skips all but the first
-// stores), a dup-heavy mix, and composite keys (group refinement: pessimistic
-// only). The ids must number the distinct keys 0..ndistinct-1, one id per key.
+// through it, over the key shapes that stress the insertion differently:
+// unique keys (every row claims a slot), one key (all rows but the first only
+// read), a dup-heavy mix, and composite keys (group refinement). The ids must
+// number the distinct keys 0..ndistinct-1, one id per key.
 func TestStagedTableGids(t *testing.T) {
 	const n = 20_000
 	allEqual := make([]int32, n)
@@ -115,8 +114,8 @@ func launchesOf(t *testing.T, e *Engine, op func()) int64 {
 
 // TestBucketsBuiltOnceOnDemand: an existence probe of a base column builds
 // and caches the slots stage only — six launches under identity addressing
-// (range reduction, fill, set, three-kernel rank scan), the range reduction
-// plus the insertion ladder when hashed — the first join on the same column
+// (range reduction, fill, set, three-kernel rank scan) and six when hashed
+// (range reduction, fill, insertion, enumeration) — the first join on the same column
 // adds the buckets to that very table, and later joins and existence probes
 // build nothing.
 func TestBucketsBuiltOnceOnDemand(t *testing.T) {
@@ -155,10 +154,9 @@ func TestBucketsBuiltOnceOnDemand(t *testing.T) {
 				t.Fatalf("%s: identity addressing = %v, want %v", e.Name(), ht.tab.Bits != nil, build.identity)
 			}
 			semiWarm := launchesOf(t, e, semi)
-			// hashed: range reduction, fill, optimistic, check, three-kernel
-			// enumeration, plus fill and pessimistic round when keys collided.
+			// hashed: range reduction, fill, insertion, three-kernel enumeration.
 			slotLaunches := semiCold - semiWarm
-			if build.identity && slotLaunches != 6 || !build.identity && slotLaunches != 7 && slotLaunches != 9 {
+			if slotLaunches != 6 {
 				t.Fatalf("%s: the slots stage (identity=%v) took %d launches", e.Name(), build.identity, slotLaunches)
 			}
 			joinFirst := launchesOf(t, e, join)
@@ -724,10 +722,10 @@ func TestFloatKeysStayHashed(t *testing.T) {
 		if err := e.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		// fill, optimistic, check, three-kernel enumeration, lookup: no range
-		// reduction, no identity kernels.
-		if got := e.dev.KernelLaunches() - before; got != 7 {
-			t.Fatalf("%s: float grouping took %d launches, want the hashed ladder's 7", e.Name(), got)
+		// fill, insertion, three-kernel enumeration, lookup: no range
+		// reduction, no identity kernels, no sort.
+		if got := e.dev.KernelLaunches() - before; got != 6 {
+			t.Fatalf("%s: float grouping took %d launches, want the hashed path's 6", e.Name(), got)
 		}
 		col.Free()
 	}

@@ -45,14 +45,38 @@ func GroupedAggI32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Ag
 	if scratch != nil {
 		p = scratch.I32()
 	}
-	atomicFold := func(a *int32, x int32) { cl.AtomicAddI32(a, x) }
-	switch kind {
-	case ops.Min:
-		atomicFold = cl.AtomicMinI32
-	case ops.Max:
-		atomicFold = cl.AtomicMaxI32
+	// The direct path's row loop, with the kind/nil switch hoisted out of it
+	// the way foldRows does for the partials path: a count is one atomic add
+	// per row, not an indirect call and a nil test.
+	d, g := dst.I32(), gids.I32()
+	var direct func(lo, hi, step int)
+	switch {
+	case v == nil:
+		direct = func(lo, hi, step int) {
+			for i := lo; i < hi; i += step {
+				cl.AtomicAddI32(&d[g[i]], 1)
+			}
+		}
+	case kind == ops.Min:
+		direct = func(lo, hi, step int) {
+			for i := lo; i < hi; i += step {
+				cl.AtomicMinI32(&d[g[i]], v[i])
+			}
+		}
+	case kind == ops.Max:
+		direct = func(lo, hi, step int) {
+			for i := lo; i < hi; i += step {
+				cl.AtomicMaxI32(&d[g[i]], v[i])
+			}
+		}
+	default:
+		direct = func(lo, hi, step int) {
+			for i := lo; i < hi; i += step {
+				cl.AtomicAddI32(&d[g[i]], v[i])
+			}
+		}
 	}
-	return groupedAgg(q, "groupagg_i32", dst.I32(), v, gids.I32(), p, kind, identityI32(kind), atomicFold, n, ngroups, wait)
+	return groupedAgg(q, "groupagg_i32", d, v, g, p, kind, identityI32(kind), direct, n, ngroups, wait)
 }
 
 // GroupedAggF32 is the float32 flavour, for kind ∈ {Min, Max} only: float
@@ -62,11 +86,20 @@ func GroupedAggF32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Ag
 	if scratch != nil {
 		p = scratch.F32()
 	}
-	atomicFold := cl.AtomicMinF32
-	if kind == ops.Max {
-		atomicFold = cl.AtomicMaxF32
+	d, v, g := dst.F32(), vals.F32(), gids.I32()
+	direct := func(lo, hi, step int) {
+		for i := lo; i < hi; i += step {
+			cl.AtomicMinF32(&d[g[i]], v[i])
+		}
 	}
-	return groupedAgg(q, "groupagg_f32", dst.F32(), vals.F32(), gids.I32(), p, kind, identityF32(kind), atomicFold, n, ngroups, wait)
+	if kind == ops.Max {
+		direct = func(lo, hi, step int) {
+			for i := lo; i < hi; i += step {
+				cl.AtomicMaxF32(&d[g[i]], v[i])
+			}
+		}
+	}
+	return groupedAgg(q, "groupagg_f32", d, v, g, p, kind, identityF32(kind), direct, n, ngroups, wait)
 }
 
 // foldRows folds rows [lo, hi) into acc[gid], hoisting the kind switch out of
@@ -96,7 +129,9 @@ func foldRows[T int32 | float32](kind ops.Agg, acc, v []T, g []int32, lo, hi int
 	}
 }
 
-func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32, p []T, kind ops.Agg, id T, atomicFold func(*T, T), n, ngroups int, wait []*cl.Event) *cl.Event {
+// groupedAgg is the shape both flavours share. direct folds rows lo, lo+step,
+// … below hi into d atomically — the caller's typed row loop.
+func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32, p []T, kind ops.Agg, id T, direct func(lo, hi, step int), n, ngroups int, wait []*cl.Event) *cl.Event {
 	dev := q.Device()
 	if p == nil {
 		// Single table: dst starts at the identity and every row folds into
@@ -108,14 +143,7 @@ func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32
 			}
 		}, launch(dev, name+"_init", cl.Cost{BytesStreamed: int64(ngroups) * 4}, wait))
 		return q.EnqueueKernel(func(t *cl.Thread) {
-			lo, hi, step := t.Span(n)
-			for i := lo; i < hi; i += step {
-				x := T(1)
-				if v != nil {
-					x = v[i]
-				}
-				atomicFold(&d[g[i]], x)
-			}
+			direct(t.Span(n))
 		}, launch(dev, name+"_direct", cl.Cost{
 			BytesStreamed: int64(n) * 8, Atomics: int64(n), AtomicTargets: int64(ngroups),
 		}, []*cl.Event{init}))

@@ -7,14 +7,16 @@ import (
 	"repro/internal/cl"
 )
 
-// Parallel hashing (§4.1.4), building on Alcantara-style GPU hashing: an
-// *optimistic* round inserts all keys without synchronisation; a *check*
-// round verifies every key landed; if any did not, a *pessimistic* round
-// re-inserts the failed keys with compare-and-swap, "re-hash[ing] with six
-// strong hash functions before reverting to linear probing". There is no
-// stash — if the pessimistic round also fails, the host restarts with an
-// increased table size. Tables are over-allocated by the paper's factor 1.4
-// (§4.1.4: observed ~75% fill rate).
+// Parallel hashing (§4.1.4), building on Alcantara-style GPU hashing. The
+// paper inserts in three rounds — *optimistic* (no synchronisation), *check*
+// (did every key land?), *pessimistic* (compare-and-swap for the failed
+// ones). This engine runs the pessimistic round alone: rows claim slots with
+// compare-and-swap, "re-hash[ing] with six strong hash functions before
+// reverting to linear probing" — the optimistic round won on no key shape
+// measured (DESIGN.md, substitution table). There is no stash — if a row
+// exhausts the table, the host restarts with an increased table size. Tables
+// are over-allocated by the paper's factor 1.4 (§4.1.4: observed ~75% fill
+// rate).
 //
 // On top of the slot table, the multi-stage lookup structure of He et al.
 // [19] groups build-side row ids into per-key buckets: slot→dense-id
@@ -108,6 +110,37 @@ func IdentityWords(n int, keyRange uint64) int {
 	return int(words)
 }
 
+// hashedKeyBytes is what one distinct key occupies of the cache while a
+// hashed table is built and read: hashing scatters the keys over the table, so
+// each owns a line of its own in each of state, keys and slot ids.
+// cacheResidentBytes is the working set up to which those lines are still
+// served from the cores' private caches; past it every insert and look-up
+// waits for a miss. Ablation A4 puts the crossover of the two paths between
+// 16 k and 64 k distinct keys; this product puts the switch at 21 845.
+const (
+	hashedKeyBytes     = 3 * 64
+	cacheResidentBytes = 4 << 20
+)
+
+// SortGroupBits is the grouping rule, a pure function of what the build
+// observes like IdentityWords beside it: the width in bits of the packed
+// composite code when Group sorts n rows and numbers the runs, 0 when it
+// looks the ids up through the slots. Grouping sorts when the keys are
+// integers whose composite range fits one word, identity addressing has
+// refused that range, and the distinct keys the build estimates (distinct,
+// from KeyRange's sample) would occupy more lines of a hashed table than
+// stay cache-resident, while the sort streams whatever the keys are.
+func SortGroupBits(n int, keyRange uint64, distinct int) int {
+	if keyRange == 0 || keyRange > 1<<32 || IdentityWords(n, keyRange) > 0 ||
+		int64(distinct)*hashedKeyBytes <= cacheResidentBytes {
+		return 0
+	}
+	return codeBits(keyRange)
+}
+
+// codeBits is the width of the packed codes 0..keyRange-1.
+func codeBits(keyRange uint64) int { return max(1, bits.Len64(keyRange-1)) }
+
 // probeBytes is the data-dependent volume of one probe for the cost model:
 // state, key and slot id when hashed; bitmap word and rank word otherwise.
 func (s Slots) probeBytes() int64 {
@@ -188,31 +221,82 @@ func (v *slotView) hashedGid(a, b uint32) int32 {
 	return -1
 }
 
+// KeySpace is what one KeyRange launch observes of n key words: their range in
+// int32 order and, for composite keys (k, b), the bound Prev on b (1 for
+// single-word keys; the zero KeySpace is "not measured"). Distinct estimates
+// the distinct keys; it is only taken where SortGroupBits reads it.
+type KeySpace struct {
+	Min, Span, Prev uint32
+	Distinct        int
+}
+
+// Range is the number of addresses the composite keys span, 0 if unmeasured.
+func (k KeySpace) Range() uint64 { return (uint64(k.Span) + 1) * uint64(k.Prev) }
+
 // KeyRange enqueues the fused min/max reduction over n > 0 key words in int32
 // order: work-item g leaves the min and max of its span in partials[2g] and
 // partials[2g+1] (MaxInt32/MinInt32 for an empty span), and FoldKeyRange folds
 // them on the host, which has to read the result back anyway to pick the
-// addressing. The decision is taken from this measurement, never from
-// load-time statistics an append can make stale. partials needs 2*gsz words.
-func KeyRange(q *cl.Queue, partials, col *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	src, p := col.I32(), partials.I32()
+// addressing. The same launch copies a fixed-stride sample of keySampleLen(n)
+// keys behind the partials — (key word, second word) pairs, the second word
+// from prev for composite keys and 0 otherwise — for the distinct estimate.
+// The decision is taken from this measurement, never from load-time statistics
+// an append can make stale. partials needs KeyRangeWords words.
+func KeyRange(q *cl.Queue, partials, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	src, p := col.I32()[:n], partials.I32()
+	var pv []int32
+	if prev != nil {
+		pv = prev.I32()
+	}
+	_, _, gsz := Geometry(q.Device())
+	samples, stride := keySampleLen(n), keySampleStride(n)
+	sample := p[2*gsz : 2*gsz+2*samples]
 	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-		mn, mx := int32(math.MaxInt32), int32(math.MinInt32)
-		for i := lo; i < hi; i += step {
-			mn, mx = min(mn, src[i]), max(mx, src[i])
-		}
-		p[2*t.Global], p[2*t.Global+1] = mn, mx
-	}, launch(q.Device(), "key_range", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n) * 2}, wait))
+		p[2*t.Global], p[2*t.Global+1] = minMaxI32(src, t)
+		slo, shi := t.ChunkSpan(samples)
+		copyKeySample(sample, src, pv, slo, shi, stride)
+	}, launch(q.Device(), "key_range", cl.Cost{
+		BytesStreamed: int64(n) * 4, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2,
+	}, wait))
 }
 
-// FoldKeyRange folds KeyRange's per-item partials, read back to the host.
-func FoldKeyRange(partials []int32) (lo, hi int32) {
-	lo, hi = math.MaxInt32, math.MinInt32
-	for i := 0; i+1 < len(partials); i += 2 {
-		lo, hi = min(lo, partials[i]), max(hi, partials[i+1])
+// minMaxI32 is KeyRange's reduction over one work-item's span and
+// copyKeySample its sampling step for samples lo..hi-1 (row j*stride each).
+// They are functions, not loops in the kernel closure: with the sample's
+// slices live in the closure the min/max loop over all n rows ran a fifth
+// slower.
+func minMaxI32(src []int32, t *cl.Thread) (mn, mx int32) {
+	lo, hi, step := t.Span(len(src))
+	mn, mx = math.MaxInt32, math.MinInt32
+	for i := lo; i < hi; i += step {
+		mn, mx = min(mn, src[i]), max(mx, src[i])
 	}
-	return lo, hi
+	return mn, mx
+}
+
+func copyKeySample(sample, src, prev []int32, lo, hi, stride int) {
+	for j := lo; j < hi; j++ {
+		sample[2*j], sample[2*j+1] = src[j*stride], 0
+		if prev != nil {
+			sample[2*j+1] = prev[j*stride]
+		}
+	}
+}
+
+// FoldKeyRange folds KeyRange's partials over n keys, read back to the host
+// (and reordered in place): the range, and — where the range is one Group
+// could sort — the distinct estimate from the sample. nprev bounds the second
+// key word, 1 for single-word keys.
+func FoldKeyRange(partials []uint32, gsz, n int, nprev uint32) KeySpace {
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+	for i := 0; i < 2*gsz; i += 2 {
+		lo, hi = min(lo, int32(partials[i])), max(hi, int32(partials[i+1]))
+	}
+	ks := KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev}
+	if r := ks.Range(); r <= 1<<32 && IdentityWords(n, r) == 0 {
+		ks.Distinct = estimateDistinct(ks, partials[2*gsz:], n)
+	}
+	return ks
 }
 
 // IdentitySet enqueues the identity-addressed insertion: every row ORs its
@@ -274,77 +358,9 @@ func IdentityRank(q *cl.Queue, s Slots, partials, total *cl.Buffer, words int, w
 	}, launch(dev, "identity_rank_assign", cl.Cost{BytesStreamed: int64(words) * 8}, []*cl.Event{ev2}))
 }
 
-// HashInsertOptimistic enqueues the optimistic round: every row stores its
-// key at its first probe position with plain (well, race-benign atomic)
-// stores — colliding keys simply overwrite each other, to be caught by the
-// check round. Only valid for single-word keys: a torn write across the two
-// words of a composite key could manufacture a phantom key, so composite
-// tables go straight to the pessimistic round.
-//
-// The store is test-before-store: a row that finds its key already in the
-// slot skips both stores. On a low-cardinality build (three return flags
-// over 60 k rows) every core then *reads* the same few lines shared instead
-// of ping-ponging them exclusive with one locked store per row. A skipped
-// store can only lose a key the way an executed one can — a colliding key
-// overwrites the slot afterwards — and the check round probes for every
-// row's key regardless, so the loss is caught exactly as before.
-func HashInsertOptimistic(q *cl.Queue, state, keys1 *cl.Buffer, col *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
-	st, k1 := state.U32(), keys1.U32()
-	src := col.U32()
-	mask := uint32(capacity - 1)
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-		for i := lo; i < hi; i += step {
-			k := src[i]
-			s := hashSlot(k, 0, mask, 0)
-			if cl.AtomicLoadU32(&st[s]) == slotUsed && cl.AtomicLoadU32(&k1[s]) == k {
-				continue
-			}
-			cl.AtomicStoreU32(&k1[s], k)
-			cl.AtomicStoreU32(&st[s], slotUsed)
-		}
-	}, launch(q.Device(), "hash_optimistic",
-		cl.Cost{BytesStreamed: int64(n) * 4, BytesRandom: int64(n) * 8}, wait))
-}
-
-// HashCheck enqueues the verification round: each row probes for its key
-// and raises fail[0] when it is missing (§4.1.4's second round).
-func HashCheck(q *cl.Queue, state, keys1, keys2 *cl.Buffer, col, prev *cl.Buffer, fail *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
-	st, k1 := state.U32(), keys1.U32()
-	var k2, pv []uint32
-	if keys2 != nil {
-		k2 = keys2.U32()
-		pv = prev.U32()
-	}
-	src := col.U32()
-	f := fail.U32()
-	mask := uint32(capacity - 1)
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-	rows:
-		for i := lo; i < hi; i += step {
-			a := src[i]
-			var b uint32
-			if k2 != nil {
-				b = pv[i]
-			}
-			for p := 0; p < capacity; p++ {
-				s := hashSlot(a, b, mask, p)
-				if cl.AtomicLoadU32(&st[s]) == slotEmpty {
-					break
-				}
-				if cl.AtomicLoadU32(&k1[s]) == a && (k2 == nil || cl.AtomicLoadU32(&k2[s]) == b) {
-					continue rows
-				}
-			}
-			cl.AtomicStoreU32(&f[0], 1)
-		}
-	}, launch(q.Device(), "hash_check",
-		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 8}, wait))
-}
-
-// HashInsertPessimistic enqueues the synchronised round: rows claim slots
-// with CAS along the probe sequence, spinning past in-flight claims. If a
+// HashInsertPessimistic enqueues the insertion round: rows claim slots with
+// CAS along the probe sequence, spinning past in-flight claims; a row whose
+// key is already there only reads, so a low-cardinality build shares lines. If a
 // row exhausts the table, fail[0] is raised and the host restarts with a
 // doubled table. keys2/prev are nil for single-word keys.
 func HashInsertPessimistic(q *cl.Queue, state, keys1, keys2 *cl.Buffer, col, prev *cl.Buffer, fail *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -638,6 +639,87 @@ func TestRadixSortProperty(t *testing.T) {
 	}
 }
 
+// TestRadixSortKeyWidth: keys below 2^keyBits sort in ⌈keyBits/radix⌉ passes —
+// even and odd pass counts, the second ending in the ping-pong pair and copied
+// back — and carry their payload along.
+func TestRadixSortKeyWidth(t *testing.T) {
+	for _, dev := range devices() {
+		e := newEnv(dev)
+		radix := RadixBits(dev)
+		for _, keyBits := range []int{1, radix, radix + 1, 3 * radix, 28, 32} {
+			const n = 5_000
+			r := rand.New(rand.NewSource(int64(keyBits)))
+			src := make([]uint32, n)
+			for i := range src {
+				src[i] = uint32(r.Uint64() & (1<<uint(keyBits) - 1))
+			}
+			keys, vals := e.u32(t, src), e.buf(t, n+1)
+			ev := Iota(e.q, vals, n, 0, nil)
+			before := dev.KernelLaunches()
+			ev = SortU32Bits(e.q, keys, vals, e.buf(t, n+1), e.buf(t, n+1), e.buf(t, SortHistWords(dev)+1), n, radix, keyBits, []*cl.Event{ev})
+			if err := ev.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := dev.KernelLaunches()-before, int64(3*((keyBits+radix-1)/radix)); got != want {
+				t.Fatalf("%s: %d-bit keys took %d launches, want %d", dev.Name, keyBits, got, want)
+			}
+			for i := 0; i < n; i++ {
+				if k := keys.U32()[i]; k != src[vals.U32()[i]] || i > 0 && k < keys.U32()[i-1] {
+					t.Fatalf("%s: %d-bit keys: position %d holds %d (row %d)", dev.Name, keyBits, i, k, vals.U32()[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDistinctEstimate: KeyRange's fixed-stride sample estimates the distinct
+// keys of sparse inputs in random order within a factor of two from 16 keys to
+// all-distinct, exactly when the sample is the whole input, and only where
+// Group could sort — a dense range carries no estimate. On clustered input,
+// where runs shorter than the stride look like distinct rows, it errs upwards
+// only: towards the sort, whose cost does not depend on the keys.
+func TestDistinctEstimate(t *testing.T) {
+	e := newEnv(cl.NewCPUDevice(4))
+	_, _, gsz := Geometry(e.dev)
+	measure := func(vals []int32) KeySpace {
+		n := len(vals)
+		partials := e.buf(t, KeyRangeWords(e.dev, n))
+		if err := KeyRange(e.q, partials, e.i32(t, vals), nil, n, nil).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return FoldKeyRange(partials.U32(), gsz, n, 1)
+	}
+	const n = 200_000
+	r := rand.New(rand.NewSource(5))
+	for _, distinct := range []int{16, 1_000, 10_000, 100_000, n} {
+		vals := make([]int32, n)
+		step := (1 << 31) / distinct // spread over 31 bits: identity addressing refuses
+		for i := range vals {
+			vals[i] = int32(r.Intn(distinct) * step)
+			if distinct == n {
+				vals[i] = int32(i * step)
+			}
+		}
+		if got := measure(vals).Distinct; got < distinct/2 || got > 2*distinct {
+			t.Fatalf("%d distinct keys in random order: estimated %d", distinct, got)
+		}
+		slices.Sort(vals)
+		if got := measure(vals).Distinct; got < distinct/2 || got > n {
+			t.Fatalf("%d distinct keys in clustered order: estimated %d", distinct, got)
+		}
+	}
+	dense := make([]int32, n)
+	for i := range dense {
+		dense[i] = int32(i % 1_000)
+	}
+	if got := measure([]int32{7, 1 << 30, 7, -9, 1 << 30}).Distinct; got != 3 {
+		t.Fatalf("a five-row input has 3 distinct keys, counted %d", got)
+	}
+	if ks := measure(dense); ks.Distinct != 0 || ks.Span != 999 {
+		t.Fatalf("dense keys: %+v, want the range and no estimate", ks)
+	}
+}
+
 // buildSlots builds the slots stage over vals the way the core engine's host
 // code does, under the addressing asked for, and returns it with the distinct
 // count.
@@ -648,12 +730,12 @@ func buildSlots(t *testing.T, e *env, vals []int32, identity bool) (Slots, int) 
 	total := e.buf(t, 1)
 	if identity {
 		_, _, gsz := Geometry(e.q.Device())
-		partials := e.buf(t, 2*gsz)
-		if err := KeyRange(e.q, partials, col, n, nil).Wait(); err != nil {
+		partials := e.buf(t, KeyRangeWords(e.q.Device(), n))
+		if err := KeyRange(e.q, partials, col, nil, n, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := FoldKeyRange(partials.I32())
-		s := Slots{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
+		ks := FoldKeyRange(partials.U32(), gsz, n, 1)
+		s := Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
 		words := (int(s.Span) + 32) / 32
 		s.Bits, s.Rank = e.buf(t, words), e.buf(t, words)
 		ev := IdentitySet(e.q, s, col, nil, n, nil)
@@ -665,16 +747,11 @@ func buildSlots(t *testing.T, e *env, vals []int32, identity bool) (Slots, int) 
 	capacity := TableCapacity(n)
 	s := Slots{State: e.buf(t, capacity), Keys1: e.buf(t, capacity), SlotGid: e.buf(t, capacity), Capacity: capacity}
 	fail := e.buf(t, 1)
-	ev := HashInsertOptimistic(e.q, s.State, s.Keys1, col, n, capacity, nil)
-	ev = HashCheck(e.q, s.State, s.Keys1, nil, col, nil, fail, n, capacity, []*cl.Event{ev})
-	if err := ev.Wait(); err != nil {
+	if err := HashInsertPessimistic(e.q, s.State, s.Keys1, nil, col, nil, fail, n, capacity, nil).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if fail.U32()[0] != 0 {
-		ev = HashInsertPessimistic(e.q, s.State, s.Keys1, nil, col, nil, fail, n, capacity, nil)
-		if err := ev.Wait(); err != nil {
-			t.Fatal(err)
-		}
+		t.Fatalf("insertion of %d keys into %d slots failed", n, capacity)
 	}
 	if err := HashEnumerate(e.q, s.SlotGid, s.State, e.scratch(t), total, capacity, nil).Wait(); err != nil {
 		t.Fatal(err)
@@ -770,8 +847,8 @@ func TestHashBuildAndGroupIDs(t *testing.T) {
 }
 
 func TestHashPessimisticOnlyCompositeKeys(t *testing.T) {
-	// Composite (two-word) keys skip the optimistic round; build directly
-	// with the pessimistic kernel and verify lookups.
+	// Composite (two-word) keys: build with the pessimistic kernel and
+	// verify lookups.
 	e := newEnv(cl.NewCPUDevice(4))
 	n := 5000
 	col := make([]int32, n)

@@ -130,23 +130,16 @@ func SortPass(q *cl.Queue, dstK, dstV, srcK, srcV, hist *cl.Buffer, n, shift, bi
 // The pass count is 32/RadixBits — constant in the input, linear scaling in
 // n (Figure 6).
 func SortU32(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	return SortU32Bits(q, keys, vals, tmpK, tmpV, hist, n, RadixBits(q.Device()), wait)
+	return SortU32Bits(q, keys, vals, tmpK, tmpV, hist, n, RadixBits(q.Device()), 32, wait)
 }
 
 // SortU32Bits is SortU32 with an explicit radix width — the knob behind the
-// device-dependent default, exposed for the radix-width ablation. hist must
+// device-dependent default, exposed for the radix-width ablation — and an
+// explicit key width: keys known to be below 2^keyBits need only
+// ⌈keyBits/bits⌉ passes, the digits above being zero in every key. hist must
 // hold (2^bits)·gsz+1 words.
-func SortU32Bits(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n, bits int, wait []*cl.Event) *cl.Event {
-	if bits < 1 || bits > 8 {
-		panic("kernels: radix width must be 1..8 bits")
-	}
-	passes := (32 + bits - 1) / bits
-	ev := q.EnqueueMarker(wait)
-	srcK, srcV, dstK, dstV := keys, vals, tmpK, tmpV
-	for p := 0; p < passes; p++ {
-		ev = SortPass(q, dstK, dstV, srcK, srcV, hist, n, p*bits, bits, []*cl.Event{ev})
-		srcK, srcV, dstK, dstV = dstK, dstV, srcK, srcV
-	}
+func SortU32Bits(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n, bits, keyBits int, wait []*cl.Event) *cl.Event {
+	srcK, srcV, ev := sortPasses(q, keys, vals, tmpK, tmpV, hist, n, bits, keyBits, wait)
 	if srcK != keys {
 		// Odd number of passes: copy back into the caller's buffers.
 		e1 := q.EnqueueCopy(keys, srcK, []*cl.Event{ev})
@@ -154,4 +147,23 @@ func SortU32Bits(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n, bits i
 		ev = q.EnqueueMarker([]*cl.Event{e1, e2})
 	}
 	return ev
+}
+
+// sortPasses runs the ⌈keyBits/bits⌉ counting passes, ping-ponging between
+// the two buffer pairs, and returns the pair the sorted data ended up in.
+func sortPasses(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n, bits, keyBits int, wait []*cl.Event) (sortedK, sortedV *cl.Buffer, ev *cl.Event) {
+	if bits < 1 || bits > 8 {
+		panic("kernels: radix width must be 1..8 bits")
+	}
+	if keyBits < 1 || keyBits > 32 {
+		panic("kernels: key width must be 1..32 bits")
+	}
+	passes := (keyBits + bits - 1) / bits
+	ev = q.EnqueueMarker(wait)
+	srcK, srcV, dstK, dstV := keys, vals, tmpK, tmpV
+	for p := 0; p < passes; p++ {
+		ev = SortPass(q, dstK, dstV, srcK, srcV, hist, n, p*bits, bits, []*cl.Event{ev})
+		srcK, srcV, dstK, dstV = dstK, dstV, srcK, srcV
+	}
+	return srcK, srcV, ev
 }

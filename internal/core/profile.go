@@ -233,7 +233,7 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 				ku[i] = rnd.Uint32()
 			}
 			ev := kernels.Iota(q, vals, calibrationRows, 0, nil)
-			return kernels.SortU32Bits(q, keys, vals, tmpK, tmpV, hist, calibrationRows, bits, []*cl.Event{ev})
+			return kernels.SortU32Bits(q, keys, vals, tmpK, tmpV, hist, calibrationRows, bits, 32, []*cl.Event{ev})
 		}); err != nil {
 			return nil, err
 		}

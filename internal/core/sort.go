@@ -64,7 +64,7 @@ func (e *Engine) Sort(col *bat.BAT) (*bat.BAT, *bat.BAT, error) {
 	}
 	e.mm.NoteConsumer(col, tev)
 	iev := kernels.Iota(e.q, perm, n, 0, nil)
-	sev := kernels.SortU32Bits(e.q, keys, perm, tmpK, tmpV, hist, n, bits, append(wait, tev, iev))
+	sev := kernels.SortU32Bits(e.q, keys, perm, tmpK, tmpV, hist, n, bits, 32, append(wait, tev, iev))
 
 	gev := kernels.Gather(e.q, sorted, colBuf, perm, n, append(wait, sev))
 	e.mm.NoteConsumer(col, gev)

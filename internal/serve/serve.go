@@ -594,11 +594,6 @@ func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, gkey, name, key st
 	}
 }
 
-// runOnce picks the least-loaded engine and executes the plan on it.
-func (sv *Server) runOnce(name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, bool, error) {
-	return sv.runOn(sv.pick(), name, params, plan)
-}
-
 // runOn executes the plan on the given engine slot, its template cached
 // under key.
 func (sv *Server) runOn(slot *engineSlot, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {

@@ -181,9 +181,9 @@ func AblationAccessPattern(opt Options) *Report {
 				for i := 0; i < rows; i++ {
 					ci[i] = rnd.Int31n(1000)
 				}
-				bm := e.buf(bitmapWordsOf(rows) + 1)
+				bm, counts := e.buf(kernels.BitmapWords(rows)), e.buf(kernels.ReducePartialWords(dev))
 				ms, err := e.measureKernel(opt.Runs, func() *cl.Event {
-					return kernels.SelectI32(e.q, bm, col, nil, rows, 0, 49, nil)
+					return kernels.Select(e.q, bm, nil, counts, []kernels.FusedPredFilter{{Col: col, Lo: 0, Hi: 49}}, 0, rows, rows, nil)
 				})
 				if err != nil {
 					r.Notes = append(r.Notes, fmt.Sprintf("%s at %dMB: %v", label, mb, err))
@@ -192,6 +192,7 @@ func AblationAccessPattern(opt Options) *Report {
 				series[xi] = ms
 				_ = col.Release()
 				_ = bm.Release()
+				_ = counts.Release()
 			}
 			r.Millis[label] = series
 		}
@@ -470,8 +471,6 @@ func fillSparseKeys(col, prev []int32, rows, distinct, words, nprev, keySpan int
 		}
 	}
 }
-
-func bitmapWordsOf(n int) int { return (kernels.BitmapBytes(n) + 3) / 4 }
 
 // Ablations maps ablation ids to their generators.
 func Ablations() map[string]func(Options) *Report {

@@ -186,23 +186,35 @@ func (x *executor) retire() {
 }
 
 // getLocal returns a zeroed local-memory slice of the given word count,
-// reusing a free-listed one when possible. Zeroing matches the fresh
-// make([]uint32, words) the seed runtime performed per group.
+// reusing the smallest free-listed one that fits, so that a launch asking for
+// a few words does not take the slice a launch asking for all of local
+// memory will want next. Zeroing matches the fresh make([]uint32, words) the
+// seed runtime performed per group. A miss stocks the list for every worker
+// at once: a launch may have a group running on each of them, and only the
+// first launch of a size should allocate, not whichever later one first
+// happens to overlap two groups.
 func (x *executor) getLocal(words int) []uint32 {
 	x.localMu.Lock()
-	for i := len(x.localFree) - 1; i >= 0; i-- {
-		if cap(x.localFree[i]) >= words {
-			s := x.localFree[i]
-			last := len(x.localFree) - 1
-			x.localFree[i] = x.localFree[last]
-			x.localFree[last] = nil
-			x.localFree = x.localFree[:last]
-			x.localMu.Unlock()
-			x.localReuses.Add(1)
-			s = s[:words]
-			clear(s)
-			return s
+	best := -1
+	for i, s := range x.localFree {
+		if cap(s) >= words && (best < 0 || cap(s) < cap(x.localFree[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		s := x.localFree[best]
+		last := len(x.localFree) - 1
+		x.localFree[best] = x.localFree[last]
+		x.localFree[last] = nil
+		x.localFree = x.localFree[:last]
+		x.localMu.Unlock()
+		x.localReuses.Add(1)
+		s = s[:words]
+		clear(s)
+		return s
+	}
+	for i := 1; i < x.maxWorkers() && len(x.localFree) < maxLocalFree; i++ {
+		x.localFree = append(x.localFree, make([]uint32, words))
 	}
 	x.localMu.Unlock()
 	return make([]uint32, words)

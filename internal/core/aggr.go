@@ -42,10 +42,7 @@ func (e *Engine) Aggr(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (*bat.BA
 func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 	n := vals.Len()
 	if kind == ops.Count {
-		// The cardinality is a descriptor fact; no kernel needed.
-		out := bat.New("count", bat.I32, 1)
-		out.I32s()[0] = int32(n)
-		return out, nil
+		return countOf(n), nil
 	}
 	if n == 0 {
 		// The sum of nothing is the typed zero, as MonetDB answers; the
@@ -72,26 +69,14 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 		valBuf, wait, isFloat = cast, []*cl.Event{cev}, true
 	}
 
-	sp, err := e.spine()
-	if err != nil {
-		e.mm.Release(cast)
-		return nil, err
-	}
-	dst, err := e.mm.Alloc(4)
-	if err != nil {
-		_ = sp.Release()
-		e.mm.Release(cast)
-		return nil, err
-	}
 	redKind := kind
 	if kind == ops.Avg {
 		redKind = ops.Sum
 	}
-	var ev *cl.Event
-	if isFloat {
-		ev = kernels.ReduceF32(e.q, dst, valBuf, sp, redKind, n, wait)
-	} else {
-		ev = kernels.ReduceI32(e.q, dst, valBuf, sp, redKind, n, wait)
+	dst, sp, ev, err := e.reduceScalar(valBuf, isFloat, redKind, n, wait)
+	if err != nil {
+		e.mm.Release(cast)
+		return nil, err
 	}
 	e.mm.NoteConsumer(vals, ev)
 	if kind == ops.Avg {
@@ -116,6 +101,32 @@ func (e *Engine) aggrScalar(kind ops.Agg, vals *bat.BAT) (*bat.BAT, error) {
 	res := bat.NewOcelotOwned(kind.String(), resType, 1)
 	e.mm.BindValues(res, dst, ev)
 	return res, nil
+}
+
+// countOf is a scalar Count: the cardinality is a descriptor fact, no kernel
+// needed.
+func countOf(n int) *bat.BAT {
+	out := bat.New("count", bat.I32, 1)
+	out.I32s()[0] = int32(n)
+	return out
+}
+
+// reduceScalar enqueues the reduction of src[:n] under kind into a fresh
+// word dst — the one scalar path of Aggr and of a fused region's terminal
+// sum, which is what keeps the two bit-identical. The caller releases the
+// partials sp behind ev.
+func (e *Engine) reduceScalar(src *cl.Buffer, isFloat bool, kind ops.Agg, n int, wait []*cl.Event) (dst, sp *cl.Buffer, ev *cl.Event, err error) {
+	if sp, err = e.spine(); err != nil {
+		return nil, nil, nil, err
+	}
+	if dst, err = e.mm.Alloc(4); err != nil {
+		e.mm.Release(sp)
+		return nil, nil, nil, err
+	}
+	if isFloat {
+		return dst, sp, kernels.ReduceF32(e.q, dst, src, sp, kind, n, wait), nil
+	}
+	return dst, sp, kernels.ReduceI32(e.q, dst, src, sp, kind, n, wait), nil
 }
 
 func (e *Engine) aggrGrouped(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (*bat.BAT, error) {

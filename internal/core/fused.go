@@ -10,19 +10,17 @@ import (
 )
 
 // Fused implements ops.FusedOperators: it executes a fused
-// select→project→binop(→sum/count) region as a short chain of generated
-// kernels — a single predicate-conjunction pass over the base columns, one
-// materialisation, and a single register-resident expression pass — instead
-// of one kernel plus one intermediate column per member operator. Selection-
-// carrying regions fold their population count device-side inside the fused
-// selection pass, so the per-member bitmapCount launches of the unfused
-// chain collapse into one size read.
+// select→project→binop(→sum/count) region as a short chain of kernels — one
+// selection pass over the base columns evaluating the whole conjunction, one
+// materialisation, and one expression pass running the compiled tile program
+// — instead of one kernel plus one intermediate column per member operator,
+// with one size read where the unfused chain has one per member selection.
 //
-// Results are bit-identical to the unfused member chain: the compiled
-// expression replicates the unfused promotion and arithmetic rules, and an
-// aggregate-terminated region evaluates into a compact scratch column and
-// runs the very same Reduce kernel the unfused Aggr would run over the very
-// same values.
+// Results are bit-identical to the unfused member chain: the conjunction
+// and the expression run the row loops of the unfused kernels under the
+// same promotion rules, and an aggregate-terminated region evaluates into a
+// compact scratch column and runs the reduction the unfused Aggr would run
+// over the very same values.
 //
 // Every ops.ErrFusedUnsupported return happens before any device work is
 // enqueued, so the executor's fall-back to the unfused members is free of
@@ -31,7 +29,7 @@ func (e *Engine) Fused(op *ops.FusedOp) (*bat.BAT, error) {
 	if op.HasAgg && op.Agg != ops.Sum && op.Agg != ops.Count {
 		return nil, ops.ErrFusedUnsupported
 	}
-	if len(op.Nodes) == 0 && !(len(op.Filters) > 0 && !op.HasAgg) {
+	if len(op.Nodes) == 0 && !(len(op.Filters) > 0 && !op.HasAgg) || !kernels.FusedFits(e.dev, len(op.Nodes)) {
 		return nil, ops.ErrFusedUnsupported
 	}
 	if len(op.Filters) > 0 {
@@ -55,23 +53,18 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 			return nil, ops.ErrFusedUnsupported
 		}
 		p := kernels.FusedPredFilter{Float: f.Col.T == bat.F32, IsCmp: f.IsCmp}
-		switch {
-		case f.IsCmp:
+		if f.IsCmp {
 			if f.Other == nil || f.Other.T != f.Col.T || f.Other.Len() != n {
 				return nil, ops.ErrFusedUnsupported
 			}
 			p.Cmp = f.Cmp
-		case p.Float:
-			p.LoF, p.HiF = f32Bounds(f.Lo, f.Hi)
-			p.LoIncl, p.HiIncl = f.LoIncl, f.HiIncl
-		default:
-			l, h, ok := kernels.I32RangeBounds(f.Lo, f.Hi, f.LoIncl, f.HiIncl)
-			if !ok {
+		} else {
+			var ok bool
+			if p.Lo, p.Hi, ok, _ = rangeKeys(f.Col, f.Lo, f.Hi, f.LoIncl, f.HiIncl); !ok {
 				// Statically empty interval: the unfused chain short-circuits
 				// to an empty selection without running a kernel; so do we.
 				return e.fusedEmptyResult(op)
 			}
-			p.LoI, p.HiI = l, h
 		}
 		kf[i] = p
 	}
@@ -86,14 +79,12 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 
 	// Classify the incoming candidate: nil, a dense range, or a bitmap over
 	// the same domain. Materialised oid lists take the unfused path.
-	bounded, blo, bhi := false, 0, 0
+	blo, bhi := 0, n
 	var candBM *bat.BAT
 	switch {
 	case op.Cand == nil:
 	case op.Cand.T == bat.Void:
-		if op.Cand.Seq != 0 || op.Cand.Len() != n {
-			bounded, blo, bhi = true, int(op.Cand.Seq), int(op.Cand.Seq)+op.Cand.Len()
-		}
+		blo, bhi = int(op.Cand.Seq), int(op.Cand.Seq)+op.Cand.Len()
 	default:
 		dom, isBM := e.mm.IsBitmap(op.Cand)
 		if !isBM || dom != n {
@@ -102,9 +93,8 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 		candBM = op.Cand
 	}
 
-	// Resolve device buffers and build the fused predicate.
+	// Resolve device buffers.
 	var wait []*cl.Event
-	cost := cl.Cost{BytesStreamed: int64(kernels.BitmapBytes(n)) * 2, Ops: int64(n) * int64(len(kf))}
 	for i, f := range op.Filters {
 		buf, w, err := e.valuesOf(f.Col)
 		if err != nil {
@@ -112,14 +102,12 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 		}
 		kf[i].Col = buf
 		wait = append(wait, w...)
-		cost.BytesStreamed += int64(n) * 4
 		if f.IsCmp {
 			if buf, w, err = e.valuesOf(f.Other); err != nil {
 				return nil, err
 			}
 			kf[i].Other = buf
 			wait = append(wait, w...)
-			cost.BytesStreamed += int64(n) * 4
 		}
 	}
 	var candBuf *cl.Buffer
@@ -130,33 +118,14 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 		}
 		candBuf = buf
 		wait = append(wait, w...)
-		cost.BytesStreamed += int64(kernels.BitmapBytes(n))
 	}
-	pred := kernels.CompileFusedPred(kf, blo, bhi, bounded)
-
-	outSel := len(op.Nodes) == 0 && !op.HasAgg
-	var bm *cl.Buffer
-	var err error
-	if outSel {
-		bm, err = e.mm.Alloc(bitmapWords(n) * 4) // the region's escaping payload
-	} else {
-		bm, err = e.mm.Alloc(bitmapWords(n) * 4) // transient: consumed below
-	}
+	// The bitmap is the region's escaping payload when it has no expression,
+	// transient otherwise.
+	bm, sp, err := e.bitmapScratch(n)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := e.spine()
-	if err != nil {
-		_ = bm.Release()
-		return nil, err
-	}
-	total, err := e.mm.Alloc(4)
-	if err != nil {
-		e.mm.Release(sp)
-		_ = bm.Release()
-		return nil, err
-	}
-	ev := kernels.FusedSelect(e.q, bm, candBuf, pred, n, sp, total, cost, wait)
+	ev := kernels.Select(e.q, bm, candBuf, sp, kf, blo, bhi, n, wait)
 	for _, f := range op.Filters {
 		e.mm.NoteConsumer(f.Col, ev)
 		if f.Other != nil {
@@ -167,22 +136,15 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 		e.mm.NoteConsumer(candBM, ev)
 	}
 
-	// The one host read of the region: its selection cardinality, folded
-	// device-side inside the fused pass (no separate BitmapCount launches).
-	count, err := e.readU32(total, []*cl.Event{ev})
-	e.mm.Release(sp)
-	e.mm.Release(total)
-	if err != nil {
-		e.releaseAfter(ev, bm)
-		return nil, err
+	if len(op.Nodes) == 0 && !op.HasAgg {
+		return e.finishBitmapSelection("fused", bm, sp, n, ev)
 	}
-	m := int(count)
-
-	if outSel {
-		res := bat.NewOcelotOwned("fused_sel", bat.OID, m)
-		res.Props.Sorted, res.Props.Key = true, true
-		e.mm.BindBitmap(res, bm, n, ev)
-		return res, nil
+	// The one host read of the region: its selection cardinality, folded
+	// device-side inside the fused pass.
+	m, err := e.countAndRelease(sp, ev)
+	if err != nil {
+		_ = bm.Release()
+		return nil, err
 	}
 	if m == 0 || (op.HasAgg && op.Agg == ops.Count) {
 		e.releaseAfter(ev, bm)
@@ -190,14 +152,12 @@ func (e *Engine) fusedFiltered(op *ops.FusedOp) (*bat.BAT, error) {
 			return e.fusedEmptyResult(op)
 		}
 		// Count ignores the expression values entirely, like the unfused
-		// scalar Count (a descriptor fact; no kernel).
-		out := bat.New("count", bat.I32, 1)
-		out.I32s()[0] = int32(m)
-		return out, nil
+		// scalar Count.
+		return countOf(m), nil
 	}
 
 	// Materialise the passing rows once, then evaluate the whole expression
-	// per row in registers.
+	// over them a tile at a time.
 	positions, err := e.mm.Alloc((m + 1) * 4)
 	if err != nil {
 		e.releaseAfter(ev, bm)
@@ -262,9 +222,7 @@ func (e *Engine) fusedMap(op *ops.FusedOp) (*bat.BAT, error) {
 		return e.fusedEmptyResult(op)
 	}
 	if op.HasAgg && op.Agg == ops.Count {
-		out := bat.New("count", bat.I32, 1)
-		out.I32s()[0] = int32(m)
-		return out, nil
+		return countOf(m), nil
 	}
 
 	var wait []*cl.Event
@@ -295,9 +253,10 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 		}
 	}
 	compiled := make([]kernels.FusedExprNode, len(op.Nodes))
-	gathers, aligned, bins := 0, 0, 0
+	floats := fusedFloats(op.Nodes)
+	gathers, aligned, bins := 0, 0, 0 // for the declared cost
 	for k, nd := range op.Nodes {
-		kn := kernels.FusedExprNode{Kind: nd.Kind, Aligned: nd.Aligned, C: nd.C, Bin: nd.Bin, L: nd.L, R: nd.R}
+		kn := kernels.FusedExprNode{Kind: nd.Kind, Float: floats[k], Aligned: nd.Aligned, C: nd.C, Bin: nd.Bin, L: nd.L, R: nd.R}
 		switch nd.Kind {
 		case ops.FusedCol:
 			buf, w, err := e.valuesOf(nd.Col)
@@ -306,7 +265,6 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 				return nil, err
 			}
 			kn.Buf = buf
-			kn.Float = nd.Col.T == bat.F32
 			wait = append(wait, w...)
 			if nd.Aligned || idx == nil {
 				aligned++
@@ -314,24 +272,18 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 				gathers++
 			}
 		case ops.FusedBin:
-			kn.Float = fusedChildFloat(compiled, op.Nodes, nd.L) || fusedChildFloat(compiled, op.Nodes, nd.R)
 			bins++
 		}
 		compiled[k] = kn
 	}
-	f32, i32, isFloat := kernels.CompileFusedExpr(compiled)
-
+	prog := kernels.CompileFusedExpr(e.dev, compiled, idx != nil, seq)
+	isFloat := floats[len(floats)-1]
 	outType := bat.I32
 	if isFloat {
 		outType = bat.F32
 	}
-	var out *cl.Buffer
-	var err error
-	if op.HasAgg {
-		out, err = e.mm.Alloc((m + 1) * 4) // compact expression values, fed to Reduce
-	} else {
-		out, err = e.mm.Alloc((m + 1) * 4)
-	}
+	// With an aggregate these are the compact expression values fed to Reduce.
+	out, err := e.mm.Alloc((m + 1) * 4)
 	if err != nil {
 		dropIdx(e.q.EnqueueMarker(wait))
 		return nil, err
@@ -345,12 +297,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	if idx != nil {
 		cost.BytesStreamed += int64(m) * 4
 	}
-	var ev *cl.Event
-	if isFloat {
-		ev = kernels.FusedEvalF32(e.q, out, idx, seq, f32, m, cost, wait)
-	} else {
-		ev = kernels.FusedEvalI32(e.q, out, idx, seq, i32, m, cost, wait)
-	}
+	ev := kernels.FusedEval(e.q, out, idx, prog, m, cost, wait)
 	for _, nd := range op.Nodes {
 		if nd.Kind == ops.FusedCol {
 			e.mm.NoteConsumer(nd.Col, ev)
@@ -367,24 +314,12 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 		return res, nil
 	}
 
-	// Terminal scalar sum: the same Reduce kernel the unfused Aggr runs,
-	// over the same compact values — bit-identical by construction.
-	sp, err := e.spine()
+	// Terminal scalar sum: the reduction the unfused Aggr runs, over the same
+	// compact values — bit-identical by construction.
+	dst, sp, rev, err := e.reduceScalar(out, isFloat, ops.Sum, m, []*cl.Event{ev})
 	if err != nil {
 		e.releaseAfter(ev, out)
 		return nil, err
-	}
-	dst, err := e.mm.Alloc(4)
-	if err != nil {
-		e.releaseAfter(ev, out)
-		e.mm.Release(sp)
-		return nil, err
-	}
-	var rev *cl.Event
-	if isFloat {
-		rev = kernels.ReduceF32(e.q, dst, out, sp, ops.Sum, m, []*cl.Event{ev})
-	} else {
-		rev = kernels.ReduceI32(e.q, dst, out, sp, ops.Sum, m, []*cl.Event{ev})
 	}
 	e.releaseAfter(rev, sp, out)
 	res := bat.NewOcelotOwned(ops.Sum.String(), outType, 1)
@@ -392,33 +327,22 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	return res, nil
 }
 
-// fusedChildFloat reports whether child node k contributes float-ness to its
-// parent, replicating the unfused promotion rules: columns by type, computed
-// nodes by their own promotion result, constants by the BinopConst integral
-// rule.
-func fusedChildFloat(compiled []kernels.FusedExprNode, nodes []ops.FusedNode, k int) bool {
-	if nodes[k].Kind == ops.FusedConst {
-		c := nodes[k].C
-		return c != float64(int32(c))
-	}
-	return compiled[k].Float
-}
-
-// fusedRootIsFloat derives the region's output type without binding buffers.
-func fusedRootIsFloat(nodes []ops.FusedNode) bool {
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		switch nodes[k].Kind {
+// fusedFloats derives every node's type without binding buffers,
+// replicating the unfused promotion rules: columns by type, constants by the
+// BinopConst integral rule, Bin nodes float when either child is.
+func fusedFloats(nodes []ops.FusedNode) []bool {
+	float := make([]bool, len(nodes))
+	for k, nd := range nodes {
+		switch nd.Kind {
 		case ops.FusedCol:
-			return nodes[k].Col.T == bat.F32
+			float[k] = nd.Col.T == bat.F32
 		case ops.FusedConst:
-			c := nodes[k].C
-			return c != float64(int32(c))
+			float[k] = nd.C != float64(int32(nd.C))
 		default:
-			return rec(nodes[k].L) || rec(nodes[k].R)
+			float[k] = float[nd.L] || float[nd.R]
 		}
 	}
-	return rec(len(nodes) - 1)
+	return float
 }
 
 // fusedEmptyResult produces the region's result for an empty domain, exactly
@@ -426,7 +350,7 @@ func fusedRootIsFloat(nodes []ops.FusedNode) bool {
 // column, a zero Count or the typed zero Sum.
 func (e *Engine) fusedEmptyResult(op *ops.FusedOp) (*bat.BAT, error) {
 	t := bat.I32
-	if len(op.Nodes) > 0 && fusedRootIsFloat(op.Nodes) {
+	if k := len(op.Nodes); k > 0 && fusedFloats(op.Nodes)[k-1] {
 		t = bat.F32
 	}
 	switch {

@@ -807,13 +807,13 @@ func TestCachedTableOutlivesItsReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.mm.Pin(l)
-		bm, err := e.mm.Alloc(bitmapWords(l.Len()) * 4)
+		bm, sp, err := e.bitmapScratch(l.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
 		gate := make(chan struct{})
 		gev := e.q.EnqueueHost("gate", func() error { <-gate; return nil }, nil)
-		probe := kernels.ExistsProbe(e.q, bm, h.tab, lBuf, l.Len(), false, append(lWait, gev, h.slots))
+		probe := kernels.ExistsProbe(e.q, bm, sp, h.tab, lBuf, l.Len(), false, append(lWait, gev, h.slots))
 		h.noteReader(probe)
 		time.AfterFunc(20*time.Millisecond, func() { close(gate) })
 
@@ -845,17 +845,15 @@ func TestCachedTableOutlivesItsReaders(t *testing.T) {
 			t.Fatal("the idle table was not dropped")
 		}
 		var got []uint32
-		for i, b := range readWords(t, e, bm, bitmapWords(l.Len())) {
-			for ; b != 0; b &= b - 1 {
-				// The bytes past the bitmap's last one are undefined.
-				if row := uint32(i*32) + uint32(bits.TrailingZeros32(b)); int(row) < l.Len() {
-					got = append(got, row)
-				}
+		for i, b := range readWords(t, e, bm, kernels.BitmapWords(l.Len())) {
+			for ; b != 0; b &= b - 1 { // bits past the last row are zero
+				got = append(got, uint32(i*32)+uint32(bits.TrailingZeros32(b)))
 			}
 		}
 		if !equalU32(got, want) {
 			t.Fatalf("the gated probe found %d rows, want %d", len(got), len(want))
 		}
 		_ = bm.Release()
+		e.mm.Release(sp)
 	}
 }

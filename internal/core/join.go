@@ -114,20 +114,21 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 // a match bitmap plus the matching build row per probe position; the left
 // result is the materialised bitmap, the right result a gather over it.
 func (e *Engine) probeUnique(l *bat.BAT, lBuf *cl.Buffer, h *devHashTable, n int, wait []*cl.Event) (*bat.BAT, *bat.BAT, error) {
-	bm, err := e.mm.Alloc(bitmapWords(n) * 4)
+	bm, sp, err := e.bitmapScratch(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	rpos, err := e.mm.Alloc((n + 1) * 4)
 	if err != nil {
 		_ = bm.Release()
+		e.mm.Release(sp)
 		return nil, nil, err
 	}
-	pev := kernels.JoinProbeUnique(e.q, bm, rpos, h.tab, h.starts, h.rowids, lBuf, n, wait)
+	pev := kernels.JoinProbeUnique(e.q, bm, rpos, sp, h.tab, h.starts, h.rowids, lBuf, n, wait)
 	e.mm.NoteConsumer(l, pev)
 	h.noteReader(pev)
 
-	count, err := e.bitmapCount(bm, n, pev)
+	count, err := e.countAndRelease(sp, pev)
 	if err != nil {
 		_ = bm.Release()
 		_ = rpos.Release()
@@ -295,16 +296,16 @@ func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
 	}
 	wait = append(wait, h.slots)
 	n := l.Len()
-	bm, err := e.mm.Alloc(bitmapWords(n) * 4)
+	bm, sp, err := e.bitmapScratch(n)
 	if err != nil {
 		return nil, err
 	}
-	ev := kernels.ExistsProbe(e.q, bm, h.tab, lBuf, n, negate, wait)
+	ev := kernels.ExistsProbe(e.q, bm, sp, h.tab, lBuf, n, negate, wait)
 	e.mm.NoteConsumer(l, ev)
 	h.noteReader(ev)
 	name := l.Name + "_semi"
 	if negate {
 		name = l.Name + "_anti"
 	}
-	return e.finishBitmapSelection(name, bm, n, ev)
+	return e.finishBitmapSelection(name, bm, sp, n, ev)
 }

@@ -1,0 +1,286 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/cl"
+	"repro/internal/ops"
+)
+
+// The three benchmarks below are the evidence behind refineBits and the tile
+// program (tables in DESIGN.md). Each checks its result against a row-at-a-
+// time reference before timing and panics on a difference, so the CI smoke
+// run (-benchtime 1x) doubles as a self-check. Run them at -cpu 1,2: the
+// device has GOMAXPROCS cores.
+
+const benchRows = 1 << 18
+
+func benchEnv(b *testing.B) *env {
+	dev := cl.NewCPUDevice(runtime.GOMAXPROCS(0))
+	b.Cleanup(dev.Close)
+	return newEnv(dev)
+}
+
+// reportRows times op and reports it per row.
+func reportRows(b *testing.B, rows int, op func() *cl.Event) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op().Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// benchKeys fills n values of which a share sel is below 1000 (the rest lie
+// in [1000, 2000)): independently at random, or in runs of 4096 rows.
+func benchKeys(r *rand.Rand, n int, sel float64, clustered bool) []int32 {
+	v := make([]int32, n)
+	pass := false
+	for i := range v {
+		if !clustered || i%4096 == 0 {
+			pass = r.Float64() < sel
+		}
+		v[i] = r.Int31n(1000)
+		if !pass {
+			v[i] += 1000
+		}
+	}
+	return v
+}
+
+// BenchmarkSelectWord: the selection kernel over 1 and 3 conjuncts of one
+// kind, each passing the given share of rows, with every word evaluated
+// densely, every word refined bit by bit, and under the rule (refineBits).
+// The three alternate within each iteration, so that drift on a shared
+// machine falls on all of them alike; each reports its own ns/row.
+func BenchmarkSelectWord(b *testing.B) {
+	e := benchEnv(b)
+	const n = benchRows
+	bm, sp, total := e.buf(b, BitmapWords(n)), e.buf(b, ReducePartialWords(e.dev)), e.buf(b, 1)
+	policies := []struct {
+		name   string
+		refine int
+	}{{"dense", -1}, {"sparse", 32}, {"rule", refineBits}}
+	for _, kind := range []string{"i32", "f32", "cmp"} {
+		for _, sel := range []float64{0.01, 0.15, 0.50, 0.98} {
+			for _, data := range []string{"random", "clustered"} {
+				r := rand.New(rand.NewSource(int64(sel * 100)))
+				var filters []FusedPredFilter
+				var cols []*cl.Buffer
+				want := make([]uint32, BitmapWords(n))
+				for i := range want {
+					want[i] = wordMask(i*32, 0, n)
+				}
+				for c := 0; c < 3; c++ {
+					keys := benchKeys(r, n, sel, data == "clustered")
+					col := e.buf(b, n)
+					f := FusedPredFilter{Col: col, Lo: 0, Hi: 999}
+					switch kind {
+					case "i32":
+						copy(col.I32(), keys)
+					case "f32":
+						for i, k := range keys {
+							col.F32()[i] = float32(k) + 0.5
+						}
+						f.Float = true
+						f.Lo, f.Hi, _ = F32RangeBounds(0, 1000, true, false)
+					default:
+						copy(col.I32(), keys)
+						f = FusedPredFilter{IsCmp: true, Col: col, Other: e.buf(b, n), Cmp: ops.Lt}
+						for i := range keys {
+							f.Other.I32()[i] = 1000
+						}
+					}
+					filters = append(filters, f)
+					cols = append(cols, f.Col, f.Other)
+					for i, k := range keys {
+						if k >= 1000 {
+							want[i/32] &^= 1 << uint(i%32)
+						}
+					}
+					if c != 0 && c != 2 {
+						continue
+					}
+					b.Run(fmt.Sprintf("%s/conj=%d/sel=%g/%s", kind, c+1, sel, data), func(b *testing.B) {
+						count := 0
+						for _, w := range want {
+							count += bits.OnesCount32(w)
+						}
+						var spent [3]time.Duration
+						for i := -1; i < b.N; i++ { // round -1 checks, untimed
+							for pi, p := range policies {
+								start := time.Now()
+								ev := selectWords(e.q, bm, nil, sp, filters, 0, n, n, p.refine, nil)
+								if err := ev.Wait(); err != nil {
+									b.Fatal(err)
+								}
+								if i >= 0 {
+									spent[pi] += time.Since(start)
+									continue
+								}
+								if err := FoldCount(e.q, sp, total, nil).Wait(); err != nil {
+									b.Fatal(err)
+								}
+								if !slices.Equal(bm.U32()[:len(want)], want) || int(total.U32()[0]) != count {
+									panic("BenchmarkSelectWord: " + b.Name() + "/" + p.name + " differs from the reference")
+								}
+							}
+						}
+						for pi, p := range policies {
+							b.ReportMetric(float64(spent[pi].Nanoseconds())/float64(b.N)/n, p.name+"-ns/row")
+						}
+					})
+				}
+				for _, c := range cols {
+					if c != nil {
+						_ = c.Release()
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFusedEval: the tile program over float trees of two and four Bin
+// nodes and an integer tree, dense (columns aliased) and through an oid
+// list (leaves gathered into registers).
+func BenchmarkFusedEval(b *testing.B) {
+	e := benchEnv(b)
+	const n = benchRows
+	r := rand.New(rand.NewSource(7))
+	fa, fb, fc, ia, ib := e.buf(b, n), e.buf(b, n), e.buf(b, n), e.buf(b, n), e.buf(b, n)
+	idx, out := e.buf(b, n), e.buf(b, n)
+	for i := 0; i < n; i++ {
+		fa.F32()[i], fb.F32()[i], fc.F32()[i] = r.Float32()*100, r.Float32(), r.Float32()
+		ia.I32()[i], ib.I32()[i] = r.Int31n(1000), r.Int31n(7)
+		idx.U32()[i] = uint32(r.Intn(n))
+	}
+	slices.Sort(idx.U32()[:n]) // an oid list is ascending
+	col := func(buf *cl.Buffer, float bool) FusedExprNode {
+		return FusedExprNode{Kind: ops.FusedCol, Buf: buf, Float: float}
+	}
+	bin := func(op ops.Bin, l, r int, float bool) FusedExprNode {
+		return FusedExprNode{Kind: ops.FusedBin, Bin: op, L: l, R: r, Float: float}
+	}
+	one := FusedExprNode{Kind: ops.FusedConst, C: 1}
+	trees := []struct {
+		name  string
+		nodes []FusedExprNode
+		ref   func(r int) uint32
+	}{
+		{"f32x2", // a * (1 - b)
+			[]FusedExprNode{col(fa, true), one, col(fb, true), bin(ops.SubOp, 1, 2, true), bin(ops.Mul, 0, 3, true)},
+			func(r int) uint32 { return math.Float32bits(fa.F32()[r] * (1 - fb.F32()[r])) }},
+		{"f32x4", // a * (1 - b) * (1 + c)
+			[]FusedExprNode{col(fa, true), one, col(fb, true), bin(ops.SubOp, 1, 2, true), bin(ops.Mul, 0, 3, true),
+				col(fc, true), bin(ops.Add, 1, 5, true), bin(ops.Mul, 4, 6, true)},
+			func(r int) uint32 {
+				return math.Float32bits(float32(fa.F32()[r]*(1-fb.F32()[r])) * (1 + fc.F32()[r]))
+			}},
+		{"i32x2", // (a + 1) / b, x / 0 = 0
+			[]FusedExprNode{col(ia, false), one, bin(ops.Add, 0, 1, false), col(ib, false), bin(ops.Div, 2, 3, false)},
+			func(r int) uint32 {
+				if ib.I32()[r] == 0 {
+					return 0
+				}
+				return uint32((ia.I32()[r] + 1) / ib.I32()[r])
+			}},
+	}
+	for _, tr := range trees {
+		for _, through := range []*cl.Buffer{nil, idx} {
+			name := tr.name + "/dense"
+			if through != nil {
+				name = tr.name + "/oids"
+			}
+			b.Run(name, func(b *testing.B) {
+				p := CompileFusedExpr(e.dev, tr.nodes, through != nil, 0)
+				run := func() *cl.Event { return FusedEval(e.q, out, through, p, n, cl.Cost{}, nil) }
+				if err := run().Wait(); err != nil {
+					b.Fatal(err)
+				}
+				for i, got := range out.U32()[:n] {
+					row := i
+					if through != nil {
+						row = int(through.U32()[i])
+					}
+					if got != tr.ref(row) {
+						panic(fmt.Sprintf("BenchmarkFusedEval: %s position %d differs from the reference", b.Name(), i))
+					}
+				}
+				reportRows(b, n, run)
+			})
+		}
+	}
+}
+
+// BenchmarkBitmapOps: combining, counting and materialising bitmaps with 1 %
+// and 50 % of their bits set.
+func BenchmarkBitmapOps(b *testing.B) {
+	e := benchEnv(b)
+	const n = benchRows
+	nw := BitmapWords(n)
+	x, y, d := e.buf(b, nw), e.buf(b, nw), e.buf(b, nw)
+	sp, oids := e.buf(b, ReducePartialWords(e.dev)), e.buf(b, n)
+	for _, sel := range []float64{0.01, 0.50} {
+		r := rand.New(rand.NewSource(3))
+		var rows []uint32
+		for i := 0; i < n; i++ {
+			x.U32()[i/32] &^= 1 << uint(i%32)
+			y.U32()[i/32] |= 1 << uint(i%32)
+			if r.Float64() < sel {
+				x.U32()[i/32] |= 1 << uint(i%32)
+				rows = append(rows, uint32(i))
+			}
+			if r.Float64() < sel {
+				y.U32()[i/32] &^= 1 << uint(i%32)
+			}
+		}
+		check := func(b *testing.B, ok bool) {
+			if !ok {
+				panic("BenchmarkBitmapOps: " + b.Name() + " differs from the reference")
+			}
+		}
+		folded := func(b *testing.B, ev *cl.Event) int { return int(e.folded(b, sp, ev)) }
+		b.Run(fmt.Sprintf("and/sel=%g", sel), func(b *testing.B) {
+			run := func() *cl.Event { return BitmapAnd(e.q, d, x, y, sp, n, nil) }
+			got, want := folded(b, run()), 0
+			for i, w := range d.U32()[:nw] {
+				check(b, w == x.U32()[i]&y.U32()[i])
+				want += bits.OnesCount32(w)
+			}
+			check(b, got == want)
+			reportRows(b, n, run)
+		})
+		b.Run(fmt.Sprintf("or/sel=%g", sel), func(b *testing.B) {
+			run := func() *cl.Event { return BitmapOr(e.q, d, x, y, sp, n, nil) }
+			if err := run().Wait(); err != nil {
+				b.Fatal(err)
+			}
+			for i, w := range d.U32()[:nw] {
+				check(b, w == x.U32()[i]|y.U32()[i])
+			}
+			reportRows(b, n, run)
+		})
+		b.Run(fmt.Sprintf("count/sel=%g", sel), func(b *testing.B) {
+			run := func() *cl.Event { return BitmapCount(e.q, x, sp, n, nil) }
+			check(b, folded(b, run()) == len(rows))
+			reportRows(b, n, run)
+		})
+		b.Run(fmt.Sprintf("materialize/sel=%g", sel), func(b *testing.B) {
+			run := func() *cl.Event { return Materialize(e.q, oids, x, sp, n, nil) }
+			if err := run().Wait(); err != nil {
+				b.Fatal(err)
+			}
+			check(b, slices.Equal(oids.U32()[:len(rows)], rows))
+			reportRows(b, n, run)
+		})
+	}
+}

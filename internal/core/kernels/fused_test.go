@@ -12,7 +12,7 @@ import (
 
 // TestFusedSelectMatchesUnfused: the fused predicate-conjunction kernel must
 // produce, on both devices, exactly the bitmap (and count) of the unfused
-// SelectI32 → SelectF32-with-candidate composition.
+// int32 selection → float32 selection-with-candidate composition.
 func TestFusedSelectMatchesUnfused(t *testing.T) {
 	for _, dev := range devices() {
 		e := newEnv(dev)
@@ -31,25 +31,14 @@ func TestFusedSelectMatchesUnfused(t *testing.T) {
 		// the first bitmap in as its candidate.
 		bm1 := e.buf(t, nbw+1)
 		bm2 := e.buf(t, nbw+1)
-		ev := SelectI32(e.q, bm1, icol, nil, n, 100, 699, nil)
-		ev = SelectF32(e.q, bm2, fcol, bm1, n, 0.25, 0.9, true, false, []*cl.Event{ev})
-		total := e.buf(t, 2)
-		if err := BitmapCount(e.q, bm2, e.scratch(t), total, n, []*cl.Event{ev}).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		wantCount := total.U32()[0]
+		sp := e.scratch(t)
+		ev := e.selectI32(bm1, icol, nil, sp, n, 100, 699, nil)
+		wantCount := e.folded(t, sp, e.selectF32(bm2, fcol, bm1, sp, n, 0.25, 0.9, true, false, []*cl.Event{ev}))
 
 		// Fused: both predicates in one pass, count folded device-side.
 		fbm := e.buf(t, nbw+1)
-		ftotal := e.buf(t, 2)
-		pred := CompileFusedPred([]FusedPredFilter{
-			{Col: icol, LoI: 100, HiI: 699},
-			{Float: true, Col: fcol, LoF: 0.25, HiF: 0.9, LoIncl: true, HiIncl: false},
-		}, 0, 0, false)
-		if err := FusedSelect(e.q, fbm, nil, pred, n, e.scratch(t), ftotal, cl.Cost{}, nil).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if got := ftotal.U32()[0]; got != wantCount {
+		filters := []FusedPredFilter{{Col: icol, Lo: 100, Hi: 699}, f32Filter(fcol, 0.25, 0.9, true, false)}
+		if got := e.folded(t, sp, Select(e.q, fbm, nil, sp, filters, 0, n, n, nil)); got != wantCount {
 			t.Fatalf("%s: fused count %d, unfused %d", dev.Name, got, wantCount)
 		}
 		wantBM, gotBM := bm2.Bytes(), fbm.Bytes()
@@ -104,12 +93,12 @@ func TestFusedEvalMatchesUnfused(t *testing.T) {
 			{Kind: ops.FusedConst, C: 2.5},
 			{Kind: ops.FusedBin, Bin: ops.SubOp, L: 3, R: 2, Float: true},
 		}
-		f32, _, isFloat := CompileFusedExpr(nodes)
-		if !isFloat {
+		prog := CompileFusedExpr(dev, nodes, true, 0)
+		if !prog.float {
 			t.Fatalf("%s: fused expression lost its float promotion", dev.Name)
 		}
 		got := e.buf(t, m+1)
-		if err := FusedEvalF32(e.q, got, idx, 0, f32, m, cl.Cost{}, nil).Wait(); err != nil {
+		if err := FusedEval(e.q, got, idx, prog, m, cl.Cost{}, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		wantV, gotV := want.F32(), got.F32()
@@ -171,15 +160,14 @@ func TestFusedPredExactMasks(t *testing.T) {
 				fb.F32()[i] = specialsF[r.Intn(len(specialsF))]
 			}
 		}
-		nbw := (BitmapBytes(n) + 3) / 4
+		nbw, sp := BitmapWords(n), e.scratch(t)
 		check := func(name string, f FusedPredFilter, unfused func(bm *cl.Buffer) *cl.Event, want func(i int) bool) {
 			t.Helper()
-			ubm, fbm, total := e.buf(t, nbw), e.buf(t, nbw), e.buf(t, 1)
+			ubm, fbm := e.buf(t, nbw), e.buf(t, nbw)
 			if err := unfused(ubm).Wait(); err != nil {
 				t.Fatal(err)
 			}
-			pred := CompileFusedPred([]FusedPredFilter{f}, 0, 0, false)
-			if err := FusedSelect(e.q, fbm, nil, pred, n, e.scratch(t), total, cl.Cost{}, nil).Wait(); err != nil {
+			if err := Select(e.q, fbm, nil, sp, []FusedPredFilter{f}, 0, n, n, nil).Wait(); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -196,16 +184,15 @@ func TestFusedPredExactMasks(t *testing.T) {
 
 		for _, b := range [][2]int32{{-2, 2}, {1, 1}, {3, -3}, {math.MinInt32, math.MaxInt32}, {-4, -4}} {
 			lo, hi := b[0], b[1]
-			check(fmt.Sprintf("i32[%d,%d]", lo, hi), FusedPredFilter{Col: ia, LoI: lo, HiI: hi},
-				func(bm *cl.Buffer) *cl.Event { return SelectI32(e.q, bm, ia, nil, n, lo, hi, nil) },
+			check(fmt.Sprintf("i32[%d,%d]", lo, hi), FusedPredFilter{Col: ia, Lo: lo, Hi: hi},
+				func(bm *cl.Buffer) *cl.Event { return e.selectI32(bm, ia, nil, sp, n, lo, hi, nil) },
 				func(i int) bool { v := ia.I32()[i]; return v >= lo && v <= hi })
 		}
 		for _, b := range [][2]float32{{0.25, 0.75}, {0.5, 0.5}, {nan, 0.5}, {0.25, nan}, {float32(math.Inf(-1)), float32(math.Inf(1))}, {0.75, 0.25}} {
 			for _, incl := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 				lo, hi, li, hi2 := b[0], b[1], incl[0], incl[1]
-				check(fmt.Sprintf("f32 %v %v %v %v", lo, hi, li, hi2),
-					FusedPredFilter{Float: true, Col: fa, LoF: lo, HiF: hi, LoIncl: li, HiIncl: hi2},
-					func(bm *cl.Buffer) *cl.Event { return SelectF32(e.q, bm, fa, nil, n, lo, hi, li, hi2, nil) },
+				check(fmt.Sprintf("f32 %v %v %v %v", lo, hi, li, hi2), f32Filter(fa, lo, hi, li, hi2),
+					func(bm *cl.Buffer) *cl.Event { return e.selectF32(bm, fa, nil, sp, n, lo, hi, li, hi2, nil) },
 					func(i int) bool {
 						v := fa.F32()[i]
 						return (v > lo || (li && v == lo)) && (v < hi || (hi2 && v == hi))
@@ -214,10 +201,10 @@ func TestFusedPredExactMasks(t *testing.T) {
 		}
 		for _, cmp := range []ops.Cmp{ops.Lt, ops.Le, ops.Gt, ops.Ge, ops.Eq, ops.Ne} {
 			check(fmt.Sprintf("cmp i32 %v", cmp), FusedPredFilter{IsCmp: true, Col: ia, Other: ib, Cmp: cmp},
-				func(bm *cl.Buffer) *cl.Event { return SelectCmp(e.q, bm, ia, ib, false, cmp, nil, n, nil) },
+				func(bm *cl.Buffer) *cl.Event { return e.selectCmp(bm, ia, ib, nil, sp, false, cmp, n, nil) },
 				func(i int) bool { return refCmp(ia.I32()[i], ib.I32()[i], cmp) })
 			check(fmt.Sprintf("cmp f32 %v", cmp), FusedPredFilter{IsCmp: true, Float: true, Col: fa, Other: fb, Cmp: cmp},
-				func(bm *cl.Buffer) *cl.Event { return SelectCmp(e.q, bm, fa, fb, true, cmp, nil, n, nil) },
+				func(bm *cl.Buffer) *cl.Event { return e.selectCmp(bm, fa, fb, nil, sp, true, cmp, n, nil) },
 				func(i int) bool { return refCmp(fa.F32()[i], fb.F32()[i], cmp) })
 		}
 	}

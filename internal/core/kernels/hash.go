@@ -196,14 +196,14 @@ func (v *slotView) gid(a, b uint32) int32 {
 // Under identity addressing it is branch-free (an absent key tests bit 0 and
 // masks the answer out): whether a probe key is present is exactly what an
 // existence join cannot predict.
-func (v *slotView) has(a uint32) byte {
+func (v *slotView) has(a uint32) uint32 {
 	if v.bits == nil {
-		return flag(v.hashedGid(a, 0) >= 0)
+		return b2u(v.hashedGid(a, 0) >= 0)
 	}
 	d := a - v.min
-	in := flag(d <= v.span)
-	d &= -uint32(in)
-	return in & byte(v.bits[d>>5]>>(d&31)&1)
+	in := b2u(d <= v.span)
+	d &= -in
+	return in & (v.bits[d>>5] >> (d & 31))
 }
 
 // hashedGid walks the probe sequence of §4.1.4: the six hash functions, then

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"math/bits"
+
 	"repro/internal/cl"
 )
 
@@ -60,52 +62,61 @@ func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, s Slots, starts
 // JoinProbeUnique enqueues the direct path for key build sides: at most one
 // match per probe row, so the kernel emits a match bitmap plus the matching
 // build row per probe row — no counting pass needed (§4.1.5's
-// known-cardinality case). rpos[i] is undefined where the bit is unset.
-func JoinProbeUnique(q *cl.Queue, bm, rpos *cl.Buffer, s Slots, starts, rowids *cl.Buffer, probe *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	dst := bm.Bytes()
+// known-cardinality case). rpos[i] is undefined where the bit is unset. Like
+// every bitmap producer it works a 32-row word at a time, leaves the bits
+// from n to the word boundary zero and the per-item population counts in
+// partials (gsz words, for FoldCount).
+func JoinProbeUnique(q *cl.Queue, bm, rpos, partials *cl.Buffer, s Slots, starts, rowids *cl.Buffer, probe *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	dst, p := bm.U32(), partials.U32()
 	rp := rpos.U32()
 	v, so, rid := s.view(), starts.U32(), rowids.U32()
 	src := probe.U32()
-	nb := BitmapBytes(n)
 	return q.EnqueueKernel(func(t *cl.Thread) {
-		blo, bhi, step := t.Span(nb)
-		for bix := blo; bix < bhi; bix += step {
-			var out byte
-			base := bix * 8
-			end := min(base+8, n)
-			for r := base; r < end; r++ {
-				gid := v.gid(src[r], 0)
+		wlo, whi, step := t.Span(BitmapWords(n))
+		var sum int
+		for w := wlo; w < whi; w += step {
+			var out uint32
+			base := w * 32
+			for i, k := range src[base:min(base+32, n)] {
+				gid := v.gid(k, 0)
 				if gid >= 0 && so[gid+1] > so[gid] {
-					out |= 1 << uint(r-base)
-					rp[r] = rid[so[gid]]
+					out |= 1 << uint(i)
+					rp[base+i] = rid[so[gid]]
 				}
 			}
-			dst[bix] = out
+			dst[w] = out
+			sum += bits.OnesCount32(out)
 		}
+		p[t.Global] = uint32(sum)
 	}, launch(q.Device(), "join_probe_unique",
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
 // ExistsProbe enqueues the semi/anti-join kernel: bit i of the bitmap is set
-// iff probe row i's key {is, is not} present in the table.
-func ExistsProbe(q *cl.Queue, bm *cl.Buffer, s Slots, probe *cl.Buffer, n int, negate bool, wait []*cl.Event) *cl.Event {
-	dst := bm.Bytes()
+// iff probe row i's key {is, is not} present in the table; words, tail and
+// partials as in JoinProbeUnique.
+func ExistsProbe(q *cl.Queue, bm, partials *cl.Buffer, s Slots, probe *cl.Buffer, n int, negate bool, wait []*cl.Event) *cl.Event {
+	dst, p := bm.U32(), partials.U32()
 	v := s.view()
 	src := probe.U32()
-	nb := BitmapBytes(n)
-	name, flip := "semijoin_probe", byte(0)
+	name, flip := "semijoin_probe", uint32(0)
 	if negate {
 		name, flip = "antijoin_probe", 1
 	}
 	return q.EnqueueKernel(func(t *cl.Thread) {
-		blo, bhi, step := t.Span(nb)
-		for bix := blo; bix < bhi; bix += step {
-			var f [8]byte
-			for i, k := range src[bix*8 : min(bix*8+8, n)] {
-				f[i] = v.has(k) ^ flip
+		wlo, whi, step := t.Span(BitmapWords(n))
+		var sum int
+		for w := wlo; w < whi; w += step {
+			var out uint32
+			keys := src[w*32 : min(w*32+32, n)]
+			for _, k := range keys {
+				out = out>>1 | (v.has(k)^flip)<<31
 			}
-			dst[bix] = pack8(&f)
+			out >>= uint(32 - len(keys))
+			dst[w] = out
+			sum += bits.OnesCount32(out)
 		}
+		p[t.Global] = uint32(sum)
 	}, launch(q.Device(), name,
 		cl.Cost{BytesStreamed: int64(n) * 4, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }

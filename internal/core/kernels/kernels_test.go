@@ -27,7 +27,7 @@ func newEnv(dev *cl.Device) *env {
 	return &env{dev: dev, ctx: ctx, q: cl.NewQueue(ctx)}
 }
 
-func (e *env) buf(t *testing.T, words int) *cl.Buffer {
+func (e *env) buf(t testing.TB, words int) *cl.Buffer {
 	t.Helper()
 	b, err := e.ctx.CreateBuffer(words * 4)
 	if err != nil {
@@ -36,26 +36,60 @@ func (e *env) buf(t *testing.T, words int) *cl.Buffer {
 	return b
 }
 
-func (e *env) u32(t *testing.T, vals []uint32) *cl.Buffer {
+func (e *env) u32(t testing.TB, vals []uint32) *cl.Buffer {
 	b := e.buf(t, len(vals)+1)
 	copy(b.U32(), vals)
 	return b
 }
 
-func (e *env) i32(t *testing.T, vals []int32) *cl.Buffer {
+func (e *env) i32(t testing.TB, vals []int32) *cl.Buffer {
 	b := e.buf(t, len(vals)+1)
 	copy(b.I32(), vals)
 	return b
 }
 
-func (e *env) f32(t *testing.T, vals []float32) *cl.Buffer {
+func (e *env) f32(t testing.TB, vals []float32) *cl.Buffer {
 	b := e.buf(t, len(vals)+1)
 	copy(b.F32(), vals)
 	return b
 }
 
-func (e *env) scratch(t *testing.T) *cl.Buffer {
+func (e *env) scratch(t testing.TB) *cl.Buffer {
 	return e.buf(t, ReducePartialWords(e.dev))
+}
+
+// folded waits for a bitmap producer and returns the population count it
+// left in partials.
+func (e *env) folded(t testing.TB, partials *cl.Buffer, ev *cl.Event) uint32 {
+	t.Helper()
+	total := e.buf(t, 1)
+	if err := FoldCount(e.q, partials, total, []*cl.Event{ev}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return total.U32()[0]
+}
+
+// selectI32 enqueues the one-filter selection lo <= col <= hi.
+func (e *env) selectI32(bm, col, cand, partials *cl.Buffer, n int, lo, hi int32, wait []*cl.Event) *cl.Event {
+	return Select(e.q, bm, cand, partials, []FusedPredFilter{{Col: col, Lo: lo, Hi: hi}}, 0, n, n, wait)
+}
+
+// f32Filter collapses float bounds the way the engine does; an empty
+// interval stays a filter (Lo > Hi), so that the kernel still runs.
+func f32Filter(col *cl.Buffer, lo, hi float32, loIncl, hiIncl bool) FusedPredFilter {
+	l, h, ok := F32RangeBounds(lo, hi, loIncl, hiIncl)
+	if !ok {
+		l, h = 1, 0
+	}
+	return FusedPredFilter{Float: true, Col: col, Lo: l, Hi: h}
+}
+
+func (e *env) selectF32(bm, col, cand, partials *cl.Buffer, n int, lo, hi float32, loIncl, hiIncl bool, wait []*cl.Event) *cl.Event {
+	return Select(e.q, bm, cand, partials, []FusedPredFilter{f32Filter(col, lo, hi, loIncl, hiIncl)}, 0, n, n, wait)
+}
+
+func (e *env) selectCmp(bm, a, b, cand, partials *cl.Buffer, isFloat bool, cmp ops.Cmp, n int, wait []*cl.Event) *cl.Event {
+	return Select(e.q, bm, cand, partials, []FusedPredFilter{{IsCmp: true, Float: isFloat, Col: a, Other: b, Cmp: cmp}}, 0, n, n, wait)
 }
 
 func TestPrefixSum(t *testing.T) {
@@ -128,12 +162,10 @@ func TestSelectBitmapAndCountAndMaterialize(t *testing.T) {
 		}
 		col := e.i32(t, vals)
 		bm := e.buf(t, (BitmapBytes(n)+3)/4+1)
-		ev := SelectI32(e.q, bm, col, nil, n, 100, 299, nil)
-
-		total := e.buf(t, 1)
-		ev = BitmapCount(e.q, bm, e.scratch(t), total, n, []*cl.Event{ev})
-		if err := ev.Wait(); err != nil {
-			t.Fatal(err)
+		sp := e.scratch(t)
+		got := int(e.folded(t, sp, e.selectI32(bm, col, nil, sp, n, 100, 299, nil)))
+		if again := int(e.folded(t, sp, BitmapCount(e.q, bm, sp, n, nil))); again != got {
+			t.Fatalf("%s: BitmapCount = %d, the producer's folded count %d", dev.Name, again, got)
 		}
 		var want []uint32
 		for i, v := range vals {
@@ -141,7 +173,7 @@ func TestSelectBitmapAndCountAndMaterialize(t *testing.T) {
 				want = append(want, uint32(i))
 			}
 		}
-		if got := int(total.U32()[0]); got != len(want) {
+		if got != len(want) {
 			t.Fatalf("%s: count = %d, want %d", dev.Name, got, len(want))
 		}
 
@@ -168,21 +200,18 @@ func TestSelectWithCandidateBitmapAnds(t *testing.T) {
 		col := e.i32(t, vals)
 		words := (BitmapBytes(n)+3)/4 + 1
 		bm1 := e.buf(t, words)
-		ev1 := SelectI32(e.q, bm1, col, nil, n, 0, 49, nil)
+		sp := e.scratch(t)
+		ev1 := e.selectI32(bm1, col, nil, sp, n, 0, 49, nil)
 		bm2 := e.buf(t, words)
-		ev2 := SelectI32(e.q, bm2, col, bm1, n, 25, 74, []*cl.Event{ev1})
-		total := e.buf(t, 1)
-		if err := BitmapCount(e.q, bm2, e.scratch(t), total, n, []*cl.Event{ev2}).Wait(); err != nil {
-			t.Fatal(err)
-		}
+		got := e.folded(t, sp, e.selectI32(bm2, col, bm1, sp, n, 25, 74, []*cl.Event{ev1}))
 		want := 0
 		for _, v := range vals {
 			if v >= 25 && v <= 49 {
 				want++
 			}
 		}
-		if int(total.U32()[0]) != want {
-			t.Fatalf("%s: chained select count = %d, want %d", dev.Name, total.U32()[0], want)
+		if int(got) != want {
+			t.Fatalf("%s: chained select count = %d, want %d", dev.Name, got, want)
 		}
 	}
 }
@@ -212,7 +241,7 @@ func TestSelectKernelsExactBitmaps(t *testing.T) {
 	i32Ranges := [][2]int32{{-100, 250}, {-900, -300}, {0, 0}, {math.MinInt32, math.MaxInt32}, {math.MinInt32, -1}, {5, -5}, {math.MaxInt32, math.MinInt32}}
 	for _, dev := range devices() {
 		e := newEnv(dev)
-		ib, wb, fb := e.i32(t, iv), e.i32(t, iw), e.f32(t, fv)
+		ib, wb, fb, sp := e.i32(t, iv), e.i32(t, iw), e.f32(t, fv), e.scratch(t)
 		for cname, cand := range cands {
 			var cb *cl.Buffer
 			if cand != nil {
@@ -244,14 +273,14 @@ func TestSelectKernelsExactBitmaps(t *testing.T) {
 			for _, rg := range i32Ranges {
 				lo, hi := rg[0], rg[1]
 				check(fmt.Sprintf("i32[%d,%d]", lo, hi),
-					func(bm *cl.Buffer) *cl.Event { return SelectI32(e.q, bm, ib, cb, n, lo, hi, nil) },
+					func(bm *cl.Buffer) *cl.Event { return e.selectI32(bm, ib, cb, sp, n, lo, hi, nil) },
 					func(i int) bool { return iv[i] >= lo && iv[i] <= hi })
 			}
 			check("f32(-0.5,0.25]",
-				func(bm *cl.Buffer) *cl.Event { return SelectF32(e.q, bm, fb, cb, n, -0.5, 0.25, false, true, nil) },
+				func(bm *cl.Buffer) *cl.Event { return e.selectF32(bm, fb, cb, sp, n, -0.5, 0.25, false, true, nil) },
 				func(i int) bool { return fv[i] > -0.5 && fv[i] <= 0.25 })
 			check("cmp<",
-				func(bm *cl.Buffer) *cl.Event { return SelectCmp(e.q, bm, ib, wb, false, ops.Lt, cb, n, nil) },
+				func(bm *cl.Buffer) *cl.Event { return e.selectCmp(bm, ib, wb, cb, sp, false, ops.Lt, n, nil) },
 				func(i int) bool { return iv[i] < iw[i] })
 		}
 	}
@@ -262,20 +291,12 @@ func TestSelectF32Bounds(t *testing.T) {
 	vals := []float32{0.04, 0.05, 0.06, 0.07, 0.08}
 	col := e.f32(t, vals)
 	bm := e.buf(t, 2)
-	total := e.buf(t, 1)
-	ev := SelectF32(e.q, bm, col, nil, len(vals), 0.05, 0.07, true, true, nil)
-	if err := BitmapCount(e.q, bm, e.scratch(t), total, len(vals), []*cl.Event{ev}).Wait(); err != nil {
-		t.Fatal(err)
+	sp := e.scratch(t)
+	if got := e.folded(t, sp, e.selectF32(bm, col, nil, sp, len(vals), 0.05, 0.07, true, true, nil)); got != 3 {
+		t.Fatalf("inclusive f32 between = %d, want 3", got)
 	}
-	if total.U32()[0] != 3 {
-		t.Fatalf("inclusive f32 between = %d, want 3", total.U32()[0])
-	}
-	ev = SelectF32(e.q, bm, col, nil, len(vals), 0.05, 0.07, false, false, nil)
-	if err := BitmapCount(e.q, bm, e.scratch(t), total, len(vals), []*cl.Event{ev}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if total.U32()[0] != 1 {
-		t.Fatalf("exclusive f32 between = %d, want 1", total.U32()[0])
+	if got := e.folded(t, sp, e.selectF32(bm, col, nil, sp, len(vals), 0.05, 0.07, false, false, nil)); got != 1 {
+		t.Fatalf("exclusive f32 between = %d, want 1", got)
 	}
 }
 
@@ -285,13 +306,9 @@ func TestSelectCmpKernel(t *testing.T) {
 		a := e.i32(t, []int32{1, 5, 3, 7, 2})
 		b := e.i32(t, []int32{2, 4, 3, 9, 1})
 		bm := e.buf(t, 2)
-		total := e.buf(t, 1)
-		ev := SelectCmp(e.q, bm, a, b, false, ops.Lt, nil, 5, nil)
-		if err := BitmapCount(e.q, bm, e.scratch(t), total, 5, []*cl.Event{ev}).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if total.U32()[0] != 2 {
-			t.Fatalf("%s: a<b count = %d, want 2", dev.Name, total.U32()[0])
+		sp := e.scratch(t)
+		if got := e.folded(t, sp, e.selectCmp(bm, a, b, nil, sp, false, ops.Lt, 5, nil)); got != 2 {
+			t.Fatalf("%s: a<b count = %d, want 2", dev.Name, got)
 		}
 	}
 }
@@ -300,18 +317,12 @@ func TestBitmapOrAnd(t *testing.T) {
 	e := newEnv(cl.NewGPUDevice(64 << 20))
 	a := e.u32(t, []uint32{0x0F0F0F0F})
 	b := e.u32(t, []uint32{0x00FF00FF})
-	d := e.buf(t, 2)
-	if err := BitmapOr(e.q, d, a, b, 4, nil).Wait(); err != nil {
-		t.Fatal(err)
+	d, sp := e.buf(t, 2), e.scratch(t)
+	if got := e.folded(t, sp, BitmapOr(e.q, d, a, b, sp, 32, nil)); d.U32()[0] != 0x0FFF0FFF || got != 24 {
+		t.Fatalf("or = %#x, %d bits", d.U32()[0], got)
 	}
-	if d.U32()[0] != 0x0FFF0FFF {
-		t.Fatalf("or = %#x", d.U32()[0])
-	}
-	if err := BitmapAnd(e.q, d, a, b, 4, nil).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if d.U32()[0] != 0x000F000F {
-		t.Fatalf("and = %#x", d.U32()[0])
+	if got := e.folded(t, sp, BitmapAnd(e.q, d, a, b, sp, 32, nil)); d.U32()[0] != 0x000F000F || got != 8 {
+		t.Fatalf("and = %#x, %d bits", d.U32()[0], got)
 	}
 }
 
@@ -373,7 +384,92 @@ func TestMapKernels(t *testing.T) {
 		if d.F32()[0] != 19940216 { // nearest float32 to 19940215
 			t.Fatalf("%s: cast = %v", dev.Name, d.F32()[0])
 		}
+
+		// Every operator in every operand form against the scalar written
+		// out: fused and unfused arithmetic share the loops, so only an
+		// independent reference can tell a wrong one. More rows than one tile.
+		const n = 3001
+		r := rand.New(rand.NewSource(4))
+		xi, yi, xf, yf := e.buf(t, n), e.buf(t, n), e.buf(t, n), e.buf(t, n)
+		for i := 0; i < n; i++ {
+			xi.I32()[i], yi.I32()[i] = r.Int31n(2001)-1000, r.Int31n(7)-3
+			xf.F32()[i], yf.F32()[i] = r.Float32()*20-10, float32(r.Intn(9)-4)/2
+		}
+		out := e.buf(t, n)
+		for _, op := range []ops.Bin{ops.Add, ops.SubOp, ops.Mul, ops.Div} {
+			for form := 0; form < 3; form++ { // x⟨op⟩y, x⟨op⟩c, c⟨op⟩x
+				for _, float := range []bool{false, true} {
+					x, y := xi, yi
+					if float {
+						x, y = xf, yf
+					}
+					var ev *cl.Event
+					if form == 0 {
+						ev = MapBinop(e.q, out, x, y, float, op, n, nil)
+					} else {
+						ev = MapBinopConst(e.q, out, x, float, op, 2.5, 3, form == 2, n, nil)
+					}
+					if err := ev.Wait(); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						var got, want uint32
+						if float {
+							a, b := x.F32()[i], y.F32()[i]
+							switch form {
+							case 1:
+								b = 2.5
+							case 2:
+								a, b = 2.5, a
+							}
+							got, want = out.U32()[i], math.Float32bits(refF32(op, a, b))
+						} else {
+							a, b := x.I32()[i], y.I32()[i]
+							switch form {
+							case 1:
+								b = 3
+							case 2:
+								a, b = 3, a
+							}
+							got, want = out.U32()[i], uint32(refI32(op, a, b))
+						}
+						if got != want {
+							t.Fatalf("%s: op %v form %d float=%v row %d: %#x, want %#x", dev.Name, op, form, float, i, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
+}
+
+// refI32 and refF32 are the arithmetic of the map kernels written out per
+// element: integer x / 0 is 0.
+func refI32(op ops.Bin, x, y int32) int32 {
+	switch op {
+	case ops.Add:
+		return x + y
+	case ops.SubOp:
+		return x - y
+	case ops.Mul:
+		return x * y
+	}
+	if y == 0 {
+		return 0
+	}
+	return x / y
+}
+
+func refF32(op ops.Bin, x, y float32) float32 {
+	switch op {
+	case ops.Add:
+		return x + y
+	case ops.SubOp:
+		return x - y
+	case ops.Mul:
+		return x * y
+	}
+	return x / y
 }
 
 func TestReduceKernels(t *testing.T) {
@@ -930,21 +1026,12 @@ func TestJoinProbeKernels(t *testing.T) {
 			}
 		}
 		// Semi/anti probes.
-		bm := e.buf(t, 2)
-		cnt := e.buf(t, 1)
-		ev = ExistsProbe(e.q, bm, slots, pb, n, false, nil)
-		if err := BitmapCount(e.q, bm, e.scratch(t), cnt, n, []*cl.Event{ev}).Wait(); err != nil {
-			t.Fatal(err)
+		bm, sp := e.buf(t, 2), e.scratch(t)
+		if got := e.folded(t, sp, ExistsProbe(e.q, bm, sp, slots, pb, n, false, nil)); got != 4 {
+			t.Fatalf("%s: semi count = %d, want 4", dev.Name, got)
 		}
-		if cnt.U32()[0] != 4 {
-			t.Fatalf("%s: semi count = %d, want 4", dev.Name, cnt.U32()[0])
-		}
-		ev = ExistsProbe(e.q, bm, slots, pb, n, true, nil)
-		if err := BitmapCount(e.q, bm, e.scratch(t), cnt, n, []*cl.Event{ev}).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if cnt.U32()[0] != 1 {
-			t.Fatalf("%s: anti count = %d, want 1", dev.Name, cnt.U32()[0])
+		if got := e.folded(t, sp, ExistsProbe(e.q, bm, sp, slots, pb, n, true, nil)); got != 1 {
+			t.Fatalf("%s: anti count = %d, want 1", dev.Name, got)
 		}
 	})
 }
@@ -958,9 +1045,9 @@ func TestJoinProbeUniqueFastPath(t *testing.T) {
 	n := len(probe)
 	bm := e.buf(t, 2)
 	rpos := e.buf(t, n+1)
-	ev := JoinProbeUnique(e.q, bm, rpos, slots, starts, rowids, pb, n, nil)
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
+	sp := e.scratch(t)
+	if got := e.folded(t, sp, JoinProbeUnique(e.q, bm, rpos, sp, slots, starts, rowids, pb, n, nil)); got != 3 {
+		t.Fatalf("match count = %d, want 3", got)
 	}
 	wantBits := []bool{true, false, true, true}
 	for i, w := range wantBits {
@@ -1066,6 +1153,71 @@ func TestI32RangeBounds(t *testing.T) {
 		if ok != c.ok || (ok && (l != c.wl || h != c.wh)) {
 			t.Fatalf("bounds(%v,%v,%v,%v) = (%d,%d,%v), want (%d,%d,%v)",
 				c.lo, c.hi, c.li, c.hi2, l, h, ok, c.wl, c.wh, c.ok)
+		}
+	}
+}
+
+// TestRangeKeyBounds: the inclusive key interval a range predicate is
+// collapsed to selects, through both row loops, exactly the rows the
+// predicate written out selects — for float32 over NaN, both zeros, the
+// infinities, ±MaxFloat32, the smallest denormals and the neighbours of all
+// of them as values and as bounds, every inclusivity, lo > hi and NaN
+// bounds; for int32 over the ends of the domain and bounds beyond them.
+func TestRangeKeyBounds(t *testing.T) {
+	inf := float32(math.Inf(1))
+	var grid []float32
+	for _, v := range []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)), inf, -inf,
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1, -1, 0.25, -2.5e7} {
+		grid = append(grid, v, math.Nextafter32(v, inf), math.Nextafter32(v, -inf))
+	}
+	check := func(what string, src []uint32, flip uint32, l, h int32, ok bool, want func(i int) bool) {
+		t.Helper()
+		for base := 0; base < len(src); base += 32 {
+			chunk := src[base:min(base+32, len(src))]
+			var dense, refined uint32
+			if ok {
+				dense = rangeWord(chunk, flip, uint32(l), uint32(h)-uint32(l))
+				refined = rangeBits(chunk, flip, uint32(l), uint32(h)-uint32(l), wordMask(0, 0, len(chunk)))
+			}
+			for i := range chunk {
+				if w := want(base + i); dense>>i&1 != b2u(w) || refined>>i&1 != b2u(w) {
+					t.Fatalf("%s, value %d: dense %v, refined %v, want %v (keys [%d, %d], ok %v)",
+						what, base+i, dense>>i&1, refined>>i&1, w, l, h, ok)
+				}
+			}
+		}
+	}
+	incl := [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}}
+	fbits := make([]uint32, len(grid))
+	for i, v := range grid {
+		fbits[i] = math.Float32bits(v)
+	}
+	for _, lo := range grid {
+		for _, hi := range grid {
+			for _, in := range incl {
+				l, h, ok := F32RangeBounds(lo, hi, in[0], in[1])
+				check(fmt.Sprintf("f32 %v %v %v", lo, hi, in), fbits, math.MaxInt32, l, h, ok, func(i int) bool {
+					v := grid[i]
+					return (v > lo || v == lo && in[0]) && (v < hi || v == hi && in[1])
+				})
+			}
+		}
+	}
+	ints := []int32{math.MinInt32, math.MinInt32 + 1, -7, -1, 0, 1, 7, math.MaxInt32 - 1, math.MaxInt32}
+	ibits := make([]uint32, len(ints))
+	for i, v := range ints {
+		ibits[i] = uint32(v)
+	}
+	bounds := []float64{math.Inf(-1), -3e9, math.MinInt32, math.MinInt32 + 0.5, -7, -0.5, 0, 6.5, 7, math.MaxInt32 - 0.5, math.MaxInt32, 3e9, math.Inf(1), math.NaN()}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			for _, in := range incl {
+				l, h, ok := I32RangeBounds(lo, hi, in[0], in[1])
+				check(fmt.Sprintf("i32 %v %v %v", lo, hi, in), ibits, 0, l, h, ok, func(i int) bool {
+					v := float64(ints[i])
+					return (v > lo || v == lo && in[0]) && (v < hi || v == hi && in[1])
+				})
+			}
 		}
 	}
 }

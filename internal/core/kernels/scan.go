@@ -44,11 +44,15 @@ func PrefixSum(q *cl.Queue, dst, src, partials, total *cl.Buffer, n int, wait []
 
 // scanSpine enqueues phase 2 of the chunked scans: one work-item turns the
 // gsz per-item sums in partials into exclusive offsets in place, leaving the
-// grand total in partials[gsz] and total[0].
+// grand total in partials[gsz] and, when total is non-nil, total[0].
 func scanSpine(q *cl.Queue, name string, partials, total *cl.Buffer, wait []*cl.Event) *cl.Event {
 	dev := q.Device()
 	_, _, gsz := Geometry(dev)
-	p, tot := partials.U32(), total.U32()
+	p := partials.U32()
+	tot := p[gsz:]
+	if total != nil {
+		tot = total.U32()
+	}
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		if t.Global != 0 {
 			return

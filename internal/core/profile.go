@@ -150,12 +150,16 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 	p.LaunchOverhead = d
 
 	// Streaming scan: the selection kernel.
-	bm, err := alloc((kernels.BitmapBytes(calibrationRows)+3)/4 + 1)
+	bm, err := alloc(kernels.BitmapWords(calibrationRows))
+	if err != nil {
+		return nil, err
+	}
+	counts, err := alloc(spineWords(dev))
 	if err != nil {
 		return nil, err
 	}
 	if d, err = timeOp(4, func() *cl.Event {
-		return kernels.SelectI32(q, bm, col, nil, calibrationRows, 0, 49, nil)
+		return kernels.Select(q, bm, nil, counts, []kernels.FusedPredFilter{{Col: col, Lo: 0, Hi: 49}}, 0, calibrationRows, calibrationRows, nil)
 	}); err != nil {
 		return nil, err
 	}
@@ -240,7 +244,7 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 		p.SortRows[bits] = rate(calibrationRows, d)
 	}
 
-	for _, b := range []*cl.Buffer{col, bm, idx, dst, gids, cnt, keys, vals, tmpK, tmpV, hist} {
+	for _, b := range []*cl.Buffer{col, bm, counts, idx, dst, gids, cnt, keys, vals, tmpK, tmpV, hist} {
 		_ = b.Release()
 	}
 	return p, nil

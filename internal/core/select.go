@@ -17,55 +17,48 @@ import (
 // outputs) take the gather path instead.
 func (e *Engine) Select(col, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (*bat.BAT, error) {
 	n := col.Len()
-	candBm, candTransient, candWait, listCand, err := e.selectionCandidate(cand, n)
+	c, err := e.selectionCandidate(cand, n)
 	if err != nil {
 		return nil, err
 	}
-	if listCand != nil {
-		return e.selectOnList(col, listCand, cand, lo, hi, loIncl, hiIncl)
+	if c.list != nil {
+		return e.selectOnList(col, c.list, cand, lo, hi, loIncl, hiIncl)
 	}
-
+	l, h, ok, err := rangeKeys(col, lo, hi, loIncl, hiIncl)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return e.emptySelection(col.Name)
+	}
 	colBuf, wait, err := e.valuesOf(col)
 	if err != nil {
 		return nil, err
 	}
-	wait = append(wait, candWait...)
-
-	bm, err := e.mm.Alloc(bitmapWords(n) * 4)
+	bm, sp, err := e.bitmapScratch(n)
 	if err != nil {
 		return nil, err
 	}
-	var ev *cl.Event
-	switch col.T {
-	case bat.I32:
-		l, h, ok := kernels.I32RangeBounds(lo, hi, loIncl, hiIncl)
-		if !ok {
-			_ = bm.Release()
-			if candTransient {
-				// The synthesised range bitmap may still be in flight; gate
-				// its release on the producing events so the recycled bytes
-				// cannot be handed out while the kernel writes them.
-				e.releaseAfter(e.q.EnqueueMarker(candWait), candBm)
-			}
-			return e.emptySelection(col.Name)
-		}
-		ev = kernels.SelectI32(e.q, bm, colBuf, candBm, n, l, h, wait)
-	case bat.F32:
-		fl, fh := f32Bounds(lo, hi)
-		ev = kernels.SelectF32(e.q, bm, colBuf, candBm, n, fl, fh, loIncl, hiIncl, wait)
-	default:
-		_ = bm.Release()
-		if candTransient {
-			e.releaseAfter(e.q.EnqueueMarker(candWait), candBm)
-		}
-		return nil, fmt.Errorf("core: select on %v column %q", col.T, col.Name)
-	}
-	if candTransient {
-		e.releaseAfter(ev, candBm)
-	}
+	ev := kernels.Select(e.q, bm, c.bm, sp, []kernels.FusedPredFilter{{Float: col.T == bat.F32, Col: colBuf, Lo: l, Hi: h}},
+		c.lo, c.hi, n, append(wait, c.wait...))
 	e.mm.NoteConsumer(col, ev)
 	e.mm.NoteConsumer(cand, ev)
-	return e.finishBitmapSelection(col.Name, bm, n, ev)
+	return e.finishBitmapSelection(col.Name, bm, sp, n, ev)
+}
+
+// rangeKeys collapses a range predicate over col to the inclusive interval of
+// integer keys the selection kernels test; ok is false when it is empty.
+func rangeKeys(col *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (l, h int32, ok bool, err error) {
+	switch col.T {
+	case bat.I32:
+		l, h, ok = kernels.I32RangeBounds(lo, hi, loIncl, hiIncl)
+	case bat.F32:
+		fl, fh := f32Bounds(lo, hi)
+		l, h, ok = kernels.F32RangeBounds(fl, fh, loIncl, hiIncl)
+	default:
+		err = fmt.Errorf("core: select on %v column %q", col.T, col.Name)
+	}
+	return l, h, ok, err
 }
 
 // SelectCmp evaluates a[oid] cmp b[oid] into a bitmap (§4.1.1's bit-operation
@@ -79,44 +72,31 @@ func (e *Engine) SelectCmp(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT,
 		return nil, fmt.Errorf("core: selectcmp type mismatch %v vs %v", a.T, b.T)
 	}
 	n := a.Len()
-	candBm, candTransient, candWait, listCand, err := e.selectionCandidate(cand, n)
+	c, err := e.selectionCandidate(cand, n)
 	if err != nil {
 		return nil, err
 	}
-	if listCand != nil {
+	if c.list != nil {
 		return nil, fmt.Errorf("core: selectcmp over materialised candidate lists is not supported; project first")
-	}
-	// On any early error the transient candidate bitmap must still be
-	// released (event-gated: its producer may be in flight).
-	dropCand := func() {
-		if candTransient {
-			e.releaseAfter(e.q.EnqueueMarker(candWait), candBm)
-		}
 	}
 	ab, waitA, err := e.valuesOf(a)
 	if err != nil {
-		dropCand()
 		return nil, err
 	}
 	bb, waitB, err := e.valuesOf(b)
 	if err != nil {
-		dropCand()
 		return nil, err
 	}
-	wait := append(append(waitA, waitB...), candWait...)
-	bm, err := e.mm.Alloc(bitmapWords(n) * 4)
+	bm, sp, err := e.bitmapScratch(n)
 	if err != nil {
-		dropCand()
 		return nil, err
 	}
-	ev := kernels.SelectCmp(e.q, bm, ab, bb, a.T == bat.F32, cmp, candBm, n, wait)
-	if candTransient {
-		e.releaseAfter(ev, candBm)
-	}
+	ev := kernels.Select(e.q, bm, c.bm, sp, []kernels.FusedPredFilter{{IsCmp: true, Float: a.T == bat.F32, Col: ab, Other: bb, Cmp: cmp}},
+		c.lo, c.hi, n, append(append(waitA, waitB...), c.wait...))
 	e.mm.NoteConsumer(a, ev)
 	e.mm.NoteConsumer(b, ev)
 	e.mm.NoteConsumer(cand, ev)
-	return e.finishBitmapSelection(a.Name, bm, n, ev)
+	return e.finishBitmapSelection(a.Name, bm, sp, n, ev)
 }
 
 // OIDUnion combines two selections disjunctively. When both are bitmaps over
@@ -135,14 +115,14 @@ func (e *Engine) OIDUnion(a, b *bat.BAT) (*bat.BAT, error) {
 		if err != nil {
 			return nil, err
 		}
-		bm, err := e.mm.Alloc(bitmapWords(da) * 4)
+		bm, sp, err := e.bitmapScratch(da)
 		if err != nil {
 			return nil, err
 		}
-		ev := kernels.BitmapOr(e.q, bm, ba, bb, kernels.BitmapBytes(da), append(waitA, waitB...))
+		ev := kernels.BitmapOr(e.q, bm, ba, bb, sp, da, append(waitA, waitB...))
 		e.mm.NoteConsumer(a, ev)
 		e.mm.NoteConsumer(b, ev)
-		return e.finishBitmapSelection("union", bm, da, ev)
+		return e.finishBitmapSelection("union", bm, sp, da, ev)
 	}
 
 	// Host fallback for heterogeneous inputs.
@@ -176,43 +156,46 @@ func (e *Engine) OIDUnion(a, b *bat.BAT) (*bat.BAT, error) {
 	return res, nil
 }
 
-// selectionCandidate prepares the candidate argument for a bitmap-producing
-// kernel: it yields either a candidate bitmap (possibly synthesised from a
-// dense sub-range), or a materialised list descriptor for the gather path.
-func (e *Engine) selectionCandidate(cand *bat.BAT, n int) (bm *cl.Buffer, transient bool, wait []*cl.Event, list *candidate, err error) {
+// selCand is the candidate argument of a bitmap-producing kernel: the rows
+// [lo, hi) — all of them unless the candidate is a dense (VOID) sub-range,
+// which the kernel renders as mask arithmetic — ANDed with the candidate
+// bitmap bm when there is one; or, for the gather path, a materialised list.
+type selCand struct {
+	bm     *cl.Buffer
+	lo, hi int
+	wait   []*cl.Event
+	list   *candidate
+}
+
+func (e *Engine) selectionCandidate(cand *bat.BAT, n int) (selCand, error) {
 	switch {
 	case cand == nil:
-		return nil, false, nil, nil, nil
+		return selCand{hi: n}, nil
 	case cand.T == bat.Void:
-		if cand.Seq == 0 && cand.Len() == n {
-			return nil, false, nil, nil, nil
-		}
-		bm, err := e.mm.Alloc(bitmapWords(n) * 4)
-		if err != nil {
-			return nil, false, nil, nil, err
-		}
-		ev := kernels.BitmapRange(e.q, bm, n, int(cand.Seq), int(cand.Seq)+cand.Len(), nil)
-		// The range bitmap is transient scratch: released once consumed.
-		return bm, true, []*cl.Event{ev}, nil, nil
+		return selCand{lo: int(cand.Seq), hi: int(cand.Seq) + cand.Len()}, nil
 	}
 	if domain, isBM := e.mm.IsBitmap(cand); isBM {
 		if domain != n {
-			return nil, false, nil, nil, fmt.Errorf("core: candidate bitmap domain %d does not match column length %d", domain, n)
+			return selCand{}, fmt.Errorf("core: candidate bitmap domain %d does not match column length %d", domain, n)
 		}
 		buf, _, w, err := e.mm.BitmapForRead(cand)
-		return buf, false, w, nil, err
+		return selCand{bm: buf, hi: n, wait: w}, err
 	}
 	c, err := e.resolveCand(cand, n)
-	if err != nil {
-		return nil, false, nil, nil, err
-	}
-	return nil, false, nil, &c, nil
+	return selCand{list: &c}, err
 }
 
 // selectOnList evaluates a range predicate over a materialised candidate
 // list: gather → bitmap over list positions → materialise → map back to
 // input oids.
 func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (*bat.BAT, error) {
+	l, h, ok, err := rangeKeys(col, lo, hi, loIncl, hiIncl)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return e.emptySelection(col.Name)
+	}
 	colBuf, wait, err := e.valuesOf(col)
 	if err != nil {
 		return nil, err
@@ -222,38 +205,21 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 	if err != nil {
 		return nil, err
 	}
-	gev := kernels.Gather(e.q, gathered, colBuf, c.buf, m, append(wait, c.wait...))
-	e.mm.NoteConsumer(col, gev)
-	e.mm.NoteConsumer(cand, gev)
-
-	bm, err := e.mm.Alloc(bitmapWords(m) * 4)
+	bm, sp, err := e.bitmapScratch(m)
 	if err != nil {
 		_ = gathered.Release()
 		return nil, err
 	}
-	var sev *cl.Event
-	switch col.T {
-	case bat.I32:
-		l, h, ok := kernels.I32RangeBounds(lo, hi, loIncl, hiIncl)
-		if !ok {
-			_ = gathered.Release()
-			_ = bm.Release()
-			return e.emptySelection(col.Name)
-		}
-		sev = kernels.SelectI32(e.q, bm, gathered, nil, m, l, h, []*cl.Event{gev})
-	case bat.F32:
-		fl, fh := f32Bounds(lo, hi)
-		sev = kernels.SelectF32(e.q, bm, gathered, nil, m, fl, fh, loIncl, hiIncl, []*cl.Event{gev})
-	default:
-		_ = gathered.Release()
-		_ = bm.Release()
-		return nil, fmt.Errorf("core: select on %v column %q", col.T, col.Name)
-	}
+	gev := kernels.Gather(e.q, gathered, colBuf, c.buf, m, append(wait, c.wait...))
+	e.mm.NoteConsumer(col, gev)
+	e.mm.NoteConsumer(cand, gev)
+	sev := kernels.Select(e.q, bm, nil, sp, []kernels.FusedPredFilter{{Float: col.T == bat.F32, Col: gathered, Lo: l, Hi: h}},
+		0, m, m, []*cl.Event{gev})
 	e.releaseAfter(sev, gathered)
 
 	// Count, materialise positions within the list, then map back to the
 	// original oids with a second gather.
-	count, err := e.bitmapCount(bm, m, sev)
+	count, err := e.countAndRelease(sp, sev)
 	if err != nil {
 		_ = bm.Release()
 		return nil, err
@@ -263,7 +229,7 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 		_ = bm.Release()
 		return nil, err
 	}
-	sp, err := e.spine()
+	sp, err = e.spine()
 	if err != nil {
 		_ = bm.Release()
 		_ = positions.Release()
@@ -287,10 +253,23 @@ func (e *Engine) selectOnList(col *bat.BAT, c *candidate, cand *bat.BAT, lo, hi 
 	return res, nil
 }
 
-// finishBitmapSelection counts the bitmap, builds the result BAT and binds
-// the bitmap payload.
-func (e *Engine) finishBitmapSelection(name string, bm *cl.Buffer, n int, ev *cl.Event) (*bat.BAT, error) {
-	count, err := e.bitmapCount(bm, n, ev)
+// bitmapScratch allocates what every bitmap-producing kernel writes: the
+// bitmap over n rows and the per-item population counts beside it.
+func (e *Engine) bitmapScratch(n int) (bm, sp *cl.Buffer, err error) {
+	if bm, err = e.mm.Alloc(kernels.BitmapWords(n) * 4); err != nil {
+		return nil, nil, err
+	}
+	if sp, err = e.spine(); err != nil {
+		_ = bm.Release()
+		return nil, nil, err
+	}
+	return bm, sp, nil
+}
+
+// finishBitmapSelection reads the count the bitmap's producer ev folded into
+// sp, builds the result BAT and binds the bitmap payload.
+func (e *Engine) finishBitmapSelection(name string, bm, sp *cl.Buffer, n int, ev *cl.Event) (*bat.BAT, error) {
+	count, err := e.countAndRelease(sp, ev)
 	if err != nil {
 		_ = bm.Release()
 		return nil, err
@@ -301,28 +280,23 @@ func (e *Engine) finishBitmapSelection(name string, bm *cl.Buffer, n int, ev *cl
 	return res, nil
 }
 
-// bitmapCount runs the popcount reduction and reads back the total — the
-// size read every materialising engine needs before allocating results.
-func (e *Engine) bitmapCount(bm *cl.Buffer, n int, ev *cl.Event) (int, error) {
-	sp, err := e.spine()
-	if err != nil {
-		return 0, err
-	}
+// countAndRelease sums the per-item population counts ev's kernel left in sp
+// and reads the total back — the size read every materialising engine needs
+// before allocating results — then recycles sp. ev has completed when it
+// returns, with or without an error.
+func (e *Engine) countAndRelease(sp *cl.Buffer, ev *cl.Event) (int, error) {
 	total, err := e.mm.Alloc(4)
 	if err != nil {
+		_ = ev.Wait()
 		e.mm.Release(sp)
 		return 0, err
 	}
-	cev := kernels.BitmapCount(e.q, bm, sp, total, n, []*cl.Event{ev})
-	count, err := e.readU32(total, []*cl.Event{cev})
-	// readU32 waited on cev, so the scratch pair is quiescent and its bytes
-	// can be recycled immediately.
+	count, err := e.readU32(total, []*cl.Event{kernels.FoldCount(e.q, sp, total, []*cl.Event{ev})})
+	// readU32 waited on the fold, so the scratch pair is quiescent and its
+	// bytes can be recycled immediately.
 	e.mm.Release(sp)
 	e.mm.Release(total)
-	if err != nil {
-		return 0, err
-	}
-	return int(count), nil
+	return int(count), err
 }
 
 // emptySelection returns an empty, host-visible candidate list.
@@ -331,8 +305,6 @@ func (e *Engine) emptySelection(name string) (*bat.BAT, error) {
 	res.Props.Sorted, res.Props.Key = true, true
 	return res, nil
 }
-
-func bitmapWords(n int) int { return (kernels.BitmapBytes(n) + 3) / 4 }
 
 func f32Bounds(lo, hi float64) (float32, float32) {
 	l := float32(math.Max(lo, -math.MaxFloat32))

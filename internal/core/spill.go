@@ -524,15 +524,15 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 			if err != nil {
 				return fail(err)
 			}
-			bm, err := e.mm.Alloc(bitmapWords(n) * 4)
+			bm, sp, err := e.bitmapScratch(n)
 			if err != nil {
 				_ = lbuf.Release()
 				return fail(err)
 			}
-			ev := kernels.ExistsProbe(e.q, bm, t.ht.tab, lbuf, n, negate, []*cl.Event{wev, t.ht.slots})
+			ev := kernels.ExistsProbe(e.q, bm, sp, t.ht.tab, lbuf, n, negate, []*cl.Event{wev, t.ht.slots})
 			host := mem.Alloc(kernels.BitmapBytes(n))
 			rd := e.q.EnqueueRead(host, bm, []*cl.Event{ev})
-			e.releaseAfter(rd, lbuf, bm)
+			e.releaseAfter(rd, lbuf, bm, sp)
 			probes = append(probes, probeState{t: t, host: host, done: rd})
 		}
 		for _, p := range probes {
@@ -560,22 +560,23 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 	// in-memory path returns: downstream operators (selectcmp, the bitmap
 	// fast paths) expect existence-join results to be Memory-Manager
 	// bitmaps, not materialised oid lists.
-	host := mem.Alloc(bitmapWords(nl) * 4)
+	host := mem.Alloc(kernels.BitmapWords(nl) * 4)
 	for i, h := range hits {
 		if h {
 			host[i/8] |= 1 << uint(i%8)
 		}
 	}
-	bm, err := e.mm.Alloc(bitmapWords(nl) * 4)
+	bm, sp, err := e.bitmapScratch(nl)
 	if err != nil {
 		return nil, err
 	}
-	ev := e.q.EnqueueWrite(bm, host, nil)
+	// No kernel produced this bitmap, so none folded its count: count it.
+	ev := kernels.BitmapCount(e.q, bm, sp, nl, []*cl.Event{e.q.EnqueueWrite(bm, host, nil)})
 	name := l.Name + "_semi"
 	if negate {
 		name = l.Name + "_anti"
 	}
-	return e.finishBitmapSelection(name, bm, nl, ev)
+	return e.finishBitmapSelection(name, bm, sp, nl, ev)
 }
 
 // spillRetryable reports whether an in-memory join failure warrants the

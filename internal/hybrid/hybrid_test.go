@@ -19,6 +19,17 @@ func newEngine(t *testing.T) *Engine {
 	return h
 }
 
+// pinCPUScan fixes the CPU's profiled scan rate at 2 GB/s, below the
+// simulated PCIe link's 5.5: the regime in which a cold scan is worth
+// shipping to a GPU. Tests of the cost *order* use it so that they do not
+// depend on how fast this machine's CPU calibrates — a selection kernel that
+// out-scans the link rightly keeps cold scans on the CPU.
+func pinCPUScan(h *Engine) {
+	p := *h.devs[0].Prof
+	p.ScanBandwidth = 2e9
+	h.devs[0].Prof = &p
+}
+
 func i32Col(name string, vals []int32) *bat.BAT {
 	s := mem.AllocI32(len(vals))
 	copy(s, vals)
@@ -97,6 +108,7 @@ func TestPipelineCorrectUnderPlacement(t *testing.T) {
 
 func TestLargeOpsPreferGPU(t *testing.T) {
 	h := newEngine(t)
+	pinCPUScan(h)
 	// 8 MB column: the simulated GPU's bandwidth advantage should win even
 	// with the upload.
 	col := i32Col("big", randI32(2<<20, 1000, 3))
@@ -425,6 +437,7 @@ func TestFallbackOrderIsCostOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinCPUScan(h)
 	big := i32Col("big", randI32(2<<20, 1000, 22))
 	order := h.order(nil, []*bat.BAT{big}, batBytes(big))
 	if len(order) != 3 {

@@ -38,14 +38,12 @@ func main() {
 		spillMB = flag.Int64("spillmb", 0, "force a per-join device budget in MiB so hash joins partition and spill (0 = auto from free device memory, -1 = never spill)")
 		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass")
 		skew    = flag.Float64("skew", 0, "Zipf exponent of the generated data (0 = uniform, the TPC-H default)")
-		replan  = flag.Float64("replan", mal.DefaultReplanRatio, "mid-query re-plan threshold: observed/estimated cardinality ratio that abandons a pinned tail (0 disables); re-planned instructions show in -explain")
 		nshards = flag.Int("shards", 0, "partition the fact tables across N shard engines and serve the query scatter-gather (0 = unsharded; pins fusion off)")
 	)
 	flag.Parse()
 	if *verify {
 		mal.SetDefaultVerify(true)
 	}
-	mal.SetDefaultReplanThreshold(*replan)
 
 	q := tpch.QueryByNum(*qnum)
 	if q == nil {

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, srv, fus, ndev, spill, par, adapt, shard")
+		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, srv, fus, ndev, spill, par, shard")
 		all     = flag.Bool("all", false, "regenerate every figure")
 		conc    = flag.Int("concurrency", 0, "serve the TPC-H workload with N concurrent clients over one shared engine and print per-query server stats")
 		sizes   = flag.String("sizes", "", "comma-separated size sweep in MB (Fig 5/6)")
@@ -46,17 +46,11 @@ func main() {
 		seed    = flag.Int64("seed", 42, "data generator seed")
 		jsonOut = flag.String("json", "", "also write machine-readable figure records (median ns/op, bytes alloc) to this file")
 		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass (plan builds only; cached replays stay verifier-free)")
-		skew    = flag.Float64("skew", 0, "Zipf exponent of the adapt figure's skewed dataset (0 keeps the default)")
-		replan  = flag.Float64("replan", mal.DefaultReplanRatio, "mid-query re-plan threshold: observed/estimated cardinality ratio that abandons a pinned tail (0 disables)")
 	)
 	flag.Parse()
 	if *verify {
 		mal.SetDefaultVerify(true)
 	}
-	if *skew > 0 {
-		bench.AdaptZipfTheta = *skew
-	}
-	mal.SetDefaultReplanThreshold(*replan)
 
 	opt := bench.Options{
 		BaseMB:         *baseMB,
@@ -113,7 +107,7 @@ func main() {
 	var figs []string
 	if *all {
 		figs = []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "5i", "6",
-			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "srv", "fus", "ndev", "spill", "par", "adapt", "shard"}
+			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "srv", "fus", "ndev", "spill", "par", "shard"}
 	} else if *fig != "" {
 		for _, f := range strings.Split(*fig, ",") {
 			figs = append(figs, strings.ToLower(strings.TrimSpace(f)))
@@ -164,8 +158,6 @@ func main() {
 			rep = bench.SpillFigure(topt)
 		case f == "par":
 			rep = bench.ParFigure(topt)
-		case f == "adapt":
-			rep = bench.AdaptFigure(topt)
 		case f == "shard":
 			rep = bench.ShardFigure(topt)
 		default:
@@ -177,7 +169,7 @@ func main() {
 				known = append(known, k)
 			}
 			sort.Strings(known)
-			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc srv fus ndev spill par adapt shard)", f, strings.Join(known, " "))
+			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc srv fus ndev spill par shard)", f, strings.Join(known, " "))
 		}
 		fmt.Println(rep)
 		runtime.ReadMemStats(&ms)

@@ -324,38 +324,3 @@ func TestAblationAccumulatorContention(t *testing.T) {
 		t.Skipf("contention effect below threshold on this host: partials %.2f vs direct %.2f", partials, direct)
 	}
 }
-
-func TestAdaptFigureSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TPC-H figure in -short mode")
-	}
-	// The figure is self-checking — it panics when any adaptive mode
-	// diverges from the fixed-constant reference, when verifier runs grow
-	// on cached replays, and when the forced threshold never re-plans a
-	// tail — so the smoke asserts the sweep's shape and that the replan
-	// accounting surfaced in the notes.
-	opt := TPCHOptions{Options: Options{Runs: 1, Threads: 4, Seed: 42}, SF: 0.01}
-	r := AdaptFigure(opt)
-	if len(r.Queries) != 14 {
-		t.Fatalf("adapt figure covers %d queries, want 14", len(r.Queries))
-	}
-	if want := 2 * 4; len(r.Order) != want {
-		t.Fatalf("adapt figure has %d series, want %d (2 datasets × 4 modes)", len(r.Order), want)
-	}
-	for _, c := range r.Order {
-		for i, v := range r.Seconds[c] {
-			if v < 0 {
-				t.Fatalf("Q%d on %s failed: %v", r.Queries[i], c, r.Notes)
-			}
-		}
-	}
-	replanNote := false
-	for _, n := range r.Notes {
-		if strings.Contains(n, "re-plan") {
-			replanNote = true
-		}
-	}
-	if !replanNote {
-		t.Fatalf("adapt figure notes lack the re-plan accounting: %v", r.Notes)
-	}
-}

@@ -19,12 +19,6 @@ func AtomicAddI32(p *int32, delta int32) int32 {
 	return atomic.AddInt32(p, delta)
 }
 
-// AtomicIncU32 atomically increments *p and returns the value before the
-// increment (OpenCL atom_inc semantics, used to claim write slots).
-func AtomicIncU32(p *uint32) uint32 {
-	return atomic.AddUint32(p, 1) - 1
-}
-
 // AtomicAddU32 atomically adds delta to *p and returns the value before the
 // addition.
 func AtomicAddU32(p *uint32, delta uint32) uint32 {
@@ -34,11 +28,6 @@ func AtomicAddU32(p *uint32, delta uint32) uint32 {
 // AtomicCASU32 performs compare-and-swap on *p (OpenCL atom_cmpxchg).
 func AtomicCASU32(p *uint32, old, new uint32) bool {
 	return atomic.CompareAndSwapUint32(p, old, new)
-}
-
-// AtomicXchgU32 atomically stores new into *p and returns the previous value.
-func AtomicXchgU32(p *uint32, new uint32) uint32 {
-	return atomic.SwapUint32(p, new)
 }
 
 // AtomicLoadU32 atomically loads *p.

@@ -151,13 +151,6 @@ func (b *Buffer) Detach() []byte {
 	return b.data
 }
 
-// Released reports whether the buffer has been released.
-func (b *Buffer) Released() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.released
-}
-
 // Size returns the buffer's length in bytes.
 func (b *Buffer) Size() int64 { return b.size }
 

@@ -510,6 +510,21 @@ func TestLaunchPauseIsApplied(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("LaunchPause not applied: %v", elapsed)
 	}
+
+	// A pause below the timer's granularity must cost about what it says:
+	// time.Sleep alone turned 30 µs into over a millisecond.
+	const launches, each = 200, 30 * time.Microsecond
+	dev.LaunchPause = each
+	start = time.Now()
+	for i := 0; i < launches; i++ {
+		ev = q.EnqueueKernel(func(*Thread) {}, Launch{Name: "paused"})
+	}
+	if err := ev.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < launches*each || elapsed > 3*launches*each {
+		t.Fatalf("%d launches at %v took %v, outside [1x, 3x] of the pauses alone", launches, each, elapsed)
+	}
 }
 
 func TestCostModelShapes(t *testing.T) {

@@ -126,6 +126,19 @@ func (q *Queue) submit(name string, deps []*Event, virtDur time.Duration, copyEn
 	return c
 }
 
+// pause blocks the caller for d. time.Sleep rounds up to the timer's
+// granularity (a 30 µs sleep takes over a millisecond on some kernels), so
+// it only covers the part of the wait beyond a millisecond; the rest spins
+// to the deadline.
+func pause(d time.Duration) {
+	deadline := time.Now().Add(d)
+	if d > time.Millisecond {
+		time.Sleep(d - time.Millisecond)
+	}
+	for time.Now().Before(deadline) {
+	}
+}
+
 // EnqueueKernel schedules a kernel launch. The returned event completes when
 // the kernel has (functionally) finished; on simulated devices its virtual
 // span is computed from l.Cost at enqueue time.
@@ -134,7 +147,7 @@ func (q *Queue) EnqueueKernel(fn KernelFunc, l Launch) *Event {
 	if q.dev.LaunchPause > 0 {
 		// Emulates the fixed per-launch framework overhead of the beta Intel
 		// OpenCL SDK the paper measured on the CPU (§5.3.2, Figure 7d).
-		time.Sleep(q.dev.LaunchPause)
+		pause(q.dev.LaunchPause)
 	}
 	var virt time.Duration
 	if q.dev.Simulated {

@@ -67,31 +67,3 @@ func scanSpine(q *cl.Queue, name string, partials, total *cl.Buffer, wait []*cl.
 		tot[0] = run
 	}, launch(dev, name, cl.Cost{BytesStreamed: int64(gsz) * 8}, wait))
 }
-
-// ReduceU32 enqueues a sum reduction of src[:n] into total[0], using
-// per-item partials in partials (gsz+1 words).
-func ReduceU32(q *cl.Queue, src, partials, total *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	_, _, gsz := Geometry(dev)
-	s, p, tot := src.U32(), partials.U32(), total.U32()
-
-	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-		var sum uint32
-		for i := lo; i < hi; i += step {
-			sum += s[i]
-		}
-		p[t.Global] = sum
-	}, launch(dev, "reduce_partials", cl.Cost{BytesStreamed: int64(n) * 4}, wait))
-
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		if t.Global != 0 {
-			return
-		}
-		var sum uint32
-		for i := 0; i < gsz; i++ {
-			sum += p[i]
-		}
-		tot[0] = sum
-	}, launch(dev, "reduce_final", cl.Cost{BytesStreamed: int64(gsz) * 4}, []*cl.Event{ev1}))
-}

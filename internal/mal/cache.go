@@ -19,12 +19,11 @@ package mal
 import (
 	"container/list"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/bat"
-	"repro/internal/hybrid"
 	"repro/internal/ops"
 )
 
@@ -36,15 +35,17 @@ type intParamSlot struct {
 }
 
 // Template is the sealed, reusable half of a finished session: the plan as
-// the executor ran it, free of any per-execution state. It is immutable
-// after sealing and safe to execute from many goroutines concurrently.
+// the executor ran it, free of any per-execution state. Sealing writes its
+// last field; from then on nothing but the verify-once verdict changes, so
+// any number of goroutines may execute it concurrently.
 type Template struct {
 	module string
 	passes Passes
 
 	// frags are the rewritten fragments in execution order — one per flush
-	// boundary (mid-plan Sync/Scalar extractions plus the final Result).
-	frags [][]*PInstr
+	// boundary (mid-plan Sync/Scalar extractions plus the final Result) —
+	// each with the dependency graph and lanes its pins imply.
+	frags []fragment
 
 	// names/cols describe the result set the plan returned (cols are plan
 	// values: placeholders or base BATs).
@@ -68,19 +69,10 @@ type Template struct {
 	// rebinding is O(bound params), not O(plan size); built at seal time.
 	refsByName map[string][]boundRef
 
-	sealed bool
-
-	// estRows are the build-time placement estimates (instruction ID →
-	// first-result rows) — the expectations a cold run's re-plan trigger
-	// compares observations against. Written before sealing, read-only
-	// after.
-	estRows map[int]float64
-	// pins are the pins the placement pass chose (instruction ID → device
-	// label). The adaptive layer only overrides pins it can prove placement
-	// chose: a Device rewritten by hand after sealing (tests, explicit user
-	// pinning) no longer matches and is left alone. Written before sealing,
-	// read-only after.
-	pins map[int]string
+	// sealErr is set when the pins the seal-time re-placement chose failed
+	// the verifier; such a template refuses to execute.
+	sealErr error
+	sealed  bool
 
 	// Verify-once-per-template state (verify.go): a sealed template is
 	// verified at most once — at seal time if the building session already
@@ -89,16 +81,6 @@ type Template struct {
 	vmu   sync.Mutex
 	vdone bool
 	verr  error
-
-	// Feedback state (feedback.go): observed output cardinalities of past
-	// successful executions (last run wins) and the cached result of the
-	// once-per-template adapt pass. Living on the template gives hygiene
-	// for free — PlanCache eviction drops the feedback with the template,
-	// and BumpGeneration strands it under the old generation's key.
-	fbMu      sync.Mutex
-	fb        map[int]float64
-	adapt     *adaptState
-	adaptDone bool
 
 	// tables are the named base tables the plan reads (collected at seal
 	// time from the raw IR): the dependency set per-table epoch invalidation
@@ -120,8 +102,6 @@ func newTemplate(module string, passes Passes) *Template {
 		alias:     map[*bat.BAT]*bat.BAT{},
 		slotAlias: map[int]int{},
 		floatDefs: map[string]float64{},
-		estRows:   map[int]float64{},
-		pins:      map[int]string{},
 	}
 }
 
@@ -129,15 +109,25 @@ func newTemplate(module string, passes Passes) *Template {
 // after the plan ran to completion (RunQuery returned without error); the
 // sealed template must not be executed through a session that is still
 // building.
+//
+// Sealing is also where placement sees the truth: the run that just
+// finished placed each fragment from statistics and estimates, and now knows
+// every intermediate's size, so the placement pass runs once more with those
+// (placeObserved). The IR is still private to this session, which is what
+// makes stamping the pins race-free; every replay then runs the pins, the
+// dependency edges and the lanes it finds.
 func (s *Session) Template() *Template {
 	t := s.tpl
 	if t.sealed {
 		return t
 	}
+	if s.passes.Placement {
+		t.sealErr = s.placeObserved()
+	}
 	t.nSlots = len(s.slots)
 	t.refsByName = map[string][]boundRef{}
 	for _, frag := range t.frags {
-		for _, in := range frag {
+		for _, in := range frag.instrs {
 			for _, ref := range in.Params {
 				t.refsByName[ref.Name] = append(t.refsByName[ref.Name], boundRef{in: in, field: ref.Field})
 			}
@@ -168,6 +158,40 @@ func (s *Session) Template() *Template {
 	// replay proves it once.
 	t.vdone = s.verify
 	return t
+}
+
+// placeObserved re-runs the placement pass over the whole finished plan with
+// every produced value priced at its observed length: the session's
+// environment still holds each result's descriptor, and a descriptor keeps
+// its length after Release. Fragments whose pins moved get their graph
+// derived again and are proved against the verifier's pin and lane rules —
+// unconditionally, not gated on the session's verify flag: this is a rewrite
+// of a plan that already ran.
+func (s *Session) placeObserved() error {
+	t := s.tpl
+	moved := map[*PInstr]bool{}
+	// The plan ran to completion, so what was executed (s.done) is every
+	// fragment's instructions, in order.
+	s.place(s.done, syncArgs(s.done), func(in *PInstr, label string) {
+		if in.Device != label {
+			in.Device = label
+			moved[in] = true
+		}
+	})
+	if len(moved) == 0 {
+		return nil
+	}
+	for fi, f := range t.frags {
+		if !slices.ContainsFunc(f.instrs, func(in *PInstr) bool { return moved[in] }) {
+			continue
+		}
+		t.frags[fi] = s.planGraph(f.instrs)
+		if err := s.checkFragment("seal", t.frags[fi], syncArgs(f.instrs), vPin|vLane, false); err != nil {
+			err.Frag = fi
+			return err
+		}
+	}
+	return nil
 }
 
 // checkParams rejects parameter names the plan never declared: a typo'd
@@ -202,7 +226,7 @@ func (t *Template) Fragments() int { return len(t.frags) }
 func (t *Template) Instructions() int {
 	n := 0
 	for _, f := range t.frags {
-		n += len(f)
+		n += len(f.instrs)
 	}
 	return n
 }
@@ -219,6 +243,9 @@ func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
 	if !t.sealed {
 		return nil, fmt.Errorf("mal: executing an unsealed template")
 	}
+	if t.sealErr != nil {
+		return nil, t.sealErr
+	}
 	if o.Module() != t.module {
 		return nil, fmt.Errorf("mal: template bound to module %q, engine provides %q", t.module, o.Module())
 	}
@@ -226,18 +253,16 @@ func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		o:         o,
-		module:    t.module,
-		passes:    t.passes,
-		tpl:       t,
-		replay:    true,
-		parallel:  true,
-		env:       map[*bat.BAT]*bat.BAT{},
-		released:  map[*bat.BAT]bool{},
-		slots:     make([]int, t.nSlots),
-		verify:    DefaultVerify(),
-		fbOn:      DefaultFeedback(),
-		replanThr: DefaultReplanThreshold(),
+		o:        o,
+		module:   t.module,
+		passes:   t.passes,
+		tpl:      t,
+		replay:   true,
+		parallel: true,
+		env:      map[*bat.BAT]*bat.BAT{},
+		released: map[*bat.BAT]bool{},
+		slots:    make([]int, t.nSlots),
+		verify:   DefaultVerify(),
 	}
 	for i := range s.slots {
 		s.slots[i] = -1
@@ -293,23 +318,12 @@ func (t *Template) RunOn(o ops.Operators, params Params) (*Result, *Session, err
 }
 
 // runTemplate interprets the sealed fragments and rebuilds the result set,
-// recovering plan aborts into errors exactly like RunQuery. Under the
-// hybrid configuration with placement on, it is also where adaptation
-// happens on replays: the template's feedback steers a once-per-template
-// re-placement before execution, and fragment boundaries re-check observed
-// against expected cardinalities to re-plan the remaining fragments.
+// recovering plan aborts into errors exactly like RunQuery.
 func (s *Session) runTemplate() (res *Result, err error) {
 	t := s.tpl
 	if s.verify {
 		if verr := t.verifyOnce(s); verr != nil {
 			return nil, verr
-		}
-	}
-	hyb, isHyb := s.o.(*hybrid.Engine)
-	adaptive := isHyb && s.passes.Placement
-	if adaptive && s.fbOn {
-		if aerr := s.adoptAdapt(hyb); aerr != nil {
-			return nil, aerr
 		}
 	}
 	defer s.Close()
@@ -322,16 +336,12 @@ func (s *Session) runTemplate() (res *Result, err error) {
 			panic(v)
 		}
 	}()
-	for fi, frag := range t.frags {
+	for _, frag := range t.frags {
 		s.execute(frag)
-		if adaptive && s.replanThr > 0 && fi < len(t.frags)-1 {
-			s.replanRemaining(t.frags[fi+1:], hyb)
-		}
 	}
 	if err := Finish(s.o); err != nil {
 		s.fail("finish", err)
 	}
-	s.recordFeedback()
 	if !s.firstExec.IsZero() {
 		s.lastExec = time.Now()
 	}
@@ -428,16 +438,6 @@ func NewPlanCacheCap(capacity int) *PlanCache {
 	c := NewPlanCache()
 	c.capacity = capacity
 	return c
-}
-
-// SetCapacity re-bounds the cache (<=0 means unbounded), evicting
-// least-recently-used templates immediately if the cache is over the new
-// bound.
-func (c *PlanCache) SetCapacity(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	c.evictLocked()
 }
 
 // evictLocked drops least-recently-used templates until the cache fits its
@@ -624,31 +624,6 @@ func (c *PlanCache) PutIfGeneration(name string, o ops.Operators, passes Passes,
 	}
 	c.putLocked(c.keyLocked(name, o, passes), t, depsFor(t.tables, c.epochs))
 	return true
-}
-
-// WarmTemplates returns how many resident templates of the *current* data
-// generation carry observed-cardinality feedback from past executions.
-// Templates stranded under old generations by BumpGeneration still occupy
-// LRU slots until they age out, but their feedback is unreachable — it is
-// deliberately not counted.
-func (c *PlanCache) WarmTemplates() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	suffix := fmt.Sprintf("|g%d", c.gen)
-	n := 0
-	for key, el := range c.m {
-		if !strings.HasSuffix(key, suffix) {
-			continue
-		}
-		t := el.Value.(*cacheSlot).tpl
-		t.fbMu.Lock()
-		warm := len(t.fb) > 0
-		t.fbMu.Unlock()
-		if warm {
-			n++
-		}
-	}
-	return n
 }
 
 // Stats returns cache hits, misses and resident templates.

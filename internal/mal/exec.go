@@ -10,7 +10,8 @@
 // configuration a pinned instruction dispatches through the engine view
 // hybrid.Engine.On returns, so a pin lives exactly as long as one operator
 // call — no engine-global state, nothing to leak across plans or interleave
-// across concurrent sessions.
+// across concurrent sessions. Pins are fixed when the template is sealed
+// (cache.go); no execution moves one.
 //
 // When the session replays a cached template (cache.go) the IR is shared
 // with other executions and treated as read-only: per-instruction timings
@@ -49,21 +50,13 @@ func (s *Session) resolve(b *bat.BAT) *bat.BAT {
 }
 
 // bind records concrete results for an instruction's placeholders and
-// adopts them for end-of-plan release. It is also the feedback tap: the
-// first result's actual cardinality is recorded per instruction ID, feeding
-// the re-plan trigger and (on success) the template's feedback table.
+// adopts them for end-of-plan release.
 func (s *Session) bind(in *PInstr, concrete ...*bat.BAT) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, c := range concrete {
 		if c == nil {
 			continue
-		}
-		if i == 0 {
-			if s.obs == nil {
-				s.obs = map[int]float64{}
-			}
-			s.obs[in.ID] = float64(c.Len())
 		}
 		s.env[in.Rets[i]] = c
 		s.owned = append(s.owned, c)
@@ -108,54 +101,144 @@ func (s *Session) scalars(in *PInstr) (lo, hi, c float64) {
 	return lo, hi, c
 }
 
-// execute interprets a rewritten fragment, recording per-instruction host
-// latencies and the EXPLAIN trace. Under the hybrid engine with the
-// parallel scheduler enabled, fragments whose placement pins span several
-// device lanes are dispatched concurrently (exec_parallel.go); everything
-// else — single-device configurations, pinned engine views, single-lane
-// fragments — interprets serially in plan order.
-func (s *Session) execute(batch []*PInstr) {
-	if len(batch) == 0 {
+// span is what one execution records about one instruction of the fragment
+// it is running: its dispatch offset from the plan's first instruction and
+// the host-observed latency (notRun until the instruction has completed).
+type span struct {
+	start, took time.Duration
+}
+
+const notRun time.Duration = -1
+
+// execute interprets a rewritten fragment: one instruction loop (runLane)
+// dispatches, one pass (account) books the timings and the EXPLAIN trace.
+// The loop runs inline on the caller's goroutine — no goroutine, no channel
+// — unless the fragment's pins span two or more device lanes and the
+// parallel scheduler is on, in which case each lane gets a goroutine
+// (runLanes). Single-device engines carry no lanes at all, so they always
+// run inline, as does SetParallel(false): serial is the one-lane case.
+func (s *Session) execute(f fragment) {
+	n := len(f.instrs)
+	if n == 0 {
 		return
 	}
 	if s.firstExec.IsZero() {
 		s.firstExec = time.Now()
 	}
-	hyb, isHyb := s.o.(*hybrid.Engine)
-	if isHyb && s.parallel {
-		if nodes, lanes := s.planGraph(batch); len(lanes) >= 2 {
-			s.executeParallel(nodes, lanes, hyb)
-			s.lastExec = time.Now()
-			return
-		}
+	hyb, _ := s.o.(*hybrid.Engine)
+	if cap(s.spans) < n {
+		s.spans = make([]span, n)
 	}
-	replanOn := isHyb && s.passes.Placement && s.replanThr > 0
-	for i, in := range batch {
-		o := s.o
-		if isHyb && in.computes() {
-			if d := s.pinOf(in); d != "" {
-				// Per-call pin: the view routes exactly this dispatch.
-				o = hyb.On(d)
+	sp := s.spans[:n]
+	for i := range sp {
+		sp[i].took = notRun
+	}
+	overlapped := s.parallel && len(f.lanes) >= 2
+	// Deferred, so an instruction that aborts the plan still leaves what ran
+	// before it in Plan() and the trace.
+	defer s.account(f, sp, overlapped)
+	if overlapped {
+		s.runLanes(f, hyb, sp)
+	} else {
+		s.runLane(f, nil, hyb, sp, nil)
+	}
+	s.lastExec = time.Now()
+}
+
+// runLane is the instruction loop. It dispatches the instructions idxs
+// names, in order — every instruction of the fragment when idxs is nil —
+// each through its pinned view (under the hybrid engine a pin routes exactly
+// one operator call) and on the clock. With ls set it is one lane among
+// several (runLanes): it waits for each instruction's dependencies, closes
+// the instruction's channel when it completes, and on a panic records it and
+// closes what it will not run; without, a panic passes straight to the
+// caller.
+func (s *Session) runLane(f fragment, idxs []int, hyb *hybrid.Engine, sp []span, ls *laneSync) {
+	n := len(idxs)
+	if idxs == nil {
+		n = len(f.instrs)
+	}
+	pos := 0
+	if ls != nil {
+		defer func() {
+			if v := recover(); v != nil {
+				ls.panicOnce.Do(func() { ls.panicVal = v })
+				ls.aborted.Store(true)
+			}
+			// Unblock waiters on everything this lane will not run.
+			for ; pos < n; pos++ {
+				close(ls.done[idxs[pos]])
+			}
+			ls.wg.Done()
+		}()
+	}
+	for ; pos < n; pos++ {
+		i := pos
+		if idxs != nil {
+			i = idxs[pos]
+		}
+		if ls != nil {
+			for _, d := range f.deps[i] {
+				<-ls.done[d]
+			}
+			if ls.aborted.Load() {
+				return
 			}
 		}
-		start := time.Now()
+		in := f.instrs[i]
+		o := s.o
+		if hyb != nil && in.Device != "" && in.computes() {
+			o = hyb.On(in.Device)
+		}
+		t0 := time.Now()
+		sp[i].start = t0.Sub(s.firstExec)
 		s.step(in, o)
-		took := time.Since(start)
+		sp[i].took = time.Since(t0)
+		if ls != nil {
+			close(ls.done[i])
+		}
+	}
+}
+
+// account books the instructions of a fragment that completed,
+// single-threaded and in plan order, so Plan(), the trace and the timing sums
+// read the same however the fragment ran. The critical path is the longest
+// dependency chain of dispatch times when lanes overlapped and the plain sum
+// when they did not.
+func (s *Session) account(f fragment, sp []span, overlapped bool) {
+	var frag time.Duration
+	var path []time.Duration // longest dependency chain ending in each instruction
+	if overlapped {
+		path = make([]time.Duration, len(sp))
+	}
+	for i, in := range f.instrs {
+		took := sp[i].took
+		if took == notRun {
+			continue
+		}
 		s.opTime += took
-		s.critPath += took
 		if !s.replay {
 			in.Took = took
-			in.Start = start.Sub(s.firstExec)
+			in.Start = sp[i].start
 		}
 		s.done = append(s.done, in)
 		if s.traceOn {
-			s.record(in, took, start.Sub(s.firstExec))
+			s.record(in, took, sp[i].start)
 		}
-		if replanOn && in.computes() {
-			s.maybeReplanTail(batch, i, hyb)
+		if !overlapped {
+			frag += took
+			continue
 		}
+		path[i] = took
+		for _, d := range f.deps[i] {
+			path[i] = max(path[i], took+path[d])
+		}
+		frag = max(frag, path[i])
 	}
-	s.lastExec = time.Now()
+	s.critPath += frag
+	if overlapped {
+		s.parFrags++
+	}
 }
 
 // step dispatches one instruction to the given operator implementation
@@ -263,13 +346,6 @@ func (s *Session) step(in *PInstr, o ops.Operators) {
 		for _, m := range in.Sub {
 			s.step(m, o)
 		}
-		// The exit member recorded its cardinality under its own ID; mirror
-		// it under the region's, which is what placement estimated.
-		s.mu.Lock()
-		if v, ok := s.obs[in.Sub[len(in.Sub)-1].ID]; ok {
-			s.obs[in.ID] = v
-		}
-		s.mu.Unlock()
 	case OpSync:
 		conc := arg(0)
 		if err := o.Sync(conc); err != nil {
@@ -327,7 +403,7 @@ func describe(b *bat.BAT) string {
 // record appends the executed instruction to the EXPLAIN trace, with
 // operands resolved to their concrete form.
 func (s *Session) record(in *PInstr, took, start time.Duration) {
-	instr := Instr{Module: in.Module, Op: in.OpName(), Device: s.pinOf(in), Took: took, Start: start}
+	instr := Instr{Module: in.Module, Op: in.OpName(), Device: in.Device, Took: took, Start: start}
 	dArg := func(i int) string { return describe(s.resolve(in.Args[i])) }
 	dRet := func(i int) string { return describe(s.resolve(in.Rets[i])) }
 	switch in.Kind {

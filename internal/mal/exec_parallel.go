@@ -1,40 +1,52 @@
-// The plan-level parallel scheduler: PR 1 lifted spawn-per-command
+// Plan fragments and their device lanes: PR 1 lifted spawn-per-command
 // execution into a dependency-counting *command* scheduler inside each
-// device; this file lifts the same idea to the *plan* level. A rewritten
-// fragment is turned into an explicit dependency graph over its PInstrs
-// (producers → consumers, group-count producers → users,
-// release-after-last-use, sync-after-producer), partitioned into device
-// lanes by placement pin, and executed by one goroutine per lane. Within a
-// lane instructions run strictly in plan order — so each device's lazy
-// command queue sees exactly the serial sequence and per-device semantics
-// (and byte-identical results, given the order-stable kernels of PR 5) are
-// preserved — while instructions pinned to disjoint devices overlap, letting
-// one session saturate all N devices instead of only overlapping through
-// the queues. Syncs are joins: a Sync waits on its producer's lane like any
-// consumer, and the post-join accounting happens single-threaded.
+// device; this file lifts the same idea to the *plan* level. On a
+// multi-device engine a rewritten fragment carries an explicit dependency
+// graph over its PInstrs (producers → consumers, group-count producers →
+// users, release-after-last-use, sync-after-producer) and a partition into
+// device lanes by placement pin. Both are a pure function of the
+// instructions and their pins, so they are derived once — when the fragment
+// is flushed, and again at seal for the fragments whose pins the seal-time
+// re-placement moved — and stored with the fragment; a replay only allocates
+// its completion channels. Within a lane instructions run strictly in plan
+// order — so each device's lazy command queue sees exactly the serial
+// sequence and per-device semantics (and byte-identical results, given the
+// order-stable kernels of PR 5) are preserved — while instructions pinned to
+// disjoint devices overlap, letting one session saturate all N devices
+// instead of only overlapping through the queues. Syncs are joins: a Sync
+// waits on its producer's lane like any consumer.
 package mal
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bat"
 	"repro/internal/hybrid"
-	"repro/internal/ops"
 )
 
-// pnode is one scheduled instruction: its dependency edges (indices of
-// earlier nodes in the fragment), the channel closed when it completes, the
-// device lane it runs on, and the timing the lane observed.
-type pnode struct {
-	in    *PInstr
-	deps  []int
-	done  chan struct{}
-	lane  string
-	start time.Duration
-	took  time.Duration
+// fragment is one rewritten flush fragment as the executor runs it: the
+// instructions in plan order plus, on a multi-device engine, the dependency
+// graph and lane partition their pins imply (all three nil on single-device
+// engines, which have no lanes).
+type fragment struct {
+	instrs []*PInstr
+	// deps[i] are the earlier instructions i waits for, laneOf[i] the device
+	// lane i runs on, lanes the partition itself: each lane's instructions in
+	// ascending plan order, lanes ordered by their first instruction.
+	deps   [][]int
+	laneOf []string
+	lanes  [][]int
+}
+
+// newFragment wraps a rewritten batch, deriving its graph when the engine
+// has device lanes to run it on.
+func (s *Session) newFragment(batch []*PInstr) fragment {
+	if _, ok := s.o.(*hybrid.Engine); !ok {
+		return fragment{instrs: batch}
+	}
+	return s.planGraph(batch)
 }
 
 // planGraph builds the per-fragment dependency graph and the lane
@@ -58,20 +70,22 @@ type pnode struct {
 // hand-backs and frees stay ordered with the work that produced the value.
 // Releases of values produced by earlier fragments (the release pass's
 // "pre" releases) have no producer here and land on lane "".
-func (s *Session) planGraph(batch []*PInstr) ([]*pnode, map[string][]int) {
-	nodes := make([]*pnode, len(batch))
+func (s *Session) planGraph(batch []*PInstr) fragment {
+	f := fragment{
+		instrs: batch,
+		deps:   make([][]int, len(batch)),
+		laneOf: make([]string, len(batch)),
+	}
 	producer := map[*bat.BAT]int{}
 	readers := map[*bat.BAT][]int{}
 	slotProd := map[int]int{}
-	lastInLane := map[string]int{}
+	laneIdx := map[string]int{}
 	for i, in := range batch {
-		n := &pnode{in: in, done: make(chan struct{})}
-		nodes[i] = n
 		depSet := map[int]bool{}
 		addDep := func(j int) {
 			if j >= 0 && j < i && !depSet[j] {
 				depSet[j] = true
-				n.deps = append(n.deps, j)
+				f.deps[i] = append(f.deps[i], j)
 			}
 		}
 		scan := func(in *PInstr) {
@@ -101,16 +115,21 @@ func (s *Session) planGraph(batch []*PInstr) ([]*pnode, map[string][]int) {
 			}
 		}
 		if in.computes() {
-			n.lane = s.pinOf(in)
+			f.laneOf[i] = in.Device
 		} else if len(in.Args) > 0 && in.Args[0] != nil {
 			if p, ok := producer[s.canon(in.Args[0])]; ok {
-				n.lane = nodes[p].lane
+				f.laneOf[i] = f.laneOf[p]
 			}
 		}
-		if p, ok := lastInLane[n.lane]; ok {
-			addDep(p)
+		l, ok := laneIdx[f.laneOf[i]]
+		if ok {
+			addDep(f.lanes[l][len(f.lanes[l])-1])
+		} else {
+			l = len(f.lanes)
+			laneIdx[f.laneOf[i]] = l
+			f.lanes = append(f.lanes, nil)
 		}
-		lastInLane[n.lane] = i
+		f.lanes[l] = append(f.lanes[l], i)
 		reg := func(in *PInstr) {
 			for _, r := range in.Rets {
 				producer[s.canon(r)] = i
@@ -126,101 +145,41 @@ func (s *Session) planGraph(batch []*PInstr) ([]*pnode, map[string][]int) {
 			slotProd[in.NSlot] = i
 		}
 	}
-	lanes := map[string][]int{}
-	for i, n := range nodes {
-		lanes[n.lane] = append(lanes[n.lane], i)
-	}
-	return nodes, lanes
+	return f
 }
 
-// executeParallel runs the fragment with one goroutine per lane. A lane
-// waits for each node's cross-lane dependencies (done-channel closes are
-// the happens-before edges the executor relies on — notably for the
-// group-count slot table), dispatches through the node's pinned view, and
-// closes the node's channel. A plan abort (or any panic) in one lane stops
-// every lane: the failing lane records the panic, marks the execution
-// aborted and closes its remaining channels so cross-lane waiters unblock,
-// observe the abort and cascade; the first panic value is re-raised on the
-// calling goroutine, where RunQuery/runTemplate recover it exactly as on
-// the serial path.
-func (s *Session) executeParallel(nodes []*pnode, lanes map[string][]int, hyb *hybrid.Engine) {
-	var (
-		wg        sync.WaitGroup
-		aborted   atomic.Bool
-		panicOnce sync.Once
-		panicVal  any
-	)
-	for _, idxs := range lanes {
-		idxs := idxs
-		wg.Add(1)
-		go func() {
-			pos := 0
-			defer func() {
-				if v := recover(); v != nil {
-					panicOnce.Do(func() { panicVal = v })
-					aborted.Store(true)
-				}
-				// Unblock waiters on everything this lane will not run.
-				for ; pos < len(idxs); pos++ {
-					close(nodes[idxs[pos]].done)
-				}
-				wg.Done()
-			}()
-			for ; pos < len(idxs); pos++ {
-				n := nodes[idxs[pos]]
-				for _, d := range n.deps {
-					<-nodes[d].done
-				}
-				if aborted.Load() {
-					return
-				}
-				o := ops.Operators(s.o)
-				if n.in.computes() {
-					if d := s.pinOf(n.in); d != "" {
-						o = hyb.On(d)
-					}
-				}
-				t0 := time.Now()
-				n.start = t0.Sub(s.firstExec)
-				s.step(n.in, o)
-				n.took = time.Since(t0)
-				close(n.done)
-			}
-		}()
+// laneSync is what the lanes of one fragment execution share: a completion
+// channel per instruction (done-channel closes are the happens-before edges
+// the executor relies on — notably for the group-count slot table) and the
+// abort state.
+type laneSync struct {
+	done      []chan struct{}
+	wg        sync.WaitGroup
+	aborted   atomic.Bool
+	panicOnce sync.Once
+	panicVal  any
+}
+
+// runLanes runs the fragment with one goroutine per lane. A plan abort (or
+// any panic) in one lane stops every lane: the failing lane records the
+// panic, marks the execution aborted and closes its remaining channels so
+// cross-lane waiters unblock, observe the abort and cascade; the first panic
+// value is re-raised on the calling goroutine, where RunQuery/runTemplate
+// recover it exactly as when the fragment runs inline.
+func (s *Session) runLanes(f fragment, hyb *hybrid.Engine, sp []span) {
+	ls := &laneSync{done: make([]chan struct{}, len(f.instrs))}
+	for i := range ls.done {
+		ls.done[i] = make(chan struct{})
 	}
-	wg.Wait()
-	if aborted.Load() {
-		if panicVal != nil {
-			panic(panicVal)
+	ls.wg.Add(len(f.lanes))
+	for _, idxs := range f.lanes {
+		go s.runLane(f, idxs, hyb, sp, ls)
+	}
+	ls.wg.Wait()
+	if ls.aborted.Load() {
+		if ls.panicVal != nil {
+			panic(ls.panicVal)
 		}
 		s.fail("exec", fmt.Errorf("parallel execution aborted"))
 	}
-
-	// Post-join accounting, single-threaded, in plan order — so Plan(),
-	// the trace and the timing sums read exactly like a serial execution's.
-	cp := make([]time.Duration, len(nodes))
-	var frag time.Duration
-	for i, n := range nodes {
-		s.opTime += n.took
-		if !s.replay {
-			n.in.Took = n.took
-			n.in.Start = n.start
-		}
-		s.done = append(s.done, n.in)
-		if s.traceOn {
-			s.record(n.in, n.took, n.start)
-		}
-		longest := time.Duration(0)
-		for _, d := range n.deps {
-			if cp[d] > longest {
-				longest = cp[d]
-			}
-		}
-		cp[i] = n.took + longest
-		if cp[i] > frag {
-			frag = cp[i]
-		}
-	}
-	s.critPath += frag
-	s.parFrags++
 }

@@ -99,13 +99,5 @@ func (s *Session) Explain() string {
 		s.OpTime().Round(time.Microsecond), s.CriticalPath().Round(time.Microsecond))
 	fmt.Fprintf(&sb, "    plan wall time (through final sync/finish): %v\n",
 		s.PlanWall().Round(time.Microsecond))
-	for _, ev := range s.replans {
-		old := ev.OldPin
-		if old == "" {
-			old = "unpinned"
-		}
-		fmt.Fprintf(&sb, "    replan: instr %d (%s) %s -> %s (observed %.0f rows, estimated %.0f)\n",
-			ev.Instr, ev.Op, old, ev.NewPin, ev.Observed, ev.Estimated)
-	}
 	return sb.String()
 }

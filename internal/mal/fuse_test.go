@@ -1,6 +1,7 @@
 package mal
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -397,14 +398,22 @@ func TestFusionAllocatesNoMoreThanUnfused(t *testing.T) {
 			}
 		}
 		run() // warm-up: device caches, worker pools
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const runs = 5
-		for i := 0; i < runs; i++ {
-			run()
+		// The quietest of three windows: the runtime's free lists (work-group
+		// local memory, command records) refill when kernels happen to
+		// overlap, which costs more per window than the two chains differ by
+		// now that verifying a single-device fragment builds no lane graph.
+		const windows, runs = 3, 5
+		best := int64(math.MaxInt64)
+		for w := 0; w < windows; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, int64(after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+		return best
 	}
 
 	for _, cfg := range []Config{OcelotCPU, OcelotGPU} {

@@ -12,19 +12,22 @@ import (
 )
 
 // pinAlternating pins the template's compute instructions round-robin
-// across the given device labels, so a replay schedules that many lanes
-// through the parallel executor regardless of what the placement pass
-// chose. Pins only route placement — any assignment is legal — which is
-// exactly why the tests may rewrite them.
-func pinAlternating(tpl *Template, labels ...string) int {
+// across the given device labels and derives each fragment's graph again, so
+// a replay schedules that many lanes through the parallel executor
+// regardless of what the placement pass chose. Pins only route placement —
+// any assignment is legal — which is exactly why the tests may rewrite them
+// (before the first replay: a template that is being executed is immutable).
+func pinAlternating(s *Session, labels ...string) int {
+	tpl := s.Template()
 	pinned := 0
-	for _, frag := range tpl.frags {
-		for _, in := range frag {
+	for fi, frag := range tpl.frags {
+		for _, in := range frag.instrs {
 			if in.computes() {
 				in.Device = labels[pinned%len(labels)]
 				pinned++
 			}
 		}
+		tpl.frags[fi] = s.planGraph(frag.instrs)
 	}
 	return pinned
 }
@@ -41,18 +44,17 @@ func TestPlanGraphStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	pinAlternating(tpl, "GPU0", "GPU1")
+	pinAlternating(s, "GPU0", "GPU1")
 	_, sess, err := tpl.RunOn(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for fi, frag := range tpl.frags {
-		nodes, lanes := sess.planGraph(frag)
-		if len(nodes) != len(frag) {
-			t.Fatalf("frag %d: %d nodes for %d instructions", fi, len(nodes), len(frag))
+		if len(frag.deps) != len(frag.instrs) || len(frag.laneOf) != len(frag.instrs) {
+			t.Fatalf("frag %d: %d edge lists, %d lanes for %d instructions", fi, len(frag.deps), len(frag.laneOf), len(frag.instrs))
 		}
 		seen := map[int]bool{}
-		for lane, idxs := range lanes {
+		for _, idxs := range frag.lanes {
 			prev := -1
 			for _, i := range idxs {
 				if seen[i] {
@@ -60,42 +62,42 @@ func TestPlanGraphStructure(t *testing.T) {
 				}
 				seen[i] = true
 				if i <= prev {
-					t.Fatalf("frag %d lane %q: indices not ascending", fi, lane)
+					t.Fatalf("frag %d lane %q: indices not ascending", fi, frag.laneOf[idxs[0]])
 				}
 				prev = i
 			}
 		}
-		if len(seen) != len(nodes) {
-			t.Fatalf("frag %d: lanes cover %d of %d nodes", fi, len(seen), len(nodes))
+		if len(seen) != len(frag.instrs) {
+			t.Fatalf("frag %d: lanes cover %d of %d nodes", fi, len(seen), len(frag.instrs))
 		}
 		producer := map[*bat.BAT]int{}
-		for i, n := range nodes {
+		for i, in := range frag.instrs {
 			depSet := map[int]bool{}
-			for _, d := range n.deps {
+			for _, d := range frag.deps[i] {
 				if d < 0 || d >= i {
 					t.Fatalf("frag %d node %d: forward or self edge to %d", fi, i, d)
 				}
 				depSet[d] = true
 			}
-			for _, a := range n.in.Args {
+			for _, a := range in.Args {
 				if a == nil {
 					continue
 				}
 				if p, ok := producer[sess.canon(a)]; ok && !depSet[p] {
 					t.Fatalf("frag %d node %d (%s): missing data edge to producer %d of %q",
-						fi, i, n.in.OpName(), p, a.Name)
+						fi, i, in.OpName(), p, a.Name)
 				}
 			}
-			if !n.in.computes() && len(n.in.Args) > 0 && n.in.Args[0] != nil {
-				if p, ok := producer[sess.canon(n.in.Args[0])]; ok && n.lane != nodes[p].lane {
+			if !in.computes() && len(in.Args) > 0 && in.Args[0] != nil {
+				if p, ok := producer[sess.canon(in.Args[0])]; ok && frag.laneOf[i] != frag.laneOf[p] {
 					t.Fatalf("frag %d node %d (%s): lane %q, producer's lane %q",
-						fi, i, n.in.OpName(), n.lane, nodes[p].lane)
+						fi, i, in.OpName(), frag.laneOf[i], frag.laneOf[p])
 				}
 			}
-			for _, r := range n.in.Rets {
+			for _, r := range in.Rets {
 				producer[sess.canon(r)] = i
 			}
-			for _, m := range n.in.Sub {
+			for _, m := range in.Sub {
 				for _, r := range m.Rets {
 					producer[sess.canon(r)] = i
 				}
@@ -118,7 +120,7 @@ func TestParallelReplayMultiLaneByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	if pinAlternating(tpl, "GPU0", "GPU1") < 2 {
+	if pinAlternating(s, "GPU0", "GPU1") < 2 {
 		t.Fatal("plan too small to span two lanes")
 	}
 	for run := 0; run < 6; run++ {
@@ -150,7 +152,7 @@ func TestParallelSwitchOffStaysSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	pinAlternating(tpl, "GPU0", "GPU1")
+	pinAlternating(s, "GPU0", "GPU1")
 	ser, err := tpl.newExec(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +184,7 @@ func TestParallelAbortPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	if pinAlternating(tpl, "GPU0", "GPU1") < 2 {
+	if pinAlternating(s, "GPU0", "GPU1") < 2 {
 		t.Fatal("plan too small to span two lanes")
 	}
 	// Kill every device: the first dispatch fails on its pin and on the

@@ -66,9 +66,10 @@ func (s *Session) flush(final bool) {
 		batch = s.releaseInsertPass(batch, outputs)
 		vpass = "release-insert"
 	}
-	s.vcommit(vpass, batch, outputs, final)
-	s.tpl.frags = append(s.tpl.frags, batch)
-	s.execute(batch)
+	f := s.newFragment(batch)
+	s.vcommit(vpass, f, outputs, final)
+	s.tpl.frags = append(s.tpl.frags, f)
+	s.execute(f)
 }
 
 // bindPass is the module-binding rewrite: the drop-in swap of §3.1. Every

@@ -30,42 +30,24 @@ import (
 // is comparable call-for-call and better only through lookahead.
 const defaultGroupGuess = 64 // estimated groups when the count is symbolic
 
-// estimator carries per-fragment cardinality estimates keyed by canonical
-// plan value. With adaptive estimation on (Session.fbOn, the default) it
-// consults observed-cardinality feedback and load-time column statistics
-// before the fixed constants; with neither available the estimates are
-// bit-identical to the constant model, so plans without stats or history
-// place exactly as before.
+// estimator carries cardinality estimates keyed by canonical plan value.
+// What the session has already produced is priced at its observed length;
+// the rest comes from the model: load-time column statistics where a base
+// column carries them, the historical fixed constants otherwise — so plans
+// over stats-free columns place exactly as the constant model did.
 type estimator struct {
 	s    *Session
 	rows map[*bat.BAT]float64
-	// byID records the first-result estimate per instruction ID — the
-	// expectations mid-query re-planning compares observations against, and
-	// what the template records as its build-time estimates.
-	byID map[int]float64
-	// fb is the template feedback snapshot (instruction ID → observed rows)
-	// this placement prices with; nil on a cold build.
-	fb map[int]float64
-	// adaptive gates feedback and stats consultation (Session.fbOn).
-	adaptive bool
 }
 
-// newEstimator creates a placement estimator for this session, priced with
-// the given feedback snapshot (nil for a cold build).
-func (s *Session) newEstimator(fb map[int]float64) *estimator {
-	return &estimator{
-		s:        s,
-		rows:     map[*bat.BAT]float64{},
-		byID:     map[int]float64{},
-		fb:       fb,
-		adaptive: s.fbOn,
-	}
+func (s *Session) newEstimator() *estimator {
+	return &estimator{s: s, rows: map[*bat.BAT]float64{}}
 }
 
 // statsOf returns the load-time column statistics of a plan value, or nil
 // for intermediates (only base columns carry stats).
 func (e *estimator) statsOf(b *bat.BAT) *bat.Stats {
-	if b == nil || !e.adaptive {
+	if b == nil {
 		return nil
 	}
 	return e.s.canon(b).Stats
@@ -92,17 +74,16 @@ func (e *estimator) rowsOf(b *bat.BAT) float64 {
 }
 
 // estimate predicts an instruction's output cardinalities and streamed byte
-// volume (the bandwidth-bound footprint the profiles price). Observed
-// feedback for the instruction, when present, overrides the model's output
-// rows — the streamed volume stays model-priced, since it depends on input
-// sizes the estimator already propagates.
+// volume (the bandwidth-bound footprint the profiles price). A result the
+// session already holds overrides the model's output rows — nothing does
+// while a fragment is placed before it runs, every result does when the
+// finished plan is placed again at seal. The streamed volume stays
+// model-priced: it depends on input sizes, which rowsOf already resolves.
 func (e *estimator) estimate(in *PInstr) (outRows []float64, streamedBytes float64) {
 	outRows, streamedBytes = e.model(in)
-	if e.adaptive && len(outRows) > 0 {
-		if v, ok := e.fb[in.ID]; ok {
-			for i := range outRows {
-				outRows[i] = v
-			}
+	for i := range outRows {
+		if c, ok := e.s.env[e.s.canon(in.Rets[i])]; ok {
+			outRows[i] = float64(c.Len())
 		}
 	}
 	return outRows, streamedBytes
@@ -149,12 +130,9 @@ func (e *estimator) model(in *PInstr) (outRows []float64, streamedBytes float64)
 		out := float64(defaultGroupGuess)
 		if in.NgrpRef >= 0 {
 			// A symbolic count resolved by an earlier fragment's Group (or a
-			// bound integer parameter) beats the guess — consulted only under
-			// adaptive estimation so the fixed-constant baseline stays fixed.
-			if e.adaptive {
-				if slot := e.s.canonSlot(in.NgrpRef); slot >= 0 && slot < len(e.s.slots) && e.s.slots[slot] >= 0 {
-					out = float64(e.s.slots[slot])
-				}
+			// bound integer parameter) beats the guess.
+			if slot := e.s.canonSlot(in.NgrpRef); slot >= 0 && slot < len(e.s.slots) && e.s.slots[slot] >= 0 {
+				out = float64(e.s.slots[slot])
 			}
 		} else {
 			if in.NgrpLit > 0 {
@@ -242,28 +220,20 @@ const hostLoc = -1
 // serialises anyway, while independent subtrees genuinely compete for the
 // device, which is what pushes them onto distinct GPUs.
 func (s *Session) placementPass(batch []*PInstr, outputs []*bat.BAT) {
-	est := s.newEstimator(nil)
-	s.place(batch, outputs, est, func(in *PInstr, label string) {
-		in.Device = label
-		s.tpl.pins[in.ID] = label
-	})
-	// Record the build-time expectations on the template: what mid-query
-	// re-planning compares observed cardinalities against on a cold run.
-	for id, v := range est.byID {
-		s.tpl.estRows[id] = v
-	}
+	s.place(batch, outputs, func(in *PInstr, label string) { in.Device = label })
 }
 
-// place is the placement core, shared between the build-time pass (which
-// stamps pins onto the IR) and re-planning (which collects candidate pins
-// into a per-execution override map): it prices the instructions with the
-// given estimator and reports the chosen device label per compute
-// instruction through sink.
-func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, est *estimator, sink func(*PInstr, string)) {
+// place is the placement core, run twice per plan: over each fragment before
+// it executes (placementPass, pricing with statistics and estimates) and
+// once more over the whole finished plan when its template is sealed
+// (Session.Template, pricing every produced value at its observed length).
+// It reports the chosen device label per compute instruction through sink.
+func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, string)) {
 	h, ok := s.o.(*hybrid.Engine)
 	if !ok {
 		return
 	}
+	est := s.newEstimator()
 	devs := h.Devices()
 	nd := len(devs)
 	if nd == 0 {
@@ -329,9 +299,6 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, est *estimator, sin
 		for i, r := range in.Rets {
 			est.rows[r] = outRows[i]
 			outBytes += 4 * outRows[i]
-		}
-		if len(outRows) > 0 {
-			est.byID[in.ID] = outRows[0]
 		}
 		n := &node{in: in, comp: make([]float64, nd), outBytes: outBytes}
 		for d := range facts {

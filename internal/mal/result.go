@@ -184,6 +184,5 @@ func RunQuery(s *Session, plan func(*Session) *Result) (res *Result, err error) 
 	}()
 	res = plan(s)
 	s.drain()
-	s.recordFeedback()
 	return res, nil
 }

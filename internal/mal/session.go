@@ -175,15 +175,15 @@ type Session struct {
 
 	// --- per-execution state ---
 
-	// mu guards env, owned and released when the parallel executor runs
-	// plan lanes concurrently (exec_parallel.go); the serial path takes the
-	// same (uncontended) lock so there is one set of access rules.
+	// mu guards env, owned and released when a fragment's lanes run
+	// concurrently (exec_parallel.go); a fragment run inline takes the same
+	// (uncontended) lock so there is one set of access rules.
 	mu sync.Mutex
 
 	// parallel enables the plan-level scheduler: under the hybrid engine,
 	// instructions pinned to distinct devices execute concurrently (one
 	// goroutine per device lane). Single-device configurations and pinned
-	// engine views always interpret serially.
+	// engine views have no lanes and always run inline.
 	parallel bool
 
 	// env maps placeholders to the concrete BATs the executor produced.
@@ -198,32 +198,6 @@ type Session struct {
 	// executed) and the values of slot-backed integer parameters.
 	slots []int
 
-	// --- adaptive execution state (feedback.go) ---
-
-	// fbOn gates adaptive estimation: observed-cardinality feedback and
-	// load-time column stats feeding the placement estimator. replanThr is
-	// the mid-query re-plan trigger ratio (0 or less disables re-planning).
-	fbOn      bool
-	replanThr float64
-	// obs records each executed instruction's actual output cardinality
-	// (instruction ID → first-result rows), written under mu as results
-	// bind; merged into the template's feedback table on success.
-	obs map[int]float64
-	// fbSnap is the template feedback snapshot this execution prices with;
-	// adaptEst the adapt pass's estimates (shared, read-only); estNow the
-	// refreshed expectations of mid-query re-plans (session-local).
-	fbSnap   map[int]float64
-	adaptEst map[int]float64
-	estNow   map[int]float64
-	// repin overrides placement pins per execution (instruction ID → device
-	// label) — re-plans never write the shared IR. repinShared marks repin
-	// as the template's shared adapt map (clone before writing).
-	repin       map[int]string
-	repinShared bool
-	replanned   int
-	replans     []ReplanEvent
-	adapted     bool
-
 	// over patches instruction scalars with re-bound parameter values on
 	// replay (nil when the execution binds no parameters).
 	over map[*PInstr]scalarPatch
@@ -232,10 +206,13 @@ type Session struct {
 	trace   []Instr
 	traceOn bool
 	opTime  time.Duration
+	// spans are the per-instruction timings of the fragment being executed,
+	// reused from fragment to fragment.
+	spans []span
 
 	// critPath accumulates, per executed fragment, the longest dependency
 	// chain of instruction dispatch times — the honest lower bound on the
-	// fragment's span once dispatches overlap. Serially it equals opTime.
+	// fragment's span once dispatches overlap. Inline it equals opTime.
 	critPath time.Duration
 	// parFrags counts fragments the parallel scheduler actually ran with
 	// more than one lane (observability for tests and EXPLAIN).
@@ -260,8 +237,6 @@ func NewSession(o ops.Operators) *Session {
 		env:          map[*bat.BAT]*bat.BAT{},
 		released:     map[*bat.BAT]bool{},
 		verify:       DefaultVerify(),
-		fbOn:         DefaultFeedback(),
-		replanThr:    DefaultReplanThreshold(),
 	}
 }
 
@@ -318,6 +293,12 @@ func (s *Session) SetParallel(on bool) { s.parallel = on }
 // ParallelFragments reports how many fragments the parallel scheduler ran
 // with two or more device lanes.
 func (s *Session) ParallelFragments() int { return s.parFrags }
+
+// Replans always reports 0: no execution re-plans, pins are fixed when the
+// template is sealed. The method exists only because the pinned benchmark's
+// traced pass reads it (mal.replans_per_round) and benchmark/ is not edited
+// alongside the program; it goes with the benchmark's next own change.
+func (s *Session) Replans() int { return 0 }
 
 func (s *Session) fail(op string, err error) {
 	panic(abort{fmt.Errorf("%s.%s: %w", s.module, op, err)})

@@ -148,7 +148,7 @@ func (s *Session) vcheck(pass string, batch []*PInstr, outputs []*bat.BAT, rules
 	if !s.verify {
 		return
 	}
-	if err := s.checkFragment(pass, batch, outputs, rules, false); err != nil {
+	if err := s.checkFragment(pass, fragment{instrs: batch}, outputs, rules, false); err != nil {
 		panic(abort{err})
 	}
 }
@@ -156,15 +156,15 @@ func (s *Session) vcheck(pass string, batch []*PInstr, outputs []*bat.BAT, rules
 // vcommit runs the full-rule check over the completely rewritten fragment,
 // then merges it into the committed cross-fragment state. final marks the
 // plan's last flush, where release coverage is total.
-func (s *Session) vcommit(pass string, batch []*PInstr, outputs []*bat.BAT, final bool) {
+func (s *Session) vcommit(pass string, f fragment, outputs []*bat.BAT, final bool) {
 	if !s.verify {
 		return
 	}
-	if err := s.checkFragment(pass, batch, outputs, vAll, final); err != nil {
+	if err := s.checkFragment(pass, f, outputs, vAll, final); err != nil {
 		panic(abort{err})
 	}
 	verifyRuns.Add(1)
-	s.vmerge(batch)
+	s.vmerge(f.instrs)
 }
 
 // vmerge commits one checked fragment into the cross-fragment state.
@@ -222,8 +222,11 @@ func labelList(labels map[string]bool) string {
 // checkFragment verifies one rewritten fragment against the committed
 // cross-fragment state without mutating it. outputs are the fragment's
 // host-boundary values (markOutput order); final enables total release
-// coverage. Returns the first violation found, or nil.
-func (s *Session) checkFragment(pass string, batch []*PInstr, outputs []*bat.BAT, rules vRules, final bool) *VerifyError {
+// coverage. The lane rules check the graph the fragment carries — what the
+// executor will run — and pass vacuously on a fragment without one, which
+// only ever runs inline. Returns the first violation found, or nil.
+func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rules vRules, final bool) *VerifyError {
+	batch := f.instrs
 	v := s.vstateInit()
 	fail := func(i int, in *PInstr, rule, format string, args ...any) *VerifyError {
 		e := &VerifyError{Pass: pass, Rule: rule, Frag: v.frags, Instr: i, Detail: fmt.Sprintf(format, args...)}
@@ -334,7 +337,7 @@ func (s *Session) checkFragment(pass string, batch []*PInstr, outputs []*bat.BAT
 		}
 
 		if rules&vPin != 0 {
-			pin := s.pinOf(in)
+			pin := in.Device
 			switch {
 			case !in.computes():
 				if pin != "" {
@@ -399,9 +402,8 @@ func (s *Session) checkFragment(pass string, batch []*PInstr, outputs []*bat.BAT
 		}
 	}
 
-	if rules&vLane != 0 {
-		nodes, lanes := s.planGraph(batch)
-		if e := verifyLaneGraph(nodes, lanes, s.pinOf); e != nil {
+	if rules&vLane != 0 && f.laneOf != nil {
+		if e := verifyLaneGraph(f); e != nil {
 			e.Pass, e.Frag = pass, v.frags
 			return e
 		}
@@ -450,9 +452,9 @@ func (s *Session) checkFused(batch []*PInstr, outputs []*bat.BAT, i int, in *PIn
 		if len(m.Params) > 0 {
 			return fail(i, in, "fused-param-free", "member %d (%s) binds parameter %q", mi, m.OpName(), m.Params[0].Name)
 		}
-		if m.Device != "" && m.Device != s.pinOf(in) {
+		if m.Device != "" && m.Device != in.Device {
 			return fail(i, in, "fused-pin-unit", "member %d (%s) pinned to %q, region pinned to %q",
-				mi, m.OpName(), m.Device, s.pinOf(in))
+				mi, m.OpName(), m.Device, in.Device)
 		}
 		for _, a := range m.Args {
 			if a == nil {
@@ -531,64 +533,61 @@ func (s *Session) checkFused(batch []*PInstr, outputs []*bat.BAT, i int, in *PIn
 }
 
 // verifyLaneGraph checks the structural invariants the parallel executor's
-// deadlock-freedom proof rests on: every dependency edge points backward
-// (acyclicity by induction), the lanes partition the nodes exactly once in
-// ascending order (per-device serial dispatch), and each compute node runs
-// on the lane its pin names (pin-disjointness: two lanes never dispatch to
-// the same pinned device out of order). pin resolves an instruction's
-// effective pin — the session override from a mid-query re-plan wins over
-// the template's sealed Device field.
-func verifyLaneGraph(nodes []*pnode, lanes map[string][]int, pin func(*PInstr) string) *VerifyError {
-	fail := func(i int, in *PInstr, rule, format string, args ...any) *VerifyError {
+// deadlock-freedom proof rests on, over the graph stored with the fragment:
+// every instruction has its edges and its lane, every dependency edge points
+// backward (acyclicity by induction), the lanes partition the instructions
+// exactly once in ascending order (per-device serial dispatch), and each
+// compute runs on the lane its pin names (pin-disjointness: two lanes never
+// dispatch to the same pinned device out of order).
+func verifyLaneGraph(f fragment) *VerifyError {
+	fail := func(i int, rule, format string, args ...any) *VerifyError {
 		e := &VerifyError{Rule: rule, Instr: i, Detail: fmt.Sprintf(format, args...)}
-		if in != nil {
-			e.Op = in.OpName()
+		if i >= 0 && f.instrs[i] != nil {
+			e.Op = f.instrs[i].OpName()
 		}
 		return e
 	}
-	for i, n := range nodes {
-		for _, d := range n.deps {
+	n := len(f.instrs)
+	if len(f.deps) != n || len(f.laneOf) != n {
+		return fail(-1, "lane-partition", "graph covers %d edge lists and %d lanes for %d instructions", len(f.deps), len(f.laneOf), n)
+	}
+	for i, deps := range f.deps {
+		for _, d := range deps {
 			if d >= i {
-				return fail(i, n.in, "lane-acyclic", "dependency edge %d -> %d points forward (cycle)", i, d)
+				return fail(i, "lane-acyclic", "dependency edge %d -> %d points forward (cycle)", i, d)
 			}
 			if d < 0 {
-				return fail(i, n.in, "lane-acyclic", "dependency edge %d -> %d out of range", i, d)
+				return fail(i, "lane-acyclic", "dependency edge %d -> %d out of range", i, d)
 			}
 		}
 	}
-	claimed := make([]int, len(nodes)) // how many lanes claim each node
-	total := 0
-	for lane, idxs := range lanes {
+	claimed := make([]int, n) // how many lanes claim each instruction
+	for _, idxs := range f.lanes {
 		prev := -1
 		for _, idx := range idxs {
-			if idx < 0 || idx >= len(nodes) {
-				return fail(-1, nil, "lane-partition", "lane %q claims out-of-range node %d", lane, idx)
+			if idx < 0 || idx >= n {
+				return fail(-1, "lane-partition", "a lane claims out-of-range node %d", idx)
 			}
+			lane := f.laneOf[idxs[0]]
 			if idx <= prev {
-				return fail(idx, nodes[idx].in, "lane-partition", "lane %q is not in ascending plan order", lane)
+				return fail(idx, "lane-partition", "lane %q is not in ascending plan order", lane)
 			}
 			prev = idx
 			claimed[idx]++
-			total++
-			n := nodes[idx]
-			if n.lane != lane {
-				return fail(idx, n.in, "lane-partition", "node assigned lane %q but scheduled on lane %q", n.lane, lane)
+			if f.laneOf[idx] != lane {
+				return fail(idx, "lane-partition", "node assigned lane %q but scheduled on lane %q", f.laneOf[idx], lane)
 			}
-			if n.in != nil && n.in.computes() && pin(n.in) != n.lane {
-				return fail(idx, n.in, "lane-pin-disjoint", "compute pinned to %q scheduled on lane %q", pin(n.in), lane)
-			}
-		}
-	}
-	if total != len(nodes) {
-		for i, c := range claimed {
-			if c == 0 {
-				return fail(i, nodes[i].in, "lane-partition", "node %d belongs to no lane", i)
+			if in := f.instrs[idx]; in != nil && in.computes() && in.Device != lane {
+				return fail(idx, "lane-pin-disjoint", "compute pinned to %q scheduled on lane %q", in.Device, lane)
 			}
 		}
 	}
 	for i, c := range claimed {
+		if c == 0 {
+			return fail(i, "lane-partition", "node %d belongs to no lane", i)
+		}
 		if c > 1 {
-			return fail(i, nodes[i].in, "lane-partition", "node %d belongs to %d lanes", i, c)
+			return fail(i, "lane-partition", "node %d belongs to %d lanes", i, c)
 		}
 	}
 	return nil
@@ -608,6 +607,18 @@ func (t *Template) verifyOnce(s *Session) error {
 	return t.verr
 }
 
+// syncArgs reconstructs a fragment's host-boundary outputs from its Sync
+// instructions.
+func syncArgs(batch []*PInstr) []*bat.BAT {
+	var out []*bat.BAT
+	for _, in := range batch {
+		if in.Kind == OpSync && len(in.Args) > 0 && in.Args[0] != nil {
+			out = append(out, in.Args[0])
+		}
+	}
+	return out
+}
+
 // verifyTemplate re-proves the invariants over the sealed fragments: each
 // fragment is checked (outputs reconstructed from its Sync instructions)
 // and committed, then the result columns are checked to be base values or
@@ -617,17 +628,11 @@ func (s *Session) verifyTemplate() error {
 	t := s.tpl
 	s.vstate = nil // fresh committed state for the template walk
 	for fi, frag := range t.frags {
-		var outputs []*bat.BAT
-		for _, in := range frag {
-			if in.Kind == OpSync && len(in.Args) > 0 {
-				outputs = append(outputs, in.Args[0])
-			}
-		}
 		final := fi == len(t.frags)-1 && len(t.cols) > 0
-		if err := s.checkFragment("template", frag, outputs, vAll, final); err != nil {
+		if err := s.checkFragment("template", frag, syncArgs(frag.instrs), vAll, final); err != nil {
 			return err
 		}
-		s.vmerge(frag)
+		s.vmerge(frag.instrs)
 	}
 	v := s.vstateInit()
 	for _, c := range t.cols {

@@ -54,7 +54,7 @@ func TestVerifyRejectsUseAfterRelease(t *testing.T) {
 	sel := vtInstr(s, OpSelect, []*bat.BAT{base, nil}, 1)
 	rel := vtRelease(s, sel.Rets[0])
 	use := vtInstr(s, OpProject, []*bat.BAT{sel.Rets[0], base}, 1)
-	e := s.checkFragment("test", []*PInstr{sel, rel, use}, nil, vAll, false)
+	e := s.checkFragment("test", fragment{instrs: []*PInstr{sel, rel, use}}, nil, vAll, false)
 	wantRule(t, e, "use-after-release")
 	if e.Instr != 2 || e.Op != "leftfetchjoin" {
 		t.Fatalf("violation should name the reading instruction, got instr %d (%s)", e.Instr, e.Op)
@@ -66,7 +66,7 @@ func TestVerifyRejectsDoubleRelease(t *testing.T) {
 	base := bat.NewI32("base", make([]int32, 8))
 	sel := vtInstr(s, OpSelect, []*bat.BAT{base, nil}, 1)
 	e := s.checkFragment("test",
-		[]*PInstr{sel, vtRelease(s, sel.Rets[0]), vtRelease(s, sel.Rets[0])}, nil, vAll, false)
+		fragment{instrs: []*PInstr{sel, vtRelease(s, sel.Rets[0]), vtRelease(s, sel.Rets[0])}}, nil, vAll, false)
 	wantRule(t, e, "double-release")
 }
 
@@ -77,7 +77,7 @@ func TestVerifyRejectsMissingSyncAtHostBoundary(t *testing.T) {
 	agg.Agg = ops.Sum
 	// agg.Rets[0] crosses the host boundary (a ScalarF would read it), but
 	// no Sync instruction exists in the fragment.
-	e := s.checkFragment("test", []*PInstr{agg}, []*bat.BAT{agg.Rets[0]}, vAll, false)
+	e := s.checkFragment("test", fragment{instrs: []*PInstr{agg}}, []*bat.BAT{agg.Rets[0]}, vAll, false)
 	wantRule(t, e, "sync-before-host-boundary")
 	if e.Instr != -1 {
 		t.Fatalf("missing sync is a fragment-level violation, got instr %d", e.Instr)
@@ -90,13 +90,13 @@ func TestVerifyRejectsUnresolvablePin(t *testing.T) {
 	base := bat.NewI32("base", make([]int32, 8))
 	sel := vtInstr(s, OpSelect, []*bat.BAT{base, nil}, 1)
 	sel.Device = "GPU9"
-	wantRule(t, s.checkFragment("test", []*PInstr{sel}, nil, vAll, false), "pin-resolvable")
+	wantRule(t, s.checkFragment("test", fragment{instrs: []*PInstr{sel}}, nil, vAll, false), "pin-resolvable")
 
 	// Any pin at all on a non-hybrid engine.
 	s2 := vtSession(t, MS)
 	sel2 := vtInstr(s2, OpSelect, []*bat.BAT{base, nil}, 1)
 	sel2.Device = "GPU"
-	wantRule(t, s2.checkFragment("test", []*PInstr{sel2}, nil, vAll, false), "pin-resolvable")
+	wantRule(t, s2.checkFragment("test", fragment{instrs: []*PInstr{sel2}}, nil, vAll, false), "pin-resolvable")
 }
 
 func TestVerifyRejectsCyclicLaneGraph(t *testing.T) {
@@ -105,20 +105,21 @@ func TestVerifyRejectsCyclicLaneGraph(t *testing.T) {
 	}
 	// A forward dependency edge — the cycle the backward-only construction
 	// of planGraph makes impossible, hand-built here.
-	nodes := []*pnode{
-		{in: mk(""), deps: []int{1}},
-		{in: mk("")},
+	f := fragment{
+		instrs: []*PInstr{mk(""), mk("")},
+		deps:   [][]int{{1}, nil},
+		laneOf: []string{"", ""},
+		lanes:  [][]int{{0, 1}},
 	}
-	pin := func(in *PInstr) string { return in.Device }
-	wantRule(t, verifyLaneGraph(nodes, map[string][]int{"": {0, 1}}, pin), "lane-acyclic")
+	wantRule(t, verifyLaneGraph(f), "lane-acyclic")
 
 	// A node scheduled on a lane other than its pin.
-	nodes = []*pnode{{in: mk("GPU"), lane: "CPU"}}
-	wantRule(t, verifyLaneGraph(nodes, map[string][]int{"CPU": {0}}, pin), "lane-pin-disjoint")
+	f = fragment{instrs: []*PInstr{mk("GPU")}, deps: [][]int{nil}, laneOf: []string{"CPU"}, lanes: [][]int{{0}}}
+	wantRule(t, verifyLaneGraph(f), "lane-pin-disjoint")
 
 	// A node missing from the lane partition.
-	nodes = []*pnode{{in: mk("")}, {in: mk("")}}
-	wantRule(t, verifyLaneGraph(nodes, map[string][]int{"": {0}}, pin), "lane-partition")
+	f = fragment{instrs: []*PInstr{mk(""), mk("")}, deps: [][]int{nil, nil}, laneOf: []string{"", ""}, lanes: [][]int{{0}}}
+	wantRule(t, verifyLaneGraph(f), "lane-partition")
 }
 
 func TestVerifyRejectsMissingRelease(t *testing.T) {
@@ -127,7 +128,7 @@ func TestVerifyRejectsMissingRelease(t *testing.T) {
 	sel := vtInstr(s, OpSelect, []*bat.BAT{base, nil}, 1)
 	// Final fragment with early release on: the intermediate must be
 	// released or be an output; it is neither.
-	e := s.checkFragment("release-insert", []*PInstr{sel}, nil, vAll, true)
+	e := s.checkFragment("release-insert", fragment{instrs: []*PInstr{sel}}, nil, vAll, true)
 	wantRule(t, e, "missing-release")
 }
 

@@ -678,22 +678,6 @@ func (sv *Server) noteFull(name string, start time.Time, res *mal.Result, hit bo
 	}
 }
 
-// FeedbackWarm reports how many cached current-generation templates across
-// the engines carry cardinality feedback from completed executions — the
-// plans whose next placement prices with observed rows instead of the
-// estimator's constants. Feedback lives on the templates, so it survives
-// across client sessions per engine and dies with Invalidate: a reload
-// strands it under the old data generation where no request reaches it.
-func (sv *Server) FeedbackWarm() int {
-	n := 0
-	for _, s := range sv.slots {
-		if s.cache != nil {
-			n += s.cache.WarmTemplates()
-		}
-	}
-	return n
-}
-
 // CacheStats returns plan-cache hits, misses and resident templates summed
 // across the engines (zeros when the caches are disabled).
 func (sv *Server) CacheStats() (hits, misses int64, size int) {

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bat"
-	"repro/internal/mal"
-	"repro/internal/ops"
 )
 
 // TestGenerateSkewed pins down the Zipf knob: theta 0 is byte-identical to
@@ -85,97 +83,4 @@ func TestGenerateSkewed(t *testing.T) {
 	if hist[0] <= hist[len(hist)-1] {
 		t.Fatalf("Zipf skew invisible in o_custkey histogram: first bucket %d, last %d", hist[0], hist[len(hist)-1])
 	}
-}
-
-// TestAdaptiveEquivalenceAllQueries is the PR 9 acceptance suite: on
-// Zipf-skewed data, every workload query must return byte-identical results
-// whether mid-query re-planning is off, forced on at threshold 1 during the
-// build, or forced on during a feedback-free template replay — across the
-// single-device configurations (where re-planning never engages) and the
-// 1/2/4-GPU hybrids (where it must actually fire somewhere). As in the
-// parallel suite, each (query, engine) pair probes its own determinism
-// first; deterministic pairs demand exactness, the rest get the atomic
-// jitter tolerance.
-func TestAdaptiveEquivalenceAllQueries(t *testing.T) {
-	db := GenerateSkewed(0.01, 42, 1.2)
-	opts := mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20}
-
-	type engine struct {
-		name string
-		o    ops.Operators
-		gpus int
-	}
-	engines := []engine{
-		{"OcelotCPU", mal.OcelotCPU.Build(opts), 0},
-		{"OcelotGPU", mal.OcelotGPU.Build(opts), 0},
-		{"HYB g=1", mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 1}), 1},
-		{"HYB g=2", mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 2}), 2},
-		{"HYB g=4", mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 4}), 4},
-	}
-	queries := Queries()
-	if testing.Short() {
-		queries = []Query{*QueryByNum(1), *QueryByNum(3), *QueryByNum(6), *QueryByNum(12)}
-		engines = []engine{engines[0], engines[3]}
-	}
-
-	run := func(e engine, q Query, thr float64) (*mal.Result, *mal.Session) {
-		s := mal.NewSession(e.o)
-		s.SetReplanThreshold(thr)
-		if thr > 0 {
-			// Mid-fragment re-planning lives in the serial executor; force it
-			// so the forced-replan leg actually walks that path.
-			s.SetParallel(false)
-		}
-		res, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result { return q.Plan(s, db) })
-		if err != nil {
-			t.Fatalf("Q%d on %s (thr=%v): %v", q.Num, e.name, thr, err)
-		}
-		return res, s
-	}
-
-	replans := 0
-	for _, e := range engines {
-		for _, q := range queries {
-			ref, _ := run(e, q, 0)
-			probe, s0 := run(e, q, 0)
-			deterministic := ref.EqualWithin(probe, 0) == nil
-			check := func(leg string, res *mal.Result) {
-				if deterministic {
-					if err := res.EqualWithin(ref, 0); err != nil {
-						t.Fatalf("Q%d on %s: %s differs byte-for-byte from fixed plan: %v", q.Num, e.name, leg, err)
-					}
-				} else if err := res.EqualWithin(ref, 1e-5); err != nil {
-					t.Fatalf("Q%d on %s (nondeterministic grouped floats): %s outside jitter tolerance: %v", q.Num, e.name, leg, err)
-				}
-			}
-
-			// Leg 1: forced re-planning during the cold build.
-			forced, s1 := run(e, q, 1)
-			check("forced-replan build", forced)
-			if e.gpus == 0 && s1.Replans() != 0 {
-				t.Fatalf("Q%d on %s: re-planned on a configuration without placement pins", q.Num, e.name)
-			}
-			replans += s1.Replans()
-
-			// Leg 2: feedback-free template replay at threshold 1 — the
-			// build-time estimates stay the fixed constants, so the
-			// mis-estimates re-fire at fragment boundaries and serial tails.
-			tpl := s0.Template()
-			fbWas, thrWas := mal.DefaultFeedback(), mal.DefaultReplanThreshold()
-			mal.SetDefaultFeedback(false)
-			mal.SetDefaultReplanThreshold(1)
-			res, sess, err := tpl.RunOn(e.o, nil)
-			mal.SetDefaultFeedback(fbWas)
-			mal.SetDefaultReplanThreshold(thrWas)
-			if err != nil {
-				t.Fatalf("Q%d on %s: feedback-free replay: %v", q.Num, e.name, err)
-			}
-			check("feedback-free replay", res)
-			replans += sess.Replans()
-		}
-	}
-	if replans == 0 {
-		t.Fatal("no hybrid query ever re-planned its tail at threshold 1")
-	}
-	t.Logf("adaptive executor re-planned %d tails across the forced runs", replans)
 }

@@ -14,7 +14,9 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/cl"
@@ -291,6 +293,74 @@ func BenchmarkFig7bTPCHMid(b *testing.B) {
 // configurations only (paper: SF 50).
 func BenchmarkFig7cTPCHLarge(b *testing.B) {
 	benchTPCH(b, 0.1, 0, []mal.Config{mal.MS, mal.MP, mal.OcelotCPU})
+}
+
+// BenchmarkScalingTPCHLarge — what the second core buys. §4.2 launches n_c
+// work-groups so that every core has one; this runs warm PlanCache replays of
+// the 14 queries at SF 0.1 on Ocelot-CPU with ConfigOptions.Threads 1 and 2,
+// beside MS and MP (2 threads), the four engines alternated query by query
+// inside every iteration. It reports each engine's round (the sum of its
+// per-query medians) and the Threads 2 / Threads 1 ratio of the rounds, and
+// prints the per-query table.
+func BenchmarkScalingTPCHLarge(b *testing.B) {
+	db := tpch.Generate(0.1, 42)
+	queries := tpch.Queries()
+	type side struct {
+		name  string
+		o     ops.Operators
+		cache *mal.PlanCache
+		ms    [][]float64 // per query, one sample per iteration
+	}
+	sides := []*side{
+		{name: "T1", o: mal.OcelotCPU.Build(mal.ConfigOptions{Threads: 1})},
+		{name: "T2", o: mal.OcelotCPU.Build(mal.ConfigOptions{Threads: 2})},
+		{name: "MS", o: mal.MS.Build(mal.ConfigOptions{})},
+		{name: "MP", o: mal.MP.Build(mal.ConfigOptions{Threads: 2})},
+	}
+	replay := func(s *side, q tpch.Query) time.Duration {
+		start := time.Now()
+		_, _, err := s.cache.Run(s.o, q.Name, nil, mal.DefaultPasses(), func(ms *mal.Session) *mal.Result {
+			return q.Plan(ms, db)
+		})
+		if err != nil {
+			b.Fatalf("%s Q%d: %v", s.name, q.Num, err)
+		}
+		return time.Since(start)
+	}
+	for _, s := range sides {
+		s.cache, s.ms = mal.NewPlanCache(), make([][]float64, len(queries))
+		for _, q := range queries {
+			replay(s, q) // builds and seals the template
+			replay(s, q) // first replay: hot cache, recycled buffers
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for qi, q := range queries {
+			for _, s := range sides {
+				s.ms[qi] = append(s.ms[qi], float64(replay(s, q))/1e6)
+			}
+		}
+	}
+	b.StopTimer()
+	round := make([]float64, len(sides))
+	table := "query      T1      T2      MS      MP   T2/T1  (ms, medians)\n"
+	for qi, q := range queries {
+		table += fmt.Sprintf("Q%-4d", q.Num)
+		med := make([]float64, len(sides))
+		for si, s := range sides {
+			sort.Float64s(s.ms[qi])
+			med[si] = s.ms[qi][len(s.ms[qi])/2]
+			round[si] += med[si]
+			table += fmt.Sprintf(" %7.2f", med[si])
+		}
+		table += fmt.Sprintf(" %7.2f\n", med[1]/med[0])
+	}
+	for si, s := range sides {
+		b.ReportMetric(round[si], s.name+"-ms/round")
+	}
+	b.ReportMetric(round[1]/round[0], "T2/T1")
+	fmt.Printf("%s: %d iterations\n%s", b.Name(), b.N, table) // b.Log keeps ten lines
 }
 
 // BenchmarkFig7dQ1Scaling — Q1 at two scale factors per configuration; the

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/mal"
 	"repro/internal/ops"
@@ -160,10 +161,24 @@ func main() {
 				for op, m := range hyb.Placements() {
 					fmt.Printf("    placement %-14s %v\n", op, m)
 				}
+				for _, d := range hyb.Devices() {
+					printExecutor(d.Label, d.Eng)
+				}
+			} else if eng, ok := o.(*core.Engine); ok {
+				printExecutor(cfg.String(), eng)
 			}
 		}
 		if *rows {
 			fmt.Println(res)
 		}
 	}
+}
+
+// printExecutor is the -explain footer's line on a device's worker pool: how
+// many multi-group launches had a second goroutine on them, how many ran on
+// one, and how many ready commands found no parked worker.
+func printExecutor(label string, e *core.Engine) {
+	st := e.Device().ExecutorStats()
+	fmt.Printf("    %-5s executor: of %d launches %d ran on several goroutines, %d on one despite several groups; %d commands unpooled\n",
+		label, e.Device().KernelLaunches(), st.Shared, st.Alone, st.Unpooled)
 }

@@ -294,7 +294,7 @@ func AblationSlotsStage(opt Options) *Report {
 			for i := 0; i < rows; i++ {
 				ci[i] = rnd.Int31n(int32(keyRange))
 			}
-			words := kernels.IdentityWords(rows, uint64(keyRange))
+			words := kernels.IdentityWords(dev, rows, uint64(keyRange))
 			bits, rank := e.buf(words), e.buf(words)
 			var ndistinct [2]uint32
 			for mi, mode := range modes {
@@ -304,7 +304,7 @@ func AblationSlotsStage(opt Options) *Report {
 						if err := rev.Wait(); err != nil {
 							return rev
 						}
-						ks := kernels.FoldKeyRange(rangeParts.U32(), gsz, rows, 1)
+						ks := kernels.FoldKeyRange(dev, rangeParts.U32(), rows, 1)
 						tab := kernels.Slots{Bits: bits, Rank: rank, Min: ks.Min, Span: ks.Span, Prev: 1}
 						z := kernels.Fill(e.q, bits, words, 0, nil)
 						ev := kernels.IdentitySet(e.q, tab, col, nil, rows, []*cl.Event{z})
@@ -400,7 +400,7 @@ func groupPanel(opt Options) *Report {
 				}
 				measure := func() kernels.KeySpace {
 					_ = kernels.KeyRange(e.q, rangeParts, col, prev, rows, nil).Wait()
-					return kernels.FoldKeyRange(rangeParts.U32(), gsz, rows, np)
+					return kernels.FoldKeyRange(dev, rangeParts.U32(), rows, np)
 				}
 				sorted := func(ks kernels.KeySpace) *cl.Event {
 					_, ev := kernels.GroupBySort(e.q, ids, col, prev, ks, sc, rows, nil)
@@ -417,7 +417,7 @@ func groupPanel(opt Options) *Report {
 						case mode == "/sort":
 							return sorted(ks)
 						}
-						if m := measure(); kernels.SortGroupBits(rows, m.Range(), m.Distinct) > 0 {
+						if m := measure(); kernels.SortGroupBits(dev, rows, m.Range(), m.Distinct) > 0 {
 							return sorted(m)
 						}
 						return hashed()

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -147,6 +148,8 @@ type Device struct {
 	kernelLaunches int64
 	transfers      int64
 	bytesMoved     int64
+	// What the worker pool did with the device's commands (ExecutorStats).
+	sharedLaunches, aloneLaunches, unpooledCommands atomic.Int64
 }
 
 // NewCPUDevice returns the CPU driver. cores <= 0 selects runtime.NumCPU().
@@ -228,6 +231,27 @@ func (d *Device) KernelLaunches() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.kernelLaunches
+}
+
+// ExecutorStats counts what the device's worker pool (pool.go) did with the
+// commands that have completed so far.
+type ExecutorStats struct {
+	// Shared launches had groups run by more than one goroutine; Alone ones
+	// had more than one group and still ran on the goroutine that fired them.
+	// One-group launches are in neither.
+	Shared, Alone int64
+	// Unpooled counts ready commands started on a goroutine of their own
+	// because no pool worker was parked.
+	Unpooled int64
+}
+
+// ExecutorStats returns the device's executor counters.
+func (d *Device) ExecutorStats() ExecutorStats {
+	return ExecutorStats{
+		Shared:   d.sharedLaunches.Load(),
+		Alone:    d.aloneLaunches.Load(),
+		Unpooled: d.unpooledCommands.Load(),
+	}
 }
 
 // Transfers returns the number of host↔device transfers and the total bytes
@@ -315,6 +339,17 @@ func (d *Device) countKernel() {
 	d.mu.Lock()
 	d.kernelLaunches++
 	d.mu.Unlock()
+}
+
+// countLaunch books a completed launch of the given group count under
+// ExecutorStats; shared says a recruited worker ran one of its groups.
+func (d *Device) countLaunch(groups int, shared bool) {
+	switch {
+	case shared:
+		d.sharedLaunches.Add(1)
+	case groups > 1:
+		d.aloneLaunches.Add(1)
+	}
 }
 
 func (d *Device) countTransfer(bytes int64) {

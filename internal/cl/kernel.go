@@ -165,7 +165,7 @@ func (t *Thread) LocalF32() []float32 { return mem.F32(mem.BytesOfU32(t.localMem
 
 // launchRun is one kernel launch, from enqueue to completion: what to run
 // (fixed at enqueue) and the shared state of the run. The goroutine that
-// fires the command and any recruited pool workers pull group indices from
+// fires the command and the pool workers it recruits pull group indices from
 // next until the launch is exhausted; whichever of them finishes the last
 // group completes the command's event — nobody blocks waiting for the others.
 // This replaces the seed's goroutine-per-work-group model with a constant
@@ -179,9 +179,10 @@ type launchRun struct {
 	groups, local int
 	ev            *Event // the launch's command, set by Queue.submit
 
-	next  atomic.Int32
-	done  atomic.Int32
-	start time.Time
+	next   atomic.Int32
+	done   atomic.Int32
+	shared atomic.Bool // a recruited worker claimed a group
+	start  time.Time
 	// own is the Thread of the goroutine that fires the command (pool workers
 	// bring their own), so running a group allocates nothing.
 	own Thread
@@ -230,14 +231,19 @@ func (r *launchRun) runInPool(x *executor, t *Thread) {
 // its error: a panic in any work-item aborts the launch and is reported here.
 func (r *launchRun) finish() error {
 	r.ev.measured(r.start)
+	r.dev.countLaunch(r.groups, r.shared.Load())
 	return r.err
 }
 
+// exhausted reports that every group has been claimed; a worker that still
+// finds the launch listed pays one add on next and leaves.
+func (r *launchRun) exhausted() bool { return int(r.next.Load()) >= r.groups }
+
 // help pulls and executes work-groups on thread t until none remain and
-// reports whether it ran the one that finished the launch. Each helper that
-// sees further groups outstanding recruits one more parked worker (a wave
-// wake-up: 1 → 2 → 4 …), so a tiny launch runs entirely on the launching
-// goroutine at almost no dispatch cost while a large one saturates the pool.
+// reports whether it ran the one that finished the launch. Whoever claims a
+// group and sees further ones outstanding recruits one more worker: a
+// one-group launch runs on the launching goroutine at no dispatch cost, a
+// launch of n_c groups has every core of the device on it within a wake-up.
 func (r *launchRun) help(x *executor, t *Thread) (last bool) {
 	for {
 		g := int(r.next.Add(1)) - 1
@@ -245,7 +251,10 @@ func (r *launchRun) help(x *executor, t *Thread) (last bool) {
 			return last
 		}
 		if r.groups-g > 1 {
-			x.offer(r)
+			x.recruit(r, g == 0)
+		}
+		if t != &r.own {
+			r.shared.Store(true)
 		}
 		last = r.runGroup(x, g, t)
 	}

@@ -2,6 +2,7 @@ package cl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +17,11 @@ import (
 //   - A fixed worker pool per device (one worker per Const.Cores, started
 //     lazily, drained after an idle timeout or an explicit Device.Close).
 //     Work-groups of a launch are pulled from a shared atomic cursor by the
-//     launching goroutine and any recruited workers, so a tiny launch runs
-//     entirely inline while a large one fans out across the pool.
+//     launching goroutine and by every worker with nothing else to do: a
+//     launch of several groups is listed as open until its cursor is
+//     exhausted, a worker looks at the list before it parks and is woken when
+//     it grows, so an unclaimed group waits on an idle worker for one wake-up
+//     at most. A one-group launch lists nothing and wakes nobody.
 //
 //   - A dependency-counting command scheduler: each command carries a
 //     pending-dependency counter and is fired exactly once, by whichever
@@ -36,28 +40,25 @@ const workerIdleTimeout = 2 * time.Second
 // maxLocalFree bounds the local-memory free-list length per device.
 const maxLocalFree = 64
 
-// poolWork is one unit handed to a parked worker: a ready command or an
-// in-flight launch recruiting helpers.
-type poolWork interface {
-	// runInPool runs on a pool worker; t is that worker's own Thread, for
-	// launches to hand to the work-items it executes.
-	runInPool(x *executor, t *Thread)
-}
-
 // executor is the persistent per-device worker pool.
 type executor struct {
 	dev *Device
 
-	// tasks is an unbuffered handoff channel: a send succeeds only when a
-	// worker is parked on the other side, so offers never block and never
-	// queue stale work behind a busy pool.
-	tasks chan poolWork
-	quit  chan struct{}
+	// tasks hands a ready command to a parked worker: unbuffered, so a send
+	// succeeds only when a worker is parked on the other side, and fire
+	// never blocks and never queues a command behind a busy pool.
+	tasks chan *Event
+	// wake holds a token per worker that must look at open again before parking.
+	wake chan struct{}
+	quit chan struct{}
 
 	mu      sync.Mutex
 	workers int
 	closed  bool
-	wg      sync.WaitGroup
+	// open lists the running launches that may have unclaimed groups, oldest
+	// first; exhausted ones are dropped by whoever holds mu next.
+	open []*launchRun
+	wg   sync.WaitGroup
 
 	// localFree recycles work-group local-memory scratch across launches.
 	localMu   sync.Mutex
@@ -68,11 +69,13 @@ type executor struct {
 }
 
 func newExecutor(d *Device) *executor {
-	return &executor{
+	x := &executor{
 		dev:   d,
-		tasks: make(chan poolWork),
+		tasks: make(chan *Event),
 		quit:  make(chan struct{}),
 	}
+	x.wake = make(chan struct{}, x.maxWorkers())
+	return x
 }
 
 // executor returns the device's pool, creating it lazily (and recreating it
@@ -129,60 +132,83 @@ func (x *executor) liveWorkers() int {
 	return x.workers
 }
 
-// offer hands w to a parked worker, spawning one if the pool is below the
-// device's core count. It never blocks; false means no worker is available
-// and the caller must make progress itself.
-func (x *executor) offer(w poolWork) bool {
-	select {
-	case x.tasks <- w:
-		return true
-	default:
-	}
+// spawn starts a worker on c (nil: on whatever is open) unless the pool is
+// closed or has a worker per core already.
+func (x *executor) spawn(c *Event) bool {
 	x.mu.Lock()
-	if x.closed || x.workers >= x.maxWorkers() {
-		x.mu.Unlock()
-		return false
+	ok := !x.closed && x.workers < x.maxWorkers()
+	if ok {
+		x.workers++
+		x.wg.Add(1)
 	}
-	x.workers++
-	x.wg.Add(1)
 	x.mu.Unlock()
-	go x.worker(w)
-	return true
+	if ok {
+		go x.worker(c)
+	}
+	return ok
 }
 
-func (x *executor) worker(first poolWork) {
+// recruit brings one more worker to r, which has unclaimed groups. The
+// launching goroutine lists r as open first, where every worker looks before
+// it parks; a missing worker is spawned, a parked one woken by the token.
+// Every claim that leaves further groups outstanding recruits again: a wide
+// launch's wake-ups spread 1 → 2 → 4 over the pool, a two-group one costs one.
+func (x *executor) recruit(r *launchRun, list bool) {
+	if list {
+		x.mu.Lock()
+		x.open = append(slices.DeleteFunc(x.open, (*launchRun).exhausted), r)
+		x.mu.Unlock()
+	}
+	if !x.spawn(nil) {
+		select {
+		case x.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// nextOpen returns the oldest launch with an unclaimed group, or nil. A
+// retiring worker leaves the pool under the lock it looked under, so a launch
+// listed an instant later finds the pool short of a worker and spawns one.
+func (x *executor) nextOpen(retiring bool) *launchRun {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.open = slices.DeleteFunc(x.open, (*launchRun).exhausted)
+	if len(x.open) > 0 {
+		return x.open[0]
+	}
+	if retiring {
+		x.workers--
+	}
+	return nil
+}
+
+func (x *executor) worker(first *Event) {
 	defer x.wg.Done()
 	var t Thread // reused by every work-group this worker ever runs
-	if first != nil {
-		first.runInPool(x, &t)
-	}
+	runCommands(first)
+	// No Stop-and-drain before Reset: go.mod's go1.24 timers leave no stale tick.
 	timer := time.NewTimer(workerIdleTimeout)
 	defer timer.Stop()
-	for {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+	for retiring := false; ; {
+		if r := x.nextOpen(retiring); r != nil {
+			r.runInPool(x, &t)
+			continue
+		}
+		if retiring {
+			return
 		}
 		timer.Reset(workerIdleTimeout)
 		select {
-		case w := <-x.tasks:
-			w.runInPool(x, &t)
+		case c := <-x.tasks:
+			runCommands(c)
+		case <-x.wake:
 		case <-x.quit:
-			x.retire()
-			return
+			retiring = true
 		case <-timer.C:
-			x.retire()
-			return
+			retiring = true
 		}
 	}
-}
-
-func (x *executor) retire() {
-	x.mu.Lock()
-	x.workers--
-	x.mu.Unlock()
 }
 
 // getLocal returns a zeroed local-memory slice of the given word count,
@@ -252,14 +278,18 @@ func (c *Event) depDone(err error) bool {
 	return c.pending.Add(-1) == 0
 }
 
-func (c *Event) runInPool(x *executor, _ *Thread) { runCommands(c) }
-
 // fire starts a runnable command without blocking the caller: a parked pool
-// worker picks it up when one is available, otherwise a fresh goroutine runs
-// it (and, via runCommands, every dependent it unblocks in sequence).
+// worker picks it up when one is available, or one is spawned if the pool is
+// below the device's core count; otherwise a fresh goroutine runs it (and,
+// via runCommands, every dependent it unblocks in sequence).
 func (x *executor) fire(c *Event) {
-	if !x.offer(c) {
-		go runCommands(c)
+	select {
+	case x.tasks <- c:
+	default:
+		if !x.spawn(c) {
+			x.dev.unpooledCommands.Add(1)
+			go runCommands(c)
+		}
 	}
 }
 

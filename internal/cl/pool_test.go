@@ -1,7 +1,9 @@
 package cl
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -201,5 +203,203 @@ func TestDeviceCloseIdempotentAndConcurrentSafe(t *testing.T) {
 	q := NewQueue(NewContext(dev))
 	if err := q.EnqueueKernel(func(*Thread) {}, Launch{Name: "afterclose"}).Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// warmPool runs one launch with a group per core and waits until every
+// worker of the device exists.
+func warmPool(t *testing.T, q *Queue) *executor {
+	t.Helper()
+	if err := q.EnqueueKernel(func(*Thread) {}, Launch{Name: "warm"}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	x := q.dev.executor()
+	for deadline := time.Now().Add(10 * time.Second); x.liveWorkers() < x.maxWorkers(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool has %d workers, want %d", x.liveWorkers(), x.maxWorkers())
+		}
+	}
+	return x
+}
+
+// waitFor yields until flag is set and reports whether that happened within
+// the bound.
+func waitFor(flag *atomic.Bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !flag.Load(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSecondWorkerArrives: group 0 of a two-group launch cannot finish until
+// somebody else runs group 1, so every repetition needs the second worker of
+// a two-core device to arrive while the first is inside the launch. The
+// launch is chained on a trivial two-group one, which puts the other worker
+// where the old hand-off missed it: just done with a group, a few
+// instructions short of parking. With recruiting by hand-off to an already
+// parked worker (the parent of the commit that added this test) the offer is
+// lost there, group 0 waits out the bound and the test fails within the
+// first few repetitions at every GOMAXPROCS; with open launches listed it
+// cannot.
+func TestSecondWorkerArrives(t *testing.T) {
+	q := NewQueue(NewContext(NewCPUDevice(2)))
+	warmPool(t, q)
+	two := Launch{Name: "two", Groups: 2, Local: 1}
+	for i := 0; i < 1000; i++ {
+		var arrived atomic.Bool
+		missed := false // written by group 0 only, read after Wait
+		before := q.EnqueueKernel(func(*Thread) {}, two)
+		rendezvous := two
+		rendezvous.Wait = []*Event{before}
+		if err := q.EnqueueKernel(func(th *Thread) {
+			if th.Group == 1 {
+				arrived.Store(true)
+			} else if !waitFor(&arrived) {
+				missed = true
+			}
+		}, rendezvous).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if missed {
+			t.Fatalf("repetition %d: group 1 was not claimed while group 0 ran: no second worker arrived", i)
+		}
+	}
+	if s := q.dev.ExecutorStats(); s.Shared < 1000 {
+		t.Fatalf("%+v: the 1000 rendezvous launches alone ran on two goroutines each", s)
+	}
+}
+
+// TestStaleOpenLaunchIsHarmless: a worker that meets a launch in the open
+// list after its last group was claimed — or after it completed — claims
+// nothing, completes nothing, and forgets it.
+func TestStaleOpenLaunchIsHarmless(t *testing.T) {
+	q := NewQueue(NewContext(NewCPUDevice(2)))
+	x := warmPool(t, q)
+	var ran atomic.Int32
+	ev := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "done", Groups: 2, Local: 1})
+	if err := ev.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	stats := q.dev.ExecutorStats()
+	x.mu.Lock()
+	x.open = append(x.open, ev.launch)
+	x.mu.Unlock()
+	var th Thread
+	ev.launch.runInPool(x, &th) // a worker that read the list before the prune
+	x.wake <- struct{}{}
+	if err := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "after", Groups: 2, Local: 1}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("work-items ran %d times, want 4", n)
+	}
+	after := q.dev.ExecutorStats()
+	if got := after.Shared + after.Alone - stats.Shared - stats.Alone; got != 1 {
+		t.Fatalf("%d launches completed after the stale entry was listed, want 1", got)
+	}
+	if r := x.nextOpen(false); r != nil {
+		t.Fatalf("exhausted launch %q still listed as open", r.name)
+	}
+}
+
+// TestCloseWithLaunchOpen: Close waits for the workers inside an open launch
+// and returns once it is done; the launch completes and the device restarts
+// its pool for the next one.
+func TestCloseWithLaunchOpen(t *testing.T) {
+	dev := NewCPUDevice(2)
+	q := NewQueue(NewContext(dev))
+	warmPool(t, q)
+	var inside, release atomic.Bool
+	var ran atomic.Int32
+	ev := q.EnqueueKernel(func(th *Thread) {
+		if th.Group == 1 {
+			inside.Store(true)
+		}
+		waitFor(&release)
+		ran.Add(1)
+	}, Launch{Name: "held", Groups: 2, Local: 1})
+	if !waitFor(&inside) {
+		t.Fatal("group 1 never started")
+	}
+	closed := make(chan struct{})
+	go func() { dev.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a worker was inside a launch")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release.Store(true)
+	if err := ev.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the open launch finished")
+	}
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d groups ran, want 2", n)
+	}
+	warmPool(t, q)
+	dev.Close()
+}
+
+// TestPanicInRecruitedGroupAbortsOnce: the panic of a group that a recruited
+// worker runs fails the launch — completed once, by whoever finishes last —
+// and its dependents, and the worker survives it.
+func TestPanicInRecruitedGroupAbortsOnce(t *testing.T) {
+	q := NewQueue(NewContext(NewCPUDevice(2)))
+	warmPool(t, q)
+	before := q.dev.ExecutorStats()
+	var recruited atomic.Bool
+	bad := q.EnqueueKernel(func(th *Thread) {
+		if th.Group == 1 {
+			recruited.Store(true)
+			panic("recruit exploded")
+		}
+		if !waitFor(&recruited) {
+			t.Error("group 1 was not run by a second goroutine")
+		}
+	}, Launch{Name: "half", Groups: 2, Local: 1})
+	if err := bad.Wait(); err == nil || !strings.Contains(err.Error(), "recruit exploded") {
+		t.Fatalf("want the recruit's panic from the launch, got %v", err)
+	}
+	after := q.EnqueueKernel(func(*Thread) {}, Launch{Name: "dependent", Wait: []*Event{bad}})
+	if err := after.Wait(); err == nil || !strings.Contains(err.Error(), "dependency failed") {
+		t.Fatalf("dependent of failed launch: got %v, want dependency failure", err)
+	}
+	if s := q.dev.ExecutorStats(); s.Shared-before.Shared != 1 || s.Alone != before.Alone {
+		t.Fatalf("executor stats %+v after %+v: want exactly one more shared launch", s, before)
+	}
+	warmPool(t, q)
+}
+
+// TestOneGroupLaunchWakesNobody: a chain of one-group launches runs on the
+// goroutine that carries the chain and recruits nobody. Only the gate is
+// offered to the pool (which starts the first worker); a recruit would have
+// found the pool below its size and started the second.
+func TestOneGroupLaunchWakesNobody(t *testing.T) {
+	dev := NewCPUDevice(2)
+	q := NewQueue(NewContext(dev))
+	gate := make(chan struct{})
+	ev := q.EnqueueHost("gate", func() error { <-gate; return nil }, nil)
+	for i := 0; i < 100; i++ {
+		ev = q.EnqueueKernel(func(*Thread) {}, Launch{Name: "one", Groups: 1, Local: 4, Wait: []*Event{ev}})
+	}
+	close(gate)
+	if err := ev.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	x := dev.executor()
+	if n := x.liveWorkers(); n != 1 {
+		t.Fatalf("%d workers after a chain of one-group launches, want the 1 that carried it", n)
+	}
+	if s := dev.ExecutorStats(); s != (ExecutorStats{}) {
+		t.Fatalf("executor stats %+v, want all zero", s)
+	}
+	if r := x.nextOpen(false); r != nil {
+		t.Fatal("a one-group launch was listed as open")
 	}
 }

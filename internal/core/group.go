@@ -50,7 +50,7 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	var gids *cl.Buffer
 	var gev *cl.Event
 	var ngroups int
-	if kernels.SortGroupBits(n, ks.Range(), ks.Distinct) > 0 {
+	if kernels.SortGroupBits(e.dev, n, ks.Range(), ks.Distinct) > 0 {
 		gids, gev, ngroups, err = e.groupBySort(colBuf, prevBuf, ks, n, wait)
 	} else {
 		gids, gev, ngroups, err = e.groupBySlots(col.Name, colBuf, prevBuf, ks, n, wait)

@@ -27,11 +27,11 @@ const (
 func (p groupPath) String() string { return [...]string{"hashed", "identity", "sort"}[p] }
 
 // pathOf is the path Group's two rules assign to n keys measured as ks.
-func pathOf(n int, ks kernels.KeySpace) groupPath {
+func pathOf(dev *cl.Device, n int, ks kernels.KeySpace) groupPath {
 	switch {
-	case kernels.IdentityWords(n, ks.Range()) > 0:
+	case kernels.IdentityWords(dev, n, ks.Range()) > 0:
 		return pathIdentity
-	case kernels.SortGroupBits(n, ks.Range(), ks.Distinct) > 0:
+	case kernels.SortGroupBits(dev, n, ks.Range(), ks.Distinct) > 0:
 		return pathSort
 	}
 	return pathHashed
@@ -81,6 +81,17 @@ type groupCase struct {
 	prev  []int32 // nil: single-word keys
 	nprev int
 	rule  groupPath // the path the rules must pick
+	// gpuRule, when set, is their pick on the GPU model where it differs: the
+	// local-memory clause of kernels.IdentityWords reads a device constant.
+	gpuRule *groupPath
+}
+
+// ruleOn is the path the rules must pick for the case on e's device.
+func (c groupCase) ruleOn(e *Engine) groupPath {
+	if c.gpuRule != nil && e.dev.Simulated {
+		return *c.gpuRule
+	}
+	return c.rule
 }
 
 // sparseUnique returns n distinct keys in random order: lo, hi and n-2 values
@@ -119,18 +130,24 @@ func groupCases() []groupCase {
 	}
 	twoWords := randI32(n, 150_000, 72)
 	wide := sparseUnique(n, math.MinInt32, math.MaxInt32, 73)
+	identity := pathIdentity
 	return []groupCase{
-		{"near-unique sparse negative", sparseUnique(n, -1_900_000_000, 2_000_000_000, 74), nil, 0, pathSort},
-		{"full int32 range: 2^32 addresses", wide, nil, 0, pathSort},
-		{"2^32 addresses times two previous ids", wide, clusteredPrev(n, 2), 2, pathHashed},
-		{"duplicate-heavy sparse", dupHeavy, nil, 0, pathHashed},
-		{"range at the identity bound", sparseUnique(n, -17, identityBound-18, 75), nil, 0, pathIdentity},
-		{"range one past the identity bound", sparseUnique(n, -17, identityBound-17, 76), nil, 0, pathSort},
-		{"refining clustered ids by sparse keys", twoWords, clusteredPrev(n, 1_000), 1_000, pathSort},
-		{"refining by a few dense codes", randI32(n, 3, 77), clusteredPrev(n, 500), 500, pathIdentity},
-		{"one row", []int32{math.MinInt32}, nil, 0, pathIdentity},
-		{"two rows", []int32{math.MaxInt32, math.MinInt32}, nil, 0, pathHashed},
-		{"seven rows refining", []int32{5, -5, 5, 1 << 30, 5, -5, 5}, []int32{0, 0, 1, 1, 0, 2, 2}, 3, pathHashed},
+		{"near-unique sparse negative", sparseUnique(n, -1_900_000_000, 2_000_000_000, 74), nil, 0, pathSort, nil},
+		{"full int32 range: 2^32 addresses", wide, nil, 0, pathSort, nil},
+		{"2^32 addresses times two previous ids", wide, clusteredPrev(n, 2), 2, pathHashed, nil},
+		{"duplicate-heavy sparse", dupHeavy, nil, 0, pathHashed, nil},
+		{"range at the identity bound", sparseUnique(n, -17, identityBound-18, 75), nil, 0, pathIdentity, nil},
+		{"range one past the identity bound", sparseUnique(n, -17, identityBound-17, 76), nil, 0, pathSort, nil},
+		{"refining clustered ids by sparse keys", twoWords, clusteredPrev(n, 1_000), 1_000, pathSort, nil},
+		{"refining by a few dense codes", randI32(n, 3, 77), clusteredPrev(n, 500), 500, pathIdentity, nil},
+		{"one row", []int32{math.MinInt32}, nil, 0, pathIdentity, nil},
+		{"two rows", []int32{math.MaxInt32, math.MinInt32}, nil, 0, pathHashed, nil},
+		{"seven rows refining", []int32{5, -5, 5, 1 << 30, 5, -5, 5}, []int32{0, 0, 1, 1, 0, 2, 2}, 3, pathHashed, nil},
+		// 140 keys over 150 000 addresses: an 18 KiB bitmap and its rank
+		// directory, 37 KiB, fit the GPU model's 48 KiB of local memory and
+		// not the CPU's 32 KiB, so the devices address the same input
+		// differently and must still agree as partitions.
+		{"a few keys over a range between the devices' local memories", sparseUnique(140, -17, 150_000-18, 78), nil, 0, pathHashed, &identity},
 	}
 }
 
@@ -170,8 +187,9 @@ func TestGroupAddressingPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := pathOf(n, ks); got != c.rule {
-				t.Fatalf("%s on %s: the rules pick %v for %+v, want %v", c.name, e.Name(), got, ks, c.rule)
+			rule := c.ruleOn(e)
+			if got := pathOf(e.dev, n, ks); got != rule {
+				t.Fatalf("%s on %s: the rules pick %v for %+v, want %v", c.name, e.Name(), got, ks, rule)
 			}
 			for _, path := range []groupPath{pathHashed, pathIdentity, pathSort} {
 				if path == pathIdentity && ks.Range() > 1<<26 || path == pathSort && ks.Range() > 1<<32 {
@@ -211,12 +229,12 @@ func TestGroupAddressingPaths(t *testing.T) {
 			// enumeration or rank scan, look-up — or pack, three kernels a
 			// pass, boundary flags, three-kernel scan, scatter.
 			want := int64(7)
-			if c.rule == pathSort {
+			if rule == pathSort {
 				radix := kernels.RadixBits(e.dev)
 				want = int64(7 + 3*((bitsFor(ks.Range())+radix-1)/radix))
 			}
 			if got := e.dev.KernelLaunches() - before; got != want {
-				t.Fatalf("%s on %s: Group took %d launches, the %v path takes %d", c.name, e.Name(), got, c.rule, want)
+				t.Fatalf("%s on %s: Group took %d launches, the %v path takes %d", c.name, e.Name(), got, rule, want)
 			}
 			g.Free()
 			col.Free()
@@ -290,7 +308,7 @@ func TestGroupRule(t *testing.T) {
 		{1 << 40, n, 0},
 		{0, n, 0}, // unmeasured (floats)
 	} {
-		if got := kernels.SortGroupBits(n, c.keyRange, c.distinct); got != c.bits {
+		if got := kernels.SortGroupBits(cl.NewCPUDevice(2), n, c.keyRange, c.distinct); got != c.bits {
 			t.Fatalf("SortGroupBits(%d, %d, %d) = %d, want %d", n, c.keyRange, c.distinct, got, c.bits)
 		}
 	}
@@ -307,7 +325,7 @@ func TestGroupRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pathOf(rows, ks) != pathSort {
+		if pathOf(e.dev, rows, ks) != pathSort {
 			t.Fatalf("%s: %d unique keys over 2^32 addresses: %+v does not sort", e.Name(), rows, ks)
 		}
 		if err := e.Finish(); err != nil {

@@ -228,7 +228,7 @@ func (e *Engine) buildSlots(name string, colBuf, prev *cl.Buffer, nprev, n int, 
 // insertion for everything else — floats and unmeasured keys included, whose
 // zero KeySpace has no range.
 func (e *Engine) slotsFor(name string, ks kernels.KeySpace, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
-	if words := kernels.IdentityWords(n, ks.Range()); words > 0 {
+	if words := kernels.IdentityWords(e.dev, n, ks.Range()); words > 0 {
 		tab := kernels.Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
 		return e.buildIdentitySlots(tab, words, colBuf, prev, n, wait)
 	}
@@ -265,7 +265,6 @@ func (e *Engine) measureKeys(colBuf, prev *cl.Buffer, nprev, n int, ordered bool
 	if !ordered || n == 0 || (prev != nil && nprev <= 0) {
 		return ks, nil
 	}
-	_, _, gsz := kernels.Geometry(e.dev)
 	words := kernels.KeyRangeWords(e.dev, n)
 	partials, err := e.mm.Alloc(words * 4)
 	if err != nil {
@@ -277,7 +276,7 @@ func (e *Engine) measureKeys(colBuf, prev *cl.Buffer, nprev, n int, ordered bool
 		if prev == nil {
 			nprev = 1
 		}
-		ks = kernels.FoldKeyRange(mem.U32(host), gsz, n, uint32(nprev)) // before the release: host may be the buffer
+		ks = kernels.FoldKeyRange(e.dev, mem.U32(host), n, uint32(nprev)) // before the release: host may be the buffer
 	}
 	e.mm.Release(partials)
 	return ks, err

@@ -642,60 +642,66 @@ func TestEmptyBuildSide(t *testing.T) {
 
 // TestAddressingRule pins the rule to its definition — identity addressing
 // exactly while bitmap plus rank directory take no more bytes than the hashed
-// slot arrays — at the boundary range and one either side, and checks the
-// memory bound the spill and placement estimates rely on: under either
-// addressing, slots and buckets together stay within joinFootprint's table
-// share, and an identity table is never larger than the hashed one for the
-// same n.
+// slot arrays, or than the device's local memory whatever the key count — at
+// each clause's boundary range and one either side (3 000 keys, where the
+// hashed arrays are the larger bound; 140 keys, where local memory is: Q8's
+// part positions), and checks the memory bound the spill and placement
+// estimates rely on: under either addressing, slots and buckets together stay
+// within joinFootprint's table share, and the slots within kernels.SlotBytes.
 func TestAddressingRule(t *testing.T) {
-	const n = 3_000
-	boundary := 48 * kernels.TableCapacity(n) // range/4 == 12*capacity
 	for _, e := range crossEngines() {
-		hashedBytes := int64(0)
-		for _, c := range []struct {
-			keyRange int
-			identity bool
-		}{{1 << 30, false}, {boundary + 1, false}, {boundary, true}, {boundary - 1, true}, {n, true}} {
-			keys := make([]int32, n)
-			for i := range keys {
-				keys[i] = int32(i) - 17 // dense, partly negative ...
+		for _, n := range []int{3_000, 140} {
+			boundary := int(4 * kernels.SlotBytes(e.dev, n)) // range/32 words of 8 bytes
+			if hashed := 48 * kernels.TableCapacity(n); (n == 3_000) != (boundary == hashed) {
+				t.Fatalf("%s: %d keys: boundary %d, hashed arrays' %d", e.Name(), n, boundary, hashed)
 			}
-			keys[n-1] = int32(c.keyRange) - 1 - 17 // ... up to the one key that sets the range
-			col := i32Col("k", keys)
-			ht, err := e.slotTable(col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ht.ensureBuckets(nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			if (ht.tab.Bits != nil) != c.identity {
-				t.Fatalf("%s: range %d over %d keys: identity = %v, want %v", e.Name(), c.keyRange, n, ht.tab.Bits != nil, c.identity)
-			}
-			if !ht.uniqueKeys || ht.ndistinct != n {
-				t.Fatalf("%s: range %d: %d distinct, unique %v", e.Name(), c.keyRange, ht.ndistinct, ht.uniqueKeys)
-			}
-			var own int64
-			for _, b := range ht.buffers() {
-				if b != nil {
-					own += b.Size()
+			for _, c := range []struct {
+				keyRange int
+				identity bool
+			}{{1 << 30, false}, {boundary + 1, false}, {boundary, true}, {boundary - 1, true}, {20_000, true}, {n, true}} {
+				keys := make([]int32, n)
+				for i := range keys {
+					keys[i] = int32(i) - 17 // dense, partly negative ...
 				}
+				keys[n-1] = int32(c.keyRange) - 1 - 17 // ... up to the one key that sets the range
+				col := i32Col("k", keys)
+				ht, err := e.slotTable(col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ht.ensureBuckets(nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				if (ht.tab.Bits != nil) != c.identity {
+					t.Fatalf("%s: range %d over %d keys: identity = %v, want %v", e.Name(), c.keyRange, n, ht.tab.Bits != nil, c.identity)
+				}
+				if !ht.uniqueKeys || ht.ndistinct != n {
+					t.Fatalf("%s: range %d: %d distinct, unique %v", e.Name(), c.keyRange, ht.ndistinct, ht.uniqueKeys)
+				}
+				var own, slots int64
+				for _, b := range ht.buffers() {
+					if b != nil {
+						own += b.Size()
+					}
+				}
+				for _, b := range []*cl.Buffer{ht.tab.Bits, ht.tab.Rank, ht.tab.State, ht.tab.Keys1, ht.tab.SlotGid} {
+					if b != nil {
+						slots += b.Size()
+					}
+				}
+				if own > e.joinFootprint(0, n) || slots > kernels.SlotBytes(e.dev, n) {
+					t.Fatalf("%s: range %d over %d keys: the table holds %d bytes, joinFootprint %d; its slots %d, SlotBytes %d",
+						e.Name(), c.keyRange, n, own, e.joinFootprint(0, n), slots, kernels.SlotBytes(e.dev, n))
+				}
+				col.Free()
 			}
-			if !c.identity {
-				hashedBytes = own
-			}
-			if own > joinFootprint(0, n) || own > hashedBytes {
-				t.Fatalf("%s: range %d: the table holds %d bytes; hashed %d, joinFootprint %d",
-					e.Name(), c.keyRange, own, hashedBytes, joinFootprint(0, n))
-			}
-			col.Free()
 		}
-	}
-	if kernels.IdentityWords(n, 1<<32+1) != 0 || kernels.IdentityWords(0, 0) != 0 {
-		t.Fatal("ranges beyond 32 bits, and empty ranges, must stay hashed")
+		if kernels.IdentityWords(e.dev, 3_000, 1<<32+1) != 0 || kernels.IdentityWords(e.dev, 0, 0) != 0 {
+			t.Fatal("ranges beyond 32 bits, and empty ranges, must stay hashed")
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func (e *Engine) Join(l, r *bat.BAT) (*bat.BAT, *bat.BAT, error) {
 	// Manager; an in-memory attempt that still hits a capacity refusal
 	// retries partitioned.
 	if budget, ok := e.joinBudget(); ok && r.Len() >= spillMinRows &&
-		joinFootprint(l.Len(), r.Len()) > budget {
+		e.joinFootprint(l.Len(), r.Len()) > budget {
 		return e.partitionedJoin(l, r, budget)
 	}
 	ht, err := e.BuildHash(r)
@@ -276,7 +276,7 @@ func (e *Engine) AntiJoin(l, r *bat.BAT) (*bat.BAT, error) {
 
 func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
 	if budget, ok := e.joinBudget(); ok && r.Len() >= spillMinRows &&
-		joinFootprint(l.Len(), r.Len()) > budget {
+		e.joinFootprint(l.Len(), r.Len()) > budget {
 		return e.partitionedExists(l, r, negate, budget)
 	}
 	// Existence needs only the slots stage, never the buckets.

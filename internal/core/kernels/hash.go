@@ -96,15 +96,27 @@ type Slots struct {
 	Prev       uint32 // composite keys: b < Prev; 1 for single-word keys
 }
 
+// SlotBytes bounds the device bytes of the slots stage over n keys under
+// either addressing: the hashed state/keys/slot-id arrays, or the device's
+// local memory size (a §4.2 build constant) where that is larger.
+func SlotBytes(dev *cl.Device, n int) int64 {
+	return max(12*int64(TableCapacity(n)), int64(dev.Const.LocalMemSize))
+}
+
 // IdentityWords is the addressing rule, a pure function of what the build
-// observes: the bitmap length in words when n keys spanning keyRange distinct
-// addresses take identity addressing, 0 when they stay hashed. Identity
-// addressing is chosen exactly when bitmap plus rank directory occupy no more
-// device bytes than the hashed state/keys/slot-id arrays would, so every
-// footprint estimate made for the hashed table stays an upper bound.
-func IdentityWords(n int, keyRange uint64) int {
+// observes and the device's build constants: the bitmap length in words when
+// n keys spanning keyRange distinct addresses take identity addressing, 0
+// when they stay hashed. Identity addressing is chosen when bitmap plus rank
+// directory occupy no more device bytes than the hashed arrays would — or
+// than the device's local memory holds, whatever n: a handful of keys spread
+// over a small range (140 part positions in [0, 20 000)) is probed by every
+// row of the other side, and a structure of that size stays in the cores'
+// nearest cache where the hashed probe pays for its six hash functions.
+// Either way the slots occupy at most SlotBytes, which is what the footprint
+// estimates charge.
+func IdentityWords(dev *cl.Device, n int, keyRange uint64) int {
 	words := (keyRange + 31) / 32
-	if keyRange == 0 || keyRange > 1<<32 || 8*words > 12*uint64(TableCapacity(n)) {
+	if keyRange == 0 || keyRange > 1<<32 || int64(8*words) > SlotBytes(dev, n) {
 		return 0
 	}
 	return int(words)
@@ -129,9 +141,13 @@ const (
 // integers whose composite range fits one word, identity addressing has
 // refused that range, and the distinct keys the build estimates (distinct,
 // from KeyRange's sample) would occupy more lines of a hashed table than
-// stay cache-resident, while the sort streams whatever the keys are.
-func SortGroupBits(n int, keyRange uint64, distinct int) int {
-	if keyRange == 0 || keyRange > 1<<32 || IdentityWords(n, keyRange) > 0 ||
+// stay cache-resident, while the sort streams whatever the keys are. The two
+// rules meet at the local-memory clause of IdentityWords: a range whose
+// bitmap fits local memory (131 072 addresses on the CPU) is never sorted,
+// however many of its keys are distinct — its identity slots are smaller than
+// the cache-resident bound by two orders of magnitude.
+func SortGroupBits(dev *cl.Device, n int, keyRange uint64, distinct int) int {
+	if keyRange == 0 || keyRange > 1<<32 || IdentityWords(dev, n, keyRange) > 0 ||
 		int64(distinct)*hashedKeyBytes <= cacheResidentBytes {
 		return 0
 	}
@@ -287,13 +303,14 @@ func copyKeySample(sample, src, prev []int32, lo, hi, stride int) {
 // (and reordered in place): the range, and — where the range is one Group
 // could sort — the distinct estimate from the sample. nprev bounds the second
 // key word, 1 for single-word keys.
-func FoldKeyRange(partials []uint32, gsz, n int, nprev uint32) KeySpace {
+func FoldKeyRange(dev *cl.Device, partials []uint32, n int, nprev uint32) KeySpace {
+	_, _, gsz := Geometry(dev)
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for i := 0; i < 2*gsz; i += 2 {
 		lo, hi = min(lo, int32(partials[i])), max(hi, int32(partials[i+1]))
 	}
 	ks := KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev}
-	if r := ks.Range(); r <= 1<<32 && IdentityWords(n, r) == 0 {
+	if r := ks.Range(); r <= 1<<32 && IdentityWords(dev, n, r) == 0 {
 		ks.Distinct = estimateDistinct(ks, partials[2*gsz:], n)
 	}
 	return ks

@@ -776,14 +776,13 @@ func TestRadixSortKeyWidth(t *testing.T) {
 // only: towards the sort, whose cost does not depend on the keys.
 func TestDistinctEstimate(t *testing.T) {
 	e := newEnv(cl.NewCPUDevice(4))
-	_, _, gsz := Geometry(e.dev)
 	measure := func(vals []int32) KeySpace {
 		n := len(vals)
 		partials := e.buf(t, KeyRangeWords(e.dev, n))
 		if err := KeyRange(e.q, partials, e.i32(t, vals), nil, n, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		return FoldKeyRange(partials.U32(), gsz, n, 1)
+		return FoldKeyRange(e.dev, partials.U32(), n, 1)
 	}
 	const n = 200_000
 	r := rand.New(rand.NewSource(5))
@@ -825,12 +824,11 @@ func buildSlots(t *testing.T, e *env, vals []int32, identity bool) (Slots, int) 
 	col := e.i32(t, vals)
 	total := e.buf(t, 1)
 	if identity {
-		_, _, gsz := Geometry(e.q.Device())
 		partials := e.buf(t, KeyRangeWords(e.q.Device(), n))
 		if err := KeyRange(e.q, partials, col, nil, n, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		ks := FoldKeyRange(partials.U32(), gsz, n, 1)
+		ks := FoldKeyRange(e.q.Device(), partials.U32(), n, 1)
 		s := Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
 		words := (int(s.Span) + 32) / 32
 		s.Bits, s.Rank = e.buf(t, words), e.buf(t, words)

@@ -88,12 +88,11 @@ func (e *Engine) joinBudget() (budget int64, ok bool) {
 }
 
 // joinFootprint estimates the device bytes a hash join of nl probe rows
-// against nr build rows occupies at its peak: the multi-stage table (state,
-// keys, slot-gid at table capacity; gids, rowids, starts over the build
-// rows), both key columns, and the two-step probe scratch.
-func joinFootprint(nl, nr int) int64 {
-	cap := int64(kernels.TableCapacity(nr))
-	table := 12*cap + 12*int64(nr+2)
+// against nr build rows occupies at its peak: the multi-stage table (the
+// slots under either addressing, kernels.SlotBytes; gids, rowids, starts over
+// the build rows), both key columns, and the two-step probe scratch.
+func (e *Engine) joinFootprint(nl, nr int) int64 {
+	table := kernels.SlotBytes(e.dev, nr) + 12*int64(nr+2)
 	probe := 12 * int64(nl+1) // probe keys + counts + offsets
 	return table + probe
 }
@@ -209,8 +208,8 @@ func nextPow2(x int64) int64 {
 
 // spillLeaves recursively partitions a task until every leaf fits the budget
 // (or the depth cap is hit) and appends the non-empty leaves to out.
-func spillLeaves(t *spillTask, budget int64, out []*spillTask, spilled *int64) []*spillTask {
-	t.foot = joinFootprint(len(t.lk), len(t.rk))
+func (e *Engine) spillLeaves(t *spillTask, budget int64, out []*spillTask, spilled *int64) []*spillTask {
+	t.foot = e.joinFootprint(len(t.lk), len(t.rk))
 	if len(t.lk) == 0 || len(t.rk) == 0 {
 		return out // no matches can come from an empty side
 	}
@@ -228,7 +227,7 @@ func spillLeaves(t *spillTask, budget int64, out []*spillTask, spilled *int64) [
 	rks, rps := partitionSpill(t.rk, t.rpos, t.level, uint32(p))
 	*spilled += 8 * int64(len(t.lk)+len(t.rk))
 	for i := int64(0); i < p; i++ {
-		out = spillLeaves(&spillTask{
+		out = e.spillLeaves(&spillTask{
 			lk: lks[i], lpos: lps[i], rk: rks[i], rpos: rps[i],
 			level: t.level + 1,
 		}, budget, out, spilled)
@@ -379,7 +378,7 @@ func (e *Engine) partitionedJoin(l, r *bat.BAT, budget int64) (*bat.BAT, *bat.BA
 	nl, nr := len(lk), len(rk)
 
 	var spilled int64
-	leaves := spillLeaves(&spillTask{lk: lk, rk: rk}, budget, nil, &spilled)
+	leaves := e.spillLeaves(&spillTask{lk: lk, rk: rk}, budget, nil, &spilled)
 	e.spillJoins.Add(1)
 	e.spillParts.Add(int64(len(leaves)))
 	e.spillBytes.Add(spilled)
@@ -489,7 +488,7 @@ func (e *Engine) partitionedExists(l, r *bat.BAT, negate bool, budget int64) (*b
 	nl := len(lk)
 
 	var spilled int64
-	leaves := spillLeaves(&spillTask{lk: lk, rk: rk}, budget, nil, &spilled)
+	leaves := e.spillLeaves(&spillTask{lk: lk, rk: rk}, budget, nil, &spilled)
 	e.spillJoins.Add(1)
 	e.spillParts.Add(int64(len(leaves)))
 	e.spillBytes.Add(spilled)

@@ -2,6 +2,7 @@ package cl
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -512,18 +513,26 @@ func TestLaunchPauseIsApplied(t *testing.T) {
 	}
 
 	// A pause below the timer's granularity must cost about what it says:
-	// time.Sleep alone turned 30 µs into over a millisecond.
-	const launches, each = 200, 30 * time.Microsecond
+	// time.Sleep alone turned 30 µs into over a millisecond. Every batch pays
+	// at least its pauses, and the median of several stays within 3x of them:
+	// a pause that sleeps misses the bound in every batch, while a neighbour
+	// taking the cores for a moment slows only the batches it overlaps.
+	const launches, each, batches = 200, 30 * time.Microsecond, 15
 	dev.LaunchPause = each
-	start = time.Now()
-	for i := 0; i < launches; i++ {
-		ev = q.EnqueueKernel(func(*Thread) {}, Launch{Name: "paused"})
+	spent := make([]time.Duration, batches)
+	for b := range spent {
+		start = time.Now()
+		for i := 0; i < launches; i++ {
+			ev = q.EnqueueKernel(func(*Thread) {}, Launch{Name: "paused"})
+		}
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		spent[b] = time.Since(start)
 	}
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < launches*each || elapsed > 3*launches*each {
-		t.Fatalf("%d launches at %v took %v, outside [1x, 3x] of the pauses alone", launches, each, elapsed)
+	slices.Sort(spent)
+	if spent[0] < launches*each || spent[batches/2] > 3*launches*each {
+		t.Fatalf("batches of %d launches at %v took %v, outside [1x, 3x] of the pauses alone", launches, each, spent)
 	}
 }
 

@@ -163,12 +163,11 @@ func (e *Engine) aggrGrouped(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (
 	// placement (and N-device configurations) can move the aggregation
 	// freely.
 	sum := func(dst *cl.Buffer) *cl.Event {
-		chunks := kernels.GroupSumChunksFor(n, ngroups)
-		parts := sc.alloc(ngroups*chunks + 1)
+		parts := sc.alloc(ngroups*kernels.GroupSumChunksFor(n, ngroups) + 1)
 		if sc.err != nil {
 			return nil
 		}
-		return kernels.GroupedSumF32(e.q, dst, valBuf, gidBuf, parts, n, ngroups, chunks, wait)
+		return kernels.GroupedSumF32(e.q, dst, valBuf, gidBuf, parts, n, ngroups, wait)
 	}
 	// fold enqueues every order-insensitive aggregate — counts (nil values),
 	// integer Sum/Min/Max, float Min/Max — into dst.

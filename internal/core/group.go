@@ -15,6 +15,9 @@ import (
 // kernels.SortGroupBits — or given ids by look-ups through the slots of a
 // hash table. Multi-column grouping refines a previous grouping by keying on
 // the (value, previous id) pair — the recursive combined-id scheme of §4.1.6.
+// A refinement the rule would sort, of previous ids measured non-decreasing in
+// short runs, is numbered inside its runs instead (kernels.GroupByRuns), to
+// the same ids.
 func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	if col.T == bat.Void {
 		return nil, 0, fmt.Errorf("core: grouping a void column %q is meaningless", col.Name)
@@ -50,10 +53,13 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	var gids *cl.Buffer
 	var gev *cl.Event
 	var ngroups int
-	if kernels.SortGroupBits(e.dev, n, ks.Range(), ks.Distinct) > 0 {
-		gids, gev, ngroups, err = e.groupBySort(colBuf, prevBuf, ks, n, wait)
-	} else {
+	switch {
+	case kernels.SortGroupBits(e.dev, n, ks.Range(), ks.Distinct) == 0:
 		gids, gev, ngroups, err = e.groupBySlots(col.Name, colBuf, prevBuf, ks, n, wait)
+	case ks.Runs:
+		gids, gev, ngroups, err = e.groupByRuns(colBuf, prevBuf, n, wait)
+	default:
+		gids, gev, ngroups, err = e.groupBySort(colBuf, prevBuf, ks, n, wait)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -108,44 +114,57 @@ func (e *Engine) groupBySort(colBuf, prev *cl.Buffer, ks kernels.KeySpace, n int
 	return ids, done, int(boundaries) + 1, nil
 }
 
+// groupByRuns is the run path (kernels.GroupByRuns): the sort path's ids,
+// where the previous ids come in short non-decreasing runs, from three
+// launches over the rows as they lie.
+func (e *Engine) groupByRuns(colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
+	ids, done, groups, err := e.groupByScan(n, func(ids, flags, excl, sp, total *cl.Buffer) (*cl.Event, *cl.Event) {
+		return kernels.GroupByRuns(e.q, ids, colBuf, prev, flags, excl, sp, total, n, wait)
+	})
+	return ids, done, int(groups), err
+}
+
 // groupSorted implements the sorted path: boundary flags, scan, ids.
 func (e *Engine) groupSorted(col *bat.BAT, n int) (*bat.BAT, int, error) {
 	colBuf, wait, err := e.valuesOf(col)
 	if err != nil {
 		return nil, 0, err
 	}
-	sc := &scratchSet{mm: e.mm}
-	flags := sc.alloc(n + 1)
-	excl := sc.alloc(n + 1)
-	sp := sc.alloc(spineWords(e.dev))
-	total := sc.alloc(1)
-	ids, err2 := e.mm.Alloc((n + 1) * 4)
-	if sc.err != nil || err2 != nil {
-		sc.releaseAll()
-		if err2 == nil {
-			_ = ids.Release()
-		}
-		if sc.err != nil {
-			return nil, 0, sc.err
-		}
-		return nil, 0, err2
-	}
-	fev := kernels.GroupBoundaryFlags(e.q, flags, colBuf, nil, n, wait)
-	e.mm.NoteConsumer(col, fev)
-	sev := kernels.PrefixSum(e.q, excl, flags, sp, total, n, []*cl.Event{fev})
-	iev := kernels.GroupIDsFromScan(e.q, ids, excl, flags, n, []*cl.Event{sev})
-	boundaries, err := e.readU32(total, []*cl.Event{sev})
+	ids, iev, boundaries, err := e.groupByScan(n, func(ids, flags, excl, sp, total *cl.Buffer) (*cl.Event, *cl.Event) {
+		fev := kernels.GroupBoundaryFlags(e.q, flags, colBuf, n, wait)
+		e.mm.NoteConsumer(col, fev)
+		sev := kernels.PrefixSum(e.q, excl, flags, sp, total, n, []*cl.Event{fev})
+		return sev, kernels.GroupIDsFromScan(e.q, ids, excl, flags, n, []*cl.Event{sev})
+	})
 	if err != nil {
-		sc.releaseAll()
-		_ = ids.Release()
 		return nil, 0, err
 	}
-	e.releaseAfter(iev, sc.bufs...)
-
 	res := bat.NewOcelotOwned(col.Name+"_grp", bat.I32, n)
 	res.Props.Sorted = true // ids are non-decreasing on sorted input
 	e.mm.BindValues(res, ids, iev)
 	return res, int(boundaries) + 1, nil
+}
+
+// groupByScan is what the sorted and the run path share: it allocates the
+// ids and the scratch of a flag per row, the flags' exclusive scan, scan
+// partials and total; enqueue chains the path's kernels over them, and the
+// total is read back once scanned has landed.
+func (e *Engine) groupByScan(n int, enqueue func(ids, flags, excl, sp, total *cl.Buffer) (scanned, done *cl.Event)) (*cl.Buffer, *cl.Event, uint32, error) {
+	sc := &scratchSet{mm: e.mm}
+	flags, excl, sp, total := sc.alloc(n+1), sc.alloc(n+1), sc.alloc(spineWords(e.dev)), sc.alloc(1)
+	ids := sc.alloc(n + 1)
+	if sc.err != nil {
+		sc.releaseAll()
+		return nil, nil, 0, sc.err
+	}
+	scanned, done := enqueue(ids, flags, excl, sp, total)
+	count, err := e.readU32(total, []*cl.Event{scanned})
+	if err != nil {
+		sc.releaseAll()
+		return nil, nil, 0, err
+	}
+	e.releaseAfter(done, flags, excl, sp, total)
+	return ids, done, count, nil
 }
 
 func newOwnedEmptyGroups(name string) *bat.BAT {

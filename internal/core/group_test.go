@@ -15,35 +15,39 @@ import (
 	"repro/internal/ops"
 )
 
-// groupPath names the three ways Group assigns ids to unsorted keys.
+// groupPath names the four ways Group assigns ids to unsorted keys.
 type groupPath int
 
 const (
 	pathHashed groupPath = iota
 	pathIdentity
 	pathSort
+	pathRuns
 )
 
-func (p groupPath) String() string { return [...]string{"hashed", "identity", "sort"}[p] }
+func (p groupPath) String() string { return [...]string{"hashed", "identity", "sort", "runs"}[p] }
 
-// pathOf is the path Group's two rules assign to n keys measured as ks.
+// pathOf is the path Group's rules assign to n keys measured as ks.
 func pathOf(dev *cl.Device, n int, ks kernels.KeySpace) groupPath {
 	switch {
 	case kernels.IdentityWords(dev, n, ks.Range()) > 0:
 		return pathIdentity
-	case kernels.SortGroupBits(dev, n, ks.Range(), ks.Distinct) > 0:
-		return pathSort
+	case kernels.SortGroupBits(dev, n, ks.Range(), ks.Distinct) == 0:
+		return pathHashed
+	case ks.Runs:
+		return pathRuns
 	}
-	return pathHashed
+	return pathSort
 }
 
 // groupVia groups col (refining prev < nprev when given) on the path asked
 // for, bypassing the rules, so every path can be compared over one input —
-// inputs the rules would never send there included. It returns the ids and
-// the group count.
+// inputs the rules would never send there included (the run path needs a
+// non-decreasing prev, of runs of any length). It returns the ids and the
+// group count.
 func groupVia(t *testing.T, e *Engine, path groupPath, col, prev *bat.BAT, nprev int) ([]uint32, int) {
 	t.Helper()
-	if path != pathSort {
+	if path == pathHashed || path == pathIdentity {
 		ht := forcedTable(t, e, col, prev, nprev, path == pathIdentity)
 		ids := gidsOf(t, e, ht, col, prev)
 		if prev == nil {
@@ -59,7 +63,11 @@ func groupVia(t *testing.T, e *Engine, path groupPath, col, prev *bat.BAT, nprev
 	if err != nil {
 		t.Fatal(err)
 	}
-	gids, gev, ngroups, err := e.groupBySort(colBuf, prevBuf, ks, n, wait)
+	group := func() (*cl.Buffer, *cl.Event, int, error) { return e.groupBySort(colBuf, prevBuf, ks, n, wait) }
+	if path == pathRuns {
+		group = func() (*cl.Buffer, *cl.Event, int, error) { return e.groupByRuns(colBuf, prevBuf, n, wait) }
+	}
+	gids, gev, ngroups, err := group()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +129,46 @@ func clusteredPrev(n, nprev int) []int32 {
 	return out
 }
 
+// runsOf returns previous ids numbering consecutive runs of the given
+// lengths, and their count.
+func runsOf(lengths ...int) ([]int32, int) {
+	var out []int32
+	for id, l := range lengths {
+		out = append(out, slices.Repeat([]int32{int32(id)}, l)...)
+	}
+	return out, len(lengths)
+}
+
+// randomRuns returns n previous ids in runs of 1..maxRun rows, as l_orderpos
+// has them with maxRun 7, after runs of the lengths given first; and their
+// count.
+func randomRuns(n, maxRun int, seed int64, first ...int) ([]int32, int) {
+	r := rand.New(rand.NewSource(seed))
+	lengths, rows := first, 0
+	for _, l := range first {
+		rows += l
+	}
+	for rows < n {
+		l := min(1+r.Intn(maxRun), n-rows)
+		lengths = append(lengths, l)
+		rows += l
+	}
+	return runsOf(lengths...)
+}
+
+// shuffled permutes the rows of the given columns alike.
+func shuffled(seed int64, cols ...[]int32) [][]int32 {
+	perm := rand.New(rand.NewSource(seed)).Perm(len(cols[0]))
+	out := make([][]int32, len(cols))
+	for c, col := range cols {
+		out[c] = make([]int32, len(col))
+		for i, p := range perm {
+			out[c][i] = col[p]
+		}
+	}
+	return out
+}
+
 func groupCases() []groupCase {
 	const n = 40_001 // odd, and past the distinct crossover
 	identityBound := int64(48 * kernels.TableCapacity(n))
@@ -131,6 +179,17 @@ func groupCases() []groupCase {
 	twoWords := randI32(n, 150_000, 72)
 	wide := sparseUnique(n, math.MinInt32, math.MaxInt32, 73)
 	identity := pathIdentity
+	q21Prev, q21Orders := randomRuns(n, 7, 79)
+	atBound, nAtBound := randomRuns(n, kernels.MaxRefineRun, 80, 3, kernels.MaxRefineRun)
+	overBound, nOverBound := randomRuns(n, kernels.MaxRefineRun, 80, 3, kernels.MaxRefineRun+1)
+	descends := clusteredPrev(n, 5_000)
+	descends[n/2-1], descends[n/2] = descends[n/2], descends[n/2-1]-1 // one step down
+	negative := randI32(n, 500_000, 81)
+	for i := range negative {
+		negative[i] += math.MinInt32 // 2^32 / 500 000 is past the 8 001 previous ids
+	}
+	negative[17] = math.MinInt32
+	shuffledTwin := shuffled(82, twoWords, clusteredPrev(n, 1_000))
 	return []groupCase{
 		{"near-unique sparse negative", sparseUnique(n, -1_900_000_000, 2_000_000_000, 74), nil, 0, pathSort, nil},
 		{"full int32 range: 2^32 addresses", wide, nil, 0, pathSort, nil},
@@ -138,11 +197,19 @@ func groupCases() []groupCase {
 		{"duplicate-heavy sparse", dupHeavy, nil, 0, pathHashed, nil},
 		{"range at the identity bound", sparseUnique(n, -17, identityBound-18, 75), nil, 0, pathIdentity, nil},
 		{"range one past the identity bound", sparseUnique(n, -17, identityBound-17, 76), nil, 0, pathSort, nil},
-		{"refining clustered ids by sparse keys", twoWords, clusteredPrev(n, 1_000), 1_000, pathSort, nil},
+		{"refining clustered ids by sparse keys", twoWords, clusteredPrev(n, 1_000), 1_000, pathRuns, nil},
+		{"refining the same pairs shuffled", shuffledTwin[0], shuffledTwin[1], 1_000, pathSort, nil},
+		{"refining order-like runs of 1..7 rows", twoWords, q21Prev, q21Orders, pathRuns, nil},
+		{"refining runs up to the run bound", twoWords, atBound, nAtBound, pathRuns, nil},
+		{"refining runs, one a row over the run bound", twoWords, overBound, nOverBound, pathSort, nil},
+		{"refining clustered ids that decrease once", twoWords, descends, 5_000, pathSort, nil},
+		{"refining runs of 5 by negative keys from MinInt32", negative, clusteredPrev(n, 8_001), 8_001, pathRuns, nil},
 		{"refining by a few dense codes", randI32(n, 3, 77), clusteredPrev(n, 500), 500, pathIdentity, nil},
 		{"one row", []int32{math.MinInt32}, nil, 0, pathIdentity, nil},
 		{"two rows", []int32{math.MaxInt32, math.MinInt32}, nil, 0, pathHashed, nil},
 		{"seven rows refining", []int32{5, -5, 5, 1 << 30, 5, -5, 5}, []int32{0, 0, 1, 1, 0, 2, 2}, 3, pathHashed, nil},
+		{"one row refining", []int32{math.MinInt32}, []int32{0}, 1, pathIdentity, nil},
+		{"seven rows refining in runs", []int32{5, -5, 5, 1 << 30, 5, -5, math.MinInt32}, []int32{0, 0, 0, 1, 1, 2, 2}, 3, pathHashed, nil},
 		// 140 keys over 150 000 addresses: an 18 KiB bitmap and its rank
 		// directory, 37 KiB, fit the GPU model's 48 KiB of local memory and
 		// not the CPU's 32 KiB, so the devices address the same input
@@ -152,13 +219,15 @@ func groupCases() []groupCase {
 }
 
 // TestGroupAddressingPaths groups generated keys every way Group can — hashed
-// slots, identity-addressed slots, sorting — on Ocelot-CPU at one, two and
-// eight threads and on the GPU model, forcing each path over each input, and
-// compares every result with the sequential baseline as a partition (two rows
-// share an id on one engine iff they do on the other) and on the group count.
-// On the sort path the id column must be the same bytes on every engine. Then
-// the same inputs go through Group itself: it must take the path the rules
-// name (seen in its launch count) and agree with the baseline again.
+// slots, identity-addressed slots, sorting, numbering inside runs of the
+// previous ids — on Ocelot-CPU at one, two and eight threads and on the GPU
+// model, forcing each path over each input (the run path wherever the previous
+// ids are non-decreasing), and compares every result with the sequential
+// baseline as a partition (two rows share an id on one engine iff they do on
+// the other) and on the group count. On the sort and run paths the id column
+// must be the same bytes on every engine and on both paths. Then the same
+// inputs go through Group itself: it must take the path the rules name (seen
+// in its launch count) and agree with the baseline again.
 func TestGroupAddressingPaths(t *testing.T) {
 	for _, c := range groupCases() {
 		n := len(c.keys)
@@ -191,26 +260,27 @@ func TestGroupAddressingPaths(t *testing.T) {
 			if got := pathOf(e.dev, n, ks); got != rule {
 				t.Fatalf("%s on %s: the rules pick %v for %+v, want %v", c.name, e.Name(), got, ks, rule)
 			}
-			for _, path := range []groupPath{pathHashed, pathIdentity, pathSort} {
-				if path == pathIdentity && ks.Range() > 1<<26 || path == pathSort && ks.Range() > 1<<32 {
-					continue // no bitmap that large; no one-word code
+			for _, path := range []groupPath{pathHashed, pathIdentity, pathSort, pathRuns} {
+				if path == pathIdentity && ks.Range() > 1<<26 || path == pathSort && ks.Range() > 1<<32 ||
+					path == pathRuns && (c.prev == nil || !slices.IsSorted(c.prev)) {
+					continue // no bitmap that large; no one-word code; no runs
 				}
 				ids, groups := groupVia(t, e, path, col, prev, nprev)
 				if groups != refGroups || !samePartition(ids, ref) {
 					t.Fatalf("%s on %s, %v path: %d groups, baseline %d; same partition: %v",
 						c.name, e.Name(), path, groups, refGroups, samePartition(ids, ref))
 				}
-				if path != pathSort {
+				if path != pathSort && path != pathRuns {
 					continue
 				}
 				if sortIDs == nil {
 					sortIDs = ids
 				}
 				if !slices.Equal(ids, sortIDs) {
-					t.Fatalf("%s on %s: sort-path ids differ from the first engine's", c.name, e.Name())
+					t.Fatalf("%s on %s: %v-path ids differ from the first engine's sort path", c.name, e.Name(), path)
 				}
 				if !numberedInKeyOrder(ids, c.keys, c.prev) {
-					t.Fatalf("%s on %s: sort-path ids are not in composite-key order", c.name, e.Name())
+					t.Fatalf("%s on %s: %v-path ids are not in composite-key order", c.name, e.Name(), path)
 				}
 			}
 
@@ -227,11 +297,15 @@ func TestGroupAddressingPaths(t *testing.T) {
 			}
 			// Measurement, then: fill, insertion or bit set, three-kernel
 			// enumeration or rank scan, look-up — or pack, three kernels a
-			// pass, boundary flags, three-kernel scan, scatter.
+			// pass, boundary flags, three-kernel scan, scatter — or flags,
+			// three-kernel scan, ids.
 			want := int64(7)
-			if rule == pathSort {
+			switch rule {
+			case pathSort:
 				radix := kernels.RadixBits(e.dev)
 				want = int64(7 + 3*((bitsFor(ks.Range())+radix-1)/radix))
+			case pathRuns:
+				want = 6
 			}
 			if got := e.dev.KernelLaunches() - before; got != want {
 				t.Fatalf("%s on %s: Group took %d launches, the %v path takes %d", c.name, e.Name(), got, rule, want)
@@ -286,9 +360,10 @@ func numberedInKeyOrder(ids []uint32, keys, prev []int32) bool {
 // TestGroupRule pins kernels.SortGroupBits to its definition at each of its
 // boundaries — the identity bound, the distinct crossover, one 32-bit word —
 // and checks the memory bound placement relies on: from the smallest input the
-// rule can send to the sort path upwards, Group's working state there (four
-// n-word buffers, histogram, scan partials) stays within the 26 bytes a row
-// that placement assumes for the hashed table (mal/placement.go).
+// rule can send to the sort or the run path upwards, Group's working state
+// there (four n-word buffers, histogram, scan partials; two n-word buffers and
+// scan partials) stays within the 26 bytes a row that placement assumes for
+// the hashed table (mal/placement.go).
 func TestGroupRule(t *testing.T) {
 	const n = 100_000
 	const crossover = (4 << 20) / (3 * 64) // cache-resident bytes over bytes a hashed key
@@ -313,42 +388,59 @@ func TestGroupRule(t *testing.T) {
 		}
 	}
 
-	for _, e := range crossEngines() {
-		rows := crossover + 1 // fewer rows cannot hold enough distinct keys
-		col := i32Col("k", sparseUnique(rows, math.MinInt32, math.MaxInt32, 81))
-		prev := i32Col("p", make([]int32, rows))
-		colBuf, prevBuf, wait := keyBufs(t, e, col, prev)
-		if err := cl.WaitAll(wait...); err != nil {
-			t.Fatal(err)
+	const rows = crossover + 1 // fewer rows cannot hold enough distinct keys
+	runs, nruns := randomRuns(rows, kernels.MaxRefineRun, 83)
+	for _, c := range []struct {
+		keys, prev []int32
+		nprev      int
+		path       groupPath
+	}{
+		{sparseUnique(rows, math.MinInt32, math.MaxInt32, 81), make([]int32, rows), 1, pathSort},
+		{sparseUnique(rows, math.MinInt32, math.MinInt32+1<<32/int64(nruns)-1, 84), runs, nruns, pathRuns},
+	} {
+		for _, e := range crossEngines() {
+			testGroupMemory(t, e, c.keys, c.prev, c.nprev, c.path)
 		}
-		ks, err := e.measureKeys(colBuf, prevBuf, 1, rows, true, wait)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pathOf(e.dev, rows, ks) != pathSort {
-			t.Fatalf("%s: %d unique keys over 2^32 addresses: %+v does not sort", e.Name(), rows, ks)
-		}
-		if err := e.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		e.mm.FlushScratch()
-		before, earlierPeak := e.dev.Allocated(), e.dev.PeakAllocated()
-		g, _, err := e.Group(col, prev, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		out := int64(rows+1) * 4
-		if state := e.dev.PeakAllocated() - before - out; e.dev.PeakAllocated() == earlierPeak || state > 26*int64(rows) {
-			t.Fatalf("%s: sorting %d rows held %d bytes of working state, placement assumes %d",
-				e.Name(), rows, state, 26*rows)
-		}
-		e.Release(g)
-		col.Free()
-		prev.Free()
 	}
+}
+
+// testGroupMemory groups keys refining prev on e, which must take path, and
+// bounds the working state it held.
+func testGroupMemory(t *testing.T, e *Engine, keys, prevIDs []int32, nprev int, path groupPath) {
+	t.Helper()
+	rows := len(keys)
+	col, prev := i32Col("k", keys), i32Col("p", prevIDs)
+	colBuf, prevBuf, wait := keyBufs(t, e, col, prev)
+	if err := cl.WaitAll(wait...); err != nil {
+		t.Fatal(err)
+	}
+	ks, err := e.measureKeys(colBuf, prevBuf, nprev, rows, true, wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pathOf(e.dev, rows, ks); got != path {
+		t.Fatalf("%s: %d unique keys measured %+v take the %v path, want %v", e.Name(), rows, ks, got, path)
+	}
+	if err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	e.mm.FlushScratch()
+	before, earlierPeak := e.dev.Allocated(), e.dev.PeakAllocated()
+	g, _, err := e.Group(col, prev, nprev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	out := int64(rows+1) * 4
+	if state := e.dev.PeakAllocated() - before - out; e.dev.PeakAllocated() == earlierPeak || state > 26*int64(rows) {
+		t.Fatalf("%s: the %v path over %d rows held %d bytes of working state, placement assumes %d",
+			e.Name(), path, rows, state, 26*rows)
+	}
+	e.Release(g)
+	col.Free()
+	prev.Free()
 }
 
 // TestQ21ShapedPlanAgainstBaseline runs the grouping of TPC-H Q21 at the scale
@@ -356,7 +448,10 @@ func TestGroupRule(t *testing.T) {
 // refining clustered order positions, nearly one group a row, then the
 // per-group counts and minima the query takes and their projection back to
 // the rows, which cancels the engines' different id numbering. Every engine
-// must return the baseline's columns exactly.
+// must return the baseline's columns exactly. In row order the order
+// positions come in runs of four, and the grouping takes the run path; with
+// the rows shuffled it takes the radix passes. Both are pinned by launch
+// count.
 func TestQ21ShapedPlanAgainstBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("240 000-row grouping in -short mode")
@@ -368,7 +463,7 @@ func TestQ21ShapedPlanAgainstBaseline(t *testing.T) {
 	for i := range supp {
 		supp[i]++ // keys 1..1000
 	}
-	run := func(o ops.Operators) ([]int32, []int32, int) {
+	run := func(o ops.Operators, supp, opos, qty []int32) ([]int32, []int32, int, int64) {
 		t.Helper()
 		must := func(b *bat.BAT, err error) *bat.BAT {
 			t.Helper()
@@ -377,10 +472,18 @@ func TestQ21ShapedPlanAgainstBaseline(t *testing.T) {
 			}
 			return b
 		}
+		var launches func() int64
+		if e, ok := o.(*Engine); ok {
+			launches = e.dev.KernelLaunches
+		} else {
+			launches = func() int64 { return 0 }
+		}
+		before := launches()
 		gos, nos, err := o.Group(i32Col("l_suppkey", supp), i32Col("l_orderpos", opos), nOrders)
 		if err != nil {
 			t.Fatalf("%s: %v", o.Name(), err)
 		}
+		grouping := launches() - before
 		counts := must(o.Aggr(ops.Count, nil, gos, nos))
 		least := must(o.Aggr(ops.Min, i32Col("l_quantity", qty), gos, nos))
 		perRowCount := must(o.Project(gos, counts))
@@ -390,21 +493,65 @@ func TestQ21ShapedPlanAgainstBaseline(t *testing.T) {
 				t.Fatalf("%s: %v", o.Name(), err)
 			}
 		}
-		return perRowCount.I32s(), perRowLeast.I32s(), nos
+		return perRowCount.I32s(), perRowLeast.I32s(), nos, grouping
 	}
-	refCount, refLeast, refGroups := run(crossMS)
+	shuffledCols := shuffled(93, supp, opos, qty)
+	for _, order := range []struct {
+		name            string
+		supp, opos, qty []int32
+		path            groupPath
+	}{
+		{"in row order", supp, opos, qty, pathRuns},
+		{"shuffled", shuffledCols[0], shuffledCols[1], shuffledCols[2], pathSort},
+	} {
+		refCount, refLeast, refGroups, _ := run(crossMS, order.supp, order.opos, order.qty)
+		for _, e := range crossEngines() {
+			count, least, groups, launches := run(e, order.supp, order.opos, order.qty)
+			if groups != refGroups || !slices.Equal(count, refCount) || !slices.Equal(least, refLeast) {
+				t.Fatalf("%s %s: %d groups (baseline %d); per-row counts equal: %v, minima equal: %v",
+					order.name, e.Name(), groups, refGroups, slices.Equal(count, refCount), slices.Equal(least, refLeast))
+			}
+			// Measurement, then flags, three-kernel scan, ids — or pack, three
+			// kernels a pass over a 26-bit code, flags, three-kernel scan,
+			// scatter.
+			want := int64(6)
+			if order.path == pathSort {
+				radix := kernels.RadixBits(e.dev)
+				want = int64(7 + 3*((26+radix-1)/radix))
+			}
+			if launches != want {
+				t.Fatalf("%s %s: the grouping took %d launches, the %v path takes %d", order.name, e.Name(), launches, order.path, want)
+			}
+		}
+		if refGroups < n*9/10 {
+			t.Fatal(fmt.Sprint("the input is not near-unique: ", refGroups, " groups"))
+		}
+	}
+}
+
+// TestGroupRunsAtTheEdges: Group answers an empty refinement without a launch,
+// and the run path numbers no rows as no groups and one row as group 0.
+func TestGroupRunsAtTheEdges(t *testing.T) {
 	for _, e := range crossEngines() {
 		before := e.dev.KernelLaunches()
-		count, least, groups := run(e)
-		if groups != refGroups || !slices.Equal(count, refCount) || !slices.Equal(least, refLeast) {
-			t.Fatalf("%s: %d groups (baseline %d); per-row counts equal: %v, minima equal: %v",
-				e.Name(), groups, refGroups, slices.Equal(count, refCount), slices.Equal(least, refLeast))
+		g, groups, err := e.Group(i32Col("k", nil), i32Col("p", nil), 0)
+		if err != nil || groups != 0 || g.Len() != 0 || e.dev.KernelLaunches() != before {
+			t.Fatalf("%s: an empty refinement: %d groups, %d launches, %v", e.Name(), groups, e.dev.KernelLaunches()-before, err)
 		}
-		if e.dev.KernelLaunches()-before < 7+3*4 {
-			t.Fatalf("%s: %d launches — the grouping did not take the sort path", e.Name(), e.dev.KernelLaunches()-before)
+		for _, keys := range [][]int32{{}, {math.MinInt32}} {
+			n := len(keys)
+			colBuf, prevBuf, wait := keyBufs(t, e, i32Col("k", keys), i32Col("p", make([]int32, n)))
+			ids, ev, groups, err := e.groupByRuns(colBuf, prevBuf, n, wait)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if groups != n || n == 1 && readWords(t, e, ids, 1)[0] != 0 {
+				t.Fatalf("%s: the run path over %d rows: %d groups", e.Name(), n, groups)
+			}
+			e.mm.Release(ids)
 		}
-	}
-	if refGroups < n*9/10 {
-		t.Fatal(fmt.Sprint("the input is not near-unique: ", refGroups, " groups"))
 	}
 }

@@ -221,6 +221,70 @@ func BenchmarkFusedEval(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupRuns is the evidence behind MaxRefineRun: 600 000 keys below
+// 10 000 refining previous ids that are non-decreasing in runs of the given
+// length — run=7 is runs of 1 to 7 rows at random, as TPC-H orders have
+// lineitems — numbered by the run path and by the sort path, alternated
+// within each iteration. The first round checks that both give the same ids.
+func BenchmarkGroupRuns(b *testing.B) {
+	e := benchEnv(b)
+	const n = 600_000
+	_, _, gsz := Geometry(e.dev)
+	col, prev, ids, want := e.buf(b, n+1), e.buf(b, n+1), e.buf(b, n+1), e.buf(b, n+1)
+	flags, excl, parts := e.buf(b, n+1), e.buf(b, n+1), e.buf(b, KeyRangeWords(e.dev, n))
+	s := GroupSortScratch{K0: e.buf(b, n+1), V0: e.buf(b, n+1), K1: e.buf(b, n+1), V1: e.buf(b, n+1),
+		Hist: e.buf(b, SortHistWords(e.dev)+1), Spine: e.buf(b, gsz+2), Total: e.buf(b, 1)}
+	r := rand.New(rand.NewSource(11))
+	for _, run := range []int{4, 7, 16, 64, 128, 256} {
+		groups := fillRuns(r, col.I32()[:n], prev.I32()[:n], run)
+		if err := KeyRange(e.q, parts, col, prev, n, nil).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		ks := FoldKeyRange(e.dev, parts.U32(), n, groups)
+		b.Run(fmt.Sprintf("run=%d", run), func(b *testing.B) {
+			var spent [2]time.Duration
+			for i := -1; i < b.N; i++ { // round -1 checks, untimed
+				start := time.Now()
+				_, done := GroupByRuns(e.q, ids, col, prev, flags, excl, s.Spine, s.Total, n, nil)
+				if err := done.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				mid := time.Now()
+				_, done = GroupBySort(e.q, want, col, prev, ks, s, n, nil)
+				if err := done.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				if i >= 0 {
+					spent[0] += mid.Sub(start)
+					spent[1] += time.Since(mid)
+				} else if !slices.Equal(ids.U32()[:n], want.U32()[:n]) {
+					panic("BenchmarkGroupRuns: " + b.Name() + ": the run path's ids differ from the sort path's")
+				}
+			}
+			b.ReportMetric(float64(spent[0].Nanoseconds())/float64(b.N)/n, "runs-ns/row")
+			b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N)/n, "sort-ns/row")
+		})
+	}
+}
+
+// fillRuns fills col with keys below 10 000 and prev with ids non-decreasing
+// in runs of run rows (run=7: 1 to 7 rows at random, as TPC-H orders have
+// lineitems) and returns the number of runs.
+func fillRuns(r *rand.Rand, col, prev []int32, run int) uint32 {
+	id, left := int32(-1), 0
+	for i := range col {
+		if left == 0 {
+			id, left = id+1, run
+			if run == 7 {
+				left = 1 + r.Intn(7)
+			}
+		}
+		left--
+		col[i], prev[i] = r.Int31n(10_000), id
+	}
+	return uint32(id + 1)
+}
+
 // BenchmarkBitmapOps: combining, counting and materialising bitmaps with 1 %
 // and 50 % of their bits set.
 func BenchmarkBitmapOps(b *testing.B) {

@@ -14,26 +14,12 @@ import (
 
 // GroupBoundaryFlags enqueues flags[i] = 1 iff i > 0 and col[i] != col[i-1]
 // (bit-pattern comparison works for all four-byte types on sorted data).
-// When prev is non-nil (refining an earlier grouping), a change in the
-// previous group id also starts a new group.
-func GroupBoundaryFlags(q *cl.Queue, flags, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+func GroupBoundaryFlags(q *cl.Queue, flags, col *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	f, c := flags.U32(), col.U32()
-	var p []int32
-	if prev != nil {
-		p = prev.I32()
-	}
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
 		for i := lo; i < hi; i += step {
-			if i == 0 {
-				f[i] = 0
-				continue
-			}
-			if c[i] != c[i-1] || (p != nil && p[i] != p[i-1]) {
-				f[i] = 1
-			} else {
-				f[i] = 0
-			}
+			f[i] = b2u(i > 0 && c[i] != c[i-1])
 		}
 	}, launch(q.Device(), "group_boundaries", cl.Cost{BytesStreamed: int64(n) * 12}, wait))
 }
@@ -58,6 +44,87 @@ func GroupIDsFromScan(q *cl.Queue, ids, excl, flags *cl.Buffer, n int, wait []*c
 // order. Ids come out in composite-key order on every device and thread
 // count; nothing can fail, so there is no fail word and no restart.
 
+// Refining a clustered grouping inside its runs. When the previous ids are
+// non-decreasing in row order, the rows of one previous id are one run and the
+// runs come in previous-id order, so the sort path's id of a row is the number
+// of distinct keys in the runs before its own plus its key's rank among its
+// run's distinct keys: a sort of a few rows in registers, and §4.1.6's "prefix
+// sum operation" over first-occurrence flags. KeyRange measures the run shape
+// in the launch that measures the range (KeySpace.Runs).
+
+// MaxRefineRun is the longest run of equal previous ids the run path takes:
+// the run path costs more the longer its runs, the radix passes the same
+// whatever the runs, and BenchmarkGroupRuns has them cross near 128 rows
+// (DESIGN.md has the table).
+const MaxRefineRun = 64
+
+// GroupByRuns enqueues the run path over col refining prev, whose ids must be
+// non-decreasing in row order: flags[i] = 1 iff row i is the first row of its
+// run with its key, their exclusive scan into excl (spine and total as in
+// PrefixSum), and ids[i] = the scan at the run's first row plus the rank of
+// row i's key among the run's distinct keys — the ids GroupBySort gives the
+// same rows, on every device and thread count. Once scanned has landed,
+// total[0] is the number of groups; done is the last kernel.
+func GroupByRuns(q *cl.Queue, ids, col, prev, flags, excl, spine, total *cl.Buffer, n int, wait []*cl.Event) (scanned, done *cl.Event) {
+	c, p, f, e, d := col.I32()[:n], prev.I32()[:n], flags.U32(), excl.U32(), ids.I32()
+	fev := q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi := t.ChunkSpan(n)
+		rankRuns(c, p, f, d, lo, hi)
+	}, launch(q.Device(), "group_run_flags",
+		// The insertion sort moves a row at most MaxRefineRun/4 places on
+		// random keys.
+		cl.Cost{BytesStreamed: int64(n) * 16, Ops: int64(n) * MaxRefineRun / 4}, wait))
+	scanned = PrefixSum(q, excl, flags, spine, total, n, []*cl.Event{fev})
+	done = q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi, step := t.Span(n)
+		for i := lo; i < hi; i += step {
+			d[i] += int32(e[i])
+		}
+	}, launch(q.Device(), "group_run_ids", cl.Cost{BytesStreamed: int64(n) * 12}, []*cl.Event{scanned}))
+	return scanned, done
+}
+
+// rankRuns numbers the runs of equal previous ids p that start in rows [s,
+// hi) — a run under way at s is the previous work-item's. It insertion-sorts
+// each run's (key, row) pairs and walks them in key order, flagging each key's
+// first row in f and leaving in ids each row's key rank among the run's
+// distinct keys less the flags on the run's rows before it: adding the flags'
+// exclusive scan at the row gives the scan at the run's first row plus the
+// rank, the id. A run longer than MaxRefineRun grows pairs: the bound is the
+// rule's, not the kernel's.
+func rankRuns(c, p []int32, f []uint32, ids []int32, s, hi int) {
+	var pairs []uint64
+	for s > 0 && s < hi && p[s] == p[s-1] {
+		s++
+	}
+	for s < hi {
+		pairs = pairs[:0]
+		for r := s; r < len(p) && p[r] == p[s]; r++ {
+			pairs = append(pairs, uint64(uint32(c[r])^1<<31)<<32|uint64(r-s)) // int32 key order, then row order
+		}
+		for i := 1; i < len(pairs); i++ {
+			x, j := pairs[i], i
+			for ; j > 0 && pairs[j-1] > x; j-- {
+				pairs[j] = pairs[j-1]
+			}
+			pairs[j] = x
+		}
+		first, out := f[s:s+len(pairs)], ids[s:s+len(pairs)]
+		rank := int32(-1)
+		for i, x := range pairs {
+			fi := b2u(i == 0 || pairs[i-1]>>32 != x>>32)
+			rank += int32(fi)
+			first[uint32(x)], out[uint32(x)] = fi, rank
+		}
+		var before int32
+		for i := range out {
+			out[i] -= before
+			before += int32(first[i])
+		}
+		s += len(pairs)
+	}
+}
+
 // keySampleLen is the number of rows KeyRange samples out of n for the
 // distinct estimate, and keySampleStride the distance between them — odd, so
 // that a power-of-two period in the data does not alias with it.
@@ -71,11 +138,11 @@ func keySampleStride(n int) int {
 	return stride
 }
 
-// KeyRangeWords is the size of KeyRange's partials buffer: min and max per
-// work-item, then the sampled (key word, second word) pairs.
+// KeyRangeWords is the size of KeyRange's partials buffer: min, max and the
+// run verdict per work-item, then the sampled (key word, second word) pairs.
 func KeyRangeWords(dev *cl.Device, n int) int {
 	_, _, gsz := Geometry(dev)
-	return 2*gsz + 2*keySampleLen(n)
+	return 3*gsz + 2*keySampleLen(n)
 }
 
 // estimateDistinct estimates the distinct composite keys among n rows from
@@ -152,7 +219,7 @@ func GroupBySort(q *cl.Queue, ids, col, prev *cl.Buffer, ks KeySpace, s GroupSor
 	if sortedK == s.K1 {
 		flags, excl = s.K0, s.V0
 	}
-	fev := GroupBoundaryFlags(q, flags, sortedK, nil, n, []*cl.Event{sev})
+	fev := GroupBoundaryFlags(q, flags, sortedK, n, []*cl.Event{sev})
 	scanned = PrefixSum(q, excl, flags, s.Spine, s.Total, n, []*cl.Event{fev})
 
 	d, e, f, r := ids.I32(), excl.U32(), flags.U32(), sortedV.U32()

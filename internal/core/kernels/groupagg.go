@@ -46,31 +46,37 @@ func GroupedAggI32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Ag
 		p = scratch.I32()
 	}
 	// The direct path's row loop, with the kind/nil switch hoisted out of it
-	// the way foldRows does for the partials path: a count is one atomic add
-	// per row, not an indirect call and a nil test.
+	// the way foldRows does for the partials path: a count is one add per
+	// row, not an indirect call and a nil test.
 	d, g := dst.I32(), gids.I32()
-	var direct func(lo, hi, step int)
+	var direct func(lo, hi, step int, a, b int32)
 	switch {
 	case v == nil:
-		direct = func(lo, hi, step int) {
+		// Counts, the common case of the direct path, add plainly to the
+		// groups no other work-item has.
+		direct = func(lo, hi, step int, a, b int32) {
 			for i := lo; i < hi; i += step {
-				cl.AtomicAddI32(&d[g[i]], 1)
+				if x := g[i]; a < x && x < b {
+					d[x]++
+				} else {
+					cl.AtomicAddI32(&d[x], 1)
+				}
 			}
 		}
 	case kind == ops.Min:
-		direct = func(lo, hi, step int) {
+		direct = func(lo, hi, step int, _, _ int32) {
 			for i := lo; i < hi; i += step {
 				cl.AtomicMinI32(&d[g[i]], v[i])
 			}
 		}
 	case kind == ops.Max:
-		direct = func(lo, hi, step int) {
+		direct = func(lo, hi, step int, _, _ int32) {
 			for i := lo; i < hi; i += step {
 				cl.AtomicMaxI32(&d[g[i]], v[i])
 			}
 		}
 	default:
-		direct = func(lo, hi, step int) {
+		direct = func(lo, hi, step int, _, _ int32) {
 			for i := lo; i < hi; i += step {
 				cl.AtomicAddI32(&d[g[i]], v[i])
 			}
@@ -87,19 +93,80 @@ func GroupedAggF32(q *cl.Queue, dst, vals, gids, scratch *cl.Buffer, kind ops.Ag
 		p = scratch.F32()
 	}
 	d, v, g := dst.F32(), vals.F32(), gids.I32()
-	direct := func(lo, hi, step int) {
+	direct := func(lo, hi, step int, _, _ int32) {
 		for i := lo; i < hi; i += step {
 			cl.AtomicMinF32(&d[g[i]], v[i])
 		}
 	}
 	if kind == ops.Max {
-		direct = func(lo, hi, step int) {
+		direct = func(lo, hi, step int, _, _ int32) {
 			for i := lo; i < hi; i += step {
 				cl.AtomicMaxF32(&d[g[i]], v[i])
 			}
 		}
 	}
 	return groupedAgg(q, "groupagg_f32", d, v, g, p, kind, identityF32(kind), direct, n, ngroups, wait)
+}
+
+// foldLanes is the number of chunks one work-item of the partials kernel
+// folds in lockstep. With few groups, most rows of a chunk add to the
+// accumulator its previous row added to, and wait on that store; chunks fold
+// into private rows of their own, so four chunks are four independent chains
+// that fill each other's waits. Each chunk still folds its rows in row order:
+// the fold shape, and every float sum's bits, is that of one chunk at a time.
+// Min and Max stay chunk by chunk: a row stores only when it wins, so their
+// rows rarely wait on one another.
+const foldLanes = 4
+
+// foldChunks gives chunks c0..c1-1 (at most foldLanes) their private rows of
+// the partials table p, initialised to id, and folds each chunk's rows into
+// its row: where there are four, in lockstep over the rows all four have,
+// then chunk by chunk over the rest.
+func foldChunks[T int32 | float32](kind ops.Agg, p, v []T, g []int32, id T, c0, c1, ngroups, chunkLen, n int) {
+	var rows [foldLanes][]T
+	var lo [foldLanes]int
+	common := chunkLen
+	if c1-c0 < foldLanes || kind == ops.Min || kind == ops.Max {
+		common = 0
+	}
+	for l := range c1 - c0 {
+		c := c0 + l
+		rows[l] = p[c*ngroups : (c+1)*ngroups]
+		for i := range rows[l] {
+			rows[l][i] = id
+		}
+		lo[l] = min(c*chunkLen, n)
+		common = min(common, min(lo[l]+chunkLen, n)-lo[l])
+	}
+	if common > 0 {
+		foldLockstep(rows, v, g, lo, common)
+	}
+	for l := range c1 - c0 {
+		foldRows(kind, rows[l], v, g, lo[l]+common, min(lo[l]+chunkLen, n))
+	}
+}
+
+// foldLockstep is foldRows under Sum over rows lo[l]..lo[l]+m-1 into acc[l]
+// for the four lanes l, one row of each lane a step.
+func foldLockstep[T int32 | float32](acc [foldLanes][]T, v []T, g []int32, lo [foldLanes]int, m int) {
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	g0, g1, g2, g3 := g[lo[0]:lo[0]+m], g[lo[1]:lo[1]+m], g[lo[2]:lo[2]+m], g[lo[3]:lo[3]+m]
+	if v == nil {
+		for i := range g0 {
+			a0[g0[i]]++
+			a1[g1[i]]++
+			a2[g2[i]]++
+			a3[g3[i]]++
+		}
+		return
+	}
+	v0, v1, v2, v3 := v[lo[0]:lo[0]+m], v[lo[1]:lo[1]+m], v[lo[2]:lo[2]+m], v[lo[3]:lo[3]+m]
+	for i := range g0 {
+		a0[g0[i]] += v0[i]
+		a1[g1[i]] += v1[i]
+		a2[g2[i]] += v2[i]
+		a3[g3[i]] += v3[i]
+	}
 }
 
 // foldRows folds rows [lo, hi) into acc[gid], hoisting the kind switch out of
@@ -129,21 +196,32 @@ func foldRows[T int32 | float32](kind ops.Agg, acc, v []T, g []int32, lo, hi int
 	}
 }
 
-// groupedAgg is the shape both flavours share. direct folds rows lo, lo+step,
-// … below hi into d atomically — the caller's typed row loop.
-func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32, p []T, kind ops.Agg, id T, direct func(lo, hi, step int), n, ngroups int, wait []*cl.Event) *cl.Event {
+// groupedAgg is the shape GroupedAggI32, GroupedAggF32 and GroupedSumF32
+// share. direct folds rows lo, lo+step, … below hi into d atomically — the
+// caller's typed row loop — or plainly where it may: a row whose id lies in
+// (a, b) is one no other work-item has.
+func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32, p []T, kind ops.Agg, id T, direct func(lo, hi, step int, a, b int32), n, ngroups int, wait []*cl.Event) *cl.Event {
 	dev := q.Device()
 	if p == nil {
 		// Single table: dst starts at the identity and every row folds into
-		// its group's element atomically — no intermediate, no final pass.
+		// its group's element — no intermediate, no final pass. On contiguous
+		// spans init also takes each work-item's id range (ownedIDs); on ids
+		// that grow with the row, nearly every id is one work-item's alone.
+		_, _, gsz := Geometry(dev)
+		ranges := make([]int32, 2*gsz)
 		init := q.EnqueueKernel(func(t *cl.Thread) {
 			lo, hi, step := t.Span(ngroups)
 			for i := lo; i < hi; i += step {
 				d[i] = id
 			}
+			if _, _, step = t.Span(n); step == 1 {
+				ranges[2*t.Global], ranges[2*t.Global+1] = minMaxI32(g[:n], t)
+			}
 		}, launch(dev, name+"_init", cl.Cost{BytesStreamed: int64(ngroups) * 4}, wait))
 		return q.EnqueueKernel(func(t *cl.Thread) {
-			direct(t.Span(n))
+			lo, hi, step := t.Span(n)
+			a, b := ownedIDs(ranges, t.Global, ngroups, step)
+			direct(lo, hi, step, a, b)
 		}, launch(dev, name+"_direct", cl.Cost{
 			BytesStreamed: int64(n) * 8, Atomics: int64(n), AtomicTargets: int64(ngroups),
 		}, []*cl.Event{init}))
@@ -151,21 +229,21 @@ func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32
 
 	// Partition-private partials: chunk c owns row c of the table (chunk-
 	// major, so a chunk's accumulators are contiguous), initialises it and
-	// folds its contiguous rows into it.
+	// folds its contiguous rows into it. Chunks are the kernel's only
+	// parallelism, so every work-group (a core) takes an equal share of
+	// them, and its work-items — which run one after another on that core —
+	// take foldLanes consecutive chunks of the share at a time.
 	chunks := GroupSumChunksFor(n, ngroups)
 	chunkLen := (n + chunks - 1) / chunks
 	tbl := ngroups * chunks
 	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
-		for c := t.Global; c < chunks; c += t.GlobalSize {
-			row := p[c*ngroups : (c+1)*ngroups]
-			for i := range row {
-				row[i] = id
-			}
-			foldRows(kind, row, v, g, min(c*chunkLen, n), min((c+1)*chunkLen, n))
+		lo, hi := t.GroupSpan(chunks)
+		for c := lo + foldLanes*t.Local; c < hi; c += foldLanes * t.LocalSize {
+			foldChunks(kind, p, v, g, id, c, min(c+foldLanes, hi), ngroups, chunkLen, n)
 		}
 	}, launch(dev, name+"_partials",
-		// As GroupedSumF32: vals and gids stream, the per-row read-modify-
-		// write of the private accumulator is a data-dependent scatter.
+		// vals and gids stream, the per-row read-modify-write of the private
+		// accumulator is a data-dependent scatter.
 		cl.Cost{BytesStreamed: int64(n)*8 + int64(tbl)*4, BytesRandom: int64(n) * 8, Ops: int64(n)}, wait))
 
 	return q.EnqueueKernel(func(t *cl.Thread) {
@@ -179,6 +257,24 @@ func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32
 		}
 	}, launch(dev, name+"_final",
 		cl.Cost{BytesStreamed: int64(tbl) * 4, Ops: int64(tbl)}, []*cl.Event{ev1}))
+}
+
+// ownedIDs is the range (a, b) of ids work-item w alone holds, from each
+// work-item's smallest and largest id in ranges: above every earlier one's
+// largest, below every later one's smallest. Strided spans own nothing.
+func ownedIDs(ranges []int32, w, ngroups, step int) (a, b int32) {
+	if step != 1 {
+		return 0, 0
+	}
+	a, b = -1, int32(ngroups)
+	for j := 0; j < len(ranges)/2; j++ {
+		if j < w {
+			a = max(a, ranges[2*j+1])
+		} else if j > w {
+			b = min(b, ranges[2*j])
+		}
+	}
+	return a, b
 }
 
 // DivF32I32 enqueues dst[i] = a[i] / float32(cnt[i]) (0 when cnt[i]==0) —
@@ -227,67 +323,18 @@ func GroupSumChunksFor(n, ngroups int) int {
 // or the partition (and the result bits) would differ across devices.
 const minGroupSumChunks = 16
 
-// GroupedSumF32 enqueues the order-stable grouped float sum: rows are cut
-// into a fixed, device-independent partition of contiguous chunks
-// (GroupSumChunksFor), each chunk accumulates its rows *sequentially in row
-// order* into a private partials row — no atomics, so no scheduling-
-// dependent interleaving — and the final pass folds each group's chunk
-// partials in ascending chunk order. The fold shape per group (a two-level
-// row-order-within-chunk, chunk-order-across tree, NOT the same expression
-// as one sequential row-order sum) is a pure function of (n, ngroups), on
-// every device and under every launch
-// geometry: the bit pattern of a grouped float sum no longer depends on
-// where placement runs it, which is what lets hybrid plans move grouped
-// aggregations between devices (and N-device configurations agree byte for
-// byte). Min/Max and integer sums are order-insensitive; GroupedAggF32/I32
-// give them the same partition-private shape without the fixed fold order.
+// GroupedSumF32 enqueues the order-stable grouped float sum, groupedAgg's
+// partials path under Sum: each chunk of a fixed, device-independent
+// partition (GroupSumChunksFor) folds its rows in row order into a private
+// row, and the final pass folds each group's chunk partials in ascending
+// chunk order. The fold shape — NOT that of one sequential row-order sum — is
+// a pure function of (n, ngroups) on every device and launch geometry, so
+// placement can move a grouped float sum between devices without changing
+// its bits (and N-device configurations agree byte for byte).
 //
-// partials must hold ngroups*chunks words; its previous contents are
-// ignored (an init pass clears it, so recycled scratch is fine).
-func GroupedSumF32(q *cl.Queue, dst, vals, gids, partials *cl.Buffer, n, ngroups, chunks int, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	v, g, p, d := vals.F32(), gids.I32(), partials.F32(), dst.F32()
-	tbl := ngroups * chunks
-	chunkLen := (n + chunks - 1) / chunks
-
-	init := q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(tbl)
-		for i := lo; i < hi; i += step {
-			p[i] = 0
-		}
-	}, launch(dev, "groupsum_f32_init", cl.Cost{BytesStreamed: int64(tbl) * 4}, wait))
-
-	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
-		for c := t.Global; c < chunks; c += t.GlobalSize {
-			lo := c * chunkLen
-			hi := lo + chunkLen
-			if lo > n {
-				lo = n
-			}
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				p[int(g[i])*chunks+c] += v[i]
-			}
-		}
-	}, launch(dev, "groupsum_f32_partials",
-		// vals and gids stream; the per-row read-modify-write of the group's
-		// partial is a data-dependent scatter (like Gather's BytesRandom) —
-		// the table access cost the atomic scheme expressed as Atomics.
-		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 8, Ops: int64(n)},
-		[]*cl.Event{init}))
-
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(ngroups)
-		for grp := lo; grp < hi; grp += step {
-			acc := float32(0)
-			base := grp * chunks
-			for c := 0; c < chunks; c++ {
-				acc += p[base+c]
-			}
-			d[grp] = acc
-		}
-	}, launch(dev, "groupsum_f32_final",
-		cl.Cost{BytesStreamed: int64(tbl) * 4, Ops: int64(tbl)}, []*cl.Event{ev1}))
+// partials must hold ngroups*GroupSumChunksFor(n, ngroups) words; its
+// previous contents are ignored (each chunk initialises its own row, so
+// recycled scratch is fine).
+func GroupedSumF32(q *cl.Queue, dst, vals, gids, partials *cl.Buffer, n, ngroups int, wait []*cl.Event) *cl.Event {
+	return groupedAgg(q, "groupsum_f32", dst.F32(), vals.F32(), gids.I32(), partials.F32(), ops.Sum, 0, nil, n, ngroups, wait)
 }

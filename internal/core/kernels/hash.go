@@ -166,19 +166,26 @@ func (s Slots) probeBytes() int64 {
 	return 12
 }
 
-// slotView is Slots with the buffer views resolved, for use inside kernels.
+// slotView is Slots with the buffer views resolved, for use inside kernels,
+// which branch on the addressing before their row loop: ident's look-ups are
+// small enough to be inlined into it, a hashed one walks the probe sequence.
 type slotView struct {
 	st, k1, k2, sg []uint32
 	mask           uint32
 	capacity       int
 
+	ident identView // ident.bits != nil under identity addressing
+}
+
+// identView is the identity addressing of a slotView.
+type identView struct {
 	bits, rank      []uint32
 	min, span, prev uint32
 }
 
 func (s Slots) view() *slotView {
 	if s.Bits != nil {
-		return &slotView{bits: s.Bits.U32(), rank: s.Rank.U32(), min: s.Min, span: s.Span, prev: s.Prev}
+		return &slotView{ident: identView{bits: s.Bits.U32(), rank: s.Rank.U32(), min: s.Min, span: s.Span, prev: s.Prev}}
 	}
 	v := &slotView{st: s.State.U32(), k1: s.Keys1.U32(), sg: s.SlotGid.U32(),
 		mask: uint32(s.Capacity - 1), capacity: s.Capacity}
@@ -188,14 +195,10 @@ func (s Slots) view() *slotView {
 	return v
 }
 
-// gid finds the dense id of key (a, b) in the table, or -1; b is 0 for
-// single-word keys. An identity-addressed key is absent when it lies outside
-// [min, max] — a below min wraps around to a huge unsigned distance — or its
-// bit is clear.
-func (v *slotView) gid(a, b uint32) int32 {
-	if v.bits == nil {
-		return v.hashedGid(a, b)
-	}
+// gid finds the dense id of key (a, b) in the bitmap, or -1; b is 0 for
+// single-word keys. A key is absent when it lies outside [min, max] — a below
+// min wraps around to a huge unsigned distance — or its bit is clear.
+func (v identView) gid(a, b uint32) int32 {
 	d := a - v.min
 	if d > v.span {
 		return -1
@@ -208,18 +211,24 @@ func (v *slotView) gid(a, b uint32) int32 {
 	return int32(v.rank[d>>5] + uint32(bits.OnesCount32(w&(1<<sh-1))))
 }
 
-// has is 1 iff single-word key a is in the table — gid(a, 0) >= 0 as a flag.
-// Under identity addressing it is branch-free (an absent key tests bit 0 and
-// masks the answer out): whether a probe key is present is exactly what an
-// existence join cannot predict.
-func (v *slotView) has(a uint32) uint32 {
-	if v.bits == nil {
-		return b2u(v.hashedGid(a, 0) >= 0)
-	}
+// has is 1 iff single-word key a is in the bitmap — gid(a, 0) >= 0 as a flag,
+// without a branch (an absent key tests bit 0 and masks the answer out):
+// whether a probe key is present is exactly what an existence join cannot
+// predict.
+func (v identView) has(a uint32) uint32 {
 	d := a - v.min
 	in := b2u(d <= v.span)
 	d &= -in
 	return in & (v.bits[d>>5] >> (d & 31))
+}
+
+// wordAt is the second key word of row i: prev[i], or 0 for single-word keys
+// (nil prev).
+func wordAt(prev []uint32, i int) uint32 {
+	if prev == nil {
+		return 0
+	}
+	return prev[i]
 }
 
 // hashedGid walks the probe sequence of §4.1.4: the six hash functions, then
@@ -240,20 +249,24 @@ func (v *slotView) hashedGid(a, b uint32) int32 {
 // KeySpace is what one KeyRange launch observes of n key words: their range in
 // int32 order and, for composite keys (k, b), the bound Prev on b (1 for
 // single-word keys; the zero KeySpace is "not measured"). Distinct estimates
-// the distinct keys; it is only taken where SortGroupBits reads it.
+// the distinct keys; it is only taken where SortGroupBits reads it. Runs says
+// that the second words are non-decreasing in row order in runs of at most
+// MaxRefineRun rows, where GroupByRuns gives the sort path's ids.
 type KeySpace struct {
 	Min, Span, Prev uint32
 	Distinct        int
+	Runs            bool
 }
 
 // Range is the number of addresses the composite keys span, 0 if unmeasured.
 func (k KeySpace) Range() uint64 { return (uint64(k.Span) + 1) * uint64(k.Prev) }
 
 // KeyRange enqueues the fused min/max reduction over n > 0 key words in int32
-// order: work-item g leaves the min and max of its span in partials[2g] and
-// partials[2g+1] (MaxInt32/MinInt32 for an empty span), and FoldKeyRange folds
+// order: work-item g leaves the min and max of its span in partials[3g] and
+// partials[3g+1] (MaxInt32/MinInt32 for an empty span), and FoldKeyRange folds
 // them on the host, which has to read the result back anyway to pick the
-// addressing. The same launch copies a fixed-stride sample of keySampleLen(n)
+// addressing. For composite keys, partials[3g+2] is its span's run verdict
+// (shortRuns). The same launch copies a fixed-stride sample of keySampleLen(n)
 // keys behind the partials — (key word, second word) pairs, the second word
 // from prev for composite keys and 0 otherwise — for the distinct estimate.
 // The decision is taken from this measurement, never from load-time statistics
@@ -261,18 +274,24 @@ func (k KeySpace) Range() uint64 { return (uint64(k.Span) + 1) * uint64(k.Prev) 
 func KeyRange(q *cl.Queue, partials, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	src, p := col.I32()[:n], partials.I32()
 	var pv []int32
+	streamed := int64(n) * 4
 	if prev != nil {
-		pv = prev.I32()
+		// shortRuns reads all of prev when its ids come in short runs —
+		// the input the run path takes — and a few rows otherwise.
+		pv = prev.I32()[:n]
+		streamed += int64(n) * 4
 	}
 	_, _, gsz := Geometry(q.Device())
 	samples, stride := keySampleLen(n), keySampleStride(n)
-	sample := p[2*gsz : 2*gsz+2*samples]
+	sample := p[3*gsz : 3*gsz+2*samples]
 	return q.EnqueueKernel(func(t *cl.Thread) {
-		p[2*t.Global], p[2*t.Global+1] = minMaxI32(src, t)
+		g := 3 * t.Global
+		p[g], p[g+1] = minMaxI32(src, t)
+		p[g+2] = shortRuns(pv, t)
 		slo, shi := t.ChunkSpan(samples)
 		copyKeySample(sample, src, pv, slo, shi, stride)
 	}, launch(q.Device(), "key_range", cl.Cost{
-		BytesStreamed: int64(n) * 4, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2,
+		BytesStreamed: streamed, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2,
 	}, wait))
 }
 
@@ -288,6 +307,24 @@ func minMaxI32(src []int32, t *cl.Thread) (mn, mx int32) {
 		mn, mx = min(mn, src[i]), max(mx, src[i])
 	}
 	return mn, mx
+}
+
+// shortRuns is KeyRange's run measurement over one work-item's rows of prev:
+// 1 iff every row's id is at least its predecessor's and differs from the id
+// MaxRefineRun rows back — given the first, the second says that no run of
+// equal ids is longer than MaxRefineRun. It stops at the first row that fails,
+// so on ids in no order it reads a few rows; 0 for single-word keys.
+func shortRuns(prev []int32, t *cl.Thread) int32 {
+	if prev == nil {
+		return 0
+	}
+	lo, hi, step := t.Span(len(prev))
+	for i := lo; i < hi; i += step {
+		if i > 0 && prev[i] < prev[i-1] || i >= MaxRefineRun && prev[i] == prev[i-MaxRefineRun] {
+			return 0
+		}
+	}
+	return 1
 }
 
 func copyKeySample(sample, src, prev []int32, lo, hi, stride int) {
@@ -306,21 +343,25 @@ func copyKeySample(sample, src, prev []int32, lo, hi, stride int) {
 func FoldKeyRange(dev *cl.Device, partials []uint32, n int, nprev uint32) KeySpace {
 	_, _, gsz := Geometry(dev)
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
-	for i := 0; i < 2*gsz; i += 2 {
+	runs := true
+	for i := 0; i < 3*gsz; i += 3 {
 		lo, hi = min(lo, int32(partials[i])), max(hi, int32(partials[i+1]))
+		runs = runs && partials[i+2] == 1
 	}
-	ks := KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev}
+	ks := KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev, Runs: runs}
 	if r := ks.Range(); r <= 1<<32 && IdentityWords(dev, n, r) == 0 {
-		ks.Distinct = estimateDistinct(ks, partials[2*gsz:], n)
+		ks.Distinct = estimateDistinct(ks, partials[3*gsz:], n)
 	}
 	return ks
 }
 
 // IdentitySet enqueues the identity-addressed insertion: every row ORs its
-// key's bit into the (zeroed) bitmap. AtomicOrU32 tests before it stores, so
-// on a low-cardinality build all rows but the first few only read shared
-// lines. There is nothing to verify and nothing that can fail: no check
-// round, no pessimistic round, no restart. prev is nil for single-word keys.
+// key's bit into the (zeroed) bitmap, gathered in a register while a
+// work-item's rows stay in one word — one atomic a word on sorted keys — and
+// AtomicOrU32 tests before it stores, so on a low-cardinality build all rows
+// but the first few only read shared lines. There is nothing to verify and
+// nothing that can fail: no check round, no pessimistic round, no restart.
+// prev is nil for single-word keys.
 func IdentitySet(q *cl.Queue, s Slots, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	bm, src := s.Bits.U32(), col.U32()
 	var pv []uint32
@@ -333,12 +374,17 @@ func IdentitySet(q *cl.Queue, s Slots, col, prev *cl.Buffer, n int, wait []*cl.E
 	addresses := (int64(s.Span) + 1) * int64(mul)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
+		word, set := uint32(0), uint32(0)
 		for i := lo; i < hi; i += step {
-			d := (src[i] - kmin) * mul
-			if pv != nil {
-				d += pv[i]
+			d := (src[i]-kmin)*mul + wordAt(pv, i)
+			if d>>5 != word && set != 0 {
+				cl.AtomicOrU32(&bm[word], set)
+				set = 0
 			}
-			cl.AtomicOrU32(&bm[d>>5], 1<<(d&31))
+			word, set = d>>5, set|1<<(d&31)
+		}
+		if set != 0 {
+			cl.AtomicOrU32(&bm[word], set)
 		}
 	}, launch(q.Device(), "identity_set", cl.Cost{
 		BytesStreamed: streamed, BytesRandom: int64(n) * 4,
@@ -477,12 +523,14 @@ func HashLookupGids(q *cl.Queue, gids *cl.Buffer, s Slots, col, prev *cl.Buffer,
 	g := gids.I32()
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
-		for i := lo; i < hi; i += step {
-			var b uint32
-			if pv != nil {
-				b = pv[i]
+		if id := v.ident; id.bits != nil {
+			for i := lo; i < hi; i += step {
+				g[i] = id.gid(src[i], wordAt(pv, i))
 			}
-			g[i] = v.gid(src[i], b)
+			return
+		}
+		for i := lo; i < hi; i += step {
+			g[i] = v.hashedGid(src[i], wordAt(pv, i))
 		}
 	}, launch(q.Device(), "hash_lookup_gid",
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))

@@ -23,13 +23,14 @@ func JoinProbeCount(q *cl.Queue, counts *cl.Buffer, s Slots, starts *cl.Buffer, 
 	src := probe.U32()
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
-		for i := lo; i < hi; i += step {
-			gid := v.gid(src[i], 0)
-			if gid < 0 {
-				c[i] = 0
-			} else {
-				c[i] = so[gid+1] - so[gid]
+		if id := v.ident; id.bits != nil {
+			for i := lo; i < hi; i += step {
+				c[i] = bucketLen(so, id.gid(src[i], 0))
 			}
+			return
+		}
+		for i := lo; i < hi; i += step {
+			c[i] = bucketLen(so, v.hashedGid(src[i], 0))
 		}
 	}, launch(q.Device(), "join_probe_count",
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
@@ -43,17 +44,14 @@ func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, s Slots, starts
 	src := probe.U32()
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
+		if id := v.ident; id.bits != nil {
+			for i := lo; i < hi; i += step {
+				writeMatches(ol, or, rid, so, off[i], i, id.gid(src[i], 0))
+			}
+			return
+		}
 		for i := lo; i < hi; i += step {
-			gid := v.gid(src[i], 0)
-			if gid < 0 {
-				continue
-			}
-			k := off[i]
-			for b := so[gid]; b < so[gid+1]; b++ {
-				ol[k] = uint32(i)
-				or[k] = rid[b]
-				k++
-			}
+			writeMatches(ol, or, rid, so, off[i], i, v.hashedGid(src[i], 0))
 		}
 	}, launch(q.Device(), "join_probe_write",
 		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * s.probeBytes()}, wait))
@@ -74,11 +72,22 @@ func JoinProbeUnique(q *cl.Queue, bm, rpos, partials *cl.Buffer, s Slots, starts
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		wlo, whi, step := t.Span(BitmapWords(n))
 		var sum int
+		var gids [32]int32
+		id := v.ident
 		for w := wlo; w < whi; w += step {
 			var out uint32
 			base := w * 32
-			for i, k := range src[base:min(base+32, n)] {
-				gid := v.gid(k, 0)
+			keys := src[base:min(base+32, n)]
+			if id.bits != nil {
+				for i, k := range keys {
+					gids[i] = id.gid(k, 0)
+				}
+			} else {
+				for i, k := range keys {
+					gids[i] = v.hashedGid(k, 0)
+				}
+			}
+			for i, gid := range gids[:len(keys)] {
 				if gid >= 0 && so[gid+1] > so[gid] {
 					out |= 1 << uint(i)
 					rp[base+i] = rid[so[gid]]
@@ -106,19 +115,46 @@ func ExistsProbe(q *cl.Queue, bm, partials *cl.Buffer, s Slots, probe *cl.Buffer
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		wlo, whi, step := t.Span(BitmapWords(n))
 		var sum int
+		id := v.ident
 		for w := wlo; w < whi; w += step {
 			var out uint32
 			keys := src[w*32 : min(w*32+32, n)]
-			for _, k := range keys {
-				out = out>>1 | (v.has(k)^flip)<<31
+			if id.bits != nil {
+				for _, k := range keys {
+					out = out>>1 | id.has(k)<<31
+				}
+			} else {
+				for _, k := range keys {
+					out = out>>1 | b2u(v.hashedGid(k, 0) >= 0)<<31
+				}
 			}
-			out >>= uint(32 - len(keys))
+			out = (out ^ -flip) >> uint(32-len(keys)) // flip before the shift drops the low bits
 			dst[w] = out
 			sum += bits.OnesCount32(out)
 		}
 		p[t.Global] = uint32(sum)
 	}, launch(q.Device(), name,
 		cl.Cost{BytesStreamed: int64(n) * 4, BytesRandom: int64(n) * s.probeBytes()}, wait))
+}
+
+// bucketLen is the number of build rows with dense id gid, 0 for -1.
+func bucketLen(starts []uint32, gid int32) uint32 {
+	if gid < 0 {
+		return 0
+	}
+	return starts[gid+1] - starts[gid]
+}
+
+// writeMatches writes probe row i's (probe, build) pairs for dense id gid
+// from position k on; nothing for -1.
+func writeMatches(ol, or, rowids, starts []uint32, k uint32, i int, gid int32) {
+	if gid < 0 {
+		return
+	}
+	for b := starts[gid]; b < starts[gid+1]; b++ {
+		ol[k], or[k] = uint32(i), rowids[b]
+		k++
+	}
 }
 
 // NestedLoopCount enqueues step one of the nested loop join used for theta

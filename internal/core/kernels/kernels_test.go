@@ -613,6 +613,54 @@ func TestGroupedAggCrossover(t *testing.T) {
 	}
 }
 
+// TestDirectCountOwnedIDs counts rows by id on the direct path, where a
+// work-item adds plainly to the ids no other work-item has, over ids that grow
+// with the row — in runs of 1 to 7 rows, permuted inside such runs (the run
+// path's ids), one run straddling every span — and over ids that do not: at
+// random, one id for every row, fewer rows than work-items. One, two and
+// eight CPU cores and the GPU model; under -race, a plain add to an id that
+// another work-item also has is a reported race.
+func TestDirectCountOwnedIDs(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	shapes := map[string][]int32{}
+	runs, permuted, straddle := make([]int32, 5000), make([]int32, 5000), make([]int32, 5000)
+	for i, id, left := 0, int32(-1), 0; i < len(runs); i++ {
+		if left == 0 {
+			id, left = id+1, 1+r.Intn(7)
+		}
+		left--
+		runs[i], permuted[i] = id, int32(i)
+		straddle[i] = int32(i / 1000)
+	}
+	for s := 0; s < len(permuted); s += 7 {
+		p := permuted[s:min(s+7, len(permuted))]
+		r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	}
+	random := make([]int32, 5000)
+	for i := range random {
+		random[i] = r.Int31n(4000)
+	}
+	shapes["runs"], shapes["permuted"], shapes["straddle"], shapes["random"] = runs, permuted, straddle, random
+	shapes["one id"], shapes["three rows"] = make([]int32, 5000), []int32{2, 0, 2}
+	for _, dev := range []*cl.Device{cl.NewCPUDevice(1), cl.NewCPUDevice(2), cl.NewCPUDevice(8), cl.NewGPUDevice(64 << 20)} {
+		e := newEnv(dev)
+		for name, gids := range shapes {
+			ngroups := int(slices.Max(gids)) + 1
+			want := make([]int32, ngroups)
+			for _, g := range gids {
+				want[g]++
+			}
+			dst := e.buf(t, ngroups+1)
+			if err := GroupedAggI32(e.q, dst, nil, e.i32(t, gids), nil, ops.Sum, len(gids), ngroups, nil).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := dst.I32()[:ngroups]; !slices.Equal(got, want) {
+				t.Fatalf("%s %s: counts differ from the sequential ones", dev.Name, name)
+			}
+		}
+	}
+}
+
 // TestGroupedAvgFinalisation: Avg = order-stable sum / count via DivF32I32.
 func TestGroupedAvgFinalisation(t *testing.T) {
 	for _, dev := range devices() {
@@ -629,7 +677,7 @@ func TestGroupedAvgFinalisation(t *testing.T) {
 		vb, gb := e.f32(t, vals), e.i32(t, gids)
 		chunks := GroupSumChunksFor(n, ngroups)
 		sums, cnts, avg := e.buf(t, ngroups), e.buf(t, ngroups), e.buf(t, ngroups)
-		sev := GroupedSumF32(e.q, sums, vb, gb, e.buf(t, ngroups*chunks), n, ngroups, chunks, nil)
+		sev := GroupedSumF32(e.q, sums, vb, gb, e.buf(t, ngroups*chunks), n, ngroups, nil)
 		cev := GroupedAggI32(e.q, cnts, nil, gb, e.buf(t, GroupAggScratchWords(n, ngroups)), ops.Sum, n, ngroups, nil)
 		if err := DivF32I32(e.q, avg, sums, cnts, ngroups, []*cl.Event{sev, cev}).Wait(); err != nil {
 			t.Fatal(err)
@@ -1034,6 +1082,74 @@ func TestJoinProbeKernels(t *testing.T) {
 	})
 }
 
+// TestProbesOverManyWords runs the probe kernels over 2 000 keys — most
+// present, some below the build's smallest key, some above its largest —
+// against 500 unique build keys given in ascending order (IdentitySet then
+// gathers whole bitmap words in a register) and shuffled, under both
+// addressings, and checks every row against a map: counts, the written
+// (probe, build) pairs, the unique-key match bitmap and build rows, the semi-
+// and anti-join bitmaps.
+func TestProbesOverManyWords(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	build, probe := make([]int32, 500), make([]int32, 2_000)
+	for i := range build {
+		build[i] = -300 + 3*int32(i)
+	}
+	for i := range probe {
+		probe[i] = r.Int31n(1_700) - 400
+	}
+	shuffled := slices.Clone(build)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range [][]int32{build, shuffled} {
+		rowOf := map[int32]uint32{}
+		for i, k := range order {
+			rowOf[k] = uint32(i)
+		}
+		bothAddressings(func(dev *cl.Device, e *env, identity bool) {
+			slots, starts, rowids, nd := buildTable(t, e, order, identity)
+			n, pb := len(probe), e.i32(t, probe)
+			counts, rpos, bm, sp := e.buf(t, n+1), e.buf(t, n+1), e.buf(t, BitmapWords(n)), e.scratch(t)
+			if err := JoinProbeCount(e.q, counts, slots, starts, pb, n, nil).Wait(); err != nil || nd != len(order) {
+				t.Fatalf("%s identity=%v: %d distinct of %d, %v", dev.Name, identity, nd, len(order), err)
+			}
+			offsets, total := e.buf(t, n+1), e.buf(t, 1)
+			ev := PrefixSum(e.q, offsets, counts, e.scratch(t), total, n, nil)
+			outL, outR := e.buf(t, n+1), e.buf(t, n+1)
+			if err := JoinProbeWrite(e.q, outL, outR, offsets, slots, starts, rowids, pb, n, []*cl.Event{ev}).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			m := int(total.U32()[0])
+			for j := 0; j < m; j++ {
+				if i := outL.U32()[j]; rowOf[probe[i]] != outR.U32()[j] || j > 0 && i <= outL.U32()[j-1] {
+					t.Fatalf("%s identity=%v: pair %d is (%d, %d)", dev.Name, identity, j, i, outR.U32()[j])
+				}
+			}
+			bit := func(i int) bool { return bm.U32()[i/32]>>uint(i%32)&1 == 1 }
+			matches := int(e.folded(t, sp, JoinProbeUnique(e.q, bm, rpos, sp, slots, starts, rowids, pb, n, nil)))
+			want := 0
+			for i, k := range probe {
+				row, ok := rowOf[k]
+				if counts.U32()[i] != b2u(ok) || bit(i) != ok || ok && rpos.U32()[i] != row {
+					t.Fatalf("%s identity=%v: probe row %d (key %d): count %d, match %v, build row %d",
+						dev.Name, identity, i, k, counts.U32()[i], bit(i), rpos.U32()[i])
+				}
+				want += int(b2u(ok))
+			}
+			for _, negate := range []bool{false, true} {
+				got := int(e.folded(t, sp, ExistsProbe(e.q, bm, sp, slots, pb, n, negate, nil)))
+				for i, k := range probe {
+					if _, ok := rowOf[k]; bit(i) != (ok != negate) {
+						t.Fatalf("%s identity=%v negate=%v: bit %d (key %d) is %v", dev.Name, identity, negate, i, k, bit(i))
+					}
+				}
+				if negate && got != n-want || !negate && got != want || matches != want || m != want {
+					t.Fatalf("%s identity=%v negate=%v: %d set, %d matches, want %d", dev.Name, identity, negate, got, matches, want)
+				}
+			}
+		})
+	}
+}
+
 func TestJoinProbeUniqueFastPath(t *testing.T) {
 	e := newEnv(cl.NewCPUDevice(4))
 	build := []int32{10, 20, 30, 40} // key column
@@ -1094,7 +1210,7 @@ func TestSortedGroupKernels(t *testing.T) {
 		col := e.i32(t, []int32{3, 3, 5, 5, 5, 9})
 		n := 6
 		flags := e.buf(t, n+1)
-		ev := GroupBoundaryFlags(e.q, flags, col, nil, n, nil)
+		ev := GroupBoundaryFlags(e.q, flags, col, n, nil)
 		excl := e.buf(t, n+1)
 		total := e.buf(t, 1)
 		ev = PrefixSum(e.q, excl, flags, e.scratch(t), total, n, []*cl.Event{ev})
@@ -1225,10 +1341,19 @@ func TestRangeKeyBounds(t *testing.T) {
 // device — the property that lets hybrid placement (and N-device
 // configurations) move a grouped aggregation without changing a result bit
 // — and (c) equal the fixed chunk-partitioned fold computed by hand, i.e.
-// the order is a pure function of (n, ngroups), never of the device.
+// the order is a pure function of (n, ngroups), never of the device. The
+// cases cover chunk counts that are multiples of the lockstep width and
+// counts that are not (87, 52, 37 and 26 chunks), and fewer rows than chunks,
+// on one and four CPU cores and the GPU model: each splits the chunks across
+// its work-groups differently, and a share that is not a multiple of the
+// lockstep width leaves one work-item fewer than four chunks, folded one by
+// one.
 func TestGroupedSumF32DeviceIndependentBits(t *testing.T) {
-	for _, ngroups := range []int{1, 7, 100, 5000} {
-		n := 60000
+	for _, c := range []struct{ n, ngroups int }{
+		{60000, 1}, {60000, 7}, {60000, 100}, {60000, 5000},
+		{60000, 3000}, {60000, 7000}, {60000, 10000}, {10, 1}, {130, 3}, {5, 7000},
+	} {
+		n, ngroups := c.n, c.ngroups
 		vals := make([]float32, n)
 		gids := make([]int32, n)
 		r := rand.New(rand.NewSource(int64(ngroups) * 31))
@@ -1263,12 +1388,12 @@ func TestGroupedSumF32DeviceIndependentBits(t *testing.T) {
 			}
 		}
 		var ref []float32
-		for _, dev := range devices() {
+		for _, dev := range append(devices(), cl.NewCPUDevice(1)) {
 			e := newEnv(dev)
 			vb, gb := e.f32(t, vals), e.i32(t, gids)
 			parts := e.buf(t, ngroups*chunks+1)
 			dst := e.buf(t, ngroups)
-			if err := GroupedSumF32(e.q, dst, vb, gb, parts, n, ngroups, chunks, nil).Wait(); err != nil {
+			if err := GroupedSumF32(e.q, dst, vb, gb, parts, n, ngroups, nil).Wait(); err != nil {
 				t.Fatal(err)
 			}
 			got := append([]float32(nil), dst.F32()[:ngroups]...)

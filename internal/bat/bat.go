@@ -369,9 +369,9 @@ func (b *BAT) String() string {
 // Table is a named collection of equally-long column BATs — the relational
 // view the SQL layer maintains over BATs. A table may additionally be one
 // shard of a logical table (GlobalRows non-nil) and may grow through
-// AppendDelta with generation-stamped visibility (ingest.go): readers that
-// captured column BATs before an append keep a consistent immutable
-// snapshot, readers that re-resolve columns see the new generation.
+// AppendDelta, copy-on-append (ingest.go): readers that captured column BATs
+// before an append keep a consistent immutable snapshot, readers that
+// re-resolve columns see the appended ones.
 type Table struct {
 	Name string
 	// Order preserves column declaration order for display.
@@ -385,8 +385,7 @@ type Table struct {
 	// ShardIdx/NShards locate the shard in its topology (0/0 = unsharded).
 	ShardIdx, NShards int
 
-	mu  sync.RWMutex
-	gen int64
+	mu sync.RWMutex
 }
 
 // NewTable creates an empty table.

@@ -1,41 +1,33 @@
 // Incremental ingest over Tables: appends arrive as column deltas and are
 // made visible copy-on-append — every append builds fresh column BATs (old
-// heap plus delta), swaps the table's column set atomically under the table
-// lock, and bumps the table generation. Readers that resolved columns before
-// the swap keep reading the old immutable BATs (a consistent generation-
-// stamped snapshot — no torn reads), readers that re-resolve see the new
-// generation. The old BATs are not freed here: in-flight plans may still
-// hold them; they are reclaimed by GC once the last reader drops them, and
-// the plan-cache layer retires templates baked against them through
-// per-table epochs (mal.PlanCache.InvalidateTable).
+// heap plus delta) and swaps the table's column set atomically under the
+// table lock. Readers that resolved columns before the swap keep reading the
+// old immutable BATs (a consistent snapshot — no torn reads), readers that
+// re-resolve see the new columns. The old BATs are not freed here: in-flight
+// plans may still hold them; they are reclaimed by GC once the last reader
+// drops them. A table keeps no version of its own: whoever caches work
+// derived from it learns of an append through the catalog version the
+// ingest publishes (mal.Catalog), which retires templates baked against the
+// old BATs.
 package bat
 
 import "fmt"
 
-// TableView is a consistent snapshot of a table: one generation's complete
-// column set. Host code that reads several columns of a table that may be
-// ingesting concurrently must take one View and read through it, rather than
-// calling Col repeatedly across an append boundary.
+// TableView is a consistent snapshot of a table: the complete column set
+// between two appends. Host code that reads several columns of a table that
+// may be ingesting concurrently must take one View and read through it,
+// rather than calling Col repeatedly across an append boundary.
 type TableView struct {
 	Name string
-	Gen  int64
 	Rows int
 	Cols map[string]*BAT
 }
 
-// Gen returns the table's current ingest generation (0 until the first
-// append).
-func (t *Table) Gen() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.gen
-}
-
-// View returns a consistent snapshot of the table's columns and generation.
+// View returns a consistent snapshot of the table's columns.
 func (t *Table) View() *TableView {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v := &TableView{Name: t.Name, Gen: t.gen, Cols: make(map[string]*BAT, len(t.Cols))}
+	v := &TableView{Name: t.Name, Cols: make(map[string]*BAT, len(t.Cols))}
 	for name, b := range t.Cols {
 		v.Cols[name] = b
 	}
@@ -49,20 +41,19 @@ func (t *Table) View() *TableView {
 func (v *TableView) Col(name string) *BAT {
 	b, ok := v.Cols[name]
 	if !ok {
-		panic(fmt.Sprintf("table %s (gen %d): no column %q", v.Name, v.Gen, name))
+		panic(fmt.Sprintf("table %s (view): no column %q", v.Name, name))
 	}
 	return b
 }
 
-// AppendDelta appends delta's rows to the table and returns the new
-// generation. delta must carry exactly the table's columns with matching
-// types. For a shard table (GlobalRows non-nil) globalRows supplies the
+// AppendDelta appends delta's rows to the table. delta must carry exactly
+// the table's columns with matching types. For a shard table (GlobalRows non-nil) globalRows supplies the
 // logical row ids of the appended rows, in append order; unsharded tables
 // pass nil. The append is copy-on-write: every column gets a fresh BAT whose
 // heap is the old heap plus the delta, and the whole column set is swapped
-// in one critical section, so concurrent readers see either the old
-// generation or the new one, never a mix.
-func (t *Table) AppendDelta(delta *Table, globalRows []uint32) int64 {
+// in one critical section, so concurrent readers see either the old column
+// set or the new one, never a mix.
+func (t *Table) AppendDelta(delta *Table, globalRows []uint32) {
 	dv := delta.View()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -87,11 +78,9 @@ func (t *Table) AppendDelta(delta *Table, globalRows []uint32) int64 {
 	if t.GlobalRows != nil {
 		t.GlobalRows = append(t.GlobalRows[:len(t.GlobalRows):len(t.GlobalRows)], globalRows...)
 	}
-	t.gen++
-	return t.gen
 }
 
-// appendCol builds the new-generation column: old's heap plus delta's, with
+// appendCol builds the appended column: old's heap plus delta's, with
 // conservatively recomputed properties. Sortedness survives when both runs
 // are sorted and the boundary is ordered; uniqueness cannot be verified
 // cheaply across the boundary and is dropped (under-claiming properties is

@@ -13,7 +13,9 @@
 // Session parameters and the base data. Host-side values read mid-plan
 // (ScalarF/ScalarI) are captured into the template as constants, so a cache
 // must be scoped to one database — the serve layer keeps one cache per
-// engine, which also scopes it to one configuration.
+// engine, which also scopes it to one configuration. Changes to that
+// database reach the cache only through its Catalog (catalog.go): a template
+// is current while no table it reads has changed since its build registered.
 package mal
 
 import (
@@ -83,8 +85,8 @@ type Template struct {
 	verr  error
 
 	// tables are the named base tables the plan reads (collected at seal
-	// time from the raw IR): the dependency set per-table epoch invalidation
-	// checks cached templates against (PlanCache.InvalidateTable).
+	// time from the raw IR): the tables whose catalog versions decide whether
+	// a cached template is still current (CatalogVersion.Same).
 	tables []string
 }
 
@@ -134,8 +136,8 @@ func (s *Session) Template() *Template {
 		}
 	}
 	// Collect the base tables the plan reads from the raw IR (conservative:
-	// includes reads the rewriter later eliminated) — the per-table epoch
-	// dependency set.
+	// includes reads the rewriter later eliminated) — the tables whose
+	// versions the plan cache checks.
 	seenTab := map[string]bool{}
 	noteTab := func(b *bat.BAT) {
 		if b == nil || t.isPH[b] || b.TableName == "" || seenTab[b.TableName] {
@@ -216,7 +218,7 @@ func (t *Template) checkParams(params Params) error {
 }
 
 // Tables returns the named base tables the plan reads, in first-read order
-// (the per-table epoch dependency set).
+// (the tables whose catalog versions the plan cache checks).
 func (t *Template) Tables() []string { return append([]string(nil), t.tables...) }
 
 // Fragments returns the number of flush fragments the template holds.
@@ -366,17 +368,21 @@ func (s *Session) resultCol(c *bat.BAT) *bat.BAT {
 // One cache must serve exactly one database and one engine (or engines of
 // the same configuration over the same data): templates capture base-BAT
 // identities and mid-plan host constants.
+//
+// Whether a resident template is still current is the catalog's to say
+// (catalog.go): each slot records the version its build registered at, and
+// stays valid while no table its template reads has changed since. The first
+// lookup after a new version sweeps every slot that is no longer current, so
+// a key that is never presented again (a plan the sharded server retired)
+// still lets go of its template and the column snapshots the template pins.
 type PlanCache struct {
 	mu       sync.Mutex
+	vers     *Catalog
 	m        map[string]*list.Element
 	lru      *list.List // front = most recently used
 	capacity int
-	// gen is the data-generation stamp baked into every key: templates
-	// capture base-BAT identities and mid-plan host constants, so replacing
-	// base data invalidates every resident template. BumpGeneration moves
-	// the whole cache to a fresh key space; stale templates age out of the
-	// LRU instead of ever replaying over the new data.
-	gen     int64
+	// swept is the catalog version the last sweep ran at.
+	swept   *CatalogVersion
 	hits    int64
 	misses  int64
 	evicted int64
@@ -389,31 +395,23 @@ type PlanCache struct {
 	// coalesced counts Run calls that waited on another call's in-flight
 	// build instead of building themselves.
 	coalesced int64
-	// epochs are per-table data epochs: incremental appends bump only the
-	// appended table's epoch (InvalidateTable), so templates over other
-	// tables stay warm. A table never appended to is implicitly at epoch 0.
-	epochs map[string]int64
-	// epochDropped counts templates dropped at lookup because a table they
-	// read moved to a newer epoch.
-	epochDropped int64
 }
 
-// buildCall is one in-flight template build. done is closed when the build
-// finishes; tpl is set (before the close) only if the build succeeded and
-// the template was cached.
+// buildCall is one in-flight template build, registered at catalog version
+// ver. done is closed when the build finishes; tpl is set (before the close)
+// only if the build succeeded and the template was cached.
 type buildCall struct {
 	done chan struct{}
+	ver  *CatalogVersion
 	tpl  *Template
 }
 
 // cacheSlot is one resident template plus its key (for map removal on
-// eviction) and the per-table epochs the template was built against: if any
-// of its tables has since been invalidated, the slot is stale and lookup
-// drops it.
+// eviction) and the catalog version its build registered at.
 type cacheSlot struct {
-	key  string
-	tpl  *Template
-	deps map[string]int64
+	key string
+	tpl *Template
+	ver *CatalogVersion
 }
 
 // DefaultPlanCacheCapacity bounds a cache created by NewPlanCache. Each
@@ -422,9 +420,15 @@ type cacheSlot struct {
 // workload uses while still bounding growth.
 const DefaultPlanCacheCapacity = 256
 
-// NewPlanCache creates an empty cache with the default capacity.
-func NewPlanCache() *PlanCache {
+// NewPlanCache creates an empty cache with the default capacity, over data
+// that never changes.
+func NewPlanCache() *PlanCache { return NewPlanCacheFor(&Catalog{}) }
+
+// NewPlanCacheFor creates an empty cache with the default capacity whose
+// templates go stale as vers publishes changes to the tables they read.
+func NewPlanCacheFor(vers *Catalog) *PlanCache {
 	return &PlanCache{
+		vers:     vers,
 		m:        map[string]*list.Element{},
 		lru:      list.New(),
 		capacity: DefaultPlanCacheCapacity,
@@ -440,6 +444,12 @@ func NewPlanCacheCap(capacity int) *PlanCache {
 	return c
 }
 
+// removeLocked drops one resident slot.
+func (c *PlanCache) removeLocked(el *list.Element) {
+	c.lru.Remove(el)
+	delete(c.m, el.Value.(*cacheSlot).key)
+}
+
 // evictLocked drops least-recently-used templates until the cache fits its
 // capacity.
 func (c *PlanCache) evictLocked() {
@@ -447,183 +457,73 @@ func (c *PlanCache) evictLocked() {
 		return
 	}
 	for len(c.m) > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		c.lru.Remove(back)
-		delete(c.m, back.Value.(*cacheSlot).key)
+		c.removeLocked(c.lru.Back())
 		c.evicted++
 	}
 }
 
+// currentLocked returns the catalog's current version, first sweeping out
+// every slot that is stale at it when the version moved since the last
+// sweep.
+func (c *PlanCache) currentLocked() *CatalogVersion {
+	cur := c.vers.Current()
+	if cur == c.swept {
+		return cur
+	}
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if slot := el.Value.(*cacheSlot); !cur.Same(slot.ver, slot.tpl.tables) {
+			c.removeLocked(el)
+		}
+		el = next
+	}
+	c.swept = cur
+	return cur
+}
+
 // lookupLocked returns the resident template for key, marking it most
-// recently used. A template whose tables have moved past the epochs it was
-// built against is stale: it is dropped and the lookup misses.
-func (c *PlanCache) lookupLocked(key string) *Template {
+// recently used, if it is current at cur. A stale one is dropped and the
+// lookup misses: a build that registered before cur was published may have
+// landed after the sweep.
+func (c *PlanCache) lookupLocked(key string, cur *CatalogVersion) *Template {
 	el := c.m[key]
 	if el == nil {
 		return nil
 	}
 	slot := el.Value.(*cacheSlot)
-	for tab, e := range slot.deps {
-		if c.epochs[tab] != e {
-			c.lru.Remove(el)
-			delete(c.m, key)
-			c.epochDropped++
-			return nil
-		}
+	if !cur.Same(slot.ver, slot.tpl.tables) {
+		c.removeLocked(el)
+		return nil
 	}
 	c.lru.MoveToFront(el)
 	return slot.tpl
 }
 
-// putLocked stores (or refreshes) a template under key with the given
-// per-table epoch dependencies and applies the capacity bound.
-func (c *PlanCache) putLocked(key string, t *Template, deps map[string]int64) {
+// putLocked stores (or refreshes) a template under key, built at catalog
+// version ver, and applies the capacity bound.
+func (c *PlanCache) putLocked(key string, t *Template, ver *CatalogVersion) {
 	if el := c.m[key]; el != nil {
 		slot := el.Value.(*cacheSlot)
-		slot.tpl, slot.deps = t, deps
+		slot.tpl, slot.ver = t, ver
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.lru.PushFront(&cacheSlot{key: key, tpl: t, deps: deps})
+	c.m[key] = c.lru.PushFront(&cacheSlot{key: key, tpl: t, ver: ver})
 	c.evictLocked()
 }
 
-// depsFor projects an epochs snapshot onto a template's table set: the
-// epoch each table was at when the template's build started (implicitly 0
-// for tables never invalidated).
-func depsFor(tables []string, epochs map[string]int64) map[string]int64 {
-	if len(tables) == 0 {
-		return nil
-	}
-	deps := make(map[string]int64, len(tables))
-	for _, tab := range tables {
-		deps[tab] = epochs[tab]
-	}
-	return deps
+// cacheKey renders the key of (name, configuration, passes).
+func cacheKey(name string, o ops.Operators, passes Passes) string {
+	return fmt.Sprintf("%s|%s|%s|%s", name, o.Name(), o.Module(), passes.key())
 }
 
-// snapshotEpochsLocked copies the current per-table epochs. The copy taken
-// when a miss starts building is what the finished template's dependencies
-// are recorded against, so an InvalidateTable racing the build leaves the
-// stored template already stale — it can never serve post-append lookups.
-func (c *PlanCache) snapshotEpochsLocked() map[string]int64 {
-	if len(c.epochs) == 0 {
-		return nil
-	}
-	snap := make(map[string]int64, len(c.epochs))
-	for k, v := range c.epochs {
-		snap[k] = v
-	}
-	return snap
-}
-
-// keyLocked renders the cache key for the *current* data generation.
-func (c *PlanCache) keyLocked(name string, o ops.Operators, passes Passes) string {
-	return fmt.Sprintf("%s|%s|%s|%s|g%d", name, o.Name(), o.Module(), passes.key(), c.gen)
-}
-
-// BumpGeneration marks the base data as replaced (a table load over existing
-// names): every resident template becomes unreachable and the next Run of
-// each query rebuilds against the new data. Call it whenever base BATs a
-// cached plan may have captured are swapped out.
-func (c *PlanCache) BumpGeneration() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-}
-
-// Invalidate is BumpGeneration under the name the serving layer exposes.
-func (c *PlanCache) Invalidate() { c.BumpGeneration() }
-
-// InvalidateTable marks one named base table's data as changed (an
-// incremental append): only resident templates that read that table go
-// stale, while templates over other tables stay warm. The stale ones are
-// dropped here rather than at their next lookup, because some never get one:
-// the sharded server keys each compiled plan's shard templates by that plan's
-// identity, and a retired plan's key is never presented again — its templates
-// (and the superseded column snapshots they pin) must not wait for the LRU.
-// The check at lookup stays for templates whose build raced this call.
-// Contrast BumpGeneration/Invalidate, which strand every resident template
-// at once; use those for wholesale reloads that swap BATs out.
-func (c *PlanCache) InvalidateTable(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.epochs == nil {
-		c.epochs = map[string]int64{}
-	}
-	c.epochs[name]++
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		slot := el.Value.(*cacheSlot)
-		if _, reads := slot.deps[name]; reads {
-			c.lru.Remove(el)
-			delete(c.m, slot.key)
-			c.epochDropped++
-		}
-		el = next
-	}
-}
-
-// TableEpoch returns the current epoch of a named table (0 if it was never
-// invalidated).
-func (c *PlanCache) TableEpoch(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epochs[name]
-}
-
-// EpochDropped returns how many templates lookups dropped because a table
-// they read moved to a newer epoch.
-func (c *PlanCache) EpochDropped() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epochDropped
-}
-
-// Generation returns the current data-generation stamp (tests/diagnostics).
-func (c *PlanCache) Generation() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// Lookup returns the cached template for (name, configuration, passes) at
-// the current data generation, refreshing its recency.
+// Lookup returns the cached template for (name, configuration, passes) if it
+// is current, refreshing its recency.
 func (c *PlanCache) Lookup(name string, o ops.Operators, passes Passes) *Template {
+	key := cacheKey(name, o, passes)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookupLocked(c.keyLocked(name, o, passes))
-}
-
-// Put stores a sealed template under (name, configuration, passes) at the
-// current data generation, evicting the least-recently-used resident if the
-// cache is full. Callers that built the template after a Lookup miss must
-// use PutIfGeneration with the generation observed at lookup time: a
-// reload (BumpGeneration) between the miss and the store would otherwise
-// file a template built over the *old* data under the *new* generation's
-// key.
-func (c *PlanCache) Put(name string, o ops.Operators, passes Passes, t *Template) {
-	c.mu.Lock()
-	c.putLocked(c.keyLocked(name, o, passes), t, depsFor(t.tables, c.epochs))
-	c.mu.Unlock()
-}
-
-// PutIfGeneration stores t only while the data generation still equals gen
-// (as returned by Generation before the template was built); if the base
-// data was reloaded in between, the stale template is dropped instead of
-// being filed where fresh lookups would replay it. Reports whether the
-// template was stored.
-func (c *PlanCache) PutIfGeneration(name string, o ops.Operators, passes Passes, t *Template, gen int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen != gen {
-		return false
-	}
-	c.putLocked(c.keyLocked(name, o, passes), t, depsFor(t.tables, c.epochs))
-	return true
+	return c.lookupLocked(key, c.currentLocked())
 }
 
 // Stats returns cache hits, misses and resident templates.
@@ -658,17 +558,17 @@ func (c *PlanCache) Coalesced() int64 {
 // Concurrent misses for the same key single-flight: the first registers an
 // in-flight build and runs the plan function; the rest wait and replay the
 // built template with their own parameters (counted as hits — they never
-// ran the pipeline). If the build fails or the data generation moved while
-// they waited, waiters retry from the top and one of them becomes the next
-// builder. The key is captured at lookup time, so a generation bump during
-// a build strands the finished template (and its buildCall) under the old
-// generation's key, where no fresh lookup — and no fresh waiter — reaches
-// it: a plan built over replaced data can never replay.
+// ran the pipeline). A waiter retries from the top, and one waiter becomes
+// the next builder, if the build failed or if a table the template reads
+// changed between the build's registration and the waiter's arrival: a call
+// that starts after a publish never replays a plan built over the data
+// before it.
 func (c *PlanCache) Run(o ops.Operators, name string, params Params, passes Passes, plan func(*Session) *Result) (res *Result, hit bool, err error) {
+	key := cacheKey(name, o, passes)
 	for {
 		c.mu.Lock()
-		key := c.keyLocked(name, o, passes)
-		if t := c.lookupLocked(key); t != nil {
+		cur := c.currentLocked()
+		if t := c.lookupLocked(key, cur); t != nil {
 			c.hits++
 			c.mu.Unlock()
 			res, err = t.Run(o, params)
@@ -678,7 +578,7 @@ func (c *PlanCache) Run(o ops.Operators, name string, params Params, passes Pass
 			c.coalesced++
 			c.mu.Unlock()
 			<-bc.done
-			if bc.tpl != nil {
+			if bc.tpl != nil && cur.Same(bc.ver, bc.tpl.tables) {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
@@ -688,18 +588,17 @@ func (c *PlanCache) Run(o ops.Operators, name string, params Params, passes Pass
 			continue
 		}
 		c.misses++
-		bc := &buildCall{done: make(chan struct{})}
+		bc := &buildCall{done: make(chan struct{}), ver: cur}
 		c.building[key] = bc
-		epochs := c.snapshotEpochsLocked()
 		c.mu.Unlock()
-		return c.build(o, key, params, passes, plan, bc, epochs)
+		return c.build(o, key, params, passes, plan, bc)
 	}
 }
 
 // build runs the miss path of Run as the registered builder for key. The
 // buildCall is always resolved — entry removed, done closed — even on a
 // plan panic, so waiters can never be stranded.
-func (c *PlanCache) build(o ops.Operators, key string, params Params, passes Passes, plan func(*Session) *Result, bc *buildCall, epochs map[string]int64) (res *Result, hit bool, err error) {
+func (c *PlanCache) build(o ops.Operators, key string, params Params, passes Passes, plan func(*Session) *Result, bc *buildCall) (res *Result, hit bool, err error) {
 	defer func() {
 		c.mu.Lock()
 		delete(c.building, key)
@@ -713,7 +612,7 @@ func (c *PlanCache) build(o ops.Operators, key string, params Params, passes Pas
 	if err == nil && res != nil {
 		tpl := s.Template()
 		c.mu.Lock()
-		c.putLocked(key, tpl, depsFor(tpl.tables, epochs))
+		c.putLocked(key, tpl, bc.ver)
 		c.mu.Unlock()
 		bc.tpl = tpl
 		// The built template is valid and cached either way, but a binding

@@ -317,103 +317,3 @@ func TestUnknownParamNameRejected(t *testing.T) {
 		t.Fatalf("hit path accepted undeclared parameter: %v", err)
 	}
 }
-
-// TestPlanCacheGenerationInvalidation is the regression test for stale
-// template replay over replaced base data (the ROADMAP invalidation
-// follow-up). A cached template captures base-BAT identities, so reloading
-// a table behind the cache's back silently replays the old data; bumping
-// the data generation must force a miss and a rebuild against the new
-// table, while the un-bumped cache demonstrates the very staleness the
-// stamp exists to prevent.
-func TestPlanCacheGenerationInvalidation(t *testing.T) {
-	o := MS.Build(ConfigOptions{})
-	c := NewPlanCache()
-	passes := DefaultPasses()
-
-	// The plan reads the table through an indirection, the way a catalog
-	// lookup would: a reload swaps the column the *next build* sees, but a
-	// replayed template keeps streaming the BAT it captured.
-	table := fcol("v", []float32{1, 2, 3, 4})
-	plan := func(s *Session) *Result {
-		return s.Result([]string{"sum"}, s.Aggr(ops.Sum, table, nil, 0))
-	}
-	sum := func(r *Result) float32 { return r.Cols[0].F32s()[0] }
-
-	first, hit, err := c.Run(o, "q", nil, passes, plan)
-	if err != nil || hit {
-		t.Fatalf("build run: hit=%v err=%v", hit, err)
-	}
-	if sum(first) != 10 {
-		t.Fatalf("build run sum = %v, want 10", sum(first))
-	}
-
-	// Reload the table. Without an invalidation the cache still replays the
-	// captured column — the staleness this satellite fixes.
-	table = fcol("v", []float32{100, 200, 300, 400})
-	stale, hit, err := c.Run(o, "q", nil, passes, plan)
-	if err != nil || !hit {
-		t.Fatalf("un-invalidated run: hit=%v err=%v", hit, err)
-	}
-	if sum(stale) != 10 {
-		t.Fatalf("expected the un-invalidated cache to replay stale data (sum 10), got %v", sum(stale))
-	}
-
-	// Bumping the generation moves the key space: the next run must miss,
-	// rebuild against the reloaded table, and cache the fresh template.
-	gen := c.Generation()
-	c.BumpGeneration()
-	if c.Generation() != gen+1 {
-		t.Fatal("generation did not advance")
-	}
-	fresh, hit, err := c.Run(o, "q", nil, passes, plan)
-	if err != nil || hit {
-		t.Fatalf("post-invalidation run: hit=%v err=%v (want a miss)", hit, err)
-	}
-	if sum(fresh) != 1000 {
-		t.Fatalf("post-invalidation sum = %v, want 1000 (rebuilt over reloaded data)", sum(fresh))
-	}
-	// And the rebuilt template is cached under the new generation.
-	again, hit, err := c.Run(o, "q", nil, passes, plan)
-	if err != nil || !hit {
-		t.Fatalf("post-rebuild run: hit=%v err=%v", hit, err)
-	}
-	if sum(again) != 1000 {
-		t.Fatalf("post-rebuild sum = %v, want 1000", sum(again))
-	}
-	// Invalidate is the serving layer's alias for the same stamp.
-	c.Invalidate()
-	if _, hit, _ := c.Run(o, "q", nil, passes, plan); hit {
-		t.Fatal("Invalidate did not move the key space")
-	}
-}
-
-// TestPutIfGenerationDropsStaleBuilds: a template built before a reload
-// must not be filed under the post-reload key space.
-func TestPutIfGenerationDropsStaleBuilds(t *testing.T) {
-	o := MS.Build(ConfigOptions{})
-	c := NewPlanCache()
-	passes := DefaultPasses()
-	k, v, g := testData()
-
-	gen := c.Generation()
-	s := NewSession(o)
-	s.SetPasses(passes)
-	if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
-		t.Fatal(err)
-	}
-	tpl := s.Template()
-
-	c.BumpGeneration() // the data was reloaded while the build ran
-	if c.PutIfGeneration("mini", o, passes, tpl, gen) {
-		t.Fatal("stale-generation template was stored")
-	}
-	if c.Lookup("mini", o, passes) != nil {
-		t.Fatal("stale template reachable after generation bump")
-	}
-	if !c.PutIfGeneration("mini", o, passes, tpl, c.Generation()) {
-		t.Fatal("current-generation store refused")
-	}
-	if c.Lookup("mini", o, passes) != tpl {
-		t.Fatal("stored template not reachable")
-	}
-}

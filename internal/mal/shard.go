@@ -169,7 +169,7 @@ func (sp *ShardPlan) NShards() int { return sp.nshards }
 func (sp *ShardPlan) Passes() Passes { return sp.passes }
 
 // Tables lists the base tables the plan reads (sharded and replicated) —
-// the dependency set per-table epoch invalidation checks against.
+// the tables whose catalog versions decide whether the plan is current.
 func (sp *ShardPlan) Tables() []string { return append([]string(nil), sp.tables...) }
 
 // GatherWidth returns how many frontier values every shard ships.

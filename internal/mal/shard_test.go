@@ -303,7 +303,7 @@ func TestShardCompileDeadScalarPruned(t *testing.T) {
 }
 
 // TestShardCompileTablesRecorded: the compiled plan must list every base
-// table it reads — the dependency set per-table epoch invalidation uses.
+// table it reads — the tables whose catalog versions decide staleness.
 func TestShardCompileTablesRecorded(t *testing.T) {
 	cat, fact, dim, _ := mkShardedFixture(200, 8, 2)
 	o := MS.Build(ConfigOptions{})

@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/mal"
+	"repro/internal/ops"
 	"repro/internal/tpch"
 )
 
 // TestServerInvalidateTableKeepsOtherTablesWarm is the staleness regression
-// check for per-table epochs on a plain Server: appending to lineitem must
+// check for a plain Server over a catalog: a publish naming lineitem must
 // force queries over lineitem to rebuild while queries over unrelated
 // tables keep replaying their cached templates (cache-hit counters prove
 // it).
 func TestServerInvalidateTableKeepsOtherTablesWarm(t *testing.T) {
 	d := testDB()
-	sv := New(mal.MS.Build(engineOpts()), Options{MaxConcurrent: 2})
+	vers := &mal.Catalog{}
+	sv := newBalanced([]ops.Operators{mal.MS.Build(engineOpts())}, Options{MaxConcurrent: 2}, vers)
 	q6, q11 := *tpch.QueryByNum(6), *tpch.QueryByNum(11) // lineitem vs partsupp-only
 	run := func(q tpch.Query) {
 		t.Helper()
@@ -35,15 +37,15 @@ func TestServerInvalidateTableKeepsOtherTablesWarm(t *testing.T) {
 		t.Fatalf("warmup cache stats %d/%d, want 2 hits / 2 misses", hits, misses)
 	}
 
-	sv.InvalidateTable("lineitem")
+	vers.Publish([]string{"lineitem"})
 
 	run(q11) // no lineitem: template must stay warm
 	if h, m, _ := sv.CacheStats(); h != hits+1 || m != misses {
-		t.Fatalf("Q11 after lineitem invalidate: %d/%d (was %d/%d) — unrelated template went cold", h, m, hits, misses)
+		t.Fatalf("Q11 after lineitem publish: %d/%d (was %d/%d) — unrelated template went cold", h, m, hits, misses)
 	}
 	run(q6) // reads lineitem: must rebuild
 	if h, m, _ := sv.CacheStats(); h != hits+1 || m != misses+1 {
-		t.Fatalf("Q6 after lineitem invalidate: %d/%d (was %d/%d) — stale template replayed", h, m, hits, misses)
+		t.Fatalf("Q6 after lineitem publish: %d/%d (was %d/%d) — stale template replayed", h, m, hits, misses)
 	}
 }
 
@@ -148,9 +150,9 @@ func TestShardedLiveIngest(t *testing.T) {
 }
 
 // TestShardedIngestsLeaveShardStateBounded: every compiled plan presents its
-// own key to the shard servers (name@sequence), so each ingest retires a key
-// for good. The retired key's template must go with the ingest's
-// InvalidateTable — it will never be looked up again, so nothing else would
+// own key to the shard servers (name@version), so each ingest retires a key
+// for good. The retired key's template must go with the first run after the
+// ingest's publish — it will never be looked up again, so nothing else would
 // drop it short of the LRU — and the per-query statistics must keep
 // aggregating under the bare query name, not grow a row per compile.
 func TestShardedIngestsLeaveShardStateBounded(t *testing.T) {
@@ -169,7 +171,7 @@ func TestShardedIngestsLeaveShardStateBounded(t *testing.T) {
 		exec() // warm: scatters it, building one template per shard
 		exec()
 		if i < ingests {
-			ss.Ingest([]string{"lineitem"}, func() {}) // epoch bumps alone retire the plan
+			ss.Ingest([]string{"lineitem"}, func() {}) // the publish alone retires the plan
 		}
 	}
 	if st := ss.Stats(); st.ColdCompiles != ingests+1 || st.Fallbacks != 0 {

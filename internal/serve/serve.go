@@ -16,21 +16,25 @@
 //     values that arrive while an identical execution is in flight do not
 //     execute at all — they wait for the in-flight leader and share its
 //     result. The coalescing key includes the pass configuration and the
-//     data generation, so a template built over replaced data is never
-//     shared forward.
+//     catalog version (mal.Catalog), so a request that arrives after an
+//     ingest published new data never shares a result computed before it.
 //   - Batching: same-query requests with *different* parameters that find
 //     all execution slots busy can ride in a running leader's admission
 //     slot instead of queueing: the leader, after its own execution, drains
 //     the queued riders through its plan cache — each replay re-binds the
 //     rider's own parameters — so one admission slot amortises one plan
-//     walk across many parameterisations.
+//     walk across many parameterisations. Groups are keyed by catalog
+//     version too.
 //
 // With several engines (NewBalanced) the server balances sessions across
 // them by in-flight load: each admitted request runs on the engine currently
 // executing the fewest plans, ties broken round-robin. Every engine keeps
 // its own plan cache — the mal.PlanCache contract scopes a cache to one
-// engine over one database — and Invalidate bumps all of them when base
-// data is reloaded.
+// engine over one database.
+//
+// Every cache, flight and batch group reads one catalog version: a server
+// built by New or NewBalanced has a catalog that never changes, and the
+// servers of a ShardedServer share the one its Ingest publishes to.
 package serve
 
 import (
@@ -127,17 +131,17 @@ type Server struct {
 	slots  []*engineSlot
 	passes mal.Passes
 
+	// vers is the catalog the plan caches, flights and batch groups read.
+	vers *mal.Catalog
+
 	sem     chan struct{}
 	maxQ    int64
 	waiting atomic.Int64
 	rr      atomic.Int64 // round-robin tie-breaker for equal loads
 
-	// Request coalescing (see the package comment). gen mirrors the plan
-	// caches' data generation so a flight keyed before Invalidate can never
-	// absorb a request arriving after it.
+	// Request coalescing (see the package comment).
 	coalesce bool
 	maxBatch int
-	gen      atomic.Int64
 	fmu      sync.Mutex
 	flights  map[string]*flight
 	groups   map[string]*batchGroup
@@ -206,6 +210,11 @@ func New(o ops.Operators, opt Options) *Server {
 // instances of one configuration (e.g. per-NUMA-domain hybrid engines).
 // Each engine gets its own plan cache.
 func NewBalanced(os []ops.Operators, opt Options) *Server {
+	return newBalanced(os, opt, &mal.Catalog{})
+}
+
+// newBalanced is NewBalanced over the catalog vers.
+func newBalanced(os []ops.Operators, opt Options, vers *mal.Catalog) *Server {
 	if len(os) == 0 {
 		panic("serve: NewBalanced needs at least one engine")
 	}
@@ -224,6 +233,7 @@ func NewBalanced(os []ops.Operators, opt Options) *Server {
 	}
 	sv := &Server{
 		passes:   passes,
+		vers:     vers,
 		sem:      make(chan struct{}, opt.MaxConcurrent),
 		maxQ:     int64(opt.MaxQueued),
 		coalesce: !opt.NoCoalesce && !opt.NoCache,
@@ -235,7 +245,7 @@ func NewBalanced(os []ops.Operators, opt Options) *Server {
 	for _, o := range os {
 		slot := &engineSlot{o: o}
 		if !opt.NoCache {
-			slot.cache = mal.NewPlanCache()
+			slot.cache = mal.NewPlanCacheFor(vers)
 		}
 		sv.slots = append(sv.slots, slot)
 	}
@@ -264,34 +274,6 @@ func (sv *Server) EngineLoads() []int64 {
 		out[i] = s.served.Load()
 	}
 	return out
-}
-
-// Invalidate marks the base data as replaced: every engine's plan cache
-// moves to a fresh data generation (mal.PlanCache.BumpGeneration), so no
-// template captured over the old data can replay. Call it after reloading a
-// table the served plans read.
-func (sv *Server) Invalidate() {
-	sv.gen.Add(1)
-	for _, s := range sv.slots {
-		if s.cache != nil {
-			s.cache.BumpGeneration()
-		}
-	}
-}
-
-// InvalidateTable marks one named base table's data as changed in place (an
-// incremental append): each engine's plan cache bumps only that table's
-// epoch, so cached templates over other tables stay warm — unlike
-// Invalidate, which strands every template. The coalescing generation still
-// advances: a flight or batch group keyed before the append must not absorb
-// requests arriving after it, since those must see the appended rows.
-func (sv *Server) InvalidateTable(name string) {
-	sv.gen.Add(1)
-	for _, s := range sv.slots {
-		if s.cache != nil {
-			s.cache.InvalidateTable(name)
-		}
-	}
 }
 
 // pick returns the engine slot with the fewest in-flight plans, breaking
@@ -459,13 +441,13 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string
 }
 
 // flightKey identifies executions that may share a result: same query, same
-// rewriter passes, same data generation, same parameter values.
+// rewriter passes, same catalog version, same parameter values.
 func (sv *Server) flightKey(key string, params mal.Params) string {
 	var sb strings.Builder
 	sb.WriteString(key)
 	sb.WriteByte('|')
 	sb.WriteString(sv.passes.Key())
-	fmt.Fprintf(&sb, "|g%d", sv.gen.Load())
+	fmt.Fprintf(&sb, "|v%d", sv.vers.Current().Seq())
 	keys := make([]string, 0, len(params))
 	for k := range params {
 		keys = append(keys, k)
@@ -519,9 +501,9 @@ func (sv *Server) abandonFlight(key string, fl *flight) {
 }
 
 // batchKey identifies the open group a rider may join: same query, same
-// data generation (parameters differ — that is the point).
+// catalog version (parameters differ — that is the point).
 func (sv *Server) batchKey(key string) string {
-	return key + "|g" + strconv.FormatInt(sv.gen.Load(), 10)
+	return key + "|v" + strconv.FormatInt(sv.vers.Current().Seq(), 10)
 }
 
 // openGroup opens a batch group owned by this request's admission slot.

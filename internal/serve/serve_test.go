@@ -390,8 +390,7 @@ func TestAdmissionAcceptsBurstWithinCap(t *testing.T) {
 // TestBalancedServerSpreadsSessions: a server over several engines must
 // route concurrent sessions across all of them (least-in-flight with a
 // round-robin tie break), keep per-engine plan caches working, and return
-// results identical to a single-engine run. Invalidate must bump every
-// engine's cache generation.
+// results identical to a single-engine run.
 func TestBalancedServerSpreadsSessions(t *testing.T) {
 	db := testDB()
 	engines := []ops.Operators{
@@ -460,18 +459,6 @@ func TestBalancedServerSpreadsSessions(t *testing.T) {
 	}
 	if hits != rounds {
 		t.Fatalf("cache hits = %d, want %d", hits, rounds)
-	}
-
-	// Invalidation bumps every engine's cache: the next run per engine is a
-	// rebuild.
-	sv.Invalidate()
-	for i := 0; i < 2; i++ {
-		if _, err := sv.Execute("q6", nil, plan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h2, m2, _ := sv.CacheStats(); m2 != misses+2 || h2 != hits {
-		t.Fatalf("invalidation did not force rebuilds: misses %d -> %d", misses, m2)
 	}
 }
 

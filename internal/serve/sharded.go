@@ -17,12 +17,13 @@
 // expansion, and byte-identity across shard counts is the contract here.
 //
 // Live ingest rides the same copy-on-append snapshots as the storage layer
-// (bat.AppendDelta): a warm scatter keeps reading the generation its plan
-// was compiled against, so appends never tear an in-flight query. Ingest
-// serialises the catalog mutation against cold compiles (ingestMu) and then
-// bumps per-table epochs — here for the compiled shard plans, and through
-// Server.InvalidateTable for every plan cache — so only queries that read
-// the appended table recompile; everything else stays warm.
+// (bat.AppendDelta): a warm scatter keeps reading the data its plan was
+// compiled against, so appends never tear an in-flight query. Ingest applies
+// the mutation under the write side of ingestMu and, before releasing it,
+// publishes one new catalog version (mal.Catalog) naming the tables it
+// changed. The coordinator, every shard server and the compiled-plan table
+// read that one version: only work over the changed tables goes stale, so
+// only queries that read them recompile; everything else stays warm.
 package serve
 
 import (
@@ -44,45 +45,46 @@ type ShardedServer struct {
 	coordOps ops.Operators
 	passes   mal.Passes
 
-	// ingestMu serialises catalog mutation (Ingest's apply) against cold
-	// compiles: a compile holds the read side across its unsharded run and
-	// CompileSharded, so the base BATs it resolved and the catalog views the
-	// compiler snapshots are one generation. Warm executions don't take it —
-	// their snapshots are immutable.
+	// vers is the catalog version every server here reads and Ingest
+	// publishes to.
+	vers *mal.Catalog
+
+	// ingestMu serialises catalog mutation (Ingest's apply and publish)
+	// against cold compiles and against plan closures that resolve columns
+	// live (Table.Col): a compile holds the read side across reading the
+	// version, its unsharded run and CompileSharded, so the version it
+	// records, the base BATs it resolved and the catalog views the compiler
+	// snapshots are one generation. Warm executions don't take it — their
+	// snapshots are immutable.
 	ingestMu sync.RWMutex
 
-	// cmu guards the compiled-plan table, the per-table epochs, and the
-	// compile single-flight registry. Plans never build or execute under it
-	// (see internal/lint lockorder): compiles register here, build outside,
-	// and re-enter only to store.
+	// cmu guards the compiled-plan table and the compile single-flight
+	// registry. Plans never build or execute under it (see internal/lint
+	// lockorder): compiles register here, build outside, and re-enter only to
+	// store.
 	cmu       sync.Mutex
 	entries   map[string]*shardEntry
 	compiling map[string]*compileCall
-	epochs    map[string]int64
-	// compileSeq numbers the compiled plans: a plan's number is part of the
-	// key its scatters present to the shard servers (shardEntry.key).
-	compileSeq int64
 
 	scattered    atomic.Int64 // warm scatter-gather executions served
 	degenerated  atomic.Int64 // executions delegated for a degenerate plan
 	coldCompiles atomic.Int64 // cold unsharded runs that compiled a plan
 	fallbacks    atomic.Int64 // scatter failures answered by the coordinator
-	recompiles   atomic.Int64 // compiled plans dropped by epoch staleness
+	recompiles   atomic.Int64 // compiled plans dropped because a table they read changed
 }
 
-// shardEntry is one resident compiled plan plus the per-table epochs it was
-// compiled against (same staleness scheme as mal.PlanCache's slots).
+// shardEntry is one resident compiled plan, the catalog version it was
+// compiled at, and the tables whose versions decide whether it is current.
 type shardEntry struct {
-	sp   *mal.ShardPlan
-	deps map[string]int64
+	sp     *mal.ShardPlan
+	ver    *mal.CatalogVersion
+	tables []string
 	// key is what the plan's scatters are cached, single-flighted and batched
-	// under on the shard servers: the query name plus this compile's sequence
-	// number ("Q3@17"). Shard servers key by it instead of the bare name, so
+	// under on the shard servers: the query name plus the version it was
+	// compiled at ("Q3@17"). One name compiles at most once per version, so
 	// a scatter can only ever replay a template built from this very plan's
-	// fragments — between an ingest's epoch bump here and its last
-	// Server.InvalidateTable there, a fresh plan would otherwise replay a
-	// shard's previous-generation template and Gather would stitch it to the
-	// new row maps.
+	// fragments, never a previous plan's template stitched to this plan's row
+	// maps by Gather.
 	key string
 }
 
@@ -108,17 +110,18 @@ func NewSharded(coordEngine ops.Operators, shardEngines []ops.Operators, cat *ma
 	}
 	passes.Fusion = false
 	opt.Passes = &passes
+	vers := &mal.Catalog{}
 	ss := &ShardedServer{
 		cat:       cat,
-		coord:     New(coordEngine, opt),
+		vers:      vers,
+		coord:     newBalanced([]ops.Operators{coordEngine}, opt, vers),
 		coordOps:  coordEngine,
 		passes:    passes,
 		entries:   map[string]*shardEntry{},
 		compiling: map[string]*compileCall{},
-		epochs:    map[string]int64{},
 	}
 	for _, o := range shardEngines {
-		ss.shards = append(ss.shards, New(o, opt))
+		ss.shards = append(ss.shards, newBalanced([]ops.Operators{o}, opt, vers))
 	}
 	return ss
 }
@@ -147,7 +150,7 @@ type ShardStats struct {
 	// ColdCompiles first executions that ran unsharded and compiled a plan;
 	// Fallbacks scatter attempts answered by the coordinator after a shard,
 	// gather or merge failure; Recompiles compiled plans dropped because a
-	// table they read moved to a newer epoch.
+	// table they read changed.
 	Scattered, Degenerate, ColdCompiles, Fallbacks, Recompiles int64
 }
 
@@ -168,12 +171,12 @@ func (ss *ShardedServer) Execute(name string, params mal.Params, plan func(*mal.
 }
 
 // ExecuteCtx runs the named query. The first execution (and the first after
-// an epoch bump invalidated the compiled plan) runs cold: unsharded on the
-// coordinator engine, compiling the shard plan as a side effect — its result
-// is the answer. Warm executions scatter across the shard servers (each an
-// admission-controlled, plan-cached serve.Server), gather, and merge on the
-// coordinator engine. plan must read the global catalog's tables: it is what
-// cold runs and degenerate delegations execute.
+// an ingest changed a table the compiled plan reads) runs cold: unsharded on
+// the coordinator engine, compiling the shard plan as a side effect — its
+// result is the answer. Warm executions scatter across the shard servers
+// (each an admission-controlled, plan-cached serve.Server), gather, and merge
+// on the coordinator engine. plan must read the global catalog's tables: it
+// is what cold runs and degenerate delegations execute.
 func (ss *ShardedServer) ExecuteCtx(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -195,39 +198,30 @@ func (ss *ShardedServer) ExecuteCtx(ctx context.Context, name string, params mal
 		}
 		cc := &compileCall{done: make(chan struct{})}
 		ss.compiling[name] = cc
-		snap := make(map[string]int64, len(ss.epochs))
-		for k, v := range ss.epochs {
-			snap[k] = v
-		}
 		ss.cmu.Unlock()
-		return ss.compileCold(name, params, plan, cc, snap)
+		return ss.compileCold(name, params, plan, cc)
 	}
 }
 
 // entryLocked returns the resident compiled plan for name, dropping it (and
-// reporting nil) if any table it reads moved past the epochs it was compiled
-// against. cmu held.
+// reporting nil) if a table it reads changed since it was compiled. cmu held.
 func (ss *ShardedServer) entryLocked(name string) *shardEntry {
 	ent := ss.entries[name]
-	if ent == nil {
-		return nil
+	if ent == nil || ss.vers.Current().Same(ent.ver, ent.tables) {
+		return ent
 	}
-	for tab, e := range ent.deps {
-		if ss.epochs[tab] != e {
-			delete(ss.entries, name)
-			ss.recompiles.Add(1)
-			return nil
-		}
-	}
-	return ent
+	delete(ss.entries, name)
+	ss.recompiles.Add(1)
+	return nil
 }
 
 // compileCold runs the query unsharded on the coordinator engine and compiles
 // the shard plan from the finished session. The read side of ingestMu spans
-// both, so the run and the compiler see one catalog generation. The cold
-// result is returned to the caller; the compiled plan (decomposed or
-// degenerate — CompileSharded never fails) is stored for the next execution.
-func (ss *ShardedServer) compileCold(name string, params mal.Params, plan func(*mal.Session) *mal.Result, cc *compileCall, snap map[string]int64) (*mal.Result, error) {
+// reading the catalog version, the run and the compiler, so the plan is
+// recorded at the version of the data it read. The cold result is returned
+// to the caller; the compiled plan (decomposed or degenerate —
+// CompileSharded never fails) is stored for the next execution.
+func (ss *ShardedServer) compileCold(name string, params mal.Params, plan func(*mal.Session) *mal.Result, cc *compileCall) (*mal.Result, error) {
 	defer func() {
 		ss.cmu.Lock()
 		delete(ss.compiling, name)
@@ -235,6 +229,7 @@ func (ss *ShardedServer) compileCold(name string, params mal.Params, plan func(*
 		close(cc.done)
 	}()
 	ss.ingestMu.RLock()
+	ver := ss.vers.Current()
 	s := mal.NewSession(ss.coordOps)
 	s.SetPasses(ss.passes)
 	s.SetParams(params)
@@ -245,13 +240,9 @@ func (ss *ShardedServer) compileCold(name string, params mal.Params, plan func(*
 	}
 	sp := mal.CompileSharded(name, s, ss.cat)
 	ss.ingestMu.RUnlock()
-	deps := make(map[string]int64, len(sp.Tables()))
-	for _, tab := range sp.Tables() {
-		deps[tab] = snap[tab]
-	}
+	ent := &shardEntry{sp: sp, ver: ver, tables: sp.Tables(), key: fmt.Sprintf("%s@%d", name, ver.Seq())}
 	ss.cmu.Lock()
-	ss.compileSeq++
-	ss.entries[name] = &shardEntry{sp: sp, deps: deps, key: fmt.Sprintf("%s@%d", name, ss.compileSeq)}
+	ss.entries[name] = ent
 	ss.cmu.Unlock()
 	ss.coldCompiles.Add(1)
 	return res, nil
@@ -318,33 +309,18 @@ func (ss *ShardedServer) guarded(plan func(*mal.Session) *mal.Result) func(*mal.
 	}
 }
 
-// InvalidateTable bumps one table's epoch everywhere: compiled shard plans
-// that read it are dropped (lazily, at next lookup), and the coordinator's
-// and every shard server's plan caches do their own per-table invalidation.
-// Templates and compiled plans over other tables stay warm.
-func (ss *ShardedServer) InvalidateTable(name string) {
-	ss.cmu.Lock()
-	ss.epochs[name]++
-	ss.cmu.Unlock()
-	ss.coord.InvalidateTable(name)
-	for _, sh := range ss.shards {
-		sh.InvalidateTable(name)
-	}
-}
-
 // Ingest applies a catalog mutation (typically bat.AppendDelta calls against
-// the global and shard tables) and invalidates the named tables. The write
-// lock excludes cold compiles while the mutation runs — in-flight warm
-// executions are unaffected, they read compile-time snapshots — and the
-// epoch bumps afterwards retire exactly the plans that read the mutated
-// tables. Queries executing concurrently with Ingest see either the old or
-// the new generation, never a mix; queries arriving after Ingest returns
-// see the new rows.
+// the global and shard tables) and publishes one catalog version in which the
+// named tables changed. The write lock excludes cold compiles and live plan
+// closures while the mutation runs — in-flight warm executions are
+// unaffected, they read compile-time snapshots — and the publish inside it
+// retires exactly the compiled plans and templates that read the mutated
+// tables, and starts fresh flights and batch groups. Queries executing
+// concurrently with Ingest see either the old or the new generation, never
+// a mix; queries arriving after Ingest returns see the new rows.
 func (ss *ShardedServer) Ingest(tables []string, apply func()) {
 	ss.ingestMu.Lock()
 	apply()
+	ss.vers.Publish(tables)
 	ss.ingestMu.Unlock()
-	for _, tab := range tables {
-		ss.InvalidateTable(tab)
-	}
 }

@@ -41,10 +41,13 @@ func TestAppendTailReproducesFullInstance(t *testing.T) {
 	}
 
 	sdb := ShardDB(pre, 3)
-	genBefore := sdb.Shards[0].Orders.Gen()
+	rowsBefore, colBefore := sdb.Shards[0].Orders.Rows(), sdb.Shards[0].Orders.Col("o_orderkey")
 	sdb.AppendTail(full)
-	if g := sdb.Shards[0].Orders.Gen(); g <= genBefore {
-		t.Fatalf("append did not bump shard generation (%d -> %d)", genBefore, g)
+	if n := sdb.Shards[0].Orders.Rows(); n <= rowsBefore {
+		t.Fatalf("append did not grow shard 0's orders (%d -> %d rows)", rowsBefore, n)
+	}
+	if colBefore.Len() != rowsBefore {
+		t.Fatal("append wrote into the column a reader resolved before it (not copy-on-append)")
 	}
 
 	want := ShardDB(full, 3)
@@ -65,11 +68,12 @@ func TestAppendTailReproducesFullInstance(t *testing.T) {
 		}
 	}
 
-	// Appending an already-complete instance is a no-op.
-	gen := sdb.Shards[0].Orders.Gen()
+	// Appending an already-complete instance is a no-op: not even the
+	// column set is swapped.
+	col := sdb.Shards[0].Orders.Col("o_orderkey")
 	sdb.AppendTail(full)
-	if g := sdb.Shards[0].Orders.Gen(); g != gen {
-		t.Fatalf("no-op append bumped generation %d -> %d", gen, g)
+	if sdb.Shards[0].Orders.Col("o_orderkey") != col {
+		t.Fatal("no-op append swapped the column set")
 	}
 }
 

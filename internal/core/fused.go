@@ -24,8 +24,20 @@ import (
 //
 // Every ops.ErrFusedUnsupported return happens before any device work is
 // enqueued, so the executor's fall-back to the unfused members is free of
-// fused side effects.
-func (e *Engine) Fused(op *ops.FusedOp) (*bat.BAT, error) {
+// fused side effects. A grouped region runs in fusedGrouped.
+func (e *Engine) Fused(op *ops.FusedOp) ([]*bat.BAT, error) {
+	if len(op.Keys) > 0 {
+		return e.fusedGrouped(op)
+	}
+	res, err := e.fusedExpr(op)
+	if err != nil {
+		return nil, err
+	}
+	return []*bat.BAT{res}, nil
+}
+
+// fusedExpr runs a single-exit region.
+func (e *Engine) fusedExpr(op *ops.FusedOp) (*bat.BAT, error) {
 	if op.HasAgg && op.Agg != ops.Sum && op.Agg != ops.Count {
 		return nil, ops.ErrFusedUnsupported
 	}

@@ -19,6 +19,12 @@ import (
 // short runs, is numbered inside its runs instead (kernels.GroupByRuns), to
 // the same ids.
 func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
+	return e.group(col, grp, ngrp, nil)
+}
+
+// group is Group over keys whose measurement is given, when measured is not
+// nil — a grouped region the rule refused hands on what it measured.
+func (e *Engine) group(col, grp *bat.BAT, ngrp int, measured *kernels.KeySpace) (*bat.BAT, int, error) {
 	if col.T == bat.Void {
 		return nil, 0, fmt.Errorf("core: grouping a void column %q is meaningless", col.Name)
 	}
@@ -46,8 +52,10 @@ func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 		}
 		wait = append(wait, prevWait...)
 	}
-	ks, err := e.measureKeys(colBuf, prevBuf, ngrp, n, orderedKeys(col), wait)
-	if err != nil {
+	var ks kernels.KeySpace
+	if measured != nil {
+		ks = *measured
+	} else if ks, err = e.measureKeys(colBuf, prevBuf, ngrp, n, orderedKeys(col), wait); err != nil {
 		return nil, 0, err
 	}
 	var gids *cl.Buffer

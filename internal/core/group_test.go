@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -270,6 +271,9 @@ func TestGroupAddressingPaths(t *testing.T) {
 					t.Fatalf("%s on %s, %v path: %d groups, baseline %d; same partition: %v",
 						c.name, e.Name(), path, groups, refGroups, samePartition(ids, ref))
 				}
+				if path == pathIdentity && !numberedInOrder(ids, c.keys, c.prev, true) {
+					t.Fatalf("%s on %s: identity-path ids are not numbered key-major", c.name, e.Name())
+				}
 				if path != pathSort && path != pathRuns {
 					continue
 				}
@@ -279,8 +283,8 @@ func TestGroupAddressingPaths(t *testing.T) {
 				if !slices.Equal(ids, sortIDs) {
 					t.Fatalf("%s on %s: %v-path ids differ from the first engine's sort path", c.name, e.Name(), path)
 				}
-				if !numberedInKeyOrder(ids, c.keys, c.prev) {
-					t.Fatalf("%s on %s: %v-path ids are not in composite-key order", c.name, e.Name(), path)
+				if !numberedInOrder(ids, c.keys, c.prev, false) {
+					t.Fatalf("%s on %s: %v-path ids are not numbered prev-major", c.name, e.Name(), path)
 				}
 			}
 
@@ -319,9 +323,11 @@ func TestGroupAddressingPaths(t *testing.T) {
 	}
 }
 
-// numberedInKeyOrder reports whether ids number the distinct (prev, key)
-// pairs 0, 1, 2, … in ascending (prev, key) order.
-func numberedInKeyOrder(ids []uint32, keys, prev []int32) bool {
+// numberedInOrder reports whether ids number the distinct (prev, key) pairs
+// 0, 1, 2, … in ascending order: prev-major, (prev, key) order, as the sort
+// and run paths number them, or key-major, (key, prev) order, as identity
+// addressing does.
+func numberedInOrder(ids []uint32, keys, prev []int32, keyMajor bool) bool {
 	type row struct {
 		p, k int32
 		id   uint32
@@ -334,16 +340,10 @@ func numberedInKeyOrder(ids []uint32, keys, prev []int32) bool {
 		}
 	}
 	slices.SortFunc(rows, func(a, b row) int {
-		if a.p != b.p {
-			return int(a.p) - int(b.p)
+		if keyMajor {
+			return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.p, b.p))
 		}
-		if a.k != b.k {
-			if a.k < b.k {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.p, b.p), cmp.Compare(a.k, b.k))
 	})
 	next := uint32(0)
 	for i, r := range rows {

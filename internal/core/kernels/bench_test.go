@@ -285,6 +285,135 @@ func fillRuns(r *rand.Rand, col, prev []int32, run int) uint32 {
 	return uint32(id + 1)
 }
 
+// BenchmarkGroupRegion: TPC-H Q1's grouping and ten aggregates over a
+// Q1-shaped input — 600 000 rows, a key of three codes refined by a key of
+// two (one of the six combinations absent), five float columns — run as a
+// grouped region (KeyRanges, GroupRegionFold, GroupRegionFinal) and as the
+// kernels of the chained members (per grouping a measurement, the identity
+// build and a look-up; per aggregate a partials pass), alternated within each
+// iteration. The first round checks that both give the same result bytes.
+func BenchmarkGroupRegion(b *testing.B) {
+	e := benchEnv(b)
+	const n = 600_000
+	_, _, gsz := Geometry(e.dev)
+	r := rand.New(rand.NewSource(13))
+	rf, ls := e.buf(b, n+1), e.buf(b, n+1)
+	var f [5]*cl.Buffer // qty, price, disc, disc price, charge
+	for c := range f {
+		f[c] = e.buf(b, n+1)
+	}
+	for i := 0; i < n; i++ {
+		k := r.Intn(5)
+		if k >= 3 {
+			k++ // code 3, rf 0 under ls 1, never occurs
+		}
+		rf.I32()[i], ls.I32()[i] = int32(k%3), int32(k/3)
+		qty, price, disc, tax := float32(1+r.Intn(50)), 900+r.Float32()*100_000, float32(r.Intn(11))/100, float32(r.Intn(9))/100
+		dp := price * (1 - disc)
+		f[0].F32()[i], f[1].F32()[i], f[2].F32()[i], f[3].F32()[i], f[4].F32()[i] = qty, price, disc, dp, dp*(1+tax)
+	}
+	// Q1's aggregates: min rf, min ls, sum qty, price, disc price, charge, avg
+	// qty, price, disc, count.
+	const outs = 10
+	var want, got [outs]*cl.Buffer
+	var scratch [outs][4]*cl.Buffer // partials; an average's sums, counts and their partials
+	for i := range want {
+		want[i], got[i] = e.buf(b, 8), e.buf(b, 8)
+		scratch[i] = [4]*cl.Buffer{e.buf(b, 6*SumChunks+1), e.buf(b, 8), e.buf(b, 8), e.buf(b, 6*SumChunks+1)}
+	}
+	parts, spine, total := e.buf(b, KeyRangesWords(e.dev, n, 2)), e.buf(b, gsz+2), e.buf(b, 1)
+	bitsBuf, rank := e.buf(b, 8), e.buf(b, 8)
+	ids1, ids2 := e.buf(b, n+1), e.buf(b, n+1)
+
+	group := func(col, prev, ids *cl.Buffer, nprev uint32) int {
+		if err := KeyRange(e.q, parts, col, prev, n, nil).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		ks := FoldKeyRange(e.dev, parts.U32(), n, nprev)
+		words := IdentityWords(e.dev, n, ks.Range())
+		tab := Slots{Bits: bitsBuf, Rank: rank, Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
+		zero := Fill(e.q, tab.Bits, words, 0, nil)
+		set := IdentitySet(e.q, tab, col, prev, n, []*cl.Event{zero})
+		if err := IdentityRank(e.q, tab, spine, total, words, []*cl.Event{set}).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		if err := HashLookupGids(e.q, ids, tab, col, prev, n, nil).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		return int(total.U32()[0])
+	}
+	chained := func() int {
+		ng := group(ls, ids1, ids2, uint32(group(rf, nil, ids1, 1)))
+		sum := func(i, c int) *cl.Event {
+			return GroupedSumF32(e.q, want[i], f[c], ids2, scratch[i][0], n, ng, nil)
+		}
+		count := func(dst, parts *cl.Buffer) *cl.Event {
+			return GroupedAggI32(e.q, dst, nil, ids2, parts, ops.Sum, n, ng, nil)
+		}
+		evs := []*cl.Event{
+			GroupedAggI32(e.q, want[0], rf, ids2, scratch[0][0], ops.Min, n, ng, nil),
+			GroupedAggI32(e.q, want[1], ls, ids2, scratch[1][0], ops.Min, n, ng, nil),
+			sum(2, 0), sum(3, 1), sum(4, 3), sum(5, 4), count(want[9], scratch[9][0]),
+		}
+		for i, c := range []int{0, 1, 2} { // the averages: a sum, a count, a division
+			s := GroupedSumF32(e.q, scratch[6+i][1], f[c], ids2, scratch[6+i][0], n, ng, nil)
+			k := count(scratch[6+i][2], scratch[6+i][3])
+			evs = append(evs, DivF32I32(e.q, want[6+i], scratch[6+i][1], scratch[6+i][2], ng, []*cl.Event{s, k}))
+		}
+		if err := cl.WaitAll(evs...); err != nil {
+			b.Fatal(err)
+		}
+		return ng
+	}
+	keys := []*cl.Buffer{rf, ls}
+	code, present := e.buf(b, n+1), e.buf(b, 1)
+	accs := []RegionAcc{{Kind: ops.Sum, Parts: e.buf(b, 6*SumChunks+1)}}
+	for c := range f {
+		accs = append(accs, RegionAcc{Kind: ops.Sum, Float: true, Vals: f[c], Parts: e.buf(b, 6*SumChunks+1)})
+	}
+	region := func() int {
+		if err := KeyRanges(e.q, parts, keys, n, nil).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		ks := FoldKeyRanges(e.dev, parts.U32(), n, 2)
+		codes := int((ks[0].Span + 1) * (ks[1].Span + 1))
+		present.U32()[0] = 0
+		if err := GroupRegionFold(e.q, code, present, keys, ks, accs, n, codes, nil).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		ng := bits.OnesCount32(present.U32()[0])
+		ro := []RegionOut{{Dst: got[0], Acc: -1, Key: 0}, {Dst: got[1], Acc: -1, Key: 1},
+			{Dst: got[2], Acc: 1}, {Dst: got[3], Acc: 2}, {Dst: got[4], Acc: 4}, {Dst: got[5], Acc: 5},
+			{Dst: got[6], Acc: 1, Avg: true}, {Dst: got[7], Acc: 2, Avg: true}, {Dst: got[8], Acc: 3, Avg: true},
+			{Dst: got[9], Acc: 0}}
+		if err := GroupRegionFinal(e.q, present, ks, accs, ro, codes, nil).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		return ng
+	}
+	var spent [2]time.Duration
+	for i := -1; i < b.N; i++ { // round -1 checks, untimed
+		start := time.Now()
+		ng := region()
+		mid := time.Now()
+		if chained() != ng {
+			panic("BenchmarkGroupRegion: the region and the chain count different groups")
+		}
+		if i >= 0 {
+			spent[0] += mid.Sub(start)
+			spent[1] += time.Since(mid)
+			continue
+		}
+		for o := range want {
+			if !slices.Equal(want[o].U32()[:ng], got[o].U32()[:ng]) {
+				panic(fmt.Sprintf("BenchmarkGroupRegion: aggregate %d differs from the chain's", o))
+			}
+		}
+	}
+	b.ReportMetric(float64(spent[0].Nanoseconds())/float64(b.N)/n, "region-ns/row")
+	b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N)/n, "chained-ns/row")
+}
+
 // BenchmarkBitmapOps: combining, counting and materialising bitmaps with 1 %
 // and 50 % of their bits set.
 func BenchmarkBitmapOps(b *testing.B) {

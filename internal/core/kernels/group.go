@@ -41,8 +41,9 @@ func GroupIDsFromScan(q *cl.Queue, ids, excl, flags *cl.Buffer, n int, wait []*c
 // instead packs each row's composite key into one word, radix-sorts (code,
 // row) with the §4.1.3 sort over only the passes the measured range needs,
 // flags the run boundaries, scans them and scatters the ids back to row
-// order. Ids come out in composite-key order on every device and thread
-// count; nothing can fail, so there is no fail word and no restart.
+// order. Ids come out in code order — prev-major, (previous id, key) — on
+// every device and thread count, where identity addressing numbers the same
+// pairs key-major; nothing can fail, so there is no fail word and no restart.
 
 // Refining a clustered grouping inside its runs. When the previous ids are
 // non-decreasing in row order, the rows of one previous id are one run and the
@@ -178,8 +179,10 @@ func estimateDistinct(ks KeySpace, sample []uint32, n int) int {
 	return int(min(uint64(n), ks.Range(), uint64(seen+once*(once-1)/(2*(twice+1)))))
 }
 
-// code packs composite key (k, b) into one word, second-word-major, so that
-// code order is (b, k) order. Only valid when ks.Range() fits a word.
+// code packs composite key (k, b) into one word, second-word-major — code =
+// b·(Span+1) + k − Min — so that code order is (b, k) order: prev-major, where
+// identity addressing's bit (k − Min)·Prev + b is key-major. Only valid when
+// ks.Range() fits a word.
 func (ks KeySpace) code(k, b uint32) uint32 { return b*(ks.Span+1) + (k - ks.Min) }
 
 // GroupSortScratch is the working memory of GroupBySort: two (code, row)

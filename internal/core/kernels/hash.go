@@ -84,8 +84,10 @@ func TableCapacity(n int) int {
 // structure under one of two addressings. Hashed (§4.1.4): State/Keys1/
 // (Keys2)/SlotGid over Capacity slots. Identity (Bits != nil): key word k of
 // a key (k, b) owns bit (k-Min)*Prev + b of Bits, and its dense id is the
-// number of set bits before it — Rank[word] plus a popcount — so ids come out
-// in key order whatever the thread count.
+// number of set bits before it — Rank[word] plus a popcount — so ids number
+// the keys key-major, in (k, b) order, whatever the thread count. (The sort
+// and run paths number the same pairs prev-major, in (b, k) order:
+// KeySpace.code.)
 type Slots struct {
 	State, Keys1, Keys2, SlotGid *cl.Buffer
 	Capacity                     int
@@ -272,26 +274,54 @@ func (k KeySpace) Range() uint64 { return (uint64(k.Span) + 1) * uint64(k.Prev) 
 // The decision is taken from this measurement, never from load-time statistics
 // an append can make stale. partials needs KeyRangeWords words.
 func KeyRange(q *cl.Queue, partials, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	return keyRange(q, partials, col, prev, nil, n, wait)
+}
+
+// KeyRanges is KeyRange over the key columns of a grouped region, none of
+// them refining previous ids: cols[0] is measured exactly as KeyRange
+// measures a single-word key, into the same words, and the min and max of
+// every later column follow, two words per work-item and column. partials
+// needs KeyRangesWords words; FoldKeyRanges folds them.
+func KeyRanges(q *cl.Queue, partials *cl.Buffer, cols []*cl.Buffer, n int, wait []*cl.Event) *cl.Event {
+	return keyRange(q, partials, cols[0], nil, cols[1:], n, wait)
+}
+
+// KeyRangesWords is the size of KeyRanges' partials buffer over keys columns.
+func KeyRangesWords(dev *cl.Device, n, keys int) int {
+	_, _, gsz := Geometry(dev)
+	return KeyRangeWords(dev, n) + 2*gsz*(keys-1)
+}
+
+func keyRange(q *cl.Queue, partials, col, prev *cl.Buffer, more []*cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	src, p := col.I32()[:n], partials.I32()
 	var pv []int32
-	streamed := int64(n) * 4
+	streamed := int64(n) * 4 * int64(1+len(more))
 	if prev != nil {
 		// shortRuns reads all of prev when its ids come in short runs —
 		// the input the run path takes — and a few rows otherwise.
 		pv = prev.I32()[:n]
 		streamed += int64(n) * 4
 	}
+	others := make([][]int32, len(more))
+	for k, c := range more {
+		others[k] = c.I32()[:n]
+	}
 	_, _, gsz := Geometry(q.Device())
 	samples, stride := keySampleLen(n), keySampleStride(n)
 	sample := p[3*gsz : 3*gsz+2*samples]
+	base := KeyRangeWords(q.Device(), n)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		g := 3 * t.Global
 		p[g], p[g+1] = minMaxI32(src, t)
 		p[g+2] = shortRuns(pv, t)
 		slo, shi := t.ChunkSpan(samples)
 		copyKeySample(sample, src, pv, slo, shi, stride)
+		for k, o := range others {
+			m := base + 2*(k*gsz+t.Global)
+			p[m], p[m+1] = minMaxI32(o, t)
+		}
 	}, launch(q.Device(), "key_range", cl.Cost{
-		BytesStreamed: streamed, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2,
+		BytesStreamed: streamed, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2 * int64(1+len(more)),
 	}, wait))
 }
 
@@ -351,6 +381,24 @@ func FoldKeyRange(dev *cl.Device, partials []uint32, n int, nprev uint32) KeySpa
 	ks := KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev, Runs: runs}
 	if r := ks.Range(); r <= 1<<32 && IdentityWords(dev, n, r) == 0 {
 		ks.Distinct = estimateDistinct(ks, partials[3*gsz:], n)
+	}
+	return ks
+}
+
+// FoldKeyRanges folds KeyRanges' partials over n rows of keys columns, read
+// back to the host: the first key's KeySpace is the one FoldKeyRange gives a
+// single-word key, the later ones carry their range alone.
+func FoldKeyRanges(dev *cl.Device, partials []uint32, n, keys int) []KeySpace {
+	_, _, gsz := Geometry(dev)
+	ks := make([]KeySpace, keys)
+	ks[0] = FoldKeyRange(dev, partials, n, 1)
+	for j := 1; j < keys; j++ {
+		p := partials[KeyRangeWords(dev, n)+2*gsz*(j-1):]
+		lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+		for i := 0; i < 2*gsz; i += 2 {
+			lo, hi = min(lo, int32(p[i])), max(hi, int32(p[i+1]))
+		}
+		ks[j] = KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: 1}
 	}
 	return ks
 }

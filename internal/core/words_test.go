@@ -114,7 +114,7 @@ func TestSelectionShapes(t *testing.T) {
 					for _, f := range chain {
 						op.Filters = append(op.Filters, f.f)
 					}
-					fused, err := e.Fused(op)
+					fused, err := e.fusedExpr(op)
 					if err != nil {
 						t.Fatalf("%s: fused: %v", name, err)
 					}
@@ -297,7 +297,7 @@ func TestFusedProgram(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: unfused: %v", name, err)
 				}
-				got, err := e.Fused(&ops.FusedOp{Cand: cand, Nodes: g.nodes})
+				got, err := e.fusedExpr(&ops.FusedOp{Cand: cand, Nodes: g.nodes})
 				if err != nil {
 					t.Fatalf("%s: fused: %v", name, err)
 				}
@@ -305,7 +305,7 @@ func TestFusedProgram(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotSum, err := e.Fused(&ops.FusedOp{Cand: cand, Nodes: g.nodes, HasAgg: true, Agg: ops.Sum})
+				gotSum, err := e.fusedExpr(&ops.FusedOp{Cand: cand, Nodes: g.nodes, HasAgg: true, Agg: ops.Sum})
 				if err != nil {
 					t.Fatalf("%s: fused sum: %v", name, err)
 				}

@@ -754,7 +754,7 @@ func (v view) BinopConst(op ops.Bin, a *bat.BAT, c float64, constFirst bool) (*b
 // same shape for the same reason, so retrying elsewhere would only migrate
 // every input across PCIe for nothing before the executor falls back to the
 // unfused members anyway.
-func (v view) Fused(op *ops.FusedOp) (*bat.BAT, error) {
+func (v view) Fused(op *ops.FusedOp) ([]*bat.BAT, error) {
 	h := v.h
 	inputs := op.Inputs()
 	var bytes int64
@@ -762,14 +762,9 @@ func (v view) Fused(op *ops.FusedOp) (*bat.BAT, error) {
 		bytes += batBytes(b)
 	}
 	unsupported := func(err error) bool { return errors.Is(err, ops.ErrFusedUnsupported) }
-	outs, err := h.chain(v.pin, "fused", inputs, bytes, unsupported, func(d *Dev) ([]*bat.BAT, error) {
-		r, err := d.Eng.Fused(op)
-		return []*bat.BAT{r}, err
+	return h.chain(v.pin, "fused", inputs, bytes, unsupported, func(d *Dev) ([]*bat.BAT, error) {
+		return d.Eng.Fused(op)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
 }
 
 // OIDUnion routes the disjunction combine.

@@ -331,7 +331,7 @@ func (s *Session) step(in *PInstr, o ops.Operators) {
 		if fe, ok := o.(ops.FusedOperators); ok {
 			res, err := fe.Fused(s.resolveFused(in.Fuse))
 			if err == nil {
-				s.bind(in, res)
+				s.bind(in, res...)
 				return
 			}
 			if !errors.Is(err, ops.ErrFusedUnsupported) {
@@ -340,9 +340,9 @@ func (s *Session) step(in *PInstr, o ops.Operators) {
 		}
 		// The engine cannot run this region as one kernel (or is not
 		// fusion-capable, e.g. a template falling back): interpret the
-		// member instructions unfused. The region root's results are the
-		// fused instruction's own placeholders, so binding happens at the
-		// root member.
+		// member instructions unfused. The region's results are the fused
+		// instruction's own placeholders — the root's, or a grouped region's
+		// aggregates' — so binding happens at those members.
 		for _, m := range in.Sub {
 			s.step(m, o)
 		}
@@ -379,6 +379,16 @@ func (s *Session) resolveFused(f *ops.FusedOp) *ops.FusedOp {
 		Nodes:   append([]ops.FusedNode(nil), f.Nodes...),
 		HasAgg:  f.HasAgg,
 		Agg:     f.Agg,
+	}
+	if len(f.Keys) > 0 {
+		out.Keys = make([]*bat.BAT, len(f.Keys))
+		for i, k := range f.Keys {
+			out.Keys[i] = s.resolve(k)
+		}
+		out.Aggs = append([]ops.FusedAgg(nil), f.Aggs...)
+		for i := range out.Aggs {
+			out.Aggs[i].Vals = s.resolve(out.Aggs[i].Vals)
+		}
 	}
 	for i := range out.Filters {
 		out.Filters[i].Col = s.resolve(out.Filters[i].Col)

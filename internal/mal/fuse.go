@@ -25,6 +25,12 @@
 //     scalar constants are baked into the region descriptor, which a cached
 //     template could not re-bind.
 //
+// A grouped region is the second shape (tryGroupRegion): a chain of group
+// instructions starting from no previous grouping, each link's ids and count
+// read only by the next link, and the last link's only by aggregates. Its
+// exits are the aggregates' results; the engine folds them by key code
+// without materialising any ids (core.Engine.fusedGrouped).
+//
 // Values the region reads from outside stay on the fused instruction's Args,
 // so liveness (release insertion) and plan-level placement see exactly the
 // external inputs: placement costs a fused region as one instruction with
@@ -33,6 +39,8 @@
 package mal
 
 import (
+	"slices"
+
 	"repro/internal/bat"
 	"repro/internal/ops"
 )
@@ -45,12 +53,13 @@ func (s *Session) fusePass(batch []*PInstr, outputs []*bat.BAT) []*PInstr {
 		return batch
 	}
 	b := &fuseBuilder{
-		s:         s,
-		producer:  map[*bat.BAT]*PInstr{},
-		consumers: map[*bat.BAT][]*PInstr{},
-		outSet:    map[*bat.BAT]bool{},
-		claimed:   map[*PInstr]bool{},
-		pos:       map[*PInstr]int{},
+		s:           s,
+		producer:    map[*bat.BAT]*PInstr{},
+		consumers:   map[*bat.BAT][]*PInstr{},
+		slotReaders: map[int][]*PInstr{},
+		outSet:      map[*bat.BAT]bool{},
+		claimed:     map[*PInstr]bool{},
+		pos:         map[*PInstr]int{},
 	}
 	for i, in := range batch {
 		b.pos[in] = i
@@ -63,15 +72,26 @@ func (s *Session) fusePass(batch []*PInstr, outputs []*bat.BAT) []*PInstr {
 		for _, r := range in.Rets {
 			b.producer[r] = in
 		}
+		if in.NgrpRef >= 0 {
+			slot := s.canonSlot(in.NgrpRef)
+			b.slotReaders[slot] = append(b.slotReaders[slot], in)
+		}
 	}
 	for _, o := range outputs {
 		b.outSet[s.canon(o)] = true
 	}
 
+	// Grouped regions first: their members are never part of the other
+	// shape, whose regions may still read their results.
+	replaced := map[*PInstr]*PInstr{}
+	for _, in := range batch {
+		if at, f := b.tryGroupRegion(in); f != nil {
+			replaced[at] = f
+		}
+	}
 	// Roots are visited last-to-first so a chain's outermost consumer claims
 	// the maximal region; an inner instruction left unclaimed by a failed
 	// outer region still gets its own chance.
-	replaced := map[*PInstr]*PInstr{}
 	for i := len(batch) - 1; i >= 0; i-- {
 		in := batch[i]
 		if b.claimed[in] {
@@ -101,12 +121,13 @@ func (s *Session) fusePass(batch []*PInstr, outputs []*bat.BAT) []*PInstr {
 // fuseBuilder carries the fragment-wide maps plus the state of the region
 // currently being grown.
 type fuseBuilder struct {
-	s         *Session
-	producer  map[*bat.BAT]*PInstr
-	consumers map[*bat.BAT][]*PInstr
-	outSet    map[*bat.BAT]bool
-	claimed   map[*PInstr]bool
-	pos       map[*PInstr]int
+	s           *Session
+	producer    map[*bat.BAT]*PInstr
+	consumers   map[*bat.BAT][]*PInstr
+	slotReaders map[int][]*PInstr // instructions reading a group count, by canonical slot
+	outSet      map[*bat.BAT]bool
+	claimed     map[*PInstr]bool
+	pos         map[*PInstr]int
 
 	// Per-region state, reset by tryRegion.
 	members map[*PInstr]bool
@@ -178,30 +199,110 @@ func (b *fuseBuilder) tryRegion(root *PInstr) *PInstr {
 	if len(b.members) < 2 {
 		return nil // fusing a single operator eliminates nothing
 	}
-
 	sub := make([]*PInstr, 0, len(b.members))
 	for m := range b.members {
 		sub = append(sub, m)
+	}
+	return b.fused(sub, spec, root.Rets)
+}
+
+// fused claims the members of a region and returns the OpFused instruction
+// standing for them, with rets as its results.
+func (b *fuseBuilder) fused(sub []*PInstr, spec *ops.FusedOp, rets []*bat.BAT) *PInstr {
+	for _, m := range sub {
 		b.claimed[m] = true
 	}
 	// Plan order, so the unfused fall-back interprets a valid SSA sequence.
-	for i := 1; i < len(sub); i++ {
-		for j := i; j > 0 && b.pos[sub[j-1]] > b.pos[sub[j]]; j-- {
-			sub[j-1], sub[j] = sub[j], sub[j-1]
-		}
-	}
+	b.planOrder(sub)
 
 	// Externals — everything the region reads that it does not produce —
 	// become the fused instruction's Args, so liveness and placement see
 	// exactly what the engine will read.
 	f := &PInstr{
-		ID: b.s.nextID, Kind: OpFused, Module: root.Module,
-		Args: spec.Inputs(), Rets: root.Rets,
+		ID: b.s.nextID, Kind: OpFused, Module: sub[0].Module,
+		Args: spec.Inputs(), Rets: rets,
 		NgrpRef: -1, NSlot: -1,
 		Fuse: spec, Sub: sub,
 	}
 	b.s.nextID++
 	return f
+}
+
+func (b *fuseBuilder) planOrder(ins []*PInstr) {
+	slices.SortFunc(ins, func(x, y *PInstr) int { return b.pos[x] - b.pos[y] })
+}
+
+// tryGroupRegion grows the grouped region whose chain starts at head, a
+// group instruction over no previous grouping, and returns the OpFused
+// instruction standing for it with the member whose place it takes: the
+// region's last in plan order. The chain goes on from a link while its ids
+// and its group count are read by one instruction, the next link, and ends at
+// a link whose ids and count only aggregates over those ids read. No ids
+// escape or cross a host boundary, the keys are int32 and the aggregated
+// values numeric where the pass can see their types, and every reader of an
+// aggregate comes after the region's last member, where the region runs.
+func (b *fuseBuilder) tryGroupRegion(head *PInstr) (at, f *PInstr) {
+	if head.Kind != OpGroup || head.Args[1] != nil || head.NgrpRef >= 0 {
+		return nil, nil
+	}
+	canon := b.s.canon
+	spec := &ops.FusedOp{}
+	var members, aggs []*PInstr
+	for link := head; aggs == nil; {
+		ids, slot := link.Rets[0], b.s.canonSlot(link.NSlot)
+		if b.claimed[link] || len(link.Params) > 0 || link.NSlot < 0 || b.outSet[ids] || !b.intKey(link.Args[0]) {
+			return nil, nil
+		}
+		members = append(members, link)
+		spec.Keys = append(spec.Keys, canon(link.Args[0]))
+		readers, counted := b.consumers[ids], b.slotReaders[slot]
+		if len(readers) == 0 {
+			return nil, nil
+		}
+		if next := readers[0]; len(readers) == 1 && len(counted) == 1 && counted[0] == next &&
+			next.Kind == OpGroup && canon(next.Args[1]) == ids && canon(next.Args[0]) != ids {
+			link = next
+			continue
+		}
+		for _, r := range readers {
+			if r.Kind != OpAggr || b.claimed[r] || canon(r.Args[1]) != ids || r.Args[0] != nil && canon(r.Args[0]) == ids ||
+				r.NgrpRef < 0 || b.s.canonSlot(r.NgrpRef) != slot || r.Args[0] != nil && !b.numeric(r.Args[0]) {
+				return nil, nil
+			}
+		}
+		for _, r := range counted {
+			if r.Kind != OpAggr || canon(r.Args[1]) != ids {
+				return nil, nil
+			}
+		}
+		aggs = readers
+	}
+	b.planOrder(aggs)
+	last := aggs[len(aggs)-1]
+	rets := make([]*bat.BAT, len(aggs))
+	for i, a := range aggs {
+		for _, c := range b.consumers[a.Rets[0]] {
+			if b.pos[c] <= b.pos[last] {
+				return nil, nil
+			}
+		}
+		rets[i] = a.Rets[0]
+		spec.Aggs = append(spec.Aggs, ops.FusedAgg{Kind: a.Agg, Vals: canon(a.Args[0])})
+	}
+	return last, b.fused(append(members, aggs...), spec, rets)
+}
+
+// intKey reports whether v may key a grouped region: not known to be other
+// than int32.
+func (b *fuseBuilder) intKey(v *bat.BAT) bool {
+	t, known := b.valueType(v)
+	return v != nil && (!known || t == bat.I32)
+}
+
+// numeric reports whether v is not known to be other than I32 or F32.
+func (b *fuseBuilder) numeric(v *bat.BAT) bool {
+	t, known := b.valueType(v)
+	return !known || t == bat.I32 || t == bat.F32
 }
 
 // candValue returns the region's external candidate for the no-filter shape.

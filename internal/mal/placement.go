@@ -164,6 +164,15 @@ func (e *estimator) model(in *PInstr) (outRows []float64, streamedBytes float64)
 // intermediates that never exist). This is what stops the relaxation from
 // splitting a fused chain across devices.
 func (e *estimator) estimateFused(f *ops.FusedOp) (outRows []float64, streamedBytes float64) {
+	if len(f.Keys) > 0 {
+		// A grouped region streams each key and value column once and
+		// writes one column per aggregate, of the guessed group count.
+		outRows = make([]float64, len(f.Aggs))
+		for i := range outRows {
+			outRows[i] = defaultGroupGuess
+		}
+		return outRows, 4 * e.rowsOf(f.Keys[0]) * float64(len(f.Inputs()))
+	}
 	leaves := 0
 	var firstLeaf *bat.BAT
 	for _, nd := range f.Nodes {
@@ -318,6 +327,14 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 			n.resBytes += 26 * est.rowsOf(in.Args[1])
 		case OpGroup:
 			n.resBytes += 26 * est.rowsOf(in.Args[0])
+		case OpFused:
+			// A grouped region's working state: a code a row and at most
+			// one partials table per aggregate and one for the count, each
+			// no larger than the input under the region's rule — or the
+			// chained grouping's where the rule refuses.
+			if f := in.Fuse; len(f.Keys) > 0 {
+				n.resBytes += float64(max(26, 4*(2+len(f.Aggs)))) * est.rowsOf(f.Keys[0])
+			}
 		case OpSort:
 			n.resBytes += 8 * est.rowsOf(in.Args[0])
 		}

@@ -412,24 +412,16 @@ func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rul
 }
 
 // checkFused re-proves the fusion pass's legality claims for one OpFused
-// instruction: the region is non-trivial, has a single exit, members run in
-// plan order, no interior value escapes, the external inputs are exactly
-// Args, no member binds a parameter, and members are pinned as one unit.
+// instruction: the region is non-trivial, its exits are its root's result or
+// a grouped region's aggregates' (checkGroupChain), members run in plan
+// order, no interior value escapes, the external inputs are exactly Args, no
+// member binds a parameter, and members are pinned as one unit.
 func (s *Session) checkFused(batch []*PInstr, outputs []*bat.BAT, i int, in *PInstr,
 	defined func(*bat.BAT) bool,
 	fail func(int, *PInstr, string, string, ...any) *VerifyError) *VerifyError {
 
 	if in.Fuse == nil || len(in.Sub) < 2 {
 		return fail(i, in, "fused-nonempty", "fused region with %d members (descriptor %v)", len(in.Sub), in.Fuse != nil)
-	}
-	last := in.Sub[len(in.Sub)-1]
-	if len(last.Rets) != len(in.Rets) {
-		return fail(i, in, "fused-single-exit", "exit member returns %d values, region returns %d", len(last.Rets), len(in.Rets))
-	}
-	for k := range last.Rets {
-		if last.Rets[k] != in.Rets[k] {
-			return fail(i, in, "fused-single-exit", "region result %d is not the exit member's result", k)
-		}
 	}
 	for k := 1; k < len(in.Sub); k++ {
 		if in.Sub[k].ID <= in.Sub[k-1].ID {
@@ -439,9 +431,24 @@ func (s *Session) checkFused(batch []*PInstr, outputs []*bat.BAT, i int, in *PIn
 	}
 
 	interior := map[*bat.BAT]bool{}
-	for _, m := range in.Sub[:len(in.Sub)-1] {
-		for _, r := range m.Rets {
-			interior[s.canon(r)] = true
+	if len(in.Fuse.Keys) > 0 {
+		if e := s.checkGroupChain(batch, i, in, interior, fail); e != nil {
+			return e
+		}
+	} else {
+		last := in.Sub[len(in.Sub)-1]
+		if len(last.Rets) != len(in.Rets) {
+			return fail(i, in, "fused-single-exit", "exit member returns %d values, region returns %d", len(last.Rets), len(in.Rets))
+		}
+		for k := range last.Rets {
+			if last.Rets[k] != in.Rets[k] {
+				return fail(i, in, "fused-single-exit", "region result %d is not the exit member's result", k)
+			}
+		}
+		for _, m := range in.Sub[:len(in.Sub)-1] {
+			for _, r := range m.Rets {
+				interior[s.canon(r)] = true
+			}
 		}
 	}
 
@@ -527,6 +534,81 @@ func (s *Session) checkFused(batch []*PInstr, outputs []*bat.BAT, i int, in *PIn
 	for _, o := range outputs {
 		if o != nil && interior[s.canon(o)] {
 			return fail(i, in, "fused-interior-escape", "interior value %q is a fragment output", s.canon(o).Name)
+		}
+	}
+	return nil
+}
+
+// checkGroupChain re-proves a grouped region's shape and fills interior with
+// its group ids: the members are group instructions, the first over no
+// previous grouping and each later one refining the ids and count of the one
+// before, then aggregates over the last one's ids and count, in the order of
+// the descriptor and of the region's results; each link's ids are read only
+// by the next link and the last link's only by the aggregates, as values
+// never; and no instruction outside the region reads a group count of it.
+func (s *Session) checkGroupChain(batch []*PInstr, i int, in *PInstr, interior map[*bat.BAT]bool,
+	fail func(int, *PInstr, string, string, ...any) *VerifyError) *VerifyError {
+
+	chain := func(format string, args ...any) *VerifyError {
+		return fail(i, in, "fused-group-chain", format, args...)
+	}
+	var groups, aggs []*PInstr
+	for _, m := range in.Sub {
+		switch {
+		case m.Kind == OpGroup && aggs == nil:
+			groups = append(groups, m)
+		case m.Kind == OpAggr:
+			aggs = append(aggs, m)
+		default:
+			return chain("member %s in a grouped region", m.OpName())
+		}
+	}
+	f := in.Fuse
+	if len(groups) != len(f.Keys) || len(aggs) != len(f.Aggs) || len(aggs) != len(in.Rets) || len(aggs) == 0 {
+		return chain("%d groupings and %d aggregates for %d keys, %d aggregates and %d results",
+			len(groups), len(aggs), len(f.Keys), len(f.Aggs), len(in.Rets))
+	}
+	slots := map[int]bool{}
+	for j, g := range groups {
+		if s.canon(g.Args[0]) != f.Keys[j] {
+			return chain("link %d does not group the descriptor's key %d", j, j)
+		}
+		if j == 0 && (g.Args[1] != nil || g.NgrpRef >= 0) {
+			return chain("the first link refines a previous grouping")
+		}
+		if j > 0 && (s.canon(g.Args[1]) != groups[j-1].Rets[0] || g.NgrpRef < 0 || s.canonSlot(g.NgrpRef) != s.canonSlot(groups[j-1].NSlot)) {
+			return chain("link %d does not refine link %d's ids and count", j, j-1)
+		}
+		interior[g.Rets[0]] = true
+		slots[s.canonSlot(g.NSlot)] = true
+	}
+	last := groups[len(groups)-1]
+	for k, a := range aggs {
+		if s.canon(a.Args[1]) != last.Rets[0] || a.NgrpRef < 0 || s.canonSlot(a.NgrpRef) != s.canonSlot(last.NSlot) {
+			return chain("aggregate %d (%s) is not over the last link's ids and count", k, a.OpName())
+		}
+		if in.Rets[k] != a.Rets[0] || f.Aggs[k].Kind != a.Agg || f.Aggs[k].Vals != s.canon(a.Args[0]) {
+			return chain("aggregate %d (%s) is not the region's result %d", k, a.OpName(), k)
+		}
+	}
+	// The checks above place every read of ids as previous ids or groups;
+	// no member reads ids as its key or values either.
+	for _, m := range in.Sub {
+		if interior[s.canon(m.Args[0])] {
+			return chain("member %s reads group ids as values", m.OpName())
+		}
+	}
+	// Outside the region: no group count (the ids are interior, checked by
+	// the caller). Only Group and Aggr carry one: the rewriter mints Sync
+	// and Release instructions with a zero NgrpRef.
+	for j, other := range batch {
+		if j == i {
+			continue
+		}
+		for _, p := range append([]*PInstr{other}, other.Sub...) {
+			if (p.Kind == OpGroup || p.Kind == OpAggr) && p.NgrpRef >= 0 && slots[s.canonSlot(p.NgrpRef)] {
+				return fail(i, in, "fused-interior-escape", "the region's group count escapes to instr %d (%s)", j, other.OpName())
+			}
 		}
 	}
 	return nil

@@ -205,3 +205,67 @@ func TestVerifyOncePerTemplate(t *testing.T) {
 		t.Fatalf("replays of an unverified template ran the verifier %d times, want exactly 1", d)
 	}
 }
+
+// vtGroupRegion hand-builds the instructions of a two-link grouped region —
+// group(k1), group(k2) refining it, a sum and a count over the ids — and runs
+// the fusion pass over them, which must collapse all four into one region.
+// It returns the session, the rewritten batch, the region and its members.
+func vtGroupRegion(t *testing.T) (s *Session, batch []*PInstr, region *PInstr, g1, g2, sum, cnt *PInstr) {
+	t.Helper()
+	s = vtSession(t, OcelotCPU)
+	k1 := bat.NewI32("k1", []int32{0, 1, 0, 1})
+	k2 := bat.NewI32("k2", []int32{2, 2, 3, 3})
+	v := bat.NewF32("v", []float32{1, 2, 3, 4})
+	group := func(col *bat.BAT, prev *PInstr) *PInstr {
+		var ids *bat.BAT
+		if prev != nil {
+			ids = prev.Rets[0]
+		}
+		g := vtInstr(s, OpGroup, []*bat.BAT{col, ids}, 1)
+		g.NSlot = len(s.slots)
+		s.slots = append(s.slots, -1)
+		if prev != nil {
+			g.NgrpRef = prev.NSlot
+		}
+		return g
+	}
+	g1 = group(k1, nil)
+	g2 = group(k2, g1)
+	sum = vtInstr(s, OpAggr, []*bat.BAT{v, g2.Rets[0]}, 1)
+	sum.Agg, sum.NgrpRef = ops.Sum, g2.NSlot
+	cnt = vtInstr(s, OpAggr, []*bat.BAT{nil, g2.Rets[0]}, 1)
+	cnt.Agg, cnt.NgrpRef = ops.Count, g2.NSlot
+	batch = s.fusePass([]*PInstr{g1, g2, sum, cnt}, []*bat.BAT{sum.Rets[0], cnt.Rets[0]})
+	if len(batch) != 1 || batch[0].Kind != OpFused || len(batch[0].Fuse.Keys) != 2 {
+		t.Fatalf("the fusion pass left %d instructions, want one grouped region", len(batch))
+	}
+	return s, batch, batch[0], g1, g2, sum, cnt
+}
+
+// TestVerifyRejectsEscapingGroupRegion: the verifier re-proves a grouped
+// region's legality. The pass's own region passes; ids that escape to a
+// projection (Q21's shape, where per-group counts are projected back to the
+// rows), a link's ids read inside the region by anything but the next link,
+// and a link's group count read outside the region must each be rejected.
+func TestVerifyRejectsEscapingGroupRegion(t *testing.T) {
+	s, batch, _, _, g2, _, _ := vtGroupRegion(t)
+	check := func(batch []*PInstr) *VerifyError {
+		return s.checkFragment("test", fragment{instrs: batch}, nil, vFuse, false)
+	}
+	if e := check(batch); e != nil {
+		t.Fatalf("the fusion pass's region was rejected: %v", e)
+	}
+
+	base := bat.NewF32("w", []float32{5, 6, 7, 8})
+	escape := vtInstr(s, OpProject, []*bat.BAT{g2.Rets[0], base}, 1)
+	wantRule(t, check(append(batch, escape)), "fused-interior-escape")
+
+	s, batch, _, g1, _, sum, _ := vtGroupRegion(t)
+	sum.Args[1] = g1.Rets[0] // the sum reads the first link's ids
+	wantRule(t, check(batch), "fused-group-chain")
+
+	s, batch, _, g1, _, _, _ = vtGroupRegion(t)
+	outside := vtInstr(s, OpAggr, []*bat.BAT{nil, base}, 1)
+	outside.Agg, outside.NgrpRef = ops.Count, g1.NSlot
+	wantRule(t, check(append(batch, outside)), "fused-interior-escape")
+}

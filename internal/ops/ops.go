@@ -210,12 +210,13 @@ type Operators interface {
 
 // --- Operator fusion ---
 //
-// A FusedOp describes a single-exit region of a query plan — a conjunction
-// of selections over one base domain, an expression tree over columns
-// projected through that selection, and optionally a terminal scalar
-// aggregate — that a fusion-capable engine executes as one generated kernel
-// chain, evaluating the whole expression per element in registers instead of
-// materialising one intermediate column per member operator.
+// A FusedOp describes a region of a query plan that a fusion-capable engine
+// executes as one short kernel chain instead of one kernel and one
+// intermediate column per member operator: either a single-exit region — a
+// conjunction of selections over one base domain, an expression tree over
+// columns projected through that selection, and optionally a terminal scalar
+// aggregate, evaluated per element in registers — or a grouped region, a
+// chain of groupings and the aggregates over its ids, folded by key code.
 
 // ErrFusedUnsupported is returned by FusedOperators.Fused when the engine
 // cannot run this particular region as a fused kernel (for example the
@@ -273,14 +274,18 @@ type FusedFilter struct {
 	Cmp   Cmp
 }
 
-// FusedOp is the engine-neutral descriptor of one fusible region. Exactly
-// one value escapes the region:
+// FusedOp is the engine-neutral descriptor of one fusible region. What
+// escapes the region depends on its shape:
 //
 //   - Filters only (no Nodes): a candidate list — the one-kernel conjunction
 //     of the member selections;
 //   - Nodes, no aggregate: a value column aligned with the region's
 //     candidate (the member projections and arithmetic, fused);
-//   - HasAgg: a 1-row scalar aggregate (Sum or Count) of the expression.
+//   - HasAgg: a 1-row scalar aggregate (Sum or Count) of the expression;
+//   - Keys (a grouped region): one column per entry of Aggs — what
+//     Group(Keys[0], nil, 0), then Group(Keys[j], ids, ngroups) for each
+//     later key, then Aggr over the last ids would return. The ids and group
+//     counts never escape.
 type FusedOp struct {
 	// Cand restricts the domain exactly like a candidate-list argument:
 	// nil means all rows. With Filters present it is ANDed into the fused
@@ -291,6 +296,18 @@ type FusedOp struct {
 	// HasAgg marks a terminal scalar aggregation; Agg is Sum or Count.
 	HasAgg bool
 	Agg    Agg
+	// Keys are a grouped region's key columns, the first link of its chain
+	// of groupings first; Aggs are the aggregates over the chain's ids, in
+	// plan order.
+	Keys []*bat.BAT
+	Aggs []FusedAgg
+}
+
+// FusedAgg is one aggregate of a grouped region: Kind over Vals, which is
+// nil for Count.
+type FusedAgg struct {
+	Kind Agg
+	Vals *bat.BAT
 }
 
 // Inputs returns every column BAT the region reads (deduplicated, nil-free)
@@ -314,6 +331,12 @@ func (f *FusedOp) Inputs() []*bat.BAT {
 			add(n.Col)
 		}
 	}
+	for _, k := range f.Keys {
+		add(k)
+	}
+	for _, a := range f.Aggs {
+		add(a.Vals)
+	}
 	return out
 }
 
@@ -326,10 +349,10 @@ func (f *FusedOp) Inputs() []*bat.BAT {
 type FusedOperators interface {
 	Operators
 
-	// Fused executes the region and returns its single escaping value (see
-	// FusedOp). Engines must produce results bit-identical to running the
-	// member operators unfused.
-	Fused(op *FusedOp) (*bat.BAT, error)
+	// Fused executes the region and returns its escaping values (see
+	// FusedOp): one, or one per aggregate of a grouped region. Engines must
+	// produce results bit-identical to running the member operators unfused.
+	Fused(op *FusedOp) ([]*bat.BAT, error)
 }
 
 // EmptyAggr is the zero-group aggregate result: a grouped aggregate over an

@@ -1,9 +1,11 @@
 // Hybrid placement: the paper's §7 future work, implemented. An ordered
 // set of Ocelot devices (here one CPU and two simulated GPUs) is calibrated
-// with standardized micro-benchmarks; every operator of a query then runs
-// on the device the profiles predict to be cheaper, with intermediates
-// migrating across devices through the §3.4 ownership hand-over and
-// independent plan subtrees spreading across the GPUs. The example runs a
+// with standardized micro-benchmarks; the plan-level placement pass prices
+// every operator of a query on every device from those profiles, pins each
+// to the device where the whole plan costs least, and the hybrid engine runs
+// the pins, with intermediates migrating across devices through the §3.4
+// ownership hand-over and independent plan subtrees spreading across the
+// GPUs. The example runs a
 // TPC-H query under the hybrid configuration, prints the calibrated device
 // table and where each operator was placed, and cross-checks the result
 // against the sequential baseline.

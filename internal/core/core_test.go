@@ -201,6 +201,47 @@ func TestSelectCmpColumns(t *testing.T) {
 	}
 }
 
+// TestSelectCmpOverOIDList: a comparison over a materialised candidate list
+// (what a selection becomes once handed to the host) equals the sequential
+// baseline on the CPU and the GPU model — a sorted list, an empty one, all
+// rows and one row.
+func TestSelectCmpOverOIDList(t *testing.T) {
+	const n = 5000
+	a := i32Col("a", randI32(n, 40, 41))
+	b := i32Col("b", randI32(n, 40, 42))
+	var every3, all []uint32
+	for i := uint32(0); i < n; i++ {
+		if i%3 == 0 {
+			every3 = append(every3, i)
+		}
+		all = append(all, i)
+	}
+	lists := map[string][]uint32{"sorted": every3, "empty": {}, "all": all, "one": {n / 2}}
+	for name, list := range lists {
+		for _, cmp := range []ops.Cmp{ops.Lt, ops.Eq} {
+			want, err := crossMS.SelectCmp(a, b, cmp, oidCol("cand", list))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range engines() {
+				got, err := e.SelectCmp(a, b, cmp, oidCol("cand", list))
+				if err != nil {
+					t.Fatalf("%s, %s list: %v", e.Name(), name, err)
+				}
+				oids := syncedOIDs(t, e, got)
+				if len(oids) != want.Len() {
+					t.Fatalf("%s, %s list, cmp %v: %d rows, MS %d", e.Name(), name, cmp, len(oids), want.Len())
+				}
+				for i, o := range oids {
+					if o != want.OIDAt(i) {
+						t.Fatalf("%s, %s list, cmp %v: row %d is oid %d, MS %d", e.Name(), name, cmp, i, o, want.OIDAt(i))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProjectVariants(t *testing.T) {
 	for _, e := range engines() {
 		col := f32Col("c", []float32{10, 20, 30, 40, 50})

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cl"
 	"repro/internal/core/kernels"
-	"repro/internal/ops"
 )
 
 // Profile is an automatically generated device performance profile — the
@@ -19,23 +18,19 @@ import (
 // Calibrate runs a fixed set of micro-kernels on a device and records the
 // observed rates; the engine then uses the profile to pick between
 // alternative algorithms (today: the radix width of the sort operator,
-// replacing the hard-wired per-class constant) and the hybrid placement
-// layer uses it to cost operators across devices.
+// replacing the hard-wired per-class constant) and the plan-level placement
+// pass (mal.Session.place) uses it to price operators across devices.
 type Profile struct {
 	// Device names the profiled device.
 	Device string
 	// ScanBandwidth is the streaming rate of a bandwidth-bound selection
-	// kernel, in bytes/second.
+	// kernel, in bytes/second (placement's compute price).
 	ScanBandwidth float64
-	// GatherBandwidth is the rate of a data-dependent gather, bytes/second.
-	GatherBandwidth float64
-	// ContendedAtomicRate is the throughput of atomics all hitting a
-	// handful of addresses, operations/second.
-	ContendedAtomicRate float64
 	// SortRows maps radix widths (4 and 8 bits) to measured sort
-	// throughput in rows/second.
+	// throughput in rows/second (RadixBits).
 	SortRows map[int]float64
-	// LaunchOverhead is the observed fixed cost of an empty kernel launch.
+	// LaunchOverhead is the observed fixed cost of an empty kernel launch
+	// (placement's per-instruction price).
 	LaunchOverhead time.Duration
 }
 
@@ -44,7 +39,7 @@ type Profile struct {
 const calibrationRows = 1 << 20
 
 // calibRowsFor shrinks the calibration size on tiny devices so that the
-// ~20 working buffers of the calibration suite fit the capacity.
+// working buffers of the calibration suite fit the capacity.
 func calibRowsFor(dev *cl.Device) int {
 	rows := calibrationRows
 	if dev.GlobalMemSize > 0 {
@@ -165,48 +160,6 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 	}
 	p.ScanBandwidth = rate(4*calibrationRows, d)
 
-	// Gather: data-dependent access.
-	idx, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	iu := idx.U32()
-	perm := rnd.Perm(calibrationRows)
-	for i := range iu[:calibrationRows] {
-		iu[i] = uint32(perm[i])
-	}
-	dst, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	if d, err = timeOp(4, func() *cl.Event {
-		return kernels.Gather(q, dst, col, idx, calibrationRows, nil)
-	}); err != nil {
-		return nil, err
-	}
-	p.GatherBandwidth = rate(4*calibrationRows, d)
-
-	// Contended atomics: a count over 4 groups through the direct-atomic
-	// grouped aggregate — what the engine runs when atomics are its choice.
-	gids, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	gi := gids.I32()
-	for i := range gi[:calibrationRows] {
-		gi[i] = int32(i & 3)
-	}
-	cnt, err := alloc(8)
-	if err != nil {
-		return nil, err
-	}
-	if d, err = timeOp(2, func() *cl.Event {
-		return kernels.GroupedAggI32(q, cnt, nil, gids, nil, ops.Sum, calibrationRows, 4, nil)
-	}); err != nil {
-		return nil, err
-	}
-	p.ContendedAtomicRate = rate(calibrationRows, d)
-
 	// Sort throughput at both candidate radix widths.
 	keys, err := alloc(calibrationRows + 1)
 	if err != nil {
@@ -244,7 +197,7 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 		p.SortRows[bits] = rate(calibrationRows, d)
 	}
 
-	for _, b := range []*cl.Buffer{col, bm, counts, idx, dst, gids, cnt, keys, vals, tmpK, tmpV, hist} {
+	for _, b := range []*cl.Buffer{col, bm, counts, keys, vals, tmpK, tmpV, hist} {
 		_ = b.Release()
 	}
 	return p, nil
@@ -275,9 +228,8 @@ func (p *Profile) RadixBits(dev *cl.Device) int {
 // String renders the profile for tools.
 func (p *Profile) String() string {
 	return fmt.Sprintf(
-		"profile(%s): scan %.1f GB/s, gather %.1f GB/s, contended atomics %.1f M/s, sort r4 %.1f / r8 %.1f Mrows/s, launch %v",
-		p.Device, p.ScanBandwidth/1e9, p.GatherBandwidth/1e9, p.ContendedAtomicRate/1e6,
-		p.SortRows[4]/1e6, p.SortRows[8]/1e6, p.LaunchOverhead)
+		"profile(%s): scan %.1f GB/s, sort r4 %.1f / r8 %.1f Mrows/s, launch %v",
+		p.Device, p.ScanBandwidth/1e9, p.SortRows[4]/1e6, p.SortRows[8]/1e6, p.LaunchOverhead)
 }
 
 // SetProfile attaches a calibrated profile to the engine: the sort operator

@@ -13,7 +13,7 @@ func TestCalibrateBothDevices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name, err)
 		}
-		if p.ScanBandwidth <= 0 || p.GatherBandwidth <= 0 || p.ContendedAtomicRate <= 0 {
+		if p.ScanBandwidth <= 0 || p.LaunchOverhead <= 0 {
 			t.Fatalf("%s: zero rates in %v", dev.Name, p)
 		}
 		if p.SortRows[4] <= 0 || p.SortRows[8] <= 0 {

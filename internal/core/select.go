@@ -77,7 +77,7 @@ func (e *Engine) SelectCmp(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT,
 		return nil, err
 	}
 	if c.list != nil {
-		return nil, fmt.Errorf("core: selectcmp over materialised candidate lists is not supported; project first")
+		return e.selectCmpOnList(a, b, cmp, cand)
 	}
 	ab, waitA, err := e.valuesOf(a)
 	if err != nil {
@@ -97,6 +97,33 @@ func (e *Engine) SelectCmp(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT,
 	e.mm.NoteConsumer(b, ev)
 	e.mm.NoteConsumer(cand, ev)
 	return e.finishBitmapSelection(a.Name, bm, sp, n, ev)
+}
+
+// selectCmpOnList compares over a materialised candidate list: both columns
+// are projected through the list, the projections compared with no
+// candidate, and the surviving positions mapped back through the list.
+func (e *Engine) selectCmpOnList(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT, error) {
+	pa, err := e.Project(cand, a)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Release(pa)
+	pb, err := e.Project(cand, b)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Release(pb)
+	sel, err := e.SelectCmp(pa, pb, cmp, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Release(sel)
+	res, err := e.Project(sel, cand)
+	if err != nil {
+		return nil, err
+	}
+	res.Props.Sorted, res.Props.Key = cand.Props.Sorted, cand.Props.Key
+	return res, nil
 }
 
 // OIDUnion combines two selections disjunctively. When both are bitmaps over

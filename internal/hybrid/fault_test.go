@@ -24,7 +24,7 @@ func gpuDev(t *testing.T, h *Engine) *Dev {
 func TestTransientFailureRetriesSameDevice(t *testing.T) {
 	h := newEngine(t)
 	gpu := gpuDev(t, h)
-	vals := randI32(500_000, 1000, 9) // big enough that the pick is the GPU
+	vals := randI32(500_000, 1000, 9)
 	col := i32Col("c", vals)
 
 	gpu.Eng.Device().InjectFaults(cl.FaultPlan{TransientCommands: []int64{1}})
@@ -91,8 +91,8 @@ func TestDeviceDeathFallsBackAndStaysDead(t *testing.T) {
 		t.Fatalf("fallback select returned %d rows, want %d", sel.Len(), want)
 	}
 
-	// Routing now avoids the corpse: a pin to its label degrades to the
-	// cost model, and fresh unpinned calls never pick it.
+	// Routing now avoids the corpse: a pin to its label degrades to an
+	// unpinned call, and fresh unpinned calls never pick it.
 	col2 := i32Col("c2", randI32(100_000, 1000, 11))
 	sel2, err := h.On(gpu.Label).Select(col2, nil, 0, 99, true, true)
 	if err != nil {

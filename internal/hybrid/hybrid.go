@@ -6,22 +6,23 @@
 // optimizer strategy is required to decide on the actual placement."
 //
 // The Engine here owns an ordered set of Ocelot engines — one per device —
-// calibrates a profile for each (core.Calibrate), and routes every operator
-// call to the device with the lowest estimated cost: streamed bytes over the
-// profiled scan bandwidth, plus the PCIe cost of shipping any inputs that
-// are not already resident on the device. Intermediates stay where they were
+// and calibrates a profile for each (core.Calibrate). It prices nothing: the
+// cost model and the optimizer that uses it are the plan-level placement
+// pass (mal.Session.place), which reads the profiles and pins every compute
+// instruction to a device through On. The engine runs the pins it is given.
+// A call nobody pinned runs where its Ocelot-owned inputs live, or else on
+// the first live device, the CPU. Intermediates stay where they were
 // produced; crossing devices goes through an explicit sync, exactly as the
 // ownership rules of §3.4 prescribe. A device failure (out of device memory)
-// falls back through the *remaining* devices in cost order; if every device
-// refuses, the per-device errors are all reported (errors.Join), none
-// swallowed.
+// falls back through the *remaining* live devices in construction order
+// (CPU, GPU0, GPU1, …); if every device refuses, the per-device errors are
+// all reported (errors.Join), none swallowed.
 //
-// Plan-level placement pins individual calls through On: the returned view
-// routes exactly one caller's operators to a fixed device without touching
-// any engine-global state, so pinned plans cannot leak placement into each
-// other and concurrent sessions can pin independently. With more than one
-// device of a class the instances carry indexed labels (GPU0, GPU1, …) and
-// pins address them individually.
+// A pin lives in the view On returns: it routes exactly one caller's
+// operators to a fixed device without touching any engine-global state, so
+// pinned plans cannot leak placement into each other and concurrent sessions
+// can pin independently. With more than one device of a class the instances
+// carry indexed labels (GPU0, GPU1, …) and pins address them individually.
 package hybrid
 
 import (
@@ -36,8 +37,9 @@ import (
 )
 
 // Dev is one placement target: an Ocelot engine with its calibrated profile
-// and the instance label placement pins address it by ("CPU", "GPU" when the
-// engine has a single GPU, "GPU0"/"GPU1"/… otherwise).
+// (which the placement pass prices with) and the instance label placement
+// pins address it by ("CPU", "GPU" when the engine has a single GPU,
+// "GPU0"/"GPU1"/… otherwise).
 type Dev struct {
 	Eng   *core.Engine
 	Prof  *core.Profile
@@ -57,7 +59,7 @@ func (d *Dev) Alive() bool { return !d.Eng.Device().Dead() }
 // All state is guarded for concurrent sessions; per-call device pins are
 // carried by the view On returns, never by the engine itself.
 type Engine struct {
-	view // the unpinned ops.Operators facade (cost-model routing)
+	view // the unpinned ops.Operators facade
 
 	devs []*Dev // ordered: CPU first, then the GPUs
 
@@ -78,23 +80,17 @@ type Engine struct {
 }
 
 // view is an ops.Operators facade over the engine with an optional device
-// pin. The zero pin routes through the cost model; On returns pinned views.
-// A view is a value: it holds no mutable state, so concurrent callers each
-// carry their own placement without synchronisation.
+// pin. The zero pin runs each call where pick puts it; On returns pinned
+// views. A view is a value: it holds no mutable state, so concurrent callers
+// each carry their own placement without synchronisation.
 type view struct {
 	h   *Engine
-	pin *Dev // nil: cost-model choice
-}
-
-// New builds a two-device engine (one CPU + one GPU) and calibrates the
-// profiles. threads sizes the CPU driver, gpuMem the simulated device
-// memory.
-func New(threads int, gpuMem int64) (*Engine, error) {
-	return NewN(threads, gpuMem, 1)
+	pin *Dev // nil: unpinned
 }
 
 // NewN builds the N-device engine: one CPU plus gpus simulated GPUs, each
-// with gpuMem bytes of device memory, each individually calibrated. With a
+// with gpuMem bytes of device memory, each individually calibrated; threads
+// sizes the CPU driver. With a
 // single GPU its label is "GPU" (the two-device configuration the paper's §7
 // sketch starts from); with more they are "GPU0", "GPU1", ….
 func NewN(threads int, gpuMem int64, gpus int) (*Engine, error) {
@@ -145,21 +141,21 @@ func (h *Engine) Module() string { return "ocelot" }
 // On returns an ops.Operators view whose calls are pinned to the device with
 // the given label. Exact instance labels ("CPU", "GPU1") win; a bare class
 // label selects the first device of that class (so "GPU" still resolves on a
-// multi-GPU engine); any other label returns the unpinned cost-model view.
+// multi-GPU engine); any other label returns the unpinned view.
 // This is the hook plan-level placement drives: the executor routes each
 // pinned instruction through the matching view, so a pin lives exactly as
 // long as one operator call. Nothing is stored on the engine — an aborted
 // plan cannot leak its pins into the next plan, and concurrent sessions
 // cannot observe each other's pins. The pin wins over input-ownership
-// forcing (migrate moves the inputs); the cost-ordered fallback through the
-// remaining devices still applies.
+// forcing (migrate moves the inputs); the fallback through the remaining
+// devices still applies.
 func (h *Engine) On(label string) ops.Operators {
 	if d := h.byLabel(label); d != nil && d.Alive() {
 		return view{h: h, pin: d}
 	}
-	// Unknown labels and dead devices route through the cost model over the
-	// remaining devices — a plan pinned to a card that died mid-query keeps
-	// running instead of dying with it.
+	// Unknown labels and dead devices run unpinned over the remaining
+	// devices — a plan pinned to a card that died mid-query keeps running
+	// instead of dying with it.
 	return view{h: h}
 }
 
@@ -194,12 +190,6 @@ func (h *Engine) OwnerClass(b *bat.BAT) string {
 	return ""
 }
 
-// Profiles returns the calibrated profiles of the first CPU and the first
-// GPU device (the two-device view predating NewN; Devices has them all).
-func (h *Engine) Profiles() (cpu, gpu *core.Profile) {
-	return h.byLabel(cl.ClassCPU.String()).Prof, h.byLabel(cl.ClassGPU.String()).Prof
-}
-
 // Placements returns how many times each operator ran on each device.
 func (h *Engine) Placements() map[string]map[string]int {
 	h.mu.Lock()
@@ -215,12 +205,6 @@ func (h *Engine) Placements() map[string]map[string]int {
 	return out
 }
 
-// Engines returns the first CPU and first GPU engine (the two-device view
-// predating NewN; Devices has them all).
-func (h *Engine) Engines() (cpu, gpu *core.Engine) {
-	return h.byLabel(cl.ClassCPU.String()).Eng, h.byLabel(cl.ClassGPU.String()).Eng
-}
-
 func (h *Engine) note(op string, target *Dev) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -232,42 +216,13 @@ func (h *Engine) note(op string, target *Dev) {
 	m[target.Label]++
 }
 
-// batBytes estimates a BAT's payload volume.
-func batBytes(b *bat.BAT) int64 {
-	if b == nil {
-		return 0
-	}
-	if n := b.HeapBytes(); n > 0 {
-		return n
-	}
-	return int64(b.Len()) * 4
-}
-
-// devCost prices running an operator streaming bytes on d: the streamed
-// volume over the profiled scan rate, the launch overhead, and — on discrete
-// devices — the link cost of shipping every input without a resident device
-// copy.
-func (h *Engine) devCost(d *Dev, inputs []*bat.BAT, bytes int64) float64 {
-	c := secs(bytes, d.Prof.ScanBandwidth) + d.Prof.LaunchOverhead.Seconds()
-	dev := d.Eng.Device()
-	if dev.Discrete {
-		var ship int64
-		for _, b := range inputs {
-			if b != nil && !d.Eng.Memory().HasDeviceCopy(b) {
-				ship += batBytes(b)
-			}
-		}
-		c += secs(ship, dev.Perf.TransferBandwidth)
-	}
-	return c
-}
-
 // forcedOwner returns the single device owning Ocelot-owned inputs, or nil
 // when no input is owned or the ownership is split across devices (then
-// everything syncs to the host and the cost model decides). Ownership is
-// the owner map's word alone — the map is only populated for Ocelot-owned
-// BATs (adopt), and unlike the OcelotOwned field it is read under h.mu, so
-// concurrent device lanes can consult it without racing a producer.
+// everything syncs to the host and the call runs on the first live device).
+// Ownership is the owner map's word alone — the map is only populated for
+// Ocelot-owned BATs (adopt), and unlike the OcelotOwned field it is read
+// under h.mu, so concurrent device lanes can consult it without racing a
+// producer.
 func (h *Engine) forcedOwner(inputs []*bat.BAT) *Dev {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -287,112 +242,68 @@ func (h *Engine) forcedOwner(inputs []*bat.BAT) *Dev {
 }
 
 // pick chooses the device an operator attempts first: an explicit pin wins
-// outright, then the single owning device of the inputs, then the cost
-// argmin (equal costs keep construction order: CPU, GPU0, GPU1, …). The
-// common pinned path costs nothing — under plan-level placement every
-// instruction arrives pinned, and the fallback chain is only priced when an
-// attempt actually fails (fallbackOrder).
-func (h *Engine) pick(pin *Dev, inputs []*bat.BAT, bytes int64) *Dev {
+// outright, then the single device owning the inputs, then the first live
+// device — the CPU. Nothing is priced here: placement (mal.Session.place)
+// owns the cost model, and under the hybrid configuration every compute
+// instruction arrives pinned.
+func (h *Engine) pick(pin *Dev, inputs []*bat.BAT) *Dev {
 	if pin != nil && pin.Alive() {
 		return pin
 	}
 	if forced := h.forcedOwner(inputs); forced != nil && forced.Alive() {
 		return forced
 	}
-	var best *Dev
-	var bestCost float64
 	for _, d := range h.devs {
-		if !d.Alive() {
-			continue
-		}
-		if c := h.devCost(d, inputs, bytes); best == nil || c < bestCost {
-			best, bestCost = d, c
+		if d.Alive() {
+			return d
 		}
 	}
-	if best == nil {
-		best = h.devs[0] // every device dead: let the attempt surface the error
-	}
-	return best
-}
-
-// fallbackOrder returns every device except failedFirst by ascending
-// estimated cost — the chain a device failure walks. It is computed lazily,
-// on the failure path only.
-func (h *Engine) fallbackOrder(failedFirst *Dev, inputs []*bat.BAT, bytes int64) []*Dev {
-	out := make([]*Dev, 0, len(h.devs)-1)
-	costs := make([]float64, 0, len(h.devs)-1)
-	for _, d := range h.devs {
-		if d == failedFirst || !d.Alive() {
-			continue
-		}
-		out = append(out, d)
-		costs = append(costs, h.devCost(d, inputs, bytes))
-	}
-	// Stable insertion sort by cost keeps equal-cost devices in their
-	// construction order — deterministic fallback.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && costs[j] < costs[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-			costs[j], costs[j-1] = costs[j-1], costs[j]
-		}
-	}
-	return out
-}
-
-// order returns the full attempt order (pick's choice plus the fallback
-// chain); tools and tests — the operator paths build it lazily instead.
-func (h *Engine) order(pin *Dev, inputs []*bat.BAT, bytes int64) []*Dev {
-	first := h.pick(pin, inputs, bytes)
-	return append([]*Dev{first}, h.fallbackOrder(first, inputs, bytes)...)
-}
-
-func secs(bytes int64, rate float64) float64 {
-	if rate <= 0 {
-		return 0
-	}
-	return float64(bytes) / rate
+	return h.devs[0] // every device dead: let the attempt surface the error
 }
 
 // migrate makes every input readable by target: inputs owned by another
 // engine are synchronised back to the host (the §3.4 ownership hand-over),
-// after which target uploads them like any base BAT. Under the parallel
-// plan executor two device lanes can need the same input at once, so each
-// BAT's hand-over is single-flighted through the moving gate: one caller
-// performs the sync, concurrent callers wait for the gate to close and
-// re-check ownership.
+// after which target uploads them like any base BAT.
 func (h *Engine) migrate(target *Dev, inputs ...*bat.BAT) error {
 	for _, b := range inputs {
 		if b == nil {
 			continue
 		}
-		if err := h.migrateOne(target, b); err != nil {
+		if err := h.handOver(target, b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// migrateOne syncs one BAT off its owning device (when that device is not
-// target), waiting out any concurrent hand-over of the same BAT — including
-// one syncing it off target itself, so target never reads a half-written
-// host copy.
-func (h *Engine) migrateOne(target *Dev, b *bat.BAT) error {
+// handOver syncs b off its owning device unless target already owns it;
+// target nil is the host, which is what Sync asks for. Under the parallel
+// plan executor two device lanes can need the same value at once, so each
+// BAT's hand-over is single-flighted through the moving gate: one caller
+// performs the sync, concurrent callers wait for the gate to close and
+// re-check ownership — including a hand-over syncing b off target itself, so
+// target never reads a half-written host copy. The owner entry is removed
+// only after the host copy is complete.
+func (h *Engine) handOver(target *Dev, b *bat.BAT) error {
 	for {
 		h.mu.Lock()
-		own := h.owner[b]
-		ch := h.moving[b]
-		if own == nil || own == target {
-			h.mu.Unlock()
-			if ch != nil {
-				<-ch
-				continue
-			}
-			return nil
-		}
+		own, ch := h.owner[b], h.moving[b]
 		if ch != nil {
 			h.mu.Unlock()
 			<-ch
 			continue
+		}
+		if own == nil || own == target {
+			h.mu.Unlock()
+			if own == nil && target == nil && b.OcelotOwned {
+				// A host hand-over of an Ocelot value whose ownership was
+				// already handed off: sync it conservatively via the first
+				// device. OcelotOwned is safe to read here: its only writer
+				// is the producing engine, ordered before this consumer by
+				// the plan's dependency edges.
+				return h.devs[0].Eng.Sync(b)
+			}
+			return nil
 		}
 		ch = make(chan struct{})
 		h.moving[b] = ch
@@ -456,8 +367,8 @@ func (h *Engine) discard(d *Dev, inputs, outs []*bat.BAT) {
 	}
 }
 
-// chain executes try on the device pick chose, walking the cost-ordered
-// fallback chain on failure (e.g. a GPU running out of memory
+// chain executes try on the device pick chose, walking the other live
+// devices in construction order on failure (e.g. a GPU running out of memory
 // mid-operator): each failed device's partial state is discarded, the
 // inputs are migrated to the next device, and the retry runs there. On
 // success the attempt's outputs are adopted by (and the placement recorded
@@ -475,15 +386,15 @@ func (h *Engine) discard(d *Dev, inputs, outs []*bat.BAT) {
 //     partial state. The data is already resident there; migrating to
 //     another device over a hiccup would cost more than the retry.
 //   - device loss (cl.ErrDeviceLost): the device has latched dead — pick,
-//     fallbackOrder and On all skip it from now on — and the chain falls
+//     the fallback and On all skip it from now on — and the chain falls
 //     over like any failure. The discard still runs: releasing buffers on a
 //     dead device is pure bookkeeping and keeps the leak accounting exact.
-//   - everything else (capacity refusals included): cost-ordered fallback.
-func (h *Engine) chain(pin *Dev, op string, inputs []*bat.BAT, bytes int64,
+//   - everything else (capacity refusals included): the next device.
+func (h *Engine) chain(pin *Dev, op string, inputs []*bat.BAT,
 	terminal func(error) bool, try func(d *Dev) ([]*bat.BAT, error)) ([]*bat.BAT, error) {
 	var errs []error
 	var failed []*Dev
-	devices := []*Dev{h.pick(pin, inputs, bytes)}
+	devices := []*Dev{h.pick(pin, inputs)}
 	for i := 0; i < len(devices); i++ {
 		d := devices[i]
 		if err := h.migrate(d, inputs...); err != nil {
@@ -524,9 +435,13 @@ func (h *Engine) chain(pin *Dev, op string, inputs []*bat.BAT, bytes int64,
 			failed = append(failed, d)
 		}
 		if i == 0 {
-			// First failure: price the rest of the chain now (the common
-			// success path never pays for it).
-			devices = append(devices, h.fallbackOrder(d, inputs, bytes)...)
+			// First failure: the rest of the live devices, in construction
+			// order (the common success path never builds the list).
+			for _, o := range h.devs {
+				if o != d && o.Alive() {
+					devices = append(devices, o)
+				}
+			}
 		}
 	}
 	return nil, fmt.Errorf("hybrid: %s failed on all devices: %w", op, errors.Join(errs...))
@@ -542,8 +457,8 @@ func (h *Engine) TransientRetries() int64 {
 
 // run is chain over an engine-level operator closure with no terminal
 // classification (every view method below routes through it).
-func (h *Engine) run(pin *Dev, op string, inputs []*bat.BAT, bytes int64, f func(e *core.Engine) ([]*bat.BAT, error)) ([]*bat.BAT, error) {
-	return h.chain(pin, op, inputs, bytes, nil, func(d *Dev) ([]*bat.BAT, error) { return f(d.Eng) })
+func (h *Engine) run(pin *Dev, op string, inputs []*bat.BAT, f func(e *core.Engine) ([]*bat.BAT, error)) ([]*bat.BAT, error) {
+	return h.chain(pin, op, inputs, nil, func(d *Dev) ([]*bat.BAT, error) { return f(d.Eng) })
 }
 
 // --- ops.Operators, implemented on view so each caller carries its own pin ---
@@ -556,7 +471,7 @@ func (v view) Module() string { return v.h.Module() }
 
 // Select routes the selection.
 func (v view) Select(col, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "select", []*bat.BAT{col, cand}, batBytes(col), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "select", []*bat.BAT{col, cand}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.Select(col, cand, lo, hi, loIncl, hiIncl)
 		return []*bat.BAT{r}, err
 	})
@@ -568,7 +483,7 @@ func (v view) Select(col, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (*
 
 // SelectCmp routes the column-comparison selection.
 func (v view) SelectCmp(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "selectcmp", []*bat.BAT{a, b, cand}, batBytes(a)*2, func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "selectcmp", []*bat.BAT{a, b, cand}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.SelectCmp(a, b, cmp, cand)
 		return []*bat.BAT{r}, err
 	})
@@ -580,7 +495,7 @@ func (v view) SelectCmp(a, b *bat.BAT, cmp ops.Cmp, cand *bat.BAT) (*bat.BAT, er
 
 // Project routes the gather.
 func (v view) Project(cand, col *bat.BAT) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "leftfetchjoin", []*bat.BAT{cand, col}, batBytes(cand)+batBytes(col), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "leftfetchjoin", []*bat.BAT{cand, col}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.Project(cand, col)
 		return []*bat.BAT{r}, err
 	})
@@ -592,7 +507,7 @@ func (v view) Project(cand, col *bat.BAT) (*bat.BAT, error) {
 
 // Join routes the hash join.
 func (v view) Join(l, r *bat.BAT) (*bat.BAT, *bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "join", []*bat.BAT{l, r}, 3*(batBytes(l)+batBytes(r)), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "join", []*bat.BAT{l, r}, func(e *core.Engine) ([]*bat.BAT, error) {
 		a, b, err := e.Join(l, r)
 		return []*bat.BAT{a, b}, err
 	})
@@ -604,7 +519,7 @@ func (v view) Join(l, r *bat.BAT) (*bat.BAT, *bat.BAT, error) {
 
 // ThetaJoin routes the nested-loop join.
 func (v view) ThetaJoin(l, r *bat.BAT, cmp ops.Cmp) (*bat.BAT, *bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "thetajoin", []*bat.BAT{l, r}, batBytes(l)*int64(r.Len()+1), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "thetajoin", []*bat.BAT{l, r}, func(e *core.Engine) ([]*bat.BAT, error) {
 		a, b, err := e.ThetaJoin(l, r, cmp)
 		return []*bat.BAT{a, b}, err
 	})
@@ -616,7 +531,7 @@ func (v view) ThetaJoin(l, r *bat.BAT, cmp ops.Cmp) (*bat.BAT, *bat.BAT, error) 
 
 // SemiJoin routes the existence join.
 func (v view) SemiJoin(l, r *bat.BAT) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "semijoin", []*bat.BAT{l, r}, 2*(batBytes(l)+batBytes(r)), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "semijoin", []*bat.BAT{l, r}, func(e *core.Engine) ([]*bat.BAT, error) {
 		a, err := e.SemiJoin(l, r)
 		return []*bat.BAT{a}, err
 	})
@@ -628,7 +543,7 @@ func (v view) SemiJoin(l, r *bat.BAT) (*bat.BAT, error) {
 
 // AntiJoin routes the negated existence join.
 func (v view) AntiJoin(l, r *bat.BAT) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "antijoin", []*bat.BAT{l, r}, 2*(batBytes(l)+batBytes(r)), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "antijoin", []*bat.BAT{l, r}, func(e *core.Engine) ([]*bat.BAT, error) {
 		a, err := e.AntiJoin(l, r)
 		return []*bat.BAT{a}, err
 	})
@@ -639,11 +554,11 @@ func (v view) AntiJoin(l, r *bat.BAT) (*bat.BAT, error) {
 }
 
 // BuildHash builds the table on the chosen device, walking the same
-// cost-ordered fallback chain as run; the handle pins later probes to the
+// fallback chain as run; the handle pins later probes to the
 // device that built it.
 func (v view) BuildHash(col *bat.BAT) (ops.HashTable, error) {
 	var pt *placedTable
-	_, err := v.h.chain(v.pin, "buildhash", []*bat.BAT{col}, 4*batBytes(col), nil, func(d *Dev) ([]*bat.BAT, error) {
+	_, err := v.h.chain(v.pin, "buildhash", []*bat.BAT{col}, nil, func(d *Dev) ([]*bat.BAT, error) {
 		ht, err := d.Eng.BuildHash(col)
 		if err != nil {
 			return nil, err
@@ -686,7 +601,7 @@ func (v view) HashProbe(probe *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, e
 func (v view) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	var out *bat.BAT
 	var n int
-	_, err := v.h.run(v.pin, "group", []*bat.BAT{col, grp}, 6*batBytes(col), func(e *core.Engine) ([]*bat.BAT, error) {
+	_, err := v.h.run(v.pin, "group", []*bat.BAT{col, grp}, func(e *core.Engine) ([]*bat.BAT, error) {
 		g, ng, err := e.Group(col, grp, ngrp)
 		out, n = g, ng
 		return []*bat.BAT{g}, err
@@ -699,7 +614,7 @@ func (v view) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 
 // Aggr routes the aggregation.
 func (v view) Aggr(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, kind.String(), []*bat.BAT{vals, groups}, batBytes(vals)+batBytes(groups), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, kind.String(), []*bat.BAT{vals, groups}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.Aggr(kind, vals, groups, ngroups)
 		return []*bat.BAT{r}, err
 	})
@@ -711,7 +626,7 @@ func (v view) Aggr(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (*bat.BAT, 
 
 // Sort routes the radix sort (multi-pass: heavy traffic).
 func (v view) Sort(col *bat.BAT) (*bat.BAT, *bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "sort", []*bat.BAT{col}, 10*batBytes(col), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "sort", []*bat.BAT{col}, func(e *core.Engine) ([]*bat.BAT, error) {
 		s, o, err := e.Sort(col)
 		return []*bat.BAT{s, o}, err
 	})
@@ -723,7 +638,7 @@ func (v view) Sort(col *bat.BAT) (*bat.BAT, *bat.BAT, error) {
 
 // Binop routes the arithmetic map.
 func (v view) Binop(op ops.Bin, a, b *bat.BAT) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "binop", []*bat.BAT{a, b}, batBytes(a)*3, func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "binop", []*bat.BAT{a, b}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.Binop(op, a, b)
 		return []*bat.BAT{r}, err
 	})
@@ -735,7 +650,7 @@ func (v view) Binop(op ops.Bin, a, b *bat.BAT) (*bat.BAT, error) {
 
 // BinopConst routes the constant arithmetic map.
 func (v view) BinopConst(op ops.Bin, a *bat.BAT, c float64, constFirst bool) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "binopconst", []*bat.BAT{a}, batBytes(a)*2, func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "binopconst", []*bat.BAT{a}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.BinopConst(op, a, c, constFirst)
 		return []*bat.BAT{r}, err
 	})
@@ -747,29 +662,23 @@ func (v view) BinopConst(op ops.Bin, a *bat.BAT, c float64, constFirst bool) (*b
 
 // Fused routes a fused region (ops.FusedOperators) to one device as a
 // single placement unit: the whole member chain runs where the pick lands,
-// with only the region's external inputs costed for transfer — interior
-// values never exist, so they can never be shipped. The out-of-memory
+// with only the region's external inputs migrated — interior values never
+// exist, so they can never be shipped. The out-of-memory
 // fallback chain applies like any operator, but a shape refusal
 // (ErrFusedUnsupported) surfaces immediately: every device would refuse the
 // same shape for the same reason, so retrying elsewhere would only migrate
 // every input across PCIe for nothing before the executor falls back to the
 // unfused members anyway.
 func (v view) Fused(op *ops.FusedOp) ([]*bat.BAT, error) {
-	h := v.h
-	inputs := op.Inputs()
-	var bytes int64
-	for _, b := range inputs {
-		bytes += batBytes(b)
-	}
 	unsupported := func(err error) bool { return errors.Is(err, ops.ErrFusedUnsupported) }
-	return h.chain(v.pin, "fused", inputs, bytes, unsupported, func(d *Dev) ([]*bat.BAT, error) {
+	return v.h.chain(v.pin, "fused", op.Inputs(), unsupported, func(d *Dev) ([]*bat.BAT, error) {
 		return d.Eng.Fused(op)
 	})
 }
 
 // OIDUnion routes the disjunction combine.
 func (v view) OIDUnion(a, b *bat.BAT) (*bat.BAT, error) {
-	outs, err := v.h.run(v.pin, "union", []*bat.BAT{a, b}, batBytes(a)+batBytes(b), func(e *core.Engine) ([]*bat.BAT, error) {
+	outs, err := v.h.run(v.pin, "union", []*bat.BAT{a, b}, func(e *core.Engine) ([]*bat.BAT, error) {
 		r, err := e.OIDUnion(a, b)
 		return []*bat.BAT{r}, err
 	})
@@ -779,55 +688,14 @@ func (v view) OIDUnion(a, b *bat.BAT) (*bat.BAT, error) {
 	return outs[0], nil
 }
 
-// Sync hands a BAT back to the host via its owning device, single-flighted
-// per BAT through the moving gate so a concurrent migration of the same
-// value (another lane shipping it as an input) and this hand-over never run
-// two syncs at once. The owner entry is removed only after the host copy is
-// complete.
+// Sync hands a BAT back to the host via its owning device: the host-target
+// case of handOver, single-flighted with any concurrent migration of the
+// same value (another lane shipping it as an input).
 func (v view) Sync(b *bat.BAT) error {
-	h := v.h
 	if b == nil {
 		return nil
 	}
-	for {
-		h.mu.Lock()
-		own := h.owner[b]
-		ch := h.moving[b]
-		if own == nil {
-			h.mu.Unlock()
-			if ch != nil {
-				<-ch
-				continue
-			}
-			// No recorded owner and no hand-over in flight: either a plain
-			// host BAT (nothing to do), or an Ocelot value whose ownership
-			// was already handed off — conservatively sync via the first
-			// device, as before. OcelotOwned is safe to read here: its only
-			// writer is the producing engine, ordered before this consumer
-			// by the plan's dependency edges.
-			if !b.OcelotOwned {
-				return nil
-			}
-			return h.devs[0].Eng.Sync(b)
-		}
-		if ch != nil {
-			h.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch = make(chan struct{})
-		h.moving[b] = ch
-		h.mu.Unlock()
-		err := own.Eng.Sync(b)
-		h.mu.Lock()
-		if err == nil {
-			delete(h.owner, b)
-		}
-		delete(h.moving, b)
-		h.mu.Unlock()
-		close(ch)
-		return err
-	}
+	return v.h.handOver(nil, b)
 }
 
 // Release drops device state on the owning device — or on every device when

@@ -7,27 +7,17 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/mem"
+	"repro/internal/monet"
 	"repro/internal/ops"
 )
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
-	h, err := New(4, 256<<20)
+	h, err := NewN(4, 256<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
-}
-
-// pinCPUScan fixes the CPU's profiled scan rate at 2 GB/s, below the
-// simulated PCIe link's 5.5: the regime in which a cold scan is worth
-// shipping to a GPU. Tests of the cost *order* use it so that they do not
-// depend on how fast this machine's CPU calibrates — a selection kernel that
-// out-scans the link rightly keeps cold scans on the CPU.
-func pinCPUScan(h *Engine) {
-	p := *h.devs[0].Prof
-	p.ScanBandwidth = 2e9
-	h.devs[0].Prof = &p
 }
 
 func i32Col(name string, vals []int32) *bat.BAT {
@@ -47,7 +37,7 @@ func randI32(n int, max int32, seed int64) []int32 {
 
 func TestCalibratedProfiles(t *testing.T) {
 	h := newEngine(t)
-	cpu, gpu := h.Profiles()
+	cpu, gpu := h.Devices()[0].Prof, h.Devices()[1].Prof
 	if cpu.ScanBandwidth <= 0 || gpu.ScanBandwidth <= 0 {
 		t.Fatalf("profiles not calibrated: %v / %v", cpu, gpu)
 	}
@@ -106,20 +96,54 @@ func TestPipelineCorrectUnderPlacement(t *testing.T) {
 	}
 }
 
-func TestLargeOpsPreferGPU(t *testing.T) {
-	h := newEngine(t)
-	pinCPUScan(h)
-	// 8 MB column: the simulated GPU's bandwidth advantage should win even
-	// with the upload.
-	col := i32Col("big", randI32(2<<20, 1000, 3))
-	sel, err := h.Select(col, nil, 0, 499, true, true)
+// TestUnpinnedCallRunsOnCPU: the engine prices nothing — an unpinned call
+// whose inputs no device owns runs on the first live device, the CPU,
+// whatever its size.
+func TestUnpinnedCallRunsOnCPU(t *testing.T) {
+	h, err := NewN(2, 256<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = sel
-	got := h.Placements()["select"]
-	if got["GPU"] == 0 {
-		t.Fatalf("large select not placed on the GPU: %v", got)
+	for i, n := range []int{512, 2 << 20} { // 2 KB and 8 MB
+		col := i32Col("c", randI32(n, 1000, int64(3+i)))
+		if _, err := h.Select(col, nil, 0, 499, true, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Placements()["select"]; got["CPU"] != i+1 || got["GPU0"]+got["GPU1"] != 0 {
+			t.Fatalf("unpinned %d-row select did not run on the CPU: %v", n, got)
+		}
+	}
+}
+
+// TestUnpinnedCallFollowsOwnedInput: an unpinned call whose input a GPU owns
+// runs on that GPU — the intermediate stays where it was produced.
+func TestUnpinnedCallFollowsOwnedInput(t *testing.T) {
+	h, err := NewN(2, 256<<20, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := i32Col("c", randI32(50_000, 1000, 5))
+	sel, err := h.On("GPU1").Select(col, nil, 0, 499, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.OwnerClass(sel) != "GPU1" {
+		t.Fatalf("selection owned by %q, want GPU1", h.OwnerClass(sel))
+	}
+	prj, err := h.Project(sel, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Placements()["leftfetchjoin"]; got["GPU1"] != 1 || got["CPU"]+got["GPU0"] != 0 {
+		t.Fatalf("projection of a GPU1-owned selection ran elsewhere: %v", got)
+	}
+	if err := h.Sync(prj); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range prj.I32s() {
+		if v < 0 || v > 499 {
+			t.Fatalf("projection has out-of-range value %d", v)
+		}
 	}
 }
 
@@ -154,12 +178,12 @@ func TestCrossDeviceMigrationThroughSync(t *testing.T) {
 func TestGPUFailureFallsBackToCPU(t *testing.T) {
 	// A hybrid with a tiny GPU: big operators must fall back to the CPU
 	// rather than fail.
-	h, err := New(4, 3<<20)
+	h, err := NewN(4, 3<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := i32Col("big", randI32(4<<20, 1000, 5)) // 16 MB, exceeds the device
-	sel, err := h.Select(col, nil, 0, 499, true, true)
+	sel, err := h.On("GPU").Select(col, nil, 0, 499, true, true)
 	if err != nil {
 		t.Fatalf("hybrid did not fall back: %v", err)
 	}
@@ -198,6 +222,45 @@ func TestHashTablePinsProbeDevice(t *testing.T) {
 	ht.Release()
 	if err := h.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectCmpOverHandedOverCandidate: a selection produced on the GPU and
+// handed to the host becomes an oid list; a comparison pinned to the CPU over
+// that list must run on the CPU — not fail there and fall back to the GPU —
+// and agree with the sequential baseline.
+func TestSelectCmpOverHandedOverCandidate(t *testing.T) {
+	h := newEngine(t)
+	a := i32Col("a", randI32(100_000, 50, 31))
+	b := i32Col("b", randI32(100_000, 50, 32))
+	cand, err := h.On("GPU").Select(a, nil, 10, 29, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Sync(cand); err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.On("CPU").SelectCmp(a, b, ops.Le, cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := h.Placements()["selectcmp"]; p["CPU"] != 1 || p["GPU"] != 0 {
+		t.Fatalf("selectcmp over a handed-over list placed %v, want CPU 1 and GPU 0", p)
+	}
+	if err := h.Sync(got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := monet.NewSequential().SelectCmp(a, b, ops.Le, cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != want.Len() || got.Len() == 0 {
+		t.Fatalf("selectcmp kept %d rows, MS %d", got.Len(), want.Len())
+	}
+	for i := 0; i < got.Len(); i++ {
+		if got.OIDAt(i) != want.OIDAt(i) {
+			t.Fatalf("row %d: oid %d, MS %d", i, got.OIDAt(i), want.OIDAt(i))
+		}
 	}
 }
 
@@ -353,7 +416,7 @@ func TestOnPinsExactlyOneCall(t *testing.T) {
 	tiny := i32Col("t1", randI32(512, 100, 7))
 	other := i32Col("t2", randI32(512, 100, 8))
 
-	// Pinned view: the pin wins regardless of the cost model.
+	// Pinned view: the pin wins over the unpinned rule.
 	if _, err := h.On("GPU").Select(tiny, nil, 0, 49, true, true); err != nil {
 		t.Fatal(err)
 	}
@@ -429,40 +492,40 @@ func TestNDeviceLabels(t *testing.T) {
 	}
 }
 
-// TestFallbackOrderIsCostOrdered: the attempt order for a large operator
-// must start at the cheapest device and visit every device exactly once, so
-// a failure walks the remaining devices from best to worst.
-func TestFallbackOrderIsCostOrdered(t *testing.T) {
-	h, err := NewN(2, 256<<20, 2)
+// TestPinnedOOMFallsBackInConstructionOrder: a call pinned to GPU0 that
+// runs out of memory falls back through the other live devices in
+// construction order — the CPU comes first, so GPU1 is never attempted,
+// though GPU1 has room and the CPU's profile says it is slow.
+func TestPinnedOOMFallsBackInConstructionOrder(t *testing.T) {
+	h, err := NewN(2, 16<<20, 2) // two 16 MB GPUs
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinCPUScan(h)
+	slow := *h.devs[0].Prof // calibrations are shared: change a copy
+	slow.ScanBandwidth = 1e6
+	h.devs[0].Prof = &slow
+	// A pinned 12 MB column fills GPU0: an 8 MB scan fits GPU1, not GPU0.
+	ballast := i32Col("ballast", randI32(3<<20, 1000, 21))
+	if _, err := h.On("GPU0").Select(ballast, nil, 0, 9, true, true); err != nil {
+		t.Fatal(err)
+	}
+	gpu0 := h.devs[1].Eng.Memory()
+	gpu0.Pin(ballast)
+	defer gpu0.Unpin(ballast)
+
 	big := i32Col("big", randI32(2<<20, 1000, 22))
-	order := h.order(nil, []*bat.BAT{big}, batBytes(big))
-	if len(order) != 3 {
-		t.Fatalf("order visits %d devices, want 3", len(order))
+	sel, err := h.On("GPU0").Select(big, nil, 0, 499, true, true)
+	if err != nil {
+		t.Fatalf("fallback failed: %v", err)
 	}
-	seen := map[string]bool{}
-	for _, d := range order {
-		if seen[d.Label] {
-			t.Fatalf("device %s appears twice in the fallback chain", d.Label)
-		}
-		seen[d.Label] = true
+	if got := h.Placements()["select"]; got["CPU"] != 1 || got["GPU0"] != 1 || got["GPU1"] != 0 {
+		t.Fatalf("pinned select did not fall back to the CPU: %v", got)
 	}
-	// An 8 MB scan is where the simulated GPUs' bandwidth advantage wins:
-	// both GPUs must precede the CPU in the chain.
-	if order[2].Label != "CPU" {
-		var labels []string
-		for _, d := range order {
-			labels = append(labels, d.Label)
-		}
-		t.Fatalf("cost order for a big scan = %v, want both GPUs before the CPU", labels)
+	if err := h.Sync(sel); err != nil {
+		t.Fatal(err)
 	}
-	// A pin overrides cost order but keeps the rest of the chain intact.
-	pinned := h.order(h.devs[0], []*bat.BAT{big}, batBytes(big))
-	if pinned[0].Label != "CPU" || len(pinned) != 3 {
-		t.Fatalf("pinned order does not start at the pin: %v", pinned[0].Label)
+	if sel.Len() == 0 {
+		t.Fatal("fallback produced no rows")
 	}
 }
 
@@ -492,11 +555,11 @@ func TestFallbackJoinsAllDeviceErrors(t *testing.T) {
 // GPU), rather than keeping input uploads and synced-off intermediates
 // resident and worsening the very pressure that caused the fallback.
 func TestFallbackReleasesFailedAttemptState(t *testing.T) {
-	h, err := New(2, 3<<20) // 3 MB GPU
+	h, err := NewN(2, 3<<20, 1) // 3 MB GPU
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gpuEng := h.Engines()
+	gpuEng := h.Devices()[1].Eng
 
 	// A GPU-owned intermediate forces the next operator onto the GPU.
 	small := i32Col("small", randI32(1<<18, 1000, 23)) // 1 MB
@@ -539,14 +602,15 @@ func TestFallbackReleasesFailedAttemptState(t *testing.T) {
 }
 
 // TestOOMFallsThroughDeviceChain: with several undersized GPUs, a large
-// operator must walk the whole chain and land on the CPU.
+// operator pinned to the last GPU must fall back and land on the CPU, the
+// first device of the chain.
 func TestOOMFallsThroughDeviceChain(t *testing.T) {
 	h, err := NewN(2, 3<<20, 2) // two 3 MB GPUs
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := i32Col("big", randI32(4<<20, 1000, 25)) // 16 MB
-	sel, err := h.Select(big, nil, 0, 499, true, true)
+	sel, err := h.On("GPU1").Select(big, nil, 0, 499, true, true)
 	if err != nil {
 		t.Fatalf("chain fallback failed: %v", err)
 	}
@@ -566,11 +630,11 @@ func TestOOMFallsThroughDeviceChain(t *testing.T) {
 // does — a GPU-owned build column synced off an OOM'd GPU may not stay
 // resident there after the build lands on the CPU.
 func TestBuildHashFallbackShedsFailedAttemptState(t *testing.T) {
-	h, err := New(2, 3<<20) // 3 MB GPU
+	h, err := NewN(2, 3<<20, 1) // 3 MB GPU
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gpuEng := h.Engines()
+	gpuEng := h.Devices()[1].Eng
 
 	// A GPU-owned 1 MB intermediate: ownership forces the build onto the
 	// GPU, whose ~4x table scratch cannot fit the 3 MB device.

@@ -123,9 +123,7 @@ func (s *Session) Template() *Template {
 	if t.sealed {
 		return t
 	}
-	if s.passes.Placement {
-		t.sealErr = s.placeObserved()
-	}
+	t.sealErr = s.placeObserved()
 	t.nSlots = len(s.slots)
 	t.refsByName = map[string][]boundRef{}
 	for _, frag := range t.frags {

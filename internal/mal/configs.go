@@ -61,22 +61,12 @@ type ConfigOptions struct {
 	// attributes to the beta Intel OpenCL SDK (§5.3.2, Fig. 7d). Applied to
 	// the Ocelot CPU driver only.
 	CPULaunchPause time.Duration
-	// Verify overrides the process-wide plan-IR verifier default
-	// (verify.go): VerifyOn/VerifyOff call SetDefaultVerify at Build,
-	// VerifyAuto keeps the default (on under `go test`, off elsewhere).
-	Verify VerifyMode
 }
 
 // Build constructs the operator implementation for a configuration. Each
 // Ocelot configuration owns a fresh device/context; MonetDB configurations
 // are stateless engines.
 func (c Config) Build(opt ConfigOptions) ops.Operators {
-	switch opt.Verify {
-	case VerifyOn:
-		SetDefaultVerify(true)
-	case VerifyOff:
-		SetDefaultVerify(false)
-	}
 	switch c {
 	case MS:
 		return monet.NewSequential()

@@ -57,10 +57,8 @@ func (s *Session) flush(final bool) {
 	}
 	batch = append(batch, s.syncInsertPass(outputs)...)
 	s.vcheck("sync-insert", batch, outputs, vData|vFuse|vSync)
-	if s.passes.Placement {
-		s.placementPass(batch, outputs)
-		s.vcheck("placement", batch, outputs, vData|vFuse|vSync|vPin)
-	}
+	s.placementPass(batch, outputs)
+	s.vcheck("placement", batch, outputs, vData|vFuse|vSync|vPin)
 	vpass := "pipeline"
 	if final && s.passes.EarlyRelease {
 		batch = s.releaseInsertPass(batch, outputs)

@@ -1,13 +1,14 @@
-// Plan-level operator placement for the hybrid configuration (§7): instead
-// of hybrid.Engine's greedy one-call-at-a-time choice, this pass walks the
-// whole plan fragment with the calibrated device profiles (core.Profile),
-// costs transfer-vs-compute over entire operator chains, and pins every
-// instruction to a device before execution. The pin is stamped on the
-// instruction (PInstr.Device, a device *label* such as "CPU" or "GPU1") and
-// enforced per call by the executor through hybrid.Engine.On — no
+// Plan-level operator placement for the hybrid configuration (§7): the one
+// cost model that prices devices, and the optimizer that uses it. The pass
+// walks the whole plan fragment with the calibrated device profiles
+// (core.Profile), costs transfer-vs-compute over entire operator chains, and
+// pins every instruction to a device before execution. The pin is stamped on
+// the instruction (PInstr.Device, a device *label* such as "CPU" or "GPU1")
+// and enforced per call by the executor through hybrid.Engine.On — no
 // engine-global state is involved, so pins cannot leak across plans or
-// interleave across concurrent sessions; the engine's cost-ordered
-// out-of-memory fallback still applies underneath.
+// interleave across concurrent sessions. hybrid.Engine prices nothing: it
+// runs the pins, and its out-of-memory fallback walks the other live devices
+// in construction order.
 //
 // The pass relaxes over the whole device set, not a CPU/GPU binary choice:
 // each instruction carries a per-device compute estimate, transfers are
@@ -25,9 +26,8 @@ import (
 	"repro/internal/ops"
 )
 
-// placement cost constants: per-operator streamed-byte multipliers mirror
-// the greedy cost model the eager hybrid layer used, so the plan-level pass
-// is comparable call-for-call and better only through lookahead.
+// The per-operator streamed-byte multipliers live in estimator.model;
+// defaultGroupGuess stands in for a group count the plan has not resolved.
 const defaultGroupGuess = 64 // estimated groups when the count is symbolic
 
 // estimator carries cardinality estimates keyed by canonical plan value.
@@ -223,7 +223,7 @@ const hostLoc = -1
 // relaxes the DAG a few rounds: each instruction re-chooses its device given
 // where its producers *and* consumers currently sit, so a cheap operator in
 // the middle of a device chain stays on that device instead of bouncing the
-// intermediate over PCIe — the lookahead the greedy per-call model lacks.
+// intermediate over PCIe — the lookahead a per-call choice cannot have.
 // The parallel-load term only counts instructions the candidate is neither
 // an ancestor nor a descendant of: work on the same dependency chain
 // serialises anyway, while independent subtrees genuinely compete for the

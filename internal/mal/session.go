@@ -71,6 +71,8 @@ type abort struct{ err error }
 
 // Passes toggles the rewriter pass pipeline (all on by default). Tests and
 // ablation harnesses switch individual passes off to measure their effect.
+// Plan-level placement (placement.go) is not a switch: it always runs, and
+// it is a no-op on engines that are not a *hybrid.Engine.
 type Passes struct {
 	// CSE merges instructions that recompute an identical pure expression.
 	CSE bool
@@ -80,9 +82,6 @@ type Passes struct {
 	// EarlyRelease inserts Release instructions after each intermediate's
 	// last use, freeing device memory mid-plan instead of at Close.
 	EarlyRelease bool
-	// Placement pins instructions to devices plan-wide under the hybrid
-	// configuration (placement.go), replacing greedy per-call choice.
-	Placement bool
 	// Fusion collapses single-exit select→project→binop(→sum/count) chains
 	// into one fused instruction per region at the final flush (fuse.go),
 	// eliminating the member operators' intermediate BATs. It only applies
@@ -93,7 +92,7 @@ type Passes struct {
 
 // DefaultPasses enables the full pipeline.
 func DefaultPasses() Passes {
-	return Passes{CSE: true, DCE: true, EarlyRelease: true, Placement: true, Fusion: true}
+	return Passes{CSE: true, DCE: true, EarlyRelease: true, Fusion: true}
 }
 
 // Key renders the pass configuration as a short stable string — the same
@@ -109,7 +108,7 @@ func (p Passes) key() string {
 		}
 		return '-'
 	}
-	return string([]byte{mark(p.CSE, 'c'), mark(p.DCE, 'd'), mark(p.EarlyRelease, 'r'), mark(p.Placement, 'p'), mark(p.Fusion, 'f')})
+	return string([]byte{mark(p.CSE, 'c'), mark(p.DCE, 'd'), mark(p.EarlyRelease, 'r'), mark(p.Fusion, 'f')})
 }
 
 // Params are the per-execution parameter bindings of a plan: values for the

@@ -84,7 +84,7 @@ func init() { defaultVerify.Store(testing.Testing()) }
 
 // SetDefaultVerify sets the process-wide verification default picked up by
 // NewSession and template replays (Session.SetVerify overrides per session;
-// ConfigOptions.Verify and the -verify CLI flags route here).
+// the -verify CLI flags route here).
 func SetDefaultVerify(on bool) { defaultVerify.Store(on) }
 
 // DefaultVerify reports the process-wide verification default.
@@ -98,19 +98,6 @@ var verifyRuns atomic.Int64
 
 // VerifyRuns returns how many verifier executions have run process-wide.
 func VerifyRuns() int64 { return verifyRuns.Load() }
-
-// VerifyMode selects verification for ConfigOptions.
-type VerifyMode int
-
-const (
-	// VerifyAuto keeps the process default (on under `go test`, off
-	// elsewhere).
-	VerifyAuto VerifyMode = iota
-	// VerifyOn forces verification on for sessions created after Build.
-	VerifyOn
-	// VerifyOff forces it off.
-	VerifyOff
-)
 
 // SetVerify overrides the process-wide verification default for this
 // session. Call it before the first operator call of the plan; the setting

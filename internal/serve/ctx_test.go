@@ -89,7 +89,7 @@ func TestCtxDeadlineWhileQueued(t *testing.T) {
 // dead card, needed by a later fragment, whose migration fails on every
 // fallback target.
 func TestDeviceLostMidPlanRetriesOnce(t *testing.T) {
-	hyb, err := hybrid.New(4, 512<<20)
+	hyb, err := hybrid.NewN(4, 512<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestDeviceLostMidPlanRetriesOnce(t *testing.T) {
 		}
 	}
 	// Pin every operator to the GPU so the mid-plan intermediate is
-	// device-resident; once the device dies the pin degrades to the cost
-	// model over the survivors.
+	// device-resident; once the device dies the pin degrades to an unpinned
+	// call, which runs on the CPU.
 	sv := New(hyb.On(gpu.Label), Options{MaxConcurrent: 2, NoCache: true})
 
 	vals := mem.AllocI32(500_000)
@@ -182,8 +182,8 @@ func TestKillEachDeviceInTurn(t *testing.T) {
 		}
 		victim := gpus[gi]
 		// Pin the plan to the victim so real mid-plan work is on the card
-		// when it dies; after the death the pin degrades to the cost model
-		// over the three survivors and the CPU.
+		// when it dies; after the death the pin degrades to an unpinned call,
+		// which runs on the CPU, the first live device.
 		sv := New(hyb.On(victim.Label), Options{MaxConcurrent: 2, NoCache: true})
 		victim.Eng.Device().InjectFaults(cl.FaultPlan{DieAtCommand: 3})
 

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -473,37 +474,87 @@ func TestQ1EarlyReleaseLowersPeakFootprint(t *testing.T) {
 		with, without, 100*float64(without-with)/float64(without))
 }
 
-// TestHybridPlanPlacementOnWorkload: under the hybrid configuration, every
-// compute instruction of a TPC-H plan must carry a plan-level device pin
-// and the engine's recorded placements must match the pins exactly.
+// TestHybridPlanPlacementOnWorkload: under the hybrid configuration, on one
+// and on two GPUs, every compute instruction of every TPC-H plan must carry
+// a plan-level device pin, and the engine's recorded placements must equal
+// the pins per operator and device label — a fallback moves a count from
+// the pinned device to another one, so equality means none fired.
 func TestHybridPlanPlacementOnWorkload(t *testing.T) {
 	db := testDB(t)
-	o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20})
-	h := o.(*hybrid.Engine)
-	s := mal.NewSession(o)
-	q := QueryByNum(6)
-	if _, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result { return q.Plan(s, db) }); err != nil {
-		t.Fatal(err)
-	}
-	pinned := 0
-	for _, in := range s.Plan() {
-		if in.Kind == mal.OpSync || in.Kind == mal.OpRelease {
-			continue
+	for _, gpus := range []int{1, 2} {
+		o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: gpus})
+		h := o.(*hybrid.Engine)
+		for _, q := range Queries() {
+			before := h.Placements()
+			s := mal.NewSession(o)
+			if _, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result { return q.Plan(s, db) }); err != nil {
+				t.Fatalf("Q%d on %d GPUs: %v", q.Num, gpus, err)
+			}
+			var fused []*mal.PInstr
+			for _, in := range s.Plan() {
+				if in.Kind == mal.OpSync || in.Kind == mal.OpRelease {
+					continue
+				}
+				if in.Device == "" {
+					t.Fatalf("Q%d on %d GPUs: instruction %s executed without a plan-level pin", q.Num, gpus, in.OpName())
+				}
+				if in.Kind == mal.OpFused {
+					fused = append(fused, in)
+				}
+			}
+			recorded := map[string]map[string]int{}
+			for op, m := range h.Placements() {
+				for dev, n := range m {
+					if d := n - before[op][dev]; d != 0 {
+						if recorded[op] == nil {
+							recorded[op] = map[string]int{}
+						}
+						recorded[op][dev] = d
+					}
+				}
+			}
+			// A fused region whose shape the engine refuses runs its members
+			// on the region's device — not a fallback, but invisible in the
+			// plan — so some set of refused regions must explain the record.
+			matched := false
+			for set := 0; set < 1<<len(fused) && !matched; set++ {
+				refused := map[*mal.PInstr]bool{}
+				for i, in := range fused {
+					refused[in] = set&(1<<i) != 0
+				}
+				matched = reflect.DeepEqual(pinnedPlacements(s.Plan(), refused), recorded)
+			}
+			if !matched {
+				t.Fatalf("Q%d on %d GPUs: plan pinned %v, engine recorded %v",
+					q.Num, gpus, pinnedPlacements(s.Plan(), nil), recorded)
+			}
 		}
-		if in.Device == "" {
-			t.Fatalf("Q6 instruction %s executed without a plan-level pin", in.OpName())
+	}
+}
+
+// pinnedPlacements counts a plan's pins per operator and device label, the
+// way the hybrid engine records placements; a refused fused region counts
+// as its members on the region's device.
+func pinnedPlacements(plan []*mal.PInstr, refused map[*mal.PInstr]bool) map[string]map[string]int {
+	out := map[string]map[string]int{}
+	add := func(in *mal.PInstr, dev string) {
+		if out[in.PlaceKey()] == nil {
+			out[in.PlaceKey()] = map[string]int{}
 		}
-		pinned++
+		out[in.PlaceKey()][dev]++
 	}
-	recorded := 0
-	for _, m := range h.Placements() {
-		for _, n := range m {
-			recorded += n
+	for _, in := range plan {
+		switch {
+		case in.Kind == mal.OpSync || in.Kind == mal.OpRelease:
+		case refused[in]:
+			for _, m := range in.Sub {
+				add(m, in.Device)
+			}
+		default:
+			add(in, in.Device)
 		}
 	}
-	if pinned != recorded {
-		t.Fatalf("plan pinned %d instructions, engine recorded %d placements", pinned, recorded)
-	}
+	return out
 }
 
 // TestGoldenResults pins the workload's results at (SF 0.01, seed 42): row

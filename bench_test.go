@@ -296,17 +296,25 @@ func BenchmarkFig7cTPCHLarge(b *testing.B) {
 	benchTPCH(b, 0.1, 0, []mal.Config{mal.MS, mal.MP, mal.OcelotCPU})
 }
 
-// BenchmarkScalingTPCHLarge — what the second core buys. §4.2 launches n_c
+// BenchmarkScalingTPCHLarge — benchScaling at SF 0.1.
+func BenchmarkScalingTPCHLarge(b *testing.B) { benchScaling(b, 0.1) }
+
+// BenchmarkScalingTPCHSmall — benchScaling at SF 0.01, where inputs are a few
+// thousand rows and the costs that do not scale with them decide.
+func BenchmarkScalingTPCHSmall(b *testing.B) { benchScaling(b, 0.01) }
+
+// benchScaling — what the second core buys, and where Ocelot-CPU stands
+// against the MonetDB baselines query by query. §4.2 launches n_c
 // work-groups so that every core has one; this runs warm PlanCache replays of
-// the 14 queries at SF 0.1 on Ocelot-CPU with ConfigOptions.Threads 1 and 2,
-// beside MS and MP (2 threads), the four engines alternated query by query
-// inside every iteration. It reports each engine's round (the sum of its
-// per-query medians), the Threads 2 / Threads 1 ratio of the rounds, and per
-// query Threads 2 against MS: the geometric mean of the ratios, the worst
-// ratio and the number of queries MS answers faster; and prints the
-// per-query table.
-func BenchmarkScalingTPCHLarge(b *testing.B) {
-	db := tpch.Generate(0.1, 42)
+// the 14 queries at scale factor sf on Ocelot-CPU with ConfigOptions.Threads
+// 1 and 2, beside MS and MP (2 threads), the four engines alternated query by
+// query inside every iteration. It reports each engine's round (the sum of
+// its per-query medians) and the Threads 2 / Threads 1 ratio of the rounds;
+// per query, Threads 2 against MS and against MP: the geometric mean of the
+// ratios, the worst ratio and the number of queries the baseline answers
+// faster; and prints the per-query table.
+func benchScaling(b *testing.B, sf float64) {
+	db := tpch.Generate(sf, 42)
 	queries := tpch.Queries()
 	type side struct {
 		name  string
@@ -347,11 +355,18 @@ func BenchmarkScalingTPCHLarge(b *testing.B) {
 	}
 	b.StopTimer()
 	round := make([]float64, len(sides))
-	// Per query, T2 against MS: the geometric mean of the ratios, the worst
-	// one and how many queries MS answers faster — the round sums fourteen
-	// queries, so one long query can hide the rest.
-	logRatios, worst, worstQ, lost := 0.0, 0.0, 0, 0
-	table := "query      T1      T2      MS      MP   T2/T1   T2/MS  (ms, medians)\n"
+	// Per query, T2 against each baseline (by its index in sides): the
+	// geometric mean of the ratios, the worst one and how many queries the
+	// baseline answers faster — the round sums fourteen queries, so one long
+	// query can hide the rest.
+	type versus struct {
+		base             string
+		idx              int
+		logRatios, worst float64
+		worstQ, lost     int
+	}
+	vs := []*versus{{base: "MS", idx: 2}, {base: "MP", idx: 3}}
+	table := "query      T1      T2      MS      MP   T2/T1   T2/MS   T2/MP  (ms, medians)\n"
 	for qi, q := range queries {
 		table += fmt.Sprintf("Q%-4d", q.Num)
 		med := make([]float64, len(sides))
@@ -361,24 +376,30 @@ func BenchmarkScalingTPCHLarge(b *testing.B) {
 			round[si] += med[si]
 			table += fmt.Sprintf(" %7.2f", med[si])
 		}
-		vsMS := med[1] / med[2]
-		logRatios += math.Log(vsMS)
-		if vsMS > worst {
-			worst, worstQ = vsMS, q.Num
+		table += fmt.Sprintf(" %7.2f", med[1]/med[0])
+		for _, v := range vs {
+			r := med[1] / med[v.idx]
+			v.logRatios += math.Log(r)
+			if r > v.worst {
+				v.worst, v.worstQ = r, q.Num
+			}
+			if r > 1 {
+				v.lost++
+			}
+			table += fmt.Sprintf(" %7.2f", r)
 		}
-		if vsMS > 1 {
-			lost++
-		}
-		table += fmt.Sprintf(" %7.2f %7.2f\n", med[1]/med[0], vsMS)
+		table += "\n"
 	}
 	for si, s := range sides {
 		b.ReportMetric(round[si], s.name+"-ms/round")
 	}
 	b.ReportMetric(round[1]/round[0], "T2/T1")
-	b.ReportMetric(math.Exp(logRatios/float64(len(queries))), "T2/MS-geomean")
-	b.ReportMetric(worst, "T2/MS-worst")
-	b.ReportMetric(float64(lost), "queries-lost-to-MS")
-	table += fmt.Sprintf("worst T2/MS: Q%d\n", worstQ)
+	for _, v := range vs {
+		b.ReportMetric(math.Exp(v.logRatios/float64(len(queries))), "T2/"+v.base+"-geomean")
+		b.ReportMetric(v.worst, "T2/"+v.base+"-worst")
+		b.ReportMetric(float64(v.lost), "queries-lost-to-"+v.base)
+		table += fmt.Sprintf("worst T2/%s: Q%d\n", v.base, v.worstQ)
+	}
 	fmt.Printf("%s: %d iterations\n%s", b.Name(), b.N, table) // b.Log keeps ten lines
 }
 

@@ -20,8 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/mal"
-	"repro/internal/ops"
-	"repro/internal/serve"
 	"repro/internal/tpch"
 )
 
@@ -39,7 +37,6 @@ func main() {
 		spillMB = flag.Int64("spillmb", 0, "force a per-join device budget in MiB so hash joins partition and spill (0 = auto from free device memory, -1 = never spill)")
 		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass")
 		skew    = flag.Float64("skew", 0, "Zipf exponent of the generated data (0 = uniform, the TPC-H default)")
-		nshards = flag.Int("shards", 0, "partition the fact tables across N shard engines and serve the query scatter-gather (0 = unsharded; pins fusion off)")
 	)
 	flag.Parse()
 	if *verify {
@@ -78,11 +75,6 @@ func main() {
 		configs = []mal.Config{c}
 	}
 
-	var sdb *tpch.ShardedDB
-	if *nshards > 0 {
-		sdb = tpch.ShardDB(db, *nshards)
-	}
-
 	for _, cfg := range configs {
 		o := cfg.Build(mal.ConfigOptions{Threads: *threads, GPUMemory: *gpuMem << 20, GPUs: *gpus})
 		if *spillMB != 0 {
@@ -91,39 +83,6 @@ func main() {
 				b = -1
 			}
 			mal.SetSpillBudget(o, b)
-		}
-		if sdb != nil {
-			// Scatter-gather mode: one engine per shard behind a sharded
-			// server; the first run compiles, the measured run scatters.
-			engs := make([]ops.Operators, *nshards)
-			for i := range engs {
-				engs[i] = cfg.Build(mal.ConfigOptions{Threads: *threads, GPUMemory: *gpuMem << 20, GPUs: *gpus})
-			}
-			ss := serve.NewSharded(o, engs, sdb.Catalog(), serve.Options{MaxConcurrent: *nshards + 1})
-			plan := func(s *mal.Session) *mal.Result { return q.Plan(s, sdb.Global) }
-			name := fmt.Sprintf("Q%d", q.Num)
-			if _, err := ss.Execute(name, nil, plan); err != nil { // cold: compile
-				fmt.Printf("%-4s error: %v\n", cfg, err)
-				continue
-			}
-			start := time.Now()
-			res, err := ss.Execute(name, nil, plan)
-			if err != nil {
-				fmt.Printf("%-4s error: %v\n", cfg, err)
-				continue
-			}
-			wall := time.Since(start)
-			st := ss.Stats()
-			mode := "scatter-gather"
-			if st.Degenerate > 0 {
-				mode = "degenerate (served unsharded on the coordinator)"
-			}
-			fmt.Printf("%-4s %-34s %d rows, warm wall %v, %d shards, %s\n",
-				cfg, o.Name(), res.Rows(), wall.Round(time.Microsecond), *nshards, mode)
-			if *rows {
-				fmt.Println(res)
-			}
-			continue
 		}
 		s := mal.NewSession(o)
 		if *explain {

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, srv, fus, ndev, spill, par, shard")
+		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, srv, fus, ndev, spill, par")
 		all     = flag.Bool("all", false, "regenerate every figure")
 		conc    = flag.Int("concurrency", 0, "serve the TPC-H workload with N concurrent clients over one shared engine and print per-query server stats")
 		sizes   = flag.String("sizes", "", "comma-separated size sweep in MB (Fig 5/6)")
@@ -107,7 +107,7 @@ func main() {
 	var figs []string
 	if *all {
 		figs = []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "5i", "6",
-			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "srv", "fus", "ndev", "spill", "par", "shard"}
+			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "srv", "fus", "ndev", "spill", "par"}
 	} else if *fig != "" {
 		for _, f := range strings.Split(*fig, ",") {
 			figs = append(figs, strings.ToLower(strings.TrimSpace(f)))
@@ -158,8 +158,6 @@ func main() {
 			rep = bench.SpillFigure(topt)
 		case f == "par":
 			rep = bench.ParFigure(topt)
-		case f == "shard":
-			rep = bench.ShardFigure(topt)
 		default:
 			known := make([]string, 0, len(micro)+len(ablations))
 			for k := range micro {
@@ -169,7 +167,7 @@ func main() {
 				known = append(known, k)
 			}
 			sort.Strings(known)
-			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc srv fus ndev spill par shard)", f, strings.Join(known, " "))
+			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc srv fus ndev spill par)", f, strings.Join(known, " "))
 		}
 		fmt.Println(rep)
 		runtime.ReadMemStats(&ms)

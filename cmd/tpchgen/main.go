@@ -27,24 +27,12 @@ func main() {
 		dict   = flag.String("dict", "", "print the dictionary of a string column")
 		csvDir = flag.String("csv", "", "export all tables as CSV into this directory")
 		skew   = flag.Float64("skew", 0, "Zipf exponent for the skewed foreign keys and quantities (0 = uniform, the TPC-H default)")
-		shards = flag.Int("shards", 1, "partition the fact tables (orders, lineitem) into N shards by order key")
-		shard  = flag.Int("shard", -1, "with -shards: print/export this shard's view only (0-based); the partitioning is deterministic, so N invocations with -shard 0..N-1 union to the unsharded instance")
 	)
 	flag.Parse()
 
 	start := time.Now()
 	db := tpch.GenerateSkewed(*sf, *seed, *skew)
 	elapsed := time.Since(start)
-
-	shardNote := ""
-	if *shards > 1 || *shard >= 0 {
-		if *shards < 1 || *shard < 0 || *shard >= *shards {
-			fmt.Fprintf(os.Stderr, "tpchgen: -shard %d out of range for -shards %d\n", *shard, *shards)
-			os.Exit(1)
-		}
-		db = tpch.ShardDB(db, *shards).Shards[*shard]
-		shardNote = fmt.Sprintf(", shard %d of %d", *shard, *shards)
-	}
 
 	if *csvDir != "" {
 		if err := db.WriteCSV(*csvDir); err != nil {
@@ -68,8 +56,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("TPC-H SF %g (seed %d)%s: generated in %v, %.1f MB of heaps\n\n",
-		*sf, *seed, shardNote, elapsed.Round(time.Millisecond), float64(db.TotalBytes())/(1<<20))
+	fmt.Printf("TPC-H SF %g (seed %d): generated in %v, %.1f MB of heaps\n\n",
+		*sf, *seed, elapsed.Round(time.Millisecond), float64(db.TotalBytes())/(1<<20))
 	fmt.Printf("%-10s %12s %8s\n", "table", "rows", "cols")
 	for _, t := range db.Tables() {
 		fmt.Printf("%-10s %12d %8d\n", t.Name, t.Rows(), len(t.Order))

@@ -103,16 +103,10 @@ type BAT struct {
 	// leave them nil.
 	Stats *Stats
 	// TableName names the Table this BAT is a base column of (stamped by
-	// Table.Add), or "" for plan intermediates and free-standing BATs. The
-	// shard compiler uses it to rebind a plan's base columns to a shard's
-	// local tables.
+	// Table.Add), or "" for plan intermediates and free-standing BATs. A
+	// sealed template lists the tables its plan read by it, and those
+	// tables' catalog versions decide whether the template is current.
 	TableName string
-	// PosInto names the table whose row positions this column's values are —
-	// the precomputed join indexes of the TPC-H generator ("l_orderpos"
-	// holds positions into orders). "" for plain value columns. The shard
-	// compiler needs it to tell locally-renumbered positions (into a
-	// sharded table) from globally-stable ones (into a replicated table).
-	PosInto string
 
 	count int
 	heap  []byte // aligned tail heap; nil for Void
@@ -367,8 +361,7 @@ func (b *BAT) String() string {
 }
 
 // Table is a named collection of equally-long column BATs — the relational
-// view the SQL layer maintains over BATs. A table may additionally be one
-// shard of a logical table (GlobalRows non-nil) and may grow through
+// view the SQL layer maintains over BATs. A table may grow through
 // AppendDelta, copy-on-append (ingest.go): readers that captured column BATs
 // before an append keep a consistent immutable snapshot, readers that
 // re-resolve columns see the appended ones.
@@ -377,13 +370,6 @@ type Table struct {
 	// Order preserves column declaration order for display.
 	Order []string
 	Cols  map[string]*BAT
-
-	// GlobalRows maps this shard's local row index to the row index of the
-	// logical (unsharded) table; nil for unsharded tables. It is ascending:
-	// shards are carved out of the logical table in row order.
-	GlobalRows []uint32
-	// ShardIdx/NShards locate the shard in its topology (0/0 = unsharded).
-	ShardIdx, NShards int
 
 	mu sync.RWMutex
 }

@@ -11,61 +11,29 @@
 // old BATs.
 package bat
 
-import "fmt"
-
-// TableView is a consistent snapshot of a table: the complete column set
-// between two appends. Host code that reads several columns of a table that
-// may be ingesting concurrently must take one View and read through it,
-// rather than calling Col repeatedly across an append boundary.
-type TableView struct {
-	Name string
-	Rows int
-	Cols map[string]*BAT
-}
-
-// View returns a consistent snapshot of the table's columns.
-func (t *Table) View() *TableView {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v := &TableView{Name: t.Name, Cols: make(map[string]*BAT, len(t.Cols))}
-	for name, b := range t.Cols {
-		v.Cols[name] = b
-	}
-	if len(t.Order) > 0 {
-		v.Rows = t.Cols[t.Order[0]].Len()
-	}
-	return v
-}
-
-// Col returns a snapshot column, panicking on unknown names like Table.Col.
-func (v *TableView) Col(name string) *BAT {
-	b, ok := v.Cols[name]
-	if !ok {
-		panic(fmt.Sprintf("table %s (view): no column %q", v.Name, name))
-	}
-	return b
-}
+import (
+	"fmt"
+	"maps"
+)
 
 // AppendDelta appends delta's rows to the table. delta must carry exactly
-// the table's columns with matching types. For a shard table (GlobalRows non-nil) globalRows supplies the
-// logical row ids of the appended rows, in append order; unsharded tables
-// pass nil. The append is copy-on-write: every column gets a fresh BAT whose
-// heap is the old heap plus the delta, and the whole column set is swapped
-// in one critical section, so concurrent readers see either the old column
-// set or the new one, never a mix.
-func (t *Table) AppendDelta(delta *Table, globalRows []uint32) {
-	dv := delta.View()
+// the table's columns with matching types. The append is copy-on-write:
+// every column gets a fresh BAT whose heap is the old heap plus the delta,
+// and the whole column set is swapped in one critical section, so
+// concurrent readers see either the old column set or the new one, never a
+// mix.
+func (t *Table) AppendDelta(delta *Table) {
+	delta.mu.RLock()
+	dcols := maps.Clone(delta.Cols)
+	delta.mu.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(dv.Cols) != len(t.Cols) {
-		panic(fmt.Sprintf("table %s: append delta has %d columns, want %d", t.Name, len(dv.Cols), len(t.Cols)))
-	}
-	if t.GlobalRows != nil && len(globalRows) != dv.Rows {
-		panic(fmt.Sprintf("table %s: append of %d rows with %d global row ids", t.Name, dv.Rows, len(globalRows)))
+	if len(dcols) != len(t.Cols) {
+		panic(fmt.Sprintf("table %s: append delta has %d columns, want %d", t.Name, len(dcols), len(t.Cols)))
 	}
 	newCols := make(map[string]*BAT, len(t.Cols))
 	for name, old := range t.Cols {
-		d, ok := dv.Cols[name]
+		d, ok := dcols[name]
 		if !ok {
 			panic(fmt.Sprintf("table %s: append delta missing column %q", t.Name, name))
 		}
@@ -75,9 +43,6 @@ func (t *Table) AppendDelta(delta *Table, globalRows []uint32) {
 		newCols[name] = appendCol(old, d)
 	}
 	t.Cols = newCols
-	if t.GlobalRows != nil {
-		t.GlobalRows = append(t.GlobalRows[:len(t.GlobalRows):len(t.GlobalRows)], globalRows...)
-	}
 }
 
 // appendCol builds the appended column: old's heap plus delta's, with
@@ -90,7 +55,6 @@ func appendCol(old, delta *BAT) *BAT {
 	nb := New(old.Name, old.T, n)
 	nb.Seq = old.Seq
 	nb.TableName = old.TableName
-	nb.PosInto = old.PosInto
 	nb.Stats = old.Stats // load-time estimates; stale but only steers placement
 	if old.T != Void {
 		w := old.T.Width()
@@ -120,33 +84,4 @@ func boundaryOrdered(old, delta *BAT) bool {
 		return old.OIDs()[old.Len()-1] <= delta.OIDs()[0]
 	}
 	return false
-}
-
-// LocalRowOf maps a logical (global) row id to this shard's local row index
-// via binary search over the ascending GlobalRows map, or -1 when the row
-// lives on another shard.
-func (t *Table) LocalRowOf(global uint32) int {
-	t.mu.RLock()
-	g := t.GlobalRows
-	t.mu.RUnlock()
-	lo, hi := 0, len(g)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g[mid] < global {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(g) && g[lo] == global {
-		return lo
-	}
-	return -1
-}
-
-// GlobalRowsSnapshot returns the current global-row map (shared, read-only).
-func (t *Table) GlobalRowsSnapshot() []uint32 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.GlobalRows
 }

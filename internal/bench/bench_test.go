@@ -200,53 +200,6 @@ func TestParFigureSmoke(t *testing.T) {
 	}
 }
 
-func TestShardFigureSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TPC-H figure in -short mode")
-	}
-	// The figure is self-checking — it panics when any sharded answer
-	// differs byte-for-byte from the unsharded fusion-off baseline, when a
-	// scatter falls back, or when the ingest fails to retire a plan — so the
-	// smoke asserts the sweep's shape and that the accounting surfaced.
-	opt := TPCHOptions{Options: Options{Runs: 1, Threads: 4, Seed: 42}, SF: 0.005}
-	r := ShardFigure(opt)
-	if len(r.Queries) != 14 {
-		t.Fatalf("shard figure covers %d queries, want 14", len(r.Queries))
-	}
-	if want := 1 + len(ShardCounts); len(r.Order) != want {
-		t.Fatalf("shard figure has %d series, want %d (baseline + %d shard counts)",
-			len(r.Order), want, len(ShardCounts))
-	}
-	for _, c := range r.Order {
-		if len(r.Seconds[c]) != len(r.Queries) {
-			t.Fatalf("%s: %d points for %d queries", c, len(r.Seconds[c]), len(r.Queries))
-		}
-		for i, v := range r.Seconds[c] {
-			if v <= 0 {
-				t.Fatalf("Q%d on %s: non-positive timing %v", r.Queries[i], c, v)
-			}
-		}
-	}
-	scattered, ingest := 0, false
-	for _, n := range r.Notes {
-		if strings.Contains(n, "scattered") && !strings.Contains(n, "0 scattered") {
-			scattered++
-		}
-		if strings.Contains(n, "live ingest") {
-			ingest = true
-		}
-	}
-	if scattered != len(ShardCounts) {
-		t.Fatalf("scatter accounting on %d of %d shard counts (notes %v)", scattered, len(ShardCounts), r.Notes)
-	}
-	if !ingest {
-		t.Fatalf("shard figure notes lack the live-ingest probe: %v", r.Notes)
-	}
-	if s := r.String(); !strings.Contains(s, "MS n=4") {
-		t.Fatal("report rendering lacks the 4-shard series")
-	}
-}
-
 func TestFig7dProducesAllSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H figure in -short mode")

@@ -757,7 +757,7 @@ func TestCachedTableAfterIngestAppend(t *testing.T) {
 		if got := semiOf(old); !equalU32(got, []uint32{0, 1}) {
 			t.Fatalf("%s: before the append: %v", e.Name(), got)
 		}
-		tbl.AppendDelta(bat.NewTable("orders").Add("o_key", i32Col("o_key", []int32{70_000, 99_999, -3})), nil)
+		tbl.AppendDelta(bat.NewTable("orders").Add("o_key", i32Col("o_key", []int32{70_000, 99_999, -3})))
 		grown := tbl.Col("o_key")
 		if grown == old || grown.Stats != old.Stats {
 			t.Fatal("the append is expected to swap the column and carry the stale statistics")

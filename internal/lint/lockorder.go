@@ -8,19 +8,18 @@ import (
 
 // LockOrder flags plan execution attempted while holding one of the
 // serve-path bookkeeping locks: the plan cache's mutex (internal/mal,
-// PlanCache.mu), the server's flight-map mutex (internal/serve,
-// Server.fmu), and the shard coordinator's compiled-plan mutex
-// (internal/serve, ShardedServer.cmu). Plan execution acquires engine locks
-// and can block on device work; taking it under a bookkeeping lock inverts
-// the documented order (engine locks are innermost) and stalls every
-// concurrent client on a map lookup. The analyzer is textual: the critical
-// section runs from a Lock call to the first following Unlock on the same
-// mutex expression, or to the end of the function when the Unlock is
-// deferred. Function literals are separate scopes: a lock taken (or
-// deferred-unlocked) inside a closure never spans the enclosing body.
+// PlanCache.mu) and the server's flight-map mutex (internal/serve,
+// Server.fmu). Plan execution acquires engine locks and can block on device
+// work; taking it under a bookkeeping lock inverts the documented order
+// (engine locks are innermost) and stalls every concurrent client on a map
+// lookup. The analyzer is textual: the critical section runs from a Lock
+// call to the first following Unlock on the same mutex expression, or to the
+// end of the function when the Unlock is deferred. Function literals are
+// separate scopes: a lock taken (or deferred-unlocked) inside a closure
+// never spans the enclosing body.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "flag plan execution (Template.Run, Session methods, Server.Execute, engine calls) under the plan-cache, flight-map or shard-coordinator locks",
+	Doc:  "flag plan execution (Template.Run, Session methods, Server.Execute, engine calls) under the plan-cache or flight-map locks",
 	Run:  runLockOrder,
 }
 
@@ -146,15 +145,13 @@ func guardedMutex(pass *Pass, expr ast.Expr) (string, bool) {
 	if !isNamed(pass.Info.TypeOf(sel), "sync", "Mutex") && !isNamed(pass.Info.TypeOf(sel), "sync", "RWMutex") {
 		return "", false
 	}
-	// … named mu on a PlanCache, fmu on a Server, or cmu on a ShardedServer.
+	// … named mu on a PlanCache or fmu on a Server.
 	owner := pass.Info.TypeOf(sel.X)
 	switch {
 	case sel.Sel.Name == "mu" && isNamed(owner, "internal/mal", "PlanCache"):
 		return types.ExprString(sel.X) + ".mu (plan cache)", true
 	case sel.Sel.Name == "fmu" && isNamed(owner, "internal/serve", "Server"):
 		return types.ExprString(sel.X) + ".fmu (flight map)", true
-	case sel.Sel.Name == "cmu" && isNamed(owner, "internal/serve", "ShardedServer"):
-		return types.ExprString(sel.X) + ".cmu (shard coordinator)", true
 	}
 	return "", false
 }
@@ -181,8 +178,6 @@ func execCall(pass *Pass, call *ast.CallExpr) string {
 		return "Template." + name
 	case isNamed(recv, "internal/mal", "PlanCache") && name == "Run":
 		return "PlanCache.Run"
-	case isNamed(recv, "internal/mal", "ShardPlan") && name == "Merge":
-		return "ShardPlan.Merge"
 	case isNamed(recv, "internal/serve", "Server") && (name == "Execute" || name == "ExecuteCtx"):
 		return "Server." + name
 	case isNamed(recv, "internal/mal", "Session") && sessionExecMethods[name]:

@@ -55,51 +55,19 @@ func badInsideClosure(sv *Server, t *mal.Template) {
 	}()
 }
 
+// badBuildUnderLock: a plan build is plan execution too.
+func badBuildUnderLock(sv *Server, plan interface{}) {
+	sv.fmu.Lock()
+	defer sv.fmu.Unlock()
+	_, _ = mal.RunQuery(nil, plan) // want `RunQuery while holding sv\.fmu \(flight map\)`
+}
+
+// badRequestUnderLock: so is a nested request.
+func badRequestUnderLock(sv *Server) {
+	sv.fmu.Lock()
+	_, _ = sv.ExecuteCtx("q") // want `Server\.ExecuteCtx while holding sv\.fmu \(flight map\)`
+	sv.fmu.Unlock()
+}
+
 func (sv *Server) Execute(name string) (int, error)    { return 0, nil }
 func (sv *Server) ExecuteCtx(name string) (int, error) { return 0, nil }
-
-// ShardedServer mirrors the shard coordinator: cmu guards the compiled-plan
-// map and must never be held across plan execution.
-type ShardedServer struct {
-	cmu     sync.Mutex
-	entries map[string]int
-	coord   *Server
-}
-
-func badShardCompileUnderLock(ss *ShardedServer, plan interface{}) {
-	ss.cmu.Lock()
-	defer ss.cmu.Unlock()
-	if _, ok := ss.entries["q"]; ok {
-		return
-	}
-	_, _ = mal.RunQuery(nil, plan) // want `RunQuery while holding ss\.cmu \(shard coordinator\)`
-	ss.entries["q"] = 1
-}
-
-func badShardDelegateUnderLock(ss *ShardedServer) {
-	ss.cmu.Lock()
-	_, _ = ss.coord.ExecuteCtx("q") // want `Server\.ExecuteCtx while holding ss\.cmu \(shard coordinator\)`
-	ss.cmu.Unlock()
-}
-
-func badShardMergeUnderLock(ss *ShardedServer, sp *mal.ShardPlan) {
-	ss.cmu.Lock()
-	defer ss.cmu.Unlock()
-	_, _ = sp.Merge(nil) // want `ShardPlan\.Merge while holding ss\.cmu \(shard coordinator\)`
-}
-
-// goodShardRegisterThenRun is the required shape: consult the map under cmu,
-// drop the lock, run cold, relock only to store the entry.
-func goodShardRegisterThenRun(ss *ShardedServer, plan interface{}, sp *mal.ShardPlan) {
-	ss.cmu.Lock()
-	_, ok := ss.entries["q"]
-	ss.cmu.Unlock()
-	if ok {
-		return
-	}
-	_, _ = mal.RunQuery(nil, plan)
-	_, _ = sp.Merge(nil)
-	ss.cmu.Lock()
-	ss.entries["q"] = 1
-	ss.cmu.Unlock()
-}

@@ -6,8 +6,4 @@ type Template struct{}
 func (t *Template) Run(p map[string]float64) (int, error)      { return 0, nil }
 func (t *Template) RunOn(o, p map[string]float64) (int, error) { return 0, nil }
 
-type ShardPlan struct{}
-
-func (sp *ShardPlan) Merge(gathered map[string]int) (int, error) { return 0, nil }
-
 func RunQuery(eng, plan interface{}) (int, error) { return 0, nil }

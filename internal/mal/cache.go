@@ -368,14 +368,20 @@ func (s *Session) resultCol(c *bat.BAT) *bat.BAT {
 // identities and mid-plan host constants.
 //
 // Whether a resident template is still current is the catalog's to say
-// (catalog.go): each slot records the version its build registered at, and
-// stays valid while no table its template reads has changed since. The first
+// (catalog.go): each slot records the version its build read, and stays
+// valid while no table its template reads has changed since. The first
 // lookup after a new version sweeps every slot that is no longer current, so
-// a key that is never presented again (a plan the sharded server retired)
-// still lets go of its template and the column snapshots the template pins.
+// a key that is never presented again still lets go of its template and the
+// column snapshots the template pins.
 type PlanCache struct {
-	mu       sync.Mutex
-	vers     *Catalog
+	mu   sync.Mutex
+	vers *Catalog
+	// guard, when set, is the read side of the lock under which the
+	// catalog's publisher changes base data (serve.Server.Ingest). A build
+	// holds it across the plan function, which resolves base columns, and
+	// reads the version it records under it, so the version names the data
+	// the build read. Replays never take it.
+	guard    sync.Locker
 	m        map[string]*list.Element
 	lru      *list.List // front = most recently used
 	capacity int
@@ -396,8 +402,9 @@ type PlanCache struct {
 }
 
 // buildCall is one in-flight template build, registered at catalog version
-// ver. done is closed when the build finishes; tpl is set (before the close)
-// only if the build succeeded and the template was cached.
+// ver; under a guard the build replaces ver with the version it read the
+// data at. done is closed when the build finishes; by then ver is final and
+// tpl is set if the build succeeded and the template was cached.
 type buildCall struct {
 	done chan struct{}
 	ver  *CatalogVersion
@@ -405,7 +412,7 @@ type buildCall struct {
 }
 
 // cacheSlot is one resident template plus its key (for map removal on
-// eviction) and the catalog version its build registered at.
+// eviction) and the catalog version its build read.
 type cacheSlot struct {
 	key string
 	tpl *Template
@@ -420,13 +427,16 @@ const DefaultPlanCacheCapacity = 256
 
 // NewPlanCache creates an empty cache with the default capacity, over data
 // that never changes.
-func NewPlanCache() *PlanCache { return NewPlanCacheFor(&Catalog{}) }
+func NewPlanCache() *PlanCache { return NewPlanCacheFor(&Catalog{}, nil) }
 
 // NewPlanCacheFor creates an empty cache with the default capacity whose
 // templates go stale as vers publishes changes to the tables they read.
-func NewPlanCacheFor(vers *Catalog) *PlanCache {
+// guard, if not nil, is the read side of the lock vers's publisher holds
+// while it changes the data (see PlanCache.guard).
+func NewPlanCacheFor(vers *Catalog, guard sync.Locker) *PlanCache {
 	return &PlanCache{
 		vers:     vers,
+		guard:    guard,
 		m:        map[string]*list.Element{},
 		lru:      list.New(),
 		capacity: DefaultPlanCacheCapacity,
@@ -606,6 +616,15 @@ func (c *PlanCache) build(o ops.Operators, key string, params Params, passes Pas
 	s := NewSession(o)
 	s.SetPasses(passes)
 	s.SetParams(params)
+	if c.guard != nil {
+		unguarded := plan
+		plan = func(s *Session) *Result {
+			c.guard.Lock()
+			defer c.guard.Unlock()
+			bc.ver = c.vers.Current()
+			return unguarded(s)
+		}
+	}
 	res, err = RunQuery(s, plan)
 	if err == nil && res != nil {
 		tpl := s.Template()

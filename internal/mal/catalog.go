@@ -2,9 +2,8 @@
 // base data may still be reused — which version of each named table it read.
 // An ingest publishes a new CatalogVersion once its appends are applied;
 // every cache of work derived from base data (PlanCache slots, the serve
-// layer's flights and batch groups, the sharded server's compiled plans)
-// records the version it was built at and compares it with the current one.
-// Nothing keeps a counter of its own.
+// layer's flights and batch groups) records the version it was built at and
+// compares it with the current one. Nothing keeps a counter of its own.
 package mal
 
 import (
@@ -56,7 +55,7 @@ func (c *Catalog) Current() *CatalogVersion {
 
 // Publish makes the snapshot in which tables changed current and returns it.
 // Call it once the change is applied, so that whoever reads the new version
-// also reads the new data (the sharded server publishes inside its ingest
+// also reads the new data (serve.Server.Ingest publishes inside its ingest
 // lock). Concurrent publishers each get a version of their own.
 func (c *Catalog) Publish(tables []string) *CatalogVersion {
 	for {
@@ -75,3 +74,11 @@ func (c *Catalog) Publish(tables []string) *CatalogVersion {
 		}
 	}
 }
+
+// ShardCatalog is empty.
+//
+// Deprecated: sharded execution is gone. The type remains only for the
+// pinned benchmark's ingest_mix workload, through serve.NewSharded and
+// tpch.ShardedDB.Catalog, and goes when that workload moves to
+// serve.Server.Ingest.
+type ShardCatalog struct{}

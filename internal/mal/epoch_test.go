@@ -2,6 +2,7 @@ package mal
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/bat"
@@ -82,7 +83,7 @@ func TestInvalidateTableScopedStaleness(t *testing.T) {
 	ta, tb := epochTables()
 	o := MS.Build(ConfigOptions{})
 	var vers Catalog
-	c := NewPlanCacheFor(&vers)
+	c := NewPlanCacheFor(&vers, nil)
 	passes := DefaultPasses()
 
 	builtA, builtB := 0, 0
@@ -104,7 +105,7 @@ func TestInvalidateTableScopedStaleness(t *testing.T) {
 	delta := bat.NewTable("ta")
 	delta.Add("k", bat.NewI32("ta_k", []int32{6}))
 	delta.Add("v", bat.NewF32("ta_v", []float32{60}))
-	ta.AppendDelta(delta, nil)
+	ta.AppendDelta(delta)
 	res, hit, err := c.Run(o, "qa", nil, passes, planA)
 	if err != nil || !hit || sumOf(t, res) != 140 {
 		t.Fatalf("qa before the publish: hit=%v err=%v (want the captured template's 140)", hit, err)
@@ -145,7 +146,7 @@ func TestInvalidateTableDuringBuild(t *testing.T) {
 	ta, _ := epochTables()
 	o := MS.Build(ConfigOptions{})
 	var vers Catalog
-	c := NewPlanCacheFor(&vers)
+	c := NewPlanCacheFor(&vers, nil)
 	passes := DefaultPasses()
 
 	built := 0
@@ -215,13 +216,63 @@ func TestInvalidateTableDuringBuild(t *testing.T) {
 	}
 }
 
+// TestGuardedBuildRecordsTheVersionItRead: a cache with a guard reads the
+// version a build records under the guard, together with the data. A
+// publish that lands while the build waits for the guard — after its miss
+// registered, before the plan resolved its columns — therefore leaves a
+// current template: the build read the published rows, and the next run
+// replays it instead of building again.
+func TestGuardedBuildRecordsTheVersionItRead(t *testing.T) {
+	ta, _ := epochTables()
+	o := MS.Build(ConfigOptions{})
+	var vers Catalog
+	var ingest sync.RWMutex
+	c := NewPlanCacheFor(&vers, ingest.RLocker())
+	passes := DefaultPasses()
+	built := 0
+	plan := func(s *Session) *Result { built++; return sumPlan(ta)(s) }
+
+	ingest.Lock() // an ingest is under way
+	sums := make(chan float32, 1)
+	go func() {
+		res, _, err := c.Run(o, "qa", nil, passes, plan)
+		if err != nil {
+			t.Error(err)
+			sums <- 0
+			return
+		}
+		sums <- res.Cols[0].F32s()[0]
+	}()
+	for {
+		c.mu.Lock()
+		registered := c.building[cacheKey("qa", o, passes)] != nil
+		c.mu.Unlock()
+		if registered {
+			break
+		}
+		runtime.Gosched()
+	}
+	delta := bat.NewTable("ta")
+	delta.Add("k", bat.NewI32("ta_k", []int32{6}))
+	delta.Add("v", bat.NewF32("ta_v", []float32{60}))
+	ta.AppendDelta(delta)
+	vers.Publish([]string{"ta"})
+	ingest.Unlock()
+	if sum := <-sums; sum != 200 {
+		t.Fatalf("the build read sum %v, want the appended rows' 200", sum)
+	}
+	if _, hit, err := c.Run(o, "qa", nil, passes, plan); err != nil || !hit || built != 1 {
+		t.Fatalf("after the build: hit=%v err=%v, %d builds (want a replay of the one build)", hit, err, built)
+	}
+}
+
 // TestInvalidateTableUntouchedCache: publishing a table no resident
 // template reads must not disturb anything.
 func TestInvalidateTableUntouchedCache(t *testing.T) {
 	ta, _ := epochTables()
 	o := MS.Build(ConfigOptions{})
 	var vers Catalog
-	c := NewPlanCacheFor(&vers)
+	c := NewPlanCacheFor(&vers, nil)
 	passes := DefaultPasses()
 	if _, hit, err := c.Run(o, "qa", nil, passes, sumPlan(ta)); err != nil || hit {
 		t.Fatalf("warmup: hit=%v err=%v", hit, err)

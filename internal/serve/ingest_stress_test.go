@@ -64,15 +64,14 @@ func stressRequests() []stressRequest {
 	return out
 }
 
-// TestShardedIngestStress drives every feature that keeps state across an
+// TestServerIngestStress drives every feature that keeps state across an
 // ingest at once: readers issue all 14 queries and a parameterised scan
-// through a ShardedServer, some of them cancelling requests, while a writer
-// lands several ingests. Every answer must equal the oracle of a generation
-// no older than the last ingest completed before the request started;
-// single-flight and batching must have fired on the shard servers; no
-// scatter may fall back; and each query compiles cold at most once, plus
-// once per ingest that changed a table it reads.
-func TestShardedIngestStress(t *testing.T) {
+// through one Server, some of them cancelling requests, while a writer lands
+// several ingests. Every answer must equal the oracle of a generation no
+// older than the last ingest completed before the request started;
+// single-flight and batching must have fired; and each query's plan builds
+// at most once, plus once per ingest that changed a table it reads.
+func TestServerIngestStress(t *testing.T) {
 	const ingests, readers = 4, 6
 	full := tpch.GenerateSkewed(0.005, 42, 0.5)
 	gens := make([]*tpch.DB, ingests+1)
@@ -85,7 +84,6 @@ func TestShardedIngestStress(t *testing.T) {
 	for i, rq := range reqs {
 		for _, db := range gens {
 			s := mal.NewSession(refEng)
-			s.SetPasses(unfusedPasses())
 			s.SetParams(rq.params)
 			res, err := mal.RunQuery(s, rq.plan(db))
 			if err != nil {
@@ -103,28 +101,27 @@ func TestShardedIngestStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tab := range s.Template().Tables() {
-			touched[rq.name] = touched[rq.name] || slices.Contains(tpch.ShardTables(), tab)
+			touched[rq.name] = touched[rq.name] || slices.Contains(appendTables, tab)
 		}
 	}
 
-	sdb := tpch.ShardDB(gens[0], 2)
-	shardEngs := []ops.Operators{yieldingOps{mal.MS.Build(engineOpts())}, yieldingOps{mal.MS.Build(engineOpts())}}
-	ss := NewSharded(mal.MS.Build(engineOpts()), shardEngs, sdb.Catalog(), Options{MaxConcurrent: 1})
-	calls := map[string]*atomic.Int64{}
+	// The served instance starts at generation 0; ingest g appends the rest
+	// of generation g.
+	d := tpch.PrefixDB(full, gens[0].Orders.Rows())
+	sv := New(yieldingOps{mal.MS.Build(engineOpts())}, Options{MaxConcurrent: 1})
+	builds := map[string]*atomic.Int64{}
 	served := make([]func(*mal.Session) *mal.Result, len(reqs))
 	for i, rq := range reqs {
-		if calls[rq.name] == nil {
-			calls[rq.name] = &atomic.Int64{}
+		if builds[rq.name] == nil {
+			builds[rq.name] = &atomic.Int64{}
 		}
-		n, plan := calls[rq.name], rq.plan(sdb.Global)
+		n, plan := builds[rq.name], rq.plan(d)
 		served[i] = func(s *mal.Session) *mal.Result { n.Add(1); return plan(s) }
 	}
 	coalesced := func() (shared, batched int64) {
-		for i := 0; i < ss.NShards(); i++ {
-			for _, st := range ss.Shard(i).Stats() {
-				shared += st.Shared
-				batched += st.Batched
-			}
+		for _, st := range sv.Stats() {
+			shared += st.Shared
+			batched += st.Batched
 		}
 		return shared, batched
 	}
@@ -162,7 +159,7 @@ func TestShardedIngestStress(t *testing.T) {
 						time.AfterFunc(time.Duration(rng.Intn(200))*time.Microsecond, cancel)
 					}
 					from := int(completed.Load())
-					res, err := ss.ExecuteCtx(ctx, reqs[i].name, reqs[i].params, served[i])
+					res, err := sv.ExecuteCtx(ctx, reqs[i].name, reqs[i].params, served[i])
 					ctxErr := ctx.Err()
 					cancel()
 					if errors.Is(err, context.Canceled) && ctxErr != nil {
@@ -190,7 +187,7 @@ func TestShardedIngestStress(t *testing.T) {
 		for reads.Load() < int64(g*readers*4) && len(errs) == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		ss.Ingest(tpch.ShardTables(), func() { sdb.AppendTail(gens[g]) })
+		sv.Ingest(appendTables, func() { d.AppendTail(gens[g]) })
 		completed.Store(int64(g))
 	}
 	close(writerDone)
@@ -200,34 +197,25 @@ func TestShardedIngestStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := ss.Stats()
-	if st.Fallbacks != 0 {
-		t.Fatalf("%d scatters fell back to the coordinator", st.Fallbacks)
+	sh, bt := coalesced()
+	if sh == 0 || bt == 0 {
+		t.Fatalf("the server shared %d and batched %d requests: coalescing never met an ingest", sh, bt)
 	}
-	if sh, bt := coalesced(); sh == 0 || bt == 0 {
-		t.Fatalf("shard servers shared %d and batched %d requests: coalescing never met an ingest", sh, bt)
-	}
-	// A query's plan closure runs for its cold compiles and for the
-	// coordinator's template builds (degenerate plans): what the coordinator
-	// did not build, the cold path compiled.
-	coord := ss.Coordinator().Stats()
-	var cold int64
-	for name, n := range calls {
-		c := coord[name]
-		compiles := n.Load() - (c.Runs - c.CacheHits - c.Shared)
+	// A plan closure runs only when its template builds.
+	var built int64
+	for name, n := range builds {
 		bound := int64(1)
 		if touched[name] {
 			bound += ingests
 		}
-		if compiles > bound {
-			t.Errorf("%s compiled cold %d times, want at most %d", name, compiles, bound)
+		if got := n.Load(); got > bound {
+			t.Errorf("%s built %d times, want at most %d", name, got, bound)
 		}
-		cold += compiles
+		built += n.Load()
 	}
-	if cold != st.ColdCompiles {
-		t.Fatalf("accounted %d cold compiles, the server counted %d", cold, st.ColdCompiles)
+	if _, misses, _ := sv.CacheStats(); misses != built {
+		t.Fatalf("the plan closures ran %d times, the plan cache counted %d builds", built, misses)
 	}
-	sh, bt := coalesced()
-	t.Logf("%d answers checked, %d cancelled; shards shared %d, batched %d; %d cold compiles, %d recompiles",
-		reads.Load(), cancelled.Load(), sh, bt, st.ColdCompiles, st.Recompiles)
+	t.Logf("%d answers checked, %d cancelled; shared %d, batched %d; %d template builds",
+		reads.Load(), cancelled.Load(), sh, bt, built)
 }

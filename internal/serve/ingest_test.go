@@ -10,84 +10,89 @@ import (
 	"repro/internal/tpch"
 )
 
+// appendTables are the tables tpch.DB.AppendTail changes.
+var appendTables = []string{"orders", "lineitem"}
+
+// refRun executes a query on eng outside any server.
+func refRun(t *testing.T, eng ops.Operators, q tpch.Query, d *tpch.DB) *mal.Result {
+	t.Helper()
+	res, err := mal.RunQuery(mal.NewSession(eng), func(s *mal.Session) *mal.Result { return q.Plan(s, d) })
+	if err != nil {
+		t.Fatalf("Q%d reference: %v", q.Num, err)
+	}
+	return res
+}
+
+// execQuery runs TPC-H query num through sv over d.
+func execQuery(sv *Server, num int, d *tpch.DB) (*mal.Result, error) {
+	q := tpch.QueryByNum(num)
+	return sv.Execute(fmt.Sprintf("Q%d", num), nil, func(s *mal.Session) *mal.Result { return q.Plan(s, d) })
+}
+
 // TestServerInvalidateTableKeepsOtherTablesWarm is the staleness regression
-// check for a plain Server over a catalog: a publish naming lineitem must
-// force queries over lineitem to rebuild while queries over unrelated
-// tables keep replaying their cached templates (cache-hit counters prove
-// it).
+// check: a publish naming lineitem must force queries over lineitem to
+// rebuild while queries over unrelated tables keep replaying their cached
+// templates (cache-hit counters prove it).
 func TestServerInvalidateTableKeepsOtherTablesWarm(t *testing.T) {
 	d := testDB()
-	vers := &mal.Catalog{}
-	sv := newBalanced([]ops.Operators{mal.MS.Build(engineOpts())}, Options{MaxConcurrent: 2}, vers)
-	q6, q11 := *tpch.QueryByNum(6), *tpch.QueryByNum(11) // lineitem vs partsupp-only
-	run := func(q tpch.Query) {
+	sv := New(mal.MS.Build(engineOpts()), Options{MaxConcurrent: 2})
+	run := func(num int) {
 		t.Helper()
-		if _, err := sv.Execute(fmt.Sprintf("Q%d", q.Num), nil, func(s *mal.Session) *mal.Result {
-			return q.Plan(s, d)
-		}); err != nil {
-			t.Fatalf("Q%d: %v", q.Num, err)
+		if _, err := execQuery(sv, num, d); err != nil {
+			t.Fatalf("Q%d: %v", num, err)
 		}
 	}
-	run(q6)
-	run(q11)
-	run(q6)
-	run(q11)
+	run(6)  // lineitem
+	run(11) // partsupp, supplier, nation
+	run(6)
+	run(11)
 	hits, misses, _ := sv.CacheStats()
 	if hits != 2 || misses != 2 {
 		t.Fatalf("warmup cache stats %d/%d, want 2 hits / 2 misses", hits, misses)
 	}
 
-	vers.Publish([]string{"lineitem"})
+	sv.Ingest([]string{"lineitem"}, func() {}) // the publish alone
 
-	run(q11) // no lineitem: template must stay warm
+	run(11) // no lineitem: template must stay warm
 	if h, m, _ := sv.CacheStats(); h != hits+1 || m != misses {
 		t.Fatalf("Q11 after lineitem publish: %d/%d (was %d/%d) — unrelated template went cold", h, m, hits, misses)
 	}
-	run(q6) // reads lineitem: must rebuild
+	run(6) // reads lineitem: must rebuild
 	if h, m, _ := sv.CacheStats(); h != hits+1 || m != misses+1 {
 		t.Fatalf("Q6 after lineitem publish: %d/%d (was %d/%d) — stale template replayed", h, m, hits, misses)
 	}
 }
 
-// TestShardedLiveIngest serves reads concurrently with an incremental
-// append. Every result observed during the append must equal either the
-// pre-append or the post-append answer (generation-stamped snapshots, no
-// torn reads); afterwards the appended rows must be visible, queries over
-// the appended tables recompile exactly once, and queries over untouched
-// tables stay warm in the coordinator's cache.
-func TestShardedLiveIngest(t *testing.T) {
+// TestServerLiveIngest serves reads concurrently with an append. Every
+// result observed during the append must equal the pre-append or the
+// post-append answer; afterwards the appended rows are visible through one
+// rebuilt Q6 template, and Q11, which reads none of the appended tables, is
+// still a cache hit.
+func TestServerLiveIngest(t *testing.T) {
 	full := tpch.GenerateSkewed(0.005, 42, 0.5)
-	pre := tpch.PrefixDB(full, full.Orders.Rows()*4/5)
-	sdb := tpch.ShardDB(pre, 2)
+	d := tpch.PrefixDB(full, full.Orders.Rows()*4/5)
 
 	refEng := mal.MS.Build(engineOpts())
 	q6, q11 := *tpch.QueryByNum(6), *tpch.QueryByNum(11)
-	preRef6 := refRun(t, refEng, q6, pre)
-	postRef6 := refRun(t, refEng, q6, full)
-	ref11 := refRun(t, refEng, q11, pre) // partsupp-only: append changes nothing
+	preRef6, postRef6 := refRun(t, refEng, q6, d), refRun(t, refEng, q6, full)
+	ref11 := refRun(t, refEng, q11, d) // partsupp-only: the append changes nothing
 	if canonEqual(preRef6, postRef6) == nil {
 		t.Fatal("append does not change Q6's answer; the test would prove nothing")
 	}
 
-	ss := NewSharded(mal.MS.Build(engineOpts()), shardEngines(mal.MS, 2), sdb.Catalog(), Options{MaxConcurrent: 4})
-	exec := func(q tpch.Query) (*mal.Result, error) {
-		return ss.Execute(fmt.Sprintf("Q%d", q.Num), nil, func(s *mal.Session) *mal.Result {
-			return q.Plan(s, sdb.Global)
-		})
-	}
-	for i := 0; i < 3; i++ { // cold compile + warm rounds
-		res, err := exec(q6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := canonEqual(res, preRef6); err != nil {
-			t.Fatalf("pre-append Q6 round %d: %v", i, err)
-		}
-		if res, err = exec(q11); err != nil {
-			t.Fatal(err)
-		}
-		if err := canonEqual(res, ref11); err != nil {
-			t.Fatalf("pre-append Q11 round %d: %v", i, err)
+	sv := New(mal.MS.Build(engineOpts()), Options{MaxConcurrent: 4})
+	for i := 0; i < 3; i++ { // a build, then warm rounds
+		for _, c := range []struct {
+			num  int
+			want *mal.Result
+		}{{6, preRef6}, {11, ref11}} {
+			res, err := execQuery(sv, c.num, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := canonEqual(res, c.want); err != nil {
+				t.Fatalf("pre-append Q%d round %d: %v", c.num, i, err)
+			}
 		}
 	}
 
@@ -95,13 +100,13 @@ func TestShardedLiveIngest(t *testing.T) {
 	// generation.
 	const readers, reads = 4, 8
 	var wg sync.WaitGroup
-	errs := make(chan error, readers*reads)
+	errs := make(chan error, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
-				res, err := exec(q6)
+				res, err := execQuery(sv, 6, d)
 				if err != nil {
 					errs <- err
 					return
@@ -113,78 +118,109 @@ func TestShardedLiveIngest(t *testing.T) {
 			}
 		}()
 	}
-	ss.Ingest(tpch.ShardTables(), func() { sdb.AppendTail(full) })
+	sv.Ingest(appendTables, func() { d.AppendTail(full) })
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 
-	// The appended rows are visible now, through a recompiled plan.
-	res, err := exec(q6)
+	res, err := execQuery(sv, 6, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := canonEqual(res, postRef6); err != nil {
 		t.Fatalf("post-append Q6: %v", err)
 	}
-	if st := ss.Stats(); st.Recompiles == 0 {
-		t.Fatal("append did not retire the compiled Q6 plan")
-	} else if st.Fallbacks != 0 {
-		t.Fatalf("%d scatter fallbacks during ingest", st.Fallbacks)
+	// Q6 and Q11 built once before the append; Q6 rebuilt once after it.
+	h0, m0, _ := sv.CacheStats()
+	if m0 != 3 {
+		t.Fatalf("%d template builds, want 3", m0)
 	}
-
-	// Q11 reads none of the appended tables: its coordinator template must
-	// still be warm — served as a hit, no rebuild.
-	h0, m0, _ := ss.Coordinator().CacheStats()
-	if res, err = exec(q11); err != nil {
+	if res, err = execQuery(sv, 11, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := canonEqual(res, ref11); err != nil {
 		t.Fatalf("post-append Q11: %v", err)
 	}
-	h1, m1, _ := ss.Coordinator().CacheStats()
-	if m1 != m0 || h1 != h0+1 {
-		t.Fatalf("Q11 after ingest: coordinator cache %d/%d -> %d/%d — template went cold", h0, m0, h1, m1)
+	if h1, m1, _ := sv.CacheStats(); m1 != m0 || h1 != h0+1 {
+		t.Fatalf("Q11 after the append: cache %d/%d -> %d/%d — template went cold", h0, m0, h1, m1)
 	}
 }
 
-// TestShardedIngestsLeaveShardStateBounded: every compiled plan presents its
-// own key to the shard servers (name@version), so each ingest retires a key
-// for good. The retired key's template must go with the first run after the
-// ingest's publish — it will never be looked up again, so nothing else would
-// drop it short of the LRU — and the per-query statistics must keep
-// aggregating under the bare query name, not grow a row per compile.
-func TestShardedIngestsLeaveShardStateBounded(t *testing.T) {
-	sdb := tpch.GenerateSharded(0.005, 42, 0, 2)
-	ss := NewSharded(mal.MS.Build(engineOpts()), shardEngines(mal.MS, 2), sdb.Catalog(), Options{MaxConcurrent: 4})
-	q6 := *tpch.QueryByNum(6)
-	exec := func() {
+// TestServerIngestSweepsStaleTemplates: a template an ingest made stale goes
+// with the first lookup after the publish, even when its query never runs
+// again — nothing else would drop it short of the LRU — and the statistics
+// keep one row per query name.
+func TestServerIngestSweepsStaleTemplates(t *testing.T) {
+	d := testDB()
+	sv := New(mal.MS.Build(engineOpts()), Options{MaxConcurrent: 4})
+	run := func(num int) {
 		t.Helper()
-		if _, err := ss.Execute("Q6", nil, func(s *mal.Session) *mal.Result { return q6.Plan(s, sdb.Global) }); err != nil {
-			t.Fatal(err)
+		if _, err := execQuery(sv, num, d); err != nil {
+			t.Fatalf("Q%d: %v", num, err)
 		}
 	}
 	const ingests = 6
-	for i := 0; i <= ingests; i++ {
-		exec() // cold: compiles plan Q6@i+1 on the coordinator
-		exec() // warm: scatters it, building one template per shard
-		exec()
-		if i < ingests {
-			ss.Ingest([]string{"lineitem"}, func() {}) // the publish alone retires the plan
+	for i := 1; i <= ingests; i++ {
+		run(6)
+		run(6)
+		run(11)
+		sv.Ingest([]string{"lineitem"}, func() {}) // the publish alone retires Q6
+		run(11)
+		if _, _, size := sv.CacheStats(); size != 1 {
+			t.Fatalf("after ingest %d: %d templates resident, want only Q11's", i, size)
 		}
 	}
-	if st := ss.Stats(); st.ColdCompiles != ingests+1 || st.Fallbacks != 0 {
-		t.Fatalf("cold compiles %d (want %d), fallbacks %d", st.ColdCompiles, ingests+1, st.Fallbacks)
+	if _, misses, _ := sv.CacheStats(); misses != ingests+1 {
+		t.Fatalf("%d template builds, want %d: Q6 once per round, Q11 once", misses, ingests+1)
 	}
-	for i := 0; i < ss.NShards(); i++ {
-		sh := ss.Shard(i)
-		stats := sh.Stats()
-		if st, ok := stats["Q6"]; len(stats) != 1 || !ok || st.Runs != 2*(ingests+1) {
-			t.Fatalf("shard %d statistics %+v: want the one row \"Q6\" with %d runs", i, stats, 2*(ingests+1))
+	stats := sv.Stats()
+	if len(stats) != 2 || stats["Q6"].Runs != 2*ingests || stats["Q11"].Runs != 2*ingests {
+		t.Fatalf("statistics %+v: want the rows Q6 and Q11 with %d runs each", stats, 2*ingests)
+	}
+}
+
+// TestBalancedIngestRetiresEveryCache: a server over two engines keeps one
+// plan cache per engine over one catalog, so one Ingest retires the stale
+// template in both — each engine rebuilds Q6 over the appended rows — while
+// Q11, over untouched tables, stays warm in both.
+func TestBalancedIngestRetiresEveryCache(t *testing.T) {
+	full := tpch.GenerateSkewed(0.005, 42, 0.5)
+	d := tpch.PrefixDB(full, full.Orders.Rows()*4/5)
+	postRef6 := refRun(t, mal.MS.Build(engineOpts()), *tpch.QueryByNum(6), full)
+	// One request at a time: an idle server alternates its engines
+	// round-robin, so each pair of requests lands once on each.
+	sv := NewBalanced([]ops.Operators{mal.MS.Build(engineOpts()), mal.MS.Build(engineOpts())},
+		Options{MaxConcurrent: 4, NoCoalesce: true})
+	run := func(num int) *mal.Result {
+		t.Helper()
+		res, err := execQuery(sv, num, d)
+		if err != nil {
+			t.Fatalf("Q%d: %v", num, err)
 		}
-		if _, misses, size := sh.CacheStats(); size != 1 || misses != ingests+1 {
-			t.Fatalf("shard %d plan cache: %d templates resident after %d builds, want only the live plan's", i, size, misses)
+		return res
+	}
+	for _, num := range []int{6, 6, 11, 11} {
+		run(num)
+	}
+	if _, misses, size := sv.CacheStats(); misses != 4 || size != 4 {
+		t.Fatalf("warm-up: %d builds, %d resident, want 4 and 4 (both queries on both engines)", misses, size)
+	}
+
+	sv.Ingest(appendTables, func() { d.AppendTail(full) })
+
+	for i := 0; i < 2; i++ {
+		if err := canonEqual(run(6), postRef6); err != nil {
+			t.Fatalf("post-append Q6, request %d: %v", i, err)
 		}
+	}
+	run(11)
+	run(11)
+	if hits, misses, size := sv.CacheStats(); hits != 2 || misses != 6 || size != 4 {
+		t.Fatalf("cache %d hits / %d misses / %d resident, want 2/6/4: both engines rebuild Q6, Q11 stays warm", hits, misses, size)
+	}
+	if loads := sv.EngineLoads(); loads[0] != 4 || loads[1] != 4 {
+		t.Fatalf("engine loads %v, want 4 each", loads)
 	}
 }

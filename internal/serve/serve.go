@@ -32,9 +32,10 @@
 // its own plan cache — the mal.PlanCache contract scopes a cache to one
 // engine over one database.
 //
-// Every cache, flight and batch group reads one catalog version: a server
-// built by New or NewBalanced has a catalog that never changes, and the
-// servers of a ShardedServer share the one its Ingest publishes to.
+// Every cache, flight and batch group reads the server's one catalog
+// version, which only Ingest changes: it applies a change to the base data
+// and publishes the version naming the tables it changed, so only work over
+// those tables goes stale.
 package serve
 
 import (
@@ -131,8 +132,16 @@ type Server struct {
 	slots  []*engineSlot
 	passes mal.Passes
 
-	// vers is the catalog the plan caches, flights and batch groups read.
+	// vers is the catalog the plan caches, flights and batch groups read;
+	// Ingest publishes to it.
 	vers *mal.Catalog
+	// ingestMu orders Ingest against plan builds. Ingest holds the write
+	// side across its apply and its publish; every build holds the read
+	// side across its plan closure, which resolves base columns live
+	// (bat.Table.Col), and reads the catalog version it records under it.
+	// Replays take no lock: a template holds the column snapshots its build
+	// resolved.
+	ingestMu sync.RWMutex
 
 	sem     chan struct{}
 	maxQ    int64
@@ -208,13 +217,9 @@ func New(o ops.Operators, opt Options) *Server {
 // The engines should be interchangeable — same module, same base data —
 // since any request may land on any of them; typically they are separate
 // instances of one configuration (e.g. per-NUMA-domain hybrid engines).
-// Each engine gets its own plan cache.
+// Each engine gets its own plan cache; all of them read the server's one
+// catalog, so one Ingest retires the stale templates in every cache.
 func NewBalanced(os []ops.Operators, opt Options) *Server {
-	return newBalanced(os, opt, &mal.Catalog{})
-}
-
-// newBalanced is NewBalanced over the catalog vers.
-func newBalanced(os []ops.Operators, opt Options, vers *mal.Catalog) *Server {
 	if len(os) == 0 {
 		panic("serve: NewBalanced needs at least one engine")
 	}
@@ -233,7 +238,7 @@ func newBalanced(os []ops.Operators, opt Options, vers *mal.Catalog) *Server {
 	}
 	sv := &Server{
 		passes:   passes,
-		vers:     vers,
+		vers:     &mal.Catalog{},
 		sem:      make(chan struct{}, opt.MaxConcurrent),
 		maxQ:     int64(opt.MaxQueued),
 		coalesce: !opt.NoCoalesce && !opt.NoCache,
@@ -245,7 +250,7 @@ func newBalanced(os []ops.Operators, opt Options, vers *mal.Catalog) *Server {
 	for _, o := range os {
 		slot := &engineSlot{o: o}
 		if !opt.NoCache {
-			slot.cache = mal.NewPlanCacheFor(vers)
+			slot.cache = mal.NewPlanCacheFor(sv.vers, sv.ingestMu.RLocker())
 		}
 		sv.slots = append(sv.slots, slot)
 	}
@@ -295,6 +300,23 @@ func (sv *Server) pick() *engineSlot {
 	return best
 }
 
+// Ingest applies a change to the base data the server's plans read —
+// typically bat.Table.AppendDelta calls — and publishes one catalog version
+// in which the named tables changed. The write side of the ingest lock
+// keeps plan builds out while apply runs, so no build resolves half of a
+// change; requests replaying templates are unaffected, they read the column
+// snapshots their builds resolved. The publish retires exactly the templates
+// that read a changed table, in every engine's cache, and starts fresh
+// flights and batch groups. A request that starts after Ingest returns sees
+// the new rows; one concurrent with it sees the old generation or the new
+// one, never a mix.
+func (sv *Server) Ingest(tables []string, apply func()) {
+	sv.ingestMu.Lock()
+	defer sv.ingestMu.Unlock()
+	apply()
+	sv.vers.Publish(tables)
+}
+
 // Execute runs the named plan with the given parameter bindings, blocking
 // until an execution slot is free. Admission control rejects the request
 // with ErrOverloaded when too many requests are already waiting. Execute is
@@ -319,18 +341,9 @@ func (sv *Server) Execute(name string, params mal.Params, plan func(*mal.Session
 // attempt whose leader or batch group dissolves underneath it retries from
 // the top; the context gates every retry.
 func (sv *Server) ExecuteCtx(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, error) {
-	return sv.executeKeyed(ctx, name, name, params, plan)
-}
-
-// executeKeyed is ExecuteCtx with the plan's identity split from its name:
-// statistics aggregate under name, while the template cache, single-flight
-// and batch groups are keyed by key. A caller that issues different plans
-// under one query name (the sharded server: one ShardPlan per compile) passes
-// a key per plan, so no plan is ever answered from another plan's template.
-func (sv *Server) executeKeyed(ctx context.Context, name, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, error) {
 	start := time.Now()
 	for {
-		res, err, retry := sv.attempt(ctx, start, name, key, params, plan)
+		res, err, retry := sv.attempt(ctx, start, name, params, plan)
 		if !retry {
 			return res, err
 		}
@@ -340,7 +353,7 @@ func (sv *Server) executeKeyed(ctx context.Context, name, key string, params mal
 // attempt is one pass through coalescing, admission and execution. retry
 // means the request was neither served nor terminally refused (its flight
 // leader abandoned, or its batch group closed unserved): the caller loops.
-func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (_ *mal.Result, _ error, retry bool) {
+func (sv *Server) attempt(ctx context.Context, start time.Time, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (_ *mal.Result, _ error, retry bool) {
 	if err := ctx.Err(); err != nil {
 		sv.drop(name)
 		return nil, err, false
@@ -353,7 +366,7 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string
 	var fl *flight
 	var fkey string
 	if sv.coalesce {
-		fkey = sv.flightKey(key, params)
+		fkey = sv.flightKey(name, params)
 		sv.fmu.Lock()
 		if other := sv.flights[fkey]; other != nil {
 			sv.fmu.Unlock()
@@ -376,7 +389,7 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string
 		// group: a same-query leader will replay its template with our
 		// parameters from inside its own slot.
 		if sv.coalesce {
-			if it, ok := sv.joinBatch(ctx, key, params, plan); ok {
+			if it, ok := sv.joinBatch(ctx, name, params, plan); ok {
 				select {
 				case d := <-it.ch:
 					sv.batchWaiting.Add(-1)
@@ -424,9 +437,9 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string
 	var g *batchGroup
 	var gkey string
 	if sv.coalesce {
-		g, gkey = sv.openGroup(key)
+		g, gkey = sv.openGroup(name)
 	}
-	res, hit, err := sv.runWithRetry(slot, name, key, params, plan)
+	res, hit, err := sv.runWithRetry(slot, name, params, plan)
 	sv.noteFull(name, start, res, hit, err, false, false)
 	if fl != nil {
 		// Publish before draining riders: followers should unblock the
@@ -435,16 +448,16 @@ func (sv *Server) attempt(ctx context.Context, start time.Time, name, key string
 		fl = nil
 	}
 	if g != nil {
-		sv.drainGroup(slot, g, gkey, name, key)
+		sv.drainGroup(slot, g, gkey, name)
 	}
 	return res, err, false
 }
 
 // flightKey identifies executions that may share a result: same query, same
 // rewriter passes, same catalog version, same parameter values.
-func (sv *Server) flightKey(key string, params mal.Params) string {
+func (sv *Server) flightKey(name string, params mal.Params) string {
 	var sb strings.Builder
-	sb.WriteString(key)
+	sb.WriteString(name)
 	sb.WriteByte('|')
 	sb.WriteString(sv.passes.Key())
 	fmt.Fprintf(&sb, "|v%d", sv.vers.Current().Seq())
@@ -502,15 +515,15 @@ func (sv *Server) abandonFlight(key string, fl *flight) {
 
 // batchKey identifies the open group a rider may join: same query, same
 // catalog version (parameters differ — that is the point).
-func (sv *Server) batchKey(key string) string {
-	return key + "|v" + strconv.FormatInt(sv.vers.Current().Seq(), 10)
+func (sv *Server) batchKey(name string) string {
+	return name + "|v" + strconv.FormatInt(sv.vers.Current().Seq(), 10)
 }
 
 // openGroup opens a batch group owned by this request's admission slot.
 // When another leader's group for the same query is already open, no new
 // group is opened (nil): only the creator drains and closes a group.
-func (sv *Server) openGroup(key string) (*batchGroup, string) {
-	gkey := sv.batchKey(key)
+func (sv *Server) openGroup(name string) (*batchGroup, string) {
+	gkey := sv.batchKey(name)
 	sv.fmu.Lock()
 	defer sv.fmu.Unlock()
 	if sv.groups[gkey] != nil {
@@ -523,9 +536,9 @@ func (sv *Server) openGroup(key string) (*batchGroup, string) {
 
 // joinBatch appends the request to an open same-query group, if one exists
 // and still has room. The returned item's channel delivers the verdict.
-func (sv *Server) joinBatch(ctx context.Context, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (*batchItem, bool) {
+func (sv *Server) joinBatch(ctx context.Context, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*batchItem, bool) {
 	sv.fmu.Lock()
-	g := sv.groups[sv.batchKey(key)]
+	g := sv.groups[sv.batchKey(name)]
 	sv.fmu.Unlock()
 	if g == nil {
 		return nil, false
@@ -546,7 +559,7 @@ func (sv *Server) joinBatch(ctx context.Context, key string, params mal.Params, 
 // then it closes the group and flushes any leftovers unserved (they retake
 // normal admission). Riders whose context already expired are flushed, not
 // executed.
-func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, gkey, name, key string) {
+func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, gkey, name string) {
 	drained := 0
 	for {
 		g.mu.Lock()
@@ -571,23 +584,28 @@ func (sv *Server) drainGroup(slot *engineSlot, g *batchGroup, gkey, name, key st
 			it.ch <- batchDone{}
 			continue
 		}
-		res, hit, err := sv.runWithRetry(slot, name, key, it.params, it.plan)
+		res, hit, err := sv.runWithRetry(slot, name, it.params, it.plan)
 		it.ch <- batchDone{res: res, err: err, hit: hit, served: true}
 	}
 }
 
 // runOn executes the plan on the given engine slot, its template cached
-// under key.
-func (sv *Server) runOn(slot *engineSlot, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
+// under name. A build without a cache holds the ingest lock's read side
+// across the plan closure itself; the caches take it through their guard.
+func (sv *Server) runOn(slot *engineSlot, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
 	slot.inflight.Add(1)
 	defer slot.inflight.Add(-1)
 	if slot.cache != nil {
-		res, hit, err = slot.cache.Run(slot.o, key, params, sv.passes, plan)
+		res, hit, err = slot.cache.Run(slot.o, name, params, sv.passes, plan)
 	} else {
 		s := mal.NewSession(slot.o)
 		s.SetPasses(sv.passes)
 		s.SetParams(params)
-		res, err = mal.RunQuery(s, plan)
+		res, err = mal.RunQuery(s, func(s *mal.Session) *mal.Result {
+			sv.ingestMu.RLock()
+			defer sv.ingestMu.RUnlock()
+			return plan(s)
+		})
 	}
 	slot.served.Add(1)
 	return res, hit, err
@@ -597,13 +615,13 @@ func (sv *Server) runOn(slot *engineSlot, key string, params mal.Params, plan fu
 // mid-plan took the plan's intermediates with it, but it is latched dead,
 // so one replay routes around it (hybrid pick/placement skip dead devices;
 // base data lives on the host).
-func (sv *Server) runWithRetry(slot *engineSlot, name, key string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
-	res, hit, err = sv.runOn(slot, key, params, plan)
+func (sv *Server) runWithRetry(slot *engineSlot, name string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
+	res, hit, err = sv.runOn(slot, name, params, plan)
 	if err != nil && errors.Is(err, cl.ErrDeviceLost) {
 		sv.mu.Lock()
 		sv.statLocked(name).Retries++
 		sv.mu.Unlock()
-		res, hit, err = sv.runOn(slot, key, params, plan)
+		res, hit, err = sv.runOn(slot, name, params, plan)
 	}
 	return res, hit, err
 }

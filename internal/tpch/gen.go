@@ -283,7 +283,7 @@ func (db *DB) genRegionNation() {
 		Add("n_nationkey", keyCol("n_nationkey", nk)).
 		Add("n_name", bat.NewI32("n_name", nn)).
 		Add("n_regionkey", bat.NewI32("n_regionkey", nr)).
-		Add("n_regionpos", posCol("n_regionpos", "region", npos))
+		Add("n_regionpos", bat.NewOID("n_regionpos", npos))
 }
 
 func (db *DB) genSupplier(n int, seed int64) {
@@ -302,7 +302,7 @@ func (db *DB) genSupplier(n int, seed int64) {
 	db.Supplier = bat.NewTable("supplier").
 		Add("s_suppkey", keyCol("s_suppkey", sk)).
 		Add("s_nationkey", bat.NewI32("s_nationkey", nat)).
-		Add("s_nationpos", posCol("s_nationpos", "nation", natpos)).
+		Add("s_nationpos", bat.NewOID("s_nationpos", natpos)).
 		Add("s_acctbal", bat.NewF32("s_acctbal", bal))
 }
 
@@ -325,7 +325,7 @@ func (db *DB) genCustomer(n int, seed int64) {
 	db.Customer = bat.NewTable("customer").
 		Add("c_custkey", keyCol("c_custkey", ck)).
 		Add("c_nationkey", bat.NewI32("c_nationkey", nat)).
-		Add("c_nationpos", posCol("c_nationpos", "nation", natpos)).
+		Add("c_nationpos", bat.NewOID("c_nationpos", natpos)).
 		Add("c_mktsegment", bat.NewI32("c_mktsegment", seg)).
 		Add("c_acctbal", bat.NewF32("c_acctbal", bal))
 }
@@ -383,9 +383,9 @@ func (db *DB) genPartSupp(seed int64) {
 	}
 	db.PartSupp = bat.NewTable("partsupp").
 		Add("ps_partkey", bat.NewI32("ps_partkey", pk)).
-		Add("ps_partpos", posCol("ps_partpos", "part", ppos)).
+		Add("ps_partpos", bat.NewOID("ps_partpos", ppos)).
 		Add("ps_suppkey", bat.NewI32("ps_suppkey", sk)).
-		Add("ps_supppos", posCol("ps_supppos", "supplier", spos)).
+		Add("ps_supppos", bat.NewOID("ps_supppos", spos)).
 		Add("ps_availqty", bat.NewI32("ps_availqty", avail)).
 		Add("ps_supplycost", bat.NewF32("ps_supplycost", cost))
 }
@@ -517,7 +517,7 @@ func (db *DB) genOrdersAndLineitem(nOrders int, seed int64) {
 	db.Orders = bat.NewTable("orders").
 		Add("o_orderkey", keyCol("o_orderkey", ok)).
 		Add("o_custkey", bat.NewI32("o_custkey", ck)).
-		Add("o_custpos", posCol("o_custpos", "customer", cpos)).
+		Add("o_custpos", bat.NewOID("o_custpos", cpos)).
 		Add("o_orderstatus", bat.NewI32("o_orderstatus", ostat)).
 		Add("o_totalprice", bat.NewF32("o_totalprice", ototal)).
 		Add("o_orderdate", bat.NewI32("o_orderdate", odate)).
@@ -525,11 +525,11 @@ func (db *DB) genOrdersAndLineitem(nOrders int, seed int64) {
 
 	db.Lineitem = bat.NewTable("lineitem").
 		Add("l_orderkey", wrapI32("l_orderkey", lok)).
-		Add("l_orderpos", wrapPos("l_orderpos", "orders", lopos)).
+		Add("l_orderpos", wrapOID("l_orderpos", lopos)).
 		Add("l_partkey", wrapI32("l_partkey", lpk)).
-		Add("l_partpos", wrapPos("l_partpos", "part", lppos)).
+		Add("l_partpos", wrapOID("l_partpos", lppos)).
 		Add("l_suppkey", wrapI32("l_suppkey", lsk)).
-		Add("l_supppos", wrapPos("l_supppos", "supplier", lspos)).
+		Add("l_supppos", wrapOID("l_supppos", lspos)).
 		Add("l_linenumber", wrapI32("l_linenumber", lnum)).
 		Add("l_quantity", wrapF32("l_quantity", lqty)).
 		Add("l_extendedprice", wrapF32("l_extendedprice", lprice)).
@@ -551,14 +551,6 @@ func keyCol(name string, vals []int32) *bat.BAT {
 	return b
 }
 
-// posCol wraps a join-index positions column, recording which table the
-// positions point into (the shard compiler's rebasing rules key off it).
-func posCol(name, into string, vals []uint32) *bat.BAT {
-	b := bat.NewOID(name, vals)
-	b.PosInto = into
-	return b
-}
-
 // The wrap helpers copy grown slices into aligned heaps.
 func wrapI32(name string, vals []int32) *bat.BAT {
 	s := mem.AllocI32(len(vals))
@@ -576,12 +568,6 @@ func wrapOID(name string, vals []uint32) *bat.BAT {
 	s := mem.AllocU32(len(vals))
 	copy(s, vals)
 	return bat.NewOID(name, s)
-}
-
-func wrapPos(name, into string, vals []uint32) *bat.BAT {
-	b := wrapOID(name, vals)
-	b.PosInto = into
-	return b
 }
 
 // Tables returns all eight tables for inspection tools.

@@ -1,42 +1,22 @@
-// Live-ingest helpers over the sharded TPC-H instance: a deterministic way
-// to split one generated instance into a loaded prefix plus an appendable
-// tail, so ingest tests and benchmarks can replay "the rest of the data
-// arriving" against a running server and still know the exact final state —
-// after AppendTail, every shard is byte-identical to sharding the full
-// instance directly.
+// Live ingest over a TPC-H instance: a deterministic way to split one
+// generated instance into a loaded prefix plus an appendable tail, so ingest
+// tests and benchmarks can replay "the rest of the data arriving" against a
+// running server and still know the exact final state — after AppendTail the
+// prefix is byte-identical to the full instance.
 package tpch
 
 import (
+	"fmt"
+
 	"repro/internal/bat"
-	"repro/internal/mal"
+	"repro/internal/mem"
 )
-
-// Catalog derives the shard compiler's view of the instance: the partitioned
-// fact tables with their global and per-shard *bat.Table handles. The
-// catalog shares the tables by pointer, so AppendTail-ed rows are visible to
-// plans compiled after the append without rebuilding the catalog.
-func (sdb *ShardedDB) Catalog() *mal.ShardCatalog {
-	cat := &mal.ShardCatalog{NShards: len(sdb.Shards), Tables: map[string]*mal.ShardedTable{}}
-	for name, get := range factTables {
-		st := &mal.ShardedTable{Global: get(sdb.Global)}
-		for _, sh := range sdb.Shards {
-			st.Shards = append(st.Shards, get(sh))
-		}
-		cat.Tables[name] = st
-	}
-	return cat
-}
-
-var factTables = map[string]func(*DB) *bat.Table{
-	"orders":   func(db *DB) *bat.Table { return db.Orders },
-	"lineitem": func(db *DB) *bat.Table { return db.Lineitem },
-}
 
 // PrefixDB returns the instance truncated to its first nOrders orders and
 // their lineitems (generation emits lineitems grouped by order, so both cuts
 // are row-order prefixes and every l_orderpos stays valid). Dimension tables
-// are shared with src by pointer. PrefixDB(src, n) followed by appending the
-// remaining rows reproduces src exactly.
+// are shared with src by pointer. PrefixDB(src, n) followed by AppendTail(src)
+// reproduces src exactly.
 func PrefixDB(src *DB, nOrders int) *DB {
 	if nOrders > src.Orders.Rows() {
 		nOrders = src.Orders.Rows()
@@ -68,62 +48,64 @@ func PrefixDB(src *DB, nOrders int) *DB {
 	return db
 }
 
-// AppendTail appends to sdb every order and lineitem row of src beyond
-// sdb's current row counts — src must be a superset instance sdb was carved
-// from (typically: sdb = ShardDB(PrefixDB(src, n), k)). The global tables
-// and every affected shard get copy-on-append deltas (bat.AppendDelta), with
-// the shard lineitems' l_orderpos rebased to shard-local parent rows; orders
-// are appended before lineitems so the parents always exist.
-func (sdb *ShardedDB) AppendTail(src *DB) {
-	curO, totO := sdb.Global.Orders.Rows(), src.Orders.Rows()
-	curL, totL := sdb.Global.Lineitem.Rows(), src.Lineitem.Rows()
+// AppendTail appends to db every order and lineitem row of src beyond db's
+// current row counts — src must be a superset instance db was cut from
+// (typically db = PrefixDB(src, n)). Both tables get copy-on-append deltas
+// (bat.Table.AppendDelta), orders before lineitems so the parents always
+// exist.
+func (db *DB) AppendTail(src *DB) {
+	curO, totO := db.Orders.Rows(), src.Orders.Rows()
+	curL, totL := db.Lineitem.Rows(), src.Lineitem.Rows()
 	if curO == totO && curL == totL {
 		return
 	}
-	sdb.Global.Orders.AppendDelta(subsetTableRows(src.Orders, rowRange(curO, totO)), nil)
-	sdb.Global.Lineitem.AppendDelta(subsetTableRows(src.Lineitem, rowRange(curL, totL)), nil)
-
-	n := len(sdb.Shards)
-	okeys := src.Orders.Col("o_orderkey").I32s()
-	lopos := src.Lineitem.Col("l_orderpos").OIDs()
-	ordRows := make([][]uint32, n)
-	for g := curO; g < totO; g++ {
-		s := ShardOfKey(okeys[g], n)
-		ordRows[s] = append(ordRows[s], uint32(g))
-	}
-	linRows := make([][]uint32, n)
-	for g := curL; g < totL; g++ {
-		s := ShardOfKey(okeys[lopos[g]], n)
-		linRows[s] = append(linRows[s], uint32(g))
-	}
-	for s, shard := range sdb.Shards {
-		if len(ordRows[s]) > 0 {
-			shard.Orders.AppendDelta(subsetTableRows(src.Orders, ordRows[s]), ordRows[s])
-		}
-		if len(linRows[s]) == 0 {
-			continue
-		}
-		ld := subsetTableRows(src.Lineitem, linRows[s])
-		vals := ld.Col("l_orderpos").OIDs()
-		for i, g := range vals {
-			local := shard.Orders.LocalRowOf(g)
-			if local < 0 {
-				panic("tpch: appended lineitem's order not on its shard")
-			}
-			vals[i] = uint32(local)
-		}
-		shard.Lineitem.AppendDelta(ld, linRows[s])
-	}
+	db.Orders.AppendDelta(subsetTableRows(src.Orders, rowRange(curO, totO)))
+	db.Lineitem.AppendDelta(subsetTableRows(src.Lineitem, rowRange(curL, totL)))
 }
 
 // subsetTableRows copies the selected rows of every column into a fresh
-// table (no shard metadata — callers use it for prefixes and append deltas).
+// table (prefixes and append deltas).
 func subsetTableRows(src *bat.Table, rows []uint32) *bat.Table {
 	t := bat.NewTable(src.Name)
 	for _, name := range src.Order {
 		t.Add(name, subsetCol(src.Col(name), rows))
 	}
 	return t
+}
+
+// subsetCol copies the selected rows of a column into a fresh BAT,
+// preserving type, name and order-derived properties (a subset taken in row
+// order keeps Sorted; Key survives too).
+func subsetCol(c *bat.BAT, rows []uint32) *bat.BAT {
+	var out *bat.BAT
+	switch c.T {
+	case bat.I32:
+		src := c.I32s()
+		dst := mem.AllocI32(len(rows))
+		for i, r := range rows {
+			dst[i] = src[r]
+		}
+		out = bat.NewI32(c.Name, dst)
+	case bat.F32:
+		src := c.F32s()
+		dst := mem.AllocF32(len(rows))
+		for i, r := range rows {
+			dst[i] = src[r]
+		}
+		out = bat.NewF32(c.Name, dst)
+	case bat.OID:
+		src := c.OIDs()
+		dst := mem.AllocU32(len(rows))
+		for i, r := range rows {
+			dst[i] = src[r]
+		}
+		out = bat.NewOID(c.Name, dst)
+	default:
+		panic(fmt.Sprintf("tpch: cannot subset %v column %q", c.T, c.Name))
+	}
+	out.Props.Sorted = c.Props.Sorted
+	out.Props.Key = c.Props.Key
+	return out
 }
 
 func rowRange(lo, hi int) []uint32 {

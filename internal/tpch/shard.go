@@ -1,170 +1,32 @@
-// Sharded TPC-H generation: one logical instance partitioned across N
-// shards. The full instance is generated first with the usual (sf, seed,
-// theta) determinism, then the fact tables — orders and lineitem — are
-// carved into shards by a hash of the order key, co-partitioning every
-// lineitem with its order so the precomputed l_orderpos join index stays
-// shard-local (it is rebased to the shard's order numbering). Dimension
-// tables are replicated by reference: every shard's DB points at the same
-// *bat.Table, so dimension-side plan work is identical everywhere and
-// costs no extra memory. The union of all shards is byte-identical to the
-// unsharded instance by construction, and each shard table records its
-// local→global row map (bat.Table.GlobalRows) so the scatter-gather layer
-// can reassemble intermediates in exact global row order.
 package tpch
 
-import (
-	"fmt"
+import "repro/internal/mal"
 
-	"repro/internal/bat"
-	"repro/internal/mem"
-)
-
-// ShardedDB is one logical TPC-H instance hash-partitioned across shards.
+// ShardedDB is an instance under its former sharding name.
+//
+// Deprecated: sharding is gone; use *DB and DB.AppendTail. The declarations
+// in this file remain only for the pinned benchmark's ingest_mix workload
+// and go when that workload moves to serve.Server.Ingest.
 type ShardedDB struct {
-	// Global is the unsharded instance (the coordinator's catalog).
 	Global *DB
-	// Shards are the per-shard views: fact tables partitioned, dimension
-	// tables shared with Global by pointer.
-	Shards []*DB
 }
 
-// ShardOfKey assigns an order key to a shard by a finalizer-style integer
-// hash — uniform even under Zipf-skewed key popularity, since popularity
-// skew concentrates on *values referenced often*, not on the key space.
-func ShardOfKey(key int32, nshards int) int {
-	x := uint32(key)
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	x *= 0xc2b2ae35
-	x ^= x >> 16
-	return int(x % uint32(nshards))
-}
+// ShardDB wraps global; the shard count is ignored.
+//
+// Deprecated: see ShardedDB.
+func ShardDB(global *DB, _ int) *ShardedDB { return &ShardedDB{Global: global} }
 
-// GenerateSharded builds the logical instance and partitions it into
-// nshards shards. The same (sf, seed, theta, nshards) always yields the
-// same shards, and shard contents are independent of nshards only through
-// the hash assignment — the union is always the same logical instance.
-func GenerateSharded(sf float64, seed int64, theta float64, nshards int) *ShardedDB {
-	if nshards < 1 {
-		nshards = 1
-	}
-	global := GenerateSkewed(sf, seed, theta)
-	return ShardDB(global, nshards)
-}
+// Catalog returns an empty catalog.
+//
+// Deprecated: see ShardedDB.
+func (sdb *ShardedDB) Catalog() *mal.ShardCatalog { return &mal.ShardCatalog{} }
 
-// ShardDB partitions an already-generated instance (used by GenerateSharded
-// and by tests that need both views of one instance).
-func ShardDB(global *DB, nshards int) *ShardedDB {
-	sdb := &ShardedDB{Global: global, Shards: make([]*DB, nshards)}
+// AppendTail is Global.AppendTail.
+//
+// Deprecated: see ShardedDB.
+func (sdb *ShardedDB) AppendTail(src *DB) { sdb.Global.AppendTail(src) }
 
-	// Row assignment: orders by hashed key, lineitems with their order.
-	okeys := global.Orders.Col("o_orderkey").I32s()
-	orderShard := make([]uint8, len(okeys))
-	orderRows := make([][]uint32, nshards)
-	for i, k := range okeys {
-		s := ShardOfKey(k, nshards)
-		orderShard[i] = uint8(s)
-		orderRows[s] = append(orderRows[s], uint32(i))
-	}
-	// localOrder[g] = local row of global order g on its shard.
-	localOrder := make([]uint32, len(okeys))
-	for _, rows := range orderRows {
-		for local, g := range rows {
-			localOrder[g] = uint32(local)
-		}
-	}
-	lopos := global.Lineitem.Col("l_orderpos").OIDs()
-	lineRows := make([][]uint32, nshards)
-	for i, op := range lopos {
-		lineRows[orderShard[op]] = append(lineRows[orderShard[op]], uint32(i))
-	}
-
-	for s := 0; s < nshards; s++ {
-		shard := &DB{
-			SF:       global.SF,
-			Theta:    global.Theta,
-			Region:   global.Region,
-			Nation:   global.Nation,
-			Supplier: global.Supplier,
-			Customer: global.Customer,
-			Part:     global.Part,
-			PartSupp: global.PartSupp,
-			dicts:    global.dicts,
-			codes:    global.codes,
-		}
-		shard.Orders = shardTable(global.Orders, orderRows[s], s, nshards, nil)
-		shard.Lineitem = shardTable(global.Lineitem, lineRows[s], s, nshards, localOrder)
-		sdb.Shards[s] = shard
-	}
-	return sdb
-}
-
-// shardTable extracts the given global rows of src into a shard table with
-// GlobalRows metadata. localParent, when non-nil, rebases columns whose
-// positions point into the co-partitioned parent table ("orders") from
-// global to shard-local row numbers; positions into replicated tables are
-// globally stable and copied as-is.
-func shardTable(src *bat.Table, rows []uint32, shardIdx, nshards int, localParent []uint32) *bat.Table {
-	t := bat.NewTable(src.Name)
-	t.GlobalRows = rows
-	t.ShardIdx, t.NShards = shardIdx, nshards
-	for _, name := range src.Order {
-		c := src.Col(name)
-		sub := subsetCol(c, rows)
-		if c.PosInto == "orders" && localParent != nil {
-			vals := sub.OIDs()
-			for i, g := range vals {
-				vals[i] = localParent[g]
-			}
-			// Local renumbering preserves relative order within the shard
-			// (shards are carved in row order), so sortedness claims hold.
-		}
-		t.Add(name, sub)
-	}
-	for _, name := range t.Order {
-		c := t.Col(name)
-		c.Stats = bat.ComputeStats(c, bat.StatsBins)
-	}
-	return t
-}
-
-// subsetCol copies the selected rows of a column into a fresh BAT,
-// preserving type, name, position-target metadata and order-derived
-// properties (a subset taken in row order keeps Sorted; Key survives too).
-func subsetCol(c *bat.BAT, rows []uint32) *bat.BAT {
-	var out *bat.BAT
-	switch c.T {
-	case bat.I32:
-		src := c.I32s()
-		dst := mem.AllocI32(len(rows))
-		for i, r := range rows {
-			dst[i] = src[r]
-		}
-		out = bat.NewI32(c.Name, dst)
-	case bat.F32:
-		src := c.F32s()
-		dst := mem.AllocF32(len(rows))
-		for i, r := range rows {
-			dst[i] = src[r]
-		}
-		out = bat.NewF32(c.Name, dst)
-	case bat.OID:
-		src := c.OIDs()
-		dst := mem.AllocU32(len(rows))
-		for i, r := range rows {
-			dst[i] = src[r]
-		}
-		out = bat.NewOID(c.Name, dst)
-	default:
-		panic(fmt.Sprintf("tpch: cannot shard %v column %q", c.T, c.Name))
-	}
-	out.PosInto = c.PosInto
-	out.Props.Sorted = c.Props.Sorted
-	out.Props.Key = c.Props.Key
-	return out
-}
-
-// ShardTables lists the logical tables that are partitioned (everything
-// else is replicated).
+// ShardTables lists the tables AppendTail changes.
+//
+// Deprecated: see ShardedDB.
 func ShardTables() []string { return []string{"orders", "lineitem"} }

@@ -31,9 +31,8 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, srv, fus, ndev, spill, par")
+		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, fus, ndev, spill, par")
 		all     = flag.Bool("all", false, "regenerate every figure")
-		conc    = flag.Int("concurrency", 0, "serve the TPC-H workload with N concurrent clients over one shared engine and print per-query server stats")
 		sizes   = flag.String("sizes", "", "comma-separated size sweep in MB (Fig 5/6)")
 		baseMB  = flag.Int("base", 0, "fixed column size in MB for parameter sweeps")
 		runs    = flag.Int("runs", 0, "measured repetitions per point")
@@ -82,32 +81,10 @@ func main() {
 	}
 	topt := bench.TPCHOptions{Options: opt, SF: *sf}
 
-	if *conc > 0 {
-		// Concurrent-serving mode: the workload through the serve layer.
-		// It prints server stats only — figure selection and the JSON
-		// trajectory record belong to the figure modes.
-		if *fig != "" || *all || *jsonOut != "" {
-			fatalf("-concurrency cannot be combined with -fig/-all/-json")
-		}
-		cfgs := opt.Configs
-		if len(cfgs) == 0 {
-			cfgs = []mal.Config{mal.OcelotCPU}
-		}
-		for _, cfg := range cfgs {
-			start := time.Now()
-			sv, ns, qps := bench.ServeOnce(cfg, topt, *conc, max(*runs, 3))
-			fmt.Printf("# %s, %d concurrent clients: %.1f queries/s (%d ns/query)\n",
-				cfg, *conc, qps, ns)
-			fmt.Println(sv)
-			fmt.Printf("(served in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		}
-		return
-	}
-
 	var figs []string
 	if *all {
 		figs = []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "5i", "6",
-			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "srv", "fus", "ndev", "spill", "par"}
+			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "fus", "ndev", "spill", "par"}
 	} else if *fig != "" {
 		for _, f := range strings.Split(*fig, ",") {
 			figs = append(figs, strings.ToLower(strings.TrimSpace(f)))
@@ -148,8 +125,6 @@ func main() {
 			rep = bench.Fig7d(topt)
 		case f == "pc":
 			rep = bench.PlanCacheFigure(topt)
-		case f == "srv":
-			rep = bench.ServeFigure(topt)
 		case f == "fus":
 			rep = bench.FigFus(opt)
 		case f == "ndev":
@@ -167,7 +142,7 @@ func main() {
 				known = append(known, k)
 			}
 			sort.Strings(known)
-			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc srv fus ndev spill par)", f, strings.Join(known, " "))
+			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc fus ndev spill par)", f, strings.Join(known, " "))
 		}
 		fmt.Println(rep)
 		runtime.ReadMemStats(&ms)

@@ -164,7 +164,7 @@ func TestParFigureSmoke(t *testing.T) {
 		t.Fatalf("par figure has %d plan-wall series, want %d (serial+parallel × %d GPU counts)",
 			len(r.Nanos), want, len(NdevGPUCounts))
 	}
-	if want := len(ParDupRatios) * len(ServeConcurrencies); len(r.QPS) != want {
+	if want := len(ParDupRatios) * len(ParClients); len(r.QPS) != want {
 		t.Fatalf("par figure has %d qps series, want %d", len(r.QPS), want)
 	}
 	if len(r.Order) != len(r.Nanos)+len(r.QPS) {

@@ -1,8 +1,6 @@
-// Serving-layer figures: the plan-cache rebind-and-run experiment and the
-// concurrent-throughput sweep. Neither has a counterpart in the paper —
-// they track the repository's production-serving trajectory (ROADMAP: plan
-// cache, batched/concurrent sessions) the same way the Figure 5/6/7
-// regenerations track the paper's evaluation.
+// Serving-layer figure: the plan-cache rebind-and-run experiment. It has no
+// counterpart in the paper; the pinned benchmark's serve_open workload
+// measures concurrent serving at the request boundary.
 package bench
 
 import (
@@ -12,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/mal"
-	"repro/internal/serve"
 	"repro/internal/tpch"
 )
 
@@ -126,139 +123,4 @@ func PlanCacheFigure(o TPCHOptions) *PlanCacheReport {
 		rep.Nanos[label+" hit_overhead"] = median64(hitOver)
 	}
 	return rep
-}
-
-// ServeReport records workload throughput through the serving layer at
-// several concurrency levels.
-type ServeReport struct {
-	ID, Title string
-	// NsPerQuery maps "<config> N=<n>" to average wall nanoseconds per
-	// completed query; QPS the corresponding queries/second.
-	NsPerQuery map[string]int64
-	QPS        map[string]float64
-	Order      []string
-	Notes      []string
-}
-
-// String renders the throughput table.
-func (r *ServeReport) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "# %s — %s\n", r.ID, r.Title)
-	fmt.Fprintf(&sb, "%-14s %14s %12s\n", "series", "ns/query", "queries/s")
-	for _, k := range r.Order {
-		fmt.Fprintf(&sb, "%-14s %14d %12.1f\n", k, r.NsPerQuery[k], r.QPS[k])
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&sb, "note: %s\n", n)
-	}
-	return sb.String()
-}
-
-// JSON converts the report to a trajectory record.
-func (r *ServeReport) JSON(bytesAlloc, allocsOp int64) FigureJSON {
-	out := FigureJSON{ID: r.ID, Title: r.Title, MedianNsPerOp: map[string]int64{}, BytesAlloc: bytesAlloc, AllocsOp: allocsOp}
-	for k, v := range r.NsPerQuery {
-		out.MedianNsPerOp[k] = v
-	}
-	return out
-}
-
-// ServeConcurrencies is the figure's sweep of client counts.
-var ServeConcurrencies = []int{1, 4, 16}
-
-// ServeFigure drives the full 14-query workload through a serve.Server per
-// configuration at N=1, 4 and 16 concurrent clients (admission cap = client
-// count) and reports sustained queries/second. Every (config, N) cell runs
-// a sequential warm-up pass first so the plan cache and the device caches
-// are hot — the steady-state regime a server lives in.
-func ServeFigure(o TPCHOptions) *ServeReport {
-	o = defaultTPCH(o, 0.01)
-	db := tpch.Generate(o.SF, o.Seed)
-	rep := &ServeReport{
-		ID:         "srv",
-		Title:      fmt.Sprintf("serving throughput: TPC-H workload, SF %g, %d rounds", o.SF, o.Runs),
-		NsPerQuery: map[string]int64{},
-		QPS:        map[string]float64{},
-		Notes:      []string{"N clients against one shared engine, plan cache on, warm-up pass excluded"},
-	}
-	for _, cfg := range o.Configs {
-		for _, n := range ServeConcurrencies {
-			key := fmt.Sprintf("%s N=%d", cfg, n)
-			ns, qps, errs := serveRun(cfg, db, o, n, o.Runs)
-			rep.Order = append(rep.Order, key)
-			rep.NsPerQuery[key] = ns
-			rep.QPS[key] = qps
-			if errs > 0 {
-				rep.Notes = append(rep.Notes, fmt.Sprintf("%s: %d query executions failed", key, errs))
-			}
-		}
-	}
-	return rep
-}
-
-// ServeOnce runs the workload through one server at the given concurrency
-// and returns the server for stats rendering (the -concurrency CLI mode).
-func ServeOnce(cfg mal.Config, o TPCHOptions, clients, rounds int) (*serve.Server, int64, float64) {
-	o = defaultTPCH(o, 0.01)
-	db := tpch.Generate(o.SF, o.Seed)
-	sv, ns, qps := serveWorkload(cfg, db, o, clients, rounds)
-	return sv, ns, qps
-}
-
-func serveRun(cfg mal.Config, db *tpch.DB, o TPCHOptions, clients, rounds int) (int64, float64, int64) {
-	sv, ns, qps := serveWorkload(cfg, db, o, clients, rounds)
-	var errs int64
-	for _, st := range sv.Stats() {
-		errs += st.Errors
-	}
-	return ns, qps, errs
-}
-
-func serveWorkload(cfg mal.Config, db *tpch.DB, o TPCHOptions, clients, rounds int) (*serve.Server, int64, float64) {
-	eng := cfg.Build(mal.ConfigOptions{Threads: o.Threads, GPUMemory: o.GPUMemory})
-	// NoCoalesce: the figure measures raw execution throughput; the serve
-	// coalescing paths get their own figure (par.go).
-	sv := serve.New(eng, serve.Options{MaxConcurrent: clients, NoCoalesce: true})
-	queries := tpch.Queries()
-
-	// Query errors (e.g. a workload query that cannot run at a tiny scale
-	// factor) are recorded in the server's per-query stats — the errs
-	// column — rather than aborting the whole run.
-	run := func(q tpch.Query) {
-		name := fmt.Sprintf("Q%d", q.Num)
-		_, _ = sv.Execute(name, nil, func(s *mal.Session) *mal.Result {
-			return q.Plan(s, db)
-		})
-	}
-	// Warm-up: populate the plan cache and the device-side base caches.
-	for _, q := range queries {
-		run(q)
-	}
-
-	jobs := make(chan tpch.Query, len(queries)*rounds)
-	for r := 0; r < rounds; r++ {
-		for _, q := range queries {
-			jobs <- q
-		}
-	}
-	close(jobs)
-	total := len(queries) * rounds
-
-	start := time.Now()
-	done := make(chan struct{})
-	for c := 0; c < clients; c++ {
-		go func() {
-			for q := range jobs {
-				run(q)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for c := 0; c < clients; c++ {
-		<-done
-	}
-	wall := time.Since(start)
-	ns := wall.Nanoseconds() / int64(total)
-	qps := float64(total) / wall.Seconds()
-	return sv, ns, qps
 }

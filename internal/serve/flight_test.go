@@ -158,73 +158,86 @@ func TestSingleFlightLeaderCancelDoesNotStrandFollowers(t *testing.T) {
 	}
 }
 
-// TestBatchRidersServedInLeadersSlot: same-query requests with different
-// parameters that find all slots busy must ride in the running leader's
-// admission slot — served as template replays re-binding each rider's own
-// parameters — instead of queueing for slots of their own.
-func TestBatchRidersServedInLeadersSlot(t *testing.T) {
+// sumScan is a parameterised plan over five rows: the sum of v where k is
+// in 2..hi (hi defaults to 4). hold runs inside the plan closure, so it
+// holds only a cold build open — replays never run the closure.
+func sumScan(hold func()) func(*mal.Session) *mal.Result {
 	k := flightCol("k", []int32{1, 2, 3, 4, 5})
 	v := flightFCol("v", []float32{10, 20, 30, 40, 50})
-	sv := New(mal.MS.Build(mal.ConfigOptions{}), Options{MaxConcurrent: 1})
-	plan := func(s *mal.Session) *mal.Result {
+	return func(s *mal.Session) *mal.Result {
 		hi := s.Param("hi", 4)
 		sel := s.Select(k, nil, 2, hi, true, true)
 		vv := s.Project(sel, v)
-		// Hold the cold build open until both riders are queued in the batch
-		// group (replays never run this function, so only the leader waits).
-		for start := time.Now(); sv.batchWaiting.Load() < 2; {
+		hold()
+		return s.Result([]string{"sum"}, s.Aggr(ops.Sum, vv, nil, 0))
+	}
+}
+
+// holdUntil returns a hold for sumScan that waits until cond holds. It runs
+// on a request's goroutine, so it reports a timeout with t.Error and lets
+// the build finish.
+func holdUntil(t *testing.T, what string, cond func() bool) func() {
+	return func() {
+		for start := time.Now(); !cond(); {
 			if time.Since(start) > 30*time.Second {
-				t.Error("riders never joined the batch group")
-				break
+				t.Errorf("timed out waiting for %s", what)
+				return
 			}
 			time.Sleep(time.Millisecond)
 		}
-		return s.Result([]string{"sum"}, s.Aggr(ops.Sum, vv, nil, 0))
 	}
+}
 
-	sum := func(res *mal.Result) float64 { return res.Canonical()[0][0] }
-	type out struct {
-		hi   float64
-		want float64
-		got  float64
-		err  error
+// sumAnswer is one request's outcome: the bound it asked for and its sum.
+type sumAnswer struct {
+	hi, got float64
+	err     error
+}
+
+// askSum issues sumScan with bound hi and delivers the answer on out.
+func askSum(sv *Server, plan func(*mal.Session) *mal.Result, hi float64, out chan<- sumAnswer) {
+	res, err := sv.Execute("q", mal.Params{"hi": hi}, plan)
+	if err != nil {
+		out <- sumAnswer{hi: hi, err: err}
+		return
 	}
-	outs := make(chan out, 3)
-	var wg sync.WaitGroup
-	run := func(hi, want float64) {
-		defer wg.Done()
-		res, err := sv.Execute("q", mal.Params{"hi": hi}, plan)
-		if err != nil {
-			outs <- out{hi: hi, err: err}
-			return
-		}
-		outs <- out{hi: hi, want: want, got: sum(res)}
+	out <- sumAnswer{hi: hi, got: res.Canonical()[0][0]}
+}
+
+// sumWant is sumScan's answer per bound: k in 2..hi.
+var sumWant = map[float64]float64{3: 50, 4: 90, 5: 140}
+
+// checkSum fails unless a is the right answer for its own bound.
+func checkSum(t *testing.T, a sumAnswer) {
+	t.Helper()
+	if a.err != nil {
+		t.Fatalf("hi=%v: %v", a.hi, a.err)
 	}
-	// Leader: k in 2..4 → 20+30+40.
-	wg.Add(1)
-	go run(4, 90)
-	waitFor(t, "leader to open the group", func() bool {
-		sv.fmu.Lock()
-		defer sv.fmu.Unlock()
-		return len(sv.groups) == 1
-	})
-	// Riders: different bounds, same template.
-	wg.Add(2)
-	go run(3, 50)  // k in 2..3
-	go run(5, 140) // k in 2..5
-	wg.Wait()
-	close(outs)
-	for o := range outs {
-		if o.err != nil {
-			t.Fatalf("hi=%v: %v", o.hi, o.err)
-		}
-		if o.got != o.want {
-			t.Fatalf("hi=%v: sum = %v, want %v (rider parameters not re-bound?)", o.hi, o.got, o.want)
-		}
+	if a.got != sumWant[a.hi] {
+		t.Fatalf("hi=%v: sum = %v, want %v (parameters not re-bound?)", a.hi, a.got, sumWant[a.hi])
+	}
+}
+
+// TestQueuedRequestsRebindTheirOwnParameters: same-query requests with
+// different parameters that find the only slot busy wait in the ordinary
+// queue, and each is then served as a replay of the cached template that
+// re-binds its own parameters.
+func TestQueuedRequestsRebindTheirOwnParameters(t *testing.T) {
+	sv := New(mal.MS.Build(mal.ConfigOptions{}), Options{MaxConcurrent: 1})
+	// Hold the cold build open until both later requests are queued.
+	plan := sumScan(holdUntil(t, "two queued requests", func() bool { return sv.waiting.Load() == 2 }))
+
+	outs := make(chan sumAnswer, 3)
+	go askSum(sv, plan, 4, outs)
+	waitFor(t, "the leader to take the slot", func() bool { return len(sv.sem) == 1 })
+	go askSum(sv, plan, 3, outs)
+	go askSum(sv, plan, 5, outs)
+	for i := 0; i < 3; i++ {
+		checkSum(t, <-outs)
 	}
 	st := sv.Stats()["q"]
-	if st.Runs != 3 || st.Batched != 2 || st.CacheHits != 2 || st.Errors != 0 {
-		t.Fatalf("stats = %+v, want 3 runs, 2 batched, 2 cache hits", st)
+	if st.Runs != 3 || st.CacheHits != 2 || st.Batched != 0 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want 3 runs, 2 cache hits, 0 batched", st)
 	}
 	hits, misses, _ := sv.CacheStats()
 	if hits != 2 || misses != 1 {
@@ -232,86 +245,59 @@ func TestBatchRidersServedInLeadersSlot(t *testing.T) {
 	}
 }
 
-// TestBatchRiderCancelWhileQueued: a rider whose context is cancelled while
-// it waits in a running leader's batch group must unblock immediately with
-// the context's own error — not wait for the leader's drain — and the
-// leader's batch accounting must stay consistent: the dead rider is flushed
-// unserved, later riders are still served, and the group dissolves cleanly.
-func TestBatchRiderCancelWhileQueued(t *testing.T) {
-	k := flightCol("k", []int32{1, 2, 3, 4, 5})
-	v := flightFCol("v", []float32{10, 20, 30, 40, 50})
-	sv := New(mal.MS.Build(mal.ConfigOptions{}), Options{MaxConcurrent: 1})
-	release := make(chan struct{})
-	plan := func(s *mal.Session) *mal.Result {
-		hi := s.Param("hi", 4)
-		sel := s.Select(k, nil, 2, hi, true, true)
-		vv := s.Project(sel, v)
-		<-release // hold the leader's slot until the test says so
-		return s.Result([]string{"sum"}, s.Aggr(ops.Sum, vv, nil, 0))
-	}
+// gatedOps is an engine whose Select blocks, for any bound but 4, until
+// open is closed (or ten seconds pass, so a wrong order fails instead of
+// hanging). It lets a test hold the requests queued behind a hi=4 leader
+// inside their own executions.
+type gatedOps struct {
+	ops.Operators
+	open chan struct{}
+}
 
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := sv.Execute("q", mal.Params{"hi": 4}, plan)
-		leaderErr <- err
-	}()
-	waitFor(t, "leader to open the group", func() bool {
-		sv.fmu.Lock()
-		defer sv.fmu.Unlock()
-		return len(sv.groups) == 1
-	})
-
-	// Rider A queues in the group, then its caller gives up.
-	ctx, cancel := context.WithCancel(context.Background())
-	riderAErr := make(chan error, 1)
-	go func() {
-		_, err := sv.ExecuteCtx(ctx, "q", mal.Params{"hi": 3}, plan)
-		riderAErr <- err
-	}()
-	waitFor(t, "rider A to join the group", func() bool { return sv.batchWaiting.Load() == 1 })
-	cancel()
-	select {
-	case err := <-riderAErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled rider returned %v, want context.Canceled", err)
+func (g gatedOps) Select(col, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (*bat.BAT, error) {
+	if hi != 4 {
+		select {
+		case <-g.open:
+		case <-time.After(10 * time.Second):
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled rider still blocked in the batch group (leader never released it)")
 	}
-	if w := sv.batchWaiting.Load(); w != 0 {
-		t.Fatalf("batchWaiting = %d after rider cancel, want 0", w)
-	}
+	return g.Operators.Select(col, cand, lo, hi, loIncl, hiIncl)
+}
 
-	// Rider B joins after the cancellation and must still be served.
-	riderB := make(chan error, 1)
-	var riderBSum float64
+// TestLeaderReturnsOnItsOwnTime: a request that ran while same-query
+// requests with other parameters queued behind it returns as soon as its
+// own execution is done — it does not serve the queued requests first —
+// and each queued request then returns its own answer from its own slot.
+func TestLeaderReturnsOnItsOwnTime(t *testing.T) {
+	open := make(chan struct{})
+	sv := New(gatedOps{mal.MS.Build(mal.ConfigOptions{}), open}, Options{MaxConcurrent: 1})
+	plan := sumScan(holdUntil(t, "two queued requests", func() bool { return sv.waiting.Load() == 2 }))
+
+	leader := make(chan sumAnswer, 1)
+	var leaderRuns int64
 	go func() {
-		res, err := sv.ExecuteCtx(context.Background(), "q", mal.Params{"hi": 5}, plan)
-		if err == nil {
-			riderBSum = res.Canonical()[0][0]
+		res, err := sv.Execute("q", mal.Params{"hi": 4}, plan)
+		leaderRuns = sv.Stats()["q"].Runs
+		if err != nil {
+			leader <- sumAnswer{hi: 4, err: err}
+			return
 		}
-		riderB <- err
+		leader <- sumAnswer{hi: 4, got: res.Canonical()[0][0]}
 	}()
-	waitFor(t, "rider B to join the group", func() bool { return sv.batchWaiting.Load() == 1 })
+	waitFor(t, "the leader to take the slot", func() bool { return len(sv.sem) == 1 })
+	others := make(chan sumAnswer, 2)
+	go askSum(sv, plan, 3, others)
+	go askSum(sv, plan, 5, others)
 
-	close(release)
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("leader: %v", err)
+	checkSum(t, <-leader)
+	if leaderRuns != 1 {
+		t.Fatalf("the leader returned after %d runs, want 1: it served queued requests before returning", leaderRuns)
 	}
-	if err := <-riderB; err != nil {
-		t.Fatalf("rider B after a cancelled groupmate: %v", err)
+	close(open)
+	for i := 0; i < 2; i++ {
+		checkSum(t, <-others)
 	}
-	if riderBSum != 140 { // k in 2..5
-		t.Fatalf("rider B sum = %v, want 140 (parameters not re-bound?)", riderBSum)
-	}
-	sv.fmu.Lock()
-	open := len(sv.groups)
-	sv.fmu.Unlock()
-	if open != 0 {
-		t.Fatalf("%d batch groups still open after drain", open)
-	}
-	st := sv.Stats()["q"]
-	if st.Runs != 2 || st.Batched != 1 || st.Dropped != 1 || st.Errors != 0 {
-		t.Fatalf("stats = %+v, want 2 runs (leader + rider B), 1 batched, 1 dropped (rider A)", st)
+	if st := sv.Stats()["q"]; st.Runs != 3 || st.CacheHits != 2 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want 3 runs, 2 cache hits", st)
 	}
 }

@@ -20,8 +20,8 @@ import (
 
 // yieldingOps is an engine whose every Select first yields the processor, so
 // that on one P a request still holds its execution slot and its flight while
-// other readers arrive — single-flight and batching then meet as they do on
-// many cores.
+// other readers arrive — identical requests then meet in single-flight as
+// they do on many cores.
 type yieldingOps struct{ ops.Operators }
 
 func (y yieldingOps) Select(col, cand *bat.BAT, lo, hi float64, loIncl, hiIncl bool) (*bat.BAT, error) {
@@ -69,8 +69,8 @@ func stressRequests() []stressRequest {
 // through one Server, some of them cancelling requests, while a writer lands
 // several ingests. Every answer must equal the oracle of a generation no
 // older than the last ingest completed before the request started;
-// single-flight and batching must have fired; and each query's plan builds
-// at most once, plus once per ingest that changed a table it reads.
+// single-flight must have fired; and each query's plan builds at most once,
+// plus once per ingest that changed a table it reads.
 func TestServerIngestStress(t *testing.T) {
 	const ingests, readers = 4, 6
 	full := tpch.GenerateSkewed(0.005, 42, 0.5)
@@ -118,12 +118,11 @@ func TestServerIngestStress(t *testing.T) {
 		n, plan := builds[rq.name], rq.plan(d)
 		served[i] = func(s *mal.Session) *mal.Result { n.Add(1); return plan(s) }
 	}
-	coalesced := func() (shared, batched int64) {
+	shared := func() (n int64) {
 		for _, st := range sv.Stats() {
-			shared += st.Shared
-			batched += st.Batched
+			n += st.Shared
 		}
-		return shared, batched
+		return n
 	}
 
 	nq := len(reqs) - 3 // the queries; the scan's three bounds follow
@@ -148,7 +147,7 @@ func TestServerIngestStress(t *testing.T) {
 			for {
 				select {
 				case <-writerDone:
-					if sh, bt := coalesced(); (sh > 0 && bt > 0) || time.Now().After(deadline) {
+					if shared() > 0 || time.Now().After(deadline) {
 						return
 					}
 				default:
@@ -197,9 +196,9 @@ func TestServerIngestStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh, bt := coalesced()
-	if sh == 0 || bt == 0 {
-		t.Fatalf("the server shared %d and batched %d requests: coalescing never met an ingest", sh, bt)
+	sh := shared()
+	if sh == 0 {
+		t.Fatal("the server shared no request: single-flight never met an ingest")
 	}
 	// A plan closure runs only when its template builds.
 	var built int64
@@ -216,6 +215,6 @@ func TestServerIngestStress(t *testing.T) {
 	if _, misses, _ := sv.CacheStats(); misses != built {
 		t.Fatalf("the plan closures ran %d times, the plan cache counted %d builds", built, misses)
 	}
-	t.Logf("%d answers checked, %d cancelled; shared %d, batched %d; %d template builds",
-		reads.Load(), cancelled.Load(), sh, bt, built)
+	t.Logf("%d answers checked, %d cancelled; shared %d; %d template builds",
+		reads.Load(), cancelled.Load(), sh, built)
 }

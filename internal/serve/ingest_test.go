@@ -180,47 +180,3 @@ func TestServerIngestSweepsStaleTemplates(t *testing.T) {
 		t.Fatalf("statistics %+v: want the rows Q6 and Q11 with %d runs each", stats, 2*ingests)
 	}
 }
-
-// TestBalancedIngestRetiresEveryCache: a server over two engines keeps one
-// plan cache per engine over one catalog, so one Ingest retires the stale
-// template in both — each engine rebuilds Q6 over the appended rows — while
-// Q11, over untouched tables, stays warm in both.
-func TestBalancedIngestRetiresEveryCache(t *testing.T) {
-	full := tpch.GenerateSkewed(0.005, 42, 0.5)
-	d := tpch.PrefixDB(full, full.Orders.Rows()*4/5)
-	postRef6 := refRun(t, mal.MS.Build(engineOpts()), *tpch.QueryByNum(6), full)
-	// One request at a time: an idle server alternates its engines
-	// round-robin, so each pair of requests lands once on each.
-	sv := NewBalanced([]ops.Operators{mal.MS.Build(engineOpts()), mal.MS.Build(engineOpts())},
-		Options{MaxConcurrent: 4, NoCoalesce: true})
-	run := func(num int) *mal.Result {
-		t.Helper()
-		res, err := execQuery(sv, num, d)
-		if err != nil {
-			t.Fatalf("Q%d: %v", num, err)
-		}
-		return res
-	}
-	for _, num := range []int{6, 6, 11, 11} {
-		run(num)
-	}
-	if _, misses, size := sv.CacheStats(); misses != 4 || size != 4 {
-		t.Fatalf("warm-up: %d builds, %d resident, want 4 and 4 (both queries on both engines)", misses, size)
-	}
-
-	sv.Ingest(appendTables, func() { d.AppendTail(full) })
-
-	for i := 0; i < 2; i++ {
-		if err := canonEqual(run(6), postRef6); err != nil {
-			t.Fatalf("post-append Q6, request %d: %v", i, err)
-		}
-	}
-	run(11)
-	run(11)
-	if hits, misses, size := sv.CacheStats(); hits != 2 || misses != 6 || size != 4 {
-		t.Fatalf("cache %d hits / %d misses / %d resident, want 2/6/4: both engines rebuild Q6, Q11 stays warm", hits, misses, size)
-	}
-	if loads := sv.EngineLoads(); loads[0] != 4 || loads[1] != 4 {
-		t.Fatalf("engine loads %v, want 4 each", loads)
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/bat"
 	"repro/internal/hybrid"
 	"repro/internal/mal"
-	"repro/internal/ops"
 	"repro/internal/tpch"
 )
 
@@ -384,81 +383,6 @@ func TestAdmissionAcceptsBurstWithinCap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("burst within the execution cap was rejected: %v", err)
 		}
-	}
-}
-
-// TestBalancedServerSpreadsSessions: a server over several engines must
-// route concurrent sessions across all of them (least-in-flight with a
-// round-robin tie break), keep per-engine plan caches working, and return
-// results identical to a single-engine run.
-func TestBalancedServerSpreadsSessions(t *testing.T) {
-	db := testDB()
-	engines := []ops.Operators{
-		mal.OcelotCPU.Build(engineOpts()),
-		mal.OcelotCPU.Build(engineOpts()),
-	}
-	// NoCoalesce: the test counts per-engine loads and exact cache hits
-	// across identical concurrent requests.
-	sv := NewBalanced(engines, Options{MaxConcurrent: 4, NoCoalesce: true})
-	if len(sv.Engines()) != 2 {
-		t.Fatalf("server reports %d engines, want 2", len(sv.Engines()))
-	}
-
-	q := tpch.QueryByNum(6)
-	plan := func(s *mal.Session) *mal.Result { return q.Plan(s, db) }
-	// Warm both engines sequentially (idle round-robin alternates slots):
-	// concurrent cold misses on one engine would each build independently,
-	// which is documented cache behaviour but noise for this test.
-	ref, err := sv.Execute("q6", nil, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.Execute("q6", nil, plan); err != nil {
-		t.Fatal(err)
-	}
-
-	const rounds = 32
-	var wg sync.WaitGroup
-	errs := make(chan error, rounds)
-	for i := 0; i < rounds; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := sv.Execute("q6", nil, plan)
-			if err != nil {
-				errs <- err
-				return
-			}
-			errs <- canonEqual(res, ref)
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	loads := sv.EngineLoads()
-	var total int64
-	for i, l := range loads {
-		if l == 0 {
-			t.Fatalf("engine %d served no sessions: loads %v", i, loads)
-		}
-		total += l
-	}
-	if total != rounds+2 {
-		t.Fatalf("loads %v sum to %d, want %d", loads, total, rounds+2)
-	}
-	// Both engines built the plan once during the warm-up (their caches are
-	// separate); every later execution replayed a template.
-	hits, misses, size := sv.CacheStats()
-	if misses != 2 || size != 2 {
-		t.Fatalf("cache stats hits=%d misses=%d size=%d, want 2 misses / 2 resident", hits, misses, size)
-	}
-	if hits != rounds {
-		t.Fatalf("cache hits = %d, want %d", hits, rounds)
 	}
 }
 

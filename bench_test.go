@@ -569,45 +569,12 @@ func invalidate(o ops.Operators, col *bat.BAT) {
 	}
 }
 
-// BenchmarkNdevTPCH — the 14-query workload on the N-device hybrid engine
-// at 1, 2 and 4 simulated GPUs (the ndev figure's sweep, reduced for the
-// CI bench smoke). Wall ns/op: the hybrid engine spans several simulated
-// devices, so no single virtual timeline applies.
-func BenchmarkNdevTPCH(b *testing.B) {
-	db := tpch.Generate(0.01, 42)
-	for _, gpus := range []int{1, 2, 4} {
-		gpus := gpus
-		b.Run(fmt.Sprintf("g=%d", gpus), func(b *testing.B) {
-			o := mal.Hybrid.Build(mal.ConfigOptions{GPUMemory: 1 << 30, GPUs: gpus})
-			run := func() error {
-				for _, q := range tpch.Queries() {
-					s := mal.NewSession(o)
-					if _, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result {
-						return q.Plan(s, db)
-					}); err != nil {
-						return err
-					}
-				}
-				return mal.Finish(o)
-			}
-			if err := run(); err != nil { // hot cache
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParTPCH — the 14-query workload on the 2-GPU hybrid engine,
 // serial interpreter vs the plan-level parallel executor (the par figure's
-// plan half, reduced for the CI bench smoke). Wall ns/op, as in
-// BenchmarkNdevTPCH; a hot plan cache is not used so every iteration pays
-// the full build+execute path both modes share.
+// plan half, reduced for the CI bench smoke). Wall ns/op: the hybrid engine
+// spans several simulated devices, so no single virtual timeline applies; a
+// hot plan cache is not used so every iteration pays the full build+execute
+// path both modes share.
 func BenchmarkParTPCH(b *testing.B) {
 	db := tpch.Generate(0.01, 42)
 	for _, mode := range []struct {

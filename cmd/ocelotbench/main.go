@@ -11,7 +11,7 @@
 //	ocelotbench -all -json BENCH_PR2.json  # machine-readable trajectory record
 //
 // Sizes default to a laptop-scale rendition of the paper's sweeps; the
-// flags restore any scale the machine can hold. See EXPERIMENTS.md for the
+// flags restore any scale the machine can hold. See DESIGN.md for the
 // recorded paper-vs-measured comparison.
 package main
 
@@ -31,14 +31,14 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, pc, fus, ndev, spill, par")
+		fig     = flag.String("fig", "", "figure(s) to regenerate, comma-separated: 5a..5i, 6, 7a..7d, a1..a4, pc, fus, par")
 		all     = flag.Bool("all", false, "regenerate every figure")
 		sizes   = flag.String("sizes", "", "comma-separated size sweep in MB (Fig 5/6)")
 		baseMB  = flag.Int("base", 0, "fixed column size in MB for parameter sweeps")
 		runs    = flag.Int("runs", 0, "measured repetitions per point")
 		threads = flag.Int("threads", 0, "parallelism for MP and the Ocelot CPU driver (0 = all cores)")
 		gpuMem  = flag.Int64("gpumem", 0, "simulated GPU memory in MiB")
-		gpus    = flag.Int("gpus", 0, "simulated GPUs of the HYB configuration (0 = 1; the ndev figure sweeps 1/2/4 itself)")
+		gpus    = flag.Int("gpus", 0, "simulated GPUs of the HYB configuration (0 = 1; the par figure sweeps 1/2/4 itself)")
 		sf      = flag.Float64("sf", 0, "TPC-H scale factor override (Fig 7)")
 		pause   = flag.Duration("cpupause", 0, "per-launch Ocelot-CPU pause emulating the Intel SDK overhead (Fig 7)")
 		configs = flag.String("configs", "", "comma-separated subset of MS,MP,CPU,GPU,HYB")
@@ -84,7 +84,7 @@ func main() {
 	var figs []string
 	if *all {
 		figs = []string{"5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "5i", "6",
-			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "fus", "ndev", "spill", "par"}
+			"7a", "7b", "7c", "7d", "a1", "a2", "a3", "a4", "pc", "fus", "par"}
 	} else if *fig != "" {
 		for _, f := range strings.Split(*fig, ",") {
 			figs = append(figs, strings.ToLower(strings.TrimSpace(f)))
@@ -127,10 +127,6 @@ func main() {
 			rep = bench.PlanCacheFigure(topt)
 		case f == "fus":
 			rep = bench.FigFus(opt)
-		case f == "ndev":
-			rep = bench.NdevFigure(topt)
-		case f == "spill":
-			rep = bench.SpillFigure(topt)
 		case f == "par":
 			rep = bench.ParFigure(topt)
 		default:
@@ -142,7 +138,7 @@ func main() {
 				known = append(known, k)
 			}
 			sort.Strings(known)
-			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc fus ndev spill par)", f, strings.Join(known, " "))
+			fatalf("unknown figure %q (known: %s 7a 7b 7c 7d pc fus par)", f, strings.Join(known, " "))
 		}
 		fmt.Println(rep)
 		runtime.ReadMemStats(&ms)

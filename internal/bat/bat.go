@@ -98,10 +98,6 @@ type BAT struct {
 	// explicit sync hands a heap over (HandOver) and with it the ownership
 	// (§3.4).
 	OcelotOwned bool
-	// Stats are optional load-time column statistics (stats.go). Base
-	// columns carry them for the placement cost model; plan intermediates
-	// leave them nil.
-	Stats *Stats
 	// TableName names the Table this BAT is a base column of (stamped by
 	// Table.Add), or "" for plan intermediates and free-standing BATs. A
 	// sealed template lists the tables its plan read by it, and those

@@ -55,7 +55,6 @@ func appendCol(old, delta *BAT) *BAT {
 	nb := New(old.Name, old.T, n)
 	nb.Seq = old.Seq
 	nb.TableName = old.TableName
-	nb.Stats = old.Stats // load-time estimates; stale but only steers placement
 	if old.T != Void {
 		w := old.T.Width()
 		copy(nb.heap, old.heap[:old.Len()*w])

@@ -45,7 +45,7 @@ type Options struct {
 	// GPUMemory caps the simulated device memory.
 	GPUMemory int64
 	// GPUs is the simulated GPU count of the Hybrid configuration (<=0
-	// selects 1; the ndev figure sweeps it itself).
+	// selects 1; the par figure sweeps it itself).
 	GPUs int
 	// CPULaunchPause emulates the Intel-SDK per-launch overhead on the
 	// Ocelot CPU driver (TPC-H figures only; see Fig. 7d).

@@ -115,39 +115,6 @@ func TestFig7aSmallRun(t *testing.T) {
 	}
 }
 
-func TestSpillFigureSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TPC-H figure in -short mode")
-	}
-	// The figure is self-checking: it panics on any cross-mode divergence
-	// and when the forced budget fails to bind, so the smoke only needs the
-	// sweep to complete and the report to be well-formed.
-	opt := TPCHOptions{Options: Options{Runs: 1, Threads: 4, Seed: 42}}
-	r := SpillFigure(opt)
-	if len(r.Queries) != 14 {
-		t.Fatalf("spill figure covers %d queries, want 14", len(r.Queries))
-	}
-	if want := 3 * len(SpillSFs); len(r.Order) != want {
-		t.Fatalf("spill figure has %d series, want %d (3 modes × %d SFs)", len(r.Order), want, len(SpillSFs))
-	}
-	for _, c := range r.Order {
-		for i, v := range r.Seconds[c] {
-			if v < 0 {
-				t.Fatalf("Q%d on %s failed: %v", r.Queries[i], c, r.Notes)
-			}
-		}
-	}
-	spilled := 0
-	for _, n := range r.Notes {
-		if strings.Contains(n, "spilling joins") {
-			spilled++
-		}
-	}
-	if spilled < len(SpillSFs) {
-		t.Fatalf("expected a spill-stats note per scale factor, got %d of %d (notes %v)", spilled, len(SpillSFs), r.Notes)
-	}
-}
-
 func TestParFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H figure in -short mode")
@@ -160,9 +127,9 @@ func TestParFigureSmoke(t *testing.T) {
 	// real compute) but the smoke only checks shape and engagement.
 	opt := TPCHOptions{Options: Options{Runs: 1, Threads: 4, Seed: 42}, SF: 0.01}
 	r := ParFigure(opt)
-	if want := 2 * len(NdevGPUCounts); len(r.Nanos) != want {
+	if want := 2 * len(ParGPUCounts); len(r.Nanos) != want {
 		t.Fatalf("par figure has %d plan-wall series, want %d (serial+parallel × %d GPU counts)",
-			len(r.Nanos), want, len(NdevGPUCounts))
+			len(r.Nanos), want, len(ParGPUCounts))
 	}
 	if want := len(ParDupRatios) * len(ParClients); len(r.QPS) != want {
 		t.Fatalf("par figure has %d qps series, want %d", len(r.QPS), want)
@@ -189,8 +156,8 @@ func TestParFigureSmoke(t *testing.T) {
 			shared++
 		}
 	}
-	if engaged != len(NdevGPUCounts) {
-		t.Fatalf("parallel executor engaged on %d of %d GPU counts (notes %v)", engaged, len(NdevGPUCounts), r.Notes)
+	if engaged != len(ParGPUCounts) {
+		t.Fatalf("parallel executor engaged on %d of %d GPU counts (notes %v)", engaged, len(ParGPUCounts), r.Notes)
 	}
 	if shared == 0 {
 		t.Fatalf("no duplicate load produced shared executions (notes %v)", r.Notes)

@@ -3,9 +3,9 @@
 // time a single session saves by overlapping disjoint device lanes — and
 // (b) the serving layer's request coalescing under duplicate-heavy load —
 // the throughput single-flight sharing buys when many clients ask the same
-// question. Neither has a counterpart in the paper; like the N-device
-// figure they track the repository's production trajectory (ROADMAP:
-// parallel plan execution, shared work).
+// question. Neither has a counterpart in the paper; they track the
+// repository's production trajectory (ROADMAP: parallel plan execution,
+// shared work).
 package bench
 
 import (
@@ -65,6 +65,9 @@ func (r *ParReport) JSON(bytesAlloc, allocsOp int64) FigureJSON {
 	return out
 }
 
+// ParGPUCounts is the plan half's sweep of simulated-GPU counts.
+var ParGPUCounts = []int{1, 2, 4}
+
 // ParDupRatios is the duplicate-share sweep of the coalescing half (percent
 // of requests asking the one hot parameterisation).
 var ParDupRatios = []int{0, 50, 90}
@@ -106,7 +109,7 @@ func ParFigure(o TPCHOptions) *ParReport {
 	}
 
 	// --- (a) serial vs parallel plan execution per GPU count ---
-	for _, gpus := range NdevGPUCounts {
+	for _, gpus := range ParGPUCounts {
 		eng := mal.Hybrid.Build(mal.ConfigOptions{
 			Threads:   o.Threads,
 			GPUMemory: o.GPUMemory,

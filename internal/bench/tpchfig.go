@@ -11,7 +11,7 @@ import (
 
 // The TPC-H experiments of §5.3 (Figure 7). The paper runs scale factors
 // 1, 8 and 50; the defaults here are scaled down proportionally (see
-// EXPERIMENTS.md) while preserving the three regimes:
+// DESIGN.md) while preserving the three regimes:
 //
 //   - small     (7a): everything fits on the GPU — Ocelot-GPU leads,
 //     Ocelot-CPU pays the fixed framework overhead;

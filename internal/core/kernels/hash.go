@@ -271,8 +271,8 @@ func (k KeySpace) Range() uint64 { return (uint64(k.Span) + 1) * uint64(k.Prev) 
 // (shortRuns). The same launch copies a fixed-stride sample of keySampleLen(n)
 // keys behind the partials — (key word, second word) pairs, the second word
 // from prev for composite keys and 0 otherwise — for the distinct estimate.
-// The decision is taken from this measurement, never from load-time statistics
-// an append can make stale. partials needs KeyRangeWords words.
+// The decision is taken from this measurement, so an append can never leave it
+// stale. partials needs KeyRangeWords words.
 func KeyRange(q *cl.Queue, partials, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	return keyRange(q, partials, col, prev, nil, n, wait)
 }

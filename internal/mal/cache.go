@@ -113,7 +113,7 @@ func newTemplate(module string, passes Passes) *Template {
 // building.
 //
 // Sealing is also where placement sees the truth: the run that just
-// finished placed each fragment from statistics and estimates, and now knows
+// finished placed each fragment from the constant model, and now knows
 // every intermediate's size, so the placement pass runs once more with those
 // (placeObserved). The IR is still private to this session, which is what
 // makes stamping the pins race-free; every replay then runs the pins, the

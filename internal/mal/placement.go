@@ -32,9 +32,9 @@ const defaultGroupGuess = 64 // estimated groups when the count is symbolic
 
 // estimator carries cardinality estimates keyed by canonical plan value.
 // What the session has already produced is priced at its observed length;
-// the rest comes from the model: load-time column statistics where a base
-// column carries them, the historical fixed constants otherwise — so plans
-// over stats-free columns place exactly as the constant model did.
+// the rest is priced by model's fixed constants. Columns carry no
+// statistics, so a template's cold run is placed by the constants alone and
+// its seal by what that run observed.
 type estimator struct {
 	s    *Session
 	rows map[*bat.BAT]float64
@@ -42,15 +42,6 @@ type estimator struct {
 
 func (s *Session) newEstimator() *estimator {
 	return &estimator{s: s, rows: map[*bat.BAT]float64{}}
-}
-
-// statsOf returns the load-time column statistics of a plan value, or nil
-// for intermediates (only base columns carry stats).
-func (e *estimator) statsOf(b *bat.BAT) *bat.Stats {
-	if b == nil {
-		return nil
-	}
-	return e.s.canon(b).Stats
 }
 
 // rowsOf estimates a value's cardinality: concrete values report exactly,
@@ -89,8 +80,8 @@ func (e *estimator) estimate(in *PInstr) (outRows []float64, streamedBytes float
 	return outRows, streamedBytes
 }
 
-// model is the per-operator cardinality model: column statistics where the
-// column carries them, the historical fixed constants otherwise.
+// model is the per-operator cardinality model: fixed constants over the
+// input lengths rowsOf resolves (a selection keeps a third of its input).
 func (e *estimator) model(in *PInstr) (outRows []float64, streamedBytes float64) {
 	r := func(i int) float64 { return e.rowsOf(in.Args[i]) }
 	switch in.Kind {
@@ -99,12 +90,7 @@ func (e *estimator) model(in *PInstr) (outRows []float64, streamedBytes float64)
 		if in.Args[1] != nil {
 			n = r(1)
 		}
-		out := n / 3 // the fixed per-selection selectivity guess
-		if st := e.statsOf(in.Args[0]); st != nil {
-			lo, hi, _ := e.s.scalars(in)
-			out = n * st.Selectivity(lo, hi)
-		}
-		return []float64{out}, 4 * r(0)
+		return []float64{n / 3}, 4 * r(0) // the fixed per-selection selectivity guess
 	case OpSelectCmp:
 		n := r(0)
 		if in.Args[2] != nil {
@@ -199,12 +185,6 @@ func (e *estimator) estimateFused(f *ops.FusedOp) (outRows []float64, streamedBy
 		if fl.IsCmp {
 			streamed += 4 * domain
 		}
-		if st := e.statsOf(fl.Col); st != nil && !fl.IsCmp {
-			// Fused members are param-free (a verifier rule), so the
-			// descriptor's bounds are the bounds the kernel will run with.
-			out *= st.Selectivity(fl.Lo, fl.Hi)
-			continue
-		}
 		out /= 3 // the per-selection selectivity guess the unfused model uses
 	}
 	if f.HasAgg {
@@ -233,7 +213,7 @@ func (s *Session) placementPass(batch []*PInstr, outputs []*bat.BAT) {
 }
 
 // place is the placement core, run twice per plan: over each fragment before
-// it executes (placementPass, pricing with statistics and estimates) and
+// it executes (placementPass, pricing with the constant model) and
 // once more over the whole finished plan when its template is sealed
 // (Session.Template, pricing every produced value at its observed length).
 // It reports the chosen device label per compute instruction through sink.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bat"
 	"repro/internal/mal"
 	"repro/internal/tpch"
 )
@@ -25,8 +24,8 @@ func planOf(q tpch.Query, db *tpch.DB) func(*mal.Session) *mal.Result {
 // returns for the cold run's actual cardinalities, its replays agree with
 // its cold run and with Ocelot-CPU (to the byte wherever Ocelot-CPU agrees
 // with itself), and somewhere the observed sizes move a pin the estimates
-// had chosen — sealing is not a no-op. Over stats-free columns the estimates
-// are still the fixed constants.
+// had chosen on each data set — sealing is not a no-op. On both data sets
+// the cold estimates are the fixed constants.
 func TestSealPlacesWithObservedSizes(t *testing.T) {
 	queries, gpuCounts := tpch.Queries(), []int{1, 2, 4}
 	if testing.Short() {
@@ -34,9 +33,12 @@ func TestSealPlacesWithObservedSizes(t *testing.T) {
 		gpuCounts = []int{2}
 	}
 	cpu := mal.OcelotCPU.Build(hybridWith(0))
-	moved := 0
+	cold, selections := mal.Hybrid.Build(hybridWith(2)), 0
 	for _, theta := range []float64{0, 1.2} {
 		db := tpch.GenerateSkewed(0.01, 42, theta)
+		for _, q := range queries {
+			selections += mal.CheckConstantEstimates(t, fmt.Sprintf("Q%d, theta %g", q.Num, theta), cold, planOf(q, db))
+		}
 		refs := make([]*mal.Result, len(queries))
 		tols := make([]float64, len(queries))
 		for i, q := range queries {
@@ -52,6 +54,7 @@ func TestSealPlacesWithObservedSizes(t *testing.T) {
 				tols[i] = 1e-5 // grouped float sums that differ between two CPU runs
 			}
 		}
+		moved := 0
 		for _, g := range gpuCounts {
 			o := mal.Hybrid.Build(hybridWith(g))
 			for i, q := range queries {
@@ -61,21 +64,10 @@ func TestSealPlacesWithObservedSizes(t *testing.T) {
 				}
 			}
 		}
-	}
-	if moved == 0 {
-		t.Fatal("no query's pins moved at seal: placing with observed sizes is a no-op")
-	}
-	t.Logf("sealing moved pins off the estimate-only placement in %d (query, engine, dataset) cases", moved)
-
-	bare := tpch.Generate(0.01, 42)
-	for _, tab := range []*bat.Table{bare.Region, bare.Nation, bare.Supplier, bare.Customer, bare.Part, bare.PartSupp, bare.Orders, bare.Lineitem} {
-		for _, c := range tab.Cols {
-			c.Stats = nil
+		if moved == 0 {
+			t.Fatalf("theta %g: no query's pins moved at seal: placing with observed sizes is a no-op", theta)
 		}
-	}
-	o, selections := mal.Hybrid.Build(hybridWith(2)), 0
-	for _, q := range queries {
-		selections += mal.CheckConstantEstimates(t, fmt.Sprintf("Q%d without statistics", q.Num), o, planOf(q, bare))
+		t.Logf("theta %g: sealing moved pins off the estimate-only placement in %d (query, engine) cases", theta, moved)
 	}
 	if selections == 0 {
 		t.Fatal("the constant-model gate saw no selection over a base column")

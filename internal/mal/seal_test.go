@@ -88,11 +88,10 @@ func CheckSeal(t *testing.T, what string, o ops.Operators, plan func(*Session) *
 	return !reflect.DeepEqual(sealed, estimated)
 }
 
-// CheckConstantEstimates is the fixed-constant regression gate of PR 9: over
-// columns without statistics, before anything was observed, every selection
-// of the plan is priced at the historical /3 guess per filter — so plans
-// without statistics pin as they always did. It returns how many selections
-// it checked.
+// CheckConstantEstimates is the fixed-constant gate: before anything was
+// observed, every selection of the plan over a base column is priced at the
+// /3 guess per filter, whatever the column's values. It returns how many
+// selections it checked.
 func CheckConstantEstimates(t *testing.T, what string, o ops.Operators, plan func(*Session) *Result) (checked int) {
 	t.Helper()
 	s := NewSession(o)
@@ -121,7 +120,7 @@ func CheckConstantEstimates(t *testing.T, what string, o ops.Operators, plan fun
 				continue
 			}
 			if got, _ := e.model(in); got[0] != want {
-				t.Fatalf("%s: %s over a stats-free column estimated at %v rows, the constant model says %v", what, in.OpName(), got[0], want)
+				t.Fatalf("%s: cold %s over a base column estimated at %v rows, the constant model says %v", what, in.OpName(), got[0], want)
 			}
 			checked++
 		}
@@ -160,46 +159,15 @@ func CheckFragmentGraphs(t *testing.T, what string, o ops.Operators, plan func(*
 	wantRule(t, ve, "lane-acyclic")
 }
 
-// TestEstimatesUnchangedWithoutStatsOrFeedback is the fixed-constant gate on
-// the package's own toy plan (seal_queries_test.go runs it over the TPC-H
+// TestColdEstimatesAreTheConstantModel is the fixed-constant gate on the
+// package's own toy plan (seal_queries_test.go runs it over the TPC-H
 // queries).
-func TestEstimatesUnchangedWithoutStatsOrFeedback(t *testing.T) {
+func TestColdEstimatesAreTheConstantModel(t *testing.T) {
 	k, v, g := bigTestData(1 << 16)
 	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20, GPUs: 2})
 	if CheckConstantEstimates(t, "miniPlan", o, miniPlan(k, v, g)) == 0 {
 		t.Fatal("the toy plan has no selection over a base column; the gate lost its teeth")
 	}
-}
-
-// TestStatsSteerSelectEstimate: with statistics on the selected column, the
-// placement estimate of a selective filter must track the statistics'
-// selectivity instead of the /3 constant.
-func TestStatsSteerSelectEstimate(t *testing.T) {
-	k, v, g := bigTestData(1 << 16)
-	if k.Stats = bat.ComputeStats(k, bat.StatsBins); k.Stats == nil {
-		t.Fatal("ComputeStats returned nil for an I32 column")
-	}
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20, GPUs: 2})
-	s := NewSession(o)
-	if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := s.Template().newExec(o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	constant := float64(k.Len()) / 3
-	for _, in := range s.tpl.frags[0].instrs {
-		if in.Kind != OpSelect && in.Kind != OpFused {
-			continue
-		}
-		// miniPlan selects k in [2,4]: 3 of 1000 distinct values.
-		if got, _ := fresh.newEstimator().model(in); got[0] >= constant/10 {
-			t.Fatalf("stats-informed %s estimate %v did not move off the /3 constant %v", in.OpName(), got[0], constant)
-		}
-		return
-	}
-	t.Fatal("no select instruction in the template")
 }
 
 // TestWarmFeedbackReplaysQuiet is the steady-state contract: what the cold

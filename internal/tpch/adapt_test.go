@@ -1,15 +1,10 @@
 package tpch
 
-import (
-	"testing"
-
-	"repro/internal/bat"
-)
+import "testing"
 
 // TestGenerateSkewed pins down the Zipf knob: theta 0 is byte-identical to
 // the classic generator, positive theta visibly concentrates the foreign
-// keys, statistics ride on every numeric base column, and the whole thing
-// stays deterministic under a fixed seed.
+// keys, and the whole thing stays deterministic under a fixed seed.
 func TestGenerateSkewed(t *testing.T) {
 	uniform := Generate(0.01, 42)
 	zeroTheta := GenerateSkewed(0.01, 42, 0)
@@ -61,26 +56,5 @@ func TestGenerateSkewed(t *testing.T) {
 	aTop, aN := freq(again, "o_custkey")
 	if aTop != sTop || aN != n {
 		t.Fatal("GenerateSkewed is not deterministic for a fixed seed")
-	}
-
-	// Load-time statistics on numeric base columns, skew visible in them.
-	for _, probe := range []struct {
-		tbl *bat.Table
-		col string
-	}{
-		{skewed.Lineitem, "l_quantity"}, {skewed.Lineitem, "l_extendedprice"},
-		{skewed.Orders, "o_custkey"}, {skewed.Part, "p_size"},
-	} {
-		st := probe.tbl.Cols[probe.col].Stats
-		if st == nil {
-			t.Fatalf("%s.%s carries no load-time stats", probe.tbl.Name, probe.col)
-		}
-		if st.N == 0 || st.Distinct < 1 || len(st.Hist) == 0 {
-			t.Fatalf("%s.%s stats degenerate: %+v", probe.tbl.Name, probe.col, st)
-		}
-	}
-	hist := skewed.Orders.Cols["o_custkey"].Stats.Hist
-	if hist[0] <= hist[len(hist)-1] {
-		t.Fatalf("Zipf skew invisible in o_custkey histogram: first bucket %d, last %d", hist[0], hist[len(hist)-1])
 	}
 }

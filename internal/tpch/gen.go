@@ -92,9 +92,8 @@ func Generate(sf float64, seed int64) *DB {
 // over their domains instead of uniformly, concentrating mass on a few hot
 // values the way real workloads do. theta == 0 reproduces Generate's output
 // byte for byte; the same (sf, seed, theta) triple always yields the same
-// data. Every generated numeric column also carries load-time statistics
-// (min/max, a distinct-count sketch, an equi-width histogram — bat.Stats)
-// for the placement pass's estimator.
+// data. Columns carry no statistics: placement prices a cold run with its
+// constant model and a sealed template with the sizes that run observed.
 func GenerateSkewed(sf float64, seed int64, theta float64) *DB {
 	if sf <= 0 {
 		sf = 0.01
@@ -115,7 +114,6 @@ func GenerateSkewed(sf float64, seed int64, theta float64) *DB {
 	db.genPart(scale(sfPart, sf), seed+3)
 	db.genPartSupp(seed + 4)
 	db.genOrdersAndLineitem(scale(sfOrders, sf), seed+5)
-	db.computeStats()
 	return db
 }
 
@@ -167,15 +165,6 @@ func powf(x, y float64) float64 {
 		return x
 	}
 	return math.Pow(x, y)
-}
-
-// computeStats attaches load-time statistics to every numeric base column.
-func (db *DB) computeStats() {
-	for _, t := range db.Tables() {
-		for _, c := range t.Cols {
-			c.Stats = bat.ComputeStats(c, bat.StatsBins)
-		}
-	}
 }
 
 func scale(base int, sf float64) int {

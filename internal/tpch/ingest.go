@@ -40,11 +40,6 @@ func PrefixDB(src *DB, nOrders int) *DB {
 	}
 	db.Orders = subsetTableRows(src.Orders, rowRange(0, nOrders))
 	db.Lineitem = subsetTableRows(src.Lineitem, rowRange(0, nLines))
-	for _, t := range []*bat.Table{db.Orders, db.Lineitem} {
-		for _, c := range t.Cols {
-			c.Stats = bat.ComputeStats(c, bat.StatsBins)
-		}
-	}
 	return db
 }
 

@@ -34,7 +34,6 @@ func main() {
 		threads = flag.Int("threads", 0, "parallelism (0 = all cores)")
 		gpuMem  = flag.Int64("gpumem", 1024, "simulated GPU memory in MiB")
 		gpus    = flag.Int("gpus", 1, "simulated GPUs of the HYB configuration")
-		spillMB = flag.Int64("spillmb", 0, "force a per-join device budget in MiB so hash joins partition and spill (0 = auto from free device memory, -1 = never spill)")
 		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass")
 		skew    = flag.Float64("skew", 0, "Zipf exponent of the generated data (0 = uniform, the TPC-H default)")
 	)
@@ -77,13 +76,6 @@ func main() {
 
 	for _, cfg := range configs {
 		o := cfg.Build(mal.ConfigOptions{Threads: *threads, GPUMemory: *gpuMem << 20, GPUs: *gpus})
-		if *spillMB != 0 {
-			b := *spillMB << 20
-			if *spillMB < 0 {
-				b = -1
-			}
-			mal.SetSpillBudget(o, b)
-		}
 		s := mal.NewSession(o)
 		if *explain {
 			s.EnableTrace()
@@ -105,9 +97,6 @@ func main() {
 		if isGPU {
 			vAfter, _ := mal.GPUTime(o)
 			line += fmt.Sprintf(", device time %v", (vAfter - vBefore).Round(time.Microsecond))
-		}
-		if joins, parts, bytes := mal.SpillStats(o); joins > 0 {
-			line += fmt.Sprintf(", spilled %d joins (%d partitions, %.1f MB via host)", joins, parts, float64(bytes)/(1<<20))
 		}
 		fmt.Println(line)
 		if *explain {

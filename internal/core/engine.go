@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/bat"
 	"repro/internal/cl"
@@ -24,13 +23,6 @@ type Engine struct {
 	// profile, when set via SetProfile, drives algorithm selection (the
 	// §7 future-work hook); nil falls back to device-class defaults.
 	profile *Profile
-
-	// Partition-wise join control and statistics (spill.go). spillBudget
-	// overrides the device budget: 0 automatic, >0 forced bytes, <0 disabled.
-	spillBudget atomic.Int64
-	spillJoins  atomic.Int64
-	spillParts  atomic.Int64
-	spillBytes  atomic.Int64
 }
 
 // New creates an Ocelot engine on the given device.
@@ -60,6 +52,16 @@ func (e *Engine) Memory() *MemoryManager { return e.mm }
 
 // Finish drains all outstanding device work (clFinish).
 func (e *Engine) Finish() error { return e.q.Finish() }
+
+// SpillStats always reports zeros: joins are never partitioned — a join
+// that does not fit the device after eviction fails with
+// cl.ErrOutOfDeviceMemory, which the hybrid engine's fallback answers on the
+// CPU. The method exists only because the pinned benchmark's traced pass
+// reads it (core.spill_*) and benchmark/ is not edited alongside the
+// program; it goes with the benchmark's next own change.
+//
+// Deprecated: there is no spilling join; the result is always zero.
+func (e *Engine) SpillStats() (joins, partitions, spilledBytes int64) { return 0, 0, 0 }
 
 // PurgeDeviceCache drops the Memory Manager's device-side caches (base
 // copies, hash tables, materialised bitmaps). Call it when the device has

@@ -20,14 +20,14 @@ import (
 //   - gids: the per-build-row dense ids, looked up through the slots.
 //     Grouping stops here (lookupGids hands the ids to the caller).
 //   - buckets: the per-key row-id buckets joins iterate (starts/rowids, after
-//     He et al. [19]). Only HashProbe and the spilling join ask for them.
+//     He et al. [19]). Only HashProbe asks for them.
 //
 // Each stage is enqueued once and chained to the previous one by events.
 type devHashTable struct {
 	e *Engine
-	// col is the key column the table was built over; nil for tables over a
-	// raw key buffer (spill partitions), whose owner supplies the buffer to
-	// every stage itself.
+	// col is the key column the table was built over; nil only for
+	// grouping's tables (groupBySlots), which stop at the gids stage and are
+	// neither cached nor released through Release.
 	col        *bat.BAT
 	ndistinct  int
 	buildRows  int
@@ -60,7 +60,7 @@ func (h *devHashTable) BuildRows() int { return h.buildRows }
 // cache drops it.
 func (h *devHashTable) Release() {
 	h.e.mm.mu.Lock()
-	cached := h.col != nil && h.e.mm.hashCache[h.col] == h
+	cached := h.e.mm.hashCache[h.col] == h
 	h.e.mm.mu.Unlock()
 	if !cached {
 		h.release()
@@ -155,7 +155,7 @@ func (e *Engine) BuildHash(col *bat.BAT) (ops.HashTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := h.ensureBuckets(nil, nil); err != nil {
+	if err := h.ensureBuckets(); err != nil {
 		h.Release()
 		return nil, err
 	}
@@ -420,11 +420,10 @@ func (h *devHashTable) lookupGids(colBuf, prev *cl.Buffer, wait []*cl.Event) (*c
 
 // ensureBuckets enqueues the bucket stage — per-row gid lookup, counts, scan,
 // scatter (He et al.'s lookup structure, §4.1.4) — unless it already has
-// been. colBuf is the key buffer of a raw-buffer table (valid once wait has
-// landed); with nil the table re-acquires its key column through the Memory
-// Manager, so a cached table whose column was evicted since the slots stage
-// simply uploads it again instead of holding a raw buffer across stages.
-func (h *devHashTable) ensureBuckets(colBuf *cl.Buffer, wait []*cl.Event) error {
+// been. The table re-acquires its key column through the Memory Manager, so a
+// cached table whose column was evicted since the slots stage simply uploads
+// it again instead of holding a raw buffer across stages.
+func (h *devHashTable) ensureBuckets() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.buckets != nil {
@@ -436,11 +435,9 @@ func (h *devHashTable) ensureBuckets(colBuf *cl.Buffer, wait []*cl.Event) error 
 	h.pin()
 	defer h.unpin()
 
-	if colBuf == nil {
-		var err error
-		if colBuf, wait, err = e.valuesOf(h.col); err != nil {
-			return err
-		}
+	colBuf, wait, err := e.valuesOf(h.col)
+	if err != nil {
+		return err
 	}
 	n, nd := h.buildRows, h.ndistinct
 	sc := &scratchSet{mm: e.mm}
@@ -459,9 +456,7 @@ func (h *devHashTable) ensureBuckets(colBuf *cl.Buffer, wait []*cl.Event) error 
 		sc.releaseAll()
 		return err
 	}
-	if h.col != nil {
-		e.mm.NoteConsumer(h.col, gev)
-	}
+	e.mm.NoteConsumer(h.col, gev)
 	zc := kernels.Fill(e.q, counts, nd, 0, nil)
 	cev := kernels.HashBucketCount(e.q, counts, gids, n, nd, []*cl.Event{gev, zc})
 	sev := kernels.PrefixSum(e.q, starts, counts, sp, totalB, nd, []*cl.Event{cev})

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -22,6 +23,31 @@ func readWords(t *testing.T, e *Engine, buf *cl.Buffer, n int) []uint32 {
 		t.Fatal(err)
 	}
 	return mem.U32(host)
+}
+
+// uniqueShuffledI32 returns a deterministic permutation of 0..n-1 as int32.
+func uniqueShuffledI32(n int, seed int64) []int32 {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	r.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// joinBytes runs e.Join and syncs both sides back to host oid slices.
+func joinBytes(t *testing.T, e *Engine, l, r *bat.BAT) ([]uint32, []uint32) {
+	t.Helper()
+	lres, rres, err := e.Join(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := append([]uint32(nil), syncedOIDs(t, e, lres)...)
+	ro := append([]uint32(nil), syncedOIDs(t, e, rres)...)
+	e.Release(lres)
+	e.Release(rres)
+	return lo, ro
 }
 
 // TestStagedTableGids builds the slots stage and looks the dense ids up
@@ -241,7 +267,7 @@ func TestConcurrentHashProbeBuildsBucketsOnce(t *testing.T) {
 			t.Fatalf("%s: racing probes disagree: %d and %d pairs", e.Name(), len(pairs[0][0]), len(pairs[1][0]))
 		}
 		built := ht.buckets
-		if err := ht.ensureBuckets(nil, nil); err != nil || ht.buckets != built {
+		if err := ht.ensureBuckets(); err != nil || ht.buckets != built {
 			t.Fatalf("%s: bucket stage ran again (%v)", e.Name(), err)
 		}
 		r.Free()
@@ -297,57 +323,6 @@ func TestBucketsAfterKeyColumnEviction(t *testing.T) {
 	}
 	if after, _ := e.dev.Transfers(); after <= uploads || !e.mm.HasDeviceCopy(r) {
 		t.Fatal("the bucket stage did not re-acquire the evicted key column")
-	}
-}
-
-// TestSpillLeafReleasesKeysAfterLastStage: a spill partition's uploaded build
-// keys feed every stage of its table, so they are released (and their bytes
-// recycled) only behind the last one — the slots for an existence probe, the
-// buckets for a join. Once that stage has landed, the device holds the
-// table's own buffers and nothing else.
-func TestSpillLeafReleasesKeysAfterLastStage(t *testing.T) {
-	keys := make([]uint32, 5000)
-	for i := range keys {
-		keys[i] = uint32(i * 3 % 1000)
-	}
-	for _, buckets := range []bool{false, true} {
-		e := New(cl.NewGPUDevice(64 << 20))
-		task := &spillTask{rk: keys}
-		if err := e.buildLeaf(task, buckets, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		ht := task.ht
-		if (ht.buckets != nil) != buckets {
-			t.Fatalf("buckets=%v: bucket stage built = %v", buckets, ht.buckets != nil)
-		}
-		var own int64
-		for _, b := range ht.buffers() {
-			if b != nil {
-				own += b.Size()
-			}
-		}
-		if got := e.dev.Allocated(); got != own {
-			t.Fatalf("buckets=%v: %d bytes live after the last stage, the table owns %d", buckets, got, own)
-		}
-		if buckets {
-			// Every row id sits in the bucket of its key.
-			starts := readWords(t, e, ht.starts, ht.ndistinct+1)
-			rowids := readWords(t, e, ht.rowids, len(keys))
-			if int(starts[ht.ndistinct]) != len(keys) {
-				t.Fatalf("buckets hold %d rows, want %d", starts[ht.ndistinct], len(keys))
-			}
-			for g := 0; g < ht.ndistinct; g++ {
-				for i := starts[g]; i < starts[g+1]; i++ {
-					if keys[rowids[i]] != keys[rowids[starts[g]]] {
-						t.Fatalf("bucket %d mixes keys %d and %d", g, keys[rowids[starts[g]]], keys[rowids[i]])
-					}
-				}
-			}
-		}
-		ht.release()
 	}
 }
 
@@ -645,9 +620,10 @@ func TestEmptyBuildSide(t *testing.T) {
 // slot arrays, or than the device's local memory whatever the key count — at
 // each clause's boundary range and one either side (3 000 keys, where the
 // hashed arrays are the larger bound; 140 keys, where local memory is: Q8's
-// part positions), and checks the memory bound the spill and placement
-// estimates rely on: under either addressing, slots and buckets together stay
-// within joinFootprint's table share, and the slots within kernels.SlotBytes.
+// part positions), and checks the table's memory bound: under either
+// addressing the slots stay within kernels.SlotBytes, and slots and buckets
+// together within that plus three words per build row (gids, row ids,
+// starts).
 func TestAddressingRule(t *testing.T) {
 	for _, e := range crossEngines() {
 		for _, n := range []int{3_000, 140} {
@@ -669,7 +645,7 @@ func TestAddressingRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ht.ensureBuckets(nil, nil); err != nil {
+				if err := ht.ensureBuckets(); err != nil {
 					t.Fatal(err)
 				}
 				if err := e.Finish(); err != nil {
@@ -692,9 +668,10 @@ func TestAddressingRule(t *testing.T) {
 						slots += b.Size()
 					}
 				}
-				if own > e.joinFootprint(0, n) || slots > kernels.SlotBytes(e.dev, n) {
-					t.Fatalf("%s: range %d over %d keys: the table holds %d bytes, joinFootprint %d; its slots %d, SlotBytes %d",
-						e.Name(), c.keyRange, n, own, e.joinFootprint(0, n), slots, kernels.SlotBytes(e.dev, n))
+				bound := kernels.SlotBytes(e.dev, n) + 12*int64(n+2)
+				if own > bound || slots > kernels.SlotBytes(e.dev, n) {
+					t.Fatalf("%s: range %d over %d keys: the table holds %d bytes, bound %d; its slots %d, SlotBytes %d",
+						e.Name(), c.keyRange, n, own, bound, slots, kernels.SlotBytes(e.dev, n))
 				}
 				col.Free()
 			}

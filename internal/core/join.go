@@ -13,32 +13,16 @@ import (
 // Join is Ocelot's equi-join (§4.1.5): a hash join over the multi-stage
 // lookup table, with the two-step count/prefix-sum/scatter procedure when
 // the match cardinality is unknown, and the direct (bitmap) path when the
-// build side is a key column.
+// build side is a key column. A join that does not fit the device once the
+// Memory Manager has evicted what it can fails with cl.ErrOutOfDeviceMemory;
+// the hybrid engine answers that on the CPU.
 func (e *Engine) Join(l, r *bat.BAT) (*bat.BAT, *bat.BAT, error) {
-	// Joins whose estimated device footprint exceeds the budget go straight
-	// to the partition-wise path (spill.go) instead of thrashing the Memory
-	// Manager; an in-memory attempt that still hits a capacity refusal
-	// retries partitioned.
-	if budget, ok := e.joinBudget(); ok && r.Len() >= spillMinRows &&
-		e.joinFootprint(l.Len(), r.Len()) > budget {
-		return e.partitionedJoin(l, r, budget)
-	}
 	ht, err := e.BuildHash(r)
 	if err != nil {
-		if budget, ok := e.joinBudget(); ok && e.spillRetryable(err) {
-			return e.partitionedJoin(l, r, budget)
-		}
 		return nil, nil, err
 	}
 	defer ht.Release()
-	lres, rres, err := e.HashProbe(l, ht)
-	if err != nil {
-		if budget, ok := e.joinBudget(); ok && e.spillRetryable(err) {
-			return e.partitionedJoin(l, r, budget)
-		}
-		return nil, nil, err
-	}
-	return lres, rres, nil
+	return e.HashProbe(l, ht)
 }
 
 // HashProbe probes ht with l's values (the phase Fig. 5i measures).
@@ -51,7 +35,7 @@ func (e *Engine) HashProbe(l *bat.BAT, ht ops.HashTable) (*bat.BAT, *bat.BAT, er
 	// pinned until the probe kernels reading it are on record.
 	h.pin()
 	defer h.unpin()
-	if err := h.ensureBuckets(nil, nil); err != nil {
+	if err := h.ensureBuckets(); err != nil {
 		return nil, nil, err
 	}
 	lBuf, wait, err := e.valuesOf(l)
@@ -275,16 +259,9 @@ func (e *Engine) AntiJoin(l, r *bat.BAT) (*bat.BAT, error) {
 }
 
 func (e *Engine) existenceJoin(l, r *bat.BAT, negate bool) (*bat.BAT, error) {
-	if budget, ok := e.joinBudget(); ok && r.Len() >= spillMinRows &&
-		e.joinFootprint(l.Len(), r.Len()) > budget {
-		return e.partitionedExists(l, r, negate, budget)
-	}
 	// Existence needs only the slots stage, never the buckets.
 	h, err := e.slotTable(r)
 	if err != nil {
-		if budget, ok := e.joinBudget(); ok && e.spillRetryable(err) {
-			return e.partitionedExists(l, r, negate, budget)
-		}
 		return nil, err
 	}
 	defer h.Release()

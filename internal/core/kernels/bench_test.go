@@ -414,7 +414,7 @@ func BenchmarkGroupRegion(b *testing.B) {
 	b.ReportMetric(float64(spent[1].Nanoseconds())/float64(b.N)/n, "chained-ns/row")
 }
 
-// BenchmarkBitmapOps: combining, counting and materialising bitmaps with 1 %
+// BenchmarkBitmapOps: combining and materialising bitmaps with 1 %
 // and 50 % of their bits set.
 func BenchmarkBitmapOps(b *testing.B) {
 	e := benchEnv(b)
@@ -460,11 +460,6 @@ func BenchmarkBitmapOps(b *testing.B) {
 			for i, w := range d.U32()[:nw] {
 				check(b, w == x.U32()[i]|y.U32()[i])
 			}
-			reportRows(b, n, run)
-		})
-		b.Run(fmt.Sprintf("count/sel=%g", sel), func(b *testing.B) {
-			run := func() *cl.Event { return BitmapCount(e.q, x, sp, n, nil) }
-			check(b, folded(b, run()) == len(rows))
 			reportRows(b, n, run)
 		})
 		b.Run(fmt.Sprintf("materialize/sel=%g", sel), func(b *testing.B) {

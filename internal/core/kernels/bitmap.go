@@ -289,22 +289,6 @@ func bitmapCombine(q *cl.Queue, name string, dst, a, b, partials *cl.Buffer, n i
 	}, launch(q.Device(), name, cl.Cost{BytesStreamed: int64(BitmapBytes(n)) * 3}, wait))
 }
 
-// BitmapCount enqueues the population count of a bitmap no kernel of ours
-// just produced (those fold it in): like a producer it leaves per-item
-// counts in partials (gsz words) for FoldCount.
-func BitmapCount(q *cl.Queue, bm, partials *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	src, p := bm.U32(), partials.U32()
-	nw, nb := BitmapWords(n), int64(BitmapBytes(n))
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(nw)
-		var sum int
-		for i := lo; i < hi; i += step {
-			sum += bits.OnesCount32(src[i])
-		}
-		p[t.Global] = uint32(sum)
-	}, launch(q.Device(), "bitcount_partials", cl.Cost{BytesStreamed: nb, Ops: nb}, wait))
-}
-
 // FoldCount enqueues the sum of the gsz per-item population counts a bitmap
 // producer left in partials into total[0].
 func FoldCount(q *cl.Queue, partials, total *cl.Buffer, wait []*cl.Event) *cl.Event {

@@ -114,8 +114,7 @@ func SlotBytes(dev *cl.Device, n int) int64 {
 // over a small range (140 part positions in [0, 20 000)) is probed by every
 // row of the other side, and a structure of that size stays in the cores'
 // nearest cache where the hashed probe pays for its six hash functions.
-// Either way the slots occupy at most SlotBytes, which is what the footprint
-// estimates charge.
+// Either way the slots occupy at most SlotBytes.
 func IdentityWords(dev *cl.Device, n int, keyRange uint64) int {
 	words := (keyRange + 31) / 32
 	if keyRange == 0 || keyRange > 1<<32 || int64(8*words) > SlotBytes(dev, n) {

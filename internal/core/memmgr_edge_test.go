@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/bat"
 	"repro/internal/cl"
 	"repro/internal/ops"
 )
@@ -208,5 +210,36 @@ func TestPurgeDeviceCacheZeroesDeadDevice(t *testing.T) {
 	e.Release(sel)
 	if got := e.Device().Allocated(); got != 0 {
 		t.Fatalf("dead device still accounts for %d bytes", got)
+	}
+}
+
+// TestOversizedJoinRefusesCleanly: on a GPU-only engine a join whose table
+// does not fit the device even after the Memory Manager has evicted
+// everything it may fails with cl.ErrOutOfDeviceMemory — the refusal the
+// hybrid engine's fallback answers on the CPU — and leaves no device bytes
+// behind once the queue has drained.
+func TestOversizedJoinRefusesCleanly(t *testing.T) {
+	const n = 200_000
+	keys := uniqueShuffledI32(n, 31)
+	for i := range keys {
+		keys[i] *= 7919 // spread over a wide range: the slots stay hashed (~6 MiB)
+	}
+	dev := cl.NewGPUDevice(2 << 20)
+	e := New(dev)
+	joins := map[string]func(l, r *bat.BAT) error{
+		"join": func(l, r *bat.BAT) error { _, _, err := e.Join(l, r); return err },
+		"semi": func(l, r *bat.BAT) error { _, err := e.SemiJoin(l, r); return err },
+		"anti": func(l, r *bat.BAT) error { _, err := e.AntiJoin(l, r); return err },
+	}
+	for name, join := range joins {
+		if err := join(i32Col("l", keys), i32Col("r", keys)); !errors.Is(err, cl.ErrOutOfDeviceMemory) {
+			t.Fatalf("%s: err = %v, want ErrOutOfDeviceMemory", name, err)
+		}
+		if err := e.Finish(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := dev.Allocated(); got != 0 {
+			t.Fatalf("%s: %d device bytes live after the refused join", name, got)
+		}
 	}
 }

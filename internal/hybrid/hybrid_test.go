@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,6 +193,40 @@ func TestGPUFailureFallsBackToCPU(t *testing.T) {
 	}
 	if sel.Len() == 0 {
 		t.Fatal("fallback produced no rows")
+	}
+
+	// A join whose table does not fit the card (hashed slots over 200 000
+	// unique wide-range keys, ~6 MiB) is refused there and runs on the CPU,
+	// with the CPU engine's bytes.
+	keys := make([]int32, 200_000)
+	for i, k := range rand.New(rand.NewSource(7)).Perm(len(keys)) {
+		keys[i] = int32(k) * 5003
+	}
+	build, probe := i32Col("build", keys), i32Col("probe", keys[:100_000])
+	l, r, err := h.On("GPU").Join(probe, build)
+	if err != nil {
+		t.Fatalf("hybrid join did not fall back: %v", err)
+	}
+	if p := h.Placements()["join"]; p["CPU"] != 1 || p["GPU"] != 0 {
+		t.Fatalf("oversized join placed %v, want CPU 1 and GPU 0", p)
+	}
+	cpu := h.Devices()[0].Eng
+	wantL, wantR, err := cpu.Join(probe, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*bat.BAT{l, r} {
+		if err := h.Sync(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []*bat.BAT{wantL, wantR} {
+		if err := cpu.Sync(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Len() != 100_000 || !slices.Equal(l.OIDs(), wantL.OIDs()) || !slices.Equal(r.OIDs(), wantR.OIDs()) {
+		t.Fatalf("fallback join: %d pairs, the CPU engine's %d, or different pairs", l.Len(), wantL.Len())
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // instead of dispatching through hybrid.Engine.On. Direct calls bypass
 // placement accounting, the fallback chain and the per-device views the
 // hybrid engine maintains, so only the hybrid package itself may make
-// them. Non-operator maintenance methods (Device, SetSpillBudget,
-// SpillStats, Finish, ...) are deliberately allowed: configs.go and the
-// spill plumbing use them legitimately.
+// them. Non-operator maintenance methods (Device, Memory, Finish, ...)
+// are deliberately allowed: placement reads each device's constants
+// through them.
 var DispatchThrough = &Analyzer{
 	Name: "dispatchthrough",
 	Doc:  "flag direct Dev.Eng operator calls that bypass hybrid.Engine.On in internal/mal and internal/serve",

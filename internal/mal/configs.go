@@ -113,35 +113,3 @@ func Finish(o ops.Operators) error {
 	}
 	return nil
 }
-
-// SetSpillBudget forces (>0), re-enables automatic sizing (0) or disables
-// (<0) the partition-wise join spill budget on every Ocelot device engine
-// inside o — the single engine of the CPU/GPU configurations, every device
-// of the hybrid one. MonetDB configurations are untouched. See
-// core.Engine.SetSpillBudget for the exact semantics.
-func SetSpillBudget(o ops.Operators, b int64) {
-	switch e := o.(type) {
-	case *core.Engine:
-		e.SetSpillBudget(b)
-	case *hybrid.Engine:
-		for _, d := range e.Devices() {
-			d.Eng.SetSpillBudget(b)
-		}
-	}
-}
-
-// SpillStats sums the partition-wise join statistics (spilling joins,
-// partitions built, bytes staged through host memory) over every Ocelot
-// device engine inside o; zeros for MonetDB configurations.
-func SpillStats(o ops.Operators) (joins, partitions, spilledBytes int64) {
-	switch e := o.(type) {
-	case *core.Engine:
-		return e.SpillStats()
-	case *hybrid.Engine:
-		for _, d := range e.Devices() {
-			j, p, b := d.Eng.SpillStats()
-			joins, partitions, spilledBytes = joins+j, partitions+p, spilledBytes+b
-		}
-	}
-	return joins, partitions, spilledBytes
-}

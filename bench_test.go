@@ -568,43 +568,3 @@ func invalidate(o ops.Operators, col *bat.BAT) {
 		inv.InvalidateHash(col)
 	}
 }
-
-// BenchmarkParTPCH — the 14-query workload on the 2-GPU hybrid engine,
-// serial interpreter vs the plan-level parallel executor (the par figure's
-// plan half, reduced for the CI bench smoke). Wall ns/op: the hybrid engine
-// spans several simulated devices, so no single virtual timeline applies; a
-// hot plan cache is not used so every iteration pays the full build+execute
-// path both modes share.
-func BenchmarkParTPCH(b *testing.B) {
-	db := tpch.Generate(0.01, 42)
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"serial", false}, {"parallel", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			o := mal.Hybrid.Build(mal.ConfigOptions{GPUMemory: 1 << 30, GPUs: 2})
-			run := func() error {
-				for _, q := range tpch.Queries() {
-					s := mal.NewSession(o)
-					s.SetParallel(mode.parallel)
-					if _, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result {
-						return q.Plan(s, db)
-					}); err != nil {
-						return err
-					}
-				}
-				return mal.Finish(o)
-			}
-			if err := run(); err != nil { // hot cache
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

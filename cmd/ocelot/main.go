@@ -33,7 +33,6 @@ func main() {
 		rows    = flag.Bool("rows", false, "print result rows")
 		threads = flag.Int("threads", 0, "parallelism (0 = all cores)")
 		gpuMem  = flag.Int64("gpumem", 1024, "simulated GPU memory in MiB")
-		gpus    = flag.Int("gpus", 1, "simulated GPUs of the HYB configuration")
 		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass")
 		skew    = flag.Float64("skew", 0, "Zipf exponent of the generated data (0 = uniform, the TPC-H default)")
 	)
@@ -75,7 +74,7 @@ func main() {
 	}
 
 	for _, cfg := range configs {
-		o := cfg.Build(mal.ConfigOptions{Threads: *threads, GPUMemory: *gpuMem << 20, GPUs: *gpus})
+		o := cfg.Build(mal.ConfigOptions{Threads: *threads, GPUMemory: *gpuMem << 20})
 		s := mal.NewSession(o)
 		if *explain {
 			s.EnableTrace()

@@ -1,14 +1,12 @@
-// Hybrid placement: the paper's §7 future work, implemented. An ordered
-// set of Ocelot devices (here one CPU and two simulated GPUs) is calibrated
-// with standardized micro-benchmarks; the plan-level placement pass prices
-// every operator of a query on every device from those profiles, pins each
-// to the device where the whole plan costs least, and the hybrid engine runs
-// the pins, with intermediates migrating across devices through the §3.4
-// ownership hand-over and independent plan subtrees spreading across the
-// GPUs. The example runs a
-// TPC-H query under the hybrid configuration, prints the calibrated device
-// table and where each operator was placed, and cross-checks the result
-// against the sequential baseline.
+// Hybrid placement: the paper's §7 future work, implemented. The two Ocelot
+// devices, the CPU and one simulated GPU, are calibrated with standardized
+// micro-benchmarks; the plan-level placement pass prices every operator of a
+// query on both devices from those profiles, pins each to the device where
+// the whole plan costs least, and the hybrid engine runs the pins, with
+// intermediates migrating between the devices through the §3.4 ownership
+// hand-over. The example runs a TPC-H query under the hybrid configuration,
+// prints the calibrated device table and where each operator was placed, and
+// cross-checks the result against the sequential baseline.
 package main
 
 import (
@@ -26,7 +24,7 @@ func main() {
 	q := tpch.QueryByNum(3)
 	fmt.Printf("Q%d (%s) on TPC-H SF %g\n\n", q.Num, q.Name, db.SF)
 
-	h, err := hybrid.NewN(0, 512<<20, 2)
+	h, err := hybrid.New(0, 512<<20)
 	if err != nil {
 		log.Fatal(err)
 	}

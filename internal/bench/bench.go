@@ -44,9 +44,6 @@ type Options struct {
 	Threads int
 	// GPUMemory caps the simulated device memory.
 	GPUMemory int64
-	// GPUs is the simulated GPU count of the Hybrid configuration (<=0
-	// selects 1; the par figure sweeps it itself).
-	GPUs int
 	// CPULaunchPause emulates the Intel-SDK per-launch overhead on the
 	// Ocelot CPU driver (TPC-H figures only; see Fig. 7d).
 	CPULaunchPause time.Duration
@@ -212,7 +209,6 @@ func engineFor(c mal.Config, opt Options) ops.Operators {
 	return c.Build(mal.ConfigOptions{
 		Threads:        opt.Threads,
 		GPUMemory:      opt.GPUMemory,
-		GPUs:           opt.GPUs,
 		CPULaunchPause: opt.CPULaunchPause,
 	})
 }

@@ -115,58 +115,6 @@ func TestFig7aSmallRun(t *testing.T) {
 	}
 }
 
-func TestParFigureSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TPC-H figure in -short mode")
-	}
-	// The plan half is self-checking (panics when the parallel executor
-	// diverges from serial), so the smoke asserts the sweep's shape, that
-	// the parallel executor and the coalescing paths actually engaged, and
-	// that the rendering carries both tables.
-	// SF pinned small: the figure's own default is heavier (overlap needs
-	// real compute) but the smoke only checks shape and engagement.
-	opt := TPCHOptions{Options: Options{Runs: 1, Threads: 4, Seed: 42}, SF: 0.01}
-	r := ParFigure(opt)
-	if want := 2 * len(ParGPUCounts); len(r.Nanos) != want {
-		t.Fatalf("par figure has %d plan-wall series, want %d (serial+parallel × %d GPU counts)",
-			len(r.Nanos), want, len(ParGPUCounts))
-	}
-	if want := len(ParDupRatios) * len(ParClients); len(r.QPS) != want {
-		t.Fatalf("par figure has %d qps series, want %d", len(r.QPS), want)
-	}
-	if len(r.Order) != len(r.Nanos)+len(r.QPS) {
-		t.Fatalf("order lists %d series for %d measurements", len(r.Order), len(r.Nanos)+len(r.QPS))
-	}
-	for k, ns := range r.Nanos {
-		if ns <= 0 {
-			t.Fatalf("%s: non-positive wall %d", k, ns)
-		}
-	}
-	for k, qps := range r.QPS {
-		if qps <= 0 {
-			t.Fatalf("%s: non-positive throughput %v", k, qps)
-		}
-	}
-	engaged, shared := 0, 0
-	for _, n := range r.Notes {
-		if strings.Contains(n, "multi-lane fragments") && !strings.Contains(n, "ran 0 multi-lane") {
-			engaged++
-		}
-		if strings.Contains(n, "served shared") {
-			shared++
-		}
-	}
-	if engaged != len(ParGPUCounts) {
-		t.Fatalf("parallel executor engaged on %d of %d GPU counts (notes %v)", engaged, len(ParGPUCounts), r.Notes)
-	}
-	if shared == 0 {
-		t.Fatalf("no duplicate load produced shared executions (notes %v)", r.Notes)
-	}
-	if s := r.String(); !strings.Contains(s, "HYB g=2 parallel") || !strings.Contains(s, "dup=90% N=16") {
-		t.Fatal("report rendering lacks a plan-wall or qps series")
-	}
-}
-
 func TestFig7dProducesAllSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H figure in -short mode")

@@ -160,8 +160,7 @@ func (e *Engine) aggrGrouped(kind ops.Agg, vals, groups *bat.BAT, ngroups int) (
 
 	// sum enqueues the order-stable float sum into dst: the fixed-partition
 	// kernel keeps the bit pattern identical on every device, so hybrid
-	// placement (and N-device configurations) can move the aggregation
-	// freely.
+	// placement can move the aggregation freely.
 	sum := func(dst *cl.Buffer) *cl.Event {
 		parts := sc.alloc(ngroups*kernels.GroupSumChunksFor(n, ngroups) + 1)
 		if sc.err != nil {

@@ -330,7 +330,7 @@ const minGroupSumChunks = 16
 // chunk order. The fold shape — NOT that of one sequential row-order sum — is
 // a pure function of (n, ngroups) on every device and launch geometry, so
 // placement can move a grouped float sum between devices without changing
-// its bits (and N-device configurations agree byte for byte).
+// its bits (and the hybrid agrees with either device byte for byte).
 //
 // partials must hold ngroups*GroupSumChunksFor(n, ngroups) words; its
 // previous contents are ignored (each chunk initialises its own row, so

@@ -6,7 +6,7 @@ import (
 	"repro/internal/cl"
 )
 
-// gpuDev returns the first GPU placement target.
+// gpuDev returns the GPU placement target.
 func gpuDev(t *testing.T, h *Engine) *Dev {
 	t.Helper()
 	for _, d := range h.Devices() {

@@ -5,24 +5,22 @@
 // device profiles. Once the cost model is defined, a hardware-aware query
 // optimizer strategy is required to decide on the actual placement."
 //
-// The Engine here owns an ordered set of Ocelot engines — one per device —
-// and calibrates a profile for each (core.Calibrate). It prices nothing: the
-// cost model and the optimizer that uses it are the plan-level placement
-// pass (mal.Session.place), which reads the profiles and pins every compute
-// instruction to a device through On. The engine runs the pins it is given.
-// A call nobody pinned runs where its Ocelot-owned inputs live, or else on
-// the first live device, the CPU. Intermediates stay where they were
-// produced; crossing devices goes through an explicit sync, exactly as the
-// ownership rules of §3.4 prescribe. A device failure (out of device memory)
-// falls back through the *remaining* live devices in construction order
-// (CPU, GPU0, GPU1, …); if every device refuses, the per-device errors are
-// all reported (errors.Join), none swallowed.
+// The Engine here owns two Ocelot engines — the CPU and one GPU, labelled
+// "CPU" and "GPU" — and calibrates a profile for each (core.Calibrate). It
+// prices nothing: the cost model and the optimizer that uses it are the
+// plan-level placement pass (mal.Session.place), which reads the profiles and
+// pins every compute instruction to a device through On. The engine runs the
+// pins it is given. A call nobody pinned runs where its Ocelot-owned inputs
+// live, or else on the first live device, the CPU. Intermediates stay where
+// they were produced; crossing devices goes through an explicit sync, exactly
+// as the ownership rules of §3.4 prescribe. A device failure (out of device
+// memory) falls back to the other device if it is alive; if both refuse,
+// both errors are reported (errors.Join), none swallowed.
 //
 // A pin lives in the view On returns: it routes exactly one caller's
 // operators to a fixed device without touching any engine-global state, so
 // pinned plans cannot leak placement into each other and concurrent sessions
-// can pin independently. With more than one device of a class the instances
-// carry indexed labels (GPU0, GPU1, …) and pins address them individually.
+// can pin independently.
 package hybrid
 
 import (
@@ -37,31 +35,28 @@ import (
 )
 
 // Dev is one placement target: an Ocelot engine with its calibrated profile
-// (which the placement pass prices with) and the instance label placement
-// pins address it by ("CPU", "GPU" when the engine has a single GPU,
-// "GPU0"/"GPU1"/… otherwise).
+// (which the placement pass prices with) and the label placement pins
+// address it by ("CPU" or "GPU").
 type Dev struct {
 	Eng   *core.Engine
 	Prof  *core.Profile
 	Label string
 }
 
-// Class returns the device's architecture class label ("CPU"/"GPU").
-func (d *Dev) Class() string { return d.Eng.Device().Const.Class.String() }
-
 // Alive reports whether the device is usable: a device that failed with
 // ErrDeviceLost (or was killed by fault injection) latches dead and is
 // skipped by routing until revived.
 func (d *Dev) Alive() bool { return !d.Eng.Device().Dead() }
 
-// Engine is the placement layer over N Ocelot engines. It implements
-// ops.Operators, so it slots into the MAL session as a fifth configuration.
+// Engine is the placement layer over the CPU and GPU Ocelot engines. It
+// implements ops.Operators, so it slots into the MAL session as a fifth
+// configuration.
 // All state is guarded for concurrent sessions; per-call device pins are
 // carried by the view On returns, never by the engine itself.
 type Engine struct {
 	view // the unpinned ops.Operators facade
 
-	devs []*Dev // ordered: CPU first, then the GPUs
+	devs []*Dev // ordered: the CPU, then the GPU
 
 	mu    sync.Mutex
 	owner map[*bat.BAT]*Dev // device owning each Ocelot-owned BAT
@@ -88,98 +83,79 @@ type view struct {
 	pin *Dev // nil: unpinned
 }
 
-// NewN builds the N-device engine: one CPU plus gpus simulated GPUs, each
-// with gpuMem bytes of device memory, each individually calibrated; threads
-// sizes the CPU driver. With a
-// single GPU its label is "GPU" (the two-device configuration the paper's §7
-// sketch starts from); with more they are "GPU0", "GPU1", ….
-func NewN(threads int, gpuMem int64, gpus int) (*Engine, error) {
-	if gpus <= 0 {
-		gpus = 1
-	}
+// New builds the two-device engine: the CPU, whose driver threads sizes,
+// and one simulated GPU with gpuMem bytes of device memory, each
+// individually calibrated.
+func New(threads int, gpuMem int64) (*Engine, error) {
 	h := &Engine{
 		owner:  map[*bat.BAT]*Dev{},
 		moving: map[*bat.BAT]chan struct{}{},
 		placed: map[string]map[string]int{},
 	}
-	add := func(eng *core.Engine, label string) error {
-		prof, err := core.Calibrate(eng.Device())
+	for _, dev := range []*cl.Device{cl.NewCPUDevice(threads), cl.NewGPUDevice(gpuMem)} {
+		eng, label := core.New(dev), dev.Const.Class.String()
+		prof, err := core.Calibrate(dev)
 		if err != nil {
-			return fmt.Errorf("hybrid: calibrating %s: %w", label, err)
+			return nil, fmt.Errorf("hybrid: calibrating %s: %w", label, err)
 		}
 		eng.SetProfile(prof)
 		h.devs = append(h.devs, &Dev{Eng: eng, Prof: prof, Label: label})
-		return nil
-	}
-	if err := add(core.New(cl.NewCPUDevice(threads)), cl.ClassCPU.String()); err != nil {
-		return nil, err
-	}
-	for i := 0; i < gpus; i++ {
-		label := cl.ClassGPU.String()
-		if gpus > 1 {
-			label = fmt.Sprintf("%s%d", label, i)
-		}
-		if err := add(core.New(cl.NewGPUDevice(gpuMem)), label); err != nil {
-			return nil, err
-		}
 	}
 	h.view = view{h: h}
 	return h, nil
 }
 
-// Name implements ops.Operators.
-func (h *Engine) Name() string {
-	if len(h.devs) == 2 {
-		return "Ocelot[hybrid CPU+GPU]"
+// NewN builds the engine New builds; gpus above 1 is an error.
+//
+// Deprecated: the hybrid is the CPU plus one GPU; use New.
+func NewN(threads int, gpuMem int64, gpus int) (*Engine, error) {
+	if gpus > 1 {
+		return nil, fmt.Errorf("hybrid: %d GPUs requested, the engine has one", gpus)
 	}
-	return fmt.Sprintf("Ocelot[hybrid CPU+%dGPU]", len(h.devs)-1)
+	return New(threads, gpuMem)
 }
+
+// Name implements ops.Operators.
+func (h *Engine) Name() string { return "Ocelot[hybrid CPU+GPU]" }
 
 // Module implements ops.Operators: every device runs the Ocelot module.
 func (h *Engine) Module() string { return "ocelot" }
 
 // On returns an ops.Operators view whose calls are pinned to the device with
-// the given label. Exact instance labels ("CPU", "GPU1") win; a bare class
-// label selects the first device of that class (so "GPU" still resolves on a
-// multi-GPU engine); any other label returns the unpinned view.
+// the given label ("CPU" or "GPU"); any other label returns the unpinned
+// view.
 // This is the hook plan-level placement drives: the executor routes each
 // pinned instruction through the matching view, so a pin lives exactly as
 // long as one operator call. Nothing is stored on the engine — an aborted
 // plan cannot leak its pins into the next plan, and concurrent sessions
 // cannot observe each other's pins. The pin wins over input-ownership
-// forcing (migrate moves the inputs); the fallback through the remaining
-// devices still applies.
+// forcing (migrate moves the inputs); the fallback to the other device still
+// applies.
 func (h *Engine) On(label string) ops.Operators {
 	if d := h.byLabel(label); d != nil && d.Alive() {
 		return view{h: h, pin: d}
 	}
 	// Unknown labels and dead devices run unpinned over the remaining
-	// devices — a plan pinned to a card that died mid-query keeps running
+	// device — a plan pinned to a card that died mid-query keeps running
 	// instead of dying with it.
 	return view{h: h}
 }
 
-// byLabel resolves an instance label, falling back to the first device of a
-// bare class label; nil when nothing matches.
+// byLabel resolves a device label; nil when nothing matches.
 func (h *Engine) byLabel(label string) *Dev {
 	for _, d := range h.devs {
 		if d.Label == label {
 			return d
 		}
 	}
-	for _, d := range h.devs {
-		if d.Class() == label {
-			return d
-		}
-	}
 	return nil
 }
 
-// Devices returns the ordered device set (placement, tools and tests).
+// Devices returns the two devices, CPU first (placement, tools and tests).
 func (h *Engine) Devices() []*Dev { return append([]*Dev(nil), h.devs...) }
 
 // OwnerClass reports the label of the device currently owning b's payload
-// ("CPU", "GPU0", …), or "" when b is host-resident — the residency fact the
+// ("CPU" or "GPU"), or "" when b is host-resident — the residency fact the
 // plan-level placement pass needs to cost transfers.
 func (h *Engine) OwnerClass(b *bat.BAT) string {
 	h.mu.Lock()
@@ -367,18 +343,18 @@ func (h *Engine) discard(d *Dev, inputs, outs []*bat.BAT) {
 	}
 }
 
-// chain executes try on the device pick chose, walking the other live
-// devices in construction order on failure (e.g. a GPU running out of memory
-// mid-operator): each failed device's partial state is discarded, the
-// inputs are migrated to the next device, and the retry runs there. On
-// success the attempt's outputs are adopted by (and the placement recorded
-// for) the device that ran it. When every device fails, every failure is
-// reported — joining the errors keeps the fallback's own failure visible
-// next to the first device's; that joined report is also why generic
-// failures walk the whole chain rather than guessing which errors are
-// deterministic refusals. Callers that *can* classify a refusal pass
-// terminal: a terminal error surfaces immediately, before any further
-// migration is paid for a retry every device would refuse identically.
+// chain executes try on the device pick chose, falling back to the other
+// device, if it is alive, on failure (e.g. the GPU running out of memory
+// mid-operator): the failed device's partial state is discarded, the inputs
+// are migrated to the other device, and the retry runs there. On success the
+// attempt's outputs are adopted by (and the placement recorded for) the
+// device that ran it. When both devices fail, both failures are reported —
+// joining the errors keeps the fallback's own failure visible next to the
+// first device's; that joined report is also why generic failures try the
+// other device rather than guessing which errors are deterministic
+// refusals. Callers that *can* classify a refusal pass terminal: a terminal
+// error surfaces immediately, before a migration is paid for a retry the
+// other device would refuse identically.
 //
 // Failures are classified before falling over:
 //   - transient (cl.ErrTransient — a dropped command, not a broken device):
@@ -389,7 +365,7 @@ func (h *Engine) discard(d *Dev, inputs, outs []*bat.BAT) {
 //     the fallback and On all skip it from now on — and the chain falls
 //     over like any failure. The discard still runs: releasing buffers on a
 //     dead device is pure bookkeeping and keeps the leak accounting exact.
-//   - everything else (capacity refusals included): the next device.
+//   - everything else (capacity refusals included): the other device.
 func (h *Engine) chain(pin *Dev, op string, inputs []*bat.BAT,
 	terminal func(error) bool, try func(d *Dev) ([]*bat.BAT, error)) ([]*bat.BAT, error) {
 	var errs []error
@@ -400,8 +376,8 @@ func (h *Engine) chain(pin *Dev, op string, inputs []*bat.BAT,
 		if err := h.migrate(d, inputs...); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", d.Label, err))
 		} else {
-			// The migrate above moved ownership off the devices that already
-			// failed; now their leftover input copies can be shed too.
+			// The migrate above moved ownership off the device that already
+			// failed; now its leftover input copies can be shed too.
 			for _, fd := range failed {
 				h.discard(fd, inputs, nil)
 			}
@@ -435,8 +411,8 @@ func (h *Engine) chain(pin *Dev, op string, inputs []*bat.BAT,
 			failed = append(failed, d)
 		}
 		if i == 0 {
-			// First failure: the rest of the live devices, in construction
-			// order (the common success path never builds the list).
+			// First failure: the other device, if it is alive (the common
+			// success path never builds the list).
 			for _, o := range h.devs {
 				if o != d && o.Alive() {
 					devices = append(devices, o)

@@ -14,7 +14,7 @@ import (
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
-	h, err := NewN(4, 256<<20, 1)
+	h, err := New(4, 256<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,11 @@ func randI32(n int, max int32, seed int64) []int32 {
 
 func TestCalibratedProfiles(t *testing.T) {
 	h := newEngine(t)
-	cpu, gpu := h.Devices()[0].Prof, h.Devices()[1].Prof
+	devs := h.Devices()
+	if len(devs) != 2 || devs[0].Label != "CPU" || devs[1].Label != "GPU" {
+		t.Fatalf("devices %v, want CPU then GPU", devs)
+	}
+	cpu, gpu := devs[0].Prof, devs[1].Prof
 	if cpu.ScanBandwidth <= 0 || gpu.ScanBandwidth <= 0 {
 		t.Fatalf("profiles not calibrated: %v / %v", cpu, gpu)
 	}
@@ -101,7 +105,7 @@ func TestPipelineCorrectUnderPlacement(t *testing.T) {
 // whose inputs no device owns runs on the first live device, the CPU,
 // whatever its size.
 func TestUnpinnedCallRunsOnCPU(t *testing.T) {
-	h, err := NewN(2, 256<<20, 2)
+	h, err := New(2, 256<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestUnpinnedCallRunsOnCPU(t *testing.T) {
 		if _, err := h.Select(col, nil, 0, 499, true, true); err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Placements()["select"]; got["CPU"] != i+1 || got["GPU0"]+got["GPU1"] != 0 {
+		if got := h.Placements()["select"]; got["CPU"] != i+1 || got["GPU"] != 0 {
 			t.Fatalf("unpinned %d-row select did not run on the CPU: %v", n, got)
 		}
 	}
@@ -119,24 +123,24 @@ func TestUnpinnedCallRunsOnCPU(t *testing.T) {
 // TestUnpinnedCallFollowsOwnedInput: an unpinned call whose input a GPU owns
 // runs on that GPU — the intermediate stays where it was produced.
 func TestUnpinnedCallFollowsOwnedInput(t *testing.T) {
-	h, err := NewN(2, 256<<20, 2)
+	h, err := New(2, 256<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := i32Col("c", randI32(50_000, 1000, 5))
-	sel, err := h.On("GPU1").Select(col, nil, 0, 499, true, true)
+	sel, err := h.On("GPU").Select(col, nil, 0, 499, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.OwnerClass(sel) != "GPU1" {
-		t.Fatalf("selection owned by %q, want GPU1", h.OwnerClass(sel))
+	if h.OwnerClass(sel) != "GPU" {
+		t.Fatalf("selection owned by %q, want GPU", h.OwnerClass(sel))
 	}
 	prj, err := h.Project(sel, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Placements()["leftfetchjoin"]; got["GPU1"] != 1 || got["CPU"]+got["GPU0"] != 0 {
-		t.Fatalf("projection of a GPU1-owned selection ran elsewhere: %v", got)
+	if got := h.Placements()["leftfetchjoin"]; got["GPU"] != 1 || got["CPU"] != 0 {
+		t.Fatalf("projection of a GPU-owned selection ran elsewhere: %v", got)
 	}
 	if err := h.Sync(prj); err != nil {
 		t.Fatal(err)
@@ -179,7 +183,7 @@ func TestCrossDeviceMigrationThroughSync(t *testing.T) {
 func TestGPUFailureFallsBackToCPU(t *testing.T) {
 	// A hybrid with a tiny GPU: big operators must fall back to the CPU
 	// rather than fail.
-	h, err := NewN(4, 3<<20, 1)
+	h, err := New(4, 3<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,84 +489,7 @@ func TestOnPinsExactlyOneCall(t *testing.T) {
 	}
 }
 
-// --- N-device engine and fallback-chain regression tests (PR 5) ---
-
-// TestNDeviceLabels: instance labels follow the GPU count — a single GPU
-// keeps the classic "GPU" label, multiple GPUs are indexed — and On resolves
-// instance labels exactly, bare class labels to the first instance.
-func TestNDeviceLabels(t *testing.T) {
-	h, err := NewN(2, 64<<20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var labels []string
-	for _, d := range h.Devices() {
-		labels = append(labels, d.Label)
-	}
-	want := []string{"CPU", "GPU0", "GPU1", "GPU2"}
-	if len(labels) != len(want) {
-		t.Fatalf("labels = %v, want %v", labels, want)
-	}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v, want %v", labels, want)
-		}
-	}
-	col := i32Col("c", randI32(1024, 100, 21))
-	if _, err := h.On("GPU1").Select(col, nil, 0, 49, true, true); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Placements()["select"]; got["GPU1"] != 1 {
-		t.Fatalf("instance pin ignored: %v", got)
-	}
-	// A bare class label resolves to the first instance of the class.
-	if _, err := h.On("GPU").Select(col, nil, 0, 49, true, true); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Placements()["select"]; got["GPU0"] != 1 {
-		t.Fatalf("class pin did not land on the first GPU: %v", got)
-	}
-	if h.Name() != "Ocelot[hybrid CPU+3GPU]" {
-		t.Fatalf("name = %q", h.Name())
-	}
-}
-
-// TestPinnedOOMFallsBackInConstructionOrder: a call pinned to GPU0 that
-// runs out of memory falls back through the other live devices in
-// construction order — the CPU comes first, so GPU1 is never attempted,
-// though GPU1 has room and the CPU's profile says it is slow.
-func TestPinnedOOMFallsBackInConstructionOrder(t *testing.T) {
-	h, err := NewN(2, 16<<20, 2) // two 16 MB GPUs
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := *h.devs[0].Prof // calibrations are shared: change a copy
-	slow.ScanBandwidth = 1e6
-	h.devs[0].Prof = &slow
-	// A pinned 12 MB column fills GPU0: an 8 MB scan fits GPU1, not GPU0.
-	ballast := i32Col("ballast", randI32(3<<20, 1000, 21))
-	if _, err := h.On("GPU0").Select(ballast, nil, 0, 9, true, true); err != nil {
-		t.Fatal(err)
-	}
-	gpu0 := h.devs[1].Eng.Memory()
-	gpu0.Pin(ballast)
-	defer gpu0.Unpin(ballast)
-
-	big := i32Col("big", randI32(2<<20, 1000, 22))
-	sel, err := h.On("GPU0").Select(big, nil, 0, 499, true, true)
-	if err != nil {
-		t.Fatalf("fallback failed: %v", err)
-	}
-	if got := h.Placements()["select"]; got["CPU"] != 1 || got["GPU0"] != 1 || got["GPU1"] != 0 {
-		t.Fatalf("pinned select did not fall back to the CPU: %v", got)
-	}
-	if err := h.Sync(sel); err != nil {
-		t.Fatal(err)
-	}
-	if sel.Len() == 0 {
-		t.Fatal("fallback produced no rows")
-	}
-}
+// --- fallback regression tests ---
 
 // TestFallbackJoinsAllDeviceErrors is the regression test for the
 // error-masking bug: when the fallback itself also fails, the returned
@@ -590,7 +517,7 @@ func TestFallbackJoinsAllDeviceErrors(t *testing.T) {
 // GPU), rather than keeping input uploads and synced-off intermediates
 // resident and worsening the very pressure that caused the fallback.
 func TestFallbackReleasesFailedAttemptState(t *testing.T) {
-	h, err := NewN(2, 3<<20, 1) // 3 MB GPU
+	h, err := New(2, 3<<20) // 3 MB GPU
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,36 +563,12 @@ func TestFallbackReleasesFailedAttemptState(t *testing.T) {
 	}
 }
 
-// TestOOMFallsThroughDeviceChain: with several undersized GPUs, a large
-// operator pinned to the last GPU must fall back and land on the CPU, the
-// first device of the chain.
-func TestOOMFallsThroughDeviceChain(t *testing.T) {
-	h, err := NewN(2, 3<<20, 2) // two 3 MB GPUs
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := i32Col("big", randI32(4<<20, 1000, 25)) // 16 MB
-	sel, err := h.On("GPU1").Select(big, nil, 0, 499, true, true)
-	if err != nil {
-		t.Fatalf("chain fallback failed: %v", err)
-	}
-	if got := h.Placements()["select"]; got["CPU"] != 1 {
-		t.Fatalf("select did not land on the CPU after the GPU chain: %v", got)
-	}
-	if err := h.Sync(sel); err != nil {
-		t.Fatal(err)
-	}
-	if sel.Len() == 0 {
-		t.Fatal("fallback produced no rows")
-	}
-}
-
 // TestBuildHashFallbackShedsFailedAttemptState: the BuildHash fallback
 // chain must shed the failing device's leftover state exactly like run()
 // does — a GPU-owned build column synced off an OOM'd GPU may not stay
 // resident there after the build lands on the CPU.
 func TestBuildHashFallbackShedsFailedAttemptState(t *testing.T) {
-	h, err := NewN(2, 3<<20, 1) // 3 MB GPU
+	h, err := New(2, 3<<20) // 3 MB GPU
 	if err != nil {
 		t.Fatal(err)
 	}

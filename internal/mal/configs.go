@@ -53,10 +53,6 @@ type ConfigOptions struct {
 	Threads int
 	// GPUMemory caps the simulated device memory; <=0 selects 2 GiB.
 	GPUMemory int64
-	// GPUs is the number of simulated GPUs the Hybrid configuration owns
-	// (each with GPUMemory bytes); <=0 selects 1. Other configurations
-	// ignore it.
-	GPUs int
 	// CPULaunchPause emulates the per-launch framework overhead the paper
 	// attributes to the beta Intel OpenCL SDK (§5.3.2, Fig. 7d). Applied to
 	// the Ocelot CPU driver only.
@@ -79,7 +75,7 @@ func (c Config) Build(opt ConfigOptions) ops.Operators {
 	case OcelotGPU:
 		return core.New(cl.NewGPUDevice(opt.GPUMemory))
 	case Hybrid:
-		h, err := hybrid.NewN(opt.Threads, opt.GPUMemory, opt.GPUs)
+		h, err := hybrid.New(opt.Threads, opt.GPUMemory)
 		if err != nil {
 			panic(fmt.Sprintf("mal: building hybrid configuration: %v", err))
 		}

@@ -12,9 +12,9 @@
 // order — so each device's lazy command queue sees exactly the serial
 // sequence and per-device semantics (and byte-identical results, given the
 // order-stable kernels of PR 5) are preserved — while instructions pinned to
-// disjoint devices overlap, letting one session saturate all N devices
-// instead of only overlapping through the queues. Syncs are joins: a Sync
-// waits on its producer's lane like any consumer.
+// different devices overlap, letting one session keep the CPU and the GPU
+// busy at once instead of only overlapping through the queues. Syncs are
+// joins: a Sync waits on its producer's lane like any consumer.
 package mal
 
 import (

@@ -61,8 +61,8 @@ type PInstr struct {
 	// module-binding pass ("algebra", "batmat", "ocelot").
 	Module string
 	// Device is the plan-level placement pin for the hybrid configuration —
-	// a device instance label such as "CPU", "GPU" or "GPU1"; empty for
-	// single-device configurations.
+	// the device label "CPU" or "GPU"; empty for single-device
+	// configurations.
 	Device string
 	// Args are the BAT operands (nil entries allowed, e.g. a nil candidate
 	// list). Rets are the placeholder BATs standing for the results.

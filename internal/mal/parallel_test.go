@@ -38,13 +38,13 @@ func pinAlternating(s *Session, labels ...string) int {
 // and sync/release instructions ride their producer's lane.
 func TestPlanGraphStructure(t *testing.T) {
 	k, v, g := testData()
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
 	s := NewSession(o)
 	if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	pinAlternating(s, "GPU0", "GPU1")
+	pinAlternating(s, "CPU", "GPU")
 	_, sess, err := tpl.RunOn(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,13 +106,13 @@ func TestPlanGraphStructure(t *testing.T) {
 	}
 }
 
-// TestParallelReplayMultiLaneByteIdentical: a template pinned across two
-// GPU lanes must replay through the parallel executor to byte-identical
+// TestParallelReplayMultiLaneByteIdentical: a template pinned across the
+// CPU and GPU lanes must replay through the parallel executor to byte-identical
 // results, run after run, and the critical path must never exceed the
 // summed dispatch time.
 func TestParallelReplayMultiLaneByteIdentical(t *testing.T) {
 	k, v, g := testData()
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
 	s := NewSession(o)
 	s.SetParallel(false)
 	ref, err := RunQuery(s, miniPlan(k, v, g))
@@ -120,7 +120,7 @@ func TestParallelReplayMultiLaneByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	if pinAlternating(s, "GPU0", "GPU1") < 2 {
+	if pinAlternating(s, "CPU", "GPU") < 2 {
 		t.Fatal("plan too small to span two lanes")
 	}
 	for run := 0; run < 6; run++ {
@@ -145,14 +145,14 @@ func TestParallelReplayMultiLaneByteIdentical(t *testing.T) {
 // producing the same result.
 func TestParallelSwitchOffStaysSerial(t *testing.T) {
 	k, v, g := testData()
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
 	s := NewSession(o)
 	ref, err := RunQuery(s, miniPlan(k, v, g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	pinAlternating(s, "GPU0", "GPU1")
+	pinAlternating(s, "CPU", "GPU")
 	ser, err := tpl.newExec(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,13 +178,13 @@ func TestParallelSwitchOffStaysSerial(t *testing.T) {
 // replay — no deadlock, no stray panic.
 func TestParallelAbortPropagates(t *testing.T) {
 	k, v, g := testData()
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
 	s := NewSession(o)
 	if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	if pinAlternating(s, "GPU0", "GPU1") < 2 {
+	if pinAlternating(s, "CPU", "GPU") < 2 {
 		t.Fatal("plan too small to span two lanes")
 	}
 	// Kill every device: the first dispatch fails on its pin and on the

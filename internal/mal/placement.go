@@ -3,20 +3,17 @@
 // walks the whole plan fragment with the calibrated device profiles
 // (core.Profile), costs transfer-vs-compute over entire operator chains, and
 // pins every instruction to a device before execution. The pin is stamped on
-// the instruction (PInstr.Device, a device *label* such as "CPU" or "GPU1")
-// and enforced per call by the executor through hybrid.Engine.On — no
+// the instruction (PInstr.Device, the device *label* "CPU" or "GPU") and
+// enforced per call by the executor through hybrid.Engine.On — no
 // engine-global state is involved, so pins cannot leak across plans or
 // interleave across concurrent sessions. hybrid.Engine prices nothing: it
-// runs the pins, and its out-of-memory fallback walks the other live devices
-// in construction order.
+// runs the pins, and its out-of-memory fallback tries the other device.
 //
-// The pass relaxes over the whole device set, not a CPU/GPU binary choice:
-// each instruction carries a per-device compute estimate, transfers are
-// priced per link (a discrete→discrete hop pays both PCIe directions,
-// host↔CPU is free), and a parallel-load term spreads *independent* plan
-// subtrees across equally fast devices — two selects feeding a join may pin
-// to different GPUs, while a serial chain (whose members can never overlap)
-// pays no such penalty and stays together. Fused regions are costed per
+// Each instruction carries a per-device compute estimate, transfers are
+// priced per link (the GPU pays its PCIe link, host↔CPU is free), and the
+// bytes a device cannot hold pay the Memory Manager's traffic. Nothing
+// prices contention: on the CPU plus one GPU, pushing independent subtrees
+// apart only ships their inputs over PCIe. Fused regions are costed per
 // device as one instruction (estimateFused).
 package mal
 
@@ -199,15 +196,11 @@ const hostLoc = -1
 
 // placementPass pins each compute instruction of the fragment to a device.
 // It seeds every pin greedily in plan order (per-device compute plus input
-// transfers plus the parallel load already assigned to the device), then
-// relaxes the DAG a few rounds: each instruction re-chooses its device given
-// where its producers *and* consumers currently sit, so a cheap operator in
-// the middle of a device chain stays on that device instead of bouncing the
+// transfers plus the memory already assigned to the device), then relaxes
+// the DAG a few rounds: each instruction re-chooses its device given where
+// its producers *and* consumers currently sit, so a cheap operator in the
+// middle of a device chain stays on that device instead of bouncing the
 // intermediate over PCIe — the lookahead a per-call choice cannot have.
-// The parallel-load term only counts instructions the candidate is neither
-// an ancestor nor a descendant of: work on the same dependency chain
-// serialises anyway, while independent subtrees genuinely compete for the
-// device, which is what pushes them onto distinct GPUs.
 func (s *Session) placementPass(batch []*PInstr, outputs []*bat.BAT) {
 	s.place(batch, outputs, func(in *PInstr, label string) { in.Device = label })
 }
@@ -350,56 +343,12 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 		}
 	}
 
-	// related[i] marks every node on i's dependency chain (ancestors,
-	// descendants and i itself): work that serialises with i regardless of
-	// placement and therefore never contends with it. Plan order is
-	// topological (instructions are appended as the plan builds), so one
-	// forward sweep closes ancestors and one backward sweep descendants.
-	words := (len(nodes) + 63) / 64
-	newSet := func() []uint64 { return make([]uint64, words) }
-	setBit := func(s []uint64, i int) { s[i/64] |= 1 << (i % 64) }
-	hasBit := func(s []uint64, i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-	orInto := func(dst, src []uint64) {
-		for w := range dst {
-			dst[w] |= src[w]
-		}
-	}
-	anc := make([][]uint64, len(nodes))
-	desc := make([][]uint64, len(nodes))
-	related := make([][]uint64, len(nodes))
-	for i := range nodes {
-		anc[i], desc[i], related[i] = newSet(), newSet(), newSet()
-	}
-	for i, n := range nodes { // ancestors close forward
-		for _, a := range n.producers {
-			if p, ok := producerOf[a]; ok && p != n {
-				j := index[p]
-				setBit(anc[i], j)
-				orInto(anc[i], anc[j])
-			}
-		}
-	}
-	for i := len(nodes) - 1; i >= 0; i-- { // descendants close backward
-		for _, cons := range consumers[i] {
-			j := index[cons]
-			setBit(desc[i], j)
-			orInto(desc[i], desc[j])
-		}
-	}
-	for i := range nodes {
-		setBit(related[i], i)
-		orInto(related[i], anc[i])
-		orInto(related[i], desc[i])
-	}
-
-	// pin[i] is node i's device index; load[d] the summed compute seconds and
-	// memLoad[d] the summed resident bytes of the nodes currently assigned to
-	// device d.
+	// pin[i] is node i's device index; memLoad[d] the summed resident bytes
+	// of the nodes currently assigned to device d.
 	pin := make([]int, len(nodes))
 	for i := range pin {
 		pin[i] = hostLoc // unassigned (seed phase)
 	}
-	load := make([]float64, nd)
 	memLoad := make([]float64, nd)
 
 	// locOf resolves where a value lives under the current pins: its
@@ -416,8 +365,8 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 		}
 		return hostLoc
 	}
-	// xfer prices moving bytes between two locations: each discrete endpoint
-	// pays its PCIe link once (host↔CPU is free, GPU↔GPU pays both hops).
+	// xfer prices moving bytes between two locations: a discrete endpoint
+	// pays its PCIe link once (host↔CPU is free).
 	xfer := func(bytes float64, from, to int) float64 {
 		if from == to {
 			return 0
@@ -431,26 +380,9 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 		}
 		return c
 	}
-	// busy is the parallel load device d already carries from nodes off i's
-	// dependency chain — the contention term that spreads independent
-	// subtrees over equal devices.
-	busy := func(i, d int) float64 {
-		b := load[d]
-		for j, n := range nodes {
-			if pin[j] == d && hasBit(related[i], j) {
-				b -= n.comp[d]
-			}
-		}
-		if b < 0 {
-			b = 0
-		}
-		return b
-	}
 	// busyMem is the memory the other nodes currently pinned to d keep
-	// resident. Unlike busy it counts related nodes too: a producer's
-	// intermediate stays on the device until its consumer reads it, so
-	// chain-mates compete for capacity even though they never compete for
-	// compute.
+	// resident, chain-mates included: a producer's intermediate stays on the
+	// device until its consumer reads it.
 	busyMem := func(i, d int) float64 {
 		m := memLoad[d]
 		if pin[i] == d {
@@ -463,7 +395,7 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 	}
 	costOn := func(i, d int, withConsumers bool) float64 {
 		n := nodes[i]
-		c := n.comp[d] + busy(i, d)
+		c := n.comp[d]
 		for _, a := range n.producers {
 			c += xfer(4*est.rowsOf(a), locOf(a), d)
 		}
@@ -508,15 +440,12 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 	for i := range nodes {
 		d := choose(i, false)
 		pin[i] = d
-		load[d] += nodes[i].comp[d]
 		memLoad[d] += nodes[i].resBytes
 	}
 	for round := 0; round < 3; round++ {
 		for i, n := range nodes {
 			d := choose(i, true)
 			if d != pin[i] {
-				load[pin[i]] -= n.comp[pin[i]]
-				load[d] += n.comp[d]
 				memLoad[pin[i]] -= n.resBytes
 				memLoad[d] += n.resBytes
 				pin[i] = d

@@ -164,7 +164,7 @@ func CheckFragmentGraphs(t *testing.T, what string, o ops.Operators, plan func(*
 // queries).
 func TestColdEstimatesAreTheConstantModel(t *testing.T) {
 	k, v, g := bigTestData(1 << 16)
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20})
 	if CheckConstantEstimates(t, "miniPlan", o, miniPlan(k, v, g)) == 0 {
 		t.Fatal("the toy plan has no selection over a base column; the gate lost its teeth")
 	}
@@ -176,7 +176,7 @@ func TestColdEstimatesAreTheConstantModel(t *testing.T) {
 // pin is TestSealedTemplateIsImmutable's).
 func TestWarmFeedbackReplaysQuiet(t *testing.T) {
 	k, v, g := bigTestData(1 << 18)
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20})
 	s := NewSession(o)
 	ref, err := RunQuery(s, miniPlan(k, v, g))
 	if err != nil {
@@ -227,13 +227,13 @@ func TestSealedTemplateIsImmutable(t *testing.T) {
 		grp, n := s.Group(gg, nil, 0)
 		return s.Result([]string{"g", "sum"}, s.Aggr(ops.Min, gg, grp, n), s.Aggr(ops.Sum, vv, grp, n))
 	}
-	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20, GPUs: 2})
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
 	s := NewSession(o)
 	if _, err := RunQuery(s, plan); err != nil {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	if pinAlternating(s, "GPU0", "GPU1") < 2 {
+	if pinAlternating(s, "CPU", "GPU") < 2 {
 		t.Fatal("plan too small to span two lanes")
 	}
 	want := snapshot(tpl)
@@ -305,13 +305,13 @@ func TestSealedTemplateIsImmutable(t *testing.T) {
 func TestOneLaneRunsInline(t *testing.T) {
 	k, v, g := testData()
 	for _, cfg := range []Config{OcelotCPU, Hybrid} {
-		o := cfg.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20, GPUs: 2})
+		o := cfg.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
 		s := NewSession(o)
 		if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
 			t.Fatal(err)
 		}
 		tpl := s.Template()
-		if cfg == Hybrid && pinAlternating(s, "GPU0", "GPU1") < 2 {
+		if cfg == Hybrid && pinAlternating(s, "CPU", "GPU") < 2 {
 			t.Fatal("plan too small to span two lanes")
 		}
 		replay := func() *Session {

@@ -40,8 +40,7 @@ type Instr struct {
 	// Module is the operator module the instruction was bound to, Op the
 	// operator.
 	Module, Op string
-	// Device is the hybrid placement pin (an instance label such as "CPU",
-	// "GPU" or "GPU1"), empty elsewhere.
+	// Device is the hybrid placement pin ("CPU" or "GPU"), empty elsewhere.
 	Device string
 	// Args describes the operands, Ret the result, both for display.
 	Args []string

@@ -182,8 +182,8 @@ func (s *Session) vmerge(batch []*PInstr) {
 }
 
 // deviceLabels returns the resolvable pin labels of the session's engine
-// (instance labels plus device classes, the two forms hybrid.Engine.On
-// accepts), or nil for non-hybrid engines where every pin is illegal.
+// (the labels hybrid.Engine.On accepts), or nil for non-hybrid engines where
+// every pin is illegal.
 func (s *Session) deviceLabels() map[string]bool {
 	h, ok := s.o.(*hybrid.Engine)
 	if !ok {
@@ -192,7 +192,6 @@ func (s *Session) deviceLabels() map[string]bool {
 	labels := map[string]bool{}
 	for _, d := range h.Devices() {
 		labels[d.Label] = true
-		labels[d.Class()] = true
 	}
 	return labels
 }

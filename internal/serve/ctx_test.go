@@ -89,16 +89,11 @@ func TestCtxDeadlineWhileQueued(t *testing.T) {
 // dead card, needed by a later fragment, whose migration fails on every
 // fallback target.
 func TestDeviceLostMidPlanRetriesOnce(t *testing.T) {
-	hyb, err := hybrid.NewN(4, 512<<20, 1)
+	hyb, err := hybrid.New(4, 512<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gpu *hybrid.Dev
-	for _, dev := range hyb.Devices() {
-		if dev.Eng.Device().Discrete {
-			gpu = dev
-		}
-	}
+	gpu := hyb.Devices()[1]
 	// Pin every operator to the GPU so the mid-plan intermediate is
 	// device-resident; once the device dies the pin degrades to an unpinned
 	// call, which runs on the CPU.
@@ -155,11 +150,11 @@ func TestDeviceLostMidPlanRetriesOnce(t *testing.T) {
 	}
 }
 
-// TestKillEachDeviceInTurn is the fault-injection acceptance sweep: on a
-// 4-GPU hybrid server, each GPU in turn is fated to die a few commands into
-// a join-heavy query pinned to it. Every run must complete with the same
-// canonical rows as an unharmed CPU engine, the victim must latch dead, and
-// the corpse must account for zero device bytes — no partial state leaks.
+// TestKillEachDeviceInTurn is the fault-injection acceptance test: on a
+// hybrid server the GPU is fated to die a few commands into a join-heavy
+// query pinned to it. The run must complete with the same canonical rows as
+// an unharmed CPU engine, the victim must latch dead, and the corpse must
+// account for zero device bytes — no partial state leaks.
 func TestKillEachDeviceInTurn(t *testing.T) {
 	d := testDB()
 	q := tpch.QueryByNum(3)
@@ -169,36 +164,28 @@ func TestKillEachDeviceInTurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for gi := 0; gi < 4; gi++ {
-		hyb, err := hybrid.NewN(4, 512<<20, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gpus []*hybrid.Dev
-		for _, dev := range hyb.Devices() {
-			if dev.Eng.Device().Discrete {
-				gpus = append(gpus, dev)
-			}
-		}
-		victim := gpus[gi]
-		// Pin the plan to the victim so real mid-plan work is on the card
-		// when it dies; after the death the pin degrades to an unpinned call,
-		// which runs on the CPU, the first live device.
-		sv := New(hyb.On(victim.Label), Options{MaxConcurrent: 2, NoCache: true})
-		victim.Eng.Device().InjectFaults(cl.FaultPlan{DieAtCommand: 3})
+	hyb, err := hybrid.New(4, 512<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := hyb.Devices()[1]
+	// Pin the plan to the victim so real mid-plan work is on the card when
+	// it dies; after the death the pin degrades to an unpinned call, which
+	// runs on the CPU.
+	sv := New(hyb.On(victim.Label), Options{MaxConcurrent: 2, NoCache: true})
+	victim.Eng.Device().InjectFaults(cl.FaultPlan{DieAtCommand: 3})
 
-		res, err := sv.ExecuteCtx(context.Background(), victim.Label, nil, plan)
-		if err != nil {
-			t.Fatalf("%s: query did not survive the device loss: %v", victim.Label, err)
-		}
-		if victim.Alive() {
-			t.Fatalf("%s: device must latch dead", victim.Label)
-		}
-		if err := canonEqualFloatTol(ref, res); err != nil {
-			t.Fatalf("%s: result diverges from the unharmed reference: %v", victim.Label, err)
-		}
-		if got := victim.Eng.Device().Allocated(); got != 0 {
-			t.Fatalf("%s: dead device still holds %d bytes", victim.Label, got)
-		}
+	res, err := sv.ExecuteCtx(context.Background(), victim.Label, nil, plan)
+	if err != nil {
+		t.Fatalf("%s: query did not survive the device loss: %v", victim.Label, err)
+	}
+	if victim.Alive() {
+		t.Fatalf("%s: device must latch dead", victim.Label)
+	}
+	if err := canonEqualFloatTol(ref, res); err != nil {
+		t.Fatalf("%s: result diverges from the unharmed reference: %v", victim.Label, err)
+	}
+	if got := victim.Eng.Device().Allocated(); got != 0 {
+		t.Fatalf("%s: dead device still holds %d bytes", victim.Label, got)
 	}
 }

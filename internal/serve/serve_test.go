@@ -387,22 +387,22 @@ func TestAdmissionAcceptsBurstWithinCap(t *testing.T) {
 }
 
 // TestNDeviceHybridConcurrentPlacementAccounting: >=4 concurrent serve
-// sessions on one shared 4-device hybrid engine (1 CPU + 3 GPUs), under
-// the race detector in CI. Afterwards the engine's per-device placement
+// sessions on one shared hybrid engine (CPU + GPU), under the race
+// detector in CI. Afterwards the engine's per-device placement
 // accounting must be consistent: every recorded device label belongs to
 // the device set, and the per-operator totals equal the pinned compute
 // instructions the sequential plan executes times the completed runs —
 // concurrency must not lose or double-count a placement.
 func TestNDeviceHybridConcurrentPlacementAccounting(t *testing.T) {
 	db := testDB()
-	o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 3})
+	o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20})
 	h := o.(*hybrid.Engine)
 	labels := map[string]bool{}
 	for _, d := range h.Devices() {
 		labels[d.Label] = true
 	}
-	if len(labels) != 4 {
-		t.Fatalf("want a 4-device engine, got %v", labels)
+	if len(labels) != 2 {
+		t.Fatalf("want a two-device engine, got %v", labels)
 	}
 
 	// One sequential run (plan cache off — replays keep the same pinned

@@ -12,13 +12,13 @@ import (
 // results identical to the serial interpreter, on every configuration.
 // Lane-serialized dispatch means each device sees the same command sequence
 // as a serial run, so with the order-stable kernels byte-identity is the
-// expectation, not a tolerance match. As in the fusion and N-device suites,
-// each (query, engine) pair first probes its own determinism with two
-// serial runs; deterministic pairs demand exactness, the rest the
-// atomic-jitter tolerance. On the single-device configurations the
-// scheduler never engages (no pinned lanes) — the pairs still run, pinning
-// down that SetParallel's default is harmless there. The multi-GPU hybrids
-// must actually exercise the parallel executor on at least one query.
+// expectation, not a tolerance match. As in the fusion suite, each (query,
+// engine) pair first probes its own determinism with two serial runs;
+// deterministic pairs demand exactness, the rest the atomic-jitter
+// tolerance. On the single-device configurations the scheduler never
+// engages (no pinned lanes) — the pairs still run, pinning down that
+// SetParallel's default is harmless there. The hybrid (CPU + GPU) must
+// actually exercise the parallel executor on at least one query.
 func TestParallelEquivalenceAllQueries(t *testing.T) {
 	db := testDB(t)
 	opts := mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20}
@@ -26,24 +26,21 @@ func TestParallelEquivalenceAllQueries(t *testing.T) {
 	type engine struct {
 		name string
 		o    ops.Operators
-		// gpus > 0 marks the hybrid engines (CPU + N GPUs): the only
-		// configurations with placement pins, hence the only ones where the
-		// parallel scheduler can find disjoint lanes.
-		gpus int
+		// hybrid marks the one configuration with placement pins, hence the
+		// only one where the parallel scheduler can find disjoint lanes.
+		hybrid bool
 	}
 	engines := []engine{
-		{"MS", mal.MS.Build(opts), 0},
-		{"MP", mal.MP.Build(opts), 0},
-		{"OcelotCPU", mal.OcelotCPU.Build(opts), 0},
-		{"OcelotGPU", mal.OcelotGPU.Build(opts), 0},
-		{"HYB g=1", mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 1}), 1},
-		{"HYB g=2", mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 2}), 2},
-		{"HYB g=4", mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: 4}), 4},
+		{"MS", mal.MS.Build(opts), false},
+		{"MP", mal.MP.Build(opts), false},
+		{"OcelotCPU", mal.OcelotCPU.Build(opts), false},
+		{"OcelotGPU", mal.OcelotGPU.Build(opts), false},
+		{"HYB", mal.Hybrid.Build(opts), true},
 	}
 	queries := Queries()
 	if testing.Short() {
 		queries = []Query{*QueryByNum(1), *QueryByNum(3), *QueryByNum(6), *QueryByNum(12)}
-		engines = []engine{engines[2], engines[5]}
+		engines = []engine{engines[2], engines[4]}
 	}
 
 	run := func(e engine, q Query, parallel bool) (*mal.Result, *mal.Session) {
@@ -71,9 +68,9 @@ func TestParallelEquivalenceAllQueries(t *testing.T) {
 			} else if err := par.EqualWithin(ref, 1e-5); err != nil {
 				t.Fatalf("Q%d on %s (nondeterministic grouped floats): parallel outside jitter tolerance: %v", q.Num, e.name, err)
 			}
-			if e.gpus >= 2 {
+			if e.hybrid {
 				parallelFrags += s.ParallelFragments()
-			} else if e.gpus == 0 && s.ParallelFragments() != 0 {
+			} else if s.ParallelFragments() != 0 {
 				t.Fatalf("Q%d on %s: parallel fragments on a configuration without placement pins", q.Num, e.name)
 			}
 			if cp, sum := s.CriticalPath(), s.OpTime(); cp <= 0 || cp > sum {
@@ -82,7 +79,7 @@ func TestParallelEquivalenceAllQueries(t *testing.T) {
 		}
 	}
 	if parallelFrags == 0 {
-		t.Fatal("no multi-GPU query engaged the parallel executor")
+		t.Fatal("no hybrid query engaged the parallel executor")
 	}
-	t.Logf("parallel executor ran %d fragments across the multi-GPU runs", parallelFrags)
+	t.Logf("parallel executor ran %d fragments across the hybrid runs", parallelFrags)
 }

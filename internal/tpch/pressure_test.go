@@ -16,10 +16,16 @@ import (
 // and runs on the CPU through the hybrid engine's fallback: both are
 // execution strategies, never a semantics change. 2 MiB is the smallest GPU
 // that works: core.Calibrate refuses a 1 MiB one.
+//
+// Placement prices what a device cannot hold, so on its own it routes most
+// operators around the 2 MiB card and the Memory Manager seldom has to
+// evict. The queries therefore run twice on the small engine: placed, and
+// through its GPU view, where every operator tries the card first — that
+// run must evict, and both must match the roomy engine to the byte.
 func TestDevicePressureEquivalenceAllQueries(t *testing.T) {
 	db := testDB(t)
 	build := func(gpuMem int64) ops.Operators {
-		return mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: gpuMem, GPUs: 1})
+		return mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: gpuMem})
 	}
 	roomy, small := build(512<<20), build(2<<20)
 	run := func(o ops.Operators, q Query) *mal.Result {
@@ -31,19 +37,28 @@ func TestDevicePressureEquivalenceAllQueries(t *testing.T) {
 		}
 		return res
 	}
+	h := small.(*hybrid.Engine)
+	gpuFirst := h.On("GPU")
+	evictions := func() int64 {
+		ev, _, _ := h.Devices()[1].Eng.Memory().Stats()
+		return ev
+	}
 	queries := Queries()
+	var placed, pinned int64
 	for _, q := range queries {
-		if err := run(small, q).EqualWithin(run(roomy, q), 0); err != nil {
+		want := run(roomy, q)
+		before := evictions()
+		if err := run(small, q).EqualWithin(want, 0); err != nil {
 			t.Fatalf("Q%d: a 2 MiB GPU differs from a 512 MiB one: %v", q.Num, err)
 		}
+		mid := evictions()
+		if err := run(gpuFirst, q).EqualWithin(want, 0); err != nil {
+			t.Fatalf("Q%d: the 2 MiB GPU tried first differs from a 512 MiB one: %v", q.Num, err)
+		}
+		placed, pinned = placed+mid-before, pinned+evictions()-mid
 	}
-	var evictions int64
-	for _, d := range small.(*hybrid.Engine).Devices() {
-		ev, _, _ := d.Eng.Memory().Stats()
-		evictions += ev
+	if pinned == 0 {
+		t.Fatal("with every operator trying it first, a 2 MiB GPU never evicted: the pressure did not bind")
 	}
-	if evictions == 0 {
-		t.Fatal("a 2 MiB GPU never evicted: the pressure did not bind")
-	}
-	t.Logf("%d queries identical; %d evictions on the 2 MiB GPU", len(queries), evictions)
+	t.Logf("%d queries identical; %d evictions on the 2 MiB GPU placed, %d with the GPU tried first", len(queries), placed, pinned)
 }

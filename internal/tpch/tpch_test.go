@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/mal"
-	"repro/internal/ops"
 )
 
 func testDB(t *testing.T) *DB {
@@ -474,60 +473,58 @@ func TestQ1EarlyReleaseLowersPeakFootprint(t *testing.T) {
 		with, without, 100*float64(without-with)/float64(without))
 }
 
-// TestHybridPlanPlacementOnWorkload: under the hybrid configuration, on one
-// and on two GPUs, every compute instruction of every TPC-H plan must carry
-// a plan-level device pin, and the engine's recorded placements must equal
-// the pins per operator and device label — a fallback moves a count from
-// the pinned device to another one, so equality means none fired.
+// TestHybridPlanPlacementOnWorkload: under the hybrid configuration, every
+// compute instruction of every TPC-H plan must carry a plan-level device
+// pin, and the engine's recorded placements must equal the pins per operator
+// and device label — a fallback moves a count from the pinned device to the
+// other one, so equality means none fired.
 func TestHybridPlanPlacementOnWorkload(t *testing.T) {
 	db := testDB(t)
-	for _, gpus := range []int{1, 2} {
-		o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: gpus})
-		h := o.(*hybrid.Engine)
-		for _, q := range Queries() {
-			before := h.Placements()
-			s := mal.NewSession(o)
-			if _, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result { return q.Plan(s, db) }); err != nil {
-				t.Fatalf("Q%d on %d GPUs: %v", q.Num, gpus, err)
+	o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20})
+	h := o.(*hybrid.Engine)
+	for _, q := range Queries() {
+		before := h.Placements()
+		s := mal.NewSession(o)
+		if _, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result { return q.Plan(s, db) }); err != nil {
+			t.Fatalf("Q%d: %v", q.Num, err)
+		}
+		var fused []*mal.PInstr
+		for _, in := range s.Plan() {
+			if in.Kind == mal.OpSync || in.Kind == mal.OpRelease {
+				continue
 			}
-			var fused []*mal.PInstr
-			for _, in := range s.Plan() {
-				if in.Kind == mal.OpSync || in.Kind == mal.OpRelease {
-					continue
-				}
-				if in.Device == "" {
-					t.Fatalf("Q%d on %d GPUs: instruction %s executed without a plan-level pin", q.Num, gpus, in.OpName())
-				}
-				if in.Kind == mal.OpFused {
-					fused = append(fused, in)
-				}
+			if in.Device == "" {
+				t.Fatalf("Q%d: instruction %s executed without a plan-level pin", q.Num, in.OpName())
 			}
-			recorded := map[string]map[string]int{}
-			for op, m := range h.Placements() {
-				for dev, n := range m {
-					if d := n - before[op][dev]; d != 0 {
-						if recorded[op] == nil {
-							recorded[op] = map[string]int{}
-						}
-						recorded[op][dev] = d
+			if in.Kind == mal.OpFused {
+				fused = append(fused, in)
+			}
+		}
+		recorded := map[string]map[string]int{}
+		for op, m := range h.Placements() {
+			for dev, n := range m {
+				if d := n - before[op][dev]; d != 0 {
+					if recorded[op] == nil {
+						recorded[op] = map[string]int{}
 					}
+					recorded[op][dev] = d
 				}
 			}
-			// A fused region whose shape the engine refuses runs its members
-			// on the region's device — not a fallback, but invisible in the
-			// plan — so some set of refused regions must explain the record.
-			matched := false
-			for set := 0; set < 1<<len(fused) && !matched; set++ {
-				refused := map[*mal.PInstr]bool{}
-				for i, in := range fused {
-					refused[in] = set&(1<<i) != 0
-				}
-				matched = reflect.DeepEqual(pinnedPlacements(s.Plan(), refused), recorded)
+		}
+		// A fused region whose shape the engine refuses runs its members
+		// on the region's device — not a fallback, but invisible in the
+		// plan — so some set of refused regions must explain the record.
+		matched := false
+		for set := 0; set < 1<<len(fused) && !matched; set++ {
+			refused := map[*mal.PInstr]bool{}
+			for i, in := range fused {
+				refused[in] = set&(1<<i) != 0
 			}
-			if !matched {
-				t.Fatalf("Q%d on %d GPUs: plan pinned %v, engine recorded %v",
-					q.Num, gpus, pinnedPlacements(s.Plan(), nil), recorded)
-			}
+			matched = reflect.DeepEqual(pinnedPlacements(s.Plan(), refused), recorded)
+		}
+		if !matched {
+			t.Fatalf("Q%d: plan pinned %v, engine recorded %v",
+				q.Num, pinnedPlacements(s.Plan(), nil), recorded)
 		}
 	}
 }
@@ -715,80 +712,4 @@ func TestWriteCSV(t *testing.T) {
 			t.Fatalf("missing export for %s: %v", tb.Name, err)
 		}
 	}
-}
-
-// TestNDeviceEquivalenceAllQueries is the PR 5 acceptance suite: the same
-// workload must produce byte-identical results on the CPU-only
-// configuration, the classic 2-device hybrid, and a 4-device hybrid (1 CPU
-// + 3 GPUs) — placement over a larger device set is a pure execution-
-// strategy change, like fusion. Each query first probes its own determinism
-// with two CPU-only runs (grouped float aggregation used to be
-// scheduling-dependent; the order-stable grouped sum makes the probe pass
-// everywhere, but the guard keeps the test honest if new nondeterministic
-// operators appear); deterministic queries demand exactness, the rest the
-// atomic-jitter tolerance. The 4-device engine must additionally pin at
-// least one query's work onto two *distinct* GPUs — the device-affinity
-// partitioning the N-device placement pass exists for.
-func TestNDeviceEquivalenceAllQueries(t *testing.T) {
-	db := testDB(t)
-	opts := mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20}
-	queries := Queries()
-	gpuCounts := []int{1, 3}
-	if testing.Short() {
-		queries = []Query{*QueryByNum(1), *QueryByNum(3), *QueryByNum(6)}
-		gpuCounts = []int{3}
-	}
-
-	cpuEng := mal.OcelotCPU.Build(opts)
-	runOn := func(o ops.Operators, q Query) (*mal.Result, *mal.Session) {
-		s := mal.NewSession(o)
-		res, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result { return q.Plan(s, db) })
-		if err != nil {
-			t.Fatalf("Q%d on %s: %v", q.Num, o.Name(), err)
-		}
-		return res, s
-	}
-
-	type hybEng struct {
-		gpus int
-		o    ops.Operators
-	}
-	var hybrids []hybEng
-	for _, g := range gpuCounts {
-		o := mal.Hybrid.Build(mal.ConfigOptions{Threads: 4, GPUMemory: 512 << 20, GPUs: g})
-		hybrids = append(hybrids, hybEng{gpus: g, o: o})
-	}
-
-	multiGPUQueries := 0
-	for _, q := range queries {
-		ref, _ := runOn(cpuEng, q)
-		probe, _ := runOn(cpuEng, q)
-		deterministic := ref.EqualWithin(probe, 0) == nil
-
-		for _, he := range hybrids {
-			res, s := runOn(he.o, q)
-			if deterministic {
-				if err := res.EqualWithin(ref, 0); err != nil {
-					t.Fatalf("Q%d with %d GPUs differs byte-for-byte from CPU-only: %v", q.Num, he.gpus, err)
-				}
-			} else if err := res.EqualWithin(ref, 1e-5); err != nil {
-				t.Fatalf("Q%d with %d GPUs (nondeterministic) outside jitter tolerance: %v", q.Num, he.gpus, err)
-			}
-			if he.gpus >= 2 {
-				gpusPinned := map[string]bool{}
-				for _, in := range s.Plan() {
-					if in.Device != "" && strings.HasPrefix(in.Device, "GPU") {
-						gpusPinned[in.Device] = true
-					}
-				}
-				if len(gpusPinned) >= 2 {
-					multiGPUQueries++
-				}
-			}
-		}
-	}
-	if multiGPUQueries == 0 {
-		t.Fatal("no query's placement used two distinct GPUs on the 4-device engine")
-	}
-	t.Logf("%d query runs pinned work on >=2 distinct GPUs", multiGPUQueries)
 }

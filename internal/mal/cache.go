@@ -29,13 +29,6 @@ import (
 	"repro/internal/ops"
 )
 
-// intParamSlot is a slot-backed integer parameter (a group-count literal).
-type intParamSlot struct {
-	Slot int
-	Name string
-	Def  int
-}
-
 // Template is the sealed, reusable half of a finished session: the plan as
 // the executor ran it, free of any per-execution state. Sealing writes its
 // last field; from then on nothing but the verify-once verdict changes, so
@@ -62,10 +55,8 @@ type Template struct {
 	slotAlias map[int]int
 	nSlots    int
 
-	// floatDefs are the capture-time values of float parameters; intSlots
-	// the slot-backed integer parameters.
+	// floatDefs are the capture-time values of the float parameters.
 	floatDefs map[string]float64
-	intSlots  []intParamSlot
 
 	// refsByName indexes float-parameter instruction bindings so replay
 	// rebinding is O(bound params), not O(plan size); built at seal time.
@@ -198,17 +189,7 @@ func (s *Session) placeObserved() error {
 // binding would otherwise silently execute with capture-time constants.
 func (t *Template) checkParams(params Params) error {
 	for name := range params {
-		if _, ok := t.floatDefs[name]; ok {
-			continue
-		}
-		known := false
-		for _, ip := range t.intSlots {
-			if ip.Name == name {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if _, ok := t.floatDefs[name]; !ok {
 			return fmt.Errorf("mal: plan declares no parameter %q", name)
 		}
 	}
@@ -266,13 +247,6 @@ func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
 	}
 	for i := range s.slots {
 		s.slots[i] = -1
-	}
-	for _, ip := range t.intSlots {
-		v := ip.Def
-		if pv, ok := params[ip.Name]; ok {
-			v = int(pv)
-		}
-		s.slots[ip.Slot] = v
 	}
 	for name, pv := range params {
 		for _, ref := range t.refsByName[name] {

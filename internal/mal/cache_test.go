@@ -138,33 +138,6 @@ func TestParamRebindFloat(t *testing.T) {
 	}
 }
 
-// TestParamRebindInt: a ParamI-declared group-count literal must re-bind on
-// replay (the q21-style Aggr-over-dense-positions pattern).
-func TestParamRebindInt(t *testing.T) {
-	groups := col("grp", []int32{0, 1, 0, 1})
-	plan := func(s *Session) *Result {
-		n := s.ParamI("ngrp", 2)
-		counts := s.Aggr(ops.Count, nil, groups, n)
-		return s.Result([]string{"n"}, counts)
-	}
-	o := MS.Build(ConfigOptions{})
-	c := NewPlanCache()
-	res, _, err := c.Run(o, "q", nil, DefaultPasses(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows() != 2 {
-		t.Fatalf("capture rows = %d, want 2", res.Rows())
-	}
-	res, hit, err := c.Run(o, "q", Params{"ngrp": 4}, DefaultPasses(), plan)
-	if err != nil || !hit {
-		t.Fatalf("rebind: hit=%v err=%v", hit, err)
-	}
-	if res.Rows() != 4 {
-		t.Fatalf("rebound rows = %d, want 4 (padded groups)", res.Rows())
-	}
-}
-
 // TestForeignNaNScalarFails: a NaN scalar that is not a Param sentinel
 // (here a plain math.NaN, as arithmetic that loses the sentinel payload
 // would produce) must abort the plan with guidance instead of silently

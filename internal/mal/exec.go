@@ -64,8 +64,7 @@ func (s *Session) bind(in *PInstr, concrete ...*bat.BAT) {
 }
 
 // ngrpOf resolves an instruction's group count: a literal, or the value the
-// producing Group instruction (or a bound integer parameter) stored in its
-// slot.
+// producing Group instruction stored in its slot.
 func (s *Session) ngrpOf(in *PInstr) int {
 	if in.NgrpRef < 0 {
 		return in.NgrpLit

@@ -1,7 +1,8 @@
 // EXPLAIN rendering: the before-rewriting plan (as built by the fluent
-// API), the after-rewriting plan (module-bound, CSE/DCE-reduced, with the
-// inserted sync and release instructions and hybrid placement pins), and
-// the honest timing summary.
+// API), the after-rewriting plan (module-bound, CSE/DCE-reduced, gather
+// chains moved under their candidate lists, with the inserted sync and
+// release instructions and hybrid placement pins), and the honest timing
+// summary.
 package mal
 
 import (

@@ -1,8 +1,8 @@
 // The rewriter pass pipeline. flush runs the pending plan fragment through
 // the passes in order — module binding, common-subexpression elimination,
-// dead-instruction elimination, sync insertion, plan-level placement, and
-// last-use release insertion — then hands the rewritten fragment to the
-// executor. This is the Go rendering of the paper's query-rewriter layer
+// candidate-first gathers, dead-instruction elimination, sync insertion,
+// plan-level placement, and last-use release insertion — then hands the
+// rewritten fragment to the executor. This is the Go rendering of the paper's query-rewriter layer
 // (§3.1): the plan is built engine-neutrally and *rewritten* to route
 // through one module, with synchronisation instructions inserted at plan
 // boundaries (§3.4) and device state released as early as liveness allows.
@@ -45,6 +45,8 @@ func (s *Session) flush(final bool) {
 		s.vcheck("cse", batch, nil, vData)
 	}
 	if final && s.passes.DCE && len(outputs) > 0 {
+		batch = s.candFirstPass(batch, outputs)
+		s.vcheck("cand-first", batch, outputs, vData|vCand)
 		batch = s.dcePass(batch, outputs)
 		s.vcheck("dce", batch, nil, vData)
 	}
@@ -79,13 +81,18 @@ func (s *Session) bindPass(batch []*PInstr) {
 	}
 }
 
-// canon resolves CSE aliasing to the canonical placeholder (one level: the
-// alias target is always a surviving instruction's own result).
+// canon resolves aliasing to the canonical placeholder. CSE aliases a
+// duplicate to a surviving instruction's result; the candidate-first pass
+// may later alias that result to the value it rewrote it into, so aliases
+// chain.
 func (s *Session) canon(b *bat.BAT) *bat.BAT {
-	if a, ok := s.tpl.alias[b]; ok {
-		return a
+	for {
+		a, ok := s.tpl.alias[b]
+		if !ok {
+			return b
+		}
+		b = a
 	}
-	return b
 }
 
 // canonSlot resolves group-count slot aliasing.
@@ -181,7 +188,6 @@ func (s *Session) dcePass(batch []*PInstr, outputs []*bat.BAT) []*PInstr {
 		}
 		// A symbolic group count keeps its producing Group instruction
 		// alive even if the id column itself were reachable another way.
-		// Parameter slots have no producer.
 		if in.NgrpRef >= 0 {
 			if prod := s.slotProducer[s.canonSlot(in.NgrpRef)]; prod != nil {
 				for _, r := range prod.Rets {

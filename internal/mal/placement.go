@@ -112,8 +112,8 @@ func (e *estimator) model(in *PInstr) (outRows []float64, streamedBytes float64)
 	case OpAggr:
 		out := float64(defaultGroupGuess)
 		if in.NgrpRef >= 0 {
-			// A symbolic count resolved by an earlier fragment's Group (or a
-			// bound integer parameter) beats the guess.
+			// A symbolic count resolved by an earlier fragment's Group beats
+			// the guess.
 			if slot := e.s.canonSlot(in.NgrpRef); slot >= 0 && slot < len(e.s.slots) && e.s.slots[slot] >= 0 {
 				out = float64(e.s.slots[slot])
 			}

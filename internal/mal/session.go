@@ -5,9 +5,9 @@
 // dispatching operators eagerly. When a value crosses the plan boundary
 // (Sync, ScalarF/ScalarI, Result), the pending plan is run through the
 // rewriter pass pipeline (passes.go: module binding, common-subexpression
-// elimination, dead-instruction elimination, sync insertion, plan-level
-// hybrid placement, last-use release insertion) and interpreted by the plan
-// executor (exec.go).
+// elimination, candidate-first gathers, dead-instruction elimination, sync
+// insertion, plan-level hybrid placement, last-use release insertion) and
+// interpreted by the plan executor (exec.go).
 //
 // Binding every instruction to one operator module is the paper's
 // drop-in-replacement mechanism (§3.1): running the *same plan* under a
@@ -76,7 +76,10 @@ type Passes struct {
 	// CSE merges instructions that recompute an identical pure expression.
 	CSE bool
 	// DCE drops instructions whose results never reach a plan output
-	// (applied at the final flush only, when full liveness is known).
+	// (applied at the final flush only, when full liveness is known). It
+	// also gates the candidate-first pass (candfirst.go), which moves
+	// gather chains under their candidate lists and leaves the full-length
+	// chains to DCE.
 	DCE bool
 	// EarlyRelease inserts Release instructions after each intermediate's
 	// last use, freeing device memory mid-plan instead of at Close.
@@ -111,9 +114,9 @@ func (p Passes) key() string {
 }
 
 // Params are the per-execution parameter bindings of a plan: values for the
-// names the plan declared with Session.Param / Session.ParamI. Re-binding
-// them on a cached template executes the same rewritten IR with different
-// selection constants or group-count literals.
+// names the plan declared with Session.Param. Re-binding them on a cached
+// template executes the same rewritten IR with different selection or
+// arithmetic constants.
 type Params map[string]float64
 
 // Session builds and executes one query plan against one operator
@@ -146,7 +149,7 @@ type Session struct {
 	cseTab map[string]*PInstr
 
 	// slotProducer keeps the producing Group instruction per slot for
-	// liveness (nil for parameter slots).
+	// liveness.
 	slotProducer map[int]*PInstr
 
 	// outputs are the values of the current flush that must be synced to
@@ -193,7 +196,7 @@ type Session struct {
 	released map[*bat.BAT]bool
 
 	// slots hold group counts produced by Group instructions (-1 until
-	// executed) and the values of slot-backed integer parameters.
+	// executed).
 	slots []int
 
 	// over patches instruction scalars with re-bound parameter values on
@@ -246,8 +249,8 @@ func (s *Session) SetPasses(p Passes) {
 }
 
 // SetParams binds parameter values for this execution. Plan code reads them
-// back through Param/ParamI; the bindings are also what a cached template
-// was captured under. Call it before the plan runs.
+// back through Param; the bindings are also what a cached template was
+// captured under. Call it before the plan runs.
 func (s *Session) SetParams(p Params) { s.params = p }
 
 // EnableTrace turns on rendered instruction recording (EXPLAIN); the IR
@@ -354,21 +357,6 @@ func (s *Session) Param(name string, def float64) float64 {
 	}
 	s.tpl.floatDefs[name] = v
 	return paramSentinel(idx)
-}
-
-// ParamI declares a named integer parameter used as a group-count literal
-// (the Group/Aggr ngrp argument). It is backed by a plan slot, exactly like
-// the opaque group-count handles Group returns: thread the returned handle
-// into Group/Aggr unchanged. Replays re-bind the slot from Params.
-func (s *Session) ParamI(name string, def int) int {
-	v := def
-	if bv, ok := s.params[name]; ok {
-		v = int(bv)
-	}
-	slot := len(s.slots)
-	s.slots = append(s.slots, v)
-	s.tpl.intSlots = append(s.tpl.intSlots, intParamSlot{Slot: slot, Name: name, Def: v})
-	return encodeSlot(slot)
 }
 
 // captureParams decodes NaN-boxed parameter sentinels out of a freshly

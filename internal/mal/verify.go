@@ -32,7 +32,7 @@ import (
 // the plan in an illegal state, where, and which invariant broke.
 type VerifyError struct {
 	// Pass is the rewriter stage after which the violation was detected
-	// ("bind", "cse", "dce", "fuse", "sync-insert", "placement",
+	// ("bind", "cse", "cand-first", "dce", "fuse", "sync-insert", "placement",
 	// "release-insert", "pipeline" for the final whole-fragment check when
 	// early release is off, or "template" for sealed-template verification).
 	Pass string
@@ -71,6 +71,7 @@ const (
 	vPin                     // placement pins resolve on the device set
 	vRel                     // release liveness
 	vLane                    // lane-graph structure
+	vCand                    // candidate-first, right after that pass only
 
 	vAll = vData | vFuse | vSync | vPin | vRel | vLane
 )
@@ -226,10 +227,6 @@ func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rul
 	if rules&vPin != 0 {
 		labels = s.deviceLabels()
 	}
-	paramSlots := map[int]bool{}
-	for _, ip := range s.tpl.intSlots {
-		paramSlots[ip.Slot] = true
-	}
 	exempt := map[*bat.BAT]bool{}
 	for _, o := range outputs {
 		if o != nil {
@@ -261,9 +258,9 @@ func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rul
 			if in.Kind == OpGroup || in.Kind == OpAggr {
 				if in.NgrpRef >= 0 {
 					slot := s.canonSlot(in.NgrpRef)
-					if !(localSlots[slot] || v.slotProd[slot] || paramSlots[slot]) {
+					if !(localSlots[slot] || v.slotProd[slot]) {
 						return fail(i, in, "group-count-handle",
-							"group count reads slot %d with no producing Group instruction and no bound parameter", slot)
+							"group count reads slot %d with no producing Group instruction", slot)
 					}
 				} else if in.NgrpLit < 0 {
 					return fail(i, in, "group-count-handle",
@@ -384,6 +381,12 @@ func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rul
 			return e
 		}
 		if e := leak(local); e != nil {
+			return e
+		}
+	}
+
+	if rules&vCand != 0 {
+		if e := s.checkCandFirst(batch, outputs, fail); e != nil {
 			return e
 		}
 	}

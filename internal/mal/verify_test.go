@@ -7,6 +7,7 @@ package mal
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/bat"
@@ -268,4 +269,40 @@ func TestVerifyRejectsEscapingGroupRegion(t *testing.T) {
 	outside := vtInstr(s, OpAggr, []*bat.BAT{nil, base}, 1)
 	outside.Agg, outside.NgrpRef = ops.Count, g1.NSlot
 	wantRule(t, check(append(batch, outside)), "fused-interior-escape")
+}
+
+// TestVerifyRejectsCandFirstViolations: the verifier re-proves the
+// candidate-first pass. The pass's own rewrite passes; the plan as built,
+// which leaves a chain full-length although its one consumer reads it under
+// a candidate, and a map-back through a candidate other than the one its
+// selection gathered under are each rejected.
+func TestVerifyRejectsCandFirstViolations(t *testing.T) {
+	s := vtSession(t, MS)
+	k := bat.NewI32("k", []int32{1, 2, 3, 4})
+	fk := bat.NewI32("fk", []int32{0, 1, 0, 1})
+	mfk := bat.NewI32("mfk", []int32{1, 0})
+	dv := bat.NewI32("dv", []int32{7, 8})
+	sel := vtInstr(s, OpSelect, []*bat.BAT{k, nil}, 1)
+	other := vtInstr(s, OpSelect, []*bat.BAT{fk, nil}, 1)
+	g1 := vtInstr(s, OpProject, []*bat.BAT{fk, mfk}, 1)
+	g2 := vtInstr(s, OpProject, []*bat.BAT{g1.Rets[0], dv}, 1)
+	pick := vtInstr(s, OpSelect, []*bat.BAT{g2.Rets[0], sel.Rets[0]}, 1)
+	u := vtInstr(s, OpUnion, []*bat.BAT{pick.Rets[0], other.Rets[0]}, 1)
+	outputs := []*bat.BAT{u.Rets[0]}
+	check := func(batch []*PInstr) *VerifyError {
+		return s.checkFragment("test", fragment{instrs: batch}, outputs, vData|vCand, false)
+	}
+	built := []*PInstr{sel, other, g1, g2, pick, u}
+	wantRule(t, check(built), "cand-first")
+
+	batch := s.candFirstPass(slices.Clone(built), outputs)
+	if e := check(batch); e != nil {
+		t.Fatalf("the pass's own rewrite was rejected: %v", e)
+	}
+	i := slices.IndexFunc(batch, func(in *PInstr) bool { return in.Rets[0] == s.canon(pick.Rets[0]) })
+	if i < 0 || batch[i].Kind != OpProject || batch[i].Args[1] != sel.Rets[0] {
+		t.Fatal("the pass left no map-back through the selection's candidate")
+	}
+	batch[i].Args[1] = other.Rets[0]
+	wantRule(t, check(batch), "cand-first")
 }

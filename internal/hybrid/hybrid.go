@@ -197,8 +197,8 @@ func (h *Engine) note(op string, target *Dev) {
 // everything syncs to the host and the call runs on the first live device).
 // Ownership is the owner map's word alone — the map is only populated for
 // Ocelot-owned BATs (adopt), and unlike the OcelotOwned field it is read
-// under h.mu, so concurrent device lanes can consult it without racing a
-// producer.
+// under h.mu, so concurrent sessions on one engine can consult it without
+// racing another session's producer.
 func (h *Engine) forcedOwner(inputs []*bat.BAT) *Dev {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -253,13 +253,14 @@ func (h *Engine) migrate(target *Dev, inputs ...*bat.BAT) error {
 }
 
 // handOver syncs b off its owning device unless target already owns it;
-// target nil is the host, which is what Sync asks for. Under the parallel
-// plan executor two device lanes can need the same value at once, so each
-// BAT's hand-over is single-flighted through the moving gate: one caller
-// performs the sync, concurrent callers wait for the gate to close and
-// re-check ownership — including a hand-over syncing b off target itself, so
-// target never reads a half-written host copy. The owner entry is removed
-// only after the host copy is complete.
+// target nil is the host, which is what Sync asks for. Several sessions run
+// concurrently on one engine and share its owner map, so each BAT's
+// hand-over is single-flighted through the moving gate: one caller performs
+// the sync, concurrent callers wait for the gate to close and re-check
+// ownership — including a hand-over syncing b off target itself, so target
+// never reads a half-written host copy. Within one session hand-overs
+// follow plan order. The owner entry is removed only after the host copy is
+// complete.
 func (h *Engine) handOver(target *Dev, b *bat.BAT) error {
 	for {
 		h.mu.Lock()
@@ -275,8 +276,9 @@ func (h *Engine) handOver(target *Dev, b *bat.BAT) error {
 				// A host hand-over of an Ocelot value whose ownership was
 				// already handed off: sync it conservatively via the first
 				// device. OcelotOwned is safe to read here: its only writer
-				// is the producing engine, ordered before this consumer by
-				// the plan's dependency edges.
+				// is the producing engine, and a value is produced and
+				// consumed by one session, whose instructions run in plan
+				// order on one goroutine.
 				return h.devs[0].Eng.Sync(b)
 			}
 			return nil
@@ -666,7 +668,7 @@ func (v view) OIDUnion(a, b *bat.BAT) (*bat.BAT, error) {
 
 // Sync hands a BAT back to the host via its owning device: the host-target
 // case of handOver, single-flighted with any concurrent migration of the
-// same value (another lane shipping it as an input).
+// same value.
 func (v view) Sync(b *bat.BAT) error {
 	if b == nil {
 		return nil

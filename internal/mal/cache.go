@@ -38,9 +38,8 @@ type Template struct {
 	passes Passes
 
 	// frags are the rewritten fragments in execution order — one per flush
-	// boundary (mid-plan Sync/Scalar extractions plus the final Result) —
-	// each with the dependency graph and lanes its pins imply.
-	frags []fragment
+	// boundary (mid-plan Sync/Scalar extractions plus the final Result).
+	frags [][]*PInstr
 
 	// names/cols describe the result set the plan returned (cols are plan
 	// values: placeholders or base BATs).
@@ -107,8 +106,8 @@ func newTemplate(module string, passes Passes) *Template {
 // finished placed each fragment from the constant model, and now knows
 // every intermediate's size, so the placement pass runs once more with those
 // (placeObserved). The IR is still private to this session, which is what
-// makes stamping the pins race-free; every replay then runs the pins, the
-// dependency edges and the lanes it finds.
+// makes stamping the pins race-free; every replay then runs the pins it
+// finds.
 func (s *Session) Template() *Template {
 	t := s.tpl
 	if t.sealed {
@@ -118,7 +117,7 @@ func (s *Session) Template() *Template {
 	t.nSlots = len(s.slots)
 	t.refsByName = map[string][]boundRef{}
 	for _, frag := range t.frags {
-		for _, in := range frag.instrs {
+		for _, in := range frag {
 			for _, ref := range in.Params {
 				t.refsByName[ref.Name] = append(t.refsByName[ref.Name], boundRef{in: in, field: ref.Field})
 			}
@@ -154,10 +153,9 @@ func (s *Session) Template() *Template {
 // placeObserved re-runs the placement pass over the whole finished plan with
 // every produced value priced at its observed length: the session's
 // environment still holds each result's descriptor, and a descriptor keeps
-// its length after Release. Fragments whose pins moved get their graph
-// derived again and are proved against the verifier's pin and lane rules —
-// unconditionally, not gated on the session's verify flag: this is a rewrite
-// of a plan that already ran.
+// its length after Release. Fragments whose pins moved are proved against
+// the verifier's pin rule — unconditionally, not gated on the session's
+// verify flag: this is a rewrite of a plan that already ran.
 func (s *Session) placeObserved() error {
 	t := s.tpl
 	moved := map[*PInstr]bool{}
@@ -173,11 +171,10 @@ func (s *Session) placeObserved() error {
 		return nil
 	}
 	for fi, f := range t.frags {
-		if !slices.ContainsFunc(f.instrs, func(in *PInstr) bool { return moved[in] }) {
+		if !slices.ContainsFunc(f, func(in *PInstr) bool { return moved[in] }) {
 			continue
 		}
-		t.frags[fi] = s.planGraph(f.instrs)
-		if err := s.checkFragment("seal", t.frags[fi], syncArgs(f.instrs), vPin|vLane, false); err != nil {
+		if err := s.checkFragment("seal", f, syncArgs(f), vPin, false); err != nil {
 			err.Frag = fi
 			return err
 		}
@@ -207,7 +204,7 @@ func (t *Template) Fragments() int { return len(t.frags) }
 func (t *Template) Instructions() int {
 	n := 0
 	for _, f := range t.frags {
-		n += len(f.instrs)
+		n += len(f)
 	}
 	return n
 }
@@ -239,7 +236,6 @@ func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
 		passes:   t.passes,
 		tpl:      t,
 		replay:   true,
-		parallel: true,
 		env:      map[*bat.BAT]*bat.BAT{},
 		released: map[*bat.BAT]bool{},
 		slots:    make([]int, t.nSlots),

@@ -4,7 +4,9 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/ops"
@@ -288,5 +290,73 @@ func TestUnknownParamNameRejected(t *testing.T) {
 	if _, _, err := c.Run(o, "q", Params{"high": 3}, DefaultPasses(), plan); err == nil ||
 		!strings.Contains(err.Error(), `"high"`) {
 		t.Fatalf("hit path accepted undeclared parameter: %v", err)
+	}
+}
+
+// TestPlanCacheSingleFlightMissStorm: N concurrent cold requests for the
+// same key must run the plan function exactly once; the waiters replay the
+// winner's template (counted as hits) and all agree.
+func TestPlanCacheSingleFlightMissStorm(t *testing.T) {
+	const waiters = 7
+	k, v, g := testData()
+	o := OcelotCPU.Build(ConfigOptions{Threads: 2})
+	c := NewPlanCache()
+	passes := DefaultPasses()
+
+	var builds atomic.Int64
+	plan := func(s *Session) *Result {
+		builds.Add(1)
+		// Hold the build open until every follower has registered on the
+		// in-flight entry, so none of them can race past to a plain hit.
+		for start := time.Now(); c.Coalesced() < waiters; {
+			if time.Since(start) > 30*time.Second {
+				t.Error("followers never queued behind the build")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return miniPlan(k, v, g)(s)
+	}
+
+	var wg sync.WaitGroup
+	results := make(chan *Result, waiters+1)
+	errs := make(chan error, waiters+1)
+	for i := 0; i < waiters+1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := c.Run(o, "storm", nil, passes, plan)
+			results <- res
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(results)
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("plan function ran %d times under the miss storm, want 1", n)
+	}
+	var ref *Result
+	for res := range results {
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if err := res.EqualWithin(ref, 0); err != nil {
+			t.Fatalf("coalesced results disagree: %v", err)
+		}
+	}
+	hits, misses, size := c.Stats()
+	if misses != 1 || hits != waiters || size != 1 {
+		t.Fatalf("cache stats %d hits / %d misses / %d templates, want %d/1/1",
+			hits, misses, size, waiters)
+	}
+	if c.Coalesced() != waiters {
+		t.Fatalf("coalesced = %d, want %d", c.Coalesced(), waiters)
 	}
 }

@@ -6,6 +6,11 @@
 // The EXPLAIN trace is produced here, from the IR, rather than by ad-hoc
 // recording in the fluent API.
 //
+// The loop is serial, as MAL is between operators: one instruction at a
+// time, in plan order, so each device receives its commands in the order the
+// plan lists them. All parallelism lives inside an operator — a kernel's
+// work-items (§4.1).
+//
 // Placement pins are enforced per instruction: under the hybrid
 // configuration a pinned instruction dispatches through the engine view
 // hybrid.Engine.On returns, so a pin lives exactly as long as one operator
@@ -37,10 +42,7 @@ func (s *Session) resolve(b *bat.BAT) *bat.BAT {
 		return nil
 	}
 	b = s.canon(b)
-	s.mu.Lock()
-	c, ok := s.env[b]
-	s.mu.Unlock()
-	if ok {
+	if c, ok := s.env[b]; ok {
 		return c
 	}
 	if s.tpl.isPH[b] {
@@ -52,8 +54,6 @@ func (s *Session) resolve(b *bat.BAT) *bat.BAT {
 // bind records concrete results for an instruction's placeholders and
 // adopts them for end-of-plan release.
 func (s *Session) bind(in *PInstr, concrete ...*bat.BAT) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, c := range concrete {
 		if c == nil {
 			continue
@@ -100,144 +100,37 @@ func (s *Session) scalars(in *PInstr) (lo, hi, c float64) {
 	return lo, hi, c
 }
 
-// span is what one execution records about one instruction of the fragment
-// it is running: its dispatch offset from the plan's first instruction and
-// the host-observed latency (notRun until the instruction has completed).
-type span struct {
-	start, took time.Duration
-}
-
-const notRun time.Duration = -1
-
-// execute interprets a rewritten fragment: one instruction loop (runLane)
-// dispatches, one pass (account) books the timings and the EXPLAIN trace.
-// The loop runs inline on the caller's goroutine — no goroutine, no channel
-// — unless the fragment's pins span two or more device lanes and the
-// parallel scheduler is on, in which case each lane gets a goroutine
-// (runLanes). Single-device engines carry no lanes at all, so they always
-// run inline, as does SetParallel(false): serial is the one-lane case.
-func (s *Session) execute(f fragment) {
-	n := len(f.instrs)
-	if n == 0 {
+// execute interprets a rewritten fragment on the caller's goroutine, in
+// plan order: each instruction dispatches through its pinned view (under the
+// hybrid engine a pin routes exactly one operator call), on the clock, and is
+// booked — Plan(), the trace, the timing sum — as soon as it returns, so an
+// instruction that aborts the plan still leaves what ran before it.
+func (s *Session) execute(batch []*PInstr) {
+	if len(batch) == 0 {
 		return
 	}
 	if s.firstExec.IsZero() {
 		s.firstExec = time.Now()
 	}
 	hyb, _ := s.o.(*hybrid.Engine)
-	if cap(s.spans) < n {
-		s.spans = make([]span, n)
-	}
-	sp := s.spans[:n]
-	for i := range sp {
-		sp[i].took = notRun
-	}
-	overlapped := s.parallel && len(f.lanes) >= 2
-	// Deferred, so an instruction that aborts the plan still leaves what ran
-	// before it in Plan() and the trace.
-	defer s.account(f, sp, overlapped)
-	if overlapped {
-		s.runLanes(f, hyb, sp)
-	} else {
-		s.runLane(f, nil, hyb, sp, nil)
-	}
-	s.lastExec = time.Now()
-}
-
-// runLane is the instruction loop. It dispatches the instructions idxs
-// names, in order — every instruction of the fragment when idxs is nil —
-// each through its pinned view (under the hybrid engine a pin routes exactly
-// one operator call) and on the clock. With ls set it is one lane among
-// several (runLanes): it waits for each instruction's dependencies, closes
-// the instruction's channel when it completes, and on a panic records it and
-// closes what it will not run; without, a panic passes straight to the
-// caller.
-func (s *Session) runLane(f fragment, idxs []int, hyb *hybrid.Engine, sp []span, ls *laneSync) {
-	n := len(idxs)
-	if idxs == nil {
-		n = len(f.instrs)
-	}
-	pos := 0
-	if ls != nil {
-		defer func() {
-			if v := recover(); v != nil {
-				ls.panicOnce.Do(func() { ls.panicVal = v })
-				ls.aborted.Store(true)
-			}
-			// Unblock waiters on everything this lane will not run.
-			for ; pos < n; pos++ {
-				close(ls.done[idxs[pos]])
-			}
-			ls.wg.Done()
-		}()
-	}
-	for ; pos < n; pos++ {
-		i := pos
-		if idxs != nil {
-			i = idxs[pos]
-		}
-		if ls != nil {
-			for _, d := range f.deps[i] {
-				<-ls.done[d]
-			}
-			if ls.aborted.Load() {
-				return
-			}
-		}
-		in := f.instrs[i]
+	for _, in := range batch {
 		o := s.o
 		if hyb != nil && in.Device != "" && in.computes() {
 			o = hyb.On(in.Device)
 		}
 		t0 := time.Now()
-		sp[i].start = t0.Sub(s.firstExec)
 		s.step(in, o)
-		sp[i].took = time.Since(t0)
-		if ls != nil {
-			close(ls.done[i])
-		}
-	}
-}
-
-// account books the instructions of a fragment that completed,
-// single-threaded and in plan order, so Plan(), the trace and the timing sums
-// read the same however the fragment ran. The critical path is the longest
-// dependency chain of dispatch times when lanes overlapped and the plain sum
-// when they did not.
-func (s *Session) account(f fragment, sp []span, overlapped bool) {
-	var frag time.Duration
-	var path []time.Duration // longest dependency chain ending in each instruction
-	if overlapped {
-		path = make([]time.Duration, len(sp))
-	}
-	for i, in := range f.instrs {
-		took := sp[i].took
-		if took == notRun {
-			continue
-		}
+		took := time.Since(t0)
 		s.opTime += took
 		if !s.replay {
 			in.Took = took
-			in.Start = sp[i].start
 		}
 		s.done = append(s.done, in)
 		if s.traceOn {
-			s.record(in, took, sp[i].start)
+			s.record(in, took)
 		}
-		if !overlapped {
-			frag += took
-			continue
-		}
-		path[i] = took
-		for _, d := range f.deps[i] {
-			path[i] = max(path[i], took+path[d])
-		}
-		frag = max(frag, path[i])
 	}
-	s.critPath += frag
-	if overlapped {
-		s.parFrags++
-	}
+	s.lastExec = time.Now()
 }
 
 // step dispatches one instruction to the given operator implementation
@@ -360,9 +253,7 @@ func (s *Session) step(in *PInstr, o ops.Operators) {
 	case OpRelease:
 		conc := arg(0)
 		o.Release(conc)
-		s.mu.Lock()
 		s.released[conc] = true
-		s.mu.Unlock()
 	default:
 		s.fail("exec", fmt.Errorf("unknown plan instruction kind %d", int(in.Kind)))
 	}
@@ -411,8 +302,8 @@ func describe(b *bat.BAT) string {
 
 // record appends the executed instruction to the EXPLAIN trace, with
 // operands resolved to their concrete form.
-func (s *Session) record(in *PInstr, took, start time.Duration) {
-	instr := Instr{Module: in.Module, Op: in.OpName(), Device: in.Device, Took: took, Start: start}
+func (s *Session) record(in *PInstr, took time.Duration) {
+	instr := Instr{Module: in.Module, Op: in.OpName(), Device: in.Device, Took: took}
 	dArg := func(i int) string { return describe(s.resolve(in.Args[i])) }
 	dRet := func(i int) string { return describe(s.resolve(in.Rets[i])) }
 	switch in.Kind {

@@ -84,11 +84,8 @@ func (s *Session) ExplainBefore() string {
 }
 
 // Explain renders the executed, rewritten plan with per-instruction
-// latencies (honestly labelled) and the end-to-end wall time. The dispatch
-// summary reports both the summed per-instruction time and the critical
-// path: under the parallel executor instruction spans overlap, so the sum
-// overstates the schedule — the critical path is the honest total (the two
-// coincide on serial executions).
+// latencies (honestly labelled), their sum — instructions run one at a
+// time, so the sum is the schedule — and the end-to-end wall time.
 func (s *Session) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan after rewriting (%d instructions, %s per instruction):\n",
@@ -96,8 +93,7 @@ func (s *Session) Explain() string {
 	for _, in := range s.trace {
 		fmt.Fprintf(&sb, "    %-72s %12v\n", in.String(), in.Took.Round(time.Nanosecond))
 	}
-	fmt.Fprintf(&sb, "    dispatch: %v summed, %v on the critical path\n",
-		s.OpTime().Round(time.Microsecond), s.CriticalPath().Round(time.Microsecond))
+	fmt.Fprintf(&sb, "    dispatch: %v summed\n", s.OpTime().Round(time.Microsecond))
 	fmt.Fprintf(&sb, "    plan wall time (through final sync/finish): %v\n",
 		s.PlanWall().Round(time.Microsecond))
 	return sb.String()

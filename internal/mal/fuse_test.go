@@ -400,8 +400,7 @@ func TestFusionAllocatesNoMoreThanUnfused(t *testing.T) {
 		run() // warm-up: device caches, worker pools
 		// The quietest of three windows: the runtime's free lists (work-group
 		// local memory, command records) refill when kernels happen to
-		// overlap, which costs more per window than the two chains differ by
-		// now that verifying a single-device fragment builds no lane graph.
+		// overlap, which costs more per window than the two chains differ by.
 		const windows, runs = 3, 5
 		best := int64(math.MaxInt64)
 		for w := 0; w < windows; w++ {

@@ -105,12 +105,6 @@ type PInstr struct {
 	// while the IR is session-private (building executions); replays of a
 	// shared cached template keep timings in per-execution state instead.
 	Took time.Duration
-	// Start is the dispatch offset from the plan's first interpreted
-	// instruction. Under the parallel executor [Start, Start+Took] spans
-	// overlap across device lanes, so wall-clock accounting must use the
-	// spans, not the Took sum. Stamped under the same session-private rule
-	// as Took.
-	Start time.Duration
 }
 
 // ScalarField names a scalar operand of an instruction that a parameter can

@@ -1,8 +1,10 @@
 package mal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/core"
@@ -124,6 +126,10 @@ func TestSyncAndReleaseInsertion(t *testing.T) {
 	}
 	if !strings.Contains(expl, "plan wall time") {
 		t.Fatalf("EXPLAIN missing plan wall time:\n%s", expl)
+	}
+	// Instructions run one at a time: one dispatch total, the sum.
+	if want := fmt.Sprintf("    dispatch: %v summed\n", s.OpTime().Round(time.Microsecond)); !strings.Contains(expl, want) {
+		t.Fatalf("EXPLAIN's dispatch line is not %q:\n%s", want, expl)
 	}
 	before := s.ExplainBefore()
 	if strings.Contains(before, ".sync") || strings.Contains(before, ".release") {

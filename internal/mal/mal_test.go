@@ -4,8 +4,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
+	"repro/internal/cl"
+	"repro/internal/hybrid"
 	"repro/internal/mem"
 	"repro/internal/ops"
 )
@@ -115,6 +118,37 @@ func TestAbortPropagatesAsError(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "select") {
 		t.Fatalf("expected select abort, got %v", err)
+	}
+}
+
+// TestParallelAbortPropagates: a replay whose every device is dead aborts
+// on its first dispatch, and the abort surfaces as an error from the replay
+// — no hang, no stray panic.
+func TestParallelAbortPropagates(t *testing.T) {
+	k, v, g := testData()
+	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
+	s := NewSession(o)
+	if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
+		t.Fatal(err)
+	}
+	tpl := s.Template()
+	// Kill every device: the first dispatch fails on its pin and on the
+	// whole fallback chain.
+	for _, d := range o.(*hybrid.Engine).Devices() {
+		d.Eng.Device().InjectFaults(cl.FaultPlan{DieAtCommand: 1})
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := tpl.Run(o, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("replay on all-dead devices reported success")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay on all-dead devices did not return")
 	}
 }
 

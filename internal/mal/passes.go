@@ -66,10 +66,9 @@ func (s *Session) flush(final bool) {
 		batch = s.releaseInsertPass(batch, outputs)
 		vpass = "release-insert"
 	}
-	f := s.newFragment(batch)
-	s.vcommit(vpass, f, outputs, final)
-	s.tpl.frags = append(s.tpl.frags, f)
-	s.execute(f)
+	s.vcommit(vpass, batch, outputs, final)
+	s.tpl.frags = append(s.tpl.frags, batch)
+	s.execute(batch)
 }
 
 // bindPass is the module-binding rewrite: the drop-in swap of §3.1. Every

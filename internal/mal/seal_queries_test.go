@@ -67,14 +67,3 @@ func TestSealPlacesWithObservedSizes(t *testing.T) {
 		t.Fatal("the constant-model gate saw no selection over a base column")
 	}
 }
-
-// TestFragmentGraphMatchesPlanGraph: for every fragment of every query on
-// the hybrid, the graph stored at seal is the graph the sealed
-// instructions imply, and it is the stored one the verifier reads.
-func TestFragmentGraphMatchesPlanGraph(t *testing.T) {
-	db := tpch.Generate(0.01, 42)
-	o := mal.Hybrid.Build(hybridOpts)
-	for _, q := range tpch.Queries() {
-		mal.CheckFragmentGraphs(t, fmt.Sprintf("Q%d", q.Num), o, planOf(q, db))
-	}
-}

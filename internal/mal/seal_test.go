@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bat"
 	"repro/internal/mem"
@@ -28,10 +27,10 @@ func bigTestData(n int) (k *bat.BAT, v *bat.BAT, g *bat.BAT) {
 }
 
 // pinsOf collects the placement pin of every compute instruction by ID.
-func pinsOf(frags []fragment) map[int]string {
+func pinsOf(frags [][]*PInstr) map[int]string {
 	pins := map[int]string{}
 	for _, f := range frags {
-		for _, in := range f.instrs {
+		for _, in := range f {
 			if in.computes() {
 				pins[in.ID] = in.Device
 			}
@@ -106,7 +105,7 @@ func CheckConstantEstimates(t *testing.T, what string, o ops.Operators, plan fun
 	}
 	e := fresh.newEstimator()
 	for _, f := range s.tpl.frags {
-		for _, in := range f.instrs {
+		for _, in := range f {
 			var want float64
 			switch {
 			case in.Kind == OpSelect && in.Args[1] == nil && !s.tpl.isPH[in.Args[0]]:
@@ -126,37 +125,6 @@ func CheckConstantEstimates(t *testing.T, what string, o ops.Operators, plan fun
 		}
 	}
 	return checked
-}
-
-// CheckFragmentGraphs seals plan on o and checks, fragment by fragment, that
-// the stored edges and lanes are what a fresh derivation from the sealed
-// instructions yields, and that the verifier's lane rule reads the stored
-// graph: a hand-corrupted edge must fail it.
-func CheckFragmentGraphs(t *testing.T, what string, o ops.Operators, plan func(*Session) *Result) {
-	t.Helper()
-	s := NewSession(o)
-	if _, err := RunQuery(s, plan); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	tpl := s.Template()
-	for fi, f := range tpl.frags {
-		if fresh := s.planGraph(f.instrs); !reflect.DeepEqual(f, fresh) {
-			t.Fatalf("%s frag %d: stored graph\n%+v\ndiffers from a fresh derivation\n%+v", what, fi, f, fresh)
-		}
-	}
-	check, err := tpl.newExec(o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := check.verifyTemplate(); err != nil {
-		t.Fatalf("%s: sealed template fails verification: %v", what, err)
-	}
-	last := tpl.frags[len(tpl.frags)-1]
-	kept := last.deps[0]
-	last.deps[0] = []int{len(last.instrs) - 1} // instruction 0 waits for the last one
-	ve, _ := check.verifyTemplate().(*VerifyError)
-	last.deps[0] = kept
-	wantRule(t, ve, "lane-acyclic")
 }
 
 // TestColdEstimatesAreTheConstantModel is the fixed-constant gate on the
@@ -201,23 +169,39 @@ func TestWarmFeedbackReplaysQuiet(t *testing.T) {
 	}
 }
 
+// pinAlternating pins the template's compute instructions round-robin
+// across the given device labels, so a replay moves values between the
+// devices regardless of what the placement pass chose. Pins only route
+// placement — any assignment is legal — which is why a test may rewrite them
+// (before the first replay: a template that is being executed is immutable).
+func pinAlternating(tpl *Template, labels ...string) {
+	pinned := 0
+	for _, frag := range tpl.frags {
+		for _, in := range frag {
+			if in.computes() {
+				in.Device = labels[pinned%len(labels)]
+				pinned++
+			}
+		}
+	}
+}
+
 // snapshot renders everything of a template that replays read and nothing
-// may write: every pin, every stored edge, every lane.
+// may write: every pin.
 func snapshot(tpl *Template) string {
 	var sb strings.Builder
 	for _, f := range tpl.frags {
-		fmt.Fprintln(&sb, f.deps, f.laneOf, f.lanes)
-		for _, in := range f.instrs {
+		for _, in := range f {
 			sb.WriteString(in.Device + ",")
 		}
 	}
 	return sb.String()
 }
 
-// TestSealedTemplateIsImmutable: eight goroutines replay one multi-lane
-// hybrid template with different parameters while a ninth keeps reading
-// every pin, edge and lane. What it reads never changes, and under -race any
-// write to the shared plan is a report.
+// TestSealedTemplateIsImmutable: eight goroutines replay one hybrid template
+// pinned across both devices, with different parameters, while a ninth keeps
+// reading every pin. What it reads never changes, and under -race any write
+// to the shared plan is a report.
 func TestSealedTemplateIsImmutable(t *testing.T) {
 	const clients, replays = 8, 50
 	k, v, g := bigTestData(1 << 12)
@@ -233,20 +217,14 @@ func TestSealedTemplateIsImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	if pinAlternating(s, "CPU", "GPU") < 2 {
-		t.Fatal("plan too small to span two lanes")
-	}
+	pinAlternating(tpl, "CPU", "GPU")
 	want := snapshot(tpl)
 
-	// One serial reference per parameter value the clients will bind.
+	// One reference per parameter value the clients will bind.
 	refs := make([]*Result, clients)
 	for c := range refs {
-		ser, err := tpl.newExec(o, Params{"hi": float64(100 * (c + 1))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ser.SetParallel(false)
-		if refs[c], err = ser.runTemplate(); err != nil {
+		var err error
+		if refs[c], err = tpl.Run(o, Params{"hi": float64(100 * (c + 1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,92 +247,24 @@ func TestSealedTemplateIsImmutable(t *testing.T) {
 			}
 		}
 	}()
-	lanes := make([]int, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < replays; i++ {
-				res, sess, err := tpl.RunOn(o, Params{"hi": float64(100 * (c + 1))})
+				res, err := tpl.Run(o, Params{"hi": float64(100 * (c + 1))})
 				if err != nil {
 					t.Errorf("client %d replay %d: %v", c, i, err)
 					return
 				}
 				if err := res.EqualWithin(refs[c], 0); err != nil {
-					t.Errorf("client %d replay %d differs from its serial reference: %v", c, i, err)
+					t.Errorf("client %d replay %d differs from its reference: %v", c, i, err)
 					return
 				}
-				lanes[c] += sess.ParallelFragments()
 			}
 		}(c)
 	}
 	wg.Wait()
 	close(stop)
 	reader.Wait()
-	for c, n := range lanes {
-		if n == 0 {
-			t.Fatalf("client %d never ran a fragment on two lanes; the stored graph went unused", c)
-		}
-	}
-}
-
-// TestOneLaneRunsInline: serial is the one-lane case of the one instruction
-// loop, not a second executor — a replay on a single-device engine, and a
-// replay of a multi-lane hybrid template with the scheduler off, start no
-// goroutine and report a critical path equal to the summed dispatch time.
-func TestOneLaneRunsInline(t *testing.T) {
-	k, v, g := testData()
-	for _, cfg := range []Config{OcelotCPU, Hybrid} {
-		o := cfg.Build(ConfigOptions{Threads: 2, GPUMemory: 128 << 20})
-		s := NewSession(o)
-		if _, err := RunQuery(s, miniPlan(k, v, g)); err != nil {
-			t.Fatal(err)
-		}
-		tpl := s.Template()
-		if cfg == Hybrid && pinAlternating(s, "CPU", "GPU") < 2 {
-			t.Fatal("plan too small to span two lanes")
-		}
-		replay := func() *Session {
-			sess, err := tpl.newExec(o, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess.SetParallel(cfg != Hybrid) // the hybrid template has two lanes and is told not to use them
-			if _, err := sess.runTemplate(); err != nil {
-				t.Fatal(err)
-			}
-			return sess
-		}
-		replay()                         // warm-up: every pool worker the devices will ever start is parked after this
-		before := runtime.NumGoroutine() // earlier tests' goroutines may still exit; none may appear
-		for i := 0; i < 20; i++ {
-			sess := replay()
-			if sess.ParallelFragments() != 0 {
-				t.Fatalf("%v: inline replay counted %d parallel fragments", cfg, sess.ParallelFragments())
-			}
-			if cp, sum := sess.CriticalPath(), sess.OpTime(); cp != sum {
-				t.Fatalf("%v: inline critical path %v != summed dispatch %v", cfg, cp, sum)
-			}
-		}
-		if after := goroutinesSettle(before, 5*time.Second); after > before {
-			t.Fatalf("%v: %d goroutines before 20 inline replays, still %d after five seconds", cfg, before, after)
-		}
-	}
-}
-
-// goroutinesSettle waits, for at most bound, until no more than want
-// goroutines run, and returns the last count it saw. A count taken at one
-// instant can sit above where the process settles with nothing wrong: a pool
-// worker retires after two idle seconds and a later launch starts one again,
-// and a command run off the pool exits just after its event completes. An
-// execution that started a goroutine of its own keeps the count up.
-func goroutinesSettle(want int, bound time.Duration) int {
-	deadline := time.Now().Add(bound)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= want || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(time.Millisecond)
-	}
 }

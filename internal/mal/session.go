@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bat"
@@ -49,11 +48,6 @@ type Instr struct {
 	// for lazy engines, execution time for eager ones (Session.TimingLabel
 	// names which one honestly; Session.PlanWall has the end-to-end time).
 	Took time.Duration
-	// Start is the instruction's dispatch offset from the first interpreted
-	// instruction of the plan. Under the parallel executor instruction spans
-	// overlap, so Start+Took intervals — not the sum of Tooks — describe the
-	// schedule (Session.CriticalPath has the honest total).
-	Start time.Duration
 }
 
 func (i Instr) String() string {
@@ -120,8 +114,9 @@ func (p Passes) key() string {
 type Params map[string]float64
 
 // Session builds and executes one query plan against one operator
-// configuration. Exactly one execution runs per Session; the reusable part
-// of a finished session — the rewritten plan — is its Template.
+// configuration. Exactly one execution runs per Session, on the goroutine
+// that calls it; the reusable part of a finished session — the rewritten
+// plan — is its Template.
 type Session struct {
 	o      ops.Operators
 	module string
@@ -176,17 +171,6 @@ type Session struct {
 
 	// --- per-execution state ---
 
-	// mu guards env, owned and released when a fragment's lanes run
-	// concurrently (exec_parallel.go); a fragment run inline takes the same
-	// (uncontended) lock so there is one set of access rules.
-	mu sync.Mutex
-
-	// parallel enables the plan-level scheduler: under the hybrid engine,
-	// instructions pinned to distinct devices execute concurrently (one
-	// goroutine per device lane). Single-device configurations and pinned
-	// engine views have no lanes and always run inline.
-	parallel bool
-
 	// env maps placeholders to the concrete BATs the executor produced.
 	env map[*bat.BAT]*bat.BAT
 
@@ -207,17 +191,6 @@ type Session struct {
 	trace   []Instr
 	traceOn bool
 	opTime  time.Duration
-	// spans are the per-instruction timings of the fragment being executed,
-	// reused from fragment to fragment.
-	spans []span
-
-	// critPath accumulates, per executed fragment, the longest dependency
-	// chain of instruction dispatch times — the honest lower bound on the
-	// fragment's span once dispatches overlap. Inline it equals opTime.
-	critPath time.Duration
-	// parFrags counts fragments the parallel scheduler actually ran with
-	// more than one lane (observability for tests and EXPLAIN).
-	parFrags int
 
 	firstExec time.Time
 	lastExec  time.Time
@@ -229,7 +202,6 @@ func NewSession(o ops.Operators) *Session {
 		o:            o,
 		module:       o.Module(),
 		passes:       DefaultPasses(),
-		parallel:     true,
 		tpl:          newTemplate(o.Module(), DefaultPasses()),
 		cseTab:       map[string]*PInstr{},
 		slotProducer: map[int]*PInstr{},
@@ -276,24 +248,24 @@ func (s *Session) Replayed() bool { return s.replay }
 // OpTime returns the summed per-instruction dispatch time of the execution;
 // wall time minus OpTime approximates the host-side overhead of the MAL
 // layer (plan build, rewriting, interpretation) around the operators.
-// Under the parallel executor the summands overlap — CriticalPath has the
-// non-overlapping total.
+// Instructions run one at a time, so the sum is the schedule.
 func (s *Session) OpTime() time.Duration { return s.opTime }
 
-// CriticalPath returns the dispatch time of the longest dependency chain
-// across the executed fragments: the honest schedule length once the
-// parallel executor overlaps instructions. On a serial execution it equals
-// OpTime.
-func (s *Session) CriticalPath() time.Duration { return s.critPath }
+// CriticalPath returns OpTime.
+//
+// Deprecated: instructions never overlap, so the longest dependency chain is
+// the whole sum. The method exists only because the pinned benchmark's traced
+// pass reads it (mal.critpath_ms_p50) and benchmark/ is not edited alongside
+// the program; it goes with the benchmark's next own change.
+func (s *Session) CriticalPath() time.Duration { return s.OpTime() }
 
-// SetParallel toggles the plan-level parallel scheduler (on by default).
-// It only changes how a hybrid-engine plan is interpreted — results are
-// identical either way — and must be called before the plan runs.
-func (s *Session) SetParallel(on bool) { s.parallel = on }
-
-// ParallelFragments reports how many fragments the parallel scheduler ran
-// with two or more device lanes.
-func (s *Session) ParallelFragments() int { return s.parFrags }
+// ParallelFragments always reports 0.
+//
+// Deprecated: no fragment runs its instructions concurrently. The method
+// exists only because the pinned benchmark's traced pass reads it
+// (mal.parallel_frags_per_round); it goes with the benchmark's next own
+// change.
+func (s *Session) ParallelFragments() int { return 0 }
 
 // Replans always reports 0: no execution re-plans, pins are fixed when the
 // template is sealed. The method exists only because the pinned benchmark's

@@ -3,11 +3,10 @@
 // def-before-use across fragments, exactly-one-release liveness with no
 // read-after-release, sync insertion at host boundaries, fused-region
 // legality, placement-pin resolvability, group-count handle validity, and
-// the structural soundness (acyclicity, partition, pin-disjointness) of the
-// parallel executor's lane graph. A violation aborts the plan with a
+// the candidate-first rewrite's shape. A violation aborts the plan with a
 // structured VerifyError naming the pass, fragment, instruction and rule,
-// so a bad pass edit surfaces as a diagnostic instead of a wrong answer or
-// a deadlock three layers down.
+// so a bad pass edit surfaces as a diagnostic instead of a wrong answer
+// three layers down.
 //
 // Cost model: verification is on by default in test binaries (every
 // equivalence suite proves the invariants for free) and off in production
@@ -37,7 +36,7 @@ type VerifyError struct {
 	// early release is off, or "template" for sealed-template verification).
 	Pass string
 	// Rule names the violated invariant (e.g. "def-before-use",
-	// "use-after-release", "pin-resolvable", "lane-acyclic").
+	// "use-after-release", "pin-resolvable", "fused-single-exit").
 	Rule string
 	// Frag is the fragment index in flush order; Instr the instruction index
 	// within the fragment (-1 for fragment-level rules such as a missing
@@ -70,10 +69,9 @@ const (
 	vSync                    // sync before the host boundary
 	vPin                     // placement pins resolve on the device set
 	vRel                     // release liveness
-	vLane                    // lane-graph structure
 	vCand                    // candidate-first, right after that pass only
 
-	vAll = vData | vFuse | vSync | vPin | vRel | vLane
+	vAll = vData | vFuse | vSync | vPin | vRel
 )
 
 // defaultVerify gates verification for newly created sessions (and template
@@ -136,7 +134,7 @@ func (s *Session) vcheck(pass string, batch []*PInstr, outputs []*bat.BAT, rules
 	if !s.verify {
 		return
 	}
-	if err := s.checkFragment(pass, fragment{instrs: batch}, outputs, rules, false); err != nil {
+	if err := s.checkFragment(pass, batch, outputs, rules, false); err != nil {
 		panic(abort{err})
 	}
 }
@@ -144,15 +142,15 @@ func (s *Session) vcheck(pass string, batch []*PInstr, outputs []*bat.BAT, rules
 // vcommit runs the full-rule check over the completely rewritten fragment,
 // then merges it into the committed cross-fragment state. final marks the
 // plan's last flush, where release coverage is total.
-func (s *Session) vcommit(pass string, f fragment, outputs []*bat.BAT, final bool) {
+func (s *Session) vcommit(pass string, batch []*PInstr, outputs []*bat.BAT, final bool) {
 	if !s.verify {
 		return
 	}
-	if err := s.checkFragment(pass, f, outputs, vAll, final); err != nil {
+	if err := s.checkFragment(pass, batch, outputs, vAll, final); err != nil {
 		panic(abort{err})
 	}
 	verifyRuns.Add(1)
-	s.vmerge(f.instrs)
+	s.vmerge(batch)
 }
 
 // vmerge commits one checked fragment into the cross-fragment state.
@@ -209,11 +207,8 @@ func labelList(labels map[string]bool) string {
 // checkFragment verifies one rewritten fragment against the committed
 // cross-fragment state without mutating it. outputs are the fragment's
 // host-boundary values (markOutput order); final enables total release
-// coverage. The lane rules check the graph the fragment carries — what the
-// executor will run — and pass vacuously on a fragment without one, which
-// only ever runs inline. Returns the first violation found, or nil.
-func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rules vRules, final bool) *VerifyError {
-	batch := f.instrs
+// coverage. Returns the first violation found, or nil.
+func (s *Session) checkFragment(pass string, batch []*PInstr, outputs []*bat.BAT, rules vRules, final bool) *VerifyError {
 	v := s.vstateInit()
 	fail := func(i int, in *PInstr, rule, format string, args ...any) *VerifyError {
 		e := &VerifyError{Pass: pass, Rule: rule, Frag: v.frags, Instr: i, Detail: fmt.Sprintf(format, args...)}
@@ -387,13 +382,6 @@ func (s *Session) checkFragment(pass string, f fragment, outputs []*bat.BAT, rul
 
 	if rules&vCand != 0 {
 		if e := s.checkCandFirst(batch, outputs, fail); e != nil {
-			return e
-		}
-	}
-
-	if rules&vLane != 0 && f.laneOf != nil {
-		if e := verifyLaneGraph(f); e != nil {
-			e.Pass, e.Frag = pass, v.frags
 			return e
 		}
 	}
@@ -603,67 +591,6 @@ func (s *Session) checkGroupChain(batch []*PInstr, i int, in *PInstr, interior m
 	return nil
 }
 
-// verifyLaneGraph checks the structural invariants the parallel executor's
-// deadlock-freedom proof rests on, over the graph stored with the fragment:
-// every instruction has its edges and its lane, every dependency edge points
-// backward (acyclicity by induction), the lanes partition the instructions
-// exactly once in ascending order (per-device serial dispatch), and each
-// compute runs on the lane its pin names (pin-disjointness: two lanes never
-// dispatch to the same pinned device out of order).
-func verifyLaneGraph(f fragment) *VerifyError {
-	fail := func(i int, rule, format string, args ...any) *VerifyError {
-		e := &VerifyError{Rule: rule, Instr: i, Detail: fmt.Sprintf(format, args...)}
-		if i >= 0 && f.instrs[i] != nil {
-			e.Op = f.instrs[i].OpName()
-		}
-		return e
-	}
-	n := len(f.instrs)
-	if len(f.deps) != n || len(f.laneOf) != n {
-		return fail(-1, "lane-partition", "graph covers %d edge lists and %d lanes for %d instructions", len(f.deps), len(f.laneOf), n)
-	}
-	for i, deps := range f.deps {
-		for _, d := range deps {
-			if d >= i {
-				return fail(i, "lane-acyclic", "dependency edge %d -> %d points forward (cycle)", i, d)
-			}
-			if d < 0 {
-				return fail(i, "lane-acyclic", "dependency edge %d -> %d out of range", i, d)
-			}
-		}
-	}
-	claimed := make([]int, n) // how many lanes claim each instruction
-	for _, idxs := range f.lanes {
-		prev := -1
-		for _, idx := range idxs {
-			if idx < 0 || idx >= n {
-				return fail(-1, "lane-partition", "a lane claims out-of-range node %d", idx)
-			}
-			lane := f.laneOf[idxs[0]]
-			if idx <= prev {
-				return fail(idx, "lane-partition", "lane %q is not in ascending plan order", lane)
-			}
-			prev = idx
-			claimed[idx]++
-			if f.laneOf[idx] != lane {
-				return fail(idx, "lane-partition", "node assigned lane %q but scheduled on lane %q", f.laneOf[idx], lane)
-			}
-			if in := f.instrs[idx]; in != nil && in.computes() && in.Device != lane {
-				return fail(idx, "lane-pin-disjoint", "compute pinned to %q scheduled on lane %q", in.Device, lane)
-			}
-		}
-	}
-	for i, c := range claimed {
-		if c == 0 {
-			return fail(i, "lane-partition", "node %d belongs to no lane", i)
-		}
-		if c > 1 {
-			return fail(i, "lane-partition", "node %d belongs to %d lanes", i, c)
-		}
-	}
-	return nil
-}
-
 // verifyOnce verifies the sealed template at most once, caching the verdict
 // across all replays (the verify-once-per-template contract: PlanCache hits
 // never pay verification). s is any replay session of this template.
@@ -700,10 +627,10 @@ func (s *Session) verifyTemplate() error {
 	s.vstate = nil // fresh committed state for the template walk
 	for fi, frag := range t.frags {
 		final := fi == len(t.frags)-1 && len(t.cols) > 0
-		if err := s.checkFragment("template", frag, syncArgs(frag.instrs), vAll, final); err != nil {
+		if err := s.checkFragment("template", frag, syncArgs(frag), vAll, final); err != nil {
 			return err
 		}
-		s.vmerge(frag.instrs)
+		s.vmerge(frag)
 	}
 	v := s.vstateInit()
 	for _, c := range t.cols {

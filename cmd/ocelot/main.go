@@ -33,13 +33,9 @@ func main() {
 		rows    = flag.Bool("rows", false, "print result rows")
 		threads = flag.Int("threads", 0, "parallelism (0 = all cores)")
 		gpuMem  = flag.Int64("gpumem", 1024, "simulated GPU memory in MiB")
-		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass")
 		skew    = flag.Float64("skew", 0, "Zipf exponent of the generated data (0 = uniform, the TPC-H default)")
 	)
 	flag.Parse()
-	if *verify {
-		mal.SetDefaultVerify(true)
-	}
 
 	q := tpch.QueryByNum(*qnum)
 	if q == nil {

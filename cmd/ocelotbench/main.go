@@ -43,12 +43,8 @@ func main() {
 		configs = flag.String("configs", "", "comma-separated subset of MS,MP,CPU,GPU,HYB")
 		seed    = flag.Int64("seed", 42, "data generator seed")
 		jsonOut = flag.String("json", "", "also write machine-readable figure records (median ns/op, bytes alloc) to this file")
-		verify  = flag.Bool("verify", false, "run the plan-IR verifier after every rewriter pass (plan builds only; cached replays stay verifier-free)")
 	)
 	flag.Parse()
-	if *verify {
-		mal.SetDefaultVerify(true)
-	}
 
 	opt := bench.Options{
 		BaseMB:         *baseMB,

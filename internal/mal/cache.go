@@ -31,8 +31,8 @@ import (
 
 // Template is the sealed, reusable half of a finished session: the plan as
 // the executor ran it, free of any per-execution state. Sealing writes its
-// last field; from then on nothing but the verify-once verdict changes, so
-// any number of goroutines may execute it concurrently.
+// last field; from then on nothing in it changes, so any number of
+// goroutines may execute it concurrently.
 type Template struct {
 	module string
 	passes Passes
@@ -65,14 +65,6 @@ type Template struct {
 	// the verifier; such a template refuses to execute.
 	sealErr error
 	sealed  bool
-
-	// Verify-once-per-template state (verify.go): a sealed template is
-	// verified at most once — at seal time if the building session already
-	// verified every fragment, else lazily on the first verified replay —
-	// and the verdict is cached, so PlanCache hits pay nothing.
-	vmu   sync.Mutex
-	vdone bool
-	verr  error
 
 	// tables are the named base tables the plan reads (collected at seal
 	// time from the raw IR): the tables whose catalog versions decide whether
@@ -143,10 +135,6 @@ func (s *Session) Template() *Template {
 		noteTab(c)
 	}
 	t.sealed = true
-	// A verifying build already checked every fragment after every pass, so
-	// the sealed template is pre-verified; otherwise the first verified
-	// replay proves it once.
-	t.vdone = s.verify
 	return t
 }
 
@@ -154,8 +142,7 @@ func (s *Session) Template() *Template {
 // every produced value priced at its observed length: the session's
 // environment still holds each result's descriptor, and a descriptor keeps
 // its length after Release. Fragments whose pins moved are proved against
-// the verifier's pin rule — unconditionally, not gated on the session's
-// verify flag: this is a rewrite of a plan that already ran.
+// the verifier's pin rule: this is a rewrite the build's checks never saw.
 func (s *Session) placeObserved() error {
 	t := s.tpl
 	moved := map[*PInstr]bool{}
@@ -239,7 +226,6 @@ func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
 		env:      map[*bat.BAT]*bat.BAT{},
 		released: map[*bat.BAT]bool{},
 		slots:    make([]int, t.nSlots),
-		verify:   DefaultVerify(),
 	}
 	for i := range s.slots {
 		s.slots[i] = -1
@@ -291,11 +277,6 @@ func (t *Template) RunOn(o ops.Operators, params Params) (*Result, *Session, err
 // recovering plan aborts into errors exactly like RunQuery.
 func (s *Session) runTemplate() (res *Result, err error) {
 	t := s.tpl
-	if s.verify {
-		if verr := t.verifyOnce(s); verr != nil {
-			return nil, verr
-		}
-	}
 	defer s.Close()
 	defer func() {
 		if v := recover(); v != nil {
@@ -414,14 +395,6 @@ func NewPlanCacheFor(vers *Catalog, guard sync.Locker) *PlanCache {
 	}
 }
 
-// NewPlanCacheCap creates an empty cache holding at most capacity templates
-// (<=0 means unbounded).
-func NewPlanCacheCap(capacity int) *PlanCache {
-	c := NewPlanCache()
-	c.capacity = capacity
-	return c
-}
-
 // removeLocked drops one resident slot.
 func (c *PlanCache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
@@ -431,9 +404,6 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 // evictLocked drops least-recently-used templates until the cache fits its
 // capacity.
 func (c *PlanCache) evictLocked() {
-	if c.capacity <= 0 {
-		return
-	}
 	for len(c.m) > c.capacity {
 		c.removeLocked(c.lru.Back())
 		c.evicted++

@@ -19,9 +19,9 @@
 // (cache.go); no execution moves one.
 //
 // When the session replays a cached template (cache.go) the IR is shared
-// with other executions and treated as read-only: per-instruction timings
-// are not stamped onto it, placeholders are not adopted at sync points, and
-// re-bound parameter scalars come from the execution's patch table.
+// with other executions and treated as read-only: placeholders are not
+// adopted at sync points, and re-bound parameter scalars come from the
+// execution's patch table.
 package mal
 
 import (
@@ -122,9 +122,6 @@ func (s *Session) execute(batch []*PInstr) {
 		s.step(in, o)
 		took := time.Since(t0)
 		s.opTime += took
-		if !s.replay {
-			in.Took = took
-		}
 		s.done = append(s.done, in)
 		if s.traceOn {
 			s.record(in, took)

@@ -457,7 +457,8 @@ func TestFusionExplainShowsMembers(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	k, v, g := testData()
 	o := MS.Build(ConfigOptions{})
-	c := NewPlanCacheCap(2)
+	c := NewPlanCache()
+	c.capacity = 2
 	passes := DefaultPasses()
 	plan := miniPlan(k, v, g)
 
@@ -484,15 +485,5 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	if _, hit, err := c.Run(o, "q1", nil, passes, plan); err != nil || hit {
 		t.Fatalf("evicted q1 must rebuild: hit=%v err=%v", hit, err)
-	}
-	// Unbounded caches never evict.
-	u := NewPlanCacheCap(0)
-	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		if _, _, err := u.Run(o, name, nil, passes, plan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, size := u.Stats(); size != 5 || u.Evictions() != 0 {
-		t.Fatalf("unbounded cache evicted: size=%d evictions=%d", size, u.Evictions())
 	}
 }

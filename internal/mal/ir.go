@@ -15,7 +15,6 @@ package mal
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/bat"
 	"repro/internal/ops"
@@ -98,13 +97,6 @@ type PInstr struct {
 	// cannot run the region as one kernel. Nil for every other kind.
 	Fuse *ops.FusedOp
 	Sub  []*PInstr
-
-	// Took is the host-observed latency of interpreting this instruction:
-	// enqueue time under lazy engines, execution time under eager ones (see
-	// Session.TimingLabel for the honest column header). It is stamped only
-	// while the IR is session-private (building executions); replays of a
-	// shared cached template keep timings in per-execution state instead.
-	Took time.Duration
 }
 
 // ScalarField names a scalar operand of an instruction that a parameter can

@@ -34,10 +34,10 @@ func (s *Session) flush(final bool) {
 		return
 	}
 
-	// Each pass is followed by a verifier stage check (no-ops unless the
-	// session verifies): a pass can only be blamed for invariants whose
-	// machinery has already run, so the rule set widens down the pipeline
-	// and vcommit runs the full set over the finished fragment.
+	// Each pass is followed by a verifier stage check: a pass can only be
+	// blamed for invariants whose machinery has already run, so the rule set
+	// widens down the pipeline and vcommit runs the full set over the
+	// finished fragment.
 	s.bindPass(batch)
 	s.vcheck("bind", batch, nil, vData)
 	if s.passes.CSE {

@@ -13,11 +13,11 @@ import (
 
 // TestAbortedPinnedPlanDoesNotLeakPlacement is the regression test for the
 // engine-global ForceNext pin: a plan whose placement pass pinned
-// instructions and which then aborts *between the pin and the operator
-// call* (here: a bogus group-count handle fails instruction setup after the
-// instruction was already pinned) must leave no placement state behind on
-// the shared engine. Under the old design the pending pin survived the
-// abort and silently forced the next operator onto the wrong device.
+// instructions and which then aborts mid-execution (here: a theta join of
+// an int column against a float column, which the verifier cannot see and
+// the operator refuses) must leave no placement state behind on the shared
+// engine. Under the old design a pending pin survived an abort and silently
+// forced the next operator onto the wrong device.
 func TestAbortedPinnedPlanDoesNotLeakPlacement(t *testing.T) {
 	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 512 << 20})
 	h := o.(*hybrid.Engine)
@@ -31,18 +31,14 @@ func TestAbortedPinnedPlanDoesNotLeakPlacement(t *testing.T) {
 	}
 	big := bat.NewI32("big", raw)
 	s1 := NewSession(o)
-	// The scenario needs the bogus plan to reach *execution* so an abort
-	// can strand placement pins; the verifier would reject it statically at
-	// the bind stage, before placement ever stamps a pin.
-	s1.SetVerify(false)
 	_, err := RunQuery(s1, func(s *Session) *Result {
 		sel := s.Select(big, nil, 100, 899, true, true)
 		prj := s.Project(sel, big)
-		s.Aggr(ops.Sum, prj, nil, -7) // bogus group-count handle: aborts at execution
-		return s.Result(nil)
+		l, _ := s.ThetaJoin(prj, fcol("f", []float32{1}), ops.Lt) // int against float: aborts at execution
+		return s.Result([]string{"l"}, l)
 	})
-	if err == nil || !strings.Contains(err.Error(), "unknown slot") {
-		t.Fatalf("plan 1 must abort on the bogus handle, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "theta join type mismatch") {
+		t.Fatalf("plan 1 must abort on the mistyped theta join, got %v", err)
 	}
 	pinnedGPU := false
 	for _, in := range s1.Plan() {

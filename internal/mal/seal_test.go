@@ -140,8 +140,8 @@ func TestColdEstimatesAreTheConstantModel(t *testing.T) {
 
 // TestWarmFeedbackReplaysQuiet is the steady-state contract: what the cold
 // run observed is adopted when the template is sealed, so no replay — not
-// even the first — places, re-plans or verifies anything (that none moves a
-// pin is TestSealedTemplateIsImmutable's).
+// even the first — places or re-plans anything (that none moves a pin is
+// TestSealedTemplateIsImmutable's).
 func TestWarmFeedbackReplaysQuiet(t *testing.T) {
 	k, v, g := bigTestData(1 << 18)
 	o := Hybrid.Build(ConfigOptions{Threads: 2, GPUMemory: 256 << 20})
@@ -151,7 +151,6 @@ func TestWarmFeedbackReplaysQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := s.Template()
-	verifies := VerifyRuns()
 	for i := 0; i < 5; i++ {
 		res, sess, err := tpl.RunOn(o, nil)
 		if err != nil {
@@ -163,9 +162,6 @@ func TestWarmFeedbackReplaysQuiet(t *testing.T) {
 		if err := res.EqualWithin(ref, 0); err != nil {
 			t.Fatalf("replay %d diverged: %v", i, err)
 		}
-	}
-	if d := VerifyRuns() - verifies; d != 0 {
-		t.Fatalf("replays of a verified build ran the verifier %d times, want 0", d)
 	}
 }
 

@@ -128,8 +128,8 @@ type Session struct {
 	// session; on replay it is a sealed, shared template and is read-only.
 	tpl *Template
 	// replay marks a session executing a sealed template: the IR is shared
-	// with concurrent executions and must not be written (no Took stamps,
-	// no placeholder adoption).
+	// with concurrent executions and must not be written (no placeholder
+	// adoption).
 	replay bool
 
 	// --- builder state (idle on replay) ---
@@ -161,12 +161,8 @@ type Session struct {
 	nextID  int
 	nextTmp int
 
-	// verify enables the plan-IR verifier (verify.go): every rewritten
-	// fragment is checked after each pass, and replayed templates are
-	// verified once per sealed Template. Defaults to DefaultVerify() (on in
-	// test binaries, off elsewhere); vstate is the committed cross-fragment
-	// verifier state, nil until the first check.
-	verify bool
+	// vstate is the plan-IR verifier's committed cross-fragment state
+	// (verify.go); nil until the build's first check, and always on replay.
 	vstate *verifier
 
 	// --- per-execution state ---
@@ -209,7 +205,6 @@ func NewSession(o ops.Operators) *Session {
 		paramIdx:     map[string]int{},
 		env:          map[*bat.BAT]*bat.BAT{},
 		released:     map[*bat.BAT]bool{},
-		verify:       DefaultVerify(),
 	}
 }
 

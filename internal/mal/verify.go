@@ -8,20 +8,18 @@
 // so a bad pass edit surfaces as a diagnostic instead of a wrong answer
 // three layers down.
 //
-// Cost model: verification is on by default in test binaries (every
-// equivalence suite proves the invariants for free) and off in production
-// binaries and benches unless -verify is given. Cached-template replays
-// never re-verify per execution: a sealed Template is verified at most once
-// (at seal time if the building session verified, else lazily on the first
-// verified replay), so PlanCache hits pay nothing.
+// Verification is always on: every plan build checks each pass's output,
+// in test binaries and production binaries alike, and there is no switch to
+// turn it off. A sealed Template is therefore verified by construction —
+// it holds exactly the fragments the build proved, plus pins sealing may
+// move, which placeObserved re-checks against the pin rule — so replays
+// never enter the verifier and PlanCache hits pay nothing for it.
 package mal
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"testing"
 
 	"repro/internal/bat"
 	"repro/internal/hybrid"
@@ -33,7 +31,8 @@ type VerifyError struct {
 	// Pass is the rewriter stage after which the violation was detected
 	// ("bind", "cse", "cand-first", "dce", "fuse", "sync-insert", "placement",
 	// "release-insert", "pipeline" for the final whole-fragment check when
-	// early release is off, or "template" for sealed-template verification).
+	// early release is off, or "seal" for the re-check of the pins sealing
+	// moved).
 	Pass string
 	// Rule names the violated invariant (e.g. "def-before-use",
 	// "use-after-release", "pin-resolvable", "fused-single-exit").
@@ -74,43 +73,13 @@ const (
 	vAll = vData | vFuse | vSync | vPin | vRel
 )
 
-// defaultVerify gates verification for newly created sessions (and template
-// replays). Test binaries default on — every equivalence suite doubles as
-// an invariant proof — production binaries and benches default off.
-var defaultVerify atomic.Bool
-
-func init() { defaultVerify.Store(testing.Testing()) }
-
-// SetDefaultVerify sets the process-wide verification default picked up by
-// NewSession and template replays (Session.SetVerify overrides per session;
-// the -verify CLI flags route here).
-func SetDefaultVerify(on bool) { defaultVerify.Store(on) }
-
-// DefaultVerify reports the process-wide verification default.
-func DefaultVerify() bool { return defaultVerify.Load() }
-
-// verifyRuns counts completed verifier executions (one per verified
-// fragment during a build, one per sealed-template verification). Benches
-// assert the count stays flat across cached replays: verify-once-per-
-// template means PlanCache hits never pay verification.
-var verifyRuns atomic.Int64
-
-// VerifyRuns returns how many verifier executions have run process-wide.
-func VerifyRuns() int64 { return verifyRuns.Load() }
-
-// SetVerify overrides the process-wide verification default for this
-// session. Call it before the first operator call of the plan; the setting
-// also decides whether the session's sealed Template is marked pre-verified.
-func (s *Session) SetVerify(on bool) { s.verify = on }
-
 // verifier is the committed cross-fragment state: what earlier (already
-// checked and executed) fragments of this plan produced, released and
-// synced. Fragment checks are pure against it; vcommit merges a fragment in
-// only after the whole fragment passed.
+// checked and executed) fragments of this plan produced and released.
+// Fragment checks are pure against it; vcommit merges a fragment in only
+// after the whole fragment passed.
 type verifier struct {
 	produced map[*bat.BAT]bool // canonical plan values produced by committed fragments
 	released map[*bat.BAT]bool // canonical values released by committed fragments
-	synced   map[*bat.BAT]bool // canonical values synced by committed fragments
 	slotProd map[int]bool      // group-count slots with a committed producing Group
 	frags    int               // committed fragment count (== next fragment index)
 }
@@ -120,7 +89,6 @@ func (s *Session) vstateInit() *verifier {
 		s.vstate = &verifier{
 			produced: map[*bat.BAT]bool{},
 			released: map[*bat.BAT]bool{},
-			synced:   map[*bat.BAT]bool{},
 			slotProd: map[int]bool{},
 		}
 	}
@@ -131,9 +99,6 @@ func (s *Session) vstateInit() *verifier {
 // a violation. It does not commit fragment state — flush calls it once per
 // pass over the evolving batch, then vcommit once with the final batch.
 func (s *Session) vcheck(pass string, batch []*PInstr, outputs []*bat.BAT, rules vRules) {
-	if !s.verify {
-		return
-	}
 	if err := s.checkFragment(pass, batch, outputs, rules, false); err != nil {
 		panic(abort{err})
 	}
@@ -143,38 +108,25 @@ func (s *Session) vcheck(pass string, batch []*PInstr, outputs []*bat.BAT, rules
 // then merges it into the committed cross-fragment state. final marks the
 // plan's last flush, where release coverage is total.
 func (s *Session) vcommit(pass string, batch []*PInstr, outputs []*bat.BAT, final bool) {
-	if !s.verify {
-		return
-	}
 	if err := s.checkFragment(pass, batch, outputs, vAll, final); err != nil {
 		panic(abort{err})
 	}
-	verifyRuns.Add(1)
-	s.vmerge(batch)
-}
-
-// vmerge commits one checked fragment into the cross-fragment state.
-func (s *Session) vmerge(batch []*PInstr) {
 	v := s.vstateInit()
 	for _, in := range batch {
-		switch in.Kind {
-		case OpRelease:
+		if in.Kind == OpRelease {
 			if len(in.Args) > 0 && in.Args[0] != nil {
 				v.released[s.canon(in.Args[0])] = true
 			}
-		case OpSync:
-			if len(in.Args) > 0 && in.Args[0] != nil {
-				v.synced[s.canon(in.Args[0])] = true
-			}
-		default:
-			// Fused interiors are deliberately not recorded: only the
-			// region's exit values (in.Rets) are addressable outside it.
-			for _, r := range in.Rets {
-				v.produced[s.canon(r)] = true
-			}
-			if in.Kind == OpGroup && in.NSlot >= 0 {
-				v.slotProd[in.NSlot] = true
-			}
+			continue
+		}
+		// Fused interiors are deliberately not recorded: only the region's
+		// exit values (in.Rets) are addressable outside it. Sync
+		// instructions return nothing.
+		for _, r := range in.Rets {
+			v.produced[s.canon(r)] = true
+		}
+		if in.Kind == OpGroup && in.NSlot >= 0 {
+			v.slotProd[in.NSlot] = true
 		}
 	}
 	v.frags++
@@ -591,20 +543,6 @@ func (s *Session) checkGroupChain(batch []*PInstr, i int, in *PInstr, interior m
 	return nil
 }
 
-// verifyOnce verifies the sealed template at most once, caching the verdict
-// across all replays (the verify-once-per-template contract: PlanCache hits
-// never pay verification). s is any replay session of this template.
-func (t *Template) verifyOnce(s *Session) error {
-	t.vmu.Lock()
-	defer t.vmu.Unlock()
-	if t.vdone {
-		return t.verr
-	}
-	t.vdone = true
-	t.verr = s.verifyTemplate()
-	return t.verr
-}
-
 // syncArgs reconstructs a fragment's host-boundary outputs from its Sync
 // instructions.
 func syncArgs(batch []*PInstr) []*bat.BAT {
@@ -615,33 +553,4 @@ func syncArgs(batch []*PInstr) []*bat.BAT {
 		}
 	}
 	return out
-}
-
-// verifyTemplate re-proves the invariants over the sealed fragments: each
-// fragment is checked (outputs reconstructed from its Sync instructions)
-// and committed, then the result columns are checked to be base values or
-// synced plan values.
-func (s *Session) verifyTemplate() error {
-	verifyRuns.Add(1)
-	t := s.tpl
-	s.vstate = nil // fresh committed state for the template walk
-	for fi, frag := range t.frags {
-		final := fi == len(t.frags)-1 && len(t.cols) > 0
-		if err := s.checkFragment("template", frag, syncArgs(frag), vAll, final); err != nil {
-			return err
-		}
-		s.vmerge(frag)
-	}
-	v := s.vstateInit()
-	for _, c := range t.cols {
-		cc := s.canon(c)
-		if t.isPH[cc] && !v.synced[cc] {
-			return &VerifyError{
-				Pass: "template", Rule: "sync-before-host-boundary",
-				Frag: len(t.frags) - 1, Instr: -1,
-				Detail: fmt.Sprintf("result column %q is a plan value no fragment syncs", cc.Name),
-			}
-		}
-	}
-	return nil
 }

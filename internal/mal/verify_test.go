@@ -1,8 +1,7 @@
 // Negative-path verifier tests: hand-built broken plans, each of which the
 // verifier must reject with the expected rule name; plus the regression
 // test that a verifier failure surfaced through RunQuery carries structured
-// pass/fragment/instruction context, and the verify-once-per-template
-// contract the bench figures assert.
+// pass/fragment/instruction context.
 package mal
 
 import (
@@ -34,9 +33,7 @@ func vtRelease(s *Session, b *bat.BAT) *PInstr {
 
 func vtSession(t *testing.T, cfg Config) *Session {
 	t.Helper()
-	s := NewSession(cfg.Build(ConfigOptions{}))
-	s.verify = true
-	return s
+	return NewSession(cfg.Build(ConfigOptions{}))
 }
 
 func wantRule(t *testing.T, e *VerifyError, rule string) {
@@ -117,7 +114,6 @@ func TestVerifyErrorCarriesPassFragmentInstruction(t *testing.T) {
 	o := MS.Build(ConfigOptions{})
 	base := bat.NewI32("base", make([]int32, 8))
 	s := NewSession(o)
-	s.SetVerify(true)
 	_, err := RunQuery(s, func(s *Session) *Result {
 		sel := s.Select(base, nil, 0, 4, true, true)
 		s.Aggr(ops.Sum, sel, nil, -9) // bogus group-count handle
@@ -135,52 +131,6 @@ func TestVerifyErrorCarriesPassFragmentInstruction(t *testing.T) {
 	}
 	if ve.Frag != 0 || ve.Instr < 0 || ve.Op != "sum" {
 		t.Errorf("context = frag %d instr %d op %q, want frag 0, a real instruction index, op sum", ve.Frag, ve.Instr, ve.Op)
-	}
-}
-
-func TestVerifyOncePerTemplate(t *testing.T) {
-	o := OcelotCPU.Build(ConfigOptions{})
-	base := bat.NewI32("base", make([]int32, 64))
-	plan := func(s *Session) *Result {
-		hi := s.Param("hi", 40)
-		sel := s.Select(base, nil, 0, hi, true, true)
-		return s.Result([]string{"n"}, s.Aggr(ops.Count, sel, nil, 0))
-	}
-
-	// A verifying build pre-verifies the sealed template: N replays add
-	// zero verifier runs (the property the par/fus bench figures assert).
-	s := NewSession(o)
-	s.SetVerify(true)
-	if _, err := RunQuery(s, plan); err != nil {
-		t.Fatal(err)
-	}
-	tpl := s.Template()
-	v0 := VerifyRuns()
-	for i := 0; i < 5; i++ {
-		if _, err := tpl.Run(o, Params{"hi": float64(10 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := VerifyRuns() - v0; d != 0 {
-		t.Fatalf("replays of a seal-verified template ran the verifier %d times, want 0", d)
-	}
-
-	// A template sealed by a non-verifying build is verified exactly once,
-	// on the first verified replay; the verdict is cached for the rest.
-	s2 := NewSession(o)
-	s2.SetVerify(false)
-	if _, err := RunQuery(s2, plan); err != nil {
-		t.Fatal(err)
-	}
-	tpl2 := s2.Template()
-	v1 := VerifyRuns()
-	for i := 0; i < 5; i++ {
-		if _, err := tpl2.Run(o, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := VerifyRuns() - v1; d != 1 {
-		t.Fatalf("replays of an unverified template ran the verifier %d times, want exactly 1", d)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestDeviceLostMidPlanRetriesOnce(t *testing.T) {
 	// Pin every operator to the GPU so the mid-plan intermediate is
 	// device-resident; once the device dies the pin degrades to an unpinned
 	// call, which runs on the CPU.
-	sv := New(hyb.On(gpu.Label), Options{MaxConcurrent: 2, NoCache: true})
+	sv := New(hyb.On(gpu.Label), Options{MaxConcurrent: 2})
 
 	vals := mem.AllocI32(500_000)
 	for i := range vals {
@@ -172,7 +172,7 @@ func TestKillEachDeviceInTurn(t *testing.T) {
 	// Pin the plan to the victim so real mid-plan work is on the card when
 	// it dies; after the death the pin degrades to an unpinned call, which
 	// runs on the CPU.
-	sv := New(hyb.On(victim.Label), Options{MaxConcurrent: 2, NoCache: true})
+	sv := New(hyb.On(victim.Label), Options{MaxConcurrent: 2})
 	victim.Eng.Device().InjectFaults(cl.FaultPlan{DieAtCommand: 3})
 
 	res, err := sv.ExecuteCtx(context.Background(), victim.Label, nil, plan)

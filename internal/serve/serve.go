@@ -56,10 +56,6 @@ type Options struct {
 	// Passes is the rewriter pass configuration for every plan; the zero
 	// value selects mal.DefaultPasses.
 	Passes *mal.Passes
-	// NoCache disables the rewritten-plan cache: every request builds and
-	// rewrites its plan from scratch (ablation and tests). Implies
-	// NoCoalesce: without templates there is nothing to share.
-	NoCache bool
 	// NoCoalesce disables single-flighting identical in-flight queries, so
 	// every request executes independently (ablation, and tests that assert
 	// exact execution counts).
@@ -105,7 +101,7 @@ type QueryStats struct {
 // configuration.
 type Server struct {
 	o      ops.Operators
-	cache  *mal.PlanCache // nil under Options.NoCache
+	cache  *mal.PlanCache
 	passes mal.Passes
 
 	// vers is the catalog the plan cache and the flights read; Ingest
@@ -114,7 +110,8 @@ type Server struct {
 	// ingestMu orders Ingest against plan builds. Ingest holds the write
 	// side across its apply and its publish; every build holds the read
 	// side across its plan closure, which resolves base columns live
-	// (bat.Table.Col), and reads the catalog version it records under it.
+	// (bat.Table.Col), and reads the catalog version it records under it
+	// (the plan cache's guard).
 	// Replays take no lock: a template holds the column snapshots its build
 	// resolved.
 	ingestMu sync.RWMutex
@@ -169,13 +166,11 @@ func New(o ops.Operators, opt Options) *Server {
 		vers:     &mal.Catalog{},
 		sem:      make(chan struct{}, opt.MaxConcurrent),
 		maxQ:     int64(opt.MaxQueued),
-		coalesce: !opt.NoCoalesce && !opt.NoCache,
+		coalesce: !opt.NoCoalesce,
 		flights:  map[string]*flight{},
 		stats:    map[string]*QueryStats{},
 	}
-	if !opt.NoCache {
-		sv.cache = mal.NewPlanCacheFor(sv.vers, sv.ingestMu.RLocker())
-	}
+	sv.cache = mal.NewPlanCacheFor(sv.vers, sv.ingestMu.RLocker())
 	return sv
 }
 
@@ -352,35 +347,20 @@ func (sv *Server) abandonFlight(key string, fl *flight) {
 	close(fl.done)
 }
 
-// runOn executes the plan on the server's engine, its template cached
-// under name. A build without a cache holds the ingest lock's read side
-// across the plan closure itself; the cache takes it through its guard.
-func (sv *Server) runOn(name string, params mal.Params, plan func(*mal.Session) *mal.Result) (*mal.Result, bool, error) {
-	if sv.cache != nil {
-		return sv.cache.Run(sv.o, name, params, sv.passes, plan)
-	}
-	s := mal.NewSession(sv.o)
-	s.SetPasses(sv.passes)
-	s.SetParams(params)
-	res, err := mal.RunQuery(s, func(s *mal.Session) *mal.Result {
-		sv.ingestMu.RLock()
-		defer sv.ingestMu.RUnlock()
-		return plan(s)
-	})
-	return res, false, err
-}
-
-// runWithRetry is runOn plus the device-loss replay: a device that died
-// mid-plan took the plan's intermediates with it, but it is latched dead,
-// so one replay routes around it (hybrid pick/placement skip dead devices;
-// base data lives on the host).
+// runWithRetry executes the plan on the server's engine, its template
+// cached under name (a build takes the ingest lock's read side through the
+// cache's guard), with one device-loss replay: a device that died mid-plan
+// took the plan's intermediates with it, but it is latched dead, so one
+// replay routes around it (hybrid pick/placement skip dead devices; base
+// data lives on the host). A failed build caches nothing, so the replay
+// rebuilds.
 func (sv *Server) runWithRetry(name string, params mal.Params, plan func(*mal.Session) *mal.Result) (res *mal.Result, hit bool, err error) {
-	res, hit, err = sv.runOn(name, params, plan)
+	res, hit, err = sv.cache.Run(sv.o, name, params, sv.passes, plan)
 	if err != nil && errors.Is(err, cl.ErrDeviceLost) {
 		sv.mu.Lock()
 		sv.statLocked(name).Retries++
 		sv.mu.Unlock()
-		res, hit, err = sv.runOn(name, params, plan)
+		res, hit, err = sv.cache.Run(sv.o, name, params, sv.passes, plan)
 	}
 	return res, hit, err
 }
@@ -434,12 +414,8 @@ func (sv *Server) note(name string, start time.Time, res *mal.Result, hit bool, 
 	}
 }
 
-// CacheStats returns plan-cache hits, misses and resident templates (zeros
-// when the cache is disabled).
+// CacheStats returns plan-cache hits, misses and resident templates.
 func (sv *Server) CacheStats() (hits, misses int64, size int) {
-	if sv.cache == nil {
-		return 0, 0, 0
-	}
 	return sv.cache.Stats()
 }
 

@@ -273,24 +273,6 @@ func TestServeStatsAndCacheHits(t *testing.T) {
 	}
 }
 
-// TestServeNoCacheRebuilds: with the cache disabled every request builds
-// its plan.
-func TestServeNoCacheRebuilds(t *testing.T) {
-	d := testDB()
-	sv := New(mal.MS.Build(engineOpts()), Options{MaxConcurrent: 2, NoCache: true})
-	q := tpch.QueryByNum(6)
-	for i := 0; i < 2; i++ {
-		if _, err := sv.Execute("Q6", nil, func(s *mal.Session) *mal.Result {
-			return q.Plan(s, d)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := sv.Stats()["Q6"]; st.CacheHits != 0 || st.Runs != 2 {
-		t.Fatalf("stats = %+v, want 2 uncached runs", st)
-	}
-}
-
 // TestAdmissionCapRejectsOverload: with one execution slot and one queue
 // slot, a burst must see rejections with ErrOverloaded while admitted
 // requests complete; nothing deadlocks.
@@ -405,9 +387,9 @@ func TestNDeviceHybridConcurrentPlacementAccounting(t *testing.T) {
 		t.Fatalf("want a two-device engine, got %v", labels)
 	}
 
-	// One sequential run (plan cache off — replays keep the same pinned
-	// instruction count, but the count is simplest to read off a fresh
-	// session) to learn the per-operator pin totals of Q6.
+	// One sequential run outside the server to learn the per-operator pin
+	// totals of Q6: the server's build pins the same instructions, and its
+	// replays run the template's pins, one per pinned instruction too.
 	q := tpch.QueryByNum(6)
 	plan := func(s *mal.Session) *mal.Result { return q.Plan(s, db) }
 	s := mal.NewSession(o)
@@ -424,7 +406,8 @@ func TestNDeviceHybridConcurrentPlacementAccounting(t *testing.T) {
 	before := h.Placements()
 
 	const sessions, rounds = 6, 4
-	sv := New(o, Options{MaxConcurrent: sessions, NoCache: true})
+	// NoCoalesce: every request executes, so each adds its run's pins.
+	sv := New(o, Options{MaxConcurrent: sessions, NoCoalesce: true})
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions*rounds)
 	for c := 0; c < sessions; c++ {

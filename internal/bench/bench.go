@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -240,14 +239,4 @@ func invalidateHash(o ops.Operators, col *bat.BAT) {
 	if eng, ok := o.(*core.Engine); ok {
 		eng.InvalidateHash(col)
 	}
-}
-
-// sortedKeys returns map keys in sorted order (stable table output).
-func sortedKeys[M ~map[string][]float64](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -11,8 +11,8 @@ import (
 //
 // OpenCL 1.1 provides no atomic operations on floating-point data; the paper
 // emulates them "through atomic compare-and-swap operations on integer
-// values" (§4.1.7, footnote 7). AtomicAddF32/AtomicMinF32/AtomicMaxF32
-// reproduce exactly that bit-cast CAS loop.
+// values" (§4.1.7, footnote 7). AtomicMinF32/AtomicMaxF32 reproduce exactly
+// that bit-cast CAS loop.
 
 // AtomicAddI32 atomically adds delta to *p and returns the new value.
 func AtomicAddI32(p *int32, delta int32) int32 {
@@ -68,19 +68,6 @@ func AtomicOrU32(p *uint32, v uint32) {
 }
 
 func f32bits(p *float32) *uint32 { return (*uint32)(unsafe.Pointer(p)) }
-
-// AtomicAddF32 atomically adds delta to the float32 at *p using the CAS
-// emulation on the integer bit pattern (§4.1.7 footnote 7).
-func AtomicAddF32(p *float32, delta float32) {
-	bp := f32bits(p)
-	for {
-		oldBits := atomic.LoadUint32(bp)
-		newBits := math.Float32bits(math.Float32frombits(oldBits) + delta)
-		if atomic.CompareAndSwapUint32(bp, oldBits, newBits) {
-			return
-		}
-	}
-}
 
 // AtomicMinF32 atomically stores min(*p, v) via the CAS emulation.
 func AtomicMinF32(p *float32, v float32) {

@@ -103,7 +103,9 @@ func TestSpanCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestGroupAndLocalSpanCover(t *testing.T) {
+// TestGroupSpanCover: the work-groups' spans, each strided across its
+// work-items, visit every element exactly once.
+func TestGroupSpanCover(t *testing.T) {
 	for _, dev := range devices() {
 		const n = 5003
 		ctx := NewContext(dev)
@@ -111,9 +113,8 @@ func TestGroupAndLocalSpanCover(t *testing.T) {
 		buf, _ := ctx.CreateBuffer(4 * n)
 		s := buf.I32()
 		ev := q.EnqueueKernel(func(th *Thread) {
-			glo, ghi := th.GroupSpan(n)
-			lo, hi, step := th.LocalSpan(glo, ghi)
-			for i := lo; i < hi; i += step {
+			lo, hi := th.GroupSpan(n)
+			for i := lo + th.Local; i < hi; i += th.LocalSize {
 				AtomicAddI32(&s[i], 1)
 			}
 		}, Launch{Name: "groupcover"})
@@ -146,10 +147,9 @@ func TestBarrierAndLocalMemoryReduction(t *testing.T) {
 		partial := out.I32()
 		ev := q.EnqueueKernel(func(th *Thread) {
 			lmem := th.LocalI32()
-			glo, ghi := th.GroupSpan(n)
-			lo, hi, step := th.LocalSpan(glo, ghi)
+			lo, hi := th.GroupSpan(n)
 			var sum int32
-			for i := lo; i < hi; i += step {
+			for i := lo + th.Local; i < hi; i += th.LocalSize {
 				sum += src[i]
 			}
 			lmem[th.Local] = sum
@@ -402,23 +402,28 @@ func TestDependentTransferWaitsOnVirtualTimeline(t *testing.T) {
 	}
 }
 
+// TestAtomicsF32EmulationConcurrent: the CAS emulation of float min and max
+// (§4.1.7 footnote 7) keeps the extreme of values many work-items race to
+// store.
 func TestAtomicsF32EmulationConcurrent(t *testing.T) {
 	ctx := NewContext(NewCPUDevice(4))
 	q := NewQueue(ctx)
-	buf, _ := ctx.CreateBuffer(4)
+	buf, _ := ctx.CreateBuffer(8)
 	acc := buf.F32()
+	acc[0], acc[1] = 0, 0
 	const n = 100000
 	ev := q.EnqueueKernel(func(th *Thread) {
 		lo, hi, step := th.Span(n)
 		for i := lo; i < hi; i += step {
-			AtomicAddF32(&acc[0], 1)
+			AtomicMaxF32(&acc[0], float32(i))
+			AtomicMinF32(&acc[1], -float32(i))
 		}
-	}, Launch{Name: "f32add"})
+	}, Launch{Name: "f32minmax"})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if acc[0] != n {
-		t.Fatalf("atomic float add = %v, want %d", acc[0], n)
+	if acc[0] != n-1 || acc[1] != -(n-1) {
+		t.Fatalf("atomic float max/min = %v/%v, want %d/%d", acc[0], acc[1], n-1, -(n - 1))
 	}
 }
 

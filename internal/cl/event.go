@@ -45,9 +45,12 @@ type Event struct {
 	// pending starts at 1 (the enqueue guard) plus one per registered
 	// dependency; whichever decrement reaches zero fires the command, exactly
 	// once. depErr (guarded by mu) is the first error among the dependencies.
+	// cleanup marks a command whose work runs whatever its dependencies and
+	// the device did (EnqueueCleanup).
 	q       *Queue
 	work    func() error
 	launch  *launchRun
+	cleanup bool
 	pending atomic.Int32
 	depErr  error
 }

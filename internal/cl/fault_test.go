@@ -111,3 +111,28 @@ func TestFaultErrorPropagatesThroughDependents(t *testing.T) {
 	}
 	_ = q.Finish()
 }
+
+// TestCleanupRunsAfterFailure: a cleanup command runs after a failed
+// dependency and on a device that died at it, where a host command would
+// only report the failure.
+func TestCleanupRunsAfterFailure(t *testing.T) {
+	dev := NewGPUDevice(64 << 20)
+	ctx := NewContext(dev)
+	q := NewQueue(ctx)
+	buf, err := ctx.CreateBuffer(4 * 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.InjectFaults(FaultPlan{DieAtCommand: 1})
+	bad := q.EnqueueWrite(buf, mem.BytesOfU32([]uint32{1, 2, 3, 4}), nil)
+	ran := 0
+	host := q.EnqueueHost("host", func() error { ran++; return nil }, []*Event{bad})
+	if err := host.Wait(); !errors.Is(err, ErrDeviceLost) || ran != 0 {
+		t.Fatalf("host command after a failure: err %v, ran %d; want ErrDeviceLost and not run", err, ran)
+	}
+	cleanup := q.EnqueueCleanup("cleanup", func() { ran++ }, []*Event{bad})
+	if err := cleanup.Wait(); err != nil || ran != 1 {
+		t.Fatalf("cleanup after a failure on a dead device: err %v, ran %d; want nil and run once", err, ran)
+	}
+	_ = q.Finish()
+}

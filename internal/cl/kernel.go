@@ -107,8 +107,8 @@ func (t *Thread) ChunkSpan(n int) (lo, hi int) {
 
 // GroupSpan partitions n elements contiguously across work-groups and
 // returns this group's [lo, hi) range. Kernels that build per-group partial
-// results (histograms, partial aggregates) first take their group's range,
-// then subdivide it with LocalSpan.
+// results (histograms, partial aggregates) take their group's range and
+// stride it across the group's work-items.
 func (t *Thread) GroupSpan(n int) (lo, hi int) {
 	chunk := (n + t.NumGroups - 1) / t.NumGroups
 	lo = t.Group * chunk
@@ -120,28 +120,6 @@ func (t *Thread) GroupSpan(n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// LocalSpan partitions the half-open range [lo, hi) across the work-items of
-// this group using the device-preferred access pattern.
-func (t *Thread) LocalSpan(lo, hi int) (ilo, ihi, step int) {
-	n := hi - lo
-	if n <= 0 {
-		return lo, lo, 1
-	}
-	if t.Const.Class == ClassGPU {
-		return lo + t.Local, hi, t.LocalSize
-	}
-	chunk := (n + t.LocalSize - 1) / t.LocalSize
-	ilo = lo + t.Local*chunk
-	ihi = ilo + chunk
-	if ilo > hi {
-		ilo = hi
-	}
-	if ihi > hi {
-		ihi = hi
-	}
-	return ilo, ihi, 1
 }
 
 // Barrier synchronises all work-items of the group. The launch must have

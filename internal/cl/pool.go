@@ -306,7 +306,7 @@ func runCommands(c *Event) {
 		derr := c.depErr
 		c.mu.Unlock()
 		switch {
-		case derr != nil:
+		case derr != nil && !c.cleanup:
 			err = fmt.Errorf("%s: dependency failed: %w", c.name, derr)
 		case c.launch != nil:
 			c.launch.start = time.Now()

@@ -91,17 +91,18 @@ func (q *Queue) forget(ev *Event, err error) {
 // — work, or for a kernel launch — runs, measuring real time on real devices,
 // as soon as its last dependency completes; with no incomplete dependencies
 // it is fired immediately onto the device's worker pool. No goroutine is
-// parked waiting for dependencies.
-func (q *Queue) submit(name string, deps []*Event, virtDur time.Duration, copyEngine bool, work func() error, launch *launchRun) *Event {
-	if ferr := q.dev.faultCommand(); ferr != nil {
+// parked waiting for dependencies. c carries the command half (name, and
+// work or launch); submit owns it from here.
+func (q *Queue) submit(c *Event, deps []*Event, virtDur time.Duration, copyEngine bool) *Event {
+	c.q = q
+	if ferr := q.dev.faultCommand(); ferr != nil && !c.cleanup {
 		// The command is scheduled normally but its work is replaced by the
 		// injected failure, so dependents and Finish observe it through the
 		// ordinary dependency-error propagation.
-		work, launch = func() error { return ferr }, nil
+		c.work, c.launch = func() error { return ferr }, nil
 	}
-	c := &Event{name: name, q: q, work: work, launch: launch}
-	if launch != nil {
-		launch.ev = c
+	if c.launch != nil {
+		c.launch.ev = c
 	}
 	if q.dev.Simulated {
 		ready := depsReady(deps)
@@ -154,7 +155,7 @@ func (q *Queue) EnqueueKernel(fn KernelFunc, l Launch) *Event {
 		virt = q.dev.Perf.KernelDuration(l.Cost)
 	}
 	r := newLaunchRun(q.dev, fn, l)
-	return q.submit(r.name, l.Wait, virt, false, nil, r)
+	return q.submit(&Event{name: r.name, launch: r}, l.Wait, virt, false)
 }
 
 // EnqueueWrite copies host bytes into a device buffer. On zero-copy buffers
@@ -193,10 +194,10 @@ func (q *Queue) EnqueueCopy(dst, src *Buffer, wait []*Event) *Event {
 		virt = time.Duration(float64(2*src.size) / q.dev.Perf.MemBandwidth * float64(time.Second))
 	}
 	dstData, srcData := dst.data, src.data
-	return q.submit("copy", wait, virt, false, func() error {
+	return q.submit(&Event{name: "copy", work: func() error {
 		copy(dstData, srcData)
 		return nil
-	}, nil)
+	}}, wait, virt, false)
 }
 
 // transfer implements the shared host↔device copy path with PCIe accounting
@@ -213,18 +214,27 @@ func (q *Queue) transfer(name string, buf *Buffer, host []byte, wait []*Event, w
 			virt = q.dev.Perf.TransferDuration(n)
 		}
 	}
-	return q.submit(name, wait, virt, true, work, nil)
+	return q.submit(&Event{name: name, work: work}, wait, virt, true)
 }
 
 // EnqueueHost schedules a host-side callback ordered by the wait-list. It
 // occupies no device engine time (virtual duration zero) and is used by the
 // runtime for bookkeeping that must respect the event graph.
 func (q *Queue) EnqueueHost(name string, fn func() error, wait []*Event) *Event {
-	return q.submit(name, wait, 0, false, fn, nil)
+	return q.submit(&Event{name: name, work: fn}, wait, 0, false)
+}
+
+// EnqueueCleanup schedules a host-side callback that runs once every event
+// in wait has completed, whether they succeeded or not, and also on a device
+// that has died: freeing bookkeeping must not depend on the hardware
+// answering (Kill). Scratch releases go through it, so a failed command
+// chain does not strand the buffers its commands used.
+func (q *Queue) EnqueueCleanup(name string, fn func(), wait []*Event) *Event {
+	return q.submit(&Event{name: name, work: func() error { fn(); return nil }, cleanup: true}, wait, 0, false)
 }
 
 // EnqueueMarker returns an event that completes when all the given events
 // have completed, without performing any work.
 func (q *Queue) EnqueueMarker(wait []*Event) *Event {
-	return q.submit("marker", wait, 0, false, func() error { return nil }, nil)
+	return q.submit(&Event{name: "marker", work: func() error { return nil }}, wait, 0, false)
 }

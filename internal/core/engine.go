@@ -20,9 +20,6 @@ type Engine struct {
 	ctx *cl.Context
 	q   *cl.Queue
 	mm  *MemoryManager
-	// profile, when set via SetProfile, drives algorithm selection (the
-	// §7 future-work hook); nil falls back to device-class defaults.
-	profile *Profile
 }
 
 // New creates an Ocelot engine on the given device.
@@ -91,12 +88,13 @@ func (e *Engine) spine() (*cl.Buffer, error) {
 // backing bytes are recycled through the Memory Manager's free-list, so ev
 // must postdate every command that reads or writes the buffers — which
 // every call site guarantees by passing the operator's final consumer event.
+// The releases run even if ev failed: an aborted plan leaves no scratch
+// behind.
 func (e *Engine) releaseAfter(ev *cl.Event, bufs ...*cl.Buffer) {
-	e.q.EnqueueHost("release_scratch", func() error {
+	e.q.EnqueueCleanup("release_scratch", func() {
 		for _, b := range bufs {
 			e.mm.Release(b)
 		}
-		return nil
 	}, []*cl.Event{ev})
 }
 

@@ -441,17 +441,6 @@ func BenchmarkBitmapOps(b *testing.B) {
 				panic("BenchmarkBitmapOps: " + b.Name() + " differs from the reference")
 			}
 		}
-		folded := func(b *testing.B, ev *cl.Event) int { return int(e.folded(b, sp, ev)) }
-		b.Run(fmt.Sprintf("and/sel=%g", sel), func(b *testing.B) {
-			run := func() *cl.Event { return BitmapAnd(e.q, d, x, y, sp, n, nil) }
-			got, want := folded(b, run()), 0
-			for i, w := range d.U32()[:nw] {
-				check(b, w == x.U32()[i]&y.U32()[i])
-				want += bits.OnesCount32(w)
-			}
-			check(b, got == want)
-			reportRows(b, n, run)
-		})
 		b.Run(fmt.Sprintf("or/sel=%g", sel), func(b *testing.B) {
 			run := func() *cl.Event { return BitmapOr(e.q, d, x, y, sp, n, nil) }
 			if err := run().Wait(); err != nil {

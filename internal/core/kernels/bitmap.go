@@ -259,34 +259,22 @@ func selectWords(q *cl.Queue, bm, cand, partials *cl.Buffer, filters []FusedPred
 	}, launch(q.Device(), name, cost, wait))
 }
 
-// BitmapAnd enqueues dst = a & b over the bitmaps of n rows, with the
-// per-item population counts in partials like every bitmap producer.
-func BitmapAnd(q *cl.Queue, dst, a, b, partials *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	return bitmapCombine(q, "bitmap_and", dst, a, b, partials, n, false, wait)
-}
-
 // BitmapOr enqueues dst = a | b — the ∨ combine of Figure 3's union of two
-// selection results.
+// selection results — with the per-item population counts in partials like
+// every bitmap producer.
 func BitmapOr(q *cl.Queue, dst, a, b, partials *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	return bitmapCombine(q, "bitmap_or", dst, a, b, partials, n, true, wait)
-}
-
-func bitmapCombine(q *cl.Queue, name string, dst, a, b, partials *cl.Buffer, n int, or bool, wait []*cl.Event) *cl.Event {
 	d, x, y, p := dst.U32(), a.U32(), b.U32(), partials.U32()
 	nw := BitmapWords(n)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(nw)
 		var sum int
 		for i := lo; i < hi; i += step {
-			v := x[i] & y[i]
-			if or {
-				v = x[i] | y[i]
-			}
+			v := x[i] | y[i]
 			d[i] = v
 			sum += bits.OnesCount32(v)
 		}
 		p[t.Global] = uint32(sum)
-	}, launch(q.Device(), name, cl.Cost{BytesStreamed: int64(BitmapBytes(n)) * 3}, wait))
+	}, launch(q.Device(), "bitmap_or", cl.Cost{BytesStreamed: int64(BitmapBytes(n)) * 3}, wait))
 }
 
 // FoldCount enqueues the sum of the gsz per-item population counts a bitmap

@@ -310,16 +310,13 @@ func TestSelectCmpKernel(t *testing.T) {
 	}
 }
 
-func TestBitmapOrAnd(t *testing.T) {
+func TestBitmapOr(t *testing.T) {
 	e := newEnv(cl.NewGPUDevice(64 << 20))
 	a := e.u32(t, []uint32{0x0F0F0F0F})
 	b := e.u32(t, []uint32{0x00FF00FF})
 	d, sp := e.buf(t, 2), e.scratch(t)
 	if got := e.folded(t, sp, BitmapOr(e.q, d, a, b, sp, 32, nil)); d.U32()[0] != 0x0FFF0FFF || got != 24 {
 		t.Fatalf("or = %#x, %d bits", d.U32()[0], got)
-	}
-	if got := e.folded(t, sp, BitmapAnd(e.q, d, a, b, sp, 32, nil)); d.U32()[0] != 0x000F000F || got != 8 {
-		t.Fatalf("and = %#x, %d bits", d.U32()[0], got)
 	}
 }
 
@@ -704,7 +701,7 @@ func TestRadixSort(t *testing.T) {
 		hist := e.buf(t, SortHistWords(dev)+1)
 		ev := TransformI32Keys(e.q, keys, col, n, nil)
 		ev = Iota(e.q, perm, n, 0, []*cl.Event{ev})
-		ev = SortU32(e.q, keys, perm, tmpK, tmpV, hist, n, []*cl.Event{ev})
+		ev = SortU32Bits(e.q, keys, perm, tmpK, tmpV, hist, n, RadixBits(e.dev), 32, []*cl.Event{ev})
 		if err := ev.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -734,7 +731,7 @@ func TestRadixSortF32Keys(t *testing.T) {
 	perm := e.buf(t, n+1)
 	ev := TransformF32Keys(e.q, keys, col, n, nil)
 	ev = Iota(e.q, perm, n, 0, []*cl.Event{ev})
-	ev = SortU32(e.q, keys, perm, e.buf(t, n+1), e.buf(t, n+1), e.buf(t, SortHistWords(e.dev)+1), n, []*cl.Event{ev})
+	ev = SortU32Bits(e.q, keys, perm, e.buf(t, n+1), e.buf(t, n+1), e.buf(t, SortHistWords(e.dev)+1), n, RadixBits(e.dev), 32, []*cl.Event{ev})
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +756,7 @@ func TestRadixSortProperty(t *testing.T) {
 		keys, perm := e.buf(t, n+1), e.buf(t, n+1)
 		ev := TransformI32Keys(e.q, keys, col, n, nil)
 		ev = Iota(e.q, perm, n, 0, []*cl.Event{ev})
-		ev = SortU32(e.q, keys, perm, e.buf(t, n+1), e.buf(t, n+1), e.buf(t, SortHistWords(e.dev)+1), n, []*cl.Event{ev})
+		ev = SortU32Bits(e.q, keys, perm, e.buf(t, n+1), e.buf(t, n+1), e.buf(t, SortHistWords(e.dev)+1), n, RadixBits(e.dev), 32, []*cl.Event{ev})
 		if ev.Wait() != nil {
 			return false
 		}

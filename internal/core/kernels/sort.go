@@ -124,20 +124,13 @@ func SortPass(q *cl.Queue, dstK, dstV, srcK, srcV, hist *cl.Buffer, n, shift, bi
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 8, Ops: int64(n)}, []*cl.Event{ev2}))
 }
 
-// SortU32 enqueues the full multi-pass radix sort of (keys, vals): after the
-// returned event, keys[:n] is ascending and vals carries the permuted
-// payload. tmpK/tmpV are ping-pong buffers of n words; hist as in SortPass.
-// The pass count is 32/RadixBits — constant in the input, linear scaling in
-// n (Figure 6).
-func SortU32(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
-	return SortU32Bits(q, keys, vals, tmpK, tmpV, hist, n, RadixBits(q.Device()), 32, wait)
-}
-
-// SortU32Bits is SortU32 with an explicit radix width — the knob behind the
-// device-dependent default, exposed for the radix-width ablation — and an
-// explicit key width: keys known to be below 2^keyBits need only
-// ⌈keyBits/bits⌉ passes, the digits above being zero in every key. hist must
-// hold (2^bits)·gsz+1 words.
+// SortU32Bits enqueues the multi-pass radix sort of (keys, vals) at radix
+// width bits (RadixBits is the device-class default): after the returned
+// event, keys[:n] is ascending and vals carries the permuted payload.
+// tmpK/tmpV are ping-pong buffers of n words; hist must hold (2^bits)·gsz+1
+// words. Keys known to be below 2^keyBits need only ⌈keyBits/bits⌉ passes,
+// the digits above being zero in every key — constant in the input, linear
+// scaling in n (Figure 6).
 func SortU32Bits(q *cl.Queue, keys, vals, tmpK, tmpV, hist *cl.Buffer, n, bits, keyBits int, wait []*cl.Event) *cl.Event {
 	srcK, srcV, ev := sortPasses(q, keys, vals, tmpK, tmpV, hist, n, bits, keyBits, wait)
 	if srcK != keys {

@@ -16,19 +16,14 @@ import (
 // automatically generating a device profile from standardized benchmarks."
 //
 // Calibrate runs a fixed set of micro-kernels on a device and records the
-// observed rates; the engine then uses the profile to pick between
-// alternative algorithms (today: the radix width of the sort operator,
-// replacing the hard-wired per-class constant) and the plan-level placement
-// pass (mal.Session.place) uses it to price operators across devices.
+// observed rates; the plan-level placement pass (mal.Session.place) uses
+// them to price operators across devices.
 type Profile struct {
 	// Device names the profiled device.
 	Device string
 	// ScanBandwidth is the streaming rate of a bandwidth-bound selection
 	// kernel, in bytes/second (placement's compute price).
 	ScanBandwidth float64
-	// SortRows maps radix widths (4 and 8 bits) to measured sort
-	// throughput in rows/second (RadixBits).
-	SortRows map[int]float64
 	// LaunchOverhead is the observed fixed cost of an empty kernel launch
 	// (placement's per-instruction price).
 	LaunchOverhead time.Duration
@@ -99,7 +94,7 @@ func Calibrate(dev *cl.Device) (*Profile, error) {
 func calibrate(dev *cl.Device) (*Profile, error) {
 	ctx := cl.NewContext(dev)
 	q := cl.NewQueue(ctx)
-	p := &Profile{Device: dev.Name, SortRows: map[int]float64{}}
+	p := &Profile{Device: dev.Name}
 	calibrationRows := calibRowsFor(dev)
 
 	alloc := func(words int) (*cl.Buffer, error) { return ctx.CreateBuffer(words * 4) }
@@ -170,44 +165,7 @@ func calibrate(dev *cl.Device) (*Profile, error) {
 	}
 	p.ScanBandwidth = rate(4*calibrationRows, d)
 
-	// Sort throughput at both candidate radix widths.
-	keys, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	tmpK, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	tmpV, err := alloc(calibrationRows + 1)
-	if err != nil {
-		return nil, err
-	}
-	_, _, gsz := kernels.Geometry(dev)
-	hist, err := alloc((1<<8)*gsz + 2)
-	if err != nil {
-		return nil, err
-	}
-	ku := keys.U32()
-	for _, bits := range []int{4, 8} {
-		bits := bits
-		if d, err = timeOp(2, func() *cl.Event {
-			for i := range ku[:calibrationRows] {
-				ku[i] = rnd.Uint32()
-			}
-			ev := kernels.Iota(q, vals, calibrationRows, 0, nil)
-			return kernels.SortU32Bits(q, keys, vals, tmpK, tmpV, hist, calibrationRows, bits, 32, []*cl.Event{ev})
-		}); err != nil {
-			return nil, err
-		}
-		p.SortRows[bits] = rate(calibrationRows, d)
-	}
-
-	for _, b := range []*cl.Buffer{col, bm, counts, keys, vals, tmpK, tmpV, hist} {
+	for _, b := range []*cl.Buffer{col, bm, counts} {
 		_ = b.Release()
 	}
 	return p, nil
@@ -220,41 +178,9 @@ func rate(units int, d time.Duration) float64 {
 	return float64(units) / d.Seconds()
 }
 
-// RadixBits returns the profile-selected sort radix width, falling back to
-// the device-class constant when the profile is inconclusive.
-func (p *Profile) RadixBits(dev *cl.Device) int {
-	best, bestRate := 0, 0.0
-	for bits, r := range p.SortRows {
-		if r > bestRate {
-			best, bestRate = bits, r
-		}
-	}
-	if best == 0 {
-		return kernels.RadixBits(dev)
-	}
-	return best
-}
-
 // String renders the profile for tools.
 func (p *Profile) String() string {
 	return fmt.Sprintf(
-		"profile(%s): scan %.1f GB/s, sort r4 %.1f / r8 %.1f Mrows/s, launch %v",
-		p.Device, p.ScanBandwidth/1e9, p.SortRows[4]/1e6, p.SortRows[8]/1e6, p.LaunchOverhead)
-}
-
-// SetProfile attaches a calibrated profile to the engine: the sort operator
-// then picks its radix width from measurement instead of the device-class
-// default — the first concrete instance of the paper's §7 "optimizer
-// selecting the best-fitting algorithm for the given device".
-func (e *Engine) SetProfile(p *Profile) { e.profile = p }
-
-// ProfileOf returns the engine's attached profile, if any.
-func (e *Engine) ProfileOf() *Profile { return e.profile }
-
-// sortRadixBits is the algorithm-selection hook used by Sort.
-func (e *Engine) sortRadixBits() int {
-	if e.profile != nil {
-		return e.profile.RadixBits(e.dev)
-	}
-	return kernels.RadixBits(e.dev)
+		"profile(%s): scan %.1f GB/s, launch %v",
+		p.Device, p.ScanBandwidth/1e9, p.LaunchOverhead)
 }

@@ -16,12 +16,6 @@ func TestCalibrateBothDevices(t *testing.T) {
 		if p.ScanBandwidth <= 0 || p.LaunchOverhead <= 0 {
 			t.Fatalf("%s: zero rates in %v", dev.Name, p)
 		}
-		if p.SortRows[4] <= 0 || p.SortRows[8] <= 0 {
-			t.Fatalf("%s: sort rates missing", dev.Name)
-		}
-		if bits := p.RadixBits(dev); bits != 4 && bits != 8 {
-			t.Fatalf("%s: profile picked radix %d", dev.Name, bits)
-		}
 		if !strings.Contains(p.String(), "scan") {
 			t.Fatalf("%s: profile rendering broken", dev.Name)
 		}
@@ -36,42 +30,6 @@ func TestCalibrateScalesToTinyDevice(t *testing.T) {
 	}
 	if p.ScanBandwidth <= 0 {
 		t.Fatal("tiny device produced an empty profile")
-	}
-}
-
-func TestProfileDrivesSortRadix(t *testing.T) {
-	// Attach a synthetic profile preferring 4-bit digits to a CPU engine
-	// (whose class default is 8) and verify sort still works and the
-	// selection hook honours the profile.
-	e := New(cl.NewCPUDevice(2))
-	if e.sortRadixBits() != 8 {
-		t.Fatalf("CPU default radix = %d, want 8", e.sortRadixBits())
-	}
-	e.SetProfile(&Profile{SortRows: map[int]float64{4: 100, 8: 50}})
-	if e.sortRadixBits() != 4 {
-		t.Fatalf("profile-selected radix = %d, want 4", e.sortRadixBits())
-	}
-	if e.ProfileOf() == nil {
-		t.Fatal("profile not attached")
-	}
-	col := i32Col("c", randI32(10000, 1<<20, 21))
-	sorted, _, err := e.Sort(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Sync(sorted); err != nil {
-		t.Fatal(err)
-	}
-	s := sorted.I32s()
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			t.Fatal("profile-radix sort produced unsorted output")
-		}
-	}
-	// Empty profile falls back to the class default.
-	e.SetProfile(&Profile{SortRows: map[int]float64{}})
-	if e.sortRadixBits() != 8 {
-		t.Fatal("empty profile must fall back to the class default")
 	}
 }
 

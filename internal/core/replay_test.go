@@ -67,7 +67,7 @@ func TestWarmReplayAllocations(t *testing.T) {
 
 // TestRecyclingKeepsAccountingExact: with buffers recycled through the
 // free-list, a closed session still leaves nothing behind. After
-// Session.Close and Finish the context's live buffers, the device's reserved
+// Execution.Close and Finish the context's live buffers, the device's reserved
 // bytes and the Memory Manager's registry are back at the baseline of the
 // warmed caches (base columns, cached hash tables) — recycled bytes hold no
 // device capacity — and FlushScratch empties the free-list, so a retired

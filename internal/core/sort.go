@@ -23,7 +23,7 @@ func (e *Engine) Sort(col *bat.BAT) (*bat.BAT, *bat.BAT, error) {
 		return nil, nil, err
 	}
 
-	bits := e.sortRadixBits()
+	bits := kernels.RadixBits(e.dev)
 	_, _, gsz := kernels.Geometry(e.dev)
 	sc := &scratchSet{mm: e.mm}
 	keys := sc.alloc(n + 1)

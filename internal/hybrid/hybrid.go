@@ -98,7 +98,6 @@ func New(threads int, gpuMem int64) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: calibrating %s: %w", label, err)
 		}
-		eng.SetProfile(prof)
 		h.devs = append(h.devs, &Dev{Eng: eng, Prof: prof, Label: label})
 	}
 	h.view = view{h: h}

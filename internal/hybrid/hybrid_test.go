@@ -50,9 +50,6 @@ func TestCalibratedProfiles(t *testing.T) {
 		t.Fatalf("simulated GPU (%.1f GB/s) should out-scan the CPU (%.1f GB/s)",
 			gpu.ScanBandwidth/1e9, cpu.ScanBandwidth/1e9)
 	}
-	if cpu.SortRows[8] <= 0 || cpu.SortRows[4] <= 0 {
-		t.Fatal("sort rates missing from profile")
-	}
 	if cpu.String() == "" || gpu.String() == "" {
 		t.Fatal("profile rendering empty")
 	}

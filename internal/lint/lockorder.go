@@ -19,16 +19,18 @@ import (
 // never spans the enclosing body.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "flag plan execution (Template.Run, Session methods, Server.Execute, engine calls) under the plan-cache or flight-map locks",
+	Doc:  "flag plan execution (Template.Run, Session and Execution methods, Server.Execute, engine calls) under the plan-cache or flight-map locks",
 	Run:  runLockOrder,
 }
 
-// sessionExecMethods are the Session entry points that execute or flush
-// plan fragments.
-var sessionExecMethods = map[string]bool{
-	"Result": true, "ScalarF": true, "ScalarI": true, "Sync": true,
-	"Close": true, "runTemplate": true, "execute": true, "flush": true,
-	"drain": true,
+// execMethods are the internal/mal methods that execute or flush plan
+// fragments, keyed by the type that declares them: a Session builds and
+// flushes, an Execution interprets and releases. A method is matched by its
+// declaring type, so an Execution method reached through the Session that
+// embeds it (s.Close()) is still flagged.
+var execMethods = map[string]map[string]bool{
+	"Session":   {"Result": true, "ScalarF": true, "ScalarI": true, "Sync": true, "flush": true, "drain": true},
+	"Execution": {"execute": true, "step": true, "run": true, "finish": true, "Close": true},
 }
 
 func runLockOrder(pass *Pass) error {
@@ -164,11 +166,10 @@ func execCall(pass *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	name := sel.Sel.Name
+	fn, _ := pass.Info.ObjectOf(sel.Sel).(*types.Func)
 	// Package-level mal.RunQuery.
-	if obj := pass.Info.ObjectOf(sel.Sel); obj != nil {
-		if f, ok := obj.(*types.Func); ok && f.Name() == "RunQuery" && pathHasSuffix(f.Pkg(), "internal/mal") {
-			return "RunQuery"
-		}
+	if fn != nil && fn.Name() == "RunQuery" && pathHasSuffix(fn.Pkg(), "internal/mal") {
+		return "RunQuery"
 	}
 	recv := pass.Info.TypeOf(sel.X)
 	switch {
@@ -180,8 +181,16 @@ func execCall(pass *Pass, call *ast.CallExpr) string {
 		return "PlanCache.Run"
 	case isNamed(recv, "internal/serve", "Server") && (name == "Execute" || name == "ExecuteCtx"):
 		return "Server." + name
-	case isNamed(recv, "internal/mal", "Session") && sessionExecMethods[name]:
-		return "Session." + name
+	}
+	if fn == nil {
+		return ""
+	}
+	if r := fn.Type().(*types.Signature).Recv(); r != nil {
+		for typ, methods := range execMethods {
+			if methods[name] && isNamed(r.Type(), "internal/mal", typ) {
+				return typ + "." + name
+			}
+		}
 	}
 	return ""
 }

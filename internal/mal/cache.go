@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/bat"
 	"repro/internal/ops"
@@ -90,9 +89,9 @@ func newTemplate(module string, passes Passes) *Template {
 }
 
 // Template seals and returns the session's plan template. Call it only
-// after the plan ran to completion (RunQuery returned without error); the
-// sealed template must not be executed through a session that is still
-// building.
+// after the plan ran to completion (RunQuery returned without error); from
+// then on the template replays through Template.Run, never through this
+// session.
 //
 // Sealing is also where placement sees the truth: the run that just
 // finished placed each fragment from the constant model, and now knows
@@ -139,7 +138,7 @@ func (s *Session) Template() *Template {
 }
 
 // placeObserved re-runs the placement pass over the whole finished plan with
-// every produced value priced at its observed length: the session's
+// every produced value priced at its observed length: the cold run's
 // environment still holds each result's descriptor, and a descriptor keeps
 // its length after Release. Fragments whose pins moved are proved against
 // the verifier's pin rule: this is a rewrite the build's checks never saw.
@@ -203,39 +202,42 @@ type scalarPatch struct {
 	hasLo, hasHi, hasC bool
 }
 
-// newExec creates the per-execution session that replays the template on o.
-func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
+// Run executes the template on o with the given parameter bindings,
+// skipping plan build and every rewriter pass: the stored fragments are
+// interpreted directly. It is safe to call concurrently — each call gets
+// its own Execution; the shared IR is read-only.
+func (t *Template) Run(o ops.Operators, params Params) (*Result, error) {
+	res, _, err := t.RunOn(o, params)
+	return res, err
+}
+
+// RunOn is Run returning the replay's Execution too, for its timings
+// (OpTime, PlanWall) and executed instructions (Plan). A replay records no
+// trace; EXPLAIN renders a cold run.
+func (t *Template) RunOn(o ops.Operators, params Params) (*Result, *Execution, error) {
 	if !t.sealed {
-		return nil, fmt.Errorf("mal: executing an unsealed template")
+		return nil, nil, fmt.Errorf("mal: executing an unsealed template")
 	}
 	if t.sealErr != nil {
-		return nil, t.sealErr
+		return nil, nil, t.sealErr
 	}
 	if o.Module() != t.module {
-		return nil, fmt.Errorf("mal: template bound to module %q, engine provides %q", t.module, o.Module())
+		return nil, nil, fmt.Errorf("mal: template bound to module %q, engine provides %q", t.module, o.Module())
 	}
 	if err := t.checkParams(params); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s := &Session{
-		o:        o,
-		module:   t.module,
-		passes:   t.passes,
-		tpl:      t,
-		replay:   true,
-		env:      map[*bat.BAT]*bat.BAT{},
-		released: map[*bat.BAT]bool{},
-		slots:    make([]int, t.nSlots),
-	}
-	for i := range s.slots {
-		s.slots[i] = -1
+	e := newExecution(o, t)
+	e.slots = make([]int, t.nSlots)
+	for i := range e.slots {
+		e.slots[i] = -1
 	}
 	for name, pv := range params {
 		for _, ref := range t.refsByName[name] {
-			if s.over == nil {
-				s.over = map[*PInstr]scalarPatch{}
+			if e.over == nil {
+				e.over = map[*PInstr]scalarPatch{}
 			}
-			p := s.over[ref.in]
+			p := e.over[ref.in]
 			switch ref.field {
 			case FieldLo:
 				p.lo, p.hasLo = pv, true
@@ -244,70 +246,17 @@ func (t *Template) newExec(o ops.Operators, params Params) (*Session, error) {
 			case FieldC:
 				p.c, p.hasC = pv, true
 			}
-			s.over[ref.in] = p
+			e.over[ref.in] = p
 		}
 	}
-	return s, nil
-}
-
-// Run executes the template on o with the given parameter bindings,
-// skipping plan build and every rewriter pass: the stored fragments are
-// interpreted directly. It is safe to call concurrently — each call gets
-// its own execution state; the shared IR is read-only.
-func (t *Template) Run(o ops.Operators, params Params) (res *Result, err error) {
-	s, err := t.newExec(o, params)
-	if err != nil {
-		return nil, err
-	}
-	return s.runTemplate()
-}
-
-// RunOn is Run returning the execution session too (tests and EXPLAIN of a
-// replayed plan).
-func (t *Template) RunOn(o ops.Operators, params Params) (*Result, *Session, error) {
-	s, err := t.newExec(o, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.runTemplate()
-	return res, s, err
-}
-
-// runTemplate interprets the sealed fragments and rebuilds the result set,
-// recovering plan aborts into errors exactly like RunQuery.
-func (s *Session) runTemplate() (res *Result, err error) {
-	t := s.tpl
-	defer s.Close()
-	defer func() {
-		if v := recover(); v != nil {
-			if a, ok := v.(abort); ok {
-				err = a.err
-				return
-			}
-			panic(v)
+	var res *Result
+	err := e.run(func() {
+		for _, frag := range t.frags {
+			e.execute(frag)
 		}
-	}()
-	for _, frag := range t.frags {
-		s.execute(frag)
-	}
-	if err := Finish(s.o); err != nil {
-		s.fail("finish", err)
-	}
-	if !s.firstExec.IsZero() {
-		s.lastExec = time.Now()
-	}
-	cols := make([]*bat.BAT, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = s.resultCol(c)
-	}
-	return &Result{Names: append([]string(nil), t.names...), Cols: cols}, nil
-}
-
-// resultCol maps a template result value to this execution's concrete BAT.
-func (s *Session) resultCol(c *bat.BAT) *bat.BAT {
-	conc := s.resolve(c)
-	s.checkResultCol(conc)
-	return conc
+		res = e.finish()
+	})
+	return res, &e, err
 }
 
 // PlanCache stores sealed templates keyed by query name, configuration and

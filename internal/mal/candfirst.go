@@ -156,7 +156,7 @@ func (c *candFirst) mk(in *PInstr) *bat.BAT {
 	if prev, ok := c.s.cseTab[key]; ok && c.placed[prev] {
 		return prev.Rets[0]
 	}
-	in.Module, in.NgrpRef, in.NSlot, in.Rets = c.s.module, -1, -1, []*bat.BAT{c.s.newPlaceholder()}
+	in.Module, in.NgrpRef, in.NSlot, in.Rets = c.s.tpl.module, -1, -1, []*bat.BAT{c.s.newPlaceholder()}
 	in.ID, c.s.nextID, c.s.cseTab[key], c.placed[in] = c.s.nextID, c.s.nextID+1, in, true
 	c.emit = append(c.emit, in)
 	return in.Rets[0]

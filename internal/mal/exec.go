@@ -1,10 +1,9 @@
-// The plan executor: interprets a rewritten plan fragment against the bound
-// ops.Operators implementation. Symbolic values (placeholder BATs) resolve
-// to the concrete BATs earlier instructions produced; sync instructions
-// hand results back to the host and fill the placeholders the plan code
-// holds (bat.AdoptFrom); release instructions free device state mid-plan.
-// The EXPLAIN trace is produced here, from the IR, rather than by ad-hoc
-// recording in the fluent API.
+// The plan executor: an Execution interprets rewritten plan fragments
+// against the bound ops.Operators implementation. Symbolic values
+// (placeholder BATs) resolve to the concrete BATs earlier instructions
+// produced; sync instructions hand results back to the host; release
+// instructions free device state mid-plan. The EXPLAIN trace is produced
+// here, from the IR, rather than by ad-hoc recording in the fluent API.
 //
 // The loop is serial, as MAL is between operators: one instruction at a
 // time, in plan order, so each device receives its commands in the order the
@@ -15,13 +14,14 @@
 // configuration a pinned instruction dispatches through the engine view
 // hybrid.Engine.On returns, so a pin lives exactly as long as one operator
 // call — no engine-global state, nothing to leak across plans or interleave
-// across concurrent sessions. Pins are fixed when the template is sealed
+// across concurrent executions. Pins are fixed when the template is sealed
 // (cache.go); no execution moves one.
 //
-// When the session replays a cached template (cache.go) the IR is shared
-// with other executions and treated as read-only: placeholders are not
-// adopted at sync points, and re-bound parameter scalars come from the
-// execution's patch table.
+// The executor never writes the IR: a sealed template's fragments are shared
+// by every concurrent replay, and re-bound parameter scalars come from the
+// execution's patch table. Filling the plan code's placeholders at a sync is
+// the building Session's job (flush), the only caller whose plan code reads
+// them.
 package mal
 
 import (
@@ -34,58 +34,221 @@ import (
 	"repro/internal/ops"
 )
 
+// Execution is one run of a plan on one engine: the environment of produced
+// BATs, the group counts, the parameter patch table, and what the run
+// records (its executed instructions, trace and timings). A Session embeds
+// the Execution of its own cold run; Template.Run builds a fresh one per
+// replay, so a replay carries no builder state. An Execution runs on the
+// goroutine that calls it.
+type Execution struct {
+	o ops.Operators
+	// tpl is the plan the run interprets: being built by the embedding
+	// Session on a cold run, sealed and shared on a replay. The executor only
+	// reads it (placeholders, aliases, module).
+	tpl *Template
+
+	// env maps placeholders to the concrete BATs the executor produced.
+	env map[*bat.BAT]*bat.BAT
+
+	// owned are concrete operator results, released at Close unless an
+	// inserted Release instruction already freed them.
+	owned    []*bat.BAT
+	released map[*bat.BAT]bool
+
+	// slots hold group counts produced by Group instructions (-1 until
+	// executed).
+	slots []int
+
+	// over patches instruction scalars with re-bound parameter values on
+	// replay (nil when the execution binds no parameters).
+	over map[*PInstr]scalarPatch
+
+	done    []*PInstr
+	trace   []Instr
+	traceOn bool
+	opTime  time.Duration
+
+	firstExec time.Time
+	lastExec  time.Time
+}
+
+func newExecution(o ops.Operators, t *Template) Execution {
+	return Execution{o: o, tpl: t, env: map[*bat.BAT]*bat.BAT{}, released: map[*bat.BAT]bool{}}
+}
+
+// Trace returns the executed instructions (the after-rewriting plan);
+// empty unless Session.EnableTrace was called before the plan ran.
+func (e *Execution) Trace() []Instr { return e.trace }
+
+// Plan returns the executed IR instructions (tests and tools).
+func (e *Execution) Plan() []*PInstr { return e.done }
+
+// OpTime returns the summed per-instruction dispatch time of the execution;
+// wall time minus OpTime approximates the host-side overhead of the MAL
+// layer (plan build, rewriting, interpretation) around the operators.
+// Instructions run one at a time, so the sum is the schedule.
+func (e *Execution) OpTime() time.Duration { return e.opTime }
+
+// CriticalPath returns OpTime.
+//
+// Deprecated: instructions never overlap, so the longest dependency chain is
+// the whole sum. The method exists only because the pinned benchmark's traced
+// pass reads it (mal.critpath_ms_p50) and benchmark/ is not edited alongside
+// the program; it goes with the benchmark's next own change.
+func (e *Execution) CriticalPath() time.Duration { return e.OpTime() }
+
+// ParallelFragments always reports 0.
+//
+// Deprecated: no fragment runs its instructions concurrently. The method
+// exists only because the pinned benchmark's traced pass reads it
+// (mal.parallel_frags_per_round); it goes with the benchmark's next own
+// change.
+func (e *Execution) ParallelFragments() int { return 0 }
+
+// Replans always reports 0: no execution re-plans, pins are fixed when the
+// template is sealed. The method exists only because the pinned benchmark's
+// traced pass reads it (mal.replans_per_round) and benchmark/ is not edited
+// alongside the program; it goes with the benchmark's next own change.
+func (e *Execution) Replans() int { return 0 }
+
+func (e *Execution) fail(op string, err error) {
+	panic(abort{fmt.Errorf("%s.%s: %w", e.tpl.module, op, err)})
+}
+
+// run calls body, translating a plan abort into the returned error, and
+// releases the run's intermediates either way. It is the one recovery path
+// of builds (RunQuery) and replays (Template.RunOn).
+func (e *Execution) run(body func()) (err error) {
+	defer e.Close()
+	defer func() {
+		if v := recover(); v != nil {
+			a, ok := v.(abort)
+			if !ok {
+				panic(v)
+			}
+			err = a.err
+		}
+	}()
+	body()
+	return nil
+}
+
+// finish ends a run whose fragments have all executed: it drains the engine,
+// so PlanWall spans the plan end to end — across the final Finish/Sync —
+// rather than just the enqueue side of a lazy engine, and resolves the
+// plan's result columns to this run's concrete BATs. Tail types the result
+// accessors cannot read abort the plan here, so the failure surfaces as an
+// error instead of a raw panic escaping from Canonical or cell long after
+// abort recovery is gone.
+func (e *Execution) finish() *Result {
+	if err := Finish(e.o); err != nil {
+		e.fail("finish", err)
+	}
+	if !e.firstExec.IsZero() {
+		e.lastExec = time.Now()
+	}
+	t := e.tpl
+	cols := make([]*bat.BAT, len(t.cols))
+	for i, c := range t.cols {
+		if c == nil {
+			e.fail("result", fmt.Errorf("column %q is nil", t.names[i]))
+		}
+		conc := e.resolve(c)
+		switch conc.T {
+		case bat.I32, bat.F32, bat.OID, bat.Void:
+		default:
+			e.fail("result", fmt.Errorf("column %q has unsupported result type %v", conc.Name, conc.T))
+		}
+		cols[i] = conc
+	}
+	return &Result{Names: append([]string(nil), t.names...), Cols: cols}
+}
+
+// Close releases all intermediates produced during the plan that an
+// inserted Release instruction did not already free.
+func (e *Execution) Close() {
+	for _, b := range e.owned {
+		if !e.released[b] {
+			e.o.Release(b)
+		}
+	}
+	e.owned = nil
+}
+
+// canon resolves aliasing to the canonical placeholder. CSE aliases a
+// duplicate to a surviving instruction's result; the candidate-first pass
+// may later alias that result to the value it rewrote it into, so aliases
+// chain.
+func (e *Execution) canon(b *bat.BAT) *bat.BAT {
+	for {
+		a, ok := e.tpl.alias[b]
+		if !ok {
+			return b
+		}
+		b = a
+	}
+}
+
+// canonSlot resolves group-count slot aliasing.
+func (e *Execution) canonSlot(slot int) int {
+	if a, ok := e.tpl.slotAlias[slot]; ok {
+		return a
+	}
+	return slot
+}
+
 // resolve maps a plan value to the concrete BAT the executor should hand
 // the engine: CSE aliases first, then the environment of produced values;
 // anything else is a base (host) BAT and passes through unchanged.
-func (s *Session) resolve(b *bat.BAT) *bat.BAT {
+func (e *Execution) resolve(b *bat.BAT) *bat.BAT {
 	if b == nil {
 		return nil
 	}
-	b = s.canon(b)
-	if c, ok := s.env[b]; ok {
+	b = e.canon(b)
+	if c, ok := e.env[b]; ok {
 		return c
 	}
-	if s.tpl.isPH[b] {
-		s.fail("exec", fmt.Errorf("plan value %q used before it was produced", b.Name))
+	if e.tpl.isPH[b] {
+		e.fail("exec", fmt.Errorf("plan value %q used before it was produced", b.Name))
 	}
 	return b
 }
 
 // bind records concrete results for an instruction's placeholders and
 // adopts them for end-of-plan release.
-func (s *Session) bind(in *PInstr, concrete ...*bat.BAT) {
+func (e *Execution) bind(in *PInstr, concrete ...*bat.BAT) {
 	for i, c := range concrete {
 		if c == nil {
 			continue
 		}
-		s.env[in.Rets[i]] = c
-		s.owned = append(s.owned, c)
+		e.env[in.Rets[i]] = c
+		e.owned = append(e.owned, c)
 	}
 }
 
 // ngrpOf resolves an instruction's group count: a literal, or the value the
 // producing Group instruction stored in its slot.
-func (s *Session) ngrpOf(in *PInstr) int {
+func (e *Execution) ngrpOf(in *PInstr) int {
 	if in.NgrpRef < 0 {
 		return in.NgrpLit
 	}
-	slot := s.canonSlot(in.NgrpRef)
-	if slot < 0 || slot >= len(s.slots) {
-		s.fail("exec", fmt.Errorf("group count refers to unknown slot %d (invalid group-count handle?)", slot))
+	slot := e.canonSlot(in.NgrpRef)
+	if slot < 0 || slot >= len(e.slots) {
+		e.fail("exec", fmt.Errorf("group count refers to unknown slot %d (invalid group-count handle?)", slot))
 	}
-	n := s.slots[slot]
+	n := e.slots[slot]
 	if n < 0 {
-		s.fail("exec", fmt.Errorf("group count of slot %d used before it was produced", slot))
+		e.fail("exec", fmt.Errorf("group count of slot %d used before it was produced", slot))
 	}
 	return n
 }
 
 // scalars returns the instruction's scalar operands with any re-bound
 // parameter values of this execution applied.
-func (s *Session) scalars(in *PInstr) (lo, hi, c float64) {
+func (e *Execution) scalars(in *PInstr) (lo, hi, c float64) {
 	lo, hi, c = in.Lo, in.Hi, in.C
-	if s.over != nil {
-		if p, ok := s.over[in]; ok {
+	if e.over != nil {
+		if p, ok := e.over[in]; ok {
 			if p.hasLo {
 				lo = p.lo
 			}
@@ -105,126 +268,126 @@ func (s *Session) scalars(in *PInstr) (lo, hi, c float64) {
 // hybrid engine a pin routes exactly one operator call), on the clock, and is
 // booked — Plan(), the trace, the timing sum — as soon as it returns, so an
 // instruction that aborts the plan still leaves what ran before it.
-func (s *Session) execute(batch []*PInstr) {
+func (e *Execution) execute(batch []*PInstr) {
 	if len(batch) == 0 {
 		return
 	}
-	if s.firstExec.IsZero() {
-		s.firstExec = time.Now()
+	if e.firstExec.IsZero() {
+		e.firstExec = time.Now()
 	}
-	hyb, _ := s.o.(*hybrid.Engine)
+	hyb, _ := e.o.(*hybrid.Engine)
 	for _, in := range batch {
-		o := s.o
+		o := e.o
 		if hyb != nil && in.Device != "" && in.computes() {
 			o = hyb.On(in.Device)
 		}
 		t0 := time.Now()
-		s.step(in, o)
+		e.step(in, o)
 		took := time.Since(t0)
-		s.opTime += took
-		s.done = append(s.done, in)
-		if s.traceOn {
-			s.record(in, took)
+		e.opTime += took
+		e.done = append(e.done, in)
+		if e.traceOn {
+			e.record(in, took)
 		}
 	}
-	s.lastExec = time.Now()
+	e.lastExec = time.Now()
 }
 
 // step dispatches one instruction to the given operator implementation
-// (the session's engine, or a device-pinned view of it).
-func (s *Session) step(in *PInstr, o ops.Operators) {
-	arg := func(i int) *bat.BAT { return s.resolve(in.Args[i]) }
+// (the run's engine, or a device-pinned view of it).
+func (e *Execution) step(in *PInstr, o ops.Operators) {
+	arg := func(i int) *bat.BAT { return e.resolve(in.Args[i]) }
 	switch in.Kind {
 	case OpSelect:
-		lo, hi, _ := s.scalars(in)
+		lo, hi, _ := e.scalars(in)
 		res, err := o.Select(arg(0), arg(1), lo, hi, in.LoIncl, in.HiIncl)
 		if err != nil {
-			s.fail("select", err)
+			e.fail("select", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpSelectCmp:
 		res, err := o.SelectCmp(arg(0), arg(1), in.Cmp, arg(2))
 		if err != nil {
-			s.fail("selectcmp", err)
+			e.fail("selectcmp", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpProject:
 		res, err := o.Project(arg(0), arg(1))
 		if err != nil {
-			s.fail("leftfetchjoin", err)
+			e.fail("leftfetchjoin", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpJoin:
 		l, r, err := o.Join(arg(0), arg(1))
 		if err != nil {
-			s.fail("join", err)
+			e.fail("join", err)
 		}
-		s.bind(in, l, r)
+		e.bind(in, l, r)
 	case OpThetaJoin:
 		l, r, err := o.ThetaJoin(arg(0), arg(1), in.Cmp)
 		if err != nil {
-			s.fail("thetajoin", err)
+			e.fail("thetajoin", err)
 		}
-		s.bind(in, l, r)
+		e.bind(in, l, r)
 	case OpSemiJoin:
 		res, err := o.SemiJoin(arg(0), arg(1))
 		if err != nil {
-			s.fail("semijoin", err)
+			e.fail("semijoin", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpAntiJoin:
 		res, err := o.AntiJoin(arg(0), arg(1))
 		if err != nil {
-			s.fail("antijoin", err)
+			e.fail("antijoin", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpGroup:
-		res, n, err := o.Group(arg(0), arg(1), s.ngrpOf(in))
+		res, n, err := o.Group(arg(0), arg(1), e.ngrpOf(in))
 		if err != nil {
-			s.fail("group", err)
+			e.fail("group", err)
 		}
-		s.slots[in.NSlot] = n
-		s.bind(in, res)
+		e.slots[in.NSlot] = n
+		e.bind(in, res)
 	case OpAggr:
-		res, err := o.Aggr(in.Agg, arg(0), arg(1), s.ngrpOf(in))
+		res, err := o.Aggr(in.Agg, arg(0), arg(1), e.ngrpOf(in))
 		if err != nil {
-			s.fail(in.Agg.String(), err)
+			e.fail(in.Agg.String(), err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpSort:
 		sorted, order, err := o.Sort(arg(0))
 		if err != nil {
-			s.fail("sort", err)
+			e.fail("sort", err)
 		}
-		s.bind(in, sorted, order)
+		e.bind(in, sorted, order)
 	case OpBinop:
 		res, err := o.Binop(in.Bin, arg(0), arg(1))
 		if err != nil {
-			s.fail("binop", err)
+			e.fail("binop", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpBinopConst:
-		_, _, c := s.scalars(in)
+		_, _, c := e.scalars(in)
 		res, err := o.BinopConst(in.Bin, arg(0), c, in.ConstFirst)
 		if err != nil {
-			s.fail("binopconst", err)
+			e.fail("binopconst", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpUnion:
 		res, err := o.OIDUnion(arg(0), arg(1))
 		if err != nil {
-			s.fail("union", err)
+			e.fail("union", err)
 		}
-		s.bind(in, res)
+		e.bind(in, res)
 	case OpFused:
 		if fe, ok := o.(ops.FusedOperators); ok {
-			res, err := fe.Fused(s.resolveFused(in.Fuse))
+			res, err := fe.Fused(e.resolveFused(in.Fuse))
 			if err == nil {
-				s.bind(in, res...)
+				e.bind(in, res...)
 				return
 			}
 			if !errors.Is(err, ops.ErrFusedUnsupported) {
-				s.fail("fused", err)
+				e.fail("fused", err)
 			}
 		}
 		// The engine cannot run this region as one kernel (or is not
@@ -233,35 +396,27 @@ func (s *Session) step(in *PInstr, o ops.Operators) {
 		// instruction's own placeholders — the root's, or a grouped region's
 		// aggregates' — so binding happens at those members.
 		for _, m := range in.Sub {
-			s.step(m, o)
+			e.step(m, o)
 		}
 	case OpSync:
-		conc := arg(0)
-		if err := o.Sync(conc); err != nil {
-			s.fail("sync", err)
-		}
-		if !s.replay {
-			// Fill the plan-side placeholder so host code reading it sees
-			// the synced data (§3.4's ownership hand-over). On replay the IR
-			// is shared and no plan code runs, so the placeholder stays
-			// untouched; results resolve through the environment instead.
-			in.Args[0].AdoptFrom(conc)
+		if err := o.Sync(arg(0)); err != nil {
+			e.fail("sync", err)
 		}
 	case OpRelease:
 		conc := arg(0)
 		o.Release(conc)
-		s.released[conc] = true
+		e.released[conc] = true
 	default:
-		s.fail("exec", fmt.Errorf("unknown plan instruction kind %d", int(in.Kind)))
+		e.fail("exec", fmt.Errorf("unknown plan instruction kind %d", int(in.Kind)))
 	}
 }
 
 // resolveFused maps a fused region's plan values to the concrete BATs of
 // this execution. The shared descriptor on the (possibly cached, shared)
 // instruction is never mutated: each execution gets a fresh copy.
-func (s *Session) resolveFused(f *ops.FusedOp) *ops.FusedOp {
+func (e *Execution) resolveFused(f *ops.FusedOp) *ops.FusedOp {
 	out := &ops.FusedOp{
-		Cand:    s.resolve(f.Cand),
+		Cand:    e.resolve(f.Cand),
 		Filters: append([]ops.FusedFilter(nil), f.Filters...),
 		Nodes:   append([]ops.FusedNode(nil), f.Nodes...),
 		HasAgg:  f.HasAgg,
@@ -270,20 +425,20 @@ func (s *Session) resolveFused(f *ops.FusedOp) *ops.FusedOp {
 	if len(f.Keys) > 0 {
 		out.Keys = make([]*bat.BAT, len(f.Keys))
 		for i, k := range f.Keys {
-			out.Keys[i] = s.resolve(k)
+			out.Keys[i] = e.resolve(k)
 		}
 		out.Aggs = append([]ops.FusedAgg(nil), f.Aggs...)
 		for i := range out.Aggs {
-			out.Aggs[i].Vals = s.resolve(out.Aggs[i].Vals)
+			out.Aggs[i].Vals = e.resolve(out.Aggs[i].Vals)
 		}
 	}
 	for i := range out.Filters {
-		out.Filters[i].Col = s.resolve(out.Filters[i].Col)
-		out.Filters[i].Other = s.resolve(out.Filters[i].Other)
+		out.Filters[i].Col = e.resolve(out.Filters[i].Col)
+		out.Filters[i].Other = e.resolve(out.Filters[i].Other)
 	}
 	for i := range out.Nodes {
 		if out.Nodes[i].Kind == ops.FusedCol {
-			out.Nodes[i].Col = s.resolve(out.Nodes[i].Col)
+			out.Nodes[i].Col = e.resolve(out.Nodes[i].Col)
 		}
 	}
 	return out
@@ -299,13 +454,13 @@ func describe(b *bat.BAT) string {
 
 // record appends the executed instruction to the EXPLAIN trace, with
 // operands resolved to their concrete form.
-func (s *Session) record(in *PInstr, took time.Duration) {
+func (e *Execution) record(in *PInstr, took time.Duration) {
 	instr := Instr{Module: in.Module, Op: in.OpName(), Device: in.Device, Took: took}
-	dArg := func(i int) string { return describe(s.resolve(in.Args[i])) }
-	dRet := func(i int) string { return describe(s.resolve(in.Rets[i])) }
+	dArg := func(i int) string { return describe(e.resolve(in.Args[i])) }
+	dRet := func(i int) string { return describe(e.resolve(in.Rets[i])) }
 	switch in.Kind {
 	case OpSelect:
-		lo, hi, _ := s.scalars(in)
+		lo, hi, _ := e.scalars(in)
 		instr.Args = []string{dArg(0), dArg(1), fmt.Sprintf("%v..%v", lo, hi)}
 		instr.Ret = dRet(0)
 	case OpSelectCmp:
@@ -316,9 +471,9 @@ func (s *Session) record(in *PInstr, took time.Duration) {
 		instr.Ret = dRet(0)
 	case OpGroup:
 		instr.Args = []string{dArg(0), dArg(1)}
-		instr.Ret = fmt.Sprintf("%s (%d groups)", dRet(0), s.slots[in.NSlot])
+		instr.Ret = fmt.Sprintf("%s (%d groups)", dRet(0), e.slots[in.NSlot])
 	case OpBinopConst:
-		_, _, c := s.scalars(in)
+		_, _, c := e.scalars(in)
 		instr.Args = []string{dArg(0), fmt.Sprint(c)}
 		instr.Ret = dRet(0)
 	case OpSync, OpRelease:
@@ -332,5 +487,5 @@ func (s *Session) record(in *PInstr, took time.Duration) {
 			instr.Ret = dRet(0)
 		}
 	}
-	s.trace = append(s.trace, instr)
+	e.trace = append(e.trace, instr)
 }

@@ -16,8 +16,8 @@ import (
 // operator call once the work is *enqueued*, eager engines once it has
 // *executed*. EXPLAIN output labels the column accordingly instead of
 // presenting enqueue latencies as execution times.
-func (s *Session) TimingLabel() string {
-	if _, lazy := s.o.(interface{ Finish() error }); lazy {
+func (e *Execution) TimingLabel() string {
+	if _, lazy := e.o.(interface{ Finish() error }); lazy {
 		return "t_enqueue"
 	}
 	return "t_exec"
@@ -27,11 +27,11 @@ func (s *Session) TimingLabel() string {
 // interpreted instruction to the end of the final flush (which drains the
 // engine) — the end-to-end number that is comparable across lazy and eager
 // engines, unlike the per-instruction column.
-func (s *Session) PlanWall() time.Duration {
-	if s.firstExec.IsZero() {
+func (e *Execution) PlanWall() time.Duration {
+	if e.firstExec.IsZero() {
 		return 0
 	}
-	return s.lastExec.Sub(s.firstExec)
+	return e.lastExec.Sub(e.firstExec)
 }
 
 // rawName renders a plan value symbolically (placeholders keep their tN
@@ -86,15 +86,15 @@ func (s *Session) ExplainBefore() string {
 // Explain renders the executed, rewritten plan with per-instruction
 // latencies (honestly labelled), their sum — instructions run one at a
 // time, so the sum is the schedule — and the end-to-end wall time.
-func (s *Session) Explain() string {
+func (e *Execution) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan after rewriting (%d instructions, %s per instruction):\n",
-		len(s.trace), s.TimingLabel())
-	for _, in := range s.trace {
+		len(e.trace), e.TimingLabel())
+	for _, in := range e.trace {
 		fmt.Fprintf(&sb, "    %-72s %12v\n", in.String(), in.Took.Round(time.Nanosecond))
 	}
-	fmt.Fprintf(&sb, "    dispatch: %v summed\n", s.OpTime().Round(time.Microsecond))
+	fmt.Fprintf(&sb, "    dispatch: %v summed\n", e.OpTime().Round(time.Microsecond))
 	fmt.Fprintf(&sb, "    plan wall time (through final sync/finish): %v\n",
-		s.PlanWall().Round(time.Microsecond))
+		e.PlanWall().Round(time.Microsecond))
 	return sb.String()
 }

@@ -1,6 +1,7 @@
 package mal
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/cl"
+	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/mem"
 	"repro/internal/ops"
@@ -149,6 +151,76 @@ func TestParallelAbortPropagates(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("replay on all-dead devices did not return")
+	}
+}
+
+// TestReplayAbortMatchesBuild: a replay and a build share one abort path.
+// With the GPU dying at the same command mid-plan, a replay of a sealed
+// template must return the error a build of the same plan returns, and both
+// must leave the context's live buffers and the device's reserved bytes
+// where they were before the run.
+func TestReplayAbortMatchesBuild(t *testing.T) {
+	k, v, g := testData()
+	o := OcelotGPU.Build(ConfigOptions{GPUMemory: 64 << 20})
+	eng := o.(*core.Engine)
+	dev := eng.Device()
+	plan := miniPlan(k, v, g)
+	s := NewSession(o)
+	if _, err := RunQuery(s, plan); err != nil {
+		t.Fatal(err)
+	}
+	tpl := s.Template()
+	// One clean replay leaves the base columns' device copies resident, the
+	// state every later run, build or replay, starts from.
+	if _, err := tpl.Run(o, nil); err != nil {
+		t.Fatal(err)
+	}
+	books := func() [2]int64 {
+		_ = eng.Finish() // drain; the failed command's error was already reported
+		eng.Memory().FlushScratch()
+		return [2]int64{int64(eng.Queue().Context().LiveBuffers()), dev.Allocated()}
+	}
+	// underFault runs f with the device dying at command n, then revives it
+	// and checks the books against the baseline taken before f ran.
+	underFault := func(what string, n int64, f func() error) error {
+		t.Helper()
+		base := books()
+		dev.InjectFaults(cl.FaultPlan{DieAtCommand: n})
+		err := f()
+		dev.InjectFaults(cl.FaultPlan{})
+		dev.Revive()
+		if got := books(); got != base {
+			t.Fatalf("%s dying at command %d: live buffers and reserved bytes %v, want the baseline %v", what, n, got, base)
+		}
+		return err
+	}
+	aborted := 0
+	for n := int64(1); ; n++ {
+		var ran int
+		replayErr := underFault("replay", n, func() error {
+			_, e, err := tpl.RunOn(o, nil)
+			ran = len(e.Plan())
+			return err
+		})
+		if replayErr == nil {
+			break // the plan issues fewer than n commands
+		}
+		buildErr := underFault("build", n, func() error {
+			_, err := RunQuery(NewSession(o), plan)
+			return err
+		})
+		if buildErr == nil || buildErr.Error() != replayErr.Error() {
+			t.Fatalf("dying at command %d: replay returned %v, build %v", n, replayErr, buildErr)
+		}
+		if !errors.Is(replayErr, cl.ErrDeviceLost) {
+			t.Fatalf("dying at command %d: replay error %v does not wrap cl.ErrDeviceLost", n, replayErr)
+		}
+		if ran > 0 && ran < tpl.Instructions() {
+			aborted++
+		}
+	}
+	if aborted == 0 {
+		t.Fatal("no fault point aborted the replay mid-plan; the test proves nothing")
 	}
 }
 

@@ -40,17 +40,17 @@ func (s *Session) flush(final bool) {
 	// finished fragment.
 	s.bindPass(batch)
 	s.vcheck("bind", batch, nil, vData)
-	if s.passes.CSE {
+	if s.tpl.passes.CSE {
 		batch = s.csePass(batch)
 		s.vcheck("cse", batch, nil, vData)
 	}
-	if final && s.passes.DCE && len(outputs) > 0 {
+	if final && s.tpl.passes.DCE && len(outputs) > 0 {
 		batch = s.candFirstPass(batch, outputs)
 		s.vcheck("cand-first", batch, outputs, vData|vCand)
 		batch = s.dcePass(batch, outputs)
 		s.vcheck("dce", batch, nil, vData)
 	}
-	if final && s.passes.Fusion {
+	if final && s.tpl.passes.Fusion {
 		// Fusion needs the full liveness picture — at intermediate
 		// boundaries later plan code may still consume any pending value —
 		// so, like DCE, it only runs at the final flush.
@@ -62,13 +62,18 @@ func (s *Session) flush(final bool) {
 	s.placementPass(batch, outputs)
 	s.vcheck("placement", batch, outputs, vData|vFuse|vSync|vPin)
 	vpass := "pipeline"
-	if final && s.passes.EarlyRelease {
+	if final && s.tpl.passes.EarlyRelease {
 		batch = s.releaseInsertPass(batch, outputs)
 		vpass = "release-insert"
 	}
 	s.vcommit(vpass, batch, outputs, final)
 	s.tpl.frags = append(s.tpl.frags, batch)
 	s.execute(batch)
+	// Fill the plan-side placeholders so host code reading them sees the
+	// synced data (§3.4's ownership hand-over).
+	for _, o := range outputs {
+		o.AdoptFrom(s.resolve(o))
+	}
 }
 
 // bindPass is the module-binding rewrite: the drop-in swap of §3.1. Every
@@ -76,30 +81,8 @@ func (s *Session) flush(final bool) {
 // implementation.
 func (s *Session) bindPass(batch []*PInstr) {
 	for _, in := range batch {
-		in.Module = s.module
+		in.Module = s.tpl.module
 	}
-}
-
-// canon resolves aliasing to the canonical placeholder. CSE aliases a
-// duplicate to a surviving instruction's result; the candidate-first pass
-// may later alias that result to the value it rewrote it into, so aliases
-// chain.
-func (s *Session) canon(b *bat.BAT) *bat.BAT {
-	for {
-		a, ok := s.tpl.alias[b]
-		if !ok {
-			return b
-		}
-		b = a
-	}
-}
-
-// canonSlot resolves group-count slot aliasing.
-func (s *Session) canonSlot(slot int) int {
-	if a, ok := s.tpl.slotAlias[slot]; ok {
-		return a
-	}
-	return slot
 }
 
 // cseKey builds the expression signature of a pure instruction: kind, the
@@ -210,7 +193,7 @@ func (s *Session) dcePass(batch []*PInstr, outputs []*bat.BAT) []*PInstr {
 func (s *Session) syncInsertPass(outputs []*bat.BAT) []*PInstr {
 	syncs := make([]*PInstr, 0, len(outputs))
 	for _, o := range outputs {
-		in := &PInstr{ID: s.nextID, Kind: OpSync, Module: s.module, Args: []*bat.BAT{o}}
+		in := &PInstr{ID: s.nextID, Kind: OpSync, Module: s.tpl.module, Args: []*bat.BAT{o}}
 		s.nextID++
 		syncs = append(syncs, in)
 	}
@@ -219,14 +202,14 @@ func (s *Session) syncInsertPass(outputs []*bat.BAT) []*PInstr {
 
 // newRelease mints a Release instruction for a plan value.
 func (s *Session) newRelease(b *bat.BAT) *PInstr {
-	rel := &PInstr{ID: s.nextID, Kind: OpRelease, Module: s.module, Args: []*bat.BAT{b}}
+	rel := &PInstr{ID: s.nextID, Kind: OpRelease, Module: s.tpl.module, Args: []*bat.BAT{b}}
 	s.nextID++
 	return rel
 }
 
 // releaseInsertPass inserts Release instructions after each plan-produced
 // intermediate's last use, so device memory is freed mid-plan instead of at
-// Session.Close. It runs at the final flush, where liveness covers the
+// Execution.Close. It runs at the final flush, where liveness covers the
 // whole plan, and tracks intermediates across *all* fragments: values
 // produced before an intermediate flush boundary (a mid-plan Sync or scalar
 // extraction) that the final fragment never reads are released before the

@@ -6,7 +6,7 @@
 // the instruction (PInstr.Device, the device *label* "CPU" or "GPU") and
 // enforced per call by the executor through hybrid.Engine.On — no
 // engine-global state is involved, so pins cannot leak across plans or
-// interleave across concurrent sessions. hybrid.Engine prices nothing: it
+// interleave across concurrent executions. hybrid.Engine prices nothing: it
 // runs the pins, and its out-of-memory fallback tries the other device.
 //
 // Each instruction carries a per-device compute estimate, transfers are
@@ -28,17 +28,17 @@ import (
 const defaultGroupGuess = 64 // estimated groups when the count is symbolic
 
 // estimator carries cardinality estimates keyed by canonical plan value.
-// What the session has already produced is priced at its observed length;
+// What the run has already produced is priced at its observed length;
 // the rest is priced by model's fixed constants. Columns carry no
 // statistics, so a template's cold run is placed by the constants alone and
 // its seal by what that run observed.
 type estimator struct {
-	s    *Session
+	x    *Execution
 	rows map[*bat.BAT]float64
 }
 
-func (s *Session) newEstimator() *estimator {
-	return &estimator{s: s, rows: map[*bat.BAT]float64{}}
+func (x *Execution) newEstimator() *estimator {
+	return &estimator{x: x, rows: map[*bat.BAT]float64{}}
 }
 
 // rowsOf estimates a value's cardinality: concrete values report exactly,
@@ -48,14 +48,14 @@ func (e *estimator) rowsOf(b *bat.BAT) float64 {
 	if b == nil {
 		return 0
 	}
-	b = e.s.canon(b)
-	if c, ok := e.s.env[b]; ok {
+	b = e.x.canon(b)
+	if c, ok := e.x.env[b]; ok {
 		return float64(c.Len())
 	}
 	if r, ok := e.rows[b]; ok {
 		return r
 	}
-	if e.s.tpl.isPH[b] {
+	if e.x.tpl.isPH[b] {
 		return 0 // produced by an instruction this pass has not costed yet
 	}
 	return float64(b.Len())
@@ -63,14 +63,14 @@ func (e *estimator) rowsOf(b *bat.BAT) float64 {
 
 // estimate predicts an instruction's output cardinalities and streamed byte
 // volume (the bandwidth-bound footprint the profiles price). A result the
-// session already holds overrides the model's output rows — nothing does
+// run already holds overrides the model's output rows — nothing does
 // while a fragment is placed before it runs, every result does when the
 // finished plan is placed again at seal. The streamed volume stays
 // model-priced: it depends on input sizes, which rowsOf already resolves.
 func (e *estimator) estimate(in *PInstr) (outRows []float64, streamedBytes float64) {
 	outRows, streamedBytes = e.model(in)
 	for i := range outRows {
-		if c, ok := e.s.env[e.s.canon(in.Rets[i])]; ok {
+		if c, ok := e.x.env[e.x.canon(in.Rets[i])]; ok {
 			outRows[i] = float64(c.Len())
 		}
 	}
@@ -114,8 +114,8 @@ func (e *estimator) model(in *PInstr) (outRows []float64, streamedBytes float64)
 		if in.NgrpRef >= 0 {
 			// A symbolic count resolved by an earlier fragment's Group beats
 			// the guess.
-			if slot := e.s.canonSlot(in.NgrpRef); slot >= 0 && slot < len(e.s.slots) && e.s.slots[slot] >= 0 {
-				out = float64(e.s.slots[slot])
+			if slot := e.x.canonSlot(in.NgrpRef); slot >= 0 && slot < len(e.x.slots) && e.x.slots[slot] >= 0 {
+				out = float64(e.x.slots[slot])
 			}
 		} else {
 			if in.NgrpLit > 0 {
@@ -459,9 +459,9 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 
 // resolveForCost maps a plan value to what the hybrid engine knows about
 // (the concrete BAT), without failing on not-yet-produced values.
-func (s *Session) resolveForCost(b *bat.BAT) *bat.BAT {
-	b = s.canon(b)
-	if c, ok := s.env[b]; ok {
+func (x *Execution) resolveForCost(b *bat.BAT) *bat.BAT {
+	b = x.canon(b)
+	if c, ok := x.env[b]; ok {
 		return c
 	}
 	return b

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/bat"
 )
@@ -22,9 +21,8 @@ type Result struct {
 // columns become the liveness roots of the rewriter's dead-instruction
 // elimination and early-release passes, the sync-insertion pass emits one
 // Sync per column (§3.4), and the rewritten plan runs through the executor.
-// The bound engine is drained afterwards so Session.PlanWall measures the
-// plan end to end — across the final Finish/Sync — rather than just the
-// enqueue side of a lazy engine.
+// The run then ends the way every replay of its template ends
+// (Execution.finish).
 func (s *Session) Result(names []string, cols ...*bat.BAT) *Result {
 	if len(names) != len(cols) {
 		s.fail("result", fmt.Errorf("%d names for %d columns", len(names), len(cols)))
@@ -33,35 +31,9 @@ func (s *Session) Result(names []string, cols ...*bat.BAT) *Result {
 		s.markOutput(c)
 	}
 	s.flush(true)
-	if err := Finish(s.o); err != nil {
-		s.fail("finish", err)
-	}
-	if !s.firstExec.IsZero() {
-		s.lastExec = time.Now()
-	}
-	// Columns are synced and concrete now: reject tail types the result
-	// accessors cannot read *inside* the plan, so the failure surfaces as a
-	// RunQuery error instead of a raw panic escaping from Canonical or cell
-	// long after abort-recovery is gone.
-	for i, c := range cols {
-		if c == nil {
-			s.fail("result", fmt.Errorf("column %q is nil", names[i]))
-		}
-		s.checkResultCol(c)
-	}
 	s.tpl.names = append([]string(nil), names...)
 	s.tpl.cols = append([]*bat.BAT(nil), cols...)
-	return &Result{Names: names, Cols: cols}
-}
-
-// checkResultCol verifies a result column's tail type is one the result
-// accessors handle, aborting the plan otherwise.
-func (s *Session) checkResultCol(c *bat.BAT) {
-	switch c.T {
-	case bat.I32, bat.F32, bat.OID, bat.Void:
-	default:
-		s.fail("result", fmt.Errorf("column %q has unsupported result type %v", c.Name, c.T))
-	}
+	return s.finish()
 }
 
 // Rows returns the result's row count.
@@ -85,8 +57,9 @@ func (r *Result) cell(c, i int) float64 {
 	case bat.Void:
 		return float64(b.OIDAt(i))
 	default:
-		// Unreachable through RunQuery: Session.Result validates column
-		// types inside the plan, where the failure becomes an error.
+		// Unreachable through RunQuery and Template.Run: Execution.finish
+		// validates column types inside the plan, where the failure becomes
+		// an error.
 		panic(fmt.Sprintf("mal: unknown result column type %v for %q", b.T, b.Name))
 	}
 }
@@ -172,17 +145,9 @@ func (r *Result) String() string {
 // any instructions no boundary ever forced (a plan that built work but
 // never synced it) are drained so their errors still surface.
 func RunQuery(s *Session, plan func(*Session) *Result) (res *Result, err error) {
-	defer s.Close()
-	defer func() {
-		if v := recover(); v != nil {
-			if a, ok := v.(abort); ok {
-				err = a.err
-				return
-			}
-			panic(v)
-		}
-	}()
-	res = plan(s)
-	s.drain()
-	return res, nil
+	err = s.run(func() {
+		res = plan(s)
+		s.drain()
+	})
+	return res, err
 }

@@ -97,12 +97,9 @@ func CheckConstantEstimates(t *testing.T, what string, o ops.Operators, plan fun
 	if _, err := RunQuery(s, plan); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	// A replay session over the same IR has produced nothing yet, so its
+	// A fresh execution of the same IR has produced nothing yet, so its
 	// estimator prices from the model alone.
-	fresh, err := s.Template().newExec(o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := newExecution(o, s.Template())
 	e := fresh.newEstimator()
 	for _, f := range s.tpl.frags {
 		for _, in := range f {

@@ -16,12 +16,16 @@
 // plan code, exactly as §3.4 prescribes; the instruction trace for
 // EXPLAIN-style output is produced from the rewritten IR.
 //
-// Session state is split in two (cache.go): the *plan template* — the
-// rewritten IR fragments and everything the pass pipeline derived — and the
-// *per-execution* state (environment of produced BATs, group-count slots,
-// trace, timings). A sealed Template can be stored in a PlanCache and
-// re-executed without rebuilding or re-rewriting the plan, with parameter
-// slots re-bound per execution, MonetDB-recycler style.
+// Three types split the work. A Session builds a plan: the fluent API,
+// parameter capture, the rewriter pass driver (flush) and the verifier. An
+// Execution runs one: the environment of produced BATs, group counts,
+// re-bound parameters, the trace and timings, and the interpreter itself.
+// A Template (cache.go) is the sealed rewritten plan a finished Session
+// leaves behind. A Session embeds the Execution of its own cold run;
+// Template.Run replays the sealed fragments in a fresh Execution — no plan
+// function, no Session, no rewriter pass — with parameter slots re-bound
+// per run, MonetDB-recycler style, and a PlanCache stores templates for
+// those replays.
 package mal
 
 import (
@@ -45,8 +49,8 @@ type Instr struct {
 	Args []string
 	Ret  string
 	// Took is the host-observed latency of the instruction: enqueue time
-	// for lazy engines, execution time for eager ones (Session.TimingLabel
-	// names which one honestly; Session.PlanWall has the end-to-end time).
+	// for lazy engines, execution time for eager ones (Execution.TimingLabel
+	// names which one honestly; Execution.PlanWall has the end-to-end time).
 	Took time.Duration
 }
 
@@ -59,7 +63,7 @@ func (i Instr) String() string {
 }
 
 // abort carries plan errors through panics so query plans read linearly;
-// RunQuery recovers it.
+// Execution.run recovers it.
 type abort struct{ err error }
 
 // Passes toggles the rewriter pass pipeline (all on by default). Tests and
@@ -113,26 +117,18 @@ func (p Passes) key() string {
 // arithmetic constants.
 type Params map[string]float64
 
-// Session builds and executes one query plan against one operator
-// configuration. Exactly one execution runs per Session, on the goroutine
-// that calls it; the reusable part of a finished session — the rewritten
-// plan — is its Template.
+// Session builds one query plan against one operator configuration: the
+// fluent API below records instructions, and every plan boundary (Sync,
+// ScalarF/ScalarI, Result) sends the pending ones through the rewriter
+// passes (flush) into the embedded Execution, the session's own cold run.
+// Plan code runs on one goroutine. The reusable part of a finished session
+// — the rewritten plan — is its Template, which replays without a Session.
 type Session struct {
-	o      ops.Operators
-	module string
-	passes Passes
-
-	// tpl is the plan-template half of the session state: the rewritten
-	// fragments plus every pass result that refers to the IR rather than to
-	// one execution. While building it is owned and mutated by this
-	// session; on replay it is a sealed, shared template and is read-only.
-	tpl *Template
-	// replay marks a session executing a sealed template: the IR is shared
-	// with concurrent executions and must not be written (no placeholder
-	// adoption).
-	replay bool
-
-	// --- builder state (idle on replay) ---
+	// Execution is the cold run: it interprets each fragment as soon as
+	// flush has rewritten it, and its accessors (Plan, OpTime, Explain, …)
+	// describe that run. Its template is the plan being built, owned and
+	// mutated by this session until Template seals it.
+	Execution
 
 	// pending is the built-but-unexecuted tail of the plan; raw keeps every
 	// built instruction (before rewriting) for EXPLAIN's before-view.
@@ -152,8 +148,8 @@ type Session struct {
 	outputs []*bat.BAT
 	outSet  map[*bat.BAT]bool
 
-	// params are the values bound for this execution; paramNames indexes
-	// the float-parameter sentinels Param returns.
+	// params are the values bound for this build; paramNames indexes the
+	// float-parameter sentinels Param returns.
 	params    Params
 	paramIdx  map[string]int
 	paramName []string
@@ -162,115 +158,38 @@ type Session struct {
 	nextTmp int
 
 	// vstate is the plan-IR verifier's committed cross-fragment state
-	// (verify.go); nil until the build's first check, and always on replay.
+	// (verify.go); nil until the build's first check.
 	vstate *verifier
-
-	// --- per-execution state ---
-
-	// env maps placeholders to the concrete BATs the executor produced.
-	env map[*bat.BAT]*bat.BAT
-
-	// owned are concrete operator results, released at Close unless an
-	// inserted Release instruction already freed them.
-	owned    []*bat.BAT
-	released map[*bat.BAT]bool
-
-	// slots hold group counts produced by Group instructions (-1 until
-	// executed).
-	slots []int
-
-	// over patches instruction scalars with re-bound parameter values on
-	// replay (nil when the execution binds no parameters).
-	over map[*PInstr]scalarPatch
-
-	done    []*PInstr
-	trace   []Instr
-	traceOn bool
-	opTime  time.Duration
-
-	firstExec time.Time
-	lastExec  time.Time
 }
 
 // NewSession creates a session bound to an operator implementation.
 func NewSession(o ops.Operators) *Session {
 	return &Session{
-		o:            o,
-		module:       o.Module(),
-		passes:       DefaultPasses(),
-		tpl:          newTemplate(o.Module(), DefaultPasses()),
+		Execution:    newExecution(o, newTemplate(o.Module(), DefaultPasses())),
 		cseTab:       map[string]*PInstr{},
 		slotProducer: map[int]*PInstr{},
 		outSet:       map[*bat.BAT]bool{},
 		paramIdx:     map[string]int{},
-		env:          map[*bat.BAT]*bat.BAT{},
-		released:     map[*bat.BAT]bool{},
 	}
 }
 
 // SetPasses overrides the rewriter pass configuration. It must be called
 // before the first operator call of the plan.
-func (s *Session) SetPasses(p Passes) {
-	s.passes = p
-	s.tpl.passes = p
-}
+func (s *Session) SetPasses(p Passes) { s.tpl.passes = p }
 
-// SetParams binds parameter values for this execution. Plan code reads them
+// SetParams binds parameter values for this build. Plan code reads them
 // back through Param; the bindings are also what a cached template was
 // captured under. Call it before the plan runs.
 func (s *Session) SetParams(p Params) { s.params = p }
 
-// EnableTrace turns on rendered instruction recording (EXPLAIN); the IR
-// itself (Plan) is always available. Recording stays opt-in so the
-// per-instruction string formatting never rides inside benchmark-timed
-// plan execution.
+// EnableTrace turns on rendered instruction recording (EXPLAIN) for the
+// cold run; the IR itself (Plan) is always available. Recording stays
+// opt-in so the per-instruction string formatting never rides inside
+// benchmark-timed plan execution, and a replay never records.
 func (s *Session) EnableTrace() { s.traceOn = true }
-
-// Trace returns the executed instructions (the after-rewriting plan);
-// empty unless EnableTrace was called before the plan ran.
-func (s *Session) Trace() []Instr { return s.trace }
-
-// Plan returns the executed IR instructions (tests and tools).
-func (s *Session) Plan() []*PInstr { return s.done }
 
 // Operators exposes the bound implementation.
 func (s *Session) Operators() ops.Operators { return s.o }
-
-// Replayed reports whether this session executed a cached template instead
-// of building a plan.
-func (s *Session) Replayed() bool { return s.replay }
-
-// OpTime returns the summed per-instruction dispatch time of the execution;
-// wall time minus OpTime approximates the host-side overhead of the MAL
-// layer (plan build, rewriting, interpretation) around the operators.
-// Instructions run one at a time, so the sum is the schedule.
-func (s *Session) OpTime() time.Duration { return s.opTime }
-
-// CriticalPath returns OpTime.
-//
-// Deprecated: instructions never overlap, so the longest dependency chain is
-// the whole sum. The method exists only because the pinned benchmark's traced
-// pass reads it (mal.critpath_ms_p50) and benchmark/ is not edited alongside
-// the program; it goes with the benchmark's next own change.
-func (s *Session) CriticalPath() time.Duration { return s.OpTime() }
-
-// ParallelFragments always reports 0.
-//
-// Deprecated: no fragment runs its instructions concurrently. The method
-// exists only because the pinned benchmark's traced pass reads it
-// (mal.parallel_frags_per_round); it goes with the benchmark's next own
-// change.
-func (s *Session) ParallelFragments() int { return 0 }
-
-// Replans always reports 0: no execution re-plans, pins are fixed when the
-// template is sealed. The method exists only because the pinned benchmark's
-// traced pass reads it (mal.replans_per_round) and benchmark/ is not edited
-// alongside the program; it goes with the benchmark's next own change.
-func (s *Session) Replans() int { return 0 }
-
-func (s *Session) fail(op string, err error) {
-	panic(abort{fmt.Errorf("%s.%s: %w", s.module, op, err)})
-}
 
 // newPlaceholder mints a symbolic plan value.
 func (s *Session) newPlaceholder() *bat.BAT {
@@ -525,14 +444,3 @@ func (s *Session) ScalarI(b *bat.BAT) int32 {
 // elimination; RunQuery calls it after the plan function returns so that
 // errors in instructions no path ever synced still surface.
 func (s *Session) drain() { s.flush(false) }
-
-// Close releases all intermediates produced during the plan that an
-// inserted Release instruction did not already free.
-func (s *Session) Close() {
-	for _, b := range s.owned {
-		if !s.released[b] {
-			s.o.Release(b)
-		}
-	}
-	s.owned = nil
-}

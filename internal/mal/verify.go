@@ -315,7 +315,7 @@ func (s *Session) checkFragment(pass string, batch []*PInstr, outputs []*bat.BAT
 	// on, every intermediate the plan ever produced must be released, except
 	// the final outputs (they just crossed the plan boundary). Together with
 	// the double-release rule above this is "exactly one".
-	if final && s.passes.EarlyRelease && rules&vRel != 0 {
+	if final && s.tpl.passes.EarlyRelease && rules&vRel != 0 {
 		leak := func(set map[*bat.BAT]bool) *VerifyError {
 			for b := range set {
 				if !exempt[b] && !relAt(b) {

@@ -17,7 +17,7 @@ import (
 // going through the fluent API (these tests construct deliberately illegal
 // fragments the API cannot express).
 func vtInstr(s *Session, kind OpKind, args []*bat.BAT, nret int) *PInstr {
-	in := &PInstr{ID: s.nextID, Kind: kind, Module: s.module, Args: args, NgrpRef: -1, NSlot: -1}
+	in := &PInstr{ID: s.nextID, Kind: kind, Module: s.tpl.module, Args: args, NgrpRef: -1, NSlot: -1}
 	s.nextID++
 	for i := 0; i < nret; i++ {
 		in.Rets = append(in.Rets, s.newPlaceholder())
@@ -26,7 +26,7 @@ func vtInstr(s *Session, kind OpKind, args []*bat.BAT, nret int) *PInstr {
 }
 
 func vtRelease(s *Session, b *bat.BAT) *PInstr {
-	in := &PInstr{ID: s.nextID, Kind: OpRelease, Module: s.module, Args: []*bat.BAT{b}}
+	in := &PInstr{ID: s.nextID, Kind: OpRelease, Module: s.tpl.module, Args: []*bat.BAT{b}}
 	s.nextID++
 	return in
 }

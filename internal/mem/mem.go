@@ -77,15 +77,6 @@ func F32(b []byte) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// I64 views b as a slice of int64. Used only by host-side accounting, never
-// by kernels: Ocelot restricts itself to four-byte types (§3.1).
-func I64(b []byte) []int64 {
-	if len(b) < 8 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
 // BytesOfI32 views an int32 slice as raw bytes (the inverse of I32).
 func BytesOfI32(s []int32) []byte {
 	if len(s) == 0 {

@@ -91,9 +91,6 @@ func TestShortSlicesYieldNilViews(t *testing.T) {
 	if I32([]byte{1, 2}) != nil || U32(nil) != nil || F32([]byte{}) != nil {
 		t.Fatal("short byte slices must yield nil typed views")
 	}
-	if I64(make([]byte, 7)) != nil {
-		t.Fatal("I64 of 7 bytes must be nil")
-	}
 }
 
 func TestTypedAllocs(t *testing.T) {

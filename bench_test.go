@@ -213,7 +213,10 @@ func BenchmarkFusChain(b *testing.B) {
 // dependent kernels end-to-end on the CPU driver: each launch does almost no
 // work, so ns/op is dominated by enqueue, dependency resolution, work-group
 // scheduling and completion. The "local" variant adds work-group local
-// memory so the scratch-reuse path is exercised too.
+// memory so the scratch-reuse path is exercised too. Back to back, the pool
+// never parks; "idle-gap" launches and waits for one kernel after the device
+// has sat idle for 1 ms, which is where a parked worker's wake-up costs. Its
+// ns/op includes the 1 ms sleep; launch-ns/op is the launch and wait alone.
 func BenchmarkLaunchOverhead(b *testing.B) {
 	run := func(b *testing.B, l cl.Launch) {
 		dev := cl.NewCPUDevice(0)
@@ -253,5 +256,25 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 	})
 	b.Run("chain-local", func(b *testing.B) {
 		run(b, cl.Launch{Name: "tiny_local", LocalWords: 256})
+	})
+	b.Run("idle-gap", func(b *testing.B) {
+		q := cl.NewQueue(cl.NewContext(cl.NewCPUDevice(0)))
+		l := cl.Launch{Name: "after_idle"}
+		fn := func(*cl.Thread) {}
+		if err := q.EnqueueKernel(fn, l).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var busy time.Duration
+		for i := 0; i < b.N; i++ {
+			time.Sleep(time.Millisecond)
+			start := time.Now()
+			if err := q.EnqueueKernel(fn, l).Wait(); err != nil {
+				b.Fatal(err)
+			}
+			busy += time.Since(start)
+		}
+		b.ReportMetric(float64(busy.Nanoseconds())/float64(b.N), "launch-ns/op")
 	})
 }

@@ -119,9 +119,10 @@ func main() {
 
 // printExecutor is the -explain footer's line on a device's worker pool: how
 // many multi-group launches had a second goroutine on them, how many ran on
-// one, and how many ready commands found no parked worker.
+// one, how many launches ran on the goroutine that enqueued them, and how
+// many ready commands found no idle worker.
 func printExecutor(label string, e *core.Engine) {
 	st := e.Device().ExecutorStats()
-	fmt.Printf("    %-5s executor: of %d launches %d ran on several goroutines, %d on one despite several groups; %d commands unpooled\n",
-		label, e.Device().KernelLaunches(), st.Shared, st.Alone, st.Unpooled)
+	fmt.Printf("    %-5s executor: of %d launches %d ran on several goroutines, %d on one despite several groups, %d on the enqueuing goroutine; %d commands unpooled\n",
+		label, e.Device().KernelLaunches(), st.Shared, st.Alone, st.Inline, st.Unpooled)
 }

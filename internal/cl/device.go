@@ -149,7 +149,7 @@ type Device struct {
 	transfers      int64
 	bytesMoved     int64
 	// What the worker pool did with the device's commands (ExecutorStats).
-	sharedLaunches, aloneLaunches, unpooledCommands atomic.Int64
+	sharedLaunches, aloneLaunches, inlineLaunches, unpooledCommands atomic.Int64
 }
 
 // NewCPUDevice returns the CPU driver. cores <= 0 selects runtime.NumCPU().
@@ -240,8 +240,11 @@ type ExecutorStats struct {
 	// had more than one group and still ran on the goroutine that fired them.
 	// One-group launches are in neither.
 	Shared, Alone int64
+	// Inline counts launches, of any group count, that were ready when
+	// enqueued and so ran on the enqueuing goroutine.
+	Inline int64
 	// Unpooled counts ready commands started on a goroutine of their own
-	// because no pool worker was parked.
+	// because no pool worker was idle.
 	Unpooled int64
 }
 
@@ -250,6 +253,7 @@ func (d *Device) ExecutorStats() ExecutorStats {
 	return ExecutorStats{
 		Shared:   d.sharedLaunches.Load(),
 		Alone:    d.aloneLaunches.Load(),
+		Inline:   d.inlineLaunches.Load(),
 		Unpooled: d.unpooledCommands.Load(),
 	}
 }

@@ -18,13 +18,12 @@ import (
 type Event struct {
 	name string
 
-	mu        sync.Mutex
-	err       error
-	completed bool
-	// done is closed on completion. It is made by the first Wait that finds
-	// the operation still running: most events are only ever waited on by
-	// the scheduler, through waiters, and never need it.
-	done chan struct{}
+	mu  sync.Mutex
+	err error
+	// running holds 1 from submit until completion, and Wait parks on it:
+	// a WaitGroup parks a waiter without allocating, and a caller often
+	// reads a result whose last group a pool worker is still running.
+	running sync.WaitGroup
 	// waiter0/waiters are commands whose wait-list includes this event;
 	// completion decrements each one's pending-dependency counter (see
 	// pool.go). This is what lets the scheduler fire commands without
@@ -47,12 +46,13 @@ type Event struct {
 	// once. depErr (guarded by mu) is the first error among the dependencies.
 	// cleanup marks a command whose work runs whatever its dependencies and
 	// the device did (EnqueueCleanup).
-	q       *Queue
-	work    func() error
-	launch  *launchRun
-	cleanup bool
-	pending atomic.Int32
-	depErr  error
+	q         *Queue
+	work      func() error
+	launch    *launchRun
+	cleanup   bool
+	completed bool // guarded by mu; here rather than beside err to pack the struct
+	pending   atomic.Int32
+	depErr    error
 }
 
 // CompletedEvent returns an already-completed event with the given error.
@@ -70,18 +70,8 @@ func (e *Event) Wait() error {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	if !e.completed {
-		if e.done == nil {
-			e.done = make(chan struct{})
-		}
-		done := e.done
-		e.mu.Unlock()
-		<-done
-		e.mu.Lock()
-	}
-	defer e.mu.Unlock()
-	return e.err
+	e.running.Wait()
+	return e.Err()
 }
 
 // Done reports, without blocking, whether the operation has completed.
@@ -156,13 +146,10 @@ func (e *Event) complete(err error) (next *Event, more []*Event) {
 	e.mu.Lock()
 	e.err = err
 	e.completed = true
-	done := e.done
 	w0, ws := e.waiter0, e.waiters
 	e.waiter0, e.waiters = nil, nil
 	e.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
+	e.running.Done()
 	if w0 != nil && w0.depDone(err) {
 		next = w0
 	}

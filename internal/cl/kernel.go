@@ -143,9 +143,10 @@ func (t *Thread) LocalF32() []float32 { return mem.F32(mem.BytesOfU32(t.localMem
 
 // launchRun is one kernel launch, from enqueue to completion: what to run
 // (fixed at enqueue) and the shared state of the run. The goroutine that
-// fires the command and the pool workers it recruits pull group indices from
-// next until the launch is exhausted; whichever of them finishes the last
-// group completes the command's event — nobody blocks waiting for the others.
+// runs the command — the one that enqueued it, if it was ready then — and the
+// pool workers it recruits pull group indices from next until the launch is
+// exhausted; whichever of them finishes the last group completes the
+// command's event — nobody blocks waiting for the others.
 // This replaces the seed's goroutine-per-work-group model with a constant
 // number of persistent workers (see pool.go).
 type launchRun struct {
@@ -161,7 +162,7 @@ type launchRun struct {
 	done   atomic.Int32
 	shared atomic.Bool // a recruited worker claimed a group
 	start  time.Time
-	// own is the Thread of the goroutine that fires the command (pool workers
+	// own is the Thread of the goroutine that runs the command (pool workers
 	// bring their own), so running a group allocates nothing.
 	own Thread
 
@@ -221,7 +222,8 @@ func (r *launchRun) exhausted() bool { return int(r.next.Load()) >= r.groups }
 // reports whether it ran the one that finished the launch. Whoever claims a
 // group and sees further ones outstanding recruits one more worker: a
 // one-group launch runs on the launching goroutine at no dispatch cost, a
-// launch of n_c groups has every core of the device on it within a wake-up.
+// launch of n_c groups has every idle core of the device on it within a
+// poll, or a wake-up once the workers have parked.
 func (r *launchRun) help(x *executor, t *Thread) (last bool) {
 	for {
 		g := int(r.next.Add(1)) - 1
@@ -229,7 +231,7 @@ func (r *launchRun) help(x *executor, t *Thread) (last bool) {
 			return last
 		}
 		if r.groups-g > 1 {
-			x.recruit(r, g == 0)
+			x.recruit(r.ev, g == 0)
 		}
 		if t != &r.own {
 			r.shared.Store(true)
@@ -272,7 +274,7 @@ func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
 	var wg sync.WaitGroup
 	for li := 0; li < r.local; li++ {
 		wg.Add(1)
-		go func(li int) {
+		go func(li int, lmem []uint32) {
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
@@ -287,7 +289,7 @@ func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
 				GlobalSize: gsz, LocalSize: r.local, NumGroups: r.groups,
 				Const: r.dev.Const, bar: bar, localMem: lmem,
 			})
-		}(li)
+		}(li, lmem) // by value: a captured lmem would move to the heap for every group
 	}
 	wg.Wait()
 	return

@@ -2,6 +2,7 @@ package cl
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,14 +15,19 @@ import (
 // framework overhead the paper measures against the beta Intel OpenCL SDK in
 // §5.3.2 / Figure 7(d). The executor replaces that with:
 //
-//   - A fixed worker pool per device (one worker per Const.Cores, started
-//     lazily, drained after an idle timeout or an explicit Device.Close).
-//     Work-groups of a launch are pulled from a shared atomic cursor by the
-//     launching goroutine and by every worker with nothing else to do: a
-//     launch of several groups is listed as open until its cursor is
-//     exhausted, a worker looks at the list before it parks and is woken when
-//     it grows, so an unclaimed group waits on an idle worker for one wake-up
-//     at most. A one-group launch lists nothing and wakes nobody.
+//   - Ready work runs where a thread is already awake. A kernel launch whose
+//     wait-list is complete at enqueue runs on the goroutine that enqueues
+//     it; every other ready command, and every launch with unclaimed groups,
+//     goes on one list that the pool's workers draw from.
+//
+//   - A worker pool per device (one worker per Const.Cores, started lazily,
+//     retired after an idle timeout or an explicit Device.Close). Work-groups
+//     of a launch are pulled from a shared atomic cursor by the goroutine
+//     that runs the launch and by every worker that draws it from the list.
+//     A worker with nothing to do polls the list for spinWindow, yielding
+//     between polls, before it parks; a parked one is woken by a token when
+//     work is listed that no spinning worker will take. A one-group launch
+//     lists nothing and wakes nobody.
 //
 //   - A dependency-counting command scheduler: each command carries a
 //     pending-dependency counter and is fired exactly once, by whichever
@@ -37,6 +43,29 @@ import (
 // goroutines.
 const workerIdleTimeout = 2 * time.Second
 
+// spinWindow is how long an idle worker polls the list before it parks: above
+// the 64 µs median (117 µs p90) it takes a parked worker to arrive on a
+// two-vCPU host, so work listed within one window of the last costs no
+// wake-up, and short enough that an idle engine stops burning CPU at once.
+const spinWindow = 100 * time.Microsecond
+
+// spinners counts the workers of all devices that are polling right now. It
+// is process-wide because the processors are: at most max(1, GOMAXPROCS−1)
+// poll at once, so spinning never keeps a runnable goroutine off the last
+// processor.
+var spinners atomic.Int32
+
+// startSpin takes one of the process's spinning slots, if one is free.
+func startSpin() bool {
+	limit := int32(max(1, runtime.GOMAXPROCS(0)-1))
+	for n := spinners.Load(); n < limit; n = spinners.Load() {
+		if spinners.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+	return false
+}
+
 // maxLocalFree bounds the local-memory free-list length per device.
 const maxLocalFree = 64
 
@@ -44,21 +73,27 @@ const maxLocalFree = 64
 type executor struct {
 	dev *Device
 
-	// tasks hands a ready command to a parked worker: unbuffered, so a send
-	// succeeds only when a worker is parked on the other side, and fire
-	// never blocks and never queues a command behind a busy pool.
-	tasks chan *Event
-	// wake holds a token per worker that must look at open again before parking.
+	// wake holds a token per worker that must look at the list again before
+	// parking.
 	wake chan struct{}
 	quit chan struct{}
 
 	mu      sync.Mutex
 	workers int
 	closed  bool
-	// open lists the running launches that may have unclaimed groups, oldest
-	// first; exhausted ones are dropped by whoever holds mu next.
-	open []*launchRun
-	wg   sync.WaitGroup
+	// list is the work waiting for a thread, oldest first: ready commands
+	// fire handed to the pool (removed by the worker that takes one) and
+	// running launches that may have unclaimed groups (dropped, once
+	// exhausted, by whoever holds mu next). listed mirrors len(list) for the
+	// spinning workers, which poll it without the lock.
+	list   []*Event
+	listed atomic.Int32
+	// queued counts the ready commands on list; spinning and parked count
+	// the idle workers. fire lists a command only while the idle workers
+	// outnumber the queued commands, so every listed command has a worker to
+	// come for it; a worker takes queued commands before open launches.
+	queued, spinning, parked int
+	wg                       sync.WaitGroup
 
 	// localFree recycles work-group local-memory scratch across launches.
 	localMu   sync.Mutex
@@ -69,11 +104,7 @@ type executor struct {
 }
 
 func newExecutor(d *Device) *executor {
-	x := &executor{
-		dev:   d,
-		tasks: make(chan *Event),
-		quit:  make(chan struct{}),
-	}
+	x := &executor{dev: d, quit: make(chan struct{})}
 	x.wake = make(chan struct{}, x.maxWorkers())
 	return x
 }
@@ -91,7 +122,7 @@ func (d *Device) executor() *executor {
 	return x
 }
 
-// Close drains the device's worker pool: parked workers exit and in-flight
+// Close drains the device's worker pool: idle workers exit and in-flight
 // work is waited for. The pool restarts lazily on the next launch, so Close
 // is safe at any point; it exists so contexts can be torn down without
 // leaving goroutines behind (workers also retire on their own after an idle
@@ -132,7 +163,7 @@ func (x *executor) liveWorkers() int {
 	return x.workers
 }
 
-// spawn starts a worker on c (nil: on whatever is open) unless the pool is
+// spawn starts a worker on c (nil: on whatever is listed) unless the pool is
 // closed or has a worker per core already.
 func (x *executor) spawn(c *Event) bool {
 	x.mu.Lock()
@@ -148,39 +179,59 @@ func (x *executor) spawn(c *Event) bool {
 	return ok
 }
 
-// recruit brings one more worker to r, which has unclaimed groups. The
-// launching goroutine lists r as open first, where every worker looks before
-// it parks; a missing worker is spawned, a parked one woken by the token.
-// Every claim that leaves further groups outstanding recruits again: a wide
-// launch's wake-ups spread 1 → 2 → 4 over the pool, a two-group one costs one.
-func (x *executor) recruit(r *launchRun, list bool) {
-	if list {
-		x.mu.Lock()
-		x.open = append(slices.DeleteFunc(x.open, (*launchRun).exhausted), r)
-		x.mu.Unlock()
-	}
-	if !x.spawn(nil) {
-		select {
-		case x.wake <- struct{}{}:
-		default:
-		}
+// signal wakes one parked worker; a full channel already has every parked
+// worker coming.
+func (x *executor) signal() {
+	select {
+	case x.wake <- struct{}{}:
+	default:
 	}
 }
 
-// nextOpen returns the oldest launch with an unclaimed group, or nil. A
-// retiring worker leaves the pool under the lock it looked under, so a launch
-// listed an instant later finds the pool short of a worker and spawns one.
-func (x *executor) nextOpen(retiring bool) *launchRun {
+// setListLocked replaces the list and publishes its length to the spinners.
+func (x *executor) setListLocked(l []*Event) {
+	x.list = l
+	x.listed.Store(int32(len(l)))
+}
+
+// recruit brings one more worker to the launch c, which has unclaimed
+// groups. The goroutine that claims its first group lists it, where every
+// idle worker looks; a spinning worker finds it by itself, a parked one is
+// woken by the token, and with no idle worker free one is spawned. Every
+// claim that leaves further groups outstanding recruits again: a wide
+// launch's helpers spread 1 → 2 → 4 over the pool, a two-group one costs one.
+func (x *executor) recruit(c *Event, list bool) {
 	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.open = slices.DeleteFunc(x.open, (*launchRun).exhausted)
-	if len(x.open) > 0 {
-		return x.open[0]
+	if list {
+		x.setListLocked(append(slices.DeleteFunc(x.list, (*Event).exhausted), c))
 	}
-	if retiring {
-		x.workers--
+	free := x.spinning+x.parked > x.queued
+	wake := free && x.queued >= x.spinning
+	x.mu.Unlock()
+	if wake {
+		x.signal()
+	} else if !free {
+		x.spawn(nil)
 	}
-	return nil
+}
+
+// takeLocked returns the oldest queued command, removing it from the list,
+// else the oldest launch with an unclaimed group, else nil. A worker that
+// retires leaves the pool under the lock it found the list empty under, so
+// work listed an instant later finds the pool short of a worker and spawns
+// one.
+func (x *executor) takeLocked() *Event {
+	l := slices.DeleteFunc(x.list, (*Event).exhausted)
+	var c *Event
+	if i := slices.IndexFunc(l, (*Event).queuedCommand); i >= 0 {
+		c = l[i]
+		l = slices.Delete(l, i, i+1)
+		x.queued--
+	} else if len(l) > 0 {
+		c = l[0]
+	}
+	x.setListLocked(l)
+	return c
 }
 
 func (x *executor) worker(first *Event) {
@@ -190,24 +241,55 @@ func (x *executor) worker(first *Event) {
 	// No Stop-and-drain before Reset: go.mod's go1.24 timers leave no stale tick.
 	timer := time.NewTimer(workerIdleTimeout)
 	defer timer.Stop()
-	for retiring := false; ; {
-		if r := x.nextOpen(retiring); r != nil {
-			r.runInPool(x, &t)
+	x.mu.Lock()
+	for retiring, spun := false, false; ; {
+		if c := x.takeLocked(); c != nil {
+			x.mu.Unlock()
+			if c.queuedCommand() {
+				runCommands(c)
+			} else {
+				c.launch.runInPool(x, &t)
+			}
+			spun = false
+			x.mu.Lock()
 			continue
 		}
 		if retiring {
+			x.workers--
+			x.mu.Unlock()
 			return
 		}
+		if !spun && startSpin() {
+			spun = true
+			x.spinning++
+			x.mu.Unlock()
+			for end := time.Now().Add(spinWindow); x.listed.Load() == 0 && time.Now().Before(end); {
+				runtime.Gosched()
+			}
+			spinners.Add(-1)
+			x.mu.Lock()
+			x.spinning--
+			if x.listed.Load() > 0 && x.spinning == 0 && x.parked > 0 {
+				// About to take work: wake a parked worker to spin in this
+				// one's place, so that the next group listed finds a worker
+				// awake.
+				x.signal()
+			}
+			continue
+		}
+		x.parked++
+		x.mu.Unlock()
 		timer.Reset(workerIdleTimeout)
 		select {
-		case c := <-x.tasks:
-			runCommands(c)
 		case <-x.wake:
+			spun = false
 		case <-x.quit:
 			retiring = true
 		case <-timer.C:
 			retiring = true
 		}
+		x.mu.Lock()
+		x.parked--
 	}
 }
 
@@ -271,6 +353,13 @@ func (c *Event) noteDepErr(err error) {
 	c.mu.Unlock()
 }
 
+// queuedCommand reports that c, taken from an executor's list, is a command
+// fire listed rather than a running launch listed as open.
+func (c *Event) queuedCommand() bool { return c.launch == nil || c.launch.next.Load() == 0 }
+
+// exhausted reports that c is a launch whose every group has been claimed.
+func (c *Event) exhausted() bool { return c.launch != nil && c.launch.exhausted() }
+
 // depDone is called once per registered dependency as it completes; it
 // reports whether the command became runnable.
 func (c *Event) depDone(err error) bool {
@@ -278,18 +367,28 @@ func (c *Event) depDone(err error) bool {
 	return c.pending.Add(-1) == 0
 }
 
-// fire starts a runnable command without blocking the caller: a parked pool
-// worker picks it up when one is available, or one is spawned if the pool is
-// below the device's core count; otherwise a fresh goroutine runs it (and,
-// via runCommands, every dependent it unblocks in sequence).
+// fire starts a runnable command without blocking the caller: it is listed
+// for an idle pool worker when one is free for it, or a worker is spawned if
+// the pool is below the device's core count; otherwise a fresh goroutine runs
+// it (and, via runCommands, every dependent it unblocks in sequence). That
+// goroutine is the progress guarantee: a command starts even when every
+// worker is inside a long group or blocked in a host callback.
 func (x *executor) fire(c *Event) {
-	select {
-	case x.tasks <- c:
-	default:
-		if !x.spawn(c) {
-			x.dev.unpooledCommands.Add(1)
-			go runCommands(c)
+	x.mu.Lock()
+	if x.spinning+x.parked > x.queued {
+		x.queued++
+		x.setListLocked(append(x.list, c))
+		wake := x.queued > x.spinning
+		x.mu.Unlock()
+		if wake {
+			x.signal()
 		}
+		return
+	}
+	x.mu.Unlock()
+	if !x.spawn(c) {
+		x.dev.unpooledCommands.Add(1)
+		go runCommands(c)
 	}
 }
 

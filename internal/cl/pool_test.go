@@ -2,6 +2,7 @@ package cl
 
 import (
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -105,24 +106,54 @@ func TestPoolWorkersDrainOnCloseAndRestart(t *testing.T) {
 }
 
 // TestPoolWorkersRetireWhenIdle: with no work, the lazily started workers
-// exit on their own after the idle timeout — an idle device holds no
-// goroutines even without an explicit Close.
+// stop spinning within a few spin windows and, parked, exit on their own
+// after the idle timeout — an idle device holds no goroutines even without
+// an explicit Close.
 func TestPoolWorkersRetireWhenIdle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the worker idle timeout")
 	}
 	dev := NewCPUDevice(4)
 	q := NewQueue(NewContext(dev))
-	if err := q.EnqueueKernel(func(*Thread) {}, Launch{Name: "fan", Groups: 8, Local: 4}).Wait(); err != nil {
-		t.Fatal(err)
-	}
+	burst(t, q, Launch{Name: "fan", Groups: 8, Local: 4})
 	x := dev.executor()
+	waitNoSpinner(t)
 	deadline := time.Now().Add(workerIdleTimeout + 5*time.Second)
 	for x.liveWorkers() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d workers still alive well past the idle timeout", x.liveWorkers())
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// burst runs 50 rounds of four launches of geometry l, some fired on the
+// pool by a gate and some ready at enqueue, with gaps shorter and longer
+// than a spin window between rounds, so that workers spin, park and wake.
+func burst(t *testing.T, q *Queue, l Launch) {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		gate, open := gated(q)
+		gl := l
+		gl.Wait = []*Event{gate}
+		evs := []*Event{q.EnqueueKernel(func(*Thread) {}, gl), q.EnqueueKernel(func(*Thread) {}, gl)}
+		open()
+		evs = append(evs, q.EnqueueKernel(func(*Thread) {}, l), q.EnqueueKernel(func(*Thread) {}, l))
+		if err := WaitAll(evs...); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(i%3) * spinWindow)
+	}
+}
+
+// waitNoSpinner fails unless, within a few spin windows, no worker of any
+// device is spinning.
+func waitNoSpinner(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(50 * spinWindow); spinners.Load() != 0; time.Sleep(spinWindow / 4) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers still spinning %v after the last launch", spinners.Load(), 50*spinWindow)
+		}
 	}
 }
 
@@ -206,11 +237,22 @@ func TestDeviceCloseIdempotentAndConcurrentSafe(t *testing.T) {
 	}
 }
 
-// warmPool runs one launch with a group per core and waits until every
-// worker of the device exists.
+// gated returns an incomplete event and the function that completes it. A
+// launch that waits on it is fired by the completion on a pool worker,
+// instead of running on the goroutine that enqueues it.
+func gated(q *Queue) (*Event, func()) {
+	ch := make(chan struct{})
+	return q.EnqueueHost("gate", func() error { <-ch; return nil }, nil), func() { close(ch) }
+}
+
+// warmPool runs one launch with a group per core on the pool and waits until
+// every worker of the device exists.
 func warmPool(t *testing.T, q *Queue) *executor {
 	t.Helper()
-	if err := q.EnqueueKernel(func(*Thread) {}, Launch{Name: "warm"}).Wait(); err != nil {
+	gate, open := gated(q)
+	ev := q.EnqueueKernel(func(*Thread) {}, Launch{Name: "warm", Wait: []*Event{gate}})
+	open()
+	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	x := q.dev.executor()
@@ -220,6 +262,19 @@ func warmPool(t *testing.T, q *Queue) *executor {
 		}
 	}
 	return x
+}
+
+// listedLaunch returns a launch with unclaimed groups on the executor's
+// list, or nil.
+func listedLaunch(x *executor) *Event {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, c := range x.list {
+		if !c.exhausted() && !c.queuedCommand() {
+			return c
+		}
+	}
+	return nil
 }
 
 // waitFor yields until flag is set and reports whether that happened within
@@ -242,7 +297,8 @@ func waitFor(flag *atomic.Bool) bool {
 // parked worker (the parent of the commit that added this test) the offer is
 // lost there, group 0 waits out the bound and the test fails within the
 // first few repetitions at every GOMAXPROCS; with open launches listed it
-// cannot.
+// cannot. Both launches wait on a gate, so that a completion fires them on
+// the pool rather than on the test's goroutine.
 func TestSecondWorkerArrives(t *testing.T) {
 	q := NewQueue(NewContext(NewCPUDevice(2)))
 	warmPool(t, q)
@@ -250,16 +306,21 @@ func TestSecondWorkerArrives(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		var arrived atomic.Bool
 		missed := false // written by group 0 only, read after Wait
-		before := q.EnqueueKernel(func(*Thread) {}, two)
+		gate, open := gated(q)
+		first := two
+		first.Wait = []*Event{gate}
+		before := q.EnqueueKernel(func(*Thread) {}, first)
 		rendezvous := two
 		rendezvous.Wait = []*Event{before}
-		if err := q.EnqueueKernel(func(th *Thread) {
+		ev := q.EnqueueKernel(func(th *Thread) {
 			if th.Group == 1 {
 				arrived.Store(true)
 			} else if !waitFor(&arrived) {
 				missed = true
 			}
-		}, rendezvous).Wait(); err != nil {
+		}, rendezvous)
+		open()
+		if err := ev.Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if missed {
@@ -273,23 +334,29 @@ func TestSecondWorkerArrives(t *testing.T) {
 
 // TestStaleOpenLaunchIsHarmless: a worker that meets a launch in the open
 // list after its last group was claimed — or after it completed — claims
-// nothing, completes nothing, and forgets it.
+// nothing, completes nothing, and forgets it. Both launches wait on a gate,
+// so that a completion fires them on the pool.
 func TestStaleOpenLaunchIsHarmless(t *testing.T) {
 	q := NewQueue(NewContext(NewCPUDevice(2)))
 	x := warmPool(t, q)
 	var ran atomic.Int32
-	ev := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "done", Groups: 2, Local: 1})
+	gate, open := gated(q)
+	ev := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "done", Groups: 2, Local: 1, Wait: []*Event{gate}})
+	open()
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	stats := q.dev.ExecutorStats()
 	x.mu.Lock()
-	x.open = append(x.open, ev.launch)
+	x.setListLocked(append(x.list, ev))
 	x.mu.Unlock()
 	var th Thread
 	ev.launch.runInPool(x, &th) // a worker that read the list before the prune
 	x.wake <- struct{}{}
-	if err := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "after", Groups: 2, Local: 1}).Wait(); err != nil {
+	gate, open = gated(q)
+	last := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "after", Groups: 2, Local: 1, Wait: []*Event{gate}})
+	open()
+	if err := last.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if n := ran.Load(); n != 4 {
@@ -299,27 +366,30 @@ func TestStaleOpenLaunchIsHarmless(t *testing.T) {
 	if got := after.Shared + after.Alone - stats.Shared - stats.Alone; got != 1 {
 		t.Fatalf("%d launches completed after the stale entry was listed, want 1", got)
 	}
-	if r := x.nextOpen(false); r != nil {
-		t.Fatalf("exhausted launch %q still listed as open", r.name)
+	if c := listedLaunch(x); c != nil {
+		t.Fatalf("exhausted launch %q still listed as open", c.name)
 	}
 }
 
 // TestCloseWithLaunchOpen: Close waits for the workers inside an open launch
 // and returns once it is done; the launch completes and the device restarts
-// its pool for the next one.
+// its pool for the next one. The launch waits on a gate, so that both of its
+// groups run on workers.
 func TestCloseWithLaunchOpen(t *testing.T) {
 	dev := NewCPUDevice(2)
 	q := NewQueue(NewContext(dev))
 	warmPool(t, q)
 	var inside, release atomic.Bool
 	var ran atomic.Int32
+	gate, open := gated(q)
 	ev := q.EnqueueKernel(func(th *Thread) {
 		if th.Group == 1 {
 			inside.Store(true)
 		}
 		waitFor(&release)
 		ran.Add(1)
-	}, Launch{Name: "held", Groups: 2, Local: 1})
+	}, Launch{Name: "held", Groups: 2, Local: 1, Wait: []*Event{gate}})
+	open()
 	if !waitFor(&inside) {
 		t.Fatal("group 1 never started")
 	}
@@ -348,12 +418,14 @@ func TestCloseWithLaunchOpen(t *testing.T) {
 
 // TestPanicInRecruitedGroupAbortsOnce: the panic of a group that a recruited
 // worker runs fails the launch — completed once, by whoever finishes last —
-// and its dependents, and the worker survives it.
+// and its dependents, and the worker survives it. The launch waits on a
+// gate, so that a completion fires it on the pool.
 func TestPanicInRecruitedGroupAbortsOnce(t *testing.T) {
 	q := NewQueue(NewContext(NewCPUDevice(2)))
 	warmPool(t, q)
 	before := q.dev.ExecutorStats()
 	var recruited atomic.Bool
+	gate, open := gated(q)
 	bad := q.EnqueueKernel(func(th *Thread) {
 		if th.Group == 1 {
 			recruited.Store(true)
@@ -362,7 +434,8 @@ func TestPanicInRecruitedGroupAbortsOnce(t *testing.T) {
 		if !waitFor(&recruited) {
 			t.Error("group 1 was not run by a second goroutine")
 		}
-	}, Launch{Name: "half", Groups: 2, Local: 1})
+	}, Launch{Name: "half", Groups: 2, Local: 1, Wait: []*Event{gate}})
+	open()
 	if err := bad.Wait(); err == nil || !strings.Contains(err.Error(), "recruit exploded") {
 		t.Fatalf("want the recruit's panic from the launch, got %v", err)
 	}
@@ -399,7 +472,105 @@ func TestOneGroupLaunchWakesNobody(t *testing.T) {
 	if s := dev.ExecutorStats(); s != (ExecutorStats{}) {
 		t.Fatalf("executor stats %+v, want all zero", s)
 	}
-	if r := x.nextOpen(false); r != nil {
+	if listedLaunch(x) != nil {
 		t.Fatal("a one-group launch was listed as open")
 	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() int {
+	var buf [64]byte
+	id, _ := strconv.Atoi(strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1])
+	return id
+}
+
+// TestReadyLaunchRunsOnEnqueuingGoroutine: a launch whose wait-list is
+// complete runs on the goroutine that enqueues it — its first group there,
+// and a one-group launch entirely, before EnqueueKernel returns.
+func TestReadyLaunchRunsOnEnqueuingGoroutine(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		dev := NewCPUDevice(2)
+		q := NewQueue(NewContext(dev))
+		me := goid()
+		var first atomic.Int64
+		ev := q.EnqueueKernel(func(th *Thread) {
+			if th.Group == 0 {
+				first.Store(int64(goid()))
+			}
+		}, Launch{Name: "ready", Groups: groups, Local: 1, Wait: []*Event{CompletedEvent(nil)}})
+		if groups == 1 && !ev.Done() {
+			t.Fatal("a ready one-group launch had not completed when EnqueueKernel returned")
+		}
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := int(first.Load()); got != me {
+			t.Fatalf("%d groups: group 0 ran on goroutine %d, not the enqueuing %d", groups, got, me)
+		}
+		if s := dev.ExecutorStats(); s.Inline != 1 {
+			t.Fatalf("%d groups: executor stats %+v, want 1 inline launch", groups, s)
+		}
+		dev.Close()
+	}
+}
+
+// TestPendingLaunchReturnsBeforeRunning: a launch with an incomplete
+// dependency is only registered by EnqueueKernel; the completion of the
+// dependency runs it, off the enqueuing goroutine.
+func TestPendingLaunchReturnsBeforeRunning(t *testing.T) {
+	dev := NewCPUDevice(2)
+	q := NewQueue(NewContext(dev))
+	gate, open := gated(q)
+	var ran atomic.Bool
+	ev := q.EnqueueKernel(func(*Thread) { ran.Store(true) }, Launch{Name: "pending", Groups: 1, Local: 1, Wait: []*Event{gate}})
+	if ran.Load() || ev.Done() {
+		t.Fatal("a launch ran before its dependency completed")
+	}
+	open()
+	if err := ev.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran.Load() {
+		t.Fatal("the launch completed without running")
+	}
+	if s := dev.ExecutorStats(); s.Inline != 0 {
+		t.Fatalf("executor stats %+v, want no inline launch", s)
+	}
+	dev.Close()
+}
+
+// TestSpinningWorkersCapped: the simulated GPU has seven workers, but with
+// two processors at most one of them spins at a time, so the other processor
+// stays free for a runnable goroutine.
+func TestSpinningWorkersCapped(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	waitNoSpinner(t)
+	dev := NewGPUDevice(0)
+	q := NewQueue(NewContext(dev))
+	var peak atomic.Int32
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := spinners.Load(); n > peak.Load() {
+				peak.Store(n)
+			}
+			runtime.Gosched()
+		}
+	}()
+	burst(t, q, Launch{Name: "wide", Local: 4})
+	close(stop)
+	<-sampled
+	if n := dev.executor().liveWorkers(); n < 2 {
+		t.Fatalf("%d workers: the bursts never needed a second one", n)
+	}
+	if p := peak.Load(); p > 1 {
+		t.Fatalf("%d workers spun at once with GOMAXPROCS 2, want at most 1", p)
+	}
+	dev.Close()
 }

@@ -8,9 +8,14 @@ import (
 // Queue is a command queue on one device, mirroring cl_command_queue in
 // out-of-order mode: commands are only ordered by their wait-lists, which is
 // what lets the driver interleave independent kernels and transfers
-// (Figure 3 of the paper). Every Enqueue* call returns immediately with an
-// Event; Ocelot's operators are lazy (§3.4) — they enqueue and move on, and
-// only the sync operator waits.
+// (Figure 3 of the paper). Every Enqueue* call returns an Event without
+// waiting on the wait-list: Ocelot's operators are lazy (§3.4) — they enqueue
+// and move on, and only the sync operator waits. A kernel launch whose
+// wait-list has already completed is the exception to "move on": the
+// enqueuing goroutine runs its groups until none is left unclaimed before
+// EnqueueKernel returns, and pool workers it recruits take the others, since
+// on a host device that goroutine is the thread that is awake to run it.
+// Transfers, host callbacks and cleanups go to the device's pool.
 type Queue struct {
 	ctx *Context
 	dev *Device
@@ -89,12 +94,15 @@ func (q *Queue) forget(ev *Event, err error) {
 // (simulated devices know the duration up front from the cost model), then
 // registers the command with the dependency-counting scheduler. The command
 // — work, or for a kernel launch — runs, measuring real time on real devices,
-// as soon as its last dependency completes; with no incomplete dependencies
-// it is fired immediately onto the device's worker pool. No goroutine is
-// parked waiting for dependencies. c carries the command half (name, and
-// work or launch); submit owns it from here.
+// as soon as its last dependency completes. With no incomplete dependencies
+// a launch runs here, on the caller, and any other command is fired onto the
+// device's worker pool; a cleanup stays off the caller because it takes the
+// Memory Manager's locks. No goroutine is parked waiting for dependencies. c
+// carries the command half (name, and work or launch); submit owns it from
+// here.
 func (q *Queue) submit(c *Event, deps []*Event, virtDur time.Duration, copyEngine bool) *Event {
 	c.q = q
+	c.running.Add(1)
 	if ferr := q.dev.faultCommand(); ferr != nil && !c.cleanup {
 		// The command is scheduled normally but its work is replaced by the
 		// injected failure, so dependents and Finish observe it through the
@@ -122,7 +130,12 @@ func (q *Queue) submit(c *Event, deps []*Event, virtDur time.Duration, copyEngin
 		}
 	}
 	if c.pending.Add(-1) == 0 {
-		q.dev.executor().fire(c)
+		if c.launch != nil {
+			q.dev.inlineLaunches.Add(1)
+			runCommands(c)
+		} else {
+			q.dev.executor().fire(c)
+		}
 	}
 	return c
 }

@@ -121,7 +121,9 @@ func CompileFusedExpr(dev *cl.Device, nodes []FusedExprNode, gather bool, seq ui
 			uses[n.R]++
 		}
 	}
-	p := &FusedProgram{float: nodes[root].Float}
+	// One step per node unless an operand needs a cast: sized up front, the
+	// steps are one allocation instead of a growing slice's three or four.
+	p := &FusedProgram{float: nodes[root].Float, steps: make([]fusedStep, 0, len(nodes))}
 	args := make([]fusedArg, len(nodes))
 	var free []int
 	alloc := func() int {

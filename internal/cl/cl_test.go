@@ -2,6 +2,7 @@ package cl
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -129,52 +130,57 @@ func TestGroupSpanCover(t *testing.T) {
 	}
 }
 
-func TestBarrierAndLocalMemoryReduction(t *testing.T) {
-	// Tree reduction in local memory: the classic barrier-dependent kernel.
+// TestLocalMemoryPerGroupReduction: every work-group gets local memory of
+// its own, zeroed when the group starts and shared by its items, which run
+// one after another: each item leaves its partial sum in its word, and the
+// group's last item folds the words. A word another group wrote would show
+// as a non-zero start or a foreign partial. The barrier half of work-group
+// execution is TestKernelPanicWithBarriersDoesNotDeadlock's and
+// TestBrokenBarrierAbortsAcrossPooledGroups'.
+func TestLocalMemoryPerGroupReduction(t *testing.T) {
 	for _, dev := range devices() {
 		ctx := NewContext(dev)
 		q := NewQueue(ctx)
-		const n = 1 << 14
+		const n, groups = 1 << 14, 8
 		in, _ := ctx.CreateBuffer(4 * n)
-		src := in.I32()
-		var want int64
+		src := in.U32()
 		for i := range src {
-			src[i] = int32(i % 97)
-			want += int64(i % 97)
+			src[i] = uint32(i % 97)
 		}
-		groups, local := DefaultLaunch(dev)
+		_, local := DefaultLaunch(dev)
 		out, _ := ctx.CreateBuffer(4 * groups)
-		partial := out.I32()
+		partial := out.U32()
 		ev := q.EnqueueKernel(func(th *Thread) {
-			lmem := th.LocalI32()
+			lmem := th.LocalU32()
+			if th.Local == 0 && slices.ContainsFunc(lmem, func(w uint32) bool { return w != 0 }) {
+				panic(fmt.Sprintf("group %d starts with non-zero local memory %v", th.Group, lmem))
+			}
 			lo, hi := th.GroupSpan(n)
-			var sum int32
+			var sum uint32
 			for i := lo + th.Local; i < hi; i += th.LocalSize {
 				sum += src[i]
 			}
 			lmem[th.Local] = sum
-			th.Barrier()
-			for w := th.LocalSize; w > 1; {
-				half := (w + 1) / 2
-				if th.Local < w/2 {
-					lmem[th.Local] += lmem[th.Local+half]
+			if th.Local == th.LocalSize-1 {
+				var total uint32
+				for _, w := range lmem {
+					total += w
 				}
-				th.Barrier()
-				w = half
+				partial[th.Group] = total
 			}
-			if th.Local == 0 {
-				partial[th.Group] = lmem[0]
-			}
-		}, Launch{Name: "reduce", Barriers: true, LocalWords: local, Groups: groups, Local: local})
+		}, Launch{Name: "reduce", LocalWords: local, Groups: groups, Local: local})
 		if err := ev.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		var got int64
-		for _, p := range partial {
-			got += int64(p)
-		}
-		if got != want {
-			t.Fatalf("%s: reduction = %d, want %d", dev.Name, got, want)
+		chunk := (n + groups - 1) / groups
+		for g := range groups {
+			var want uint32
+			for _, v := range src[g*chunk : min(g*chunk+chunk, n)] {
+				want += v
+			}
+			if partial[g] != want {
+				t.Fatalf("%s: group %d reduced to %d, want %d", dev.Name, g, partial[g], want)
+			}
 		}
 	}
 }

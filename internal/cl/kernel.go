@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/mem"
 )
 
 // KernelFunc is the body of a kernel: the operation on (a chunk of) the
@@ -134,12 +132,6 @@ func (t *Thread) Barrier() {
 // LocalU32 returns the group's local memory as []uint32. All work-items of a
 // group observe the same memory; distinct groups have distinct memory.
 func (t *Thread) LocalU32() []uint32 { return t.localMem }
-
-// LocalI32 returns the group's local memory viewed as []int32.
-func (t *Thread) LocalI32() []int32 { return mem.I32(mem.BytesOfU32(t.localMem)) }
-
-// LocalF32 returns the group's local memory viewed as []float32.
-func (t *Thread) LocalF32() []float32 { return mem.F32(mem.BytesOfU32(t.localMem)) }
 
 // launchRun is one kernel launch, from enqueue to completion: what to run
 // (fixed at enqueue) and the shared state of the run. The goroutine that

@@ -161,7 +161,7 @@ func TestSyncedValueFeedsLaterOperators(t *testing.T) {
 	}
 }
 
-// TestAllocZeroedAfterRecycledGarbage: the zeroed variant must hand out zeros
+// TestAllocZeroedAfterRecycledGarbage: a zeroed allocation must hand out zeros
 // even when the free-list serves it the bytes of a buffer that was released
 // full of ones — the hash build's fail flag depends on it: kernels only ever
 // raise that word, so a stale non-zero one reads as a failed insertion round
@@ -177,7 +177,7 @@ func TestAllocZeroedAfterRecycledGarbage(t *testing.T) {
 			dirty.Bytes()[i] = 0xFF
 		}
 		e.mm.Release(dirty)
-		flag, err := e.mm.AllocZeroed(4)
+		flag, err := e.mm.alloc(4, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestAllocZeroedAfterRecycledGarbage(t *testing.T) {
 			t.Fatalf("%s: the zeroed allocation did not reuse the recycled word; the test proves nothing", e.Name())
 		}
 		if w := flag.U32()[0]; w != 0 {
-			t.Fatalf("%s: AllocZeroed returned %#x over recycled bytes", e.Name(), w)
+			t.Fatalf("%s: a zeroed allocation returned %#x over recycled bytes", e.Name(), w)
 		}
 		e.mm.Release(flag)
 

@@ -278,21 +278,11 @@ func BitmapOr(q *cl.Queue, dst, a, b, partials *cl.Buffer, n int, wait []*cl.Eve
 }
 
 // FoldCount enqueues the sum of the gsz per-item population counts a bitmap
-// producer left in partials into total[0].
+// producer left in partials into total[0] — foldFinal, as for a scalar sum.
 func FoldCount(q *cl.Queue, partials, total *cl.Buffer, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	_, _, gsz := Geometry(dev)
-	p, tot := partials.U32(), total.U32()
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		if t.Global != 0 {
-			return
-		}
-		var sum uint32
-		for _, v := range p[:gsz] {
-			sum += v
-		}
-		tot[0] = sum
-	}, launch(dev, "bitcount_final", cl.Cost{BytesStreamed: int64(gsz) * 4}, wait))
+	_, _, gsz := Geometry(q.Device())
+	return foldFinal(q, "bitcount_final", total.U32(), partials.U32()[:gsz], ops.Sum, 0,
+		cl.Cost{BytesStreamed: int64(gsz) * 4}, wait)
 }
 
 // Materialize enqueues the bitmap→oid-list conversion (§4.1.2): "First, we

@@ -466,57 +466,134 @@ func refF32(op ops.Bin, x, y float32) float32 {
 	return x / y
 }
 
+// TestReduceKernels runs every scalar reduction — Sum, Min and Max on int32
+// and float32 — on one, two and eight CPU cores and the GPU model, at one
+// row, fewer rows than the launch has work-items, a count that is not a
+// multiple of SumChunks and a large one, over finite values and over values
+// with the extremes (MinInt32 and MaxInt32, ±Inf) mixed in. Integer results
+// and float Min/Max equal a sequential fold; a float sum has the bits of the
+// fixed partition: SumChunks chunks, each summed in row order, then the
+// chunk sums in chunk order.
 func TestReduceKernels(t *testing.T) {
-	for _, dev := range devices() {
+	fixedSum := func(v []float32) float32 {
+		n := len(v)
+		chunk := (n + SumChunks - 1) / SumChunks
+		var total float32
+		for c := range SumChunks {
+			var acc float32
+			for _, x := range v[min(c*chunk, n):min(c*chunk+chunk, n)] {
+				acc += x
+			}
+			total += acc
+		}
+		return total
+	}
+	kinds := []ops.Agg{ops.Sum, ops.Min, ops.Max}
+	for _, dev := range []*cl.Device{cl.NewCPUDevice(1), cl.NewCPUDevice(2), cl.NewCPUDevice(8), cl.NewGPUDevice(64 << 20)} {
 		e := newEnv(dev)
-		n := 100000
-		vals := make([]float32, n)
-		r := rand.New(rand.NewSource(11))
-		var sum float64
-		mn, mx := float32(math.Inf(1)), float32(math.Inf(-1))
-		for i := range vals {
-			vals[i] = r.Float32()*100 - 50
-			sum += float64(vals[i])
-			if vals[i] < mn {
-				mn = vals[i]
-			}
-			if vals[i] > mx {
-				mx = vals[i]
-			}
-		}
-		src := e.f32(t, vals)
-		dst := e.buf(t, 1)
-		if err := ReduceF32(e.q, dst, src, e.scratch(t), ops.Sum, n, nil).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(float64(dst.F32()[0])-sum) / (math.Abs(sum) + 1); rel > 1e-3 {
-			t.Fatalf("%s: f32 sum = %v, want %v (rel %v)", dev.Name, dst.F32()[0], sum, rel)
-		}
-		if err := ReduceF32(e.q, dst, src, e.scratch(t), ops.Min, n, nil).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if dst.F32()[0] != mn {
-			t.Fatalf("%s: min = %v, want %v", dev.Name, dst.F32()[0], mn)
-		}
-		if err := ReduceF32(e.q, dst, src, e.scratch(t), ops.Max, n, nil).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if dst.F32()[0] != mx {
-			t.Fatalf("%s: max = %v, want %v", dev.Name, dst.F32()[0], mx)
-		}
+		_, _, gsz := Geometry(dev)
+		for _, n := range []int{1, gsz/2 + 1, 3*SumChunks + 5, 100003} {
+			for _, extremes := range []bool{false, true} {
+				r := rand.New(rand.NewSource(int64(n)))
+				ivals, fvals := make([]int32, n), make([]float32, n)
+				for i := range n {
+					ivals[i] = r.Int31n(2001) - 1000
+					fvals[i] = (r.Float32()*100 - 60) * float32(int(1)<<r.Intn(12))
+				}
+				if extremes {
+					for j, x := range []int32{math.MinInt32, math.MaxInt32, -1} {
+						ivals[(j*n)/3] = x
+					}
+					for j, x := range []float32{float32(math.Inf(-1)), float32(math.Inf(1))} {
+						fvals[(j*n)/2+n/4] = x
+					}
+				}
+				isrc, fsrc, dst := e.i32(t, ivals), e.f32(t, fvals), e.buf(t, 1)
+				for _, kind := range kinds {
+					what := fmt.Sprintf("%s n=%d extremes=%v %v", dev.Name, n, extremes, kind)
+					if err := ReduceI32(e.q, dst, isrc, e.scratch(t), kind, n, nil).Wait(); err != nil {
+						t.Fatal(err)
+					}
+					wantI := identityI32(kind)
+					for _, x := range ivals {
+						wantI = fold(kind, wantI, x)
+					}
+					if got := dst.I32()[0]; got != wantI {
+						t.Fatalf("%s: int32 = %d, want %d", what, got, wantI)
+					}
 
-		ivals := make([]int32, n)
-		var isum int64
-		for i := range ivals {
-			ivals[i] = int32(i % 97)
-			isum += int64(ivals[i])
+					if err := ReduceF32(e.q, dst, fsrc, e.scratch(t), kind, n, nil).Wait(); err != nil {
+						t.Fatal(err)
+					}
+					wantF := identityF32(kind)
+					if kind == ops.Sum {
+						wantF = fixedSum(fvals)
+					} else {
+						for _, x := range fvals {
+							wantF = fold(kind, wantF, x)
+						}
+					}
+					if got := dst.F32()[0]; math.Float32bits(got) != math.Float32bits(wantF) {
+						t.Fatalf("%s: float32 = %v (%#x), want %v (%#x)", what, got, math.Float32bits(got), wantF, math.Float32bits(wantF))
+					}
+				}
+			}
 		}
-		isrc := e.i32(t, ivals)
-		if err := ReduceI32(e.q, dst, isrc, e.scratch(t), ops.Sum, n, nil).Wait(); err != nil {
+	}
+}
+
+// TestOneWordFinalsRunAsOneItem: the fold of a scalar aggregate's partials
+// and of a selection's per-item counts each runs as a one-group launch, so
+// neither moves ExecutorStats' Shared or Alone — a reduction books only its
+// partials launch there, a count nothing.
+func TestOneWordFinalsRunAsOneItem(t *testing.T) {
+	const n = 5000
+	for _, dev := range []*cl.Device{cl.NewCPUDevice(2), cl.NewGPUDevice(64 << 20)} {
+		e := newEnv(dev)
+		vals, fvals := make([]int32, n), make([]float32, n)
+		for i := range vals {
+			vals[i] = int32(i % 13)
+			fvals[i] = float32(vals[i])
+		}
+		src, fsrc, dst := e.i32(t, vals), e.f32(t, fvals), e.buf(t, 1)
+		multi := func(s cl.ExecutorStats) int64 { return s.Shared + s.Alone }
+		for _, kind := range []ops.Agg{ops.Sum, ops.Min, ops.Max} {
+			for _, float := range []bool{false, true} {
+				before := dev.ExecutorStats()
+				var ev *cl.Event
+				if float {
+					ev = ReduceF32(e.q, dst, fsrc, e.scratch(t), kind, n, nil)
+				} else {
+					ev = ReduceI32(e.q, dst, src, e.scratch(t), kind, n, nil)
+				}
+				if err := ev.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if got := multi(dev.ExecutorStats()) - multi(before); got != 1 {
+					t.Fatalf("%s %v float=%v: %d multi-group launches, want the partials' alone", dev.Name, kind, float, got)
+				}
+			}
+		}
+		bm, sp := e.buf(t, BitmapWords(n)), e.scratch(t)
+		if err := e.selectI32(bm, src, nil, sp, n, 2, 5, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if int64(dst.I32()[0]) != isum {
-			t.Fatalf("%s: i32 sum = %d, want %d", dev.Name, dst.I32()[0], isum)
+		before := dev.ExecutorStats()
+		total := e.buf(t, 1)
+		if err := FoldCount(e.q, sp, total, nil).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if after := dev.ExecutorStats(); multi(after) != multi(before) {
+			t.Fatalf("%s: the count's fold booked %d multi-group launches", dev.Name, multi(after)-multi(before))
+		}
+		var want uint32
+		for _, v := range vals {
+			if 2 <= v && v <= 5 {
+				want++
+			}
+		}
+		if total.U32()[0] != want {
+			t.Fatalf("%s: count = %d, want %d", dev.Name, total.U32()[0], want)
 		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"repro/internal/ops"
 )
 
-// Ungrouped aggregation uses the parallel binary reduction strategy of
-// Horn's stream-reduction work, as the paper does (§4.1.7): every work-item
-// folds its span into a private accumulator, the per-item partials are then
-// tree-reduced in local memory by a single work-group.
+// Ungrouped aggregation keeps the first step of the paper's parallel binary
+// reduction (§4.1.7): every work-item folds its span into a private
+// accumulator. The paper then tree-reduces the per-item partials in local
+// memory behind barriers; here one work-item folds them in index order
+// (foldFinal), which needs neither — there are at most a few hundred.
 
 // identityF32 returns the fold identity for a float aggregate.
 func identityF32(kind ops.Agg) float32 {
@@ -37,7 +38,7 @@ func identityI32(kind ops.Agg) int32 {
 }
 
 // fold combines two accumulators under kind.
-func fold[T int32 | float32](kind ops.Agg, a, b T) T {
+func fold[T uint32 | int32 | float32](kind ops.Agg, a, b T) T {
 	switch kind {
 	case ops.Min:
 		if b < a {
@@ -78,123 +79,63 @@ func ReducePartialWords(dev *cl.Device) int {
 // ReduceF32 enqueues the reduction of src[:n] under kind (Sum/Min/Max) into
 // dst[0]. partials must hold ReducePartialWords(dev) words.
 func ReduceF32(q *cl.Queue, dst, src, partials *cl.Buffer, kind ops.Agg, n int, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	_, local, gsz := Geometry(dev)
-	s, p, d := src.F32(), partials.F32(), dst.F32()
-	id := identityF32(kind)
-
-	if kind == ops.Sum {
-		// Fixed partition: SumChunks contiguous chunks, each folded
-		// sequentially, then one sequential fold over the chunk partials.
-		// Work-items stride over the chunks, so the parallelism matches the
-		// device while the addition order stays geometry-independent. The
-		// cost fields are unchanged from the geometry-partitioned variant:
-		// the same bytes stream and the same adds run, so simulated-device
-		// timelines are identical.
-		chunk := (n + SumChunks - 1) / SumChunks
-		ev1 := q.EnqueueKernel(func(t *cl.Thread) {
-			for c := t.Global; c < SumChunks; c += t.GlobalSize {
-				lo := c * chunk
-				hi := lo + chunk
-				if lo > n {
-					lo = n
-				}
-				if hi > n {
-					hi = n
-				}
-				acc := id
-				for i := lo; i < hi; i++ {
-					acc += s[i]
-				}
-				p[c] = acc
-			}
-		}, launch(dev, "reduce_f32_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
-
-		return q.EnqueueKernel(func(t *cl.Thread) {
-			if t.Global != 0 {
-				return
-			}
-			acc := id
-			for i := 0; i < SumChunks; i++ {
-				acc += p[i]
-			}
-			d[0] = acc
-		}, launch(dev, "reduce_f32_final", cl.Cost{BytesStreamed: int64(gsz) * 4, Ops: int64(gsz)}, []*cl.Event{ev1}))
-	}
-
-	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-		acc := id
-		for i := lo; i < hi; i += step {
-			acc = fold(kind, acc, s[i])
-		}
-		p[t.Global] = acc
-	}, launch(dev, "reduce_f32_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
-
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lmem := t.LocalF32()
-		acc := id
-		for i := t.Local; i < gsz; i += t.LocalSize {
-			acc = fold(kind, acc, p[i])
-		}
-		lmem[t.Local] = acc
-		t.Barrier()
-		for w := t.LocalSize; w > 1; {
-			half := (w + 1) / 2
-			if t.Local < w/2 {
-				lmem[t.Local] = fold(kind, lmem[t.Local], lmem[t.Local+half])
-			}
-			t.Barrier()
-			w = half
-		}
-		if t.Local == 0 {
-			d[0] = lmem[0]
-		}
-	}, cl.Launch{
-		Name: "reduce_f32_final", Groups: 1, Local: local, LocalWords: local,
-		Barriers: true, Cost: cl.Cost{BytesStreamed: int64(gsz) * 4, Ops: int64(gsz)},
-		Wait: []*cl.Event{ev1},
-	})
+	return reduce(q, "reduce_f32", dst.F32(), src.F32(), partials.F32(), kind, identityF32(kind), kind == ops.Sum, n, wait)
 }
 
 // ReduceI32 enqueues the int32 reduction of src[:n] under kind into dst[0].
 func ReduceI32(q *cl.Queue, dst, src, partials *cl.Buffer, kind ops.Agg, n int, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	_, local, gsz := Geometry(dev)
-	s, p, d := src.I32(), partials.I32(), dst.I32()
-	id := identityI32(kind)
+	return reduce(q, "reduce_i32", dst.I32(), src.I32(), partials.I32(), kind, identityI32(kind), false, n, wait)
+}
 
-	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
+// reduce is the shape ReduceF32 and ReduceI32 share: every work-item folds
+// its part of s[:n] into one partial, then foldFinal folds the partials into
+// d[0]. fixed selects the float sum's partition — SumChunks contiguous
+// chunks, each folded in row order, that work-items stride over — so the
+// addition order is geometry-independent; otherwise each work-item folds the
+// device's Span into p[t.Global]. Both partitions stream the same bytes and
+// run the same adds, so their cost fields agree.
+func reduce[T int32 | float32](q *cl.Queue, name string, d, s, p []T, kind ops.Agg, id T, fixed bool, n int, wait []*cl.Event) *cl.Event {
+	dev := q.Device()
+	_, _, gsz := Geometry(dev)
+	parts := gsz
+	body := func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
 		acc := id
 		for i := lo; i < hi; i += step {
 			acc = fold(kind, acc, s[i])
 		}
 		p[t.Global] = acc
-	}, launch(dev, "reduce_i32_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
-
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lmem := t.LocalI32()
-		acc := id
-		for i := t.Local; i < gsz; i += t.LocalSize {
-			acc = fold(kind, acc, p[i])
-		}
-		lmem[t.Local] = acc
-		t.Barrier()
-		for w := t.LocalSize; w > 1; {
-			half := (w + 1) / 2
-			if t.Local < w/2 {
-				lmem[t.Local] = fold(kind, lmem[t.Local], lmem[t.Local+half])
+	}
+	if fixed {
+		parts = SumChunks
+		chunk := (n + SumChunks - 1) / SumChunks
+		body = func(t *cl.Thread) {
+			for c := t.Global; c < SumChunks; c += t.GlobalSize {
+				acc := id
+				for _, v := range s[min(c*chunk, n):min(c*chunk+chunk, n)] {
+					acc += v
+				}
+				p[c] = acc
 			}
-			t.Barrier()
-			w = half
 		}
-		if t.Local == 0 {
-			d[0] = lmem[0]
+	}
+	ev := q.EnqueueKernel(body, launch(dev, name+"_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
+	return foldFinal(q, name+"_final", d, p[:parts], kind, id,
+		cl.Cost{BytesStreamed: int64(gsz) * 4, Ops: int64(gsz)}, []*cl.Event{ev})
+}
+
+// foldFinal enqueues the fold of every partial of p under kind into d[0]:
+// one work-item that folds them in index order, the second step of every
+// one-word reduction (scalar aggregates and selection counts alike). A
+// one-group launch that is ready at enqueue runs on the enqueuing goroutine,
+// so the step costs no hand-off; cost is the launch's footprint on a
+// simulated device.
+func foldFinal[T uint32 | int32 | float32](q *cl.Queue, name string, d, p []T, kind ops.Agg, id T, cost cl.Cost, wait []*cl.Event) *cl.Event {
+	return q.EnqueueKernel(func(*cl.Thread) {
+		acc := id
+		for _, v := range p {
+			acc = fold(kind, acc, v)
 		}
-	}, cl.Launch{
-		Name: "reduce_i32_final", Groups: 1, Local: local, LocalWords: local,
-		Barriers: true, Cost: cl.Cost{BytesStreamed: int64(gsz) * 4, Ops: int64(gsz)},
-		Wait: []*cl.Event{ev1},
-	})
+		d[0] = acc
+	}, cl.Launch{Name: name, Groups: 1, Local: 1, Cost: cost, Wait: wait})
 }

@@ -237,11 +237,10 @@ func (m *MemoryManager) releaseEntry(e *entry, owned bool) {
 // kernel must fully write what is later read, or clear it with kernels.Fill.
 func (m *MemoryManager) Alloc(n int) (*cl.Buffer, error) { return m.alloc(n, false) }
 
-// AllocZeroed is Alloc with every byte zero, for the few words kernels only
-// ever raise (the hash build's fail flag). The runtime zeroes them, as a fresh
-// CreateBuffer does: a Fill launch would perturb simulated devices' timelines.
-func (m *MemoryManager) AllocZeroed(n int) (*cl.Buffer, error) { return m.alloc(n, true) }
-
+// alloc is Alloc, with every byte zero when zeroed is set — for the few words
+// kernels only ever raise (the hash build's fail flag). The runtime zeroes
+// them, as a fresh CreateBuffer does: a Fill launch would perturb simulated
+// devices' timelines.
 func (m *MemoryManager) alloc(n int, zeroed bool) (*cl.Buffer, error) {
 	data := m.takeFree(n)
 	if zeroed {

@@ -29,7 +29,7 @@ var LockOrder = &Analyzer{
 // declaring type, so an Execution method reached through the Session that
 // embeds it (s.Close()) is still flagged.
 var execMethods = map[string]map[string]bool{
-	"Session":   {"Result": true, "ScalarF": true, "ScalarI": true, "Sync": true, "flush": true, "drain": true},
+	"Session":   {"Result": true, "ScalarF": true, "Sync": true, "flush": true, "drain": true},
 	"Execution": {"execute": true, "step": true, "run": true, "finish": true, "Close": true},
 }
 

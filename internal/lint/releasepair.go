@@ -8,7 +8,7 @@ import (
 )
 
 // ReleasePair flags buffer acquisitions in internal/core that can leak: a
-// buffer obtained from the Memory Manager's allocator (Alloc, AllocZeroed) or
+// buffer obtained from the Memory Manager's allocator (Alloc) or
 // spine must, within the acquiring function, either be released on every path (a call whose name mentions
 // release/free taking the value, or a .Release() on it), transfer
 // ownership out (returned, stored into a field/slice/map, appended into an
@@ -27,7 +27,7 @@ var ReleasePair = &Analyzer{
 }
 
 // acquireFuncs names the callees whose result the analyzer tracks.
-var acquireFuncs = map[string]bool{"Alloc": true, "AllocZeroed": true, "spine": true}
+var acquireFuncs = map[string]bool{"Alloc": true, "spine": true}
 
 func runReleasePair(pass *Pass) error {
 	if !pathHasSuffix(pass.Pkg, "internal/core") {

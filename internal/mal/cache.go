@@ -11,7 +11,7 @@
 //
 // Correctness contract: a plan function must be deterministic given its
 // Session parameters and the base data. Host-side values read mid-plan
-// (ScalarF/ScalarI) are captured into the template as constants, so a cache
+// (ScalarF) are captured into the template as constants, so a cache
 // must be scoped to one database — the serve layer keeps one cache per
 // engine, which also scopes it to one configuration. Changes to that
 // database reach the cache only through its Catalog (catalog.go): a template

@@ -40,10 +40,8 @@ func (s *Session) flush(final bool) {
 	// finished fragment.
 	s.bindPass(batch)
 	s.vcheck("bind", batch, nil, vData)
-	if s.tpl.passes.CSE {
-		batch = s.csePass(batch)
-		s.vcheck("cse", batch, nil, vData)
-	}
+	batch = s.csePass(batch)
+	s.vcheck("cse", batch, nil, vData)
 	if final && s.tpl.passes.DCE && len(outputs) > 0 {
 		batch = s.candFirstPass(batch, outputs)
 		s.vcheck("cand-first", batch, outputs, vData|vCand)

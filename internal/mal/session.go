@@ -3,7 +3,7 @@
 // written once against the fluent Session API, which *builds* an explicit
 // plan IR (ir.go) — a DAG of instructions over symbolic values — instead of
 // dispatching operators eagerly. When a value crosses the plan boundary
-// (Sync, ScalarF/ScalarI, Result), the pending plan is run through the
+// (Sync, ScalarF, Result), the pending plan is run through the
 // rewriter pass pipeline (passes.go: module binding, common-subexpression
 // elimination, candidate-first gathers, dead-instruction elimination, sync
 // insertion, plan-level hybrid placement, last-use release insertion) and
@@ -68,11 +68,10 @@ type abort struct{ err error }
 
 // Passes toggles the rewriter pass pipeline (all on by default). Tests and
 // ablation harnesses switch individual passes off to measure their effect.
-// Plan-level placement (placement.go) is not a switch: it always runs, and
-// it is a no-op on engines that are not a *hybrid.Engine.
+// Common-subexpression elimination and plan-level placement (placement.go)
+// are not switches: they always run, and placement is a no-op on engines
+// that are not a *hybrid.Engine.
 type Passes struct {
-	// CSE merges instructions that recompute an identical pure expression.
-	CSE bool
 	// DCE drops instructions whose results never reach a plan output
 	// (applied at the final flush only, when full liveness is known). It
 	// also gates the candidate-first pass (candfirst.go), which moves
@@ -92,7 +91,7 @@ type Passes struct {
 
 // DefaultPasses enables the full pipeline.
 func DefaultPasses() Passes {
-	return Passes{CSE: true, DCE: true, EarlyRelease: true, Fusion: true}
+	return Passes{DCE: true, EarlyRelease: true, Fusion: true}
 }
 
 // Key renders the pass configuration as a short stable string — the same
@@ -108,7 +107,7 @@ func (p Passes) key() string {
 		}
 		return '-'
 	}
-	return string([]byte{mark(p.CSE, 'c'), mark(p.DCE, 'd'), mark(p.EarlyRelease, 'r'), mark(p.Fusion, 'f')})
+	return string([]byte{mark(p.DCE, 'd'), mark(p.EarlyRelease, 'r'), mark(p.Fusion, 'f')})
 }
 
 // Params are the per-execution parameter bindings of a plan: values for the
@@ -119,7 +118,7 @@ type Params map[string]float64
 
 // Session builds one query plan against one operator configuration: the
 // fluent API below records instructions, and every plan boundary (Sync,
-// ScalarF/ScalarI, Result) sends the pending ones through the rewriter
+// ScalarF, Result) sends the pending ones through the rewriter
 // passes (flush) into the embedded Execution, the session's own cold run.
 // Plan code runs on one goroutine. The reusable part of a finished session
 // — the rewritten plan — is its Template, which replays without a Session.
@@ -429,15 +428,6 @@ func (s *Session) ScalarF(b *bat.BAT) float64 {
 		s.fail("scalar", fmt.Errorf("BAT %q has non-numeric type %v", b.Name, b.T))
 		return 0
 	}
-}
-
-// ScalarI extracts the single int32 of a 1-row aggregate, syncing first.
-func (s *Session) ScalarI(b *bat.BAT) int32 {
-	s.Sync(b)
-	if b.Len() != 1 || b.T != bat.I32 {
-		s.fail("scalar", fmt.Errorf("BAT %q is not a 1-row int", b.Name))
-	}
-	return b.I32s()[0]
 }
 
 // drain executes any still-pending instructions without output-driven

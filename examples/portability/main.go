@@ -35,8 +35,8 @@ func main() {
 	for _, dev := range devices {
 		groups, local := cl.DefaultLaunch(dev)
 		fmt.Printf("%s\n", dev.Name)
-		fmt.Printf("  class=%s  n_c=%d  n_a=%d  → launch geometry %d×%d (§4.2 rule)\n",
-			dev.Const.Class, dev.Const.Cores, dev.Const.UnitsPerCore, groups, local)
+		fmt.Printf("  class=%s  n_c=%d  n_a=%d  → launch geometry %d×%d (§4.2 rule), one group per %d elements of work\n",
+			dev.Const.Class, dev.Const.Cores, dev.Const.UnitsPerCore, groups, local, dev.Const.Grain)
 		fmt.Printf("  access pattern: ")
 		if dev.Const.Class == cl.ClassGPU {
 			fmt.Printf("strided (coalescing)  radix=%d bits\n", kernels.RadixBits(dev))

@@ -168,6 +168,7 @@ func AblationAccessPattern(opt Options) *Report {
 		}
 		foreign.Const.Cores = base.Const.Cores
 		foreign.Const.UnitsPerCore = base.Const.UnitsPerCore
+		foreign.Const.Grain = base.Const.Grain
 		for devLabel, dev := range map[string]*cl.Device{"/preferred": base, "/foreign": foreign} {
 			label := base.Const.Class.String() + devLabel
 			r.Order = append(r.Order, label)

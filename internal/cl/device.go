@@ -6,10 +6,11 @@
 // It plays the role OpenCL plays in the paper. Two device drivers are
 // registered:
 //
-//   - The CPU driver executes work-groups on the host's cores (one goroutine
-//     per work-item, one work-group per core following the paper's §4.2
-//     scheduling rule). Buffers alias host memory (zero-copy), and event
-//     timings are real wall-clock measurements.
+//   - The CPU driver executes work-groups on the host's cores (one
+//     work-group per core following the paper's §4.2 scheduling rule, or
+//     fewer for a launch with little work, see WorkLaunch). Buffers alias
+//     host memory (zero-copy), and event timings are real wall-clock
+//     measurements.
 //
 //   - The GPU driver models a discrete accelerator in the spirit of the
 //     paper's NVIDIA GTX 460. Kernels still execute *functionally* on the
@@ -74,6 +75,10 @@ type BuildConstants struct {
 	UnitsPerCore int
 	// LocalMemSize is the usable local (work-group shared) memory in bytes.
 	LocalMemSize int
+	// Grain is the work, in elements, one work-group of a launch takes on
+	// before a second group pays for itself (WorkLaunch); zero spreads every
+	// launch over all Cores, as §4.2's rule does.
+	Grain int
 }
 
 // Perf is the analytic cost model of a simulated device. All rates are in
@@ -155,7 +160,8 @@ type Device struct {
 // NewCPUDevice returns the CPU driver. cores <= 0 selects runtime.NumCPU().
 // Following §4.2, the scheduling rule models a small number of compute units
 // per core (SIMD lanes); we use n_a = 2, so the default launch geometry is
-// n_c work-groups of size 4×n_a = 8.
+// n_c work-groups of size 4×n_a = 8. Kernels launched by work (WorkLaunch)
+// take one group per hostGrain elements.
 func NewCPUDevice(cores int) *Device {
 	if cores <= 0 {
 		cores = runtime.NumCPU()
@@ -167,12 +173,18 @@ func NewCPUDevice(cores int) *Device {
 			Cores:        cores,
 			UnitsPerCore: 2,
 			LocalMemSize: 32 << 10,
+			Grain:        hostGrain,
 		},
 		GlobalMemSize: 0, // host memory: unlimited from the runtime's view
 		Discrete:      false,
 		Simulated:     false,
 	}
 }
+
+// hostGrain is the Grain of the devices whose work-groups run on host
+// goroutines: the element count near which a launch's second group starts to
+// pay for recruiting a pool worker (DESIGN.md has the crossover table).
+const hostGrain = 8192
 
 // GTX460Perf is the cost model used by default for the simulated GPU. The
 // constants are taken from the paper's evaluation hardware (§5.1): an NVIDIA
@@ -204,6 +216,9 @@ func NewGPUDevice(memBytes int64) *Device {
 			Cores:        7,
 			UnitsPerCore: 48,
 			LocalMemSize: 48 << 10,
+			// The card's work-groups run on host goroutines and its timeline
+			// comes from Cost alone, so the host's grain is the one that pays.
+			Grain: hostGrain,
 		},
 		GlobalMemSize: memBytes,
 		Discrete:      true,

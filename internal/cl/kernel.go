@@ -44,6 +44,25 @@ func DefaultLaunch(dev *Device) (groups, local int) {
 	return dev.Const.Cores, 4 * dev.Const.UnitsPerCore
 }
 
+// WorkLaunch is the geometry of a kernel whose loop covers n elements: the
+// global size of DefaultLaunch, in one work-group per Const.Grain elements
+// (rounded up), at most one per core, and rounded down to a divisor of the
+// global size. Work-item ids, the global size and every Span and ChunkSpan
+// are those of DefaultLaunch; only how many goroutines the launch can spread
+// over shrinks, so a launch smaller than its grain runs on the goroutine that
+// runs the command and recruits nobody.
+func WorkLaunch(dev *Device, n int) (groups, local int) {
+	groups, local = DefaultLaunch(dev)
+	gsz := groups * local
+	if g := dev.Const.Grain; g > 0 {
+		groups = max(1, min(groups, (n+g-1)/g))
+	}
+	for gsz%groups != 0 {
+		groups--
+	}
+	return groups, gsz / groups
+}
+
 // Thread is the execution context handed to each kernel invocation: its ids
 // within the NDRange, the device build constants, the work-group barrier and
 // local memory.

@@ -133,7 +133,7 @@ func (e *Engine) groupFold(op *ops.FusedOp, keys []*cl.Buffer, ks []kernels.KeyS
 	code := sc.alloc(n + 1)
 	pwords := (codes + 31) / 32
 	present := sc.allocZeroed(pwords)
-	table := kernels.SumChunks*codes + 1
+	table := kernels.GroupSumChunksFor(n, codes)*codes + 1
 	accs := []kernels.RegionAcc{{Kind: ops.Sum, Parts: sc.alloc(table)}} // the count
 	var accCols []*bat.BAT                                               // accs[i+1] folds accCols[i]
 	outs := make([]kernels.RegionOut, len(op.Aggs))
@@ -200,7 +200,7 @@ func (e *Engine) groupFold(op *ops.FusedOp, keys []*cl.Buffer, ks []kernels.KeyS
 		sc.releaseAll()
 		return nil, dsts.err
 	}
-	ev := kernels.GroupRegionFinal(e.q, present, ks, accs, outs, codes, []*cl.Event{fev})
+	ev := kernels.GroupRegionFinal(e.q, present, ks, accs, outs, n, codes, []*cl.Event{fev})
 	e.releaseAfter(ev, sc.bufs...)
 	for i, a := range op.Aggs {
 		t := bat.I32

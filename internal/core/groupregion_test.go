@@ -59,7 +59,9 @@ func regionCases() []regionCase {
 		{"2 048 codes over as many rows as the table", regionKeys(atBound, 4, true, []int32{-1_000, 5}, []int32{64, 32}), true},
 		{"2 048 codes, one row fewer than the table", regionKeys(atBound-1, 5, true, []int32{-1_000, 5}, []int32{64, 32}), false},
 		{"2 049 codes", regionKeys(2*atBound, 6, false, []int32{0, 0}, []int32{2049, 1}), false},
-		{"fewer rows than chunks", regionKeys(kernels.SumChunks-1, 7, false, []int32{0, 0}, []int32{2, 2}), false},
+		{"fewer rows than two chunks hold", regionKeys(127, 7, false, []int32{0, 0}, []int32{2, 2}), true},
+		{"64 codes over 100 chunks of 64 rows", regionKeys(6_400, 9, false, []int32{-32}, []int32{64}), true},
+		{"65 codes over 100 chunks of 64 rows", regionKeys(6_400, 10, false, []int32{-32}, []int32{65}), false},
 		{"a wide single key", regionKeys(40_000, 8, false, []int32{-20_000}, []int32{40_000}), false},
 		{"no rows", [][]int32{{}, {}}, false},
 	}

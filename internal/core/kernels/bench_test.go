@@ -386,7 +386,7 @@ func BenchmarkGroupRegion(b *testing.B) {
 			{Dst: got[2], Acc: 1}, {Dst: got[3], Acc: 2}, {Dst: got[4], Acc: 4}, {Dst: got[5], Acc: 5},
 			{Dst: got[6], Acc: 1, Avg: true}, {Dst: got[7], Acc: 2, Avg: true}, {Dst: got[8], Acc: 3, Avg: true},
 			{Dst: got[9], Acc: 0}}
-		if err := GroupRegionFinal(e.q, present, ks, accs, ro, codes, nil).Wait(); err != nil {
+		if err := GroupRegionFinal(e.q, present, ks, accs, ro, n, codes, nil).Wait(); err != nil {
 			b.Fatal(err)
 		}
 		return ng
@@ -459,5 +459,68 @@ func BenchmarkBitmapOps(b *testing.B) {
 			check(b, slices.Equal(oids.U32()[:len(rows)], rows))
 			reportRows(b, n, run)
 		})
+	}
+}
+
+// BenchmarkLaunchGrain is the evidence behind the CPU's grain
+// (cl.BuildConstants.Grain, DESIGN.md has the table): a chain of dependent
+// launches of one kernel over n elements, run in one work-group and over
+// every core, alternated on one device within each iteration. "busy" chains
+// launch after launch, so an idle worker is still spinning when the next one
+// comes; "idle" sleeps 300 µs before each launch, so the workers have parked.
+// Each reports µs a launch for both geometries; the grain sits where they
+// cross. Run it at -cpu 2.
+func BenchmarkLaunchGrain(b *testing.B) {
+	e := benchEnv(b)
+	const maxN = 1 << 17
+	r := rand.New(rand.NewSource(1))
+	vals, idx, col := make([]uint32, maxN), make([]uint32, maxN), make([]int32, maxN)
+	for i := range vals {
+		vals[i], idx[i], col[i] = r.Uint32(), uint32(r.Intn(maxN)), r.Int31n(100)
+	}
+	src, ix, ci, dst := e.u32(b, vals), e.u32(b, idx), e.i32(b, col), e.buf(b, maxN+1)
+	bm, sp, total := e.buf(b, BitmapWords(maxN)), e.scratch(b), e.buf(b, 1)
+	kernels := []struct {
+		name string
+		run  func(n int, wait []*cl.Event) *cl.Event
+	}{
+		{"gather", func(n int, w []*cl.Event) *cl.Event { return Gather(e.q, dst, src, ix, n, w) }},
+		{"select", func(n int, w []*cl.Event) *cl.Event { return e.selectI32(bm, ci, nil, sp, n, 10, 60, w) }},
+		{"prefix", func(n int, w []*cl.Event) *cl.Event { return PrefixSum(e.q, dst, src, sp, total, n, w) }},
+	}
+	for _, mode := range []string{"busy", "idle"} {
+		chain, gap := 20, time.Duration(0)
+		if mode == "idle" {
+			chain, gap = 1, 300*time.Microsecond
+		}
+		for _, k := range kernels {
+			for _, n := range []int{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17} {
+				b.Run(fmt.Sprintf("%s/%s/n=%d", mode, k.name, n), func(b *testing.B) {
+					var took [2]time.Duration // one group, every core
+					for range b.N {
+						for g, grain := range []int{math.MaxInt32, 0} {
+							e.dev.Const.Grain = grain
+							time.Sleep(gap)
+							start := time.Now()
+							var ev *cl.Event
+							for range chain {
+								var w []*cl.Event
+								if ev != nil {
+									w = []*cl.Event{ev}
+								}
+								ev = k.run(n, w)
+							}
+							if err := ev.Wait(); err != nil {
+								b.Fatal(err)
+							}
+							took[g] += time.Since(start)
+						}
+					}
+					per := float64(b.N * chain * 1000)
+					b.ReportMetric(float64(took[0].Nanoseconds())/per, "one-group-µs")
+					b.ReportMetric(float64(took[1].Nanoseconds())/per, "all-cores-µs")
+				})
+			}
+		}
 	}
 }

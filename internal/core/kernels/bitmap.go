@@ -256,7 +256,7 @@ func selectWords(q *cl.Queue, bm, cand, partials *cl.Buffer, filters []FusedPred
 			sum += bits.OnesCount32(alive)
 		}
 		p[t.Global] = uint32(sum)
-	}, launch(q.Device(), name, cost, wait))
+	}, launch(q.Device(), name, n, cost, wait))
 }
 
 // BitmapOr enqueues dst = a | b — the ∨ combine of Figure 3's union of two
@@ -274,7 +274,7 @@ func BitmapOr(q *cl.Queue, dst, a, b, partials *cl.Buffer, n int, wait []*cl.Eve
 			sum += bits.OnesCount32(v)
 		}
 		p[t.Global] = uint32(sum)
-	}, launch(q.Device(), "bitmap_or", cl.Cost{BytesStreamed: int64(BitmapBytes(n)) * 3}, wait))
+	}, launch(q.Device(), "bitmap_or", nw, cl.Cost{BytesStreamed: int64(BitmapBytes(n)) * 3}, wait))
 }
 
 // FoldCount enqueues the sum of the gsz per-item population counts a bitmap
@@ -302,7 +302,7 @@ func Materialize(q *cl.Queue, dst, bm, partials *cl.Buffer, n int, wait []*cl.Ev
 			sum += bits.OnesCount32(w)
 		}
 		p[t.Global] = uint32(sum)
-	}, launch(dev, "materialize_counts", cl.Cost{BytesStreamed: nb, Ops: nb}, wait))
+	}, launch(dev, "materialize_counts", nw, cl.Cost{BytesStreamed: nb, Ops: nb}, wait))
 
 	ev2 := scanSpine(q, "materialize_scan", partials, nil, []*cl.Event{ev1})
 
@@ -316,7 +316,7 @@ func Materialize(q *cl.Queue, dst, bm, partials *cl.Buffer, n int, wait []*cl.Ev
 				k++
 			}
 		}
-	}, launch(dev, "materialize_write", cl.Cost{BytesStreamed: nb + int64(n), Ops: nb}, []*cl.Event{ev2}))
+	}, launch(dev, "materialize_write", n, cl.Cost{BytesStreamed: nb + int64(n), Ops: nb}, []*cl.Event{ev2}))
 }
 
 // I32RangeBounds converts float64 bounds into the inclusive int32 interval

@@ -85,12 +85,17 @@ type fusedArg struct {
 	ci      int32
 }
 
+// itemWords is the local memory, in words, each work-item of a tile program
+// owns: its share of the device's local memory under §4.2's geometry, one
+// group of 4·n_a items per core. A launch by work gives a group more items and
+// as many more shares (evalTiles), so the share does not move.
+func itemWords(c cl.BuildConstants) int { return c.LocalMemSize / 4 / (4 * c.UnitsPerCore) }
+
 // fusedTile returns the tile length for a program holding regs registers
-// live: each work-item of a group owns an equal share of the device's local
-// memory (§4.2's build constants), split across its registers. Zero means
-// the program does not fit.
+// live: each work-item's share of local memory (itemWords), split across its
+// registers. Zero means the program does not fit.
 func fusedTile(c cl.BuildConstants, regs int) int {
-	tile := c.LocalMemSize / 4 / (4 * c.UnitsPerCore) / max(regs, 1)
+	tile := itemWords(c) / max(regs, 1)
 	if tile >= 8 {
 		tile &^= 7
 	}
@@ -221,11 +226,11 @@ func evalTiles(q *cl.Queue, name string, out, idx *cl.Buffer, p *FusedProgram, m
 	if idx != nil {
 		ix = idx.U32()
 	}
-	l := launch(q.Device(), name, cost, wait)
+	l := launch(q.Device(), name, m, cost, wait)
 	if p.regs > 0 {
-		// All of local memory, whatever the program uses of it: one size for
-		// cl's free-list to recycle across programs.
-		l.LocalWords = q.Device().Const.LocalMemSize / 4
+		// Every item's whole share, whatever the program uses of it: one
+		// size per group count for cl's free-list to recycle across programs.
+		l.LocalWords = itemWords(q.Device().Const) * l.Local
 	}
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		var regs []uint32

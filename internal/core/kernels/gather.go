@@ -16,7 +16,7 @@ func Gather(q *cl.Queue, dst, col, idx *cl.Buffer, n int, wait []*cl.Event) *cl.
 		for i := lo; i < hi; i += step {
 			d[i] = src[ix[i]]
 		}
-	}, launch(q.Device(), "gather",
+	}, launch(q.Device(), "gather", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 4}, wait))
 }
 
@@ -29,7 +29,7 @@ func GatherShift(q *cl.Queue, dst, idx *cl.Buffer, n int, seq uint32, wait []*cl
 		for i := lo; i < hi; i += step {
 			d[i] = ix[i] + seq
 		}
-	}, launch(q.Device(), "gather_shift", cl.Cost{BytesStreamed: int64(n) * 8}, wait))
+	}, launch(q.Device(), "gather_shift", n, cl.Cost{BytesStreamed: int64(n) * 8}, wait))
 }
 
 // CopyRange enqueues dst[0:n] = col[seq:seq+n] — the dense-candidate
@@ -41,7 +41,7 @@ func CopyRange(q *cl.Queue, dst, col *cl.Buffer, seq uint32, n int, wait []*cl.E
 		for i := lo; i < hi; i += step {
 			d[i] = src[int(seq)+i]
 		}
-	}, launch(q.Device(), "copy_range", cl.Cost{BytesStreamed: int64(n) * 8}, wait))
+	}, launch(q.Device(), "copy_range", n, cl.Cost{BytesStreamed: int64(n) * 8}, wait))
 }
 
 // The arithmetic kernels are one-step tile programs (fused.go): fused and

@@ -21,7 +21,7 @@ func GroupBoundaryFlags(q *cl.Queue, flags, col *cl.Buffer, n int, wait []*cl.Ev
 		for i := lo; i < hi; i += step {
 			f[i] = b2u(i > 0 && c[i] != c[i-1])
 		}
-	}, launch(q.Device(), "group_boundaries", cl.Cost{BytesStreamed: int64(n) * 12}, wait))
+	}, launch(q.Device(), "group_boundaries", n, cl.Cost{BytesStreamed: int64(n) * 12}, wait))
 }
 
 // GroupIDsFromScan enqueues ids[i] = int32(excl[i] + flags[i]) — turning the
@@ -33,7 +33,7 @@ func GroupIDsFromScan(q *cl.Queue, ids, excl, flags *cl.Buffer, n int, wait []*c
 		for i := lo; i < hi; i += step {
 			d[i] = int32(e[i] + f[i])
 		}
-	}, launch(q.Device(), "group_ids", cl.Cost{BytesStreamed: int64(n) * 12}, wait))
+	}, launch(q.Device(), "group_ids", n, cl.Cost{BytesStreamed: int64(n) * 12}, wait))
 }
 
 // Sparse-key grouping by sorting. §4.1.6 hashes every unsorted input; where
@@ -71,7 +71,7 @@ func GroupByRuns(q *cl.Queue, ids, col, prev, flags, excl, spine, total *cl.Buff
 	fev := q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi := t.ChunkSpan(n)
 		rankRuns(c, p, f, d, lo, hi)
-	}, launch(q.Device(), "group_run_flags",
+	}, launch(q.Device(), "group_run_flags", n,
 		// The insertion sort moves a row at most MaxRefineRun/4 places on
 		// random keys.
 		cl.Cost{BytesStreamed: int64(n) * 16, Ops: int64(n) * MaxRefineRun / 4}, wait))
@@ -81,7 +81,7 @@ func GroupByRuns(q *cl.Queue, ids, col, prev, flags, excl, spine, total *cl.Buff
 		for i := lo; i < hi; i += step {
 			d[i] += int32(e[i])
 		}
-	}, launch(q.Device(), "group_run_ids", cl.Cost{BytesStreamed: int64(n) * 12}, []*cl.Event{scanned}))
+	}, launch(q.Device(), "group_run_ids", n, cl.Cost{BytesStreamed: int64(n) * 12}, []*cl.Event{scanned}))
 	return scanned, done
 }
 
@@ -215,7 +215,7 @@ func GroupBySort(q *cl.Queue, ids, col, prev *cl.Buffer, ks KeySpace, s GroupSor
 			}
 			codes[i], rows[i] = ks.code(src[i], b), uint32(i)
 		}
-	}, launch(q.Device(), "group_pack", cl.Cost{BytesStreamed: streamed, Ops: int64(n) * 2}, wait))
+	}, launch(q.Device(), "group_pack", n, cl.Cost{BytesStreamed: streamed, Ops: int64(n) * 2}, wait))
 
 	sortedK, sortedV, sev := sortPasses(q, s.K0, s.V0, s.K1, s.V1, s.Hist, n, RadixBits(q.Device()), codeBits(ks.Range()), []*cl.Event{pack})
 	flags, excl := s.K1, s.V1
@@ -231,7 +231,7 @@ func GroupBySort(q *cl.Queue, ids, col, prev *cl.Buffer, ks KeySpace, s GroupSor
 		for i := lo; i < hi; i += step {
 			d[r[i]] = int32(e[i] + f[i])
 		}
-	}, launch(q.Device(), "group_ids_scatter",
+	}, launch(q.Device(), "group_ids_scatter", n,
 		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * 4}, []*cl.Event{scanned}))
 	return scanned, done
 }

@@ -217,12 +217,12 @@ func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32
 			if _, _, step = t.Span(n); step == 1 {
 				ranges[2*t.Global], ranges[2*t.Global+1] = minMaxI32(g[:n], t)
 			}
-		}, launch(dev, name+"_init", cl.Cost{BytesStreamed: int64(ngroups) * 4}, wait))
+		}, launch(dev, name+"_init", ngroups+n, cl.Cost{BytesStreamed: int64(ngroups) * 4}, wait))
 		return q.EnqueueKernel(func(t *cl.Thread) {
 			lo, hi, step := t.Span(n)
 			a, b := ownedIDs(ranges, t.Global, ngroups, step)
 			direct(lo, hi, step, a, b)
-		}, launch(dev, name+"_direct", cl.Cost{
+		}, launch(dev, name+"_direct", n, cl.Cost{
 			BytesStreamed: int64(n) * 8, Atomics: int64(n), AtomicTargets: int64(ngroups),
 		}, []*cl.Event{init}))
 	}
@@ -241,7 +241,7 @@ func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32
 		for c := lo + foldLanes*t.Local; c < hi; c += foldLanes * t.LocalSize {
 			foldChunks(kind, p, v, g, id, c, min(c+foldLanes, hi), ngroups, chunkLen, n)
 		}
-	}, launch(dev, name+"_partials",
+	}, launch(dev, name+"_partials", n,
 		// vals and gids stream, the per-row read-modify-write of the private
 		// accumulator is a data-dependent scatter.
 		cl.Cost{BytesStreamed: int64(n)*8 + int64(tbl)*4, BytesRandom: int64(n) * 8, Ops: int64(n)}, wait))
@@ -255,7 +255,7 @@ func groupedAgg[T int32 | float32](q *cl.Queue, name string, d, v []T, g []int32
 			}
 			d[grp] = acc
 		}
-	}, launch(dev, name+"_final",
+	}, launch(dev, name+"_final", tbl,
 		cl.Cost{BytesStreamed: int64(tbl) * 4, Ops: int64(tbl)}, []*cl.Event{ev1}))
 }
 
@@ -290,7 +290,7 @@ func DivF32I32(q *cl.Queue, dst, a, cnt *cl.Buffer, n int, wait []*cl.Event) *cl
 				d[i] = 0
 			}
 		}
-	}, launch(q.Device(), "avg_div", cl.Cost{BytesStreamed: int64(n) * 12}, wait))
+	}, launch(q.Device(), "avg_div", n, cl.Cost{BytesStreamed: int64(n) * 12}, wait))
 }
 
 // GroupSumChunksFor returns the fixed partition width of the grouped float
@@ -303,6 +303,9 @@ func DivF32I32(q *cl.Queue, dst, a, cnt *cl.Buffer, n int, wait []*cl.Event) *cl
 // parallelism, so high-cardinality groupings keep at least that many even
 // though their table then exceeds the budget (a 1M-group sum pays a 64 MB
 // table rather than collapsing to a single sequential accumulator thread).
+// Above both, a chunk holds at least minChunkRows rows: a shorter one costs
+// a table row to initialise and fold for parallelism a launch of so few rows
+// does not use. The width never grows with ngroups.
 func GroupSumChunksFor(n, ngroups int) int {
 	if ngroups < 1 {
 		ngroups = 1
@@ -315,8 +318,12 @@ func GroupSumChunksFor(n, ngroups int) int {
 	if chunks < minGroupSumChunks {
 		chunks = minGroupSumChunks
 	}
-	return chunks
+	return max(1, min(chunks, n/minChunkRows))
 }
+
+// minChunkRows is the fewest rows a grouped chunk folds, once there are rows
+// for more than one chunk.
+const minChunkRows = 64
 
 // minGroupSumChunks floors the grouped-sum parallelism. Device-independent
 // like SumChunks: the floor must not track any device's compute-unit count

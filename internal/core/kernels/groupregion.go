@@ -16,28 +16,29 @@ import (
 //
 // — last key most significant, the order in which a chain of
 // identity-addressed groupings numbers its ids — and GroupRegionFold folds
-// every aggregate by code into the partials layout of groupedAgg: SumChunks
-// chunks of the rows, each folding its rows in row order into a private row of
-// codes accumulators. GroupRegionFinal numbers the codes that occur and folds
-// each one's chunk partials in ascending chunk order, as groupedAgg's final
-// pass folds a group's. Under GroupRegionFits the chained path uses the same
-// chunk partition for every aggregate, so every result, float sums included,
-// has the chained path's bits.
+// every aggregate by code into the partials layout of groupedAgg: the
+// GroupSumChunksFor(n, codes) chunks of the rows, each folding its rows in row
+// order into a private row of codes accumulators. GroupRegionFinal numbers the
+// codes that occur and folds each one's chunk partials in ascending chunk
+// order, as groupedAgg's final pass folds a group's. Under GroupRegionFits the
+// chained path uses the same chunk partition for every aggregate, so every
+// result, float sums included, has the chained path's bits.
 
 // GroupRegionFits is the grouped region's rule, a pure function of the n rows
 // and the codes the keys span: the region folds by code when the code range
-// keeps the grouped partition at SumChunks chunks — then every grouped
-// aggregate of the chained path, over any number of groups up to codes, folds
-// the same rows in the same chunks — and the partials table of codes ×
-// SumChunks words is no larger than the input, GroupAggScratchWords' test.
+// partitions the rows as one group does — GroupSumChunksFor does not grow
+// with the group count, so every grouped aggregate of the chained path, over
+// any number of groups up to codes, then folds the same rows in the same
+// chunks — and the partials table of codes × GroupSumChunksFor(n, codes) words
+// is no larger than the input, GroupAggScratchWords' test.
 func GroupRegionFits(n int, codes uint64) bool {
-	return codes <= uint64(n) && GroupSumChunksFor(n, int(codes)) == SumChunks &&
+	return codes <= uint64(n) && GroupSumChunksFor(n, int(codes)) == GroupSumChunksFor(n, 1) &&
 		GroupAggScratchWords(n, int(codes)) > 0
 }
 
 // RegionAcc is one accumulator of a grouped region's fold: Kind (Sum, Min or
-// Max) over Vals into Parts, a table of SumChunks × codes words whose previous
-// contents are ignored. A nil Vals counts rows.
+// Max) over Vals into Parts, a table of GroupSumChunksFor(n, codes) × codes
+// words whose previous contents are ignored. A nil Vals counts rows.
 type RegionAcc struct {
 	Kind        ops.Agg
 	Float       bool
@@ -92,8 +93,9 @@ func regionDigits(ks []KeySpace) (mins, muls []uint32) {
 
 // GroupRegionFold enqueues the fold: every row's code into code (n words,
 // scratch), then each accumulator folded by code under groupedAgg's partition
-// — SumChunks chunks, four folded in lockstep by one work-item where the kind
-// allows — and a bit per code that occurs in the zeroed present bitmap.
+// — GroupSumChunksFor(n, codes) chunks, four folded in lockstep by one
+// work-item where the kind allows — and a bit per code that occurs in the
+// zeroed present bitmap.
 // accs[0] must be the count. ks are the keys' measurements (KeyRanges), keys
 // their columns, codes the product of their spans.
 func GroupRegionFold(q *cl.Queue, code, present *cl.Buffer, keys []*cl.Buffer, ks []KeySpace, accs []RegionAcc, n, codes int, wait []*cl.Event) *cl.Event {
@@ -105,9 +107,10 @@ func GroupRegionFold(q *cl.Queue, code, present *cl.Buffer, keys []*cl.Buffer, k
 	mins, muls := regionDigits(ks)
 	av := viewAccs(accs)
 	counts := av[0].pi
-	chunkLen := (n + SumChunks - 1) / SumChunks
+	chunks := GroupSumChunksFor(n, codes)
+	chunkLen := (n + chunks - 1) / chunks
 	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi := t.GroupSpan(SumChunks)
+		lo, hi := t.GroupSpan(chunks)
 		for c0 := lo + foldLanes*t.Local; c0 < hi; c0 += foldLanes * t.LocalSize {
 			c1 := min(c0+foldLanes, hi)
 			regionCodes(c, kv, mins, muls, min(c0*chunkLen, n), min(c1*chunkLen, n))
@@ -120,8 +123,8 @@ func GroupRegionFold(q *cl.Queue, code, present *cl.Buffer, keys []*cl.Buffer, k
 			}
 			markPresent(pr, counts, c0, c1, codes)
 		}
-	}, launch(q.Device(), "group_region_fold", cl.Cost{
-		BytesStreamed: int64(n)*4*int64(len(keys)+len(accs)) + int64(SumChunks*codes)*4*int64(len(accs)),
+	}, launch(q.Device(), "group_region_fold", n, cl.Cost{
+		BytesStreamed: int64(n)*4*int64(len(keys)+len(accs)) + int64(chunks*codes)*4*int64(len(accs)),
 		BytesRandom:   int64(n) * 8 * int64(len(accs)),
 		Ops:           int64(n) * int64(len(keys)+len(accs)),
 	}, wait))
@@ -164,11 +167,12 @@ func markPresent(present []uint32, counts []int32, c0, c1, codes int) {
 // GroupRegionFinal enqueues the numbering and the results: each work-item
 // takes a contiguous span of the codes, ranks its first code by the present
 // bits below it, and writes every output at the rank of each code that
-// occurs. A total folds the code's SumChunks partials in ascending chunk
-// order from the kind's identity — groupedAgg's final pass over the same
-// values.
-func GroupRegionFinal(q *cl.Queue, present *cl.Buffer, ks []KeySpace, accs []RegionAcc, outs []RegionOut, codes int, wait []*cl.Event) *cl.Event {
+// occurs. A total folds the code's partials over the fold's chunks of the n
+// rows in ascending chunk order from the kind's identity — groupedAgg's final
+// pass over the same values.
+func GroupRegionFinal(q *cl.Queue, present *cl.Buffer, ks []KeySpace, accs []RegionAcc, outs []RegionOut, n, codes int, wait []*cl.Event) *cl.Event {
 	pr := present.U32()
+	chunks := GroupSumChunksFor(n, codes)
 	av := viewAccs(accs)
 	mins, muls := regionDigits(ks)
 	type out struct {
@@ -203,27 +207,27 @@ func GroupRegionFinal(q *cl.Queue, present *cl.Buffer, ks []KeySpace, accs []Reg
 				case o.acc < 0:
 					o.di[rank] = int32(uint32(x)/o.mul%o.div + o.min)
 				case o.avg:
-					o.df[rank] = chunkTotal(ops.Sum, av[o.acc].pf, 0, x, codes) / float32(chunkTotal(ops.Sum, counts, 0, x, codes))
+					o.df[rank] = chunkTotal(ops.Sum, av[o.acc].pf, 0, x, chunks, codes) / float32(chunkTotal(ops.Sum, counts, 0, x, chunks, codes))
 				case av[o.acc].pf != nil:
 					a := av[o.acc]
-					o.df[rank] = chunkTotal(a.kind, a.pf, identityF32(a.kind), x, codes)
+					o.df[rank] = chunkTotal(a.kind, a.pf, identityF32(a.kind), x, chunks, codes)
 				default:
 					a := av[o.acc]
-					o.di[rank] = chunkTotal(a.kind, a.pi, identityI32(a.kind), x, codes)
+					o.di[rank] = chunkTotal(a.kind, a.pi, identityI32(a.kind), x, chunks, codes)
 				}
 			}
 			rank++
 		}
-	}, launch(q.Device(), "group_region_final", cl.Cost{
-		BytesStreamed: int64(SumChunks*codes)*4*int64(len(outs)) + int64(codes)*4*int64(len(outs)),
-		Ops:           int64(SumChunks*codes) * int64(len(outs)),
+	}, launch(q.Device(), "group_region_final", chunks*codes, cl.Cost{
+		BytesStreamed: int64(chunks*codes)*4*int64(len(outs)) + int64(codes)*4*int64(len(outs)),
+		Ops:           int64(chunks*codes) * int64(len(outs)),
 	}, wait))
 }
 
-// chunkTotal folds code x's partials over the SumChunks chunks of p.
-func chunkTotal[T int32 | float32](kind ops.Agg, p []T, id T, x, codes int) T {
+// chunkTotal folds code x's partials over the chunks of p.
+func chunkTotal[T int32 | float32](kind ops.Agg, p []T, id T, x, chunks, codes int) T {
 	acc := id
-	for c := 0; c < SumChunks; c++ {
+	for c := 0; c < chunks; c++ {
 		acc = fold(kind, acc, p[c*codes+x])
 	}
 	return acc

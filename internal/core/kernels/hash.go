@@ -319,7 +319,7 @@ func keyRange(q *cl.Queue, partials, col, prev *cl.Buffer, more []*cl.Buffer, n 
 			m := base + 2*(k*gsz+t.Global)
 			p[m], p[m+1] = minMaxI32(o, t)
 		}
-	}, launch(q.Device(), "key_range", cl.Cost{
+	}, launch(q.Device(), "key_range", n, cl.Cost{
 		BytesStreamed: streamed, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2 * int64(1+len(more)),
 	}, wait))
 }
@@ -433,7 +433,7 @@ func IdentitySet(q *cl.Queue, s Slots, col, prev *cl.Buffer, n int, wait []*cl.E
 		if set != 0 {
 			cl.AtomicOrU32(&bm[word], set)
 		}
-	}, launch(q.Device(), "identity_set", cl.Cost{
+	}, launch(q.Device(), "identity_set", n, cl.Cost{
 		BytesStreamed: streamed, BytesRandom: int64(n) * 4,
 		// A bit is stored once; rows finding it set do not touch it.
 		Atomics: min(int64(n), addresses), AtomicTargets: (addresses + 31) / 32,
@@ -454,7 +454,7 @@ func IdentityRank(q *cl.Queue, s Slots, partials, total *cl.Buffer, words int, w
 			c += uint32(bits.OnesCount32(bm[w]))
 		}
 		p[t.Global] = c
-	}, launch(dev, "identity_rank_count", cl.Cost{BytesStreamed: int64(words) * 4}, wait))
+	}, launch(dev, "identity_rank_count", words, cl.Cost{BytesStreamed: int64(words) * 4}, wait))
 
 	ev2 := scanSpine(q, "identity_rank_scan", partials, total, []*cl.Event{ev1})
 
@@ -465,7 +465,7 @@ func IdentityRank(q *cl.Queue, s Slots, partials, total *cl.Buffer, words int, w
 			rank[w] = run
 			run += uint32(bits.OnesCount32(bm[w]))
 		}
-	}, launch(dev, "identity_rank_assign", cl.Cost{BytesStreamed: int64(words) * 8}, []*cl.Event{ev2}))
+	}, launch(dev, "identity_rank_assign", words, cl.Cost{BytesStreamed: int64(words) * 8}, []*cl.Event{ev2}))
 }
 
 // HashInsertPessimistic enqueues the insertion round: rows claim slots with
@@ -519,7 +519,7 @@ func HashInsertPessimistic(q *cl.Queue, state, keys1, keys2 *cl.Buffer, col, pre
 			}
 			cl.AtomicStoreU32(&f[0], 1)
 		}
-	}, launch(q.Device(), "hash_pessimistic", cl.Cost{
+	}, launch(q.Device(), "hash_pessimistic", n, cl.Cost{
 		BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 12,
 		Atomics: int64(n), AtomicTargets: int64(capacity),
 	}, wait))
@@ -541,7 +541,7 @@ func HashEnumerate(q *cl.Queue, slotGid, state, partials, total *cl.Buffer, capa
 			}
 		}
 		p[t.Global] = c
-	}, launch(dev, "hash_enum_count", cl.Cost{BytesStreamed: int64(capacity) * 4}, wait))
+	}, launch(dev, "hash_enum_count", capacity, cl.Cost{BytesStreamed: int64(capacity) * 4}, wait))
 
 	ev2 := scanSpine(q, "hash_enum_scan", partials, total, []*cl.Event{ev1})
 
@@ -554,7 +554,7 @@ func HashEnumerate(q *cl.Queue, slotGid, state, partials, total *cl.Buffer, capa
 				id++
 			}
 		}
-	}, launch(dev, "hash_enum_assign", cl.Cost{BytesStreamed: int64(capacity) * 8}, []*cl.Event{ev2}))
+	}, launch(dev, "hash_enum_assign", capacity, cl.Cost{BytesStreamed: int64(capacity) * 8}, []*cl.Event{ev2}))
 }
 
 // HashLookupGids enqueues gids[i] = dense id of row i's key — the group-id
@@ -579,7 +579,7 @@ func HashLookupGids(q *cl.Queue, gids *cl.Buffer, s Slots, col, prev *cl.Buffer,
 		for i := lo; i < hi; i += step {
 			g[i] = v.hashedGid(src[i], wordAt(pv, i))
 		}
-	}, launch(q.Device(), "hash_lookup_gid",
+	}, launch(q.Device(), "hash_lookup_gid", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
@@ -594,7 +594,7 @@ func HashBucketCount(q *cl.Queue, counts, gids *cl.Buffer, n int, ndistinct int,
 		for i := lo; i < hi; i += step {
 			cl.AtomicAddU32(&c[g[i]], 1)
 		}
-	}, launch(q.Device(), "hash_bucket_count", cl.Cost{
+	}, launch(q.Device(), "hash_bucket_count", n, cl.Cost{
 		BytesStreamed: int64(n) * 4, Atomics: int64(n), AtomicTargets: int64(ndistinct),
 	}, wait))
 }
@@ -612,7 +612,7 @@ func HashBucketScatter(q *cl.Queue, rowids, starts, cursors, gids *cl.Buffer, n 
 			off := cl.AtomicAddU32(&cur[gid], 1)
 			r[s[gid]+off] = uint32(i)
 		}
-	}, launch(q.Device(), "hash_bucket_scatter", cl.Cost{
+	}, launch(q.Device(), "hash_bucket_scatter", n, cl.Cost{
 		BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 4,
 		Atomics: int64(n), AtomicTargets: int64(ndistinct),
 	}, wait))

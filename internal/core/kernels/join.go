@@ -32,7 +32,7 @@ func JoinProbeCount(q *cl.Queue, counts *cl.Buffer, s Slots, starts *cl.Buffer, 
 		for i := lo; i < hi; i += step {
 			c[i] = bucketLen(so, v.hashedGid(src[i], 0))
 		}
-	}, launch(q.Device(), "join_probe_count",
+	}, launch(q.Device(), "join_probe_count", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
@@ -53,7 +53,7 @@ func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, s Slots, starts
 		for i := lo; i < hi; i += step {
 			writeMatches(ol, or, rid, so, off[i], i, v.hashedGid(src[i], 0))
 		}
-	}, launch(q.Device(), "join_probe_write",
+	}, launch(q.Device(), "join_probe_write", n,
 		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
@@ -97,7 +97,7 @@ func JoinProbeUnique(q *cl.Queue, bm, rpos, partials *cl.Buffer, s Slots, starts
 			sum += bits.OnesCount32(out)
 		}
 		p[t.Global] = uint32(sum)
-	}, launch(q.Device(), "join_probe_unique",
+	}, launch(q.Device(), "join_probe_unique", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
@@ -133,7 +133,7 @@ func ExistsProbe(q *cl.Queue, bm, partials *cl.Buffer, s Slots, probe *cl.Buffer
 			sum += bits.OnesCount32(out)
 		}
 		p[t.Global] = uint32(sum)
-	}, launch(q.Device(), name,
+	}, launch(q.Device(), name, n,
 		cl.Cost{BytesStreamed: int64(n) * 4, BytesRandom: int64(n) * s.probeBytes()}, wait))
 }
 
@@ -176,7 +176,7 @@ func NestedLoopCount(q *cl.Queue, counts *cl.Buffer, l, r *cl.Buffer, nl, nr int
 			}
 			c[i] = cnt
 		}
-	}, launch(q.Device(), "nlj_count",
+	}, launch(q.Device(), "nlj_count", nl*nr,
 		cl.Cost{BytesStreamed: int64(nl) * int64(nr) * 4 / 64, Ops: int64(nl) * int64(nr)}, wait))
 }
 
@@ -198,6 +198,6 @@ func NestedLoopWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, l, r *cl.Buffe
 				}
 			}
 		}
-	}, launch(q.Device(), "nlj_write",
+	}, launch(q.Device(), "nlj_write", nl*nr,
 		cl.Cost{BytesStreamed: int64(nl) * int64(nr) * 4 / 64, Ops: int64(nl) * int64(nr)}, wait))
 }

@@ -23,10 +23,22 @@ func Geometry(dev *cl.Device) (groups, local, gsz int) {
 	return groups, local, groups * local
 }
 
-// launch builds a Launch descriptor with the default geometry.
-func launch(dev *cl.Device, name string, cost cl.Cost, wait []*cl.Event) cl.Launch {
-	g, l := cl.DefaultLaunch(dev)
+// launch builds a Launch descriptor for a kernel whose loop covers n
+// elements of work: Geometry's work-items, in as few work-groups as the work
+// asks for (cl.WorkLaunch). A kernel that walks a bitmap a word at a time but
+// handles its rows one by one counts rows, and the nested loop join counts
+// row pairs.
+func launch(dev *cl.Device, name string, n int, cost cl.Cost, wait []*cl.Event) cl.Launch {
+	g, l := cl.WorkLaunch(dev, n)
 	return cl.Launch{Name: name, Groups: g, Local: l, Cost: cost, Wait: wait}
+}
+
+// oneItem builds the Launch descriptor of a kernel that one work-item runs
+// alone — a fold or scan of per-item partials. A one-group launch that is
+// ready at enqueue runs on the enqueuing goroutine, so the step costs no
+// hand-off; cost is the launch's footprint on a simulated device.
+func oneItem(name string, cost cl.Cost, wait []*cl.Event) cl.Launch {
+	return cl.Launch{Name: name, Groups: 1, Local: 1, Cost: cost, Wait: wait}
 }
 
 // Fill enqueues a kernel setting every element of dst[:n] to v.
@@ -37,7 +49,7 @@ func Fill(q *cl.Queue, dst *cl.Buffer, n int, v uint32, wait []*cl.Event) *cl.Ev
 		for i := lo; i < hi; i += step {
 			d[i] = v
 		}
-	}, launch(q.Device(), "fill", cl.Cost{BytesStreamed: int64(n) * 4}, wait))
+	}, launch(q.Device(), "fill", n, cl.Cost{BytesStreamed: int64(n) * 4}, wait))
 }
 
 // Iota enqueues a kernel writing dst[i] = seq+i for i < n (materialising a
@@ -49,5 +61,5 @@ func Iota(q *cl.Queue, dst *cl.Buffer, n int, seq uint32, wait []*cl.Event) *cl.
 		for i := lo; i < hi; i += step {
 			d[i] = seq + uint32(i)
 		}
-	}, launch(q.Device(), "iota", cl.Cost{BytesStreamed: int64(n) * 4}, wait))
+	}, launch(q.Device(), "iota", n, cl.Cost{BytesStreamed: int64(n) * 4}, wait))
 }

@@ -544,11 +544,12 @@ func TestReduceKernels(t *testing.T) {
 
 // TestOneWordFinalsRunAsOneItem: the fold of a scalar aggregate's partials
 // and of a selection's per-item counts each runs as a one-group launch, so
-// neither moves ExecutorStats' Shared or Alone — a reduction books only its
-// partials launch there, a count nothing.
+// neither moves ExecutorStats' Shared or Alone — a reduction over more rows
+// than the device's grain books only its partials launch there, a count
+// nothing.
 func TestOneWordFinalsRunAsOneItem(t *testing.T) {
-	const n = 5000
 	for _, dev := range []*cl.Device{cl.NewCPUDevice(2), cl.NewGPUDevice(64 << 20)} {
+		n := 2*dev.Const.Grain + 7
 		e := newEnv(dev)
 		vals, fvals := make([]int32, n), make([]float32, n)
 		for i := range vals {
@@ -596,6 +597,96 @@ func TestOneWordFinalsRunAsOneItem(t *testing.T) {
 			t.Fatalf("%s: count = %d, want %d", dev.Name, total.U32()[0], want)
 		}
 	}
+}
+
+// TestLaunchGeometryByWork pins the launch rule (launch, cl.WorkLaunch): one
+// work-group up to the device's grain, one more per grain of work beyond it,
+// rounded down to a divisor of the global size, up to a group per core — and
+// Geometry's global size at every n. A launch below the grain recruits nobody.
+// A gather, a selection, a prefix sum and a radix pass on either side of the
+// grain leave the bytes a twin device with no grain (§4.2's geometry) leaves,
+// on one, two and eight CPU cores and the GPU model.
+func TestLaunchGeometryByWork(t *testing.T) {
+	for _, mk := range []func() *cl.Device{
+		func() *cl.Device { return cl.NewCPUDevice(1) },
+		func() *cl.Device { return cl.NewCPUDevice(2) },
+		func() *cl.Device { return cl.NewCPUDevice(8) },
+		func() *cl.Device { return cl.NewGPUDevice(64 << 20) },
+	} {
+		dev, paper := mk(), mk()
+		paper.Const.Grain = 0
+		grain, cores := dev.Const.Grain, dev.Const.Cores
+		if grain <= 0 {
+			t.Fatalf("%s: no grain", dev.Name)
+		}
+		_, _, gsz := Geometry(dev)
+		for _, n := range []int{0, 1, grain - 1, grain, grain + 1, 2 * grain, 2*grain + 1, 3 * grain, (cores-1)*grain + 1, cores * grain, 100 * grain} {
+			l := launch(dev, "probe", n, cl.Cost{}, nil)
+			want := min(cores, max(1, (n+grain-1)/grain))
+			for gsz%want != 0 {
+				want--
+			}
+			switch {
+			case l.Groups*l.Local != gsz:
+				t.Fatalf("%s n=%d: %d×%d work-items, want the global size %d", dev.Name, n, l.Groups, l.Local, gsz)
+			case l.Groups != want:
+				t.Fatalf("%s n=%d: %d groups, want %d", dev.Name, n, l.Groups, want)
+			case n <= grain && l.Groups != 1, n > (cores-1)*grain && l.Groups != cores:
+				t.Fatalf("%s n=%d: %d groups at grain %d", dev.Name, n, l.Groups, grain)
+			}
+			if l := launch(paper, "probe", n, cl.Cost{}, nil); l.Groups != cores || l.Groups*l.Local != gsz {
+				t.Fatalf("%s without a grain, n=%d: %d×%d, want §4.2's %d groups", dev.Name, n, l.Groups, l.Local, cores)
+			}
+		}
+
+		e, p := newEnv(dev), newEnv(paper)
+		for _, n := range []int{grain - 1, grain, grain + 1, 2*grain + 3} {
+			before := dev.ExecutorStats()
+			got := boundaryKernels(t, e, n)
+			if after := dev.ExecutorStats(); n <= grain && (after.Shared != before.Shared || after.Alone != before.Alone) {
+				t.Fatalf("%s n=%d: below the grain, %d launches shared and %d multi-group", dev.Name, n,
+					after.Shared-before.Shared, after.Alone-before.Alone)
+			}
+			want := boundaryKernels(t, p, n)
+			for i, what := range []string{"gather", "selection bitmap", "selection count", "prefix sum", "scan total", "radix keys", "radix rows"} {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s n=%d: %s differs from §4.2's geometry", dev.Name, n, what)
+				}
+			}
+		}
+	}
+}
+
+// boundaryKernels runs a gather, a selection with its count, a prefix sum and
+// one radix pass over n seeded rows on e and returns every output word.
+func boundaryKernels(t *testing.T, e *env, n int) [][]uint32 {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(n)))
+	vals, idx := make([]uint32, n), make([]uint32, n)
+	for i := range vals {
+		vals[i], idx[i] = r.Uint32(), uint32(r.Intn(n))
+	}
+	col := make([]int32, n)
+	for i, v := range vals {
+		col[i] = int32(v % 100)
+	}
+	src, ix, ci := e.u32(t, vals), e.u32(t, idx), e.i32(t, col)
+	gathered, bm, sum, total := e.buf(t, n+1), e.buf(t, BitmapWords(n)+1), e.buf(t, n+1), e.buf(t, 1)
+	rows, keys, sorted, hist := e.buf(t, n+1), e.buf(t, n+1), e.buf(t, n+1), e.buf(t, SortHistWords(e.dev))
+	iota := Iota(e.q, rows, n, 0, nil)
+	sp := e.scratch(t)
+	evs := []*cl.Event{
+		Gather(e.q, gathered, src, ix, n, nil),
+		PrefixSum(e.q, sum, src, e.scratch(t), total, n, nil),
+		SortPass(e.q, keys, sorted, src, rows, hist, n, 8, RadixBits(e.dev), []*cl.Event{iota}),
+	}
+	for _, ev := range evs {
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := e.folded(t, sp, e.selectI32(bm, ci, nil, sp, n, 10, 60, nil))
+	return [][]uint32{gathered.U32()[:n], bm.U32()[:BitmapWords(n)], {count}, sum.U32()[:n], total.U32()[:1], keys.U32()[:n], sorted.U32()[:n]}
 }
 
 // TestGroupedAggCrossover runs every order-insensitive grouped aggregate —
@@ -1414,15 +1505,26 @@ func TestRangeKeyBounds(t *testing.T) {
 // — and (c) equal the fixed chunk-partitioned fold computed by hand, i.e.
 // the order is a pure function of (n, ngroups), never of the device. The
 // cases cover chunk counts that are multiples of the lockstep width and
-// counts that are not (87, 52, 37 and 26 chunks), and fewer rows than chunks,
-// on one and four CPU cores and the GPU model: each splits the chunks across
-// its work-groups differently, and a share that is not a multiple of the
-// lockstep width leaves one work-item fewer than four chunks, folded one by
-// one.
+// counts that are not (87, 52, 37 and 26 chunks), fewer rows than one chunk
+// holds, rows just below, at and above the 64-row cap (one and two chunks;
+// 127 and 128 chunks) and tables wider than the input, on one and four CPU
+// cores and the GPU model: each splits the chunks across its work-groups
+// differently, and a share that is not a multiple of the lockstep width leaves
+// one work-item fewer than four chunks, folded one by one.
 func TestGroupedSumF32DeviceIndependentBits(t *testing.T) {
+	for _, c := range []struct{ n, ngroups, chunks int }{
+		{0, 1, 1}, {127, 1, 1}, {128, 1, 2}, {8191, 7, 127}, {8192, 7, 128}, {1 << 20, 1, 128},
+		{1 << 20, 5000, 52}, {60000, 10000, 26}, {1000, 3000, 15}, {1 << 20, 1 << 20, 16},
+	} {
+		if got := GroupSumChunksFor(c.n, c.ngroups); got != c.chunks {
+			t.Fatalf("GroupSumChunksFor(%d, %d) = %d, want %d", c.n, c.ngroups, got, c.chunks)
+		}
+	}
 	for _, c := range []struct{ n, ngroups int }{
 		{60000, 1}, {60000, 7}, {60000, 100}, {60000, 5000},
 		{60000, 3000}, {60000, 7000}, {60000, 10000}, {10, 1}, {130, 3}, {5, 7000},
+		{63, 1}, {64, 1}, {65, 1}, {127, 2}, {128, 2}, {129, 2},
+		{8191, 7}, {8192, 7}, {8193, 7}, {300, 500}, {1000, 3000},
 	} {
 		n, ngroups := c.n, c.ngroups
 		vals := make([]float32, n)

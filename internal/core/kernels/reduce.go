@@ -119,17 +119,14 @@ func reduce[T int32 | float32](q *cl.Queue, name string, d, s, p []T, kind ops.A
 			}
 		}
 	}
-	ev := q.EnqueueKernel(body, launch(dev, name+"_partials", cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
+	ev := q.EnqueueKernel(body, launch(dev, name+"_partials", n, cl.Cost{BytesStreamed: int64(n) * 4, Ops: int64(n)}, wait))
 	return foldFinal(q, name+"_final", d, p[:parts], kind, id,
 		cl.Cost{BytesStreamed: int64(gsz) * 4, Ops: int64(gsz)}, []*cl.Event{ev})
 }
 
 // foldFinal enqueues the fold of every partial of p under kind into d[0]:
-// one work-item that folds them in index order, the second step of every
-// one-word reduction (scalar aggregates and selection counts alike). A
-// one-group launch that is ready at enqueue runs on the enqueuing goroutine,
-// so the step costs no hand-off; cost is the launch's footprint on a
-// simulated device.
+// one work-item that folds them in index order (oneItem), the second step of
+// every one-word reduction (scalar aggregates and selection counts alike).
 func foldFinal[T uint32 | int32 | float32](q *cl.Queue, name string, d, p []T, kind ops.Agg, id T, cost cl.Cost, wait []*cl.Event) *cl.Event {
 	return q.EnqueueKernel(func(*cl.Thread) {
 		acc := id
@@ -137,5 +134,5 @@ func foldFinal[T uint32 | int32 | float32](q *cl.Queue, name string, d, p []T, k
 			acc = fold(kind, acc, v)
 		}
 		d[0] = acc
-	}, cl.Launch{Name: name, Groups: 1, Local: 1, Cost: cost, Wait: wait})
+	}, oneItem(name, cost, wait))
 }

@@ -27,7 +27,7 @@ func PrefixSum(q *cl.Queue, dst, src, partials, total *cl.Buffer, n int, wait []
 			sum += s[i]
 		}
 		p[t.Global] = sum
-	}, launch(dev, "scan_partials", cl.Cost{BytesStreamed: int64(n) * 4}, wait))
+	}, launch(dev, "scan_partials", n, cl.Cost{BytesStreamed: int64(n) * 4}, wait))
 
 	ev2 := scanSpine(q, "scan_spine", partials, total, []*cl.Event{ev1})
 
@@ -39,24 +39,21 @@ func PrefixSum(q *cl.Queue, dst, src, partials, total *cl.Buffer, n int, wait []
 			d[i] = run
 			run += v
 		}
-	}, launch(dev, "scan_apply", cl.Cost{BytesStreamed: int64(n) * 8}, []*cl.Event{ev2}))
+	}, launch(dev, "scan_apply", n, cl.Cost{BytesStreamed: int64(n) * 8}, []*cl.Event{ev2}))
 }
 
-// scanSpine enqueues phase 2 of the chunked scans: one work-item turns the
-// gsz per-item sums in partials into exclusive offsets in place, leaving the
-// grand total in partials[gsz] and, when total is non-nil, total[0].
+// scanSpine enqueues phase 2 of the chunked scans: one work-item (oneItem)
+// turns the gsz per-item sums in partials into exclusive offsets in place,
+// leaving the grand total in partials[gsz] and, when total is non-nil,
+// total[0].
 func scanSpine(q *cl.Queue, name string, partials, total *cl.Buffer, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	_, _, gsz := Geometry(dev)
+	_, _, gsz := Geometry(q.Device())
 	p := partials.U32()
 	tot := p[gsz:]
 	if total != nil {
 		tot = total.U32()
 	}
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		if t.Global != 0 {
-			return
-		}
+	return q.EnqueueKernel(func(*cl.Thread) {
 		var run uint32
 		for i := 0; i < gsz; i++ {
 			v := p[i]
@@ -65,5 +62,5 @@ func scanSpine(q *cl.Queue, name string, partials, total *cl.Buffer, wait []*cl.
 		}
 		p[gsz] = run
 		tot[0] = run
-	}, launch(dev, name, cl.Cost{BytesStreamed: int64(gsz) * 8}, wait))
+	}, oneItem(name, cl.Cost{BytesStreamed: int64(gsz) * 8}, wait))
 }

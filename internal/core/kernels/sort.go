@@ -42,7 +42,7 @@ func TransformI32Keys(q *cl.Queue, dst, src *cl.Buffer, n int, wait []*cl.Event)
 		for i := lo; i < hi; i += step {
 			d[i] = s[i] ^ 0x80000000
 		}
-	}, launch(q.Device(), "keys_i32", cl.Cost{BytesStreamed: int64(n) * 8}, wait))
+	}, launch(q.Device(), "keys_i32", n, cl.Cost{BytesStreamed: int64(n) * 8}, wait))
 }
 
 // TransformF32Keys enqueues the float32 key transform: negative floats are
@@ -61,7 +61,7 @@ func TransformF32Keys(q *cl.Queue, dst, src *cl.Buffer, n int, wait []*cl.Event)
 			}
 			d[i] = u
 		}
-	}, launch(q.Device(), "keys_f32", cl.Cost{BytesStreamed: int64(n) * 8}, wait))
+	}, launch(q.Device(), "keys_f32", n, cl.Cost{BytesStreamed: int64(n) * 8}, wait))
 }
 
 // SortPass enqueues one stable counting pass over the current radix digit:
@@ -87,14 +87,11 @@ func SortPass(q *cl.Queue, dstK, dstV, srcK, srcV, hist *cl.Buffer, n, shift, bi
 		for b := 0; b < buckets; b++ {
 			h[b*gsz+t.Global] = local[b]
 		}
-	}, launch(dev, "radix_hist", cl.Cost{BytesStreamed: int64(n)*4 + int64(buckets*gsz)*4, Ops: int64(n)}, wait))
+	}, launch(dev, "radix_hist", n, cl.Cost{BytesStreamed: int64(n)*4 + int64(buckets*gsz)*4, Ops: int64(n)}, wait))
 
-	// Phase 2: exclusive scan of the digit-major histogram.
+	// Phase 2: exclusive scan of the digit-major histogram, by one work-item.
 	total := buckets * gsz
-	ev2 := q.EnqueueKernel(func(t *cl.Thread) {
-		if t.Global != 0 {
-			return
-		}
+	ev2 := q.EnqueueKernel(func(*cl.Thread) {
 		var run uint32
 		for i := 0; i < total; i++ {
 			v := h[i]
@@ -102,7 +99,7 @@ func SortPass(q *cl.Queue, dstK, dstV, srcK, srcV, hist *cl.Buffer, n, shift, bi
 			run += v
 		}
 		h[total] = run
-	}, launch(dev, "radix_scan", cl.Cost{BytesStreamed: int64(total) * 8}, []*cl.Event{ev1}))
+	}, oneItem("radix_scan", cl.Cost{BytesStreamed: int64(total) * 8}, []*cl.Event{ev1}))
 
 	// Phase 3: stable scatter. Each item replays its block in order,
 	// bumping its private cursor per digit.
@@ -120,7 +117,7 @@ func SortPass(q *cl.Queue, dstK, dstV, srcK, srcV, hist *cl.Buffer, n, shift, bi
 			dk[pos] = k
 			dv[pos] = sv[i]
 		}
-	}, launch(dev, "radix_scatter",
+	}, launch(dev, "radix_scatter", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 8, Ops: int64(n)}, []*cl.Event{ev2}))
 }
 

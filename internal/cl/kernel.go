@@ -265,7 +265,7 @@ func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
 	}()
 	var lmem []uint32
 	if r.localWords > 0 {
-		lmem = x.getLocal(r.localWords)
+		lmem = x.getLocal(r.localWords, r.groups-1)
 		defer x.putLocal(lmem)
 	}
 	gsz := r.groups * r.local

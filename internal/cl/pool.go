@@ -297,11 +297,14 @@ func (x *executor) worker(first *Event) {
 // reusing the smallest free-listed one that fits, so that a launch asking for
 // a few words does not take the slice a launch asking for all of local
 // memory will want next. Zeroing matches the fresh make([]uint32, words) the
-// seed runtime performed per group. A miss stocks the list for every worker
-// at once: a launch may have a group running on each of them, and only the
-// first launch of a size should allocate, not whichever later one first
-// happens to overlap two groups.
-func (x *executor) getLocal(words int) []uint32 {
+// seed runtime performed per group. A miss also stocks the list with one
+// buffer for each of the launch's other groups (others, at most one per
+// further worker): they may run at once, and only the first launch of a size
+// should allocate, not whichever later one first happens to overlap two
+// groups. A one-group launch stocks nothing, so a launch that asks for the
+// local memory of every core in one group leaves one buffer behind, not one
+// per core.
+func (x *executor) getLocal(words, others int) []uint32 {
 	x.localMu.Lock()
 	best := -1
 	for i, s := range x.localFree {
@@ -321,7 +324,7 @@ func (x *executor) getLocal(words int) []uint32 {
 		clear(s)
 		return s
 	}
-	for i := 1; i < x.maxWorkers() && len(x.localFree) < maxLocalFree; i++ {
+	for i := 0; i < min(others, x.maxWorkers()-1) && len(x.localFree) < maxLocalFree; i++ {
 		x.localFree = append(x.localFree, make([]uint32, words))
 	}
 	x.localMu.Unlock()

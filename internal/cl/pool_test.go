@@ -68,6 +68,49 @@ func TestPoolReusesLocalMemory(t *testing.T) {
 	}
 }
 
+// TestLocalFreeListBoundedAcrossGeometries launches the two shapes a tile
+// program takes on an 8-core CPU — one group holding every core's local
+// memory (a launch below the grain) and one group per core holding one
+// core's — and bounds what the local-memory free-list keeps: one buffer after
+// the one-group launch, and no more than both launches ask for at once after
+// any number of rounds of the two.
+func TestLocalFreeListBoundedAcrossGeometries(t *testing.T) {
+	dev := NewCPUDevice(8)
+	q := NewQueue(NewContext(dev))
+	coreWords := dev.Const.LocalMemSize / 4
+	held := func() (bytes int) {
+		x := dev.executor()
+		x.localMu.Lock()
+		defer x.localMu.Unlock()
+		for _, s := range x.localFree {
+			bytes += 4 * cap(s)
+		}
+		return bytes
+	}
+	run := func(n int) {
+		groups, local := WorkLaunch(dev, n)
+		words := coreWords * local / (4 * dev.Const.UnitsPerCore)
+		ev := q.EnqueueKernel(func(th *Thread) {
+			th.LocalU32()[th.Local] = 1
+		}, Launch{Name: "tiles", Groups: groups, Local: local, LocalWords: words})
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := dev.Const.Cores * dev.Const.LocalMemSize
+	run(1)
+	if b := held(); b != whole {
+		t.Fatalf("after a one-group launch the free-list holds %d bytes, want one %d-byte buffer", b, whole)
+	}
+	for range 10 {
+		run(1 << 20)
+		run(1)
+	}
+	if b := held(); b > 2*whole {
+		t.Fatalf("after alternating geometries the free-list holds %d bytes, want at most %d", b, 2*whole)
+	}
+}
+
 // TestPoolWorkersDrainOnCloseAndRestart: Close drains the worker pool, and
 // the pool restarts lazily so the device stays usable afterwards.
 func TestPoolWorkersDrainOnCloseAndRestart(t *testing.T) {

@@ -85,17 +85,14 @@ type fusedArg struct {
 	ci      int32
 }
 
-// itemWords is the local memory, in words, each work-item of a tile program
-// owns: its share of the device's local memory under §4.2's geometry, one
-// group of 4·n_a items per core. A launch by work gives a group more items and
-// as many more shares (evalTiles), so the share does not move.
-func itemWords(c cl.BuildConstants) int { return c.LocalMemSize / 4 / (4 * c.UnitsPerCore) }
-
 // fusedTile returns the tile length for a program holding regs registers
-// live: each work-item's share of local memory (itemWords), split across its
-// registers. Zero means the program does not fit.
+// live: each work-item owns its share of the device's local memory under
+// §4.2's geometry (one group of 4·n_a items per core), split across its
+// registers. A launch by work puts more items in a group, and evalTiles
+// sizes the group's local memory by its items, so the share does not move.
+// Zero means the program does not fit.
 func fusedTile(c cl.BuildConstants, regs int) int {
-	tile := itemWords(c) / max(regs, 1)
+	tile := c.LocalMemSize / 4 / (4 * c.UnitsPerCore) / max(regs, 1)
 	if tile >= 8 {
 		tile &^= 7
 	}
@@ -226,19 +223,19 @@ func evalTiles(q *cl.Queue, name string, out, idx *cl.Buffer, p *FusedProgram, m
 	if idx != nil {
 		ix = idx.U32()
 	}
+	tiles := (m + p.tile - 1) / p.tile
 	l := launch(q.Device(), name, m, cost, wait)
-	if p.regs > 0 {
-		// Every item's whole share, whatever the program uses of it: one
-		// size per group count for cl's free-list to recycle across programs.
-		l.LocalWords = itemWords(q.Device().Const) * l.Local
-	}
+	// Each item's registers, for the items that get a tile: under either
+	// Span an item whose global id reaches the tile count has none, so a
+	// group's items past that count need no share.
+	share := p.regs * p.tile
+	l.LocalWords = share * min(l.Local, tiles)
 	return q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi, step := t.Span(tiles)
 		var regs []uint32
-		if p.regs > 0 {
-			share := len(t.LocalU32()) / t.LocalSize
-			regs = t.LocalU32()[t.Local*share:][:p.regs*p.tile]
+		if share > 0 && lo < hi {
+			regs = t.LocalU32()[t.Local*share:][:share]
 		}
-		lo, hi, step := t.Span((m + p.tile - 1) / p.tile)
 		for ti := lo; ti < hi; ti += step {
 			i0 := ti * p.tile
 			p.run(d, ix, regs, i0, min(p.tile, m-i0))

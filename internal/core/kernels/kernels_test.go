@@ -691,20 +691,31 @@ func boundaryKernels(t *testing.T, e *env, n int) [][]uint32 {
 
 // TestGroupedAggCrossover runs every order-insensitive grouped aggregate —
 // Count/Sum/Min/Max on int32, Min/Max on float32 — on both sides of the
-// (n, ngroups) rule: at ngroups*chunks == n and one row either side,
-// including a single group and inputs shorter than the chunk count. Each
-// case runs the path the rule selects and both paths forced, against a
-// sequential reference (empty groups keep the fold identity).
+// (n, ngroups) rule, one row either side of each table size the rule
+// compares n with: the full table (ngroups × the width a long input gets,
+// where many groups cross) and the one-chunk table of inputs shorter than
+// two chunks (ngroups rows, where few groups cross), including a single
+// group and inputs shorter than the chunk count. Each case runs the path the
+// rule selects and both paths forced, against a sequential reference (empty
+// groups keep the fold identity).
 func TestGroupedAggCrossover(t *testing.T) {
 	type tc struct{ n, ngroups int }
 	var cases []tc
 	for _, ngroups := range []int{1, 4, 100, 5000} {
-		table := ngroups * GroupSumChunksFor(0, ngroups)
-		for _, n := range []int{table - 1, table, table + 1} {
-			cases = append(cases, tc{n, ngroups})
+		for _, table := range []int{ngroups * GroupSumChunksFor(math.MaxInt32, ngroups), ngroups} {
+			for _, n := range []int{table - 1, table, table + 1} {
+				cases = append(cases, tc{n, ngroups})
+			}
 		}
 	}
 	cases = append(cases, tc{17, 1}, tc{17, 3}, tc{60000, 4}, tc{60000, 15000})
+	// The rule crosses at the full table for many groups and at the one-chunk
+	// table for few.
+	for _, c := range []tc{{12800, 100}, {260000, 5000}, {4, 4}, {100, 100}} {
+		if GroupAggScratchWords(c.n-1, c.ngroups) != 0 || GroupAggScratchWords(c.n, c.ngroups) == 0 {
+			t.Fatalf("ngroups=%d: the rule does not cross at n=%d", c.ngroups, c.n)
+		}
+	}
 	for _, dev := range devices() {
 		e := newEnv(dev)
 		for _, c := range cases {

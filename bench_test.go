@@ -50,8 +50,10 @@ func BenchmarkScalingTPCHSmall(b *testing.B) { benchScaling(b, 0.01) }
 // work-groups so that every core has one; this runs warm PlanCache replays of
 // the 14 queries at scale factor sf on Ocelot-CPU with ConfigOptions.Threads
 // 1 and 2, beside MS and MP (2 threads), the four engines alternated query by
-// query inside every iteration. It reports each engine's round (the sum of
-// its per-query medians) and the Threads 2 / Threads 1 ratio of the rounds;
+// query inside every iteration. Before timing, it fails unless every
+// engine's warm result equals MS's to the TPC-H equivalence suites'
+// tolerance. It reports each engine's round (the sum of its per-query
+// medians) and the Threads 2 / Threads 1 ratio of the rounds;
 // per query, Threads 2 against MS and against MP: the geometric mean of the
 // ratios, the worst ratio and the number of queries the baseline answers
 // faster; and prints the per-query table.
@@ -70,9 +72,11 @@ func benchScaling(b *testing.B, sf float64) {
 		{name: "MS", o: mal.MS.Build(mal.ConfigOptions{})},
 		{name: "MP", o: mal.MP.Build(mal.ConfigOptions{Threads: 2})},
 	}
+	var res *mal.Result // the last replay's result
 	replay := func(s *side, q tpch.Query) time.Duration {
 		start := time.Now()
-		_, _, err := s.cache.Run(s.o, q.Name, nil, mal.DefaultPasses(), func(ms *mal.Session) *mal.Result {
+		var err error
+		res, _, err = s.cache.Run(s.o, q.Name, nil, mal.DefaultPasses(), func(ms *mal.Session) *mal.Result {
 			return q.Plan(ms, db)
 		})
 		if err != nil {
@@ -82,9 +86,19 @@ func benchScaling(b *testing.B, sf float64) {
 	}
 	for _, s := range sides {
 		s.cache, s.ms = mal.NewPlanCache(), make([][]float64, len(queries))
-		for _, q := range queries {
+	}
+	const ref = 2 // MS
+	for _, q := range queries {
+		warm := make([]*mal.Result, len(sides))
+		for si, s := range sides {
 			replay(s, q) // builds and seals the template
 			replay(s, q) // first replay: hot cache, recycled buffers
+			warm[si] = res
+		}
+		for si, s := range sides {
+			if err := warm[si].EqualWithin(warm[ref], 2e-3); err != nil {
+				b.Fatalf("Q%d: %s disagrees with MS: %v", q.Num, s.name, err)
+			}
 		}
 	}
 	b.ResetTimer()
@@ -212,10 +226,8 @@ func BenchmarkFusChain(b *testing.B) {
 // the framework overhead of §5.3.2 / Figure 7(d) — by running N tiny
 // dependent kernels end-to-end on the CPU driver: each launch does almost no
 // work, so ns/op is dominated by enqueue, dependency resolution, work-group
-// scheduling and completion. The "local" variant adds work-group local
-// memory so the scratch-reuse path is exercised too. Back to back, the pool
-// never parks; "idle-gap" launches and waits for one kernel after the device
-// has sat idle for 1 ms, which is where a parked worker's wake-up costs. Its
+// scheduling and completion. Back to back, the pool never parks; "idle-gap"
+// launches and waits for one kernel after the device has sat idle for 1 ms, which is where a parked worker's wake-up costs. Its
 // ns/op includes the 1 ms sleep; launch-ns/op is the launch and wait alone.
 func BenchmarkLaunchOverhead(b *testing.B) {
 	run := func(b *testing.B, l cl.Launch) {
@@ -253,9 +265,6 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 	}
 	b.Run("chain", func(b *testing.B) {
 		run(b, cl.Launch{Name: "tiny"})
-	})
-	b.Run("chain-local", func(b *testing.B) {
-		run(b, cl.Launch{Name: "tiny_local", LocalWords: 256})
 	})
 	b.Run("idle-gap", func(b *testing.B) {
 		q := cl.NewQueue(cl.NewContext(cl.NewCPUDevice(0)))

@@ -117,8 +117,9 @@ func main() {
 	}
 }
 
-// printExecutor is the -explain footer's line on a device's worker pool: how
-// many multi-group launches had a second goroutine on them, how many ran on
+// printExecutor is the -explain footer's line on what the host's worker pool
+// did with a device's commands: how many multi-group launches had a second
+// goroutine on them, how many ran on
 // one, how many launches ran on the goroutine that enqueued them, and how
 // many ready commands found no idle worker.
 func printExecutor(label string, e *core.Engine) {

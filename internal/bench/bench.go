@@ -213,10 +213,11 @@ func engineFor(c mal.Config, opt Options) ops.Operators {
 }
 
 // retire drains a configuration's resources after its measurements: Ocelot
-// engines hold a persistent per-device worker pool and a scratch free-list,
-// and a sweep builds one engine per data point, so draining eagerly keeps
-// the harness from carrying parked workers until their idle timeout — or
-// pinning retained scratch bytes through the storage layer's free listener.
+// engines run on the host's persistent worker pool and hold a scratch
+// free-list, and a sweep builds one engine per data point, so draining
+// eagerly keeps the harness from carrying parked workers until their idle
+// timeout — or pinning retained scratch bytes through the storage layer's
+// free listener.
 func retire(o ops.Operators) {
 	if eng, ok := o.(*core.Engine); ok {
 		eng.Device().Close()

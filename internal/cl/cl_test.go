@@ -2,7 +2,6 @@ package cl
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -125,61 +124,6 @@ func TestGroupSpanCover(t *testing.T) {
 		for i := 0; i < n; i++ {
 			if s[i] != 1 {
 				t.Fatalf("%s: element %d visited %d times", dev.Name, i, s[i])
-			}
-		}
-	}
-}
-
-// TestLocalMemoryPerGroupReduction: every work-group gets local memory of
-// its own, zeroed when the group starts and shared by its items, which run
-// one after another: each item leaves its partial sum in its word, and the
-// group's last item folds the words. A word another group wrote would show
-// as a non-zero start or a foreign partial. The barrier half of work-group
-// execution is TestKernelPanicWithBarriersDoesNotDeadlock's and
-// TestBrokenBarrierAbortsAcrossPooledGroups'.
-func TestLocalMemoryPerGroupReduction(t *testing.T) {
-	for _, dev := range devices() {
-		ctx := NewContext(dev)
-		q := NewQueue(ctx)
-		const n, groups = 1 << 14, 8
-		in, _ := ctx.CreateBuffer(4 * n)
-		src := in.U32()
-		for i := range src {
-			src[i] = uint32(i % 97)
-		}
-		_, local := DefaultLaunch(dev)
-		out, _ := ctx.CreateBuffer(4 * groups)
-		partial := out.U32()
-		ev := q.EnqueueKernel(func(th *Thread) {
-			lmem := th.LocalU32()
-			if th.Local == 0 && slices.ContainsFunc(lmem, func(w uint32) bool { return w != 0 }) {
-				panic(fmt.Sprintf("group %d starts with non-zero local memory %v", th.Group, lmem))
-			}
-			lo, hi := th.GroupSpan(n)
-			var sum uint32
-			for i := lo + th.Local; i < hi; i += th.LocalSize {
-				sum += src[i]
-			}
-			lmem[th.Local] = sum
-			if th.Local == th.LocalSize-1 {
-				var total uint32
-				for _, w := range lmem {
-					total += w
-				}
-				partial[th.Group] = total
-			}
-		}, Launch{Name: "reduce", LocalWords: local, Groups: groups, Local: local})
-		if err := ev.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		chunk := (n + groups - 1) / groups
-		for g := range groups {
-			var want uint32
-			for _, v := range src[g*chunk : min(g*chunk+chunk, n)] {
-				want += v
-			}
-			if partial[g] != want {
-				t.Fatalf("%s: group %d reduced to %d, want %d", dev.Name, g, partial[g], want)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package cl is a pure-Go implementation of the kernel programming model the
 // paper builds Ocelot on (§2.3): devices, contexts, command queues, buffers,
-// events with wait-lists, NDRange kernel launches, work-groups with barriers
-// and local memory, and global-memory atomics.
+// events with wait-lists, NDRange kernel launches, work-groups with barriers,
+// and global-memory atomics.
 //
 // It plays the role OpenCL plays in the paper. Two device drivers are
 // registered:
@@ -130,11 +130,6 @@ type Device struct {
 	// roughly constant per-query cost they extrapolate in Figure 7(d).
 	LaunchPause time.Duration
 
-	// exec is the device's persistent worker pool (see pool.go), created
-	// lazily on first use and drained by Close or worker idle timeouts.
-	execMu sync.Mutex
-	exec   *executor
-
 	mu        sync.Mutex
 	allocated int64 // live buffer bytes
 	peakAlloc int64
@@ -153,7 +148,8 @@ type Device struct {
 	kernelLaunches int64
 	transfers      int64
 	bytesMoved     int64
-	// What the worker pool did with the device's commands (ExecutorStats).
+	// What the host's worker pool did with the device's commands
+	// (ExecutorStats).
 	sharedLaunches, aloneLaunches, inlineLaunches, unpooledCommands atomic.Int64
 }
 
@@ -248,8 +244,8 @@ func (d *Device) KernelLaunches() int64 {
 	return d.kernelLaunches
 }
 
-// ExecutorStats counts what the device's worker pool (pool.go) did with the
-// commands that have completed so far.
+// ExecutorStats counts what the host's worker pool (pool.go) did with the
+// device's commands that have completed so far.
 type ExecutorStats struct {
 	// Shared launches had groups run by more than one goroutine; Alone ones
 	// had more than one group and still ran on the goroutine that fired them.

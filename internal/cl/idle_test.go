@@ -23,6 +23,7 @@ func cpuTime(t *testing.T) time.Duration {
 // growing, though the workers live until their idle timeout. (No Close:
 // the workers must stay alive for the check, and retire on their own.)
 func TestIdleEngineBurnsNoCPU(t *testing.T) {
+	host.drain()
 	dev := NewCPUDevice(2)
 	q := NewQueue(NewContext(dev))
 	burst(t, q, Launch{Name: "pair"})
@@ -33,7 +34,7 @@ func TestIdleEngineBurnsNoCPU(t *testing.T) {
 	if used := cpuTime(t) - before; used > window/10 {
 		t.Fatalf("an idle engine used %v of CPU time in %v", used, window)
 	}
-	if n := dev.executor().liveWorkers(); n == 0 {
+	if n := host.liveWorkers(); n == 0 {
 		t.Fatal("no worker alive: the check measured nothing")
 	}
 }

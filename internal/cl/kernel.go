@@ -21,9 +21,6 @@ type Launch struct {
 	// Groups is the number of work-groups; Local is the work-group size.
 	// Zero values select the device's default geometry (see DefaultLaunch).
 	Groups, Local int
-	// LocalWords is the number of 32-bit words of local (work-group shared)
-	// memory to allocate per group.
-	LocalWords int
 	// Barriers must be set when the kernel calls Thread.Barrier. Work-items
 	// of a group then execute as concurrent goroutines synchronised by a
 	// cyclic barrier; otherwise the items of a group run sequentially on one
@@ -64,8 +61,7 @@ func WorkLaunch(dev *Device, n int) (groups, local int) {
 }
 
 // Thread is the execution context handed to each kernel invocation: its ids
-// within the NDRange, the device build constants, the work-group barrier and
-// local memory.
+// within the NDRange, the device build constants and the work-group barrier.
 type Thread struct {
 	// Global is the invocation's unique id in [0, GlobalSize).
 	Global int
@@ -77,8 +73,7 @@ type Thread struct {
 	// pre-processor constants, §4.2).
 	Const BuildConstants
 
-	bar      *barrier
-	localMem []uint32
+	bar *barrier
 }
 
 // Span partitions n elements across the launch's work-items using the memory
@@ -148,10 +143,6 @@ func (t *Thread) Barrier() {
 	t.bar.await()
 }
 
-// LocalU32 returns the group's local memory as []uint32. All work-items of a
-// group observe the same memory; distinct groups have distinct memory.
-func (t *Thread) LocalU32() []uint32 { return t.localMem }
-
 // launchRun is one kernel launch, from enqueue to completion: what to run
 // (fixed at enqueue) and the shared state of the run. The goroutine that
 // runs the command — the one that enqueued it, if it was ready then — and the
@@ -164,7 +155,6 @@ type launchRun struct {
 	dev           *Device
 	fn            KernelFunc
 	name          string
-	localWords    int
 	barriers      bool
 	groups, local int
 	ev            *Event // the launch's command, set by Queue.submit
@@ -185,8 +175,7 @@ type launchRun struct {
 // values) and captures the kernel.
 func newLaunchRun(dev *Device, fn KernelFunc, l Launch) *launchRun {
 	r := &launchRun{
-		dev: dev, fn: fn, name: l.Name,
-		localWords: l.LocalWords, barriers: l.Barriers,
+		dev: dev, fn: fn, name: l.Name, barriers: l.Barriers,
 		groups: l.Groups, local: l.Local,
 	}
 	if r.name == "" {
@@ -211,8 +200,8 @@ func (r *launchRun) record(v any) {
 // runInPool is a recruited worker's share of the launch. If it ends up
 // running the last group, it completes the command and carries on with the
 // chain behind it, as runCommands would have.
-func (r *launchRun) runInPool(x *executor, t *Thread) {
-	if r.help(x, t) {
+func (r *launchRun) runInPool(t *Thread) {
+	if r.help(t) {
 		runCommands(r.ev.finished(r.finish()))
 	}
 }
@@ -233,21 +222,21 @@ func (r *launchRun) exhausted() bool { return int(r.next.Load()) >= r.groups }
 // reports whether it ran the one that finished the launch. Whoever claims a
 // group and sees further ones outstanding recruits one more worker: a
 // one-group launch runs on the launching goroutine at no dispatch cost, a
-// launch of n_c groups has every idle core of the device on it within a
-// poll, or a wake-up once the workers have parked.
-func (r *launchRun) help(x *executor, t *Thread) (last bool) {
+// launch of n_c groups has every idle worker on it within a poll, or a
+// wake-up once the workers have parked.
+func (r *launchRun) help(t *Thread) (last bool) {
 	for {
 		g := int(r.next.Add(1)) - 1
 		if g >= r.groups {
 			return last
 		}
 		if r.groups-g > 1 {
-			x.recruit(r.ev, g == 0)
+			host.recruit(r.ev, g == 0)
 		}
 		if t != &r.own {
 			r.shared.Store(true)
 		}
-		last = r.runGroup(x, g, t)
+		last = r.runGroup(g, t)
 	}
 }
 
@@ -256,23 +245,18 @@ func (r *launchRun) help(x *executor, t *Thread) (last bool) {
 // sequentially on t unless the kernel needs barriers; barrier groups keep one
 // dedicated goroutine per work-item — they must run concurrently to meet at
 // the barrier — but the group as a whole occupies a single pool slot.
-func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
+func (r *launchRun) runGroup(g int, t *Thread) (last bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			r.record(v)
 		}
 		last = r.done.Add(1) == int32(r.groups)
 	}()
-	var lmem []uint32
-	if r.localWords > 0 {
-		lmem = x.getLocal(r.localWords, r.groups-1)
-		defer x.putLocal(lmem)
-	}
 	gsz := r.groups * r.local
 	if !r.barriers {
 		*t = Thread{
 			Group: g, GlobalSize: gsz, LocalSize: r.local,
-			NumGroups: r.groups, Const: r.dev.Const, localMem: lmem,
+			NumGroups: r.groups, Const: r.dev.Const,
 		}
 		for li := 0; li < r.local; li++ {
 			t.Local = li
@@ -285,7 +269,7 @@ func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
 	var wg sync.WaitGroup
 	for li := 0; li < r.local; li++ {
 		wg.Add(1)
-		go func(li int, lmem []uint32) {
+		go func(li int) {
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
@@ -298,9 +282,9 @@ func (r *launchRun) runGroup(x *executor, g int, t *Thread) (last bool) {
 			r.fn(&Thread{
 				Global: g*r.local + li, Local: li, Group: g,
 				GlobalSize: gsz, LocalSize: r.local, NumGroups: r.groups,
-				Const: r.dev.Const, bar: bar, localMem: lmem,
+				Const: r.dev.Const, bar: bar,
 			})
-		}(li, lmem) // by value: a captured lmem would move to the heap for every group
+		}(li)
 	}
 	wg.Wait()
 	return

@@ -9,38 +9,39 @@ import (
 	"time"
 )
 
-// This file implements the persistent per-device executor. The runtime used
-// to spawn one goroutine per enqueued command (parked on its wait-list) and
-// fresh goroutines per work-group on every launch — exactly the per-launch
-// framework overhead the paper measures against the beta Intel OpenCL SDK in
-// §5.3.2 / Figure 7(d). The executor replaces that with:
+// This file implements the host executor: one worker pool for the whole
+// process. The paper maps each work-group onto one core (§2.3); here the CPU
+// driver and the simulated GPU both run their work-groups on host
+// goroutines, so they share the host's processors and draw from one pool.
+// The runtime used to spawn one goroutine per enqueued command (parked on its
+// wait-list) and fresh goroutines per work-group on every launch — exactly
+// the per-launch framework overhead the paper measures against the beta
+// Intel OpenCL SDK in §5.3.2 / Figure 7(d). The executor replaces that with:
 //
 //   - Ready work runs where a thread is already awake. A kernel launch whose
 //     wait-list is complete at enqueue runs on the goroutine that enqueues
 //     it; every other ready command, and every launch with unclaimed groups,
 //     goes on one list that the pool's workers draw from.
 //
-//   - A worker pool per device (one worker per Const.Cores, started lazily,
-//     retired after an idle timeout or an explicit Device.Close). Work-groups
-//     of a launch are pulled from a shared atomic cursor by the goroutine
-//     that runs the launch and by every worker that draws it from the list.
-//     A worker with nothing to do polls the list for spinWindow, yielding
-//     between polls, before it parks; a parked one is woken by a token when
-//     work is listed that no spinning worker will take. A one-group launch
-//     lists nothing and wakes nobody.
+//   - One worker pool (at most one worker per processor, GOMAXPROCS, started
+//     lazily, retired after an idle timeout or an explicit Device.Close).
+//     Work-groups of a launch are pulled from a shared atomic cursor by the
+//     goroutine that runs the launch and by every worker that draws it from
+//     the list. A worker with nothing to do polls the list for spinWindow,
+//     yielding between polls, before it parks; at most max(1, GOMAXPROCS−1)
+//     poll at once. A parked one is woken by a token when work is listed that
+//     no spinning worker will take. A one-group launch lists nothing and
+//     wakes nobody.
 //
 //   - A dependency-counting command scheduler: each command carries a
 //     pending-dependency counter and is fired exactly once, by whichever
 //     event completion (or the enqueue itself) drops the counter to zero.
 //     No goroutine exists for a command until it is runnable, and a linear
 //     chain of dependent commands executes on a single goroutine.
-//
-//   - A free-list for work-group local memory, so LocalWords launches stop
-//     allocating (and garbage-collecting) a scratch slice per group.
 
 // workerIdleTimeout is how long a pool worker stays parked before retiring;
-// the pool restarts lazily on the next launch, so an idle device holds no
-// goroutines.
+// the pool restarts lazily on the next launch, so an idle process holds no
+// workers.
 const workerIdleTimeout = 2 * time.Second
 
 // spinWindow is how long an idle worker polls the list before it parks: above
@@ -49,38 +50,20 @@ const workerIdleTimeout = 2 * time.Second
 // wake-up, and short enough that an idle engine stops burning CPU at once.
 const spinWindow = 100 * time.Microsecond
 
-// spinners counts the workers of all devices that are polling right now. It
-// is process-wide because the processors are: at most max(1, GOMAXPROCS−1)
-// poll at once, so spinning never keeps a runnable goroutine off the last
-// processor.
-var spinners atomic.Int32
+// maxPoolWorkers bounds the pool whatever GOMAXPROCS says; it sizes the wake
+// channel, which must hold a token for every parked worker.
+const maxPoolWorkers = 256
 
-// startSpin takes one of the process's spinning slots, if one is free.
-func startSpin() bool {
-	limit := int32(max(1, runtime.GOMAXPROCS(0)-1))
-	for n := spinners.Load(); n < limit; n = spinners.Load() {
-		if spinners.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-	return false
-}
-
-// maxLocalFree bounds the local-memory free-list length per device.
-const maxLocalFree = 64
-
-// executor is the persistent per-device worker pool.
+// executor is the worker pool behind every device.
 type executor struct {
-	dev *Device
-
-	// wake holds a token per worker that must look at the list again before
-	// parking.
+	// wake holds a token per parked worker that must look at the list again
+	// before parking. quit is closed while a drain waits for the workers.
 	wake chan struct{}
 	quit chan struct{}
 
-	mu      sync.Mutex
-	workers int
-	closed  bool
+	mu       sync.Mutex
+	workers  int
+	draining int // Device.Close calls waiting for the workers to retire
 	// list is the work waiting for a thread, oldest first: ready commands
 	// fire handed to the pool (removed by the worker that takes one) and
 	// running launches that may have unclaimed groups (dropped, once
@@ -94,67 +77,35 @@ type executor struct {
 	// come for it; a worker takes queued commands before open launches.
 	queued, spinning, parked int
 	wg                       sync.WaitGroup
-
-	// localFree recycles work-group local-memory scratch across launches.
-	localMu   sync.Mutex
-	localFree [][]uint32
-
-	// localReuses counts free-list hits (introspection for tests).
-	localReuses atomic.Int64
 }
 
-func newExecutor(d *Device) *executor {
-	x := &executor{dev: d, quit: make(chan struct{})}
-	x.wake = make(chan struct{}, x.maxWorkers())
-	return x
-}
+// host is the process's executor.
+var host = &executor{wake: make(chan struct{}, maxPoolWorkers), quit: make(chan struct{})}
 
-// executor returns the device's pool, creating it lazily (and recreating it
-// after a Close).
-func (d *Device) executor() *executor {
-	d.execMu.Lock()
-	x := d.exec
-	if x == nil {
-		x = newExecutor(d)
-		d.exec = x
-	}
-	d.execMu.Unlock()
-	return x
-}
+// Close drains the worker pool: idle workers exit and in-flight work is
+// waited for. The pool is the host's, shared by every device, and restarts
+// lazily on the next launch, so Close is safe at any point; it exists so
+// contexts can be torn down without leaving goroutines behind (workers also
+// retire on their own after an idle timeout). While a Close waits, ready
+// commands start on goroutines of their own.
+func (d *Device) Close() { host.drain() }
 
-// Close drains the device's worker pool: idle workers exit and in-flight
-// work is waited for. The pool restarts lazily on the next launch, so Close
-// is safe at any point; it exists so contexts can be torn down without
-// leaving goroutines behind (workers also retire on their own after an idle
-// timeout).
-func (d *Device) Close() {
-	d.execMu.Lock()
-	x := d.exec
-	d.exec = nil
-	d.execMu.Unlock()
-	if x != nil {
-		x.close()
-	}
-}
-
-func (x *executor) close() {
+func (x *executor) drain() {
 	x.mu.Lock()
-	if x.closed {
-		x.mu.Unlock()
-		return
+	if x.draining++; x.draining == 1 {
+		close(x.quit)
 	}
-	x.closed = true
 	x.mu.Unlock()
-	close(x.quit)
 	x.wg.Wait()
+	x.mu.Lock()
+	if x.draining--; x.draining == 0 {
+		x.quit = make(chan struct{})
+	}
+	x.mu.Unlock()
 }
 
-func (x *executor) maxWorkers() int {
-	if n := x.dev.Const.Cores; n > 0 {
-		return n
-	}
-	return 1
-}
+// maxWorkers is the pool's size: a worker per processor.
+func maxWorkers() int { return min(runtime.GOMAXPROCS(0), maxPoolWorkers) }
 
 // liveWorkers reports the current pool size (tests).
 func (x *executor) liveWorkers() int {
@@ -163,11 +114,11 @@ func (x *executor) liveWorkers() int {
 	return x.workers
 }
 
-// spawn starts a worker on c (nil: on whatever is listed) unless the pool is
-// closed or has a worker per core already.
+// spawn starts a worker on c (nil: on whatever is listed) unless a drain is
+// waiting or the pool has a worker per processor already.
 func (x *executor) spawn(c *Event) bool {
 	x.mu.Lock()
-	ok := !x.closed && x.workers < x.maxWorkers()
+	ok := x.draining == 0 && x.workers < maxWorkers()
 	if ok {
 		x.workers++
 		x.wg.Add(1)
@@ -179,16 +130,16 @@ func (x *executor) spawn(c *Event) bool {
 	return ok
 }
 
-// signal wakes one parked worker; a full channel already has every parked
-// worker coming.
-func (x *executor) signal() {
-	select {
-	case x.wake <- struct{}{}:
-	default:
+// signalLocked wakes one parked worker, unless every parked worker has a
+// token coming already.
+func (x *executor) signalLocked() {
+	if len(x.wake) < x.parked {
+		x.wake <- struct{}{}
 	}
 }
 
-// setListLocked replaces the list and publishes its length to the spinners.
+// setListLocked replaces the list and publishes its length to the spinning
+// workers.
 func (x *executor) setListLocked(l []*Event) {
 	x.list = l
 	x.listed.Store(int32(len(l)))
@@ -206,11 +157,11 @@ func (x *executor) recruit(c *Event, list bool) {
 		x.setListLocked(append(slices.DeleteFunc(x.list, (*Event).exhausted), c))
 	}
 	free := x.spinning+x.parked > x.queued
-	wake := free && x.queued >= x.spinning
+	if free && x.queued >= x.spinning {
+		x.signalLocked()
+	}
 	x.mu.Unlock()
-	if wake {
-		x.signal()
-	} else if !free {
+	if !free {
 		x.spawn(nil)
 	}
 }
@@ -248,7 +199,7 @@ func (x *executor) worker(first *Event) {
 			if c.queuedCommand() {
 				runCommands(c)
 			} else {
-				c.launch.runInPool(x, &t)
+				c.launch.runInPool(&t)
 			}
 			spun = false
 			x.mu.Lock()
@@ -259,31 +210,33 @@ func (x *executor) worker(first *Event) {
 			x.mu.Unlock()
 			return
 		}
-		if !spun && startSpin() {
+		// Spinning never takes the last processor, so it keeps no runnable
+		// goroutine waiting.
+		if !spun && x.spinning < max(1, runtime.GOMAXPROCS(0)-1) {
 			spun = true
 			x.spinning++
 			x.mu.Unlock()
 			for end := time.Now().Add(spinWindow); x.listed.Load() == 0 && time.Now().Before(end); {
 				runtime.Gosched()
 			}
-			spinners.Add(-1)
 			x.mu.Lock()
 			x.spinning--
-			if x.listed.Load() > 0 && x.spinning == 0 && x.parked > 0 {
+			if x.listed.Load() > 0 && x.spinning == 0 {
 				// About to take work: wake a parked worker to spin in this
 				// one's place, so that the next group listed finds a worker
 				// awake.
-				x.signal()
+				x.signalLocked()
 			}
 			continue
 		}
 		x.parked++
+		quit := x.quit
 		x.mu.Unlock()
 		timer.Reset(workerIdleTimeout)
 		select {
 		case <-x.wake:
 			spun = false
-		case <-x.quit:
+		case <-quit:
 			retiring = true
 		case <-timer.C:
 			retiring = true
@@ -291,55 +244,6 @@ func (x *executor) worker(first *Event) {
 		x.mu.Lock()
 		x.parked--
 	}
-}
-
-// getLocal returns a zeroed local-memory slice of the given word count,
-// reusing the smallest free-listed one that fits, so that a launch asking for
-// a few words does not take the slice a launch asking for all of local
-// memory will want next. Zeroing matches the fresh make([]uint32, words) the
-// seed runtime performed per group. A miss also stocks the list with one
-// buffer for each of the launch's other groups (others, at most one per
-// further worker): they may run at once, and only the first launch of a size
-// should allocate, not whichever later one first happens to overlap two
-// groups. A one-group launch stocks nothing, so a launch that asks for the
-// local memory of every core in one group leaves one buffer behind, not one
-// per core.
-func (x *executor) getLocal(words, others int) []uint32 {
-	x.localMu.Lock()
-	best := -1
-	for i, s := range x.localFree {
-		if cap(s) >= words && (best < 0 || cap(s) < cap(x.localFree[best])) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		s := x.localFree[best]
-		last := len(x.localFree) - 1
-		x.localFree[best] = x.localFree[last]
-		x.localFree[last] = nil
-		x.localFree = x.localFree[:last]
-		x.localMu.Unlock()
-		x.localReuses.Add(1)
-		s = s[:words]
-		clear(s)
-		return s
-	}
-	for i := 0; i < min(others, x.maxWorkers()-1) && len(x.localFree) < maxLocalFree; i++ {
-		x.localFree = append(x.localFree, make([]uint32, words))
-	}
-	x.localMu.Unlock()
-	return make([]uint32, words)
-}
-
-func (x *executor) putLocal(s []uint32) {
-	if cap(s) == 0 {
-		return
-	}
-	x.localMu.Lock()
-	if len(x.localFree) < maxLocalFree {
-		x.localFree = append(x.localFree, s[:cap(s)])
-	}
-	x.localMu.Unlock()
 }
 
 // The scheduler half of Event: the dependency counter that replaces the
@@ -356,7 +260,7 @@ func (c *Event) noteDepErr(err error) {
 	c.mu.Unlock()
 }
 
-// queuedCommand reports that c, taken from an executor's list, is a command
+// queuedCommand reports that c, taken from the executor's list, is a command
 // fire listed rather than a running launch listed as open.
 func (c *Event) queuedCommand() bool { return c.launch == nil || c.launch.next.Load() == 0 }
 
@@ -372,25 +276,24 @@ func (c *Event) depDone(err error) bool {
 
 // fire starts a runnable command without blocking the caller: it is listed
 // for an idle pool worker when one is free for it, or a worker is spawned if
-// the pool is below the device's core count; otherwise a fresh goroutine runs
-// it (and, via runCommands, every dependent it unblocks in sequence). That
-// goroutine is the progress guarantee: a command starts even when every
-// worker is inside a long group or blocked in a host callback.
+// the pool is below its size; otherwise a fresh goroutine runs it (and, via
+// runCommands, every dependent it unblocks in sequence). That goroutine is
+// the progress guarantee: a command starts even when every worker is inside
+// a long group or blocked in a host callback.
 func (x *executor) fire(c *Event) {
 	x.mu.Lock()
 	if x.spinning+x.parked > x.queued {
 		x.queued++
 		x.setListLocked(append(x.list, c))
-		wake := x.queued > x.spinning
-		x.mu.Unlock()
-		if wake {
-			x.signal()
+		if x.queued > x.spinning {
+			x.signalLocked()
 		}
+		x.mu.Unlock()
 		return
 	}
 	x.mu.Unlock()
 	if !x.spawn(c) {
-		x.dev.unpooledCommands.Add(1)
+		c.q.dev.unpooledCommands.Add(1)
 		go runCommands(c)
 	}
 }
@@ -412,7 +315,7 @@ func runCommands(c *Event) {
 			err = fmt.Errorf("%s: dependency failed: %w", c.name, derr)
 		case c.launch != nil:
 			c.launch.start = time.Now()
-			if !c.launch.help(c.q.dev.executor(), &c.launch.own) {
+			if !c.launch.help(&c.launch.own) {
 				return
 			}
 			err = c.launch.finish()
@@ -442,7 +345,7 @@ func (c *Event) finished(err error) *Event {
 	next, more := c.complete(err)
 	c.q.forget(c, err)
 	for _, r := range more {
-		r.q.dev.executor().fire(r)
+		host.fire(r)
 	}
 	return next
 }

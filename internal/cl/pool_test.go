@@ -38,82 +38,10 @@ func TestQueuePendingStaysBounded(t *testing.T) {
 	}
 }
 
-// TestPoolReusesLocalMemory asserts the executor's local-memory free-list is
-// hit across launches instead of allocating a fresh slice per work-group.
-func TestPoolReusesLocalMemory(t *testing.T) {
-	dev := NewCPUDevice(2)
-	q := NewQueue(NewContext(dev))
-	for i := 0; i < 8; i++ {
-		ev := q.EnqueueKernel(func(th *Thread) {
-			lm := th.LocalU32()
-			if th.Local == 0 {
-				// Local memory is shared within the group; only the first
-				// item (items run sequentially without Barriers) sees it
-				// in its freshly zeroed state.
-				for j := range lm {
-					if lm[j] != 0 {
-						t.Errorf("local memory not zeroed at word %d", j)
-						return
-					}
-				}
-			}
-			lm[th.Local] = uint32(th.Global) + 1
-		}, Launch{Name: "localtouch", LocalWords: 64})
-		if err := ev.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := dev.executor().localReuses.Load(); n == 0 {
-		t.Fatal("local-memory free-list was never hit across 8 launches")
-	}
-}
-
-// TestLocalFreeListBoundedAcrossGeometries launches the two shapes a tile
-// program takes on an 8-core CPU — one group holding every core's local
-// memory (a launch below the grain) and one group per core holding one
-// core's — and bounds what the local-memory free-list keeps: one buffer after
-// the one-group launch, and no more than both launches ask for at once after
-// any number of rounds of the two.
-func TestLocalFreeListBoundedAcrossGeometries(t *testing.T) {
-	dev := NewCPUDevice(8)
-	q := NewQueue(NewContext(dev))
-	coreWords := dev.Const.LocalMemSize / 4
-	held := func() (bytes int) {
-		x := dev.executor()
-		x.localMu.Lock()
-		defer x.localMu.Unlock()
-		for _, s := range x.localFree {
-			bytes += 4 * cap(s)
-		}
-		return bytes
-	}
-	run := func(n int) {
-		groups, local := WorkLaunch(dev, n)
-		words := coreWords * local / (4 * dev.Const.UnitsPerCore)
-		ev := q.EnqueueKernel(func(th *Thread) {
-			th.LocalU32()[th.Local] = 1
-		}, Launch{Name: "tiles", Groups: groups, Local: local, LocalWords: words})
-		if err := ev.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	whole := dev.Const.Cores * dev.Const.LocalMemSize
-	run(1)
-	if b := held(); b != whole {
-		t.Fatalf("after a one-group launch the free-list holds %d bytes, want one %d-byte buffer", b, whole)
-	}
-	for range 10 {
-		run(1 << 20)
-		run(1)
-	}
-	if b := held(); b > 2*whole {
-		t.Fatalf("after alternating geometries the free-list holds %d bytes, want at most %d", b, 2*whole)
-	}
-}
-
-// TestPoolWorkersDrainOnCloseAndRestart: Close drains the worker pool, and
-// the pool restarts lazily so the device stays usable afterwards.
+// TestPoolWorkersDrainOnCloseAndRestart: Close drains the host's worker
+// pool, and the pool restarts lazily so the device stays usable afterwards.
 func TestPoolWorkersDrainOnCloseAndRestart(t *testing.T) {
+	host.drain()
 	dev := NewCPUDevice(4)
 	ctx := NewContext(dev)
 	q := NewQueue(ctx)
@@ -128,15 +56,14 @@ func TestPoolWorkersDrainOnCloseAndRestart(t *testing.T) {
 	}, launch).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	x := dev.executor()
-	if n := x.liveWorkers(); n == 0 {
+	if n := host.liveWorkers(); n == 0 {
 		t.Fatal("multi-group launch recruited no pool workers")
 	}
 	dev.Close()
-	if n := x.liveWorkers(); n != 0 {
+	if n := host.liveWorkers(); n != 0 {
 		t.Fatalf("%d workers alive after Close, want 0", n)
 	}
-	// The device restarts its pool lazily and keeps working.
+	// The pool restarts lazily and the device keeps working.
 	if err := q.EnqueueKernel(func(th *Thread) {
 		AtomicAddI32(&s[th.Global%64], 1)
 	}, launch).Wait(); err != nil {
@@ -159,12 +86,11 @@ func TestPoolWorkersRetireWhenIdle(t *testing.T) {
 	dev := NewCPUDevice(4)
 	q := NewQueue(NewContext(dev))
 	burst(t, q, Launch{Name: "fan", Groups: 8, Local: 4})
-	x := dev.executor()
 	waitNoSpinner(t)
 	deadline := time.Now().Add(workerIdleTimeout + 5*time.Second)
-	for x.liveWorkers() != 0 {
+	for host.liveWorkers() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers still alive well past the idle timeout", x.liveWorkers())
+			t.Fatalf("%d workers still alive well past the idle timeout", host.liveWorkers())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -189,14 +115,31 @@ func burst(t *testing.T, q *Queue, l Launch) {
 	}
 }
 
-// waitNoSpinner fails unless, within a few spin windows, no worker of any
-// device is spinning.
+// waitNoSpinner fails unless, within a few spin windows, no worker is
+// spinning.
 func waitNoSpinner(t *testing.T) {
 	t.Helper()
-	for deadline := time.Now().Add(50 * spinWindow); spinners.Load() != 0; time.Sleep(spinWindow / 4) {
+	for deadline := time.Now().Add(50 * spinWindow); spinningWorkers() != 0; time.Sleep(spinWindow / 4) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workers still spinning %v after the last launch", spinners.Load(), 50*spinWindow)
+			t.Fatalf("%d workers still spinning %v after the last launch", spinningWorkers(), 50*spinWindow)
 		}
+	}
+}
+
+// spinningWorkers reports how many workers are polling the list.
+func spinningWorkers() int {
+	host.mu.Lock()
+	defer host.mu.Unlock()
+	return host.spinning
+}
+
+// twoProcs gives the test at least two processors for its duration: the
+// pool has a worker per processor, and a rendezvous of two groups on two
+// workers needs the second.
+func twoProcs(t *testing.T) {
+	if p := runtime.GOMAXPROCS(0); p < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(p) })
 	}
 }
 
@@ -289,7 +232,8 @@ func gated(q *Queue) (*Event, func()) {
 }
 
 // warmPool runs one launch with a group per core on the pool and waits until
-// every worker of the device exists.
+// the pool has a worker per core of the device, or per processor if there
+// are fewer.
 func warmPool(t *testing.T, q *Queue) *executor {
 	t.Helper()
 	gate, open := gated(q)
@@ -298,13 +242,13 @@ func warmPool(t *testing.T, q *Queue) *executor {
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	x := q.dev.executor()
-	for deadline := time.Now().Add(10 * time.Second); x.liveWorkers() < x.maxWorkers(); runtime.Gosched() {
+	want := min(maxWorkers(), q.dev.Const.Cores)
+	for deadline := time.Now().Add(10 * time.Second); host.liveWorkers() < want; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool has %d workers, want %d", x.liveWorkers(), x.maxWorkers())
+			t.Fatalf("pool has %d workers, want %d", host.liveWorkers(), want)
 		}
 	}
-	return x
+	return host
 }
 
 // listedLaunch returns a launch with unclaimed groups on the executor's
@@ -333,7 +277,7 @@ func waitFor(flag *atomic.Bool) bool {
 
 // TestSecondWorkerArrives: group 0 of a two-group launch cannot finish until
 // somebody else runs group 1, so every repetition needs the second worker of
-// a two-core device to arrive while the first is inside the launch. The
+// the pool to arrive while the first is inside the launch. The
 // launch is chained on a trivial two-group one, which puts the other worker
 // where the old hand-off missed it: just done with a group, a few
 // instructions short of parking. With recruiting by hand-off to an already
@@ -343,6 +287,7 @@ func waitFor(flag *atomic.Bool) bool {
 // cannot. Both launches wait on a gate, so that a completion fires them on
 // the pool rather than on the test's goroutine.
 func TestSecondWorkerArrives(t *testing.T) {
+	twoProcs(t)
 	q := NewQueue(NewContext(NewCPUDevice(2)))
 	warmPool(t, q)
 	two := Launch{Name: "two", Groups: 2, Local: 1}
@@ -394,7 +339,7 @@ func TestStaleOpenLaunchIsHarmless(t *testing.T) {
 	x.setListLocked(append(x.list, ev))
 	x.mu.Unlock()
 	var th Thread
-	ev.launch.runInPool(x, &th) // a worker that read the list before the prune
+	ev.launch.runInPool(&th) // a worker that read the list before the prune
 	x.wake <- struct{}{}
 	gate, open = gated(q)
 	last := q.EnqueueKernel(func(*Thread) { ran.Add(1) }, Launch{Name: "after", Groups: 2, Local: 1, Wait: []*Event{gate}})
@@ -415,10 +360,11 @@ func TestStaleOpenLaunchIsHarmless(t *testing.T) {
 }
 
 // TestCloseWithLaunchOpen: Close waits for the workers inside an open launch
-// and returns once it is done; the launch completes and the device restarts
-// its pool for the next one. The launch waits on a gate, so that both of its
-// groups run on workers.
+// and returns once it is done; the launch completes and the pool restarts
+// for the next one. The launch waits on a gate, so that both of its groups
+// run on workers.
 func TestCloseWithLaunchOpen(t *testing.T) {
+	twoProcs(t)
 	dev := NewCPUDevice(2)
 	q := NewQueue(NewContext(dev))
 	warmPool(t, q)
@@ -464,6 +410,7 @@ func TestCloseWithLaunchOpen(t *testing.T) {
 // and its dependents, and the worker survives it. The launch waits on a
 // gate, so that a completion fires it on the pool.
 func TestPanicInRecruitedGroupAbortsOnce(t *testing.T) {
+	twoProcs(t)
 	q := NewQueue(NewContext(NewCPUDevice(2)))
 	warmPool(t, q)
 	before := q.dev.ExecutorStats()
@@ -494,9 +441,11 @@ func TestPanicInRecruitedGroupAbortsOnce(t *testing.T) {
 
 // TestOneGroupLaunchWakesNobody: a chain of one-group launches runs on the
 // goroutine that carries the chain and recruits nobody. Only the gate is
-// offered to the pool (which starts the first worker); a recruit would have
-// found the pool below its size and started the second.
+// offered to the pool, drained first (which starts the first worker); a
+// recruit would have found the pool below its size and started the second.
 func TestOneGroupLaunchWakesNobody(t *testing.T) {
+	twoProcs(t)
+	host.drain()
 	dev := NewCPUDevice(2)
 	q := NewQueue(NewContext(dev))
 	gate := make(chan struct{})
@@ -508,7 +457,7 @@ func TestOneGroupLaunchWakesNobody(t *testing.T) {
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	x := dev.executor()
+	x := host
 	if n := x.liveWorkers(); n != 1 {
 		t.Fatalf("%d workers after a chain of one-group launches, want the 1 that carried it", n)
 	}
@@ -582,12 +531,12 @@ func TestPendingLaunchReturnsBeforeRunning(t *testing.T) {
 	dev.Close()
 }
 
-// TestSpinningWorkersCapped: the simulated GPU has seven workers, but with
-// two processors at most one of them spins at a time, so the other processor
-// stays free for a runnable goroutine.
+// TestSpinningWorkersCapped: the simulated GPU's seven-group launches
+// recruit the whole pool, but with two processors at most one worker spins
+// at a time, so the other processor stays free for a runnable goroutine.
 func TestSpinningWorkersCapped(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	waitNoSpinner(t)
+	host.drain()
 	dev := NewGPUDevice(0)
 	q := NewQueue(NewContext(dev))
 	var peak atomic.Int32
@@ -600,7 +549,7 @@ func TestSpinningWorkersCapped(t *testing.T) {
 				return
 			default:
 			}
-			if n := spinners.Load(); n > peak.Load() {
+			if n := int32(spinningWorkers()); n > peak.Load() {
 				peak.Store(n)
 			}
 			runtime.Gosched()
@@ -609,11 +558,77 @@ func TestSpinningWorkersCapped(t *testing.T) {
 	burst(t, q, Launch{Name: "wide", Local: 4})
 	close(stop)
 	<-sampled
-	if n := dev.executor().liveWorkers(); n < 2 {
+	if n := host.liveWorkers(); n < 2 {
 		t.Fatalf("%d workers: the bursts never needed a second one", n)
 	}
 	if p := peak.Load(); p > 1 {
 		t.Fatalf("%d workers spun at once with GOMAXPROCS 2, want at most 1", p)
 	}
 	dev.Close()
+}
+
+// TestOneExecutorAcrossDevices: a CPU-driver launch and a GPU-model launch,
+// busy at once and both with unclaimed groups, recruit from the one host
+// pool: live workers never exceed GOMAXPROCS, and spinning ones never exceed
+// max(1, GOMAXPROCS−1). (A pool per device held up to 2 + 7 workers here.)
+// Each round holds every claimed group until the launches have had time to
+// recruit all they could, then lets both finish, so that the workers spin
+// between rounds. Both launches wait on a gate, so that completions fire
+// them off the test's goroutine.
+func TestOneExecutorAcrossDevices(t *testing.T) {
+	host.drain()
+	procs := runtime.GOMAXPROCS(0)
+	queues := []*Queue{NewQueue(NewContext(NewCPUDevice(2))), NewQueue(NewContext(NewGPUDevice(0)))}
+	var peakWorkers, peakSpinning int
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			host.mu.Lock()
+			peakWorkers, peakSpinning = max(peakWorkers, host.workers), max(peakSpinning, host.spinning)
+			host.mu.Unlock()
+			runtime.Gosched()
+		}
+	}()
+	for round := 0; round < 5; round++ {
+		var release atomic.Bool
+		var evs []*Event
+		var opens []func()
+		for _, q := range queues {
+			gate, open := gated(q)
+			evs = append(evs, q.EnqueueKernel(func(*Thread) { waitFor(&release) },
+				Launch{Name: "busy", Groups: 64, Local: 1, Wait: []*Event{gate}}))
+			opens = append(opens, open)
+		}
+		for _, open := range opens {
+			open()
+		}
+		time.Sleep(20 * time.Millisecond)
+		for _, ev := range evs {
+			if ev.launch.exhausted() {
+				t.Fatalf("round %d: launch on %s ran out of groups while they were held", round, ev.q.dev.Name)
+			}
+		}
+		release.Store(true)
+		if err := WaitAll(evs...); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(spinWindow / 2)
+	}
+	close(stop)
+	<-sampled
+	if peakWorkers > procs {
+		t.Fatalf("%d pool workers alive at once with GOMAXPROCS %d", peakWorkers, procs)
+	}
+	if limit := max(1, procs-1); peakSpinning > limit {
+		t.Fatalf("%d workers spun at once with GOMAXPROCS %d, want at most %d", peakSpinning, procs, limit)
+	}
+	if peakWorkers == 0 {
+		t.Fatal("no pool worker ever ran: the check measured nothing")
+	}
 }

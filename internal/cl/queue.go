@@ -15,7 +15,7 @@ import (
 // enqueuing goroutine runs its groups until none is left unclaimed before
 // EnqueueKernel returns, and pool workers it recruits take the others, since
 // on a host device that goroutine is the thread that is awake to run it.
-// Transfers, host callbacks and cleanups go to the device's pool.
+// Transfers, host callbacks and cleanups go to the host's worker pool.
 type Queue struct {
 	ctx *Context
 	dev *Device
@@ -96,7 +96,7 @@ func (q *Queue) forget(ev *Event, err error) {
 // — work, or for a kernel launch — runs, measuring real time on real devices,
 // as soon as its last dependency completes. With no incomplete dependencies
 // a launch runs here, on the caller, and any other command is fired onto the
-// device's worker pool; a cleanup stays off the caller because it takes the
+// host's worker pool; a cleanup stays off the caller because it takes the
 // Memory Manager's locks. No goroutine is parked waiting for dependencies. c
 // carries the command half (name, and work or launch); submit owns it from
 // here.
@@ -134,7 +134,7 @@ func (q *Queue) submit(c *Event, deps []*Event, virtDur time.Duration, copyEngin
 			q.dev.inlineLaunches.Add(1)
 			runCommands(c)
 		} else {
-			q.dev.executor().fire(c)
+			host.fire(c)
 		}
 	}
 	return c

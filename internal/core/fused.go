@@ -254,14 +254,23 @@ func (e *Engine) fusedMap(op *ops.FusedOp) (*bat.BAT, error) {
 // fusedEvalFor compiles and runs the expression pass over m output
 // positions (idx/seq identify the domain row per position) and applies the
 // terminal aggregate if the region carries one. A nil idxBAT with a non-nil
-// idx marks an engine-owned transient positions buffer, released once the
-// pass has consumed it; a non-nil idxBAT is a caller value whose cached
-// device payload must stay bound.
+// idx marks an engine-owned transient positions buffer, released with the
+// pass's tile registers once the pass has consumed it; a non-nil idxBAT is a
+// caller value whose cached device payload must stay bound.
 func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, seq uint32, m int, wait []*cl.Event) (*bat.BAT, error) {
 	ownIdx := idxBAT == nil && idx != nil
-	dropIdx := func(after *cl.Event) {
+	// releaseScratch frees, once after has completed, the pass's register
+	// buffer (nil: none) and an engine-owned positions buffer.
+	releaseScratch := func(after *cl.Event, regs *cl.Buffer) {
+		var bufs []*cl.Buffer
 		if ownIdx {
-			e.releaseAfter(after, idx)
+			bufs = append(bufs, idx)
+		}
+		if regs != nil {
+			bufs = append(bufs, regs)
+		}
+		if len(bufs) > 0 {
+			e.releaseAfter(after, bufs...)
 		}
 	}
 	compiled := make([]kernels.FusedExprNode, len(op.Nodes))
@@ -273,7 +282,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 		case ops.FusedCol:
 			buf, w, err := e.valuesOf(nd.Col)
 			if err != nil {
-				dropIdx(e.q.EnqueueMarker(wait))
+				releaseScratch(e.q.EnqueueMarker(wait), nil)
 				return nil, err
 			}
 			kn.Buf = buf
@@ -297,8 +306,16 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	// With an aggregate these are the compact expression values fed to Reduce.
 	out, err := e.mm.Alloc((m + 1) * 4)
 	if err != nil {
-		dropIdx(e.q.EnqueueMarker(wait))
+		releaseScratch(e.q.EnqueueMarker(wait), nil)
 		return nil, err
+	}
+	var regs *cl.Buffer
+	if w := kernels.RegisterWords(e.dev, prog, m); w > 0 {
+		if regs, err = e.mm.Alloc(4 * w); err != nil {
+			e.mm.Release(out)
+			releaseScratch(e.q.EnqueueMarker(wait), nil)
+			return nil, err
+		}
 	}
 
 	cost := cl.Cost{
@@ -309,7 +326,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	if idx != nil {
 		cost.BytesStreamed += int64(m) * 4
 	}
-	ev := kernels.FusedEval(e.q, out, idx, prog, m, cost, wait)
+	ev := kernels.FusedEval(e.q, out, idx, regs, prog, m, cost, wait)
 	for _, nd := range op.Nodes {
 		if nd.Kind == ops.FusedCol {
 			e.mm.NoteConsumer(nd.Col, ev)
@@ -318,7 +335,7 @@ func (e *Engine) fusedEvalFor(op *ops.FusedOp, idxBAT *bat.BAT, idx *cl.Buffer, 
 	if idxBAT != nil {
 		e.mm.NoteConsumer(idxBAT, ev)
 	}
-	dropIdx(ev)
+	releaseScratch(ev, regs)
 
 	if !op.HasAgg {
 		res := bat.NewOcelotOwned("fused", outType, m)

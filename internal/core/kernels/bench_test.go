@@ -202,7 +202,8 @@ func BenchmarkFusedEval(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				p := CompileFusedExpr(e.dev, tr.nodes, through != nil, 0)
-				run := func() *cl.Event { return FusedEval(e.q, out, through, p, n, cl.Cost{}, nil) }
+				regs := e.buf(b, RegisterWords(e.dev, p, n))
+				run := func() *cl.Event { return FusedEval(e.q, out, through, regs, p, n, cl.Cost{}, nil) }
 				if err := run().Wait(); err != nil {
 					b.Fatal(err)
 				}

@@ -14,8 +14,9 @@ import (
 // column per member operator. The conjunction is the selection kernel with
 // more than one filter (selectWords); the expression is compiled on the host
 // into a flat program that one kernel runs a tile of rows at a time, its
-// intermediates in work-group local memory, so only the region's final
-// output is written.
+// intermediates in tile registers — a Memory Manager scratch buffer with one
+// share per work-item, standing in for OpenCL's work-group local memory — so
+// only the region's final output is written.
 //
 // Bit-for-bit equivalence with the unfused operators is part of the
 // contract: the program replicates the unfused kernels' promotion rules
@@ -86,11 +87,11 @@ type fusedArg struct {
 }
 
 // fusedTile returns the tile length for a program holding regs registers
-// live: each work-item owns its share of the device's local memory under
-// §4.2's geometry (one group of 4·n_a items per core), split across its
-// registers. A launch by work puts more items in a group, and evalTiles
-// sizes the group's local memory by its items, so the share does not move.
-// Zero means the program does not fit.
+// live: each work-item owns the share of the device's local memory it has
+// under §4.2's geometry (one group of 4·n_a items per core), split across its
+// registers. The registers are indexed by global id, so a launch by work,
+// which puts more items in a group, does not move the share. Zero means the
+// program does not fit.
 func fusedTile(c cl.BuildConstants, regs int) int {
 	tile := c.LocalMemSize / 4 / (4 * c.UnitsPerCore) / max(regs, 1)
 	if tile >= 8 {
@@ -201,46 +202,56 @@ func CompileFusedExpr(dev *cl.Device, nodes []FusedExprNode, gather bool, seq ui
 	return p
 }
 
+// RegisterWords is the size, in 32-bit words, of the register buffer
+// FusedEval needs to run p over m output positions: one share of registers ×
+// tile words for each work-item that gets a tile. Under either Span an item
+// whose global id reaches the tile count has none. Zero means p needs no
+// register buffer.
+func RegisterWords(dev *cl.Device, p *FusedProgram, m int) int {
+	_, _, gsz := Geometry(dev)
+	return p.regs * p.tile * min(gsz, (m+p.tile-1)/p.tile)
+}
+
 // FusedEval enqueues the fused evaluation pass: out[i] = expr(row(i)) for
 // i < m, where row(i) is idx[i] when idx is non-nil (a materialised
 // candidate list) and seq+i otherwise (the dense candidate p was compiled
-// for).
-func FusedEval(q *cl.Queue, out, idx *cl.Buffer, p *FusedProgram, m int, cost cl.Cost, wait []*cl.Event) *cl.Event {
+// for). regs is the pass's register buffer of RegisterWords(dev, p, m)
+// words, nil when that is zero; its contents need not be defined and are
+// not defined afterwards.
+func FusedEval(q *cl.Queue, out, idx, regs *cl.Buffer, p *FusedProgram, m int, cost cl.Cost, wait []*cl.Event) *cl.Event {
 	name := "fused_eval_i32"
 	if p.float {
 		name = "fused_eval_f32"
 	}
-	return evalTiles(q, name, out, idx, p, m, cost, wait)
+	return evalTiles(q, name, out, idx, regs, p, m, cost, wait)
 }
 
 // evalTiles enqueues p over m output positions. Tiles are dealt to
 // work-items by Span, so the CPU class scans contiguous runs and the GPU
-// class strides; each item keeps its registers in its share of the group's
-// local memory, and only out is written.
-func evalTiles(q *cl.Queue, name string, out, idx *cl.Buffer, p *FusedProgram, m int, cost cl.Cost, wait []*cl.Event) *cl.Event {
+// class strides; each item keeps its registers in its share of regs, and
+// only out is written.
+func evalTiles(q *cl.Queue, name string, out, idx, regBuf *cl.Buffer, p *FusedProgram, m int, cost cl.Cost, wait []*cl.Event) *cl.Event {
 	d := out.U32()
-	var ix []uint32
+	var ix, rw []uint32
 	if idx != nil {
 		ix = idx.U32()
 	}
+	if regBuf != nil {
+		rw = regBuf.U32()
+	}
 	tiles := (m + p.tile - 1) / p.tile
-	l := launch(q.Device(), name, m, cost, wait)
-	// Each item's registers, for the items that get a tile: under either
-	// Span an item whose global id reaches the tile count has none, so a
-	// group's items past that count need no share.
 	share := p.regs * p.tile
-	l.LocalWords = share * min(l.Local, tiles)
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(tiles)
 		var regs []uint32
 		if share > 0 && lo < hi {
-			regs = t.LocalU32()[t.Local*share:][:share]
+			regs = rw[t.Global*share:][:share]
 		}
 		for ti := lo; ti < hi; ti += step {
 			i0 := ti * p.tile
 			p.run(d, ix, regs, i0, min(p.tile, m-i0))
 		}
-	}, l)
+	}, launch(q.Device(), name, m, cost, wait))
 }
 
 // run evaluates output positions [i0, i0+n) — one tile.

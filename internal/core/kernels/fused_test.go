@@ -98,7 +98,8 @@ func TestFusedEvalMatchesUnfused(t *testing.T) {
 			t.Fatalf("%s: fused expression lost its float promotion", dev.Name)
 		}
 		got := e.buf(t, m+1)
-		if err := FusedEval(e.q, got, idx, prog, m, cl.Cost{}, nil).Wait(); err != nil {
+		regs := e.buf(t, RegisterWords(dev, prog, m))
+		if err := FusedEval(e.q, got, idx, regs, prog, m, cl.Cost{}, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		wantV, gotV := want.F32(), got.F32()

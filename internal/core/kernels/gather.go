@@ -55,7 +55,7 @@ func column(buf *cl.Buffer) fusedArg { return fusedArg{col: buf.U32(), reg: -1} 
 func mapStep(q *cl.Queue, name string, dst *cl.Buffer, s fusedStep, n int, cost cl.Cost, wait []*cl.Event) *cl.Event {
 	s.dst = -1
 	p := &FusedProgram{steps: []fusedStep{s}, tile: fusedTile(q.Device().Const, 0)}
-	return evalTiles(q, name, dst, nil, p, n, cost, wait)
+	return evalTiles(q, name, dst, nil, nil, p, n, cost, wait)
 }
 
 // MapBinop enqueues the element-wise arithmetic kernel dst = a ⟨op⟩ b.

@@ -460,7 +460,7 @@ func TestQ1EarlyReleaseLowersPeakFootprint(t *testing.T) {
 	}
 	with, without := peak(true), peak(false)
 	// Peaks are schedule-dependent: independent commands allocate
-	// concurrently on the device's worker pool, so a rare interleaving can
+	// concurrently on the host's worker pool, so a rare interleaving can
 	// inflate one measurement. Re-measure before declaring the rewrite
 	// useless.
 	for attempt := 0; with >= without && attempt < 2; attempt++ {

@@ -1,11 +1,11 @@
 // Package repro's root benchmarks: the measurements that are not one of
-// the paper's figures. BenchmarkScalingTPCHLarge and BenchmarkScalingTPCHSmall
-// set Ocelot-CPU at one and two threads against the MonetDB baselines query
-// by query, BenchmarkFusChain holds the fusion pass's evidence, and
-// BenchmarkLaunchOverhead guards the runtime's per-launch dispatch cost. The
-// figures themselves — Figures 5(a)–(i), 6 and 7(a)–(d) — are regenerated by
-// cmd/ocelotbench (`-fig 5a`, …, `-fig 7d`), whose generators live in
-// internal/bench.
+// the paper's figures. BenchmarkScalingTPCHSmall, BenchmarkScalingTPCHLarge
+// and BenchmarkScalingTPCHSF1 set Ocelot-CPU at one and two threads against
+// the MonetDB baselines query by query, BenchmarkFusChain holds the fusion
+// pass's evidence, and BenchmarkLaunchOverhead guards the runtime's
+// per-launch dispatch cost. The figures themselves — Figures 5(a)–(i), 6 and
+// 7(a)–(d) — are regenerated by cmd/ocelotbench (`-fig 5a`, …, `-fig 7d`),
+// whose generators live in internal/bench.
 //
 // Timing semantics: wall-clock ns/op for MS, MP and Ocelot-CPU; for the
 // simulated GPU the wall-clock ns/op measures functional execution on the
@@ -44,6 +44,13 @@ func BenchmarkScalingTPCHLarge(b *testing.B) { benchScaling(b, 0.1) }
 // BenchmarkScalingTPCHSmall — benchScaling at SF 0.01, where inputs are a few
 // thousand rows and the costs that do not scale with them decide.
 func BenchmarkScalingTPCHSmall(b *testing.B) { benchScaling(b, 0.01) }
+
+// BenchmarkScalingTPCHSF1 — benchScaling at SF 1, the one scale whose builds
+// the lookup table's identity addressing refuses (Q8's and Q17's part
+// positions, Q21's grouping). A process peaks above 1 GB and one iteration of
+// the four engines takes minutes, so CI runs it at -benchtime 1x in a step of
+// its own and the bench smoke step skips it.
+func BenchmarkScalingTPCHSF1(b *testing.B) { benchScaling(b, 1) }
 
 // benchScaling — what the second core buys, and where Ocelot-CPU stands
 // against the MonetDB baselines query by query. §4.2 launches n_c

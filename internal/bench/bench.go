@@ -86,8 +86,6 @@ type Report struct {
 	Millis map[string][]float64
 	Order  []string
 	Notes  []string
-	// More holds further panels of the same figure, each over its own x-axis.
-	More []*Report
 }
 
 func newReport(id, title, xlabel string, xs []float64, configs []mal.Config) *Report {
@@ -133,9 +131,6 @@ func (r *Report) String() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)
-	}
-	for _, m := range r.More {
-		sb.WriteString("\n" + m.String())
 	}
 	return sb.String()
 }

@@ -25,16 +25,8 @@ func AtomicAddU32(p *uint32, delta uint32) uint32 {
 	return atomic.AddUint32(p, delta) - delta
 }
 
-// AtomicCASU32 performs compare-and-swap on *p (OpenCL atom_cmpxchg).
-func AtomicCASU32(p *uint32, old, new uint32) bool {
-	return atomic.CompareAndSwapUint32(p, old, new)
-}
-
 // AtomicLoadU32 atomically loads *p.
 func AtomicLoadU32(p *uint32) uint32 { return atomic.LoadUint32(p) }
-
-// AtomicStoreU32 atomically stores v into *p.
-func AtomicStoreU32(p *uint32, v uint32) { atomic.StoreUint32(p, v) }
 
 // AtomicMinI32 atomically stores min(*p, v) into *p.
 func AtomicMinI32(p *int32, v int32) {

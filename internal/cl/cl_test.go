@@ -469,9 +469,10 @@ func TestLaunchPauseIsApplied(t *testing.T) {
 
 	// A pause below the timer's granularity must cost about what it says:
 	// time.Sleep alone turned 30 µs into over a millisecond. Every batch pays
-	// at least its pauses, and the median of several stays within 3x of them:
-	// a pause that sleeps misses the bound in every batch, while a neighbour
-	// taking the cores for a moment slows only the batches it overlaps.
+	// at least its pauses, and the fastest of several stays within 3x of
+	// them: a pause that sleeps misses the bound in every batch, while load
+	// on the machine — a neighbour, or other packages' tests run beside this
+	// one — only ever adds time, so it cannot make a correct pause miss it.
 	const launches, each, batches = 200, 30 * time.Microsecond, 15
 	dev.LaunchPause = each
 	spent := make([]time.Duration, batches)
@@ -486,7 +487,7 @@ func TestLaunchPauseIsApplied(t *testing.T) {
 		spent[b] = time.Since(start)
 	}
 	slices.Sort(spent)
-	if spent[0] < launches*each || spent[batches/2] > 3*launches*each {
+	if spent[0] < launches*each || spent[0] > 3*launches*each {
 		t.Fatalf("batches of %d launches at %v took %v, outside [1x, 3x] of the pauses alone", launches, each, spent)
 	}
 }

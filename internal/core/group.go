@@ -10,13 +10,13 @@ import (
 
 // Group assigns dense group ids to col (§4.1.6). Sorted inputs take the
 // boundary-flag + prefix-sum path. Unsorted inputs are measured once
-// (measureKeys) and then either sorted into that same path — sparse integer
-// keys with too many distinct values for a cache-resident table,
-// kernels.SortGroupBits — or given ids by look-ups through the slots of a
-// hash table. Multi-column grouping refines a previous grouping by keying on
-// the (value, previous id) pair — the recursive combined-id scheme of §4.1.6.
-// A refinement the rule would sort, of previous ids measured non-decreasing in
-// short runs, is numbered inside its runs instead (kernels.GroupByRuns), to
+// (measureKeys) and take identity addressing where kernels.IdentityWords
+// admits their range: ids looked up through the slots of the lookup table.
+// Every other key set is sorted into the boundary-flag path
+// (kernels.GroupBySort). Multi-column grouping refines a previous grouping by
+// keying on the (value, previous id) pair — the recursive combined-id scheme
+// of §4.1.6; a refinement of previous ids measured non-decreasing in short
+// runs is numbered inside its runs instead of sorted (kernels.GroupByRuns), to
 // the same ids.
 func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	return e.group(col, grp, ngrp, nil)
@@ -55,15 +55,15 @@ func (e *Engine) group(col, grp *bat.BAT, ngrp int, measured *kernels.KeySpace) 
 	var ks kernels.KeySpace
 	if measured != nil {
 		ks = *measured
-	} else if ks, err = e.measureKeys(colBuf, prevBuf, ngrp, n, orderedKeys(col), wait); err != nil {
+	} else if ks, err = e.measureKeys(colBuf, prevBuf, ngrp, n, wait); err != nil {
 		return nil, 0, err
 	}
 	var gids *cl.Buffer
 	var gev *cl.Event
 	var ngroups int
-	switch {
-	case kernels.SortGroupBits(e.dev, n, ks.Range(), ks.Distinct) == 0:
-		gids, gev, ngroups, err = e.groupBySlots(col.Name, colBuf, prevBuf, ks, n, wait)
+	switch words := kernels.IdentityWords(e.dev, n, ks.Range()); {
+	case words > 0:
+		gids, gev, ngroups, err = e.groupByIdentity(ks, words, colBuf, prevBuf, n, wait)
 	case ks.Runs:
 		gids, gev, ngroups, err = e.groupByRuns(colBuf, prevBuf, n, wait)
 	default:
@@ -81,11 +81,11 @@ func (e *Engine) group(col, grp *bat.BAT, ngrp int, measured *kernels.KeySpace) 
 	return res, ngroups, nil
 }
 
-// groupBySlots is the table path: grouping needs the table's slots and the
-// per-row dense ids looked up through them — exactly the grouping result —
-// and never its buckets.
-func (e *Engine) groupBySlots(name string, colBuf, prev *cl.Buffer, ks kernels.KeySpace, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
-	ht, err := e.slotsFor(name, ks, colBuf, prev, n, wait)
+// groupByIdentity is the table path: grouping needs the identity-addressed
+// slots and the per-row dense ids looked up through them — exactly the
+// grouping result — and never the table's buckets.
+func (e *Engine) groupByIdentity(ks kernels.KeySpace, words int, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
+	ht, err := e.buildIdentitySlots(kernels.Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}, words, colBuf, prev, n, wait)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -99,14 +99,9 @@ func (e *Engine) groupBySlots(name string, colBuf, prev *cl.Buffer, ks kernels.K
 }
 
 // groupBySort is the sort path (kernels.GroupBySort): ids in composite-key
-// order, the same on every device and thread count. Its scratch — four
-// n-word buffers and the histogram — stays below the hashed table's.
+// order, the same on every device and thread count.
 func (e *Engine) groupBySort(colBuf, prev *cl.Buffer, ks kernels.KeySpace, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
-	sc := &scratchSet{mm: e.mm}
-	s := kernels.GroupSortScratch{
-		K0: sc.alloc(n + 1), V0: sc.alloc(n + 1), K1: sc.alloc(n + 1), V1: sc.alloc(n + 1),
-		Hist: sc.alloc(kernels.SortHistWords(e.dev) + 1), Spine: sc.alloc(spineWords(e.dev)), Total: sc.alloc(1),
-	}
+	sc, s := e.sortScratch(n)
 	ids := sc.alloc(n + 1)
 	if sc.err != nil {
 		sc.releaseAll()
@@ -120,6 +115,17 @@ func (e *Engine) groupBySort(colBuf, prev *cl.Buffer, ks kernels.KeySpace, n int
 	}
 	e.releaseAfter(done, s.K0, s.V0, s.K1, s.V1, s.Hist, s.Spine, s.Total)
 	return ids, done, int(boundaries) + 1, nil
+}
+
+// sortScratch allocates the working memory of the sort pipeline over n rows
+// (kernels.GroupSortScratch): four n-word buffers, the histogram, scan
+// partials and the boundary count, about 16 bytes a row.
+func (e *Engine) sortScratch(n int) (*scratchSet, kernels.GroupSortScratch) {
+	sc := &scratchSet{mm: e.mm}
+	return sc, kernels.GroupSortScratch{
+		K0: sc.alloc(n + 1), V0: sc.alloc(n + 1), K1: sc.alloc(n + 1), V1: sc.alloc(n + 1),
+		Hist: sc.alloc(kernels.SortHistWords(e.dev) + 1), Spine: sc.alloc(spineWords(e.dev)), Total: sc.alloc(1),
+	}
 }
 
 // groupByRuns is the run path (kernels.GroupByRuns): the sort path's ids,

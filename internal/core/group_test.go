@@ -16,25 +16,22 @@ import (
 	"repro/internal/ops"
 )
 
-// groupPath names the four ways Group assigns ids to unsorted keys.
+// groupPath names the three ways Group assigns ids to unsorted keys.
 type groupPath int
 
 const (
-	pathHashed groupPath = iota
-	pathIdentity
+	pathIdentity groupPath = iota
 	pathSort
 	pathRuns
 )
 
-func (p groupPath) String() string { return [...]string{"hashed", "identity", "sort", "runs"}[p] }
+func (p groupPath) String() string { return [...]string{"identity", "sort", "runs"}[p] }
 
-// pathOf is the path Group's rules assign to n keys measured as ks.
+// pathOf is the path Group's rule assigns to n keys measured as ks.
 func pathOf(dev *cl.Device, n int, ks kernels.KeySpace) groupPath {
 	switch {
 	case kernels.IdentityWords(dev, n, ks.Range()) > 0:
 		return pathIdentity
-	case kernels.SortGroupBits(dev, n, ks.Range(), ks.Distinct) == 0:
-		return pathHashed
 	case ks.Runs:
 		return pathRuns
 	}
@@ -48,8 +45,8 @@ func pathOf(dev *cl.Device, n int, ks kernels.KeySpace) groupPath {
 // group count.
 func groupVia(t *testing.T, e *Engine, path groupPath, col, prev *bat.BAT, nprev int) ([]uint32, int) {
 	t.Helper()
-	if path == pathHashed || path == pathIdentity {
-		ht := forcedTable(t, e, col, prev, nprev, path == pathIdentity)
+	if path == pathIdentity {
+		ht := forcedTable(t, e, col, prev, nprev, true)
 		ids := gidsOf(t, e, ht, col, prev)
 		if prev == nil {
 			e.InvalidateHash(col) // forcedTable seeded the cache with it
@@ -60,7 +57,7 @@ func groupVia(t *testing.T, e *Engine, path groupPath, col, prev *bat.BAT, nprev
 	}
 	n := col.Len()
 	colBuf, prevBuf, wait := keyBufs(t, e, col, prev)
-	ks, err := e.measureKeys(colBuf, prevBuf, nprev, n, true, wait)
+	ks, err := e.measureKeys(colBuf, prevBuf, nprev, n, wait)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +168,8 @@ func shuffled(seed int64, cols ...[]int32) [][]int32 {
 }
 
 func groupCases() []groupCase {
-	const n = 40_001 // odd, and past the distinct crossover
-	identityBound := int64(48 * kernels.TableCapacity(n))
+	const n = 40_001                  // odd
+	const identityBound = 48 * 65_536 // 1.4n + 8 rounds up to 65 536 slots
 	dupHeavy := randI32(n, 1_000, 71)
 	for i := range dupHeavy {
 		dupHeavy[i] = dupHeavy[i]*1_000_003 - 400_000_000 // 1 000 sparse values, some negative
@@ -194,8 +191,9 @@ func groupCases() []groupCase {
 	return []groupCase{
 		{"near-unique sparse negative", sparseUnique(n, -1_900_000_000, 2_000_000_000, 74), nil, 0, pathSort, nil},
 		{"full int32 range: 2^32 addresses", wide, nil, 0, pathSort, nil},
-		{"2^32 addresses times two previous ids", wide, clusteredPrev(n, 2), 2, pathHashed, nil},
-		{"duplicate-heavy sparse", dupHeavy, nil, 0, pathHashed, nil},
+		{"2^32 addresses times two previous ids", wide, clusteredPrev(n, 2), 2, pathSort, nil},
+		{"2^32 addresses refining shuffled ids from MinInt32", wide, randI32(n, 3, 85), 3, pathSort, nil},
+		{"duplicate-heavy sparse", dupHeavy, nil, 0, pathSort, nil},
 		{"range at the identity bound", sparseUnique(n, -17, identityBound-18, 75), nil, 0, pathIdentity, nil},
 		{"range one past the identity bound", sparseUnique(n, -17, identityBound-17, 76), nil, 0, pathSort, nil},
 		{"refining clustered ids by sparse keys", twoWords, clusteredPrev(n, 1_000), 1_000, pathRuns, nil},
@@ -207,21 +205,22 @@ func groupCases() []groupCase {
 		{"refining runs of 5 by negative keys from MinInt32", negative, clusteredPrev(n, 8_001), 8_001, pathRuns, nil},
 		{"refining by a few dense codes", randI32(n, 3, 77), clusteredPrev(n, 500), 500, pathIdentity, nil},
 		{"one row", []int32{math.MinInt32}, nil, 0, pathIdentity, nil},
-		{"two rows", []int32{math.MaxInt32, math.MinInt32}, nil, 0, pathHashed, nil},
-		{"seven rows refining", []int32{5, -5, 5, 1 << 30, 5, -5, 5}, []int32{0, 0, 1, 1, 0, 2, 2}, 3, pathHashed, nil},
+		{"two rows", []int32{math.MaxInt32, math.MinInt32}, nil, 0, pathSort, nil},
+		{"seven rows refining", []int32{5, -5, 5, 1 << 30, 5, -5, 5}, []int32{0, 0, 1, 1, 0, 2, 2}, 3, pathSort, nil},
 		{"one row refining", []int32{math.MinInt32}, []int32{0}, 1, pathIdentity, nil},
-		{"seven rows refining in runs", []int32{5, -5, 5, 1 << 30, 5, -5, math.MinInt32}, []int32{0, 0, 0, 1, 1, 2, 2}, 3, pathHashed, nil},
+		{"seven rows refining in runs", []int32{5, -5, 5, 1 << 30, 5, -5, math.MinInt32}, []int32{0, 0, 0, 1, 1, 2, 2}, 3, pathRuns, nil},
 		// 140 keys over 150 000 addresses: an 18 KiB bitmap and its rank
 		// directory, 37 KiB, fit the GPU model's 48 KiB of local memory and
 		// not the CPU's 32 KiB, so the devices address the same input
 		// differently and must still agree as partitions.
-		{"a few keys over a range between the devices' local memories", sparseUnique(140, -17, 150_000-18, 78), nil, 0, pathHashed, &identity},
+		{"a few keys over a range between the devices' local memories", sparseUnique(140, -17, 150_000-18, 78), nil, 0, pathSort, &identity},
 	}
 }
 
-// TestGroupAddressingPaths groups generated keys every way Group can — hashed
-// slots, identity-addressed slots, sorting, numbering inside runs of the
-// previous ids — on Ocelot-CPU at one, two and eight threads and on the GPU
+// TestGroupAddressingPaths groups generated keys every way Group can —
+// identity-addressed slots, sorting (by one packed code, or by both words of a
+// composite range wider than one), numbering inside runs of the previous ids —
+// on Ocelot-CPU at one, two and eight threads and on the GPU
 // model, forcing each path over each input (the run path wherever the previous
 // ids are non-decreasing), and compares every result with the sequential
 // baseline as a partition (two rows share an id on one engine iff they do on
@@ -253,7 +252,7 @@ func TestGroupAddressingPaths(t *testing.T) {
 				prev = i32Col("p", c.prev)
 			}
 			colBuf, prevBuf, wait := keyBufs(t, e, col, prev)
-			ks, err := e.measureKeys(colBuf, prevBuf, nprev, n, true, wait)
+			ks, err := e.measureKeys(colBuf, prevBuf, nprev, n, wait)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,10 +260,10 @@ func TestGroupAddressingPaths(t *testing.T) {
 			if got := pathOf(e.dev, n, ks); got != rule {
 				t.Fatalf("%s on %s: the rules pick %v for %+v, want %v", c.name, e.Name(), got, ks, rule)
 			}
-			for _, path := range []groupPath{pathHashed, pathIdentity, pathSort, pathRuns} {
-				if path == pathIdentity && ks.Range() > 1<<26 || path == pathSort && ks.Range() > 1<<32 ||
+			for _, path := range []groupPath{pathIdentity, pathSort, pathRuns} {
+				if path == pathIdentity && ks.Range() > 1<<26 ||
 					path == pathRuns && (c.prev == nil || !slices.IsSorted(c.prev)) {
-					continue // no bitmap that large; no one-word code; no runs
+					continue // no bitmap that large; no runs
 				}
 				ids, groups := groupVia(t, e, path, col, prev, nprev)
 				if groups != refGroups || !samePartition(ids, ref) {
@@ -274,7 +273,7 @@ func TestGroupAddressingPaths(t *testing.T) {
 				if path == pathIdentity && !numberedInOrder(ids, c.keys, c.prev, true) {
 					t.Fatalf("%s on %s: identity-path ids are not numbered key-major", c.name, e.Name())
 				}
-				if path != pathSort && path != pathRuns {
+				if path == pathIdentity {
 					continue
 				}
 				if sortIDs == nil {
@@ -299,16 +298,18 @@ func TestGroupAddressingPaths(t *testing.T) {
 			if groups != refGroups || !samePartition(mem.U32(mem.BytesOfI32(g.I32s())), ref) {
 				t.Fatalf("%s on %s: Group finds %d groups, baseline %d", c.name, e.Name(), groups, refGroups)
 			}
-			// Measurement, then: fill, insertion or bit set, three-kernel
-			// enumeration or rank scan, look-up — or pack, three kernels a
-			// pass, boundary flags, three-kernel scan, scatter — or flags,
-			// three-kernel scan, ids.
+			// Measurement, then: fill, bit set, three-kernel rank scan,
+			// look-up — or pack, three kernels a pass, boundary flags,
+			// three-kernel scan, scatter, and past one word a gather and the
+			// passes over the second word — or flags, three-kernel scan, ids.
 			want := int64(7)
-			switch rule {
-			case pathSort:
-				radix := kernels.RadixBits(e.dev)
+			switch radix := kernels.RadixBits(e.dev); {
+			case rule == pathSort && ks.Range() > 1<<32:
+				passes := (bitsFor(uint64(ks.Span)+1)+radix-1)/radix + (bitsFor(uint64(ks.Prev))+radix-1)/radix
+				want = int64(8 + 3*passes)
+			case rule == pathSort:
 				want = int64(7 + 3*((bitsFor(ks.Range())+radix-1)/radix))
-			case pathRuns:
+			case rule == pathRuns:
 				want = 6
 			}
 			if got := e.dev.KernelLaunches() - before; got != want {
@@ -357,38 +358,36 @@ func numberedInOrder(ids []uint32, keys, prev []int32, keyMajor bool) bool {
 	return true
 }
 
-// TestGroupRule pins kernels.SortGroupBits to its definition at each of its
-// boundaries — the identity bound, the distinct crossover, one 32-bit word —
-// and checks the memory bound placement relies on: from the smallest input the
-// rule can send to the sort or the run path upwards, Group's working state
-// there (four n-word buffers, histogram, scan partials; two n-word buffers and
-// scan partials) stays within the 26 bytes a row that placement assumes for
-// the hashed table (mal/placement.go).
+// TestGroupRule pins Group's rule at its boundaries — identity addressing up
+// to the identity bound, then the run path where the previous ids come in
+// short runs and the sort path otherwise, whatever the range, one word or two
+// — and checks the memory bound placement relies on: Group's working state on
+// the sort and the run path (four n-word buffers, histogram, scan partials;
+// two n-word buffers and scan partials) stays within the 26 bytes a row that
+// placement assumes for grouping (mal/placement.go).
 func TestGroupRule(t *testing.T) {
 	const n = 100_000
-	const crossover = (4 << 20) / (3 * 64) // cache-resident bytes over bytes a hashed key
-	identityBound := uint64(48 * kernels.TableCapacity(n))
+	const identityBound = 12_582_912 // 48 bytes an address for 262 144 slots: 1.4n + 8 rounded up
+	dev := cl.NewCPUDevice(2)
 	for _, c := range []struct {
-		keyRange uint64
-		distinct int
-		bits     int
+		ks   kernels.KeySpace
+		path groupPath
 	}{
-		{identityBound, n, 0},          // identity addressing has it
-		{identityBound + 1, n, 24},     // 12 582 913 addresses
-		{1 << 28, crossover, 0},        // the table still fits the caches
-		{1 << 28, crossover + 1, 28},   // one key more: sort
-		{1<<28 + 1, crossover + 1, 29}, // ... over one more digit
-		{1 << 32, n, 32},               // a full word
-		{1<<32 + 1, n, 0},              // wider than a word: hashed
-		{1 << 40, n, 0},
-		{0, n, 0}, // unmeasured (floats)
+		{kernels.KeySpace{Span: identityBound - 1, Prev: 1}, pathIdentity},
+		{kernels.KeySpace{Span: identityBound, Prev: 1}, pathSort},
+		{kernels.KeySpace{Span: identityBound/4 - 1, Prev: 4, Runs: true}, pathIdentity},
+		{kernels.KeySpace{Span: identityBound/4 - 1, Prev: 5, Runs: true}, pathRuns},
+		{kernels.KeySpace{Span: identityBound/4 - 1, Prev: 5}, pathSort},
+		{kernels.KeySpace{Span: math.MaxUint32, Prev: 1}, pathSort},
+		{kernels.KeySpace{Span: math.MaxUint32, Prev: 2}, pathSort},
+		{kernels.KeySpace{Span: math.MaxUint32, Prev: 2, Runs: true}, pathRuns},
 	} {
-		if got := kernels.SortGroupBits(cl.NewCPUDevice(2), n, c.keyRange, c.distinct); got != c.bits {
-			t.Fatalf("SortGroupBits(%d, %d, %d) = %d, want %d", n, c.keyRange, c.distinct, got, c.bits)
+		if got := pathOf(dev, n, c.ks); got != c.path {
+			t.Fatalf("%+v over %d rows takes the %v path, want %v", c.ks, n, got, c.path)
 		}
 	}
 
-	const rows = crossover + 1 // fewer rows cannot hold enough distinct keys
+	const rows = 21_846
 	runs, nruns := randomRuns(rows, kernels.MaxRefineRun, 83)
 	for _, c := range []struct {
 		keys, prev []int32
@@ -396,6 +395,7 @@ func TestGroupRule(t *testing.T) {
 		path       groupPath
 	}{
 		{sparseUnique(rows, math.MinInt32, math.MaxInt32, 81), make([]int32, rows), 1, pathSort},
+		{sparseUnique(rows, math.MinInt32, math.MaxInt32, 86), randI32(rows, 9, 87), 9, pathSort},
 		{sparseUnique(rows, math.MinInt32, math.MinInt32+1<<32/int64(nruns)-1, 84), runs, nruns, pathRuns},
 	} {
 		for _, e := range crossEngines() {
@@ -414,7 +414,7 @@ func testGroupMemory(t *testing.T, e *Engine, keys, prevIDs []int32, nprev int, 
 	if err := cl.WaitAll(wait...); err != nil {
 		t.Fatal(err)
 	}
-	ks, err := e.measureKeys(colBuf, prevBuf, nprev, rows, true, wait)
+	ks, err := e.measureKeys(colBuf, prevBuf, nprev, rows, wait)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,8 @@ func testGroupMemory(t *testing.T, e *Engine, keys, prevIDs []int32, nprev int, 
 }
 
 // TestQ21ShapedPlanAgainstBaseline runs the grouping of TPC-H Q21 at the scale
-// where the sort rule fires — no other tier-1 input reaches it: a supplier key
+// where identity addressing refuses it — no other tier-1 input reaches it: a
+// supplier key
 // refining clustered order positions, nearly one group a row, then the
 // per-group counts and minima the query takes and their projection back to
 // the rows, which cancels the engines' different id numbering. Every engine

@@ -64,7 +64,7 @@ func (e *Engine) fusedGrouped(op *ops.FusedOp) ([]*bat.BAT, error) {
 		keys[j] = buf
 		wait = append(wait, w...)
 	}
-	words := kernels.KeyRangesWords(e.dev, n, len(keys))
+	words := kernels.KeyRangesWords(e.dev, len(keys))
 	partials, err := e.mm.Alloc(words * 4)
 	if err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func (e *Engine) fusedGrouped(op *ops.FusedOp) ([]*bat.BAT, error) {
 	host, err := e.hostView(partials, words*4, []*cl.Event{mev})
 	var ks []kernels.KeySpace
 	if err == nil {
-		ks = kernels.FoldKeyRanges(e.dev, mem.U32(host), n, len(keys)) // before the release: host may be the buffer
+		ks = kernels.FoldKeyRanges(e.dev, mem.U32(host), len(keys)) // before the release: host may be the buffer
 	}
 	e.mm.Release(partials)
 	if err != nil {
@@ -97,8 +97,8 @@ func (e *Engine) fusedGrouped(op *ops.FusedOp) ([]*bat.BAT, error) {
 // groupChain runs a refused region as its member operators: the first
 // grouping on the measurement the region took, each later one on its key's
 // measured range where that range times the previous group count is
-// identity-addressed — the run verdict and distinct estimate a measurement
-// adds are read only where it is not — and every aggregate over the last ids.
+// identity-addressed — the run verdict a measurement adds is read only where
+// it is not — and every aggregate over the last ids.
 func (e *Engine) groupChain(op *ops.FusedOp, ks []kernels.KeySpace, out []*bat.BAT) ([]*bat.BAT, error) {
 	n := op.Keys[0].Len()
 	ids, ngroups, err := e.group(op.Keys[0], nil, 0, &ks[0])

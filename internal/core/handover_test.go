@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/cl"
-	"repro/internal/core/kernels"
 	"repro/internal/ops"
 )
 
@@ -163,9 +162,9 @@ func TestSyncedValueFeedsLaterOperators(t *testing.T) {
 
 // TestAllocZeroedAfterRecycledGarbage: a zeroed allocation must hand out zeros
 // even when the free-list serves it the bytes of a buffer that was released
-// full of ones — the hash build's fail flag depends on it: kernels only ever
-// raise that word, so a stale non-zero one reads as a failed insertion round
-// and restarts the build with a doubled table.
+// full of ones — a grouped region's bitmap of present codes depends on it:
+// its fold only ever sets bits, so a stale set bit reads as a group that no
+// row has.
 func TestAllocZeroedAfterRecycledGarbage(t *testing.T) {
 	for _, e := range handoverEngines() {
 		dirty, err := e.mm.Alloc(4)
@@ -189,8 +188,9 @@ func TestAllocZeroedAfterRecycledGarbage(t *testing.T) {
 		}
 		e.mm.Release(flag)
 
-		// End to end: stock the free-list with non-zero words, then build a
-		// hashed (sparse-key) table; it must settle at the first capacity.
+		// End to end: stock the free-list with non-zero words, then run a
+		// grouped region over three codes, whose bitmap of present codes is
+		// one word.
 		var words []*cl.Buffer
 		for i := 0; i < maxScratchFreePerSize; i++ {
 			//lint:transfer collected in words, released in the next loop
@@ -204,19 +204,14 @@ func TestAllocZeroedAfterRecycledGarbage(t *testing.T) {
 		for _, b := range words {
 			e.mm.Release(b)
 		}
-		keys := make([]int32, 2000)
-		for i := range keys {
-			keys[i] = int32(i) * 1_000_003 // far too sparse for identity addressing
-		}
-		ht, err := e.BuildHash(i32Col("sparse", keys))
+		key := i32Col("k", []int32{7, 9, 7, 8, 9, 7})
+		out, err := e.fusedGrouped(&ops.FusedOp{Keys: []*bat.BAT{key}, Aggs: []ops.FusedAgg{{Kind: ops.Count}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := ht.(*devHashTable)
-		if h.tab.State == nil || h.tab.Capacity != kernels.TableCapacity(len(keys)) || h.ndistinct != len(keys) {
-			t.Fatalf("%s: hashed build over recycled flag words: capacity %d (want %d), %d distinct (want %d)",
-				e.Name(), h.tab.Capacity, kernels.TableCapacity(len(keys)), h.ndistinct, len(keys))
+		if groups := out[0].Len(); groups != 3 {
+			t.Fatalf("%s: a grouped region over recycled words found %d groups, want 3", e.Name(), groups)
 		}
-		ht.Release()
+		e.Release(out[0])
 	}
 }

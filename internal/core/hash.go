@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/bat"
@@ -11,12 +10,12 @@ import (
 	"repro/internal/ops"
 )
 
-// devHashTable is the device-resident multi-stage hash lookup table of
-// §4.1.4, built in the stages its consumers ask for:
+// devHashTable is the device-resident multi-stage lookup table of §4.1.4,
+// built in the stages its consumers ask for:
 //
-//   - slots: the slot table and the dense-id enumeration (tab, ndistinct),
-//     under one of two addressings (kernels.Slots): hashed, or identity over
-//     a dense key range. Existence probes stop here.
+//   - slots: every distinct key's dense id (tab, ndistinct), under one of two
+//     addressings (kernels.Slots): identity over a dense key range, or the
+//     sorted distinct keys. Existence probes stop here.
 //   - gids: the per-build-row dense ids, looked up through the slots.
 //     Grouping stops here (lookupGids hands the ids to the caller).
 //   - buckets: the per-key row-id buckets joins iterate (starts/rowids, after
@@ -26,8 +25,8 @@ import (
 type devHashTable struct {
 	e *Engine
 	// col is the key column the table was built over; nil only for
-	// grouping's tables (groupBySlots), which stop at the gids stage and are
-	// neither cached nor released through Release.
+	// grouping's tables (groupByIdentity), which stop at the gids stage and
+	// are neither cached nor released through Release.
 	col        *bat.BAT
 	ndistinct  int
 	buildRows  int
@@ -71,7 +70,7 @@ func (h *devHashTable) Release() {
 // and at any stage (unbuilt ones are nil).
 func (h *devHashTable) buffers() []*cl.Buffer {
 	t := h.tab
-	return []*cl.Buffer{t.State, t.Keys1, t.Keys2, t.SlotGid, t.Bits, t.Rank, h.starts, h.rowids}
+	return []*cl.Buffer{t.Bits, t.Rank, t.Keys, h.starts, h.rowids}
 }
 
 // release frees the table once nothing enqueued can still touch it: its own
@@ -178,7 +177,7 @@ func (e *Engine) slotTable(col *bat.BAT) (*devHashTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	ht, err := e.buildSlots(col.Name, colBuf, nil, 0, col.Len(), orderedKeys(col), wait)
+	ht, err := e.buildSlots(colBuf, col.Len(), wait)
 	if err != nil {
 		return nil, err
 	}
@@ -206,66 +205,29 @@ func (e *Engine) InvalidateHash(col *bat.BAT) {
 	}
 }
 
-// orderedKeys reports whether b's key words are integers (values, codes or
-// positions), whose numeric range buildSlots may measure; float columns are
-// keyed by bit pattern, and the range of bit patterns says nothing about how
-// dense the keys are.
-func orderedKeys(b *bat.BAT) bool { return b.T != bat.F32 }
-
-// buildSlots runs the slots stage over a device buffer of n keys. prev, when
-// non-nil, supplies the second word of composite keys (group refinement): the
-// previous group ids, all below nprev.
-func (e *Engine) buildSlots(name string, colBuf, prev *cl.Buffer, nprev, n int, ordered bool, wait []*cl.Event) (*devHashTable, error) {
-	ks, err := e.measureKeys(colBuf, prev, nprev, n, ordered, wait)
+// buildSlots runs the slots stage over a device buffer of n single-word keys:
+// one measurement, then identity addressing where kernels.IdentityWords says
+// the keys' range is dense, the sorted addressing for everything else.
+func (e *Engine) buildSlots(colBuf *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
+	ks, err := e.measureKeys(colBuf, nil, 0, n, wait)
 	if err != nil {
 		return nil, err
 	}
-	return e.slotsFor(name, ks, colBuf, prev, n, wait)
-}
-
-// slotsFor is the slots stage over keys already measured: identity addressing
-// when kernels.IdentityWords says their range is dense, the paper's hashed
-// insertion for everything else — floats and unmeasured keys included, whose
-// zero KeySpace has no range.
-func (e *Engine) slotsFor(name string, ks kernels.KeySpace, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
 	if words := kernels.IdentityWords(e.dev, n, ks.Range()); words > 0 {
-		tab := kernels.Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
-		return e.buildIdentitySlots(tab, words, colBuf, prev, n, wait)
+		return e.buildIdentitySlots(kernels.Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}, words, colBuf, nil, n, wait)
 	}
-	return e.buildHashedSlots(name, colBuf, prev, n, wait)
-}
-
-// buildHashedSlots is the slots stage of §4.1.4: the synchronised insertion
-// and the dense-id enumeration, restarting with a doubled table when a row
-// exhausts its probe sequence.
-func (e *Engine) buildHashedSlots(name string, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
-	capacity := kernels.TableCapacity(n)
-	for attempt := 0; ; attempt++ {
-		ht, retry, err := e.tryBuildSlots(colBuf, prev, n, capacity, wait)
-		if err != nil {
-			return nil, err
-		}
-		if !retry {
-			return ht, nil
-		}
-		// "if the pessimistic approach fails for at least one key, we
-		// restart with an increased table size" (§4.1.4).
-		capacity *= 2
-		if attempt > 28 {
-			return nil, fmt.Errorf("core: hash build of %q cannot converge", name)
-		}
-	}
+	return e.buildSortedSlots(ks, colBuf, n, wait)
 }
 
 // measureKeys is the one measurement Group and the slots stage decide from:
-// the range of n integer key words (ordered, see orderedKeys) — for composite
-// keys times nprev, the bound on prev's ids — and the distinct estimate. One
-// reduction launch on the device, folded here. Floats are not measured.
-func (e *Engine) measureKeys(colBuf, prev *cl.Buffer, nprev, n int, ordered bool, wait []*cl.Event) (ks kernels.KeySpace, err error) {
-	if !ordered || n == 0 || (prev != nil && nprev <= 0) {
+// the range of n key words — for composite keys times nprev, the bound on
+// prev's ids — and the run verdict. One reduction launch on the device,
+// folded here; the zero KeySpace for no rows.
+func (e *Engine) measureKeys(colBuf, prev *cl.Buffer, nprev, n int, wait []*cl.Event) (ks kernels.KeySpace, err error) {
+	if n == 0 || (prev != nil && nprev <= 0) {
 		return ks, nil
 	}
-	words := kernels.KeyRangeWords(e.dev, n)
+	words := kernels.KeyRangeWords(e.dev)
 	partials, err := e.mm.Alloc(words * 4)
 	if err != nil {
 		return ks, err
@@ -276,15 +238,14 @@ func (e *Engine) measureKeys(colBuf, prev *cl.Buffer, nprev, n int, ordered bool
 		if prev == nil {
 			nprev = 1
 		}
-		ks = kernels.FoldKeyRange(e.dev, mem.U32(host), n, uint32(nprev)) // before the release: host may be the buffer
+		ks = kernels.FoldKeyRange(e.dev, mem.U32(host), uint32(nprev)) // before the release: host may be the buffer
 	}
 	e.mm.Release(partials)
 	return ks, err
 }
 
 // buildIdentitySlots is the slots stage under identity addressing: zero the
-// bitmap, set every key's bit, rank-scan. No round can fail, so there is no
-// fail word to read back and nothing to restart.
+// bitmap, set every key's bit, rank-scan.
 func (e *Engine) buildIdentitySlots(tab kernels.Slots, words int, colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
 	sc := &scratchSet{mm: e.mm}
 	tab.Bits = sc.alloc(words)
@@ -308,6 +269,34 @@ func (e *Engine) buildIdentitySlots(tab kernels.Slots, words int, colBuf, prev *
 		e: e, ndistinct: int(nd32), buildRows: n, tab: tab,
 		slots: rev, uniqueKeys: int(nd32) == n,
 	}, nil
+}
+
+// buildSortedSlots is the slots stage under the sorted addressing
+// (kernels.SortedSlots): the keys' distinct codes in ascending order, one word
+// a build row at most. An empty build side has no code and no kernel.
+func (e *Engine) buildSortedSlots(ks kernels.KeySpace, colBuf *cl.Buffer, n int, wait []*cl.Event) (*devHashTable, error) {
+	sc, s := e.sortScratch(n)
+	keys := sc.alloc(n + 1)
+	if sc.err != nil {
+		sc.releaseAll()
+		return nil, sc.err
+	}
+	ht := &devHashTable{e: e, buildRows: n, tab: kernels.Slots{Keys: keys, Min: ks.Min, Span: ks.Span, Prev: 1}}
+	if n == 0 {
+		sc.releaseAll(keys)
+		ht.uniqueKeys, ht.slots = true, e.q.EnqueueMarker(wait)
+		return ht, nil
+	}
+	scanned, done := kernels.SortedSlots(e.q, keys, colBuf, ks, s, n, wait)
+	boundaries, err := e.readU32(s.Total, []*cl.Event{scanned})
+	if err != nil {
+		sc.releaseAll()
+		return nil, err
+	}
+	e.releaseAfter(done, s.K0, s.V0, s.K1, s.V1, s.Hist, s.Spine, s.Total)
+	ht.ndistinct = int(boundaries) + 1
+	ht.tab.Distinct, ht.uniqueKeys, ht.slots = ht.ndistinct, ht.ndistinct == n, done
+	return ht, nil
 }
 
 // scratchSet tracks buffers allocated during a multi-kernel build so error
@@ -355,53 +344,6 @@ func (s *scratchSet) releaseAll(keep ...*cl.Buffer) {
 			_ = b.Release()
 		}
 	}
-}
-
-func (e *Engine) tryBuildSlots(colBuf, prev *cl.Buffer, n, capacity int, wait []*cl.Event) (*devHashTable, bool, error) {
-	sc := &scratchSet{mm: e.mm}
-	state := sc.alloc(capacity)
-	keys1 := sc.alloc(capacity)
-	var keys2 *cl.Buffer
-	if prev != nil {
-		keys2 = sc.alloc(capacity)
-	}
-	// The fail flag is only ever *raised* by the insertion kernel, so it
-	// must start zero — a fresh allocation, not recycled scratch.
-	fail := sc.allocZeroed(1)
-	if sc.err != nil {
-		sc.releaseAll()
-		return nil, false, sc.err
-	}
-
-	zero := kernels.Fill(e.q, state, capacity, 0, wait)
-	ev := kernels.HashInsertPessimistic(e.q, state, keys1, keys2, colBuf, prev, fail, n, capacity, []*cl.Event{zero})
-	failed, err := e.readU32(fail, []*cl.Event{ev})
-	if err != nil || failed != 0 {
-		sc.releaseAll()
-		return nil, err == nil, err // a raised flag alone asks for a bigger table
-	}
-
-	// Enumerate distinct keys into dense ids.
-	slotGid := sc.alloc(capacity)
-	sp := sc.alloc(spineWords(e.dev))
-	total := sc.alloc(1)
-	if sc.err != nil {
-		sc.releaseAll()
-		return nil, false, sc.err
-	}
-	eev := kernels.HashEnumerate(e.q, slotGid, state, sp, total, capacity, []*cl.Event{ev})
-	nd32, err := e.readU32(total, []*cl.Event{eev})
-	if err != nil {
-		sc.releaseAll()
-		return nil, false, err
-	}
-	e.releaseAfter(eev, sp, fail, total)
-
-	return &devHashTable{
-		e: e, ndistinct: int(nd32), buildRows: n,
-		tab:   kernels.Slots{State: state, Keys1: keys1, Keys2: keys2, SlotGid: slotGid, Capacity: capacity},
-		slots: eev, uniqueKeys: int(nd32) == n,
-	}, false, nil
 }
 
 // lookupGids enqueues the gids stage: the dense id of every build row's key,

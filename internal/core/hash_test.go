@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -51,9 +52,10 @@ func joinBytes(t *testing.T, e *Engine, l, r *bat.BAT) ([]uint32, []uint32) {
 }
 
 // TestStagedTableGids builds the slots stage and looks the dense ids up
-// through it, over the key shapes that stress the insertion differently:
-// unique keys (every row claims a slot), one key (all rows but the first only
-// read), a dup-heavy mix, and composite keys (group refinement). The ids must
+// through it, over the key shapes that stress the build differently: unique
+// keys, one key (all rows but the first only read), a dup-heavy mix, sparse
+// keys (the sorted addressing) and composite keys (group refinement, under
+// identity addressing). The ids must
 // number the distinct keys 0..ndistinct-1, one id per key.
 func TestStagedTableGids(t *testing.T) {
 	const n = 20_000
@@ -70,18 +72,29 @@ func TestStagedTableGids(t *testing.T) {
 		{"unique", uniqueShuffledI32(n, 1), nil},
 		{"all-equal", allEqual, nil},
 		{"dup-heavy", randI32(n, 7, 2), nil},
+		{"sparse", sparseUnique(n/2, -2_000_000_000, 2_000_000_000, 5), nil},
 		{"composite", randI32(n, 11, 4), prev},
 	}
 	for _, e := range crossEngines() {
 		for _, c := range cases {
+			n := len(c.keys)
+			col := i32Col("k", c.keys)
 			var prev *bat.BAT
 			if c.prev != nil {
 				prev = i32Col("p", c.prev)
 			}
-			colBuf, prevBuf, wait := keyBufs(t, e, i32Col("k", c.keys), prev)
-			ht, err := e.buildSlots(c.name, colBuf, prevBuf, 5, n, true, wait)
-			if err != nil {
-				t.Fatalf("%s %s: %v", e.Name(), c.name, err)
+			colBuf, prevBuf, wait := keyBufs(t, e, col, prev)
+			var ht *devHashTable
+			if prev != nil {
+				ht = forcedTable(t, e, col, prev, 5, true)
+			} else {
+				var err error
+				if ht, err = e.buildSlots(colBuf, n, wait); err != nil {
+					t.Fatalf("%s %s: %v", e.Name(), c.name, err)
+				}
+				if sparse := c.name == "sparse"; (ht.tab.Keys != nil) != sparse {
+					t.Fatalf("%s %s: sorted addressing %v, want %v", e.Name(), c.name, ht.tab.Keys != nil, sparse)
+				}
 			}
 			gidBuf, _, err := ht.lookupGids(colBuf, prevBuf, nil)
 			if err != nil {
@@ -140,14 +153,15 @@ func launchesOf(t *testing.T, e *Engine, op func()) int64 {
 
 // TestBucketsBuiltOnceOnDemand: an existence probe of a base column builds
 // and caches the slots stage only — six launches under identity addressing
-// (range reduction, fill, set, three-kernel rank scan) and six when hashed
-// (range reduction, fill, insertion, enumeration) — the first join on the same column
+// (range reduction, fill, set, three-kernel rank scan), and under the sorted
+// addressing range reduction, pack, three a radix pass, flags, three-kernel
+// scan and compaction — the first join on the same column
 // adds the buckets to that very table, and later joins and existence probes
 // build nothing.
 func TestBucketsBuiltOnceOnDemand(t *testing.T) {
 	sparse := randI32(20_000, 5_000, 21)
 	for i := range sparse {
-		sparse[i] *= 1 << 16 // range far past the rule: hashed
+		sparse[i] *= 1 << 16 // range far past the rule: sorted, 29-bit codes
 	}
 	for _, e := range crossEngines() {
 		for _, build := range []struct {
@@ -180,10 +194,15 @@ func TestBucketsBuiltOnceOnDemand(t *testing.T) {
 				t.Fatalf("%s: identity addressing = %v, want %v", e.Name(), ht.tab.Bits != nil, build.identity)
 			}
 			semiWarm := launchesOf(t, e, semi)
-			// hashed: range reduction, fill, insertion, three-kernel enumeration.
-			slotLaunches := semiCold - semiWarm
-			if slotLaunches != 6 {
-				t.Fatalf("%s: the slots stage (identity=%v) took %d launches", e.Name(), build.identity, slotLaunches)
+			// Range reduction, then fill, bit set, three-kernel rank scan — or
+			// pack, three kernels a radix pass, boundary flags, three-kernel
+			// scan, compaction.
+			want := int64(6)
+			if radix := kernels.RadixBits(e.dev); !build.identity {
+				want = int64(7 + 3*((29+radix-1)/radix))
+			}
+			if slotLaunches := semiCold - semiWarm; slotLaunches != want {
+				t.Fatalf("%s: the slots stage (identity=%v) took %d launches, want %d", e.Name(), build.identity, slotLaunches, want)
 			}
 			joinFirst := launchesOf(t, e, join)
 			if ht.buckets == nil {
@@ -346,24 +365,23 @@ func keyBufs(t *testing.T, e *Engine, col, prev *bat.BAT) (colBuf, prevBuf *cl.B
 
 // forcedTable builds the slots stage over col (and the previous group ids
 // prev < nprev, when given) under the addressing asked for, bypassing the
-// rule, so both addressings can be compared over one input. Single-word
-// tables are seeded into the hash cache: the next SemiJoin/AntiJoin/Join with
-// col as build side runs on them.
+// rule, so both addressings can be compared over one input; the sorted
+// addressing takes single-word keys only. Single-word tables are seeded into
+// the hash cache: the next SemiJoin/AntiJoin/Join with col as build side runs
+// on them.
 func forcedTable(t *testing.T, e *Engine, col, prev *bat.BAT, nprev int, identity bool) *devHashTable {
 	t.Helper()
 	colBuf, prevBuf, wait := keyBufs(t, e, col, prev)
+	ks, err := e.measureKeys(colBuf, prevBuf, nprev, col.Len(), wait)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ht *devHashTable
-	var err error
 	if identity {
-		lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
-		for _, k := range col.I32s() {
-			lo, hi = min(lo, k), max(hi, k)
-		}
-		tab := kernels.Slots{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: uint32(max(nprev, 1))}
-		words := int(((uint64(tab.Span)+1)*uint64(tab.Prev) + 31) / 32)
-		ht, err = e.buildIdentitySlots(tab, words, colBuf, prevBuf, col.Len(), wait)
+		words := int((ks.Range() + 31) / 32)
+		ht, err = e.buildIdentitySlots(kernels.Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}, words, colBuf, prevBuf, col.Len(), wait)
 	} else {
-		ht, err = e.buildHashedSlots(col.Name, colBuf, prevBuf, col.Len(), wait)
+		ht, err = e.buildSortedSlots(ks, colBuf, col.Len(), wait)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -420,11 +438,12 @@ func sortedPairs(l, r []uint32) []uint64 {
 	return out
 }
 
-// TestAddressingsAgree forces the hashed and the identity addressing over the
-// same build keys: they must agree on the distinct count, on uniqueKeys, on
-// the gid partition — identity ids additionally number the keys in key order —
-// and SemiJoin, AntiJoin, Join and Group must return the same result on
-// either, which is also the sequential baseline's.
+// TestAddressingsAgree forces the identity and the sorted addressing over the
+// same single-word build keys: they must agree on the distinct count, on
+// uniqueKeys and on every id — both number the keys in key order — and
+// SemiJoin, AntiJoin, Join and Group must return the same result on either,
+// which is also the sequential baseline's. Composite keys take identity
+// addressing alone, which numbers them in (key, prev) order.
 func TestAddressingsAgree(t *testing.T) {
 	const n = 6_000
 	negative := randI32(n, 1000, 51)
@@ -477,10 +496,14 @@ func TestAddressingsAgree(t *testing.T) {
 				semi, anti []uint32
 				pairs      []uint64
 			}
-			var got [2]outcome
-			for k, identity := range []bool{false, true} {
+			var got [2]outcome // identity, sorted
+			for k, identity := range []bool{true, false} {
+				if prev != nil && !identity {
+					got[k] = got[0]
+					continue
+				}
 				ht := forcedTable(t, e, col, prev, c.nprev, identity)
-				if (ht.tab.Bits != nil) != identity {
+				if (ht.tab.Bits != nil) != identity || (ht.tab.Keys != nil) == identity {
 					t.Fatalf("%s: forced identity=%v, built %+v", name, identity, ht.tab)
 				}
 				o := outcome{nd: ht.ndistinct, unique: ht.uniqueKeys, gids: gidsOf(t, e, ht, col, prev)}
@@ -508,12 +531,12 @@ func TestAddressingsAgree(t *testing.T) {
 				}
 				got[k] = o
 			}
-			h, id := got[0], got[1]
-			if h.nd != id.nd || h.unique != id.unique || !samePartition(h.gids, id.gids) {
-				t.Fatalf("%s: hashed %d distinct (unique %v), identity %d (unique %v), same partition %v",
-					name, h.nd, h.unique, id.nd, id.unique, samePartition(h.gids, id.gids))
+			id, so := got[0], got[1]
+			if id.nd != so.nd || id.unique != so.unique || !equalU32(id.gids, so.gids) {
+				t.Fatalf("%s: identity %d distinct (unique %v), sorted %d (unique %v), same ids %v",
+					name, id.nd, id.unique, so.nd, so.unique, equalU32(id.gids, so.gids))
 			}
-			// Identity ids are the keys' ranks in (key, prev) order.
+			// Ids are the keys' ranks in (key, prev) order.
 			type key struct{ a, b int32 }
 			distinct := map[key]bool{}
 			for i, a := range c.keys {
@@ -543,7 +566,7 @@ func TestAddressingsAgree(t *testing.T) {
 					k.b = c.prev[i]
 				}
 				if id.gids[i] != rank[k] {
-					t.Fatalf("%s: row %d key %v has identity id %d, want its rank %d", name, i, k, id.gids[i], rank[k])
+					t.Fatalf("%s: row %d key %v has id %d, want its rank %d", name, i, k, id.gids[i], rank[k])
 				}
 			}
 
@@ -561,12 +584,12 @@ func TestAddressingsAgree(t *testing.T) {
 			if prev != nil {
 				continue
 			}
-			if !equalU32(h.semi, id.semi) || !equalU32(h.anti, id.anti) || len(h.pairs) != len(id.pairs) {
-				t.Fatalf("%s: semi %d/%d, anti %d/%d, join %d/%d rows (hashed/identity)", name,
-					len(h.semi), len(id.semi), len(h.anti), len(id.anti), len(h.pairs), len(id.pairs))
+			if !equalU32(so.semi, id.semi) || !equalU32(so.anti, id.anti) || len(so.pairs) != len(id.pairs) {
+				t.Fatalf("%s: semi %d/%d, anti %d/%d, join %d/%d rows (sorted/identity)", name,
+					len(so.semi), len(id.semi), len(so.anti), len(id.anti), len(so.pairs), len(id.pairs))
 			}
-			for i := range h.pairs {
-				if h.pairs[i] != id.pairs[i] {
+			for i := range so.pairs {
+				if so.pairs[i] != id.pairs[i] {
 					t.Fatalf("%s: join pair %d differs between the addressings", name, i)
 				}
 			}
@@ -593,7 +616,7 @@ func TestAddressingsAgree(t *testing.T) {
 	}
 }
 
-// TestEmptyBuildSide: nothing to measure, nothing to address — the (hashed)
+// TestEmptyBuildSide: nothing to measure, nothing to address — the (sorted)
 // table is empty, nothing matches, and everything anti-matches.
 func TestEmptyBuildSide(t *testing.T) {
 	for _, e := range crossEngines() {
@@ -616,20 +639,25 @@ func TestEmptyBuildSide(t *testing.T) {
 }
 
 // TestAddressingRule pins the rule to its definition — identity addressing
-// exactly while bitmap plus rank directory take no more bytes than the hashed
-// slot arrays, or than the device's local memory whatever the key count — at
-// each clause's boundary range and one either side (3 000 keys, where the
-// hashed arrays are the larger bound; 140 keys, where local memory is: Q8's
-// part positions), and checks the table's memory bound: under either
-// addressing the slots stay within kernels.SlotBytes, and slots and buckets
-// together within that plus three words per build row (gids, row ids,
-// starts).
+// exactly while bitmap plus rank directory take no more bytes than 12 for
+// each slot of the power of two at least 1.4n + 8, or than the device's local
+// memory whatever the key count; the sorted addressing otherwise — at each
+// clause's boundary range and one either side (3 000 keys, where the slot
+// bound is the larger: 393 216 addresses on both devices; 140 keys, where
+// local memory is: Q8's part positions, 131 072 addresses on the CPU and
+// 196 608 on the GPU model), and checks the table's memory bound: under
+// either addressing the slots stay within kernels.SlotBytes, and slots and
+// buckets together within that plus three words per build row (gids, row
+// ids, starts).
 func TestAddressingRule(t *testing.T) {
 	for _, e := range crossEngines() {
 		for _, n := range []int{3_000, 140} {
-			boundary := int(4 * kernels.SlotBytes(e.dev, n)) // range/32 words of 8 bytes
-			if hashed := 48 * kernels.TableCapacity(n); (n == 3_000) != (boundary == hashed) {
-				t.Fatalf("%s: %d keys: boundary %d, hashed arrays' %d", e.Name(), n, boundary, hashed)
+			boundary := 393_216
+			if n == 140 {
+				boundary = 4 * e.dev.Const.LocalMemSize // range/32 words of 8 bytes
+			}
+			if got := int(4 * kernels.SlotBytes(e.dev, n)); got != boundary {
+				t.Fatalf("%s: %d keys: identity admits %d addresses, want %d", e.Name(), n, got, boundary)
 			}
 			for _, c := range []struct {
 				keyRange int
@@ -651,7 +679,7 @@ func TestAddressingRule(t *testing.T) {
 				if err := e.Finish(); err != nil {
 					t.Fatal(err)
 				}
-				if (ht.tab.Bits != nil) != c.identity {
+				if (ht.tab.Bits != nil) != c.identity || (ht.tab.Keys != nil) == c.identity {
 					t.Fatalf("%s: range %d over %d keys: identity = %v, want %v", e.Name(), c.keyRange, n, ht.tab.Bits != nil, c.identity)
 				}
 				if !ht.uniqueKeys || ht.ndistinct != n {
@@ -663,7 +691,7 @@ func TestAddressingRule(t *testing.T) {
 						own += b.Size()
 					}
 				}
-				for _, b := range []*cl.Buffer{ht.tab.Bits, ht.tab.Rank, ht.tab.State, ht.tab.Keys1, ht.tab.SlotGid} {
+				for _, b := range []*cl.Buffer{ht.tab.Bits, ht.tab.Rank, ht.tab.Keys} {
 					if b != nil {
 						slots += b.Size()
 					}
@@ -677,40 +705,71 @@ func TestAddressingRule(t *testing.T) {
 			}
 		}
 		if kernels.IdentityWords(e.dev, 3_000, 1<<32+1) != 0 || kernels.IdentityWords(e.dev, 0, 0) != 0 {
-			t.Fatal("ranges beyond 32 bits, and empty ranges, must stay hashed")
+			t.Fatal("ranges beyond 32 bits, and empty ranges, must not take identity addressing")
 		}
 	}
 }
 
-// TestFloatKeysStayHashed: float bit patterns are hashed whatever their
-// spread — the numeric range of the bits is not a key range.
-func TestFloatKeysStayHashed(t *testing.T) {
+// TestFloatKeysAddressedByBits: float keys are measured and addressed by
+// their bit patterns like any int32 key, and equal exactly when their bits
+// are: one pattern is a range of one address and takes identity addressing
+// (measurement, fill, bit set, three-kernel rank scan, look-up); patterns of
+// both signs are spread over the int32 range and take the sorted addressing.
+// Semi-join, join and grouping agree with the sequential baseline.
+func TestFloatKeysAddressedByBits(t *testing.T) {
+	one := make([]float32, 4_000)
+	spread := make([]float32, 4_000)
+	for i := range one {
+		one[i] = 1.5
+		spread[i] = float32(i%300-150) * 0.37
+	}
+	probeVals := []float32{1.5, 0.37, -0.37, 55.5, -55.5, 1e30, float32(math.Inf(-1))}
+	for i := 0; i < 500; i++ {
+		probeVals = append(probeVals, float32(i-250)*0.37)
+	}
+	probe := f32Col("p", probeVals)
 	for _, e := range crossEngines() {
-		vals := make([]float32, 4_000)
-		for i := range vals {
-			vals[i] = 1.5 // one bit pattern: range 1
+		for _, c := range []struct {
+			vals     []float32
+			identity bool
+			groups   int
+		}{{one, true, 1}, {spread, false, 300}} {
+			col := f32Col("f", c.vals)
+			ht, err := e.slotTable(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (ht.tab.Bits != nil) != c.identity || ht.ndistinct != c.groups {
+				t.Fatalf("%s: float keys: %+v, %d distinct", e.Name(), ht.tab, ht.ndistinct)
+			}
+			before := e.dev.KernelLaunches()
+			if _, ng, err := e.Group(col, nil, 0); err != nil || ng != c.groups {
+				t.Fatalf("%s: float grouping: %d groups, %v", e.Name(), ng, err)
+			}
+			if err := e.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.dev.KernelLaunches() - before; c.identity && got != 7 {
+				t.Fatalf("%s: float grouping took %d launches, want identity addressing's 7", e.Name(), got)
+			}
+			semi, err := e.SemiJoin(probe, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSemi, err := crossMS.SemiJoin(probe, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, r := joinBytes(t, e, probe, col)
+			wantL, wantR, err := crossMS.Join(probe, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := syncedOIDs(t, e, semi); !equalU32(got, wantSemi.OIDs()) || !slices.Equal(sortedPairs(l, r), sortedPairs(wantL.OIDs(), wantR.OIDs())) {
+				t.Fatalf("%s: float semi-join %d rows (MS %d), join %d (MS %d)", e.Name(), len(got), wantSemi.Len(), len(l), wantL.Len())
+			}
+			col.Free()
 		}
-		col := f32Col("f", vals)
-		ht, err := e.slotTable(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ht.tab.Bits != nil || ht.ndistinct != 1 {
-			t.Fatalf("%s: float keys: %+v, %d distinct", e.Name(), ht.tab, ht.ndistinct)
-		}
-		before := e.dev.KernelLaunches()
-		if _, ng, err := e.Group(col, nil, 0); err != nil || ng != 1 {
-			t.Fatalf("%s: float grouping: %d groups, %v", e.Name(), ng, err)
-		}
-		if err := e.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		// fill, insertion, three-kernel enumeration, lookup: no range
-		// reduction, no identity kernels, no sort.
-		if got := e.dev.KernelLaunches() - before; got != 6 {
-			t.Fatalf("%s: float grouping took %d launches, want the hashed path's 6", e.Name(), got)
-		}
-		col.Free()
 	}
 }
 
@@ -837,5 +896,111 @@ func TestCachedTableOutlivesItsReaders(t *testing.T) {
 		}
 		_ = bm.Release()
 		e.mm.Release(sp)
+	}
+}
+
+// TestSortedAddressingAcrossEngines groups, semi-joins, anti-joins and joins
+// keys identity addressing refuses — sparse int32 keys reaching MinInt32 and
+// MaxInt32, float keys of both signs, and composite keys whose codes span
+// more than 2^32 — on Ocelot-CPU at one, two and eight threads and on the GPU
+// model. Every engine must return the same group id column to the byte, and
+// every result must equal the sequential baseline's: the same partition into
+// groups, the same semi- and anti-join positions and the same join pairs.
+func TestSortedAddressingAcrossEngines(t *testing.T) {
+	const n = 30_000
+	keys := sparseUnique(n/3, math.MinInt32, math.MaxInt32, 61)
+	keys = append(keys, keys[:n/3]...)
+	keys = append(keys, keys[:n/3]...) // every key three times
+	rand.New(rand.NewSource(62)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	probeKeys := append(sparseUnique(n/2, math.MinInt32, math.MaxInt32, 63), keys[:n/2]...)
+	floats := make([]float32, n)
+	probeFloats := make([]float32, n)
+	for i := range floats {
+		floats[i] = math.Float32frombits(uint32(keys[i]) &^ (1 << 30)) // finite, both signs
+		probeFloats[i] = math.Float32frombits(uint32(probeKeys[i]) &^ (1 << 30))
+	}
+	prev := randI32(n, 5, 64)
+	type input struct {
+		name        string
+		build, test func() *bat.BAT
+		prev        []int32
+		nprev       int
+	}
+	inputs := []input{
+		{"sparse int32", func() *bat.BAT { return i32Col("k", keys) }, func() *bat.BAT { return i32Col("p", probeKeys) }, nil, 0},
+		{"float", func() *bat.BAT { return f32Col("k", floats) }, func() *bat.BAT { return f32Col("p", probeFloats) }, nil, 0},
+		{"composite past 2^32", func() *bat.BAT { return i32Col("k", keys) }, nil, prev, 5},
+	}
+	engines := []*Engine{New(cl.NewCPUDevice(1)), New(cl.NewCPUDevice(2)), New(cl.NewCPUDevice(8)), New(cl.NewGPUDevice(128 << 20))}
+	for _, in := range inputs {
+		var grp *bat.BAT
+		if in.prev != nil {
+			grp = i32Col("g", in.prev)
+		}
+		refBAT, refGroups, err := crossMS.Group(in.build(), grp, in.nprev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mem.U32(mem.BytesOfI32(refBAT.I32s()))
+		var firstIDs []uint32
+		for _, e := range engines {
+			name := in.name + " on " + e.Name()
+			col := in.build()
+			var grp *bat.BAT
+			if in.prev != nil {
+				grp = i32Col("g", in.prev)
+			}
+			g, groups, err := e.Group(col, grp, in.nprev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Sync(g); err != nil {
+				t.Fatal(err)
+			}
+			ids := slices.Clone(mem.U32(mem.BytesOfI32(g.I32s())))
+			if groups != refGroups || !samePartition(ids, ref) {
+				t.Fatalf("%s: %d groups, baseline %d; same partition: %v", name, groups, refGroups, samePartition(ids, ref))
+			}
+			if firstIDs == nil {
+				firstIDs = ids
+			} else if !equalU32(ids, firstIDs) {
+				t.Fatalf("%s: the group ids differ from %s's", name, engines[0].Name())
+			}
+			if in.test == nil {
+				continue
+			}
+			probe := in.test()
+			ht, err := e.slotTable(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ht.tab.Keys == nil || ht.ndistinct != n/3 {
+				t.Fatalf("%s: the build side took %+v with %d distinct keys", name, ht.tab, ht.ndistinct)
+			}
+			for _, negate := range []bool{false, true} {
+				got, err := e.existenceJoin(probe, col, negate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := crossMS.SemiJoin(probe, col)
+				if negate {
+					want, err = crossMS.AntiJoin(probe, col)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalU32(syncedOIDs(t, e, got), want.OIDs()) {
+					t.Fatalf("%s: existence join (negate %v) differs from the baseline's", name, negate)
+				}
+			}
+			l, r := joinBytes(t, e, probe, col)
+			wantL, wantR, err := crossMS.Join(probe, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sortedPairs(l, r), sortedPairs(wantL.OIDs(), wantR.OIDs())) {
+				t.Fatalf("%s: join gives %d pairs, the baseline %d", name, len(l), wantL.Len())
+			}
+		}
 	}
 }

@@ -232,7 +232,7 @@ func BenchmarkGroupRuns(b *testing.B) {
 	const n = 600_000
 	_, _, gsz := Geometry(e.dev)
 	col, prev, ids, want := e.buf(b, n+1), e.buf(b, n+1), e.buf(b, n+1), e.buf(b, n+1)
-	flags, excl, parts := e.buf(b, n+1), e.buf(b, n+1), e.buf(b, KeyRangeWords(e.dev, n))
+	flags, excl, parts := e.buf(b, n+1), e.buf(b, n+1), e.buf(b, KeyRangeWords(e.dev))
 	s := GroupSortScratch{K0: e.buf(b, n+1), V0: e.buf(b, n+1), K1: e.buf(b, n+1), V1: e.buf(b, n+1),
 		Hist: e.buf(b, SortHistWords(e.dev)+1), Spine: e.buf(b, gsz+2), Total: e.buf(b, 1)}
 	r := rand.New(rand.NewSource(11))
@@ -241,7 +241,7 @@ func BenchmarkGroupRuns(b *testing.B) {
 		if err := KeyRange(e.q, parts, col, prev, n, nil).Wait(); err != nil {
 			b.Fatal(err)
 		}
-		ks := FoldKeyRange(e.dev, parts.U32(), n, groups)
+		ks := FoldKeyRange(e.dev, parts.U32(), groups)
 		b.Run(fmt.Sprintf("run=%d", run), func(b *testing.B) {
 			var spent [2]time.Duration
 			for i := -1; i < b.N; i++ { // round -1 checks, untimed
@@ -322,7 +322,7 @@ func BenchmarkGroupRegion(b *testing.B) {
 		want[i], got[i] = e.buf(b, 8), e.buf(b, 8)
 		scratch[i] = [4]*cl.Buffer{e.buf(b, 6*SumChunks+1), e.buf(b, 8), e.buf(b, 8), e.buf(b, 6*SumChunks+1)}
 	}
-	parts, spine, total := e.buf(b, KeyRangesWords(e.dev, n, 2)), e.buf(b, gsz+2), e.buf(b, 1)
+	parts, spine, total := e.buf(b, KeyRangesWords(e.dev, 2)), e.buf(b, gsz+2), e.buf(b, 1)
 	bitsBuf, rank := e.buf(b, 8), e.buf(b, 8)
 	ids1, ids2 := e.buf(b, n+1), e.buf(b, n+1)
 
@@ -330,7 +330,7 @@ func BenchmarkGroupRegion(b *testing.B) {
 		if err := KeyRange(e.q, parts, col, prev, n, nil).Wait(); err != nil {
 			b.Fatal(err)
 		}
-		ks := FoldKeyRange(e.dev, parts.U32(), n, nprev)
+		ks := FoldKeyRange(e.dev, parts.U32(), nprev)
 		words := IdentityWords(e.dev, n, ks.Range())
 		tab := Slots{Bits: bitsBuf, Rank: rank, Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
 		zero := Fill(e.q, tab.Bits, words, 0, nil)
@@ -376,7 +376,7 @@ func BenchmarkGroupRegion(b *testing.B) {
 		if err := KeyRanges(e.q, parts, keys, n, nil).Wait(); err != nil {
 			b.Fatal(err)
 		}
-		ks := FoldKeyRanges(e.dev, parts.U32(), n, 2)
+		ks := FoldKeyRanges(e.dev, parts.U32(), 2)
 		codes := int((ks[0].Span + 1) * (ks[1].Span + 1))
 		present.U32()[0] = 0
 		if err := GroupRegionFold(e.q, code, present, keys, ks, accs, n, codes, nil).Wait(); err != nil {

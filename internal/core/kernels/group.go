@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"slices"
-
 	"repro/internal/cl"
 )
 
@@ -37,13 +35,16 @@ func GroupIDsFromScan(q *cl.Queue, ids, excl, flags *cl.Buffer, n int, wait []*c
 }
 
 // Sparse-key grouping by sorting. §4.1.6 hashes every unsorted input; where
-// SortGroupBits says the hashed table would miss cache on every row, Group
-// instead packs each row's composite key into one word, radix-sorts (code,
-// row) with the §4.1.3 sort over only the passes the measured range needs,
-// flags the run boundaries, scans them and scatters the ids back to row
-// order. Ids come out in code order — prev-major, (previous id, key) — on
-// every device and thread count, where identity addressing numbers the same
-// pairs key-major; nothing can fail, so there is no fail word and no restart.
+// identity addressing refuses the keys' range (IdentityWords), Group instead
+// packs each row's composite key into one word, radix-sorts (code, row) with
+// the §4.1.3 sort over only the passes the measured range needs, flags the
+// run boundaries, scans them and scatters the ids back to row order. A
+// composite range wider than a word sorts by its two words in turn. Ids come
+// out in code order — prev-major, (previous id, key) — on every device and
+// thread count, where identity addressing numbers the same pairs key-major;
+// nothing can fail, so there is no fail word and no restart. The sorted
+// addressing of the lookup table (SortedSlots) runs the same pipeline and
+// keeps one code per run.
 
 // Refining a clustered grouping inside its runs. When the previous ids are
 // non-decreasing in row order, the rows of one previous id are one run and the
@@ -126,69 +127,16 @@ func rankRuns(c, p []int32, f []uint32, ids []int32, s, hi int) {
 	}
 }
 
-// keySampleLen is the number of rows KeyRange samples out of n for the
-// distinct estimate, and keySampleStride the distance between them — odd, so
-// that a power-of-two period in the data does not alias with it.
-func keySampleLen(n int) int { return min(n, 1024) }
-
-func keySampleStride(n int) int {
-	stride := max(1, n/keySampleLen(n))
-	if stride > 1 && stride%2 == 0 {
-		stride--
-	}
-	return stride
-}
-
-// KeyRangeWords is the size of KeyRange's partials buffer: min, max and the
-// run verdict per work-item, then the sampled (key word, second word) pairs.
-func KeyRangeWords(dev *cl.Device, n int) int {
-	_, _, gsz := Geometry(dev)
-	return 3*gsz + 2*keySampleLen(n)
-}
-
-// estimateDistinct estimates the distinct composite keys among n rows from
-// KeyRange's sample ((key word, second word) pairs; packed and sorted in
-// place): the distinct codes seen plus Chao's estimate of the unseen ones from
-// the codes seen once and twice, f1(f1-1)/2(f2+1). A sample that is the whole
-// input is counted exactly.
-func estimateDistinct(ks KeySpace, sample []uint32, n int) int {
-	samples := keySampleLen(n)
-	codes := sample[:samples]
-	for j := range codes {
-		codes[j] = ks.code(sample[2*j], sample[2*j+1]) // in place: j <= 2j
-	}
-	slices.Sort(codes)
-	var seen, once, twice int
-	for i := 0; i < samples; {
-		j := i + 1
-		for j < samples && codes[j] == codes[i] {
-			j++
-		}
-		seen++
-		switch j - i {
-		case 1:
-			once++
-		case 2:
-			twice++
-		}
-		i = j
-	}
-	if samples == n {
-		return seen
-	}
-	return int(min(uint64(n), ks.Range(), uint64(seen+once*(once-1)/(2*(twice+1)))))
-}
-
 // code packs composite key (k, b) into one word, second-word-major — code =
 // b·(Span+1) + k − Min — so that code order is (b, k) order: prev-major, where
 // identity addressing's bit (k − Min)·Prev + b is key-major. Only valid when
-// ks.Range() fits a word.
+// ks.Range() fits a word; code(k, 0) is the low word k − Min of a wider range.
 func (ks KeySpace) code(k, b uint32) uint32 { return b*(ks.Span+1) + (k - ks.Min) }
 
-// GroupSortScratch is the working memory of GroupBySort: two (code, row)
-// buffer pairs of n words each — the pair the sort does not end in then holds
-// boundary flags and their scan — the sort's histogram (SortHistWords), scan
-// partials (gsz+1 words) and the boundary count.
+// GroupSortScratch is the working memory of GroupBySort and SortedSlots: two
+// (code, row) buffer pairs of n words each — the two buffers the sort does
+// not end in then hold boundary flags and their scan — the sort's histogram
+// (SortHistWords), scan partials (gsz+1 words) and the boundary count.
 type GroupSortScratch struct {
 	K0, V0, K1, V1     *cl.Buffer
 	Hist, Spine, Total *cl.Buffer
@@ -196,36 +144,11 @@ type GroupSortScratch struct {
 
 // GroupBySort enqueues the whole sort path over col (and prev, the second key
 // word, nil for single-word keys): ids[i] receives the dense id of row i's
-// key, numbered in code order; ks.Range() must fit one word. Once scanned has
-// landed, Total[0]+1 is the number of groups; done is the last kernel.
+// key, numbered in code order. Once scanned has landed, Total[0]+1 is the
+// number of groups; done is the last kernel.
 func GroupBySort(q *cl.Queue, ids, col, prev *cl.Buffer, ks KeySpace, s GroupSortScratch, n int, wait []*cl.Event) (scanned, done *cl.Event) {
-	src, codes, rows := col.U32(), s.K0.U32(), s.V0.U32()
-	var pv []uint32
-	streamed := int64(n) * 12
-	if prev != nil {
-		pv = prev.U32()
-		streamed += int64(n) * 4
-	}
-	pack := q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-		for i := lo; i < hi; i += step {
-			var b uint32
-			if pv != nil {
-				b = pv[i]
-			}
-			codes[i], rows[i] = ks.code(src[i], b), uint32(i)
-		}
-	}, launch(q.Device(), "group_pack", n, cl.Cost{BytesStreamed: streamed, Ops: int64(n) * 2}, wait))
-
-	sortedK, sortedV, sev := sortPasses(q, s.K0, s.V0, s.K1, s.V1, s.Hist, n, RadixBits(q.Device()), codeBits(ks.Range()), []*cl.Event{pack})
-	flags, excl := s.K1, s.V1
-	if sortedK == s.K1 {
-		flags, excl = s.K0, s.V0
-	}
-	fev := GroupBoundaryFlags(q, flags, sortedK, n, []*cl.Event{sev})
-	scanned = PrefixSum(q, excl, flags, s.Spine, s.Total, n, []*cl.Event{fev})
-
-	d, e, f, r := ids.I32(), excl.U32(), flags.U32(), sortedV.U32()
+	_, rows, flags, excl, scanned := sortRuns(q, col, prev, ks, s, n, wait)
+	d, e, f, r := ids.I32(), excl.U32(), flags.U32(), rows.U32()
 	done = q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi, step := t.Span(n)
 		for i := lo; i < hi; i += step {
@@ -234,4 +157,83 @@ func GroupBySort(q *cl.Queue, ids, col, prev *cl.Buffer, ks KeySpace, s GroupSor
 	}, launch(q.Device(), "group_ids_scatter", n,
 		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * 4}, []*cl.Event{scanned}))
 	return scanned, done
+}
+
+// SortedSlots enqueues the sorted addressing's slots stage over n > 0
+// single-word keys measured as ks: GroupBySort's pipeline up to the scan,
+// then one compaction that writes each run's code to its id — keys[id] =
+// code. keys needs n words. Once scanned has landed, Total[0]+1 is the
+// number of distinct keys; done is the compaction.
+func SortedSlots(q *cl.Queue, keys, col *cl.Buffer, ks KeySpace, s GroupSortScratch, n int, wait []*cl.Event) (scanned, done *cl.Event) {
+	codes, _, flags, excl, scanned := sortRuns(q, col, nil, ks, s, n, wait)
+	d, c, e, f := keys.U32(), codes.U32(), excl.U32(), flags.U32()
+	done = q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi, step := t.Span(n)
+		for i := lo; i < hi; i += step {
+			if i == 0 || f[i] != 0 {
+				d[e[i]+f[i]] = c[i]
+			}
+		}
+	}, launch(q.Device(), "sorted_slots_compact", n, cl.Cost{BytesStreamed: int64(n) * 12}, []*cl.Event{scanned}))
+	return scanned, done
+}
+
+// sortRuns is what GroupBySort and SortedSlots share: pack every row's code
+// with its row number, radix-sort the pairs, flag the first row of every run
+// of equal keys and scan the flags. It returns the buffers holding the sorted
+// codes, the rows in that order, the flags and their exclusive scan. A range
+// wider than one word (composite keys only) is sorted by its low word k-Min
+// first, then — stably — by its high word, the previous ids gathered through
+// the first sort's permutation; that is code order, and the flags compare
+// both words.
+func sortRuns(q *cl.Queue, col, prev *cl.Buffer, ks KeySpace, s GroupSortScratch, n int, wait []*cl.Event) (codes, rows, flags, excl *cl.Buffer, scanned *cl.Event) {
+	dev := q.Device()
+	src, k0, v0 := col.U32(), s.K0.U32(), s.V0.U32()
+	wide := ks.Range() > 1<<32
+	var pv []uint32
+	streamed := int64(n) * 12
+	if prev != nil && !wide {
+		pv = prev.U32()
+		streamed += int64(n) * 4
+	}
+	pack := q.EnqueueKernel(func(t *cl.Thread) {
+		lo, hi, step := t.Span(n)
+		for i := lo; i < hi; i += step {
+			k0[i], v0[i] = ks.code(src[i], wordAt(pv, i)), uint32(i)
+		}
+	}, launch(dev, "group_pack", n, cl.Cost{BytesStreamed: streamed, Ops: int64(n) * 2}, wait))
+
+	bufs := []*cl.Buffer{s.K0, s.V0, s.K1, s.V1}
+	if !wide {
+		codes, rows, scanned = sortPasses(q, s.K0, s.V0, s.K1, s.V1, s.Hist, n, RadixBits(dev), codeBits(ks.Range()), []*cl.Event{pack})
+		flags, excl = freePair(bufs, codes, rows)
+		scanned = GroupBoundaryFlags(q, flags, codes, n, []*cl.Event{scanned})
+	} else {
+		lowK, lowV, lev := sortPasses(q, s.K0, s.V0, s.K1, s.V1, s.Hist, n, RadixBits(dev), codeBits(uint64(ks.Span)+1), []*cl.Event{pack})
+		highK, tmpV := freePair(bufs, lowK, lowV)
+		gev := Gather(q, highK, prev, lowV, n, []*cl.Event{lev})
+		codes, rows, scanned = sortPasses(q, highK, lowV, lowK, tmpV, s.Hist, n, RadixBits(dev), codeBits(uint64(ks.Prev)), []*cl.Event{gev})
+		flags, excl = freePair(bufs, codes, rows)
+		h, r, f := codes.U32(), rows.U32(), flags.U32()
+		scanned = q.EnqueueKernel(func(t *cl.Thread) {
+			lo, hi, step := t.Span(n)
+			for i := lo; i < hi; i += step {
+				f[i] = b2u(i > 0 && (h[i] != h[i-1] || src[r[i]] != src[r[i-1]]))
+			}
+		}, launch(dev, "group_boundaries_wide", n,
+			cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * 4}, []*cl.Event{scanned}))
+	}
+	scanned = PrefixSum(q, excl, flags, s.Spine, s.Total, n, []*cl.Event{scanned})
+	return codes, rows, flags, excl, scanned
+}
+
+// freePair returns the two buffers of bufs that are neither a nor b.
+func freePair(bufs []*cl.Buffer, a, b *cl.Buffer) (x, y *cl.Buffer) {
+	var free []*cl.Buffer
+	for _, c := range bufs {
+		if c != a && c != b {
+			free = append(free, c)
+		}
+	}
+	return free[0], free[1]
 }

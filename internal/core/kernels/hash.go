@@ -7,114 +7,70 @@ import (
 	"repro/internal/cl"
 )
 
-// Parallel hashing (§4.1.4), building on Alcantara-style GPU hashing. The
-// paper inserts in three rounds — *optimistic* (no synchronisation), *check*
-// (did every key land?), *pessimistic* (compare-and-swap for the failed
-// ones). This engine runs the pessimistic round alone: rows claim slots with
-// compare-and-swap, "re-hash[ing] with six strong hash functions before
-// reverting to linear probing" — the optimistic round won on no key shape
-// measured (DESIGN.md, substitution table). There is no stash — if a row
-// exhausts the table, the host restarts with an increased table size. Tables
-// are over-allocated by the paper's factor 1.4 (§4.1.4: observed ~75% fill
-// rate).
+// The lookup table of §4.1.4, after He et al. [19]: a slots stage that
+// gives every distinct build key a dense id, then per-key counting, a prefix
+// sum into bucket starts and a scatter of row ids. Grouping uses the dense
+// ids directly as group ids; joins use the buckets.
 //
-// On top of the slot table, the multi-stage lookup structure of He et al.
-// [19] groups build-side row ids into per-key buckets: slot→dense-id
-// enumeration, per-key counting, a prefix sum into bucket starts, and a
-// scatter of row ids. Grouping uses the dense ids directly as group ids;
-// joins use the buckets.
+// The paper fills the slots by parallel hashing — compare-and-swap along six
+// hash functions, restarting with a larger table when a row finds no slot.
+// This engine addresses them deterministically instead, in one of two ways
+// chosen from what one KeyRange launch measures of the keys:
 //
-// The slot table has a second *addressing* for dense key sets (row positions,
-// dictionary codes, code × previous-group-id composites): when the keys'
-// measured range is small enough (IdentityWords), the slots are a bitmap over
-// [min, max] — the engine's own selection representation, §4.1.2 — plus a
-// per-word popcount rank directory, and a key addresses its slot by identity
-// instead of by hashing. Everything above the slots reads either addressing
-// through Slots.
-
-// OverAllocate is the paper's hash-table over-allocation factor.
-const OverAllocate = 1.4
-
-// numHashFuncs is the number of strong hash functions probed before linear
-// probing takes over (§4.1.4).
-const numHashFuncs = 6
-
-// hashConsts are the per-function multiply-shift constants (odd, high
-// entropy). Two per function: one for each key word of composite keys.
-var hashConsts = [numHashFuncs][2]uint32{
-	{2654435761, 2246822519},
-	{3266489917, 668265263},
-	{374761393, 2654435789},
-	{2146121005, 2447445397},
-	{3644798167, 897767265},
-	{1689344125, 2971215073},
-}
-
-// slotEmpty/slotUsed are the slot state values.
-const (
-	slotEmpty uint32 = 0
-	slotUsed  uint32 = 1
-)
-
-// hashSlot computes probe position p for composite key (k1,k2): positions
-// 0..5 use the six hash functions, later positions probe linearly from h5.
-func hashSlot(k1, k2, mask uint32, p int) uint32 {
-	if p < numHashFuncs {
-		h := k1*hashConsts[p][0] ^ k2*hashConsts[p][1]
-		h ^= h >> 15
-		return h & mask
-	}
-	h := k1*hashConsts[numHashFuncs-1][0] ^ k2*hashConsts[numHashFuncs-1][1]
-	h ^= h >> 15
-	return (h + uint32(p-numHashFuncs+1)) & mask
-}
-
-// TableCapacity returns the power-of-two slot count for n keys under the
-// 1.4× over-allocation rule.
-func TableCapacity(n int) int {
-	want := int(float64(n)*OverAllocate) + 8
-	c := 8
-	for c < want {
-		c <<= 1
-	}
-	return c
-}
+//   - identity, when the keys' range is small enough (IdentityWords): a
+//     bitmap over [min, max] — the engine's own selection representation,
+//     §4.1.2 — plus a per-word popcount rank directory, and a key's id is the
+//     number of set bits before its own;
+//   - sorted, for every other key set: the distinct key codes in ascending
+//     order, built by the radix sort of §4.1.3 (SortedSlots), and a key's id
+//     is its position, found by binary search.
+//
+// Either way a key's id is its rank among the distinct keys, the same on
+// every device and thread count, and nothing can fail: no compare-and-swap,
+// no fail flag, no restart. Everything above the slots reads either
+// addressing through Slots.
 
 // Slots is the slots stage of the lookup table as the kernels see it: one
-// structure under one of two addressings. Hashed (§4.1.4): State/Keys1/
-// (Keys2)/SlotGid over Capacity slots. Identity (Bits != nil): key word k of
-// a key (k, b) owns bit (k-Min)*Prev + b of Bits, and its dense id is the
+// structure under one of two addressings. Identity (Bits != nil): key word k
+// of a key (k, b) owns bit (k-Min)*Prev + b of Bits, and its dense id is the
 // number of set bits before it — Rank[word] plus a popcount — so ids number
-// the keys key-major, in (k, b) order, whatever the thread count. (The sort
-// and run paths number the same pairs prev-major, in (b, k) order:
+// the keys key-major, in (k, b) order. Sorted (Keys != nil, single-word keys
+// only): Keys holds the Distinct codes k-Min in ascending order, and a key's
+// id is its code's position, so ids number the keys in k order. (The sort and
+// run paths of Group number composite pairs prev-major, in (b, k) order:
 // KeySpace.code.)
 type Slots struct {
-	State, Keys1, Keys2, SlotGid *cl.Buffer
-	Capacity                     int
-
 	Bits, Rank *cl.Buffer
+	Keys       *cl.Buffer
+	Distinct   int    // sorted addressing: the number of codes in Keys
 	Min        uint32 // smallest key word (int32 order)
 	Span       uint32 // largest key word - Min
 	Prev       uint32 // composite keys: b < Prev; 1 for single-word keys
 }
 
-// SlotBytes bounds the device bytes of the slots stage over n keys under
-// either addressing: the hashed state/keys/slot-id arrays, or the device's
-// local memory size (a §4.2 build constant) where that is larger.
+// SlotBytes is the byte budget of identity addressing over n keys: 12 bytes
+// for each slot of the smallest power of two at least 1.4n + 8 — the size of
+// the over-allocated slot arrays of §4.1.4's parallel hashing, which the
+// budget was first priced against — or the device's local memory size (a
+// §4.2 build constant) where that is larger. The sorted addressing's codes,
+// at most n words, stay below it too.
 func SlotBytes(dev *cl.Device, n int) int64 {
-	return max(12*int64(TableCapacity(n)), int64(dev.Const.LocalMemSize))
+	want, slots := int(float64(n)*1.4)+8, 8
+	for slots < want {
+		slots <<= 1
+	}
+	return max(12*int64(slots), int64(dev.Const.LocalMemSize))
 }
 
 // IdentityWords is the addressing rule, a pure function of what the build
 // observes and the device's build constants: the bitmap length in words when
 // n keys spanning keyRange distinct addresses take identity addressing, 0
-// when they stay hashed. Identity addressing is chosen when bitmap plus rank
-// directory occupy no more device bytes than the hashed arrays would — or
-// than the device's local memory holds, whatever n: a handful of keys spread
-// over a small range (140 part positions in [0, 20 000)) is probed by every
-// row of the other side, and a structure of that size stays in the cores'
-// nearest cache where the hashed probe pays for its six hash functions.
-// Either way the slots occupy at most SlotBytes.
+// when they are sorted (or, grouped, numbered inside runs). Identity addressing is chosen when bitmap plus rank
+// directory occupy no more than SlotBytes — which holds, whatever n, for a
+// structure the size of local memory: a handful of keys spread over a small
+// range (140 part positions in [0, 20 000)) is probed by every row of the
+// other side, and a structure of that size stays in the cores' nearest
+// cache.
 func IdentityWords(dev *cl.Device, n int, keyRange uint64) int {
 	words := (keyRange + 31) / 32
 	if keyRange == 0 || keyRange > 1<<32 || int64(8*words) > SlotBytes(dev, n) {
@@ -123,77 +79,44 @@ func IdentityWords(dev *cl.Device, n int, keyRange uint64) int {
 	return int(words)
 }
 
-// hashedKeyBytes is what one distinct key occupies of the cache while a
-// hashed table is built and read: hashing scatters the keys over the table, so
-// each owns a line of its own in each of state, keys and slot ids.
-// cacheResidentBytes is the working set up to which those lines are still
-// served from the cores' private caches; past it every insert and look-up
-// waits for a miss. Ablation A4 puts the crossover of the two paths between
-// 16 k and 64 k distinct keys; this product puts the switch at 21 845.
-const (
-	hashedKeyBytes     = 3 * 64
-	cacheResidentBytes = 4 << 20
-)
-
-// SortGroupBits is the grouping rule, a pure function of what the build
-// observes like IdentityWords beside it: the width in bits of the packed
-// composite code when Group sorts n rows and numbers the runs, 0 when it
-// looks the ids up through the slots. Grouping sorts when the keys are
-// integers whose composite range fits one word, identity addressing has
-// refused that range, and the distinct keys the build estimates (distinct,
-// from KeyRange's sample) would occupy more lines of a hashed table than
-// stay cache-resident, while the sort streams whatever the keys are. The two
-// rules meet at the local-memory clause of IdentityWords: a range whose
-// bitmap fits local memory (131 072 addresses on the CPU) is never sorted,
-// however many of its keys are distinct — its identity slots are smaller than
-// the cache-resident bound by two orders of magnitude.
-func SortGroupBits(dev *cl.Device, n int, keyRange uint64, distinct int) int {
-	if keyRange == 0 || keyRange > 1<<32 || IdentityWords(dev, n, keyRange) > 0 ||
-		int64(distinct)*hashedKeyBytes <= cacheResidentBytes {
-		return 0
-	}
-	return codeBits(keyRange)
-}
-
 // codeBits is the width of the packed codes 0..keyRange-1.
 func codeBits(keyRange uint64) int { return max(1, bits.Len64(keyRange-1)) }
 
 // probeBytes is the data-dependent volume of one probe for the cost model:
-// state, key and slot id when hashed; bitmap word and rank word otherwise.
+// bitmap word and rank word, or a word for each step of the binary search.
 func (s Slots) probeBytes() int64 {
 	if s.Bits != nil {
 		return 8
 	}
-	return 12
+	return 4 * int64(bits.Len(uint(s.Distinct)))
 }
 
 // slotView is Slots with the buffer views resolved, for use inside kernels,
-// which branch on the addressing before their row loop: ident's look-ups are
-// small enough to be inlined into it, a hashed one walks the probe sequence.
+// which branch on the addressing before their row loop and copy the view they
+// take into a local first: ident's look-ups are small enough to be inlined
+// into the loop, a sorted one is a binary search.
 type slotView struct {
-	st, k1, k2, sg []uint32
-	mask           uint32
-	capacity       int
-
-	ident identView // ident.bits != nil under identity addressing
-}
-
-// identView is the identity addressing of a slotView.
-type identView struct {
-	bits, rank      []uint32
-	min, span, prev uint32
+	ident  identView // ident.bits != nil under identity addressing
+	sorted sortedView
 }
 
 func (s Slots) view() *slotView {
 	if s.Bits != nil {
 		return &slotView{ident: identView{bits: s.Bits.U32(), rank: s.Rank.U32(), min: s.Min, span: s.Span, prev: s.Prev}}
 	}
-	v := &slotView{st: s.State.U32(), k1: s.Keys1.U32(), sg: s.SlotGid.U32(),
-		mask: uint32(s.Capacity - 1), capacity: s.Capacity}
-	if s.Keys2 != nil {
-		v.k2 = s.Keys2.U32()
-	}
-	return v
+	return &slotView{sorted: sortedView{keys: s.Keys.U32()[:s.Distinct], min: s.Min}}
+}
+
+// identView is the identity addressing of Slots.
+type identView struct {
+	bits, rank      []uint32
+	min, span, prev uint32
+}
+
+// sortedView is the sorted addressing of Slots.
+type sortedView struct {
+	keys []uint32
+	min  uint32
 }
 
 // gid finds the dense id of key (a, b) in the bitmap, or -1; b is 0 for
@@ -223,6 +146,29 @@ func (v identView) has(a uint32) uint32 {
 	return in & (v.bits[d>>5] >> (d & 31))
 }
 
+// gid finds the dense id of key a among the sorted codes, or -1. a-min is a
+// bijection of the 32-bit words, so a key outside the build's range finds no
+// code of its own. The search halves the candidates without a branch: whether
+// a probe key is present is what the branch predictor cannot know, and a
+// branching search over 1 373 codes took twice as long a probe.
+func (v sortedView) gid(a uint32) int32 {
+	c, keys := a-v.min, v.keys
+	n := len(keys)
+	if n == 0 {
+		return -1
+	}
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		base += half & -int(b2u(keys[base+half] <= c))
+		n -= half
+	}
+	if keys[base] != c {
+		return -1
+	}
+	return int32(base)
+}
+
 // wordAt is the second key word of row i: prev[i], or 0 for single-word keys
 // (nil prev).
 func wordAt(prev []uint32, i int) uint32 {
@@ -232,30 +178,15 @@ func wordAt(prev []uint32, i int) uint32 {
 	return prev[i]
 }
 
-// hashedGid walks the probe sequence of §4.1.4: the six hash functions, then
-// linear probing, until the key or an empty slot.
-func (v *slotView) hashedGid(a, b uint32) int32 {
-	for p := 0; p < v.capacity; p++ {
-		s := hashSlot(a, b, v.mask, p)
-		if v.st[s] == slotEmpty {
-			return -1
-		}
-		if v.k1[s] == a && (v.k2 == nil || v.k2[s] == b) {
-			return int32(v.sg[s])
-		}
-	}
-	return -1
-}
-
 // KeySpace is what one KeyRange launch observes of n key words: their range in
 // int32 order and, for composite keys (k, b), the bound Prev on b (1 for
-// single-word keys; the zero KeySpace is "not measured"). Distinct estimates
-// the distinct keys; it is only taken where SortGroupBits reads it. Runs says
-// that the second words are non-decreasing in row order in runs of at most
-// MaxRefineRun rows, where GroupByRuns gives the sort path's ids.
+// single-word keys; the zero KeySpace is "not measured"). Float keys are
+// measured by their bit patterns, read as int32 like any key word: equality
+// is bit equality. Runs says that the second words are non-decreasing in row
+// order in runs of at most MaxRefineRun rows, where GroupByRuns gives the sort
+// path's ids.
 type KeySpace struct {
 	Min, Span, Prev uint32
-	Distinct        int
 	Runs            bool
 }
 
@@ -267,11 +198,8 @@ func (k KeySpace) Range() uint64 { return (uint64(k.Span) + 1) * uint64(k.Prev) 
 // partials[3g+1] (MaxInt32/MinInt32 for an empty span), and FoldKeyRange folds
 // them on the host, which has to read the result back anyway to pick the
 // addressing. For composite keys, partials[3g+2] is its span's run verdict
-// (shortRuns). The same launch copies a fixed-stride sample of keySampleLen(n)
-// keys behind the partials — (key word, second word) pairs, the second word
-// from prev for composite keys and 0 otherwise — for the distinct estimate.
-// The decision is taken from this measurement, so an append can never leave it
-// stale. partials needs KeyRangeWords words.
+// (shortRuns). The decision is taken from this measurement, so an append can
+// never leave it stale. partials needs KeyRangeWords words.
 func KeyRange(q *cl.Queue, partials, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	return keyRange(q, partials, col, prev, nil, n, wait)
 }
@@ -285,10 +213,17 @@ func KeyRanges(q *cl.Queue, partials *cl.Buffer, cols []*cl.Buffer, n int, wait 
 	return keyRange(q, partials, cols[0], nil, cols[1:], n, wait)
 }
 
-// KeyRangesWords is the size of KeyRanges' partials buffer over keys columns.
-func KeyRangesWords(dev *cl.Device, n, keys int) int {
+// KeyRangeWords is the size of KeyRange's partials buffer: min, max and the
+// run verdict per work-item.
+func KeyRangeWords(dev *cl.Device) int {
 	_, _, gsz := Geometry(dev)
-	return KeyRangeWords(dev, n) + 2*gsz*(keys-1)
+	return 3 * gsz
+}
+
+// KeyRangesWords is the size of KeyRanges' partials buffer over keys columns.
+func KeyRangesWords(dev *cl.Device, keys int) int {
+	_, _, gsz := Geometry(dev)
+	return KeyRangeWords(dev) + 2*gsz*(keys-1)
 }
 
 func keyRange(q *cl.Queue, partials, col, prev *cl.Buffer, more []*cl.Buffer, n int, wait []*cl.Event) *cl.Event {
@@ -306,29 +241,21 @@ func keyRange(q *cl.Queue, partials, col, prev *cl.Buffer, more []*cl.Buffer, n 
 		others[k] = c.I32()[:n]
 	}
 	_, _, gsz := Geometry(q.Device())
-	samples, stride := keySampleLen(n), keySampleStride(n)
-	sample := p[3*gsz : 3*gsz+2*samples]
-	base := KeyRangeWords(q.Device(), n)
+	base := KeyRangeWords(q.Device())
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		g := 3 * t.Global
 		p[g], p[g+1] = minMaxI32(src, t)
 		p[g+2] = shortRuns(pv, t)
-		slo, shi := t.ChunkSpan(samples)
-		copyKeySample(sample, src, pv, slo, shi, stride)
 		for k, o := range others {
 			m := base + 2*(k*gsz+t.Global)
 			p[m], p[m+1] = minMaxI32(o, t)
 		}
 	}, launch(q.Device(), "key_range", n, cl.Cost{
-		BytesStreamed: streamed, BytesRandom: int64(samples) * 8, Ops: int64(n) * 2 * int64(1+len(more)),
+		BytesStreamed: streamed, Ops: int64(n) * 2 * int64(1+len(more)),
 	}, wait))
 }
 
-// minMaxI32 is KeyRange's reduction over one work-item's span and
-// copyKeySample its sampling step for samples lo..hi-1 (row j*stride each).
-// They are functions, not loops in the kernel closure: with the sample's
-// slices live in the closure the min/max loop over all n rows ran a fifth
-// slower.
+// minMaxI32 is KeyRange's reduction over one work-item's span of src.
 func minMaxI32(src []int32, t *cl.Thread) (mn, mx int32) {
 	lo, hi, step := t.Span(len(src))
 	mn, mx = math.MaxInt32, math.MinInt32
@@ -356,20 +283,9 @@ func shortRuns(prev []int32, t *cl.Thread) int32 {
 	return 1
 }
 
-func copyKeySample(sample, src, prev []int32, lo, hi, stride int) {
-	for j := lo; j < hi; j++ {
-		sample[2*j], sample[2*j+1] = src[j*stride], 0
-		if prev != nil {
-			sample[2*j+1] = prev[j*stride]
-		}
-	}
-}
-
-// FoldKeyRange folds KeyRange's partials over n keys, read back to the host
-// (and reordered in place): the range, and — where the range is one Group
-// could sort — the distinct estimate from the sample. nprev bounds the second
-// key word, 1 for single-word keys.
-func FoldKeyRange(dev *cl.Device, partials []uint32, n int, nprev uint32) KeySpace {
+// FoldKeyRange folds KeyRange's partials, read back to the host. nprev bounds
+// the second key word, 1 for single-word keys.
+func FoldKeyRange(dev *cl.Device, partials []uint32, nprev uint32) KeySpace {
 	_, _, gsz := Geometry(dev)
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	runs := true
@@ -377,22 +293,18 @@ func FoldKeyRange(dev *cl.Device, partials []uint32, n int, nprev uint32) KeySpa
 		lo, hi = min(lo, int32(partials[i])), max(hi, int32(partials[i+1]))
 		runs = runs && partials[i+2] == 1
 	}
-	ks := KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev, Runs: runs}
-	if r := ks.Range(); r <= 1<<32 && IdentityWords(dev, n, r) == 0 {
-		ks.Distinct = estimateDistinct(ks, partials[3*gsz:], n)
-	}
-	return ks
+	return KeySpace{Min: uint32(lo), Span: uint32(hi) - uint32(lo), Prev: nprev, Runs: runs}
 }
 
-// FoldKeyRanges folds KeyRanges' partials over n rows of keys columns, read
-// back to the host: the first key's KeySpace is the one FoldKeyRange gives a
-// single-word key, the later ones carry their range alone.
-func FoldKeyRanges(dev *cl.Device, partials []uint32, n, keys int) []KeySpace {
+// FoldKeyRanges folds KeyRanges' partials over keys columns, read back to the
+// host: the first key's KeySpace is the one FoldKeyRange gives a single-word
+// key, the later ones carry their range alone.
+func FoldKeyRanges(dev *cl.Device, partials []uint32, keys int) []KeySpace {
 	_, _, gsz := Geometry(dev)
 	ks := make([]KeySpace, keys)
-	ks[0] = FoldKeyRange(dev, partials, n, 1)
+	ks[0] = FoldKeyRange(dev, partials, 1)
 	for j := 1; j < keys; j++ {
-		p := partials[KeyRangeWords(dev, n)+2*gsz*(j-1):]
+		p := partials[KeyRangeWords(dev)+2*gsz*(j-1):]
 		lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 		for i := 0; i < 2*gsz; i += 2 {
 			lo, hi = min(lo, int32(p[i])), max(hi, int32(p[i+1]))
@@ -468,98 +380,10 @@ func IdentityRank(q *cl.Queue, s Slots, partials, total *cl.Buffer, words int, w
 	}, launch(dev, "identity_rank_assign", words, cl.Cost{BytesStreamed: int64(words) * 8}, []*cl.Event{ev2}))
 }
 
-// HashInsertPessimistic enqueues the insertion round: rows claim slots with
-// CAS along the probe sequence, spinning past in-flight claims; a row whose
-// key is already there only reads, so a low-cardinality build shares lines. If a
-// row exhausts the table, fail[0] is raised and the host restarts with a
-// doubled table. keys2/prev are nil for single-word keys.
-func HashInsertPessimistic(q *cl.Queue, state, keys1, keys2 *cl.Buffer, col, prev *cl.Buffer, fail *cl.Buffer, n, capacity int, wait []*cl.Event) *cl.Event {
-	const slotClaimed uint32 = 2
-	st, k1 := state.U32(), keys1.U32()
-	var k2, pv []uint32
-	if keys2 != nil {
-		k2 = keys2.U32()
-		pv = prev.U32()
-	}
-	src := col.U32()
-	f := fail.U32()
-	mask := uint32(capacity - 1)
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-	rows:
-		for i := lo; i < hi; i += step {
-			a := src[i]
-			var b uint32
-			if k2 != nil {
-				b = pv[i]
-			}
-			for p := 0; p < capacity; p++ {
-				s := hashSlot(a, b, mask, p)
-				for {
-					switch cl.AtomicLoadU32(&st[s]) {
-					case slotEmpty:
-						if cl.AtomicCASU32(&st[s], slotEmpty, slotClaimed) {
-							cl.AtomicStoreU32(&k1[s], a)
-							if k2 != nil {
-								cl.AtomicStoreU32(&k2[s], b)
-							}
-							cl.AtomicStoreU32(&st[s], slotUsed)
-							continue rows
-						}
-						continue // lost the race: re-inspect the slot
-					case slotClaimed:
-						continue // another row is writing its key: spin
-					default: // slotUsed
-					}
-					break
-				}
-				if cl.AtomicLoadU32(&k1[s]) == a && (k2 == nil || cl.AtomicLoadU32(&k2[s]) == b) {
-					continue rows
-				}
-			}
-			cl.AtomicStoreU32(&f[0], 1)
-		}
-	}, launch(q.Device(), "hash_pessimistic", n, cl.Cost{
-		BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * 12,
-		Atomics: int64(n), AtomicTargets: int64(capacity),
-	}, wait))
-}
-
-// HashEnumerate enqueues the dense-id assignment over used slots: per-item
-// counts of used slots, an exclusive scan, then slotGid[slot] = dense id.
-// The distinct count lands in total[0]. partials needs gsz+1 words.
-func HashEnumerate(q *cl.Queue, slotGid, state, partials, total *cl.Buffer, capacity int, wait []*cl.Event) *cl.Event {
-	dev := q.Device()
-	sg, st, p := slotGid.U32(), state.U32(), partials.U32()
-
-	ev1 := q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi := t.ChunkSpan(capacity)
-		var c uint32
-		for s := lo; s < hi; s++ {
-			if st[s] == slotUsed {
-				c++
-			}
-		}
-		p[t.Global] = c
-	}, launch(dev, "hash_enum_count", capacity, cl.Cost{BytesStreamed: int64(capacity) * 4}, wait))
-
-	ev2 := scanSpine(q, "hash_enum_scan", partials, total, []*cl.Event{ev1})
-
-	return q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi := t.ChunkSpan(capacity)
-		id := p[t.Global]
-		for s := lo; s < hi; s++ {
-			if st[s] == slotUsed {
-				sg[s] = id
-				id++
-			}
-		}
-	}, launch(dev, "hash_enum_assign", capacity, cl.Cost{BytesStreamed: int64(capacity) * 8}, []*cl.Event{ev2}))
-}
-
 // HashLookupGids enqueues gids[i] = dense id of row i's key — the group-id
 // assignment via table look-ups (§4.1.6). Keys are assumed present (the
-// table was built over the same key words); prev is nil for single-word keys.
+// table was built over the same key words); prev is nil for single-word keys,
+// and so under sorted addressing.
 func HashLookupGids(q *cl.Queue, gids *cl.Buffer, s Slots, col, prev *cl.Buffer, n int, wait []*cl.Event) *cl.Event {
 	v := s.view()
 	var pv []uint32
@@ -576,8 +400,9 @@ func HashLookupGids(q *cl.Queue, gids *cl.Buffer, s Slots, col, prev *cl.Buffer,
 			}
 			return
 		}
+		so := v.sorted
 		for i := lo; i < hi; i += step {
-			g[i] = v.hashedGid(src[i], wordAt(pv, i))
+			g[i] = so.gid(src[i])
 		}
 	}, launch(q.Device(), "hash_lookup_gid", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))

@@ -29,8 +29,9 @@ func JoinProbeCount(q *cl.Queue, counts *cl.Buffer, s Slots, starts *cl.Buffer, 
 			}
 			return
 		}
+		sv := v.sorted
 		for i := lo; i < hi; i += step {
-			c[i] = bucketLen(so, v.hashedGid(src[i], 0))
+			c[i] = bucketLen(so, sv.gid(src[i]))
 		}
 	}, launch(q.Device(), "join_probe_count", n,
 		cl.Cost{BytesStreamed: int64(n) * 8, BytesRandom: int64(n) * s.probeBytes()}, wait))
@@ -50,8 +51,9 @@ func JoinProbeWrite(q *cl.Queue, outL, outR, offsets *cl.Buffer, s Slots, starts
 			}
 			return
 		}
+		sv := v.sorted
 		for i := lo; i < hi; i += step {
-			writeMatches(ol, or, rid, so, off[i], i, v.hashedGid(src[i], 0))
+			writeMatches(ol, or, rid, so, off[i], i, sv.gid(src[i]))
 		}
 	}, launch(q.Device(), "join_probe_write", n,
 		cl.Cost{BytesStreamed: int64(n) * 12, BytesRandom: int64(n) * s.probeBytes()}, wait))
@@ -73,7 +75,7 @@ func JoinProbeUnique(q *cl.Queue, bm, rpos, partials *cl.Buffer, s Slots, starts
 		wlo, whi, step := t.Span(BitmapWords(n))
 		var sum int
 		var gids [32]int32
-		id := v.ident
+		id, sv := v.ident, v.sorted
 		for w := wlo; w < whi; w += step {
 			var out uint32
 			base := w * 32
@@ -84,7 +86,7 @@ func JoinProbeUnique(q *cl.Queue, bm, rpos, partials *cl.Buffer, s Slots, starts
 				}
 			} else {
 				for i, k := range keys {
-					gids[i] = v.hashedGid(k, 0)
+					gids[i] = sv.gid(k)
 				}
 			}
 			for i, gid := range gids[:len(keys)] {
@@ -115,7 +117,7 @@ func ExistsProbe(q *cl.Queue, bm, partials *cl.Buffer, s Slots, probe *cl.Buffer
 	return q.EnqueueKernel(func(t *cl.Thread) {
 		wlo, whi, step := t.Span(BitmapWords(n))
 		var sum int
-		id := v.ident
+		id, sv := v.ident, v.sorted
 		for w := wlo; w < whi; w += step {
 			var out uint32
 			keys := src[w*32 : min(w*32+32, n)]
@@ -125,7 +127,7 @@ func ExistsProbe(q *cl.Queue, bm, partials *cl.Buffer, s Slots, probe *cl.Buffer
 				}
 			} else {
 				for _, k := range keys {
-					out = out>>1 | b2u(v.hashedGid(k, 0) >= 0)<<31
+					out = out>>1 | b2u(sv.gid(k) >= 0)<<31
 				}
 			}
 			out = (out ^ -flip) >> uint(32-len(keys)) // flip before the shift drops the low bits

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -989,53 +990,6 @@ func TestRadixSortKeyWidth(t *testing.T) {
 	}
 }
 
-// TestDistinctEstimate: KeyRange's fixed-stride sample estimates the distinct
-// keys of sparse inputs in random order within a factor of two from 16 keys to
-// all-distinct, exactly when the sample is the whole input, and only where
-// Group could sort — a dense range carries no estimate. On clustered input,
-// where runs shorter than the stride look like distinct rows, it errs upwards
-// only: towards the sort, whose cost does not depend on the keys.
-func TestDistinctEstimate(t *testing.T) {
-	e := newEnv(cl.NewCPUDevice(4))
-	measure := func(vals []int32) KeySpace {
-		n := len(vals)
-		partials := e.buf(t, KeyRangeWords(e.dev, n))
-		if err := KeyRange(e.q, partials, e.i32(t, vals), nil, n, nil).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return FoldKeyRange(e.dev, partials.U32(), n, 1)
-	}
-	const n = 200_000
-	r := rand.New(rand.NewSource(5))
-	for _, distinct := range []int{16, 1_000, 10_000, 100_000, n} {
-		vals := make([]int32, n)
-		step := (1 << 31) / distinct // spread over 31 bits: identity addressing refuses
-		for i := range vals {
-			vals[i] = int32(r.Intn(distinct) * step)
-			if distinct == n {
-				vals[i] = int32(i * step)
-			}
-		}
-		if got := measure(vals).Distinct; got < distinct/2 || got > 2*distinct {
-			t.Fatalf("%d distinct keys in random order: estimated %d", distinct, got)
-		}
-		slices.Sort(vals)
-		if got := measure(vals).Distinct; got < distinct/2 || got > n {
-			t.Fatalf("%d distinct keys in clustered order: estimated %d", distinct, got)
-		}
-	}
-	dense := make([]int32, n)
-	for i := range dense {
-		dense[i] = int32(i % 1_000)
-	}
-	if got := measure([]int32{7, 1 << 30, 7, -9, 1 << 30}).Distinct; got != 3 {
-		t.Fatalf("a five-row input has 3 distinct keys, counted %d", got)
-	}
-	if ks := measure(dense); ks.Distinct != 0 || ks.Span != 999 {
-		t.Fatalf("dense keys: %+v, want the range and no estimate", ks)
-	}
-}
-
 // buildSlots builds the slots stage over vals the way the core engine's host
 // code does, under the addressing asked for, and returns it with the distinct
 // count.
@@ -1044,34 +998,34 @@ func buildSlots(t *testing.T, e *env, vals []int32, identity bool) (Slots, int) 
 	n := len(vals)
 	col := e.i32(t, vals)
 	total := e.buf(t, 1)
-	if identity {
-		partials := e.buf(t, KeyRangeWords(e.q.Device(), n))
-		if err := KeyRange(e.q, partials, col, nil, n, nil).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		ks := FoldKeyRange(e.q.Device(), partials.U32(), n, 1)
-		s := Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
-		words := (int(s.Span) + 32) / 32
-		s.Bits, s.Rank = e.buf(t, words), e.buf(t, words)
-		ev := IdentitySet(e.q, s, col, nil, n, nil)
-		if err := IdentityRank(e.q, s, e.scratch(t), total, words, []*cl.Event{ev}).Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return s, int(total.U32()[0])
-	}
-	capacity := TableCapacity(n)
-	s := Slots{State: e.buf(t, capacity), Keys1: e.buf(t, capacity), SlotGid: e.buf(t, capacity), Capacity: capacity}
-	fail := e.buf(t, 1)
-	if err := HashInsertPessimistic(e.q, s.State, s.Keys1, nil, col, nil, fail, n, capacity, nil).Wait(); err != nil {
+	partials := e.buf(t, KeyRangeWords(e.q.Device()))
+	if err := KeyRange(e.q, partials, col, nil, n, nil).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if fail.U32()[0] != 0 {
-		t.Fatalf("insertion of %d keys into %d slots failed", n, capacity)
+	ks := FoldKeyRange(e.q.Device(), partials.U32(), 1)
+	s := Slots{Min: ks.Min, Span: ks.Span, Prev: ks.Prev}
+	if !identity {
+		s.Keys = e.buf(t, n)
+		sc := sortScratch(t, e, n)
+		if _, done := SortedSlots(e.q, s.Keys, col, ks, sc, n, nil); done.Wait() != nil {
+			t.Fatal(done.Wait())
+		}
+		s.Distinct = int(sc.Total.U32()[0]) + 1
+		return s, s.Distinct
 	}
-	if err := HashEnumerate(e.q, s.SlotGid, s.State, e.scratch(t), total, capacity, nil).Wait(); err != nil {
+	words := (int(s.Span) + 32) / 32
+	s.Bits, s.Rank = e.buf(t, words), e.buf(t, words)
+	ev := IdentitySet(e.q, s, col, nil, n, nil)
+	if err := IdentityRank(e.q, s, e.scratch(t), total, words, []*cl.Event{ev}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	return s, int(total.U32()[0])
+}
+
+// sortScratch allocates GroupSortScratch for n rows.
+func sortScratch(t testing.TB, e *env, n int) GroupSortScratch {
+	return GroupSortScratch{K0: e.buf(t, n+1), V0: e.buf(t, n+1), K1: e.buf(t, n+1), V1: e.buf(t, n+1),
+		Hist: e.buf(t, SortHistWords(e.dev)+1), Spine: e.scratch(t), Total: e.buf(t, 1)}
 }
 
 // buildTable builds a complete multi-stage hash table over vals — slots under
@@ -1111,18 +1065,21 @@ func bothAddressings(f func(dev *cl.Device, e *env, identity bool)) {
 	}
 }
 
+// TestHashBuildAndGroupIDs builds the whole table under either addressing:
+// every row lands in exactly one bucket, its own key's, and a key's id is its
+// rank among the distinct keys in int32 order.
 func TestHashBuildAndGroupIDs(t *testing.T) {
 	bothAddressings(func(dev *cl.Device, e *env, identity bool) {
 		n := 20000
-		distinct := 137
 		vals := make([]int32, n)
 		r := rand.New(rand.NewSource(17))
 		for i := range vals {
-			vals[i] = r.Int31n(int32(distinct)) * 3
+			vals[i] = r.Int31n(137)*3 - 200
 		}
+		distinct := slices.Compact(slices.Sorted(slices.Values(vals)))
 		slots, starts, rowids, nd := buildTable(t, e, vals, identity)
-		if nd > distinct {
-			t.Fatalf("%s: %d distinct found, at most %d exist", dev.Name, nd, distinct)
+		if nd != len(distinct) {
+			t.Fatalf("%s identity=%v: %d distinct found, %d exist", dev.Name, identity, nd, len(distinct))
 		}
 		// Every row must be in exactly one bucket, with its own value.
 		col := e.i32(t, vals)
@@ -1149,70 +1106,65 @@ func TestHashBuildAndGroupIDs(t *testing.T) {
 				t.Fatalf("%s: row %d not in any bucket", dev.Name, i)
 			}
 		}
-		// Group ids must be consistent: equal values ⇔ equal ids.
-		byVal := map[int32]int32{}
 		for i, v := range vals {
-			g := gids.I32()[i]
-			if prev, ok := byVal[v]; ok && prev != g {
-				t.Fatalf("%s: value %d has two group ids", dev.Name, v)
+			if rank, _ := slices.BinarySearch(distinct, v); gids.I32()[i] != int32(rank) {
+				t.Fatalf("%s identity=%v: row %d (key %d) has id %d, its rank is %d", dev.Name, identity, i, v, gids.I32()[i], rank)
 			}
-			byVal[v] = g
 		}
 	})
 }
 
-func TestHashPessimisticOnlyCompositeKeys(t *testing.T) {
-	// Composite (two-word) keys: build with the pessimistic kernel and
-	// verify lookups.
-	e := newEnv(cl.NewCPUDevice(4))
-	n := 5000
-	col := make([]int32, n)
-	prev := make([]uint32, n)
+// TestGroupBySortCompositeKeys: the sort path numbers composite keys (k, b)
+// in (b, k) order, the same ids on every device, whether their range fits one
+// word (one packed code) or not (a sort by k, then a stable one by b): keys
+// from MinInt32 to MaxInt32 under 7 previous ids span 7·2^32 codes.
+func TestGroupBySortCompositeKeys(t *testing.T) {
+	const n = 5000
 	r := rand.New(rand.NewSource(23))
-	for i := range col {
-		col[i] = r.Int31n(50)
-		prev[i] = uint32(r.Intn(7))
-	}
-	cb := e.i32(t, col)
-	pb := e.u32(t, prev)
-	capacity := TableCapacity(n)
-	state, keys1, keys2 := e.buf(t, capacity), e.buf(t, capacity), e.buf(t, capacity)
-	fail := e.buf(t, 1)
-	ev := HashInsertPessimistic(e.q, state, keys1, keys2, cb, pb, fail, n, capacity, nil)
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if fail.U32()[0] != 0 {
-		t.Fatal("pessimistic insert failed with ample capacity")
-	}
-	slotGid := e.buf(t, capacity)
-	total := e.buf(t, 1)
-	if err := HashEnumerate(e.q, slotGid, state, e.scratch(t), total, capacity, nil).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	gids := e.buf(t, n+1)
-	slots := Slots{State: state, Keys1: keys1, Keys2: keys2, SlotGid: slotGid, Capacity: capacity}
-	if err := HashLookupGids(e.q, gids, slots, cb, pb, n, nil).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	type pair struct {
-		v int32
-		p uint32
-	}
-	byKey := map[pair]int32{}
-	for i := 0; i < n; i++ {
-		g := gids.I32()[i]
-		if g < 0 {
-			t.Fatalf("row %d not found after insert", i)
+	narrow, wide, prev := make([]int32, n), make([]int32, n), make([]int32, n)
+	for i := range narrow {
+		narrow[i] = r.Int31n(50) - 25
+		wide[i] = int32(r.Uint32())
+		if i%10 == 0 {
+			wide[i] = wide[i%100] // repeated keys under other previous ids
 		}
-		k := pair{col[i], prev[i]}
-		if prevG, ok := byKey[k]; ok && prevG != g {
-			t.Fatalf("composite key %v has two ids", k)
-		}
-		byKey[k] = g
+		prev[i] = int32(r.Intn(7))
 	}
-	if int(total.U32()[0]) != len(byKey) {
-		t.Fatalf("ndistinct = %d, want %d", total.U32()[0], len(byKey))
+	wide[0], wide[1] = math.MinInt32, math.MaxInt32
+	for _, col := range [][]int32{narrow, wide} {
+		type pair struct{ b, k int32 }
+		pairs := make([]pair, n)
+		for i := range pairs {
+			pairs[i] = pair{prev[i], col[i]}
+		}
+		order := slices.Clone(pairs)
+		slices.SortFunc(order, func(x, y pair) int { return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.k, y.k)) })
+		order = slices.Compact(order)
+		for _, dev := range devices() {
+			e := newEnv(dev)
+			cb, pb := e.i32(t, col), e.i32(t, prev)
+			partials := e.buf(t, KeyRangeWords(dev))
+			if err := KeyRange(e.q, partials, cb, pb, n, nil).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			ks := FoldKeyRange(dev, partials.U32(), 7)
+			if (ks.Range() > 1<<32) != (col[0] == math.MinInt32) {
+				t.Fatalf("%s: %+v spans %d codes", dev.Name, ks, ks.Range())
+			}
+			ids, sc := e.buf(t, n+1), sortScratch(t, e, n)
+			if _, done := GroupBySort(e.q, ids, cb, pb, ks, sc, n, nil); done.Wait() != nil {
+				t.Fatal(done.Wait())
+			}
+			if groups := int(sc.Total.U32()[0]) + 1; groups != len(order) {
+				t.Fatalf("%s: %d groups, want %d", dev.Name, groups, len(order))
+			}
+			for i, p := range pairs {
+				rank, _ := slices.BinarySearchFunc(order, p, func(x, y pair) int { return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.k, y.k)) })
+				if ids.I32()[i] != int32(rank) {
+					t.Fatalf("%s: row %d %v has id %d, want its rank %d", dev.Name, i, p, ids.I32()[i], rank)
+				}
+			}
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func TestOversizedJoinRefusesCleanly(t *testing.T) {
 	const n = 200_000
 	keys := uniqueShuffledI32(n, 31)
 	for i := range keys {
-		keys[i] *= 7919 // spread over a wide range: the slots stay hashed (~6 MiB)
+		keys[i] *= 7919 // spread over a wide range: sorted slots, ~4 MiB with the sort's scratch
 	}
 	dev := cl.NewGPUDevice(2 << 20)
 	e := New(dev)

@@ -196,8 +196,9 @@ func TestGPUFailureFallsBackToCPU(t *testing.T) {
 		t.Fatal("fallback produced no rows")
 	}
 
-	// A join whose table does not fit the card (hashed slots over 200 000
-	// unique wide-range keys, ~6 MiB) is refused there and runs on the CPU,
+	// A join whose table does not fit the card (sorted slots over 200 000
+	// unique wide-range keys: ~4 MiB of codes and sort scratch) is refused
+	// there and runs on the CPU,
 	// with the CPU engine's bytes.
 	keys := make([]int32, 200_000)
 	for i, k := range rand.New(rand.NewSource(7)).Perm(len(keys)) {

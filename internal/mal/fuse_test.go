@@ -398,9 +398,10 @@ func TestFusionAllocatesNoMoreThanUnfused(t *testing.T) {
 			}
 		}
 		run() // warm-up: device caches, worker pools
-		// The quietest of three windows: the runtime's free lists (work-group
-		// local memory, command records) refill when kernels happen to
-		// overlap, which costs more per window than the two chains differ by.
+		// The quietest of three windows: how many of the host executor's
+		// workers a run recruits, and how often the Memory Manager's scratch
+		// free-list misses, depend on how its kernels happen to overlap, which
+		// costs more per window than the two chains differ by.
 		const windows, runs = 3, 5
 		best := int64(math.MaxInt64)
 		for w := 0; w < windows; w++ {

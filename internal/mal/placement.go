@@ -293,8 +293,9 @@ func (s *Session) place(batch []*PInstr, outputs []*bat.BAT, sink func(*PInstr, 
 			}
 		}
 		// Operator working state beyond inputs and outputs: the multi-stage
-		// hash table for joins and grouping (≈26 B/build row at the table's
-		// over-allocation), the merge-sort double buffer.
+		// lookup table for joins and grouping (at most ≈26 B/build row:
+		// identity slots within the same budget, or the sort's scratch and
+		// codes, 20 B), the merge-sort double buffer.
 		switch in.Kind {
 		case OpJoin, OpSemiJoin, OpAntiJoin:
 			n.resBytes += 26 * est.rowsOf(in.Args[1])

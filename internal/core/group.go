@@ -12,12 +12,11 @@ import (
 // boundary-flag + prefix-sum path. Unsorted inputs are measured once
 // (measureKeys) and take identity addressing where kernels.IdentityWords
 // admits their range: ids looked up through the slots of the lookup table.
-// Every other key set is sorted into the boundary-flag path
-// (kernels.GroupBySort). Multi-column grouping refines a previous grouping by
-// keying on the (value, previous id) pair — the recursive combined-id scheme
-// of §4.1.6; a refinement of previous ids measured non-decreasing in short
-// runs is numbered inside its runs instead of sorted (kernels.GroupByRuns), to
-// the same ids.
+// Multi-column grouping refines a previous grouping by keying on the (value,
+// previous id) pair — the recursive combined-id scheme of §4.1.6; a refinement
+// of previous ids measured non-decreasing in short runs is numbered inside its
+// runs in first appearance (kernels.GroupByRuns). Every other key set is
+// sorted into the boundary-flag path (kernels.GroupBySort).
 func (e *Engine) Group(col, grp *bat.BAT, ngrp int) (*bat.BAT, int, error) {
 	return e.group(col, grp, ngrp, nil)
 }
@@ -128,12 +127,12 @@ func (e *Engine) sortScratch(n int) (*scratchSet, kernels.GroupSortScratch) {
 	}
 }
 
-// groupByRuns is the run path (kernels.GroupByRuns): the sort path's ids,
-// where the previous ids come in short non-decreasing runs, from three
-// launches over the rows as they lie.
+// groupByRuns is the run path (kernels.GroupByRuns): first-appearance ids,
+// prev-major, where the previous ids come in short non-decreasing runs, from
+// two passes over the rows as they lie and a spine, with no per-row scratch.
 func (e *Engine) groupByRuns(colBuf, prev *cl.Buffer, n int, wait []*cl.Event) (*cl.Buffer, *cl.Event, int, error) {
-	ids, done, groups, err := e.groupByScan(n, func(ids, flags, excl, sp, total *cl.Buffer) (*cl.Event, *cl.Event) {
-		return kernels.GroupByRuns(e.q, ids, colBuf, prev, flags, excl, sp, total, n, wait)
+	ids, done, groups, err := e.groupByScan(n, 0, func(ids, sp, total *cl.Buffer, _ []*cl.Buffer) (*cl.Event, *cl.Event) {
+		return kernels.GroupByRuns(e.q, ids, colBuf, prev, sp, total, n, wait)
 	})
 	return ids, done, int(groups), err
 }
@@ -144,7 +143,8 @@ func (e *Engine) groupSorted(col *bat.BAT, n int) (*bat.BAT, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ids, iev, boundaries, err := e.groupByScan(n, func(ids, flags, excl, sp, total *cl.Buffer) (*cl.Event, *cl.Event) {
+	ids, iev, boundaries, err := e.groupByScan(n, 2, func(ids, sp, total *cl.Buffer, rows []*cl.Buffer) (*cl.Event, *cl.Event) {
+		flags, excl := rows[0], rows[1]
 		fev := kernels.GroupBoundaryFlags(e.q, flags, colBuf, n, wait)
 		e.mm.NoteConsumer(col, fev)
 		sev := kernels.PrefixSum(e.q, excl, flags, sp, total, n, []*cl.Event{fev})
@@ -160,24 +160,26 @@ func (e *Engine) groupSorted(col *bat.BAT, n int) (*bat.BAT, int, error) {
 }
 
 // groupByScan is what the sorted and the run path share: it allocates the
-// ids and the scratch of a flag per row, the flags' exclusive scan, scan
-// partials and total; enqueue chains the path's kernels over them, and the
-// total is read back once scanned has landed.
-func (e *Engine) groupByScan(n int, enqueue func(ids, flags, excl, sp, total *cl.Buffer) (scanned, done *cl.Event)) (*cl.Buffer, *cl.Event, uint32, error) {
+// ids, scan partials, the total and rows n-word scratch buffers; enqueue
+// chains the path's kernels over them, and the total is read back once scanned
+// has landed.
+func (e *Engine) groupByScan(n, rows int, enqueue func(ids, sp, total *cl.Buffer, rows []*cl.Buffer) (scanned, done *cl.Event)) (*cl.Buffer, *cl.Event, uint32, error) {
 	sc := &scratchSet{mm: e.mm}
-	flags, excl, sp, total := sc.alloc(n+1), sc.alloc(n+1), sc.alloc(spineWords(e.dev)), sc.alloc(1)
-	ids := sc.alloc(n + 1)
+	for range rows {
+		sc.alloc(n + 1)
+	}
+	sp, total, ids := sc.alloc(spineWords(e.dev)), sc.alloc(1), sc.alloc(n+1)
 	if sc.err != nil {
 		sc.releaseAll()
 		return nil, nil, 0, sc.err
 	}
-	scanned, done := enqueue(ids, flags, excl, sp, total)
+	scanned, done := enqueue(ids, sp, total, sc.bufs[:rows])
 	count, err := e.readU32(total, []*cl.Event{scanned})
 	if err != nil {
 		sc.releaseAll()
 		return nil, nil, 0, err
 	}
-	e.releaseAfter(done, flags, excl, sp, total)
+	e.releaseAfter(done, sc.bufs[:rows+2]...)
 	return ids, done, count, nil
 }
 

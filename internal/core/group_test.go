@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -41,8 +42,8 @@ func pathOf(dev *cl.Device, n int, ks kernels.KeySpace) groupPath {
 // groupVia groups col (refining prev < nprev when given) on the path asked
 // for, bypassing the rules, so every path can be compared over one input —
 // inputs the rules would never send there included (the run path needs a
-// non-decreasing prev, of runs of any length). It returns the ids and the
-// group count.
+// non-decreasing prev whose runs its set of 2·MaxRefineRun keys can number:
+// runsFit). It returns the ids and the group count.
 func groupVia(t *testing.T, e *Engine, path groupPath, col, prev *bat.BAT, nprev int) ([]uint32, int) {
 	t.Helper()
 	if path == pathIdentity {
@@ -75,6 +76,42 @@ func groupVia(t *testing.T, e *Engine, path groupPath, col, prev *bat.BAT, nprev
 	ids := slices.Clone(readWords(t, e, gids, n))
 	e.mm.Release(gids)
 	return ids, ngroups
+}
+
+// runsFit reports whether prev is non-decreasing in runs the run path can
+// number whatever their keys: shorter than its set of 2·MaxRefineRun keys.
+func runsFit(prev []int32) bool {
+	run := 0
+	for i := range prev {
+		if i > 0 && prev[i] < prev[i-1] {
+			return false
+		}
+		if i > 0 && prev[i] == prev[i-1] {
+			run++
+		} else {
+			run = 1
+		}
+		if run >= 2*kernels.MaxRefineRun {
+			return false
+		}
+	}
+	return prev != nil
+}
+
+// prevMajor reports whether ids, over previous ids non-decreasing in row
+// order, number each run of equal previous ids above every earlier run.
+func prevMajor(ids []uint32, prev []int32) bool {
+	below, top := -1, -1 // the earlier runs' highest id, and so far
+	for i, id := range ids {
+		if i > 0 && prev[i] != prev[i-1] {
+			below = top
+		}
+		if int(id) <= below {
+			return false
+		}
+		top = max(top, int(id))
+	}
+	return true
 }
 
 // bitsFor is the width of the codes 0..keyRange-1.
@@ -221,11 +258,13 @@ func groupCases() []groupCase {
 // identity-addressed slots, sorting (by one packed code, or by both words of a
 // composite range wider than one), numbering inside runs of the previous ids —
 // on Ocelot-CPU at one, two and eight threads and on the GPU
-// model, forcing each path over each input (the run path wherever the previous
-// ids are non-decreasing), and compares every result with the sequential
+// model, forcing each path over each input (the run path wherever runsFit),
+// and compares every result with the sequential
 // baseline as a partition (two rows share an id on one engine iff they do on
-// the other) and on the group count. On the sort and run paths the id column
-// must be the same bytes on every engine and on both paths. Then the same
+// the other) and on the group count. The sort path's id column must be the
+// same bytes on every engine, numbered prev-major in (previous id, key)
+// order; the run path's must be the baseline's first-appearance ids, byte for
+// byte, and prev-major. Then the same
 // inputs go through Group itself: it must take the path the rules name (seen
 // in its launch count) and agree with the baseline again.
 func TestGroupAddressingPaths(t *testing.T) {
@@ -262,8 +301,8 @@ func TestGroupAddressingPaths(t *testing.T) {
 			}
 			for _, path := range []groupPath{pathIdentity, pathSort, pathRuns} {
 				if path == pathIdentity && ks.Range() > 1<<26 ||
-					path == pathRuns && (c.prev == nil || !slices.IsSorted(c.prev)) {
-					continue // no bitmap that large; no runs
+					path == pathRuns && !runsFit(c.prev) {
+					continue // no bitmap that large; no runs the set can number
 				}
 				ids, groups := groupVia(t, e, path, col, prev, nprev)
 				if groups != refGroups || !samePartition(ids, ref) {
@@ -276,14 +315,21 @@ func TestGroupAddressingPaths(t *testing.T) {
 				if path == pathIdentity {
 					continue
 				}
+				if path == pathRuns {
+					if !slices.Equal(ids, ref) || !prevMajor(ids, c.prev) {
+						t.Fatalf("%s on %s: run-path ids equal the baseline's: %v; prev-major: %v",
+							c.name, e.Name(), slices.Equal(ids, ref), prevMajor(ids, c.prev))
+					}
+					continue
+				}
 				if sortIDs == nil {
 					sortIDs = ids
 				}
 				if !slices.Equal(ids, sortIDs) {
-					t.Fatalf("%s on %s: %v-path ids differ from the first engine's sort path", c.name, e.Name(), path)
+					t.Fatalf("%s on %s: sort-path ids differ from the first engine's", c.name, e.Name())
 				}
 				if !numberedInOrder(ids, c.keys, c.prev, false) {
-					t.Fatalf("%s on %s: %v-path ids are not numbered prev-major", c.name, e.Name(), path)
+					t.Fatalf("%s on %s: sort-path ids are not numbered prev-major", c.name, e.Name())
 				}
 			}
 
@@ -301,7 +347,7 @@ func TestGroupAddressingPaths(t *testing.T) {
 			// Measurement, then: fill, bit set, three-kernel rank scan,
 			// look-up — or pack, three kernels a pass, boundary flags,
 			// three-kernel scan, scatter, and past one word a gather and the
-			// passes over the second word — or flags, three-kernel scan, ids.
+			// passes over the second word — or local ids, spine, offsets.
 			want := int64(7)
 			switch radix := kernels.RadixBits(e.dev); {
 			case rule == pathSort && ks.Range() > 1<<32:
@@ -310,7 +356,7 @@ func TestGroupAddressingPaths(t *testing.T) {
 			case rule == pathSort:
 				want = int64(7 + 3*((bitsFor(ks.Range())+radix-1)/radix))
 			case rule == pathRuns:
-				want = 6
+				want = 4
 			}
 			if got := e.dev.KernelLaunches() - before; got != want {
 				t.Fatalf("%s on %s: Group took %d launches, the %v path takes %d", c.name, e.Name(), got, rule, want)
@@ -362,9 +408,9 @@ func numberedInOrder(ids []uint32, keys, prev []int32, keyMajor bool) bool {
 // to the identity bound, then the run path where the previous ids come in
 // short runs and the sort path otherwise, whatever the range, one word or two
 // — and checks the memory bound placement relies on: Group's working state on
-// the sort and the run path (four n-word buffers, histogram, scan partials;
-// two n-word buffers and scan partials) stays within the 26 bytes a row that
-// placement assumes for grouping (mal/placement.go).
+// the sort path (four n-word buffers, histogram, scan partials) stays within
+// the 26 bytes a row that placement assumes for grouping (mal/placement.go),
+// and the run path's is only the spine and the total, no word a row.
 func TestGroupRule(t *testing.T) {
 	const n = 100_000
 	const identityBound = 12_582_912 // 48 bytes an address for 262 144 slots: 1.4n + 8 rounded up
@@ -405,7 +451,7 @@ func TestGroupRule(t *testing.T) {
 }
 
 // testGroupMemory groups keys refining prev on e, which must take path, and
-// bounds the working state it held.
+// bounds the working state it held beyond the ids.
 func testGroupMemory(t *testing.T, e *Engine, keys, prevIDs []int32, nprev int, path groupPath) {
 	t.Helper()
 	rows := len(keys)
@@ -433,10 +479,13 @@ func testGroupMemory(t *testing.T, e *Engine, keys, prevIDs []int32, nprev int, 
 	if err := e.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	out := int64(rows+1) * 4
-	if state := e.dev.PeakAllocated() - before - out; e.dev.PeakAllocated() == earlierPeak || state > 26*int64(rows) {
-		t.Fatalf("%s: the %v path over %d rows held %d bytes of working state, placement assumes %d",
-			e.Name(), path, rows, state, 26*rows)
+	out, bound := int64(rows+1)*4, 26*int64(rows)
+	if path == pathRuns {
+		bound = int64(spineWords(e.dev)+1) * 4 // the spine and the total
+	}
+	if state := e.dev.PeakAllocated() - before - out; e.dev.PeakAllocated() == earlierPeak || state > bound {
+		t.Fatalf("%s: the %v path over %d rows held %d bytes of working state, at most %d allowed",
+			e.Name(), path, rows, state, bound)
 	}
 	e.Release(g)
 	col.Free()
@@ -512,10 +561,10 @@ func TestQ21ShapedPlanAgainstBaseline(t *testing.T) {
 				t.Fatalf("%s %s: %d groups (baseline %d); per-row counts equal: %v, minima equal: %v",
 					order.name, e.Name(), groups, refGroups, slices.Equal(count, refCount), slices.Equal(least, refLeast))
 			}
-			// Measurement, then flags, three-kernel scan, ids — or pack, three
+			// Measurement, then local ids, spine, offsets — or pack, three
 			// kernels a pass over a 26-bit code, flags, three-kernel scan,
 			// scatter.
-			want := int64(6)
+			want := int64(4)
 			if order.path == pathSort {
 				radix := kernels.RadixBits(e.dev)
 				want = int64(7 + 3*((26+radix-1)/radix))
@@ -531,25 +580,44 @@ func TestQ21ShapedPlanAgainstBaseline(t *testing.T) {
 }
 
 // TestGroupRunsAtTheEdges: Group answers an empty refinement without a launch,
-// and the run path numbers no rows as no groups and one row as group 0.
+// and the run path numbers no rows as no groups, one row as group 0 and one
+// run of as many distinct keys as its set holds (2·MaxRefineRun), in
+// descending order, as 0, 1, 2, … in row order — first appearance, not key
+// order; one distinct key more is an error, not an endless probe.
 func TestGroupRunsAtTheEdges(t *testing.T) {
+	full := make([]int32, 2*kernels.MaxRefineRun+1)
+	for i := range full {
+		full[i] = math.MaxInt32 - int32(i)
+	}
 	for _, e := range crossEngines() {
 		before := e.dev.KernelLaunches()
 		g, groups, err := e.Group(i32Col("k", nil), i32Col("p", nil), 0)
 		if err != nil || groups != 0 || g.Len() != 0 || e.dev.KernelLaunches() != before {
 			t.Fatalf("%s: an empty refinement: %d groups, %d launches, %v", e.Name(), groups, e.dev.KernelLaunches()-before, err)
 		}
-		for _, keys := range [][]int32{{}, {math.MinInt32}} {
+		for _, keys := range [][]int32{{}, {math.MinInt32}, full[:len(full)-1], full} {
 			n := len(keys)
 			colBuf, prevBuf, wait := keyBufs(t, e, i32Col("k", keys), i32Col("p", make([]int32, n)))
 			ids, ev, groups, err := e.groupByRuns(colBuf, prevBuf, n, wait)
+			if n == len(full) {
+				if err == nil || !strings.Contains(err.Error(), "distinct keys") {
+					t.Fatalf("%s: one run of %d distinct keys: %v", e.Name(), n, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := ev.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if groups != n || n == 1 && readWords(t, e, ids, 1)[0] != 0 {
+			got := readWords(t, e, ids, n)
+			for i, id := range got {
+				if id != uint32(i) {
+					t.Fatalf("%s: one run of %d distinct keys: row %d has id %d", e.Name(), n, i, id)
+				}
+			}
+			if groups != n {
 				t.Fatalf("%s: the run path over %d rows: %d groups", e.Name(), n, groups)
 			}
 			e.mm.Release(ids)

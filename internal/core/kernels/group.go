@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"fmt"
+
 	"repro/internal/cl"
 )
 
@@ -46,86 +48,80 @@ func GroupIDsFromScan(q *cl.Queue, ids, excl, flags *cl.Buffer, n int, wait []*c
 // addressing of the lookup table (SortedSlots) runs the same pipeline and
 // keeps one code per run.
 
-// Refining a clustered grouping inside its runs. When the previous ids are
-// non-decreasing in row order, the rows of one previous id are one run and the
-// runs come in previous-id order, so the sort path's id of a row is the number
-// of distinct keys in the runs before its own plus its key's rank among its
-// run's distinct keys: a sort of a few rows in registers, and §4.1.6's "prefix
-// sum operation" over first-occurrence flags. KeyRange measures the run shape
-// in the launch that measures the range (KeySpace.Runs).
-
-// MaxRefineRun is the longest run of equal previous ids the run path takes:
-// the run path costs more the longer its runs, the radix passes the same
-// whatever the runs, and BenchmarkGroupRuns has them cross near 128 rows
-// (DESIGN.md has the table).
+// MaxRefineRun is the longest run of equal previous ids the run path takes
+// (KeySpace.Runs). It sizes each work-item's set of a run's keys and bounds
+// how far an item reads past its span to finish its last run; the run path's
+// cost does not grow with it.
 const MaxRefineRun = 64
 
+const runSet = 2 * MaxRefineRun // numberRuns' set: an admitted run fills at most half
+
 // GroupByRuns enqueues the run path over col refining prev, whose ids must be
-// non-decreasing in row order: flags[i] = 1 iff row i is the first row of its
-// run with its key, their exclusive scan into excl (spine and total as in
-// PrefixSum), and ids[i] = the scan at the run's first row plus the rank of
-// row i's key among the run's distinct keys — the ids GroupBySort gives the
-// same rows, on every device and thread count. Once scanned has landed,
-// total[0] is the number of groups; done is the last kernel.
-func GroupByRuns(q *cl.Queue, ids, col, prev, flags, excl, spine, total *cl.Buffer, n int, wait []*cl.Event) (scanned, done *cl.Event) {
-	c, p, f, e, d := col.I32()[:n], prev.I32()[:n], flags.U32(), excl.U32(), ids.I32()
-	fev := q.EnqueueKernel(func(t *cl.Thread) {
+// non-decreasing in row order: each work-item numbers the runs that start in
+// its ChunkSpan (numberRuns) into its group count in spine (gsz+1 words),
+// scanSpine turns the counts into offsets, §4.1.6's "prefix sum operation",
+// and each item adds its offset to its runs' rows. Row i's id is then its
+// pair's first-appearance id, monet.Group's, on every device and thread count.
+// Once scanned has landed, total[0] is the group count; done is the last kernel.
+func GroupByRuns(q *cl.Queue, ids, col, prev, spine, total *cl.Buffer, n int, wait []*cl.Event) (scanned, done *cl.Event) {
+	c, p, d, sp := col.U32()[:n], prev.I32()[:n], ids.I32(), spine.U32()
+	local := q.EnqueueKernel(func(t *cl.Thread) {
 		lo, hi := t.ChunkSpan(n)
-		rankRuns(c, p, f, d, lo, hi)
-	}, launch(q.Device(), "group_run_flags", n,
-		// The insertion sort moves a row at most MaxRefineRun/4 places on
-		// random keys.
-		cl.Cost{BytesStreamed: int64(n) * 16, Ops: int64(n) * MaxRefineRun / 4}, wait))
-	scanned = PrefixSum(q, excl, flags, spine, total, n, []*cl.Event{fev})
+		sp[t.Global] = numberRuns(c, p, d, lo, hi)
+	}, launch(q.Device(), "group_run_local", n, cl.Cost{BytesStreamed: int64(n) * 12, Ops: int64(n) * 4}, wait))
+	scanned = scanSpine(q, "group_run_spine", spine, total, []*cl.Event{local})
 	done = q.EnqueueKernel(func(t *cl.Thread) {
-		lo, hi, step := t.Span(n)
-		for i := lo; i < hi; i += step {
-			d[i] += int32(e[i])
+		lo, hi := t.ChunkSpan(n)
+		s, e := ownRuns(p, lo, hi)
+		off := int32(sp[t.Global])
+		for i := s; i < e; i++ {
+			d[i] += off
 		}
-	}, launch(q.Device(), "group_run_ids", n, cl.Cost{BytesStreamed: int64(n) * 12}, []*cl.Event{scanned}))
+	}, launch(q.Device(), "group_run_ids", n, cl.Cost{BytesStreamed: int64(n) * 8}, []*cl.Event{scanned}))
 	return scanned, done
 }
 
-// rankRuns numbers the runs of equal previous ids p that start in rows [s,
-// hi) — a run under way at s is the previous work-item's. It insertion-sorts
-// each run's (key, row) pairs and walks them in key order, flagging each key's
-// first row in f and leaving in ids each row's key rank among the run's
-// distinct keys less the flags on the run's rows before it: adding the flags'
-// exclusive scan at the row gives the scan at the run's first row plus the
-// rank, the id. A run longer than MaxRefineRun grows pairs: the bound is the
-// rule's, not the kernel's.
-func rankRuns(c, p []int32, f []uint32, ids []int32, s, hi int) {
-	var pairs []uint64
-	for s > 0 && s < hi && p[s] == p[s-1] {
-		s++
+// ownRuns returns the rows [s, e) of the runs of equal ids p that start in
+// [lo, hi): a run under way at lo is the previous item's; the last may end past hi.
+func ownRuns(p []int32, lo, hi int) (s, e int) {
+	for s = lo; s > 0 && s < hi && p[s] == p[s-1]; s++ {
 	}
-	for s < hi {
-		pairs = pairs[:0]
-		for r := s; r < len(p) && p[r] == p[s]; r++ {
-			pairs = append(pairs, uint64(uint32(c[r])^1<<31)<<32|uint64(r-s)) // int32 key order, then row order
-		}
-		for i := 1; i < len(pairs); i++ {
-			x, j := pairs[i], i
-			for ; j > 0 && pairs[j-1] > x; j-- {
-				pairs[j] = pairs[j-1]
-			}
-			pairs[j] = x
-		}
-		first, out := f[s:s+len(pairs)], ids[s:s+len(pairs)]
-		rank := int32(-1)
-		for i, x := range pairs {
-			fi := b2u(i == 0 || pairs[i-1]>>32 != x>>32)
-			rank += int32(fi)
-			first[uint32(x)], out[uint32(x)] = fi, rank
-		}
-		var before int32
-		for i := range out {
-			out[i] -= before
-			before += int32(first[i])
-		}
-		s += len(pairs)
+	for e = hi; e > s && e < len(p) && p[e] == p[e-1]; e++ {
 	}
+	return s, e
 }
+
+// numberRuns gives each distinct key of the runs ownRuns(p, lo, hi) names the
+// next id, from 0, in first-appearance order within its run, and returns the
+// count. An open-addressed set holds the keys tagged with their run's previous
+// id + 1, so earlier runs' entries read as empty and nothing is cleared. A run
+// of more distinct keys than the set's runSet slots panics, failing the launch,
+// where the probe would otherwise never end.
+func numberRuns(c []uint32, p []int32, ids []int32, lo, hi int) uint32 {
+	s, e := ownRuns(p, lo, hi)
+	var keys [runSet]uint64 // tag<<32 | key
+	var slotID [runSet]int32
+	next := int32(0)
+	for r := s; r < e; r++ {
+		want, h := uint64(uint32(p[r])+1)<<32|uint64(c[r]), runSlot(c[r])
+		for probes := 1; keys[h] != want && keys[h]>>32 == want>>32; probes++ {
+			if probes == runSet {
+				panic(fmt.Sprintf("kernels: the run of previous id %d has more than %d distinct keys", p[r], runSet))
+			}
+			h = (h + 1) % runSet
+		}
+		id := slotID[h]
+		if keys[h] != want {
+			id = next
+		}
+		keys[h], slotID[h], ids[r] = want, id, id
+		next += int32(b2u(id == next))
+	}
+	return uint32(next)
+}
+
+// runSlot is key k's home slot in numberRuns' set: a Fibonacci hash's top bits.
+func runSlot(k uint32) uint32 { return uint32(uint64(k*0x9E3779B1) * runSet >> 32) }
 
 // code packs composite key (k, b) into one word, second-word-major — code =
 // b·(Span+1) + k − Min — so that code order is (b, k) order: prev-major, where

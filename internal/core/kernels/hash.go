@@ -36,9 +36,9 @@ import (
 // number of set bits before it — Rank[word] plus a popcount — so ids number
 // the keys key-major, in (k, b) order. Sorted (Keys != nil, single-word keys
 // only): Keys holds the Distinct codes k-Min in ascending order, and a key's
-// id is its code's position, so ids number the keys in k order. (The sort and
-// run paths of Group number composite pairs prev-major, in (b, k) order:
-// KeySpace.code.)
+// id is its code's position, so ids number the keys in k order. (The sort
+// path of Group numbers composite pairs prev-major, in (b, k) order —
+// KeySpace.code — and the run path prev-major in first appearance.)
 type Slots struct {
 	Bits, Rank *cl.Buffer
 	Keys       *cl.Buffer
@@ -183,8 +183,8 @@ func wordAt(prev []uint32, i int) uint32 {
 // single-word keys; the zero KeySpace is "not measured"). Float keys are
 // measured by their bit patterns, read as int32 like any key word: equality
 // is bit equality. Runs says that the second words are non-decreasing in row
-// order in runs of at most MaxRefineRun rows, where GroupByRuns gives the sort
-// path's ids.
+// order in runs of at most MaxRefineRun rows, which GroupByRuns numbers in
+// first appearance without sorting.
 type KeySpace struct {
 	Min, Span, Prev uint32
 	Runs            bool

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/cl"
+	"repro/internal/mem"
 	"repro/internal/monet"
 )
 
@@ -23,13 +24,9 @@ func runDevices() []*cl.Device {
 // read as float32 bit patterns when float is set — and their count.
 func firstAppearance(t testing.TB, keys []uint32, prev []int32, float bool) ([]int32, int) {
 	t.Helper()
-	col := bat.NewI32("k", asI32(keys))
+	col := bat.NewI32("k", mem.I32(mem.BytesOfU32(keys)))
 	if float {
-		f := make([]float32, len(keys))
-		for i, k := range keys {
-			f[i] = math.Float32frombits(k)
-		}
-		col = bat.NewF32("k", f)
+		col = bat.NewF32("k", mem.F32(mem.BytesOfU32(keys)))
 	}
 	g, groups, err := monet.NewSequential().Group(col, bat.NewI32("p", prev), 0)
 	if err != nil {
@@ -42,15 +39,6 @@ func firstAppearance(t testing.TB, keys []uint32, prev []int32, float bool) ([]i
 func spineBuf(t testing.TB, e *env) *cl.Buffer {
 	_, _, gsz := Geometry(e.dev)
 	return e.buf(t, gsz+1)
-}
-
-// asI32 reads key bit patterns as int32.
-func asI32(keys []uint32) []int32 {
-	out := make([]int32, len(keys))
-	for i, k := range keys {
-		out[i] = int32(k)
-	}
-	return out
 }
 
 // runsOfKeys returns previous ids in consecutive runs of the given lengths
